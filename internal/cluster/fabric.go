@@ -65,7 +65,10 @@ const inlineLinks = 4
 
 // Flow is an in-progress transfer or computation consuming fair-share
 // capacity on one or more links, optionally bounded by a rate cap (for
-// CPU flows, the container's vcore allowance).
+// CPU flows, the container's vcore allowance). A flow drops its done
+// and onAbort callbacks when it finishes, so a finished flow that is
+// still referenced (from a scratch buffer or a finished owner) pins
+// nothing its callbacks captured.
 type Flow struct {
 	fabric      *Fabric
 	links       []*Link
@@ -207,6 +210,7 @@ func (fb *Fabric) Start(links []*Link, work, rateCap float64, done func()) *Flow
 		fb.shard.After(0, func() {
 			if !f.finished {
 				f.finished = true
+				f.done, f.onAbort = nil, nil
 				if done != nil {
 					done()
 				}
@@ -295,6 +299,7 @@ func (fb *Fabric) Cancel(f *Flow) {
 		return
 	}
 	f.finished = true
+	f.done, f.onAbort = nil, nil
 	if f.ev != nil {
 		fb.shard.Cancel(f.ev)
 		f.ev = nil
@@ -369,13 +374,15 @@ func (fb *Fabric) complete(f *Flow) {
 	f.finished = true
 	f.ev = nil
 	f.remaining = 0
+	done := f.done
+	f.done, f.onAbort = nil, nil
 	fb.remove(f)
 	// Recompute before the callback so that work started inside the
 	// callback sees up-to-date rates (it will trigger its own
 	// recompute anyway, but intermediate meter accounting stays exact).
 	fb.recompute(f.links, nil)
-	if f.done != nil {
-		f.done()
+	if done != nil {
+		done()
 	}
 }
 

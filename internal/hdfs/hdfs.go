@@ -7,6 +7,7 @@ package hdfs
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/metrics"
@@ -94,12 +95,15 @@ type FileSystem struct {
 	// next call, so the backing arrays are safe to reuse.
 	scratchCand []*cluster.Node
 	scratchCold []*cluster.Node
-	// downNodes counts currently-crashed nodes; rackContig records
-	// whether every rack's node IDs form one contiguous run (true for
-	// homogeneous layouts, false for interleaved node classes). Together
-	// they gate placeReplicas' arithmetic fast path, which must only run
-	// when a candidate set can be indexed without scanning.
-	downNodes  int
+	// downIDs is the ascending list of this namenode's currently-crashed
+	// node IDs, kept by onNodeState. rackContig records whether every
+	// rack's node IDs form one contiguous run of the cluster-wide node
+	// table (true for homogeneous layouts, false for interleaved node
+	// classes and for scoped namenodes). With load-aware selection off,
+	// rackContig gates placeReplicas' arithmetic fast path, which
+	// indexes each candidate set as rack ID runs minus downIDs instead
+	// of scanning.
+	downIDs    []int
 	rackContig bool
 	// freeBlocks recycles Block objects (and their Replicas capacity)
 	// from Removed files into new Creates, so a continuous job stream
@@ -147,7 +151,7 @@ func newFileSystem(c *cluster.Cluster, rng *rand.Rand, nodes []*cluster.Node,
 	if len(nodes) < repl {
 		repl = len(nodes)
 	}
-	return &FileSystem{
+	fs := &FileSystem{
 		BlockSizeMB:            128,
 		Replication:            repl,
 		ReReplicationDelaySecs: 15,
@@ -158,6 +162,14 @@ func newFileSystem(c *cluster.Cluster, rng *rand.Rand, nodes []*cluster.Node,
 		sys:                    sys,
 		rng:                    rng,
 	}
+	// onNodeState tracks transitions from here on; start from the
+	// nodes already down.
+	for _, n := range nodes {
+		if n.Down() {
+			fs.downIDs = append(fs.downIDs, n.ID)
+		}
+	}
+	return fs
 }
 
 // Create places a file of sizeMB across the cluster using the HDFS
@@ -249,11 +261,17 @@ func (fs *FileSystem) placeReplicas(first *cluster.Node) []*cluster.Node {
 // empty), letting callers with recycled blocks reuse replica-slice
 // capacity.
 func (fs *FileSystem) placeReplicasInto(first *cluster.Node, buf []*cluster.Node) []*cluster.Node {
-	if fs.HotThreshold <= 0 && fs.downNodes == 0 && fs.rackContig {
+	if fs.HotThreshold <= 0 && fs.rackContig {
 		if replicas := fs.placeReplicasFast(first, buf); replicas != nil {
 			return replicas
 		}
 	}
+	return fs.placeReplicasScan(first, buf)
+}
+
+// placeReplicasScan is the reference placement: each replica is a
+// randomNode draw over a full scan of the datanode set.
+func (fs *FileSystem) placeReplicasScan(first *cluster.Node, buf []*cluster.Node) []*cluster.Node {
 	replicas := append(buf, first)
 	if fs.Replication >= 2 {
 		if second := fs.randomNode(func(n *cluster.Node) bool {
@@ -277,50 +295,80 @@ func (fs *FileSystem) placeReplicasInto(first *cluster.Node, buf []*cluster.Node
 	return replicas
 }
 
-// placeReplicasFast is placeReplicas without the O(nodes) candidate
-// scans. When no node is down and load-aware selection is off, the
-// candidate set of each randomNode call is a pure function of rack
-// membership, and candidates appear in node-ID order — so with
-// contiguous per-rack ID runs the k-th candidate is index arithmetic.
-// It consumes exactly the same rng.Intn draws (same bounds, same
-// order) as the scan path and picks the same nodes, keeping
-// same-seed runs byte-identical. Returns nil to fall back (single
-// effective rack); the caller guarantees the gate conditions.
+// placeReplicasFast is placeReplicas in O(down nodes) instead of the
+// scan path's O(nodes). With load-aware selection off, the candidate
+// set of each randomNode call is a run of node IDs minus one excluded
+// interval and minus the down nodes, and candidates appear in ID order
+// — so with contiguous per-rack ID runs the k-th candidate is found by
+// stepping over the sorted exclusions (nthLive). It consumes exactly
+// the same rng.Intn draws (same bounds, same order, none from an empty
+// set) as the scan path and picks the same nodes, keeping same-seed
+// runs byte-identical. Returns nil, having drawn nothing, when no
+// off-rack node is live, so the scan path's single-rack fallback runs;
+// the caller guarantees the gate conditions.
 func (fs *FileSystem) placeReplicasFast(first *cluster.Node, buf []*cluster.Node) []*cluster.Node {
-	nodes := fs.c.Nodes
-	rack := fs.c.Racks[first.Rack]
-	offRack := len(nodes) - len(rack)
 	if fs.Replication < 2 {
 		return append(buf, first)
 	}
+	nodes := fs.c.Nodes
+	rack := fs.c.Racks[first.Rack]
+	lo, hi := rack[0].ID, rack[0].ID+len(rack)
+	// Second replica: a live node outside first's rack.
+	offRack := len(nodes) - len(rack) - (len(fs.downIDs) - fs.downIn(lo, hi))
 	if offRack == 0 {
-		// Every other node shares first's rack: the scan path's
-		// single-rack fallback applies. Let it run.
 		return nil
 	}
-	// Second replica: the k-th node outside first's rack, in ID order.
-	// The rack is one contiguous ID run, so indices below it map
-	// straight through and indices at or past its start skip over it.
-	k := fs.rng.Intn(offRack)
-	if k >= rack[0].ID {
-		k += len(rack)
-	}
-	second := nodes[k]
+	second := nodes[fs.nthLive(0, fs.rng.Intn(offRack), lo, hi)]
 	replicas := append(buf, first, second)
 	if fs.Replication >= 3 {
-		// Third replica: a node in second's rack other than second
-		// (first is in a different rack by construction). The scan path
-		// draws only when the candidate set is non-empty.
+		// Third replica: a live node in second's rack other than second
+		// (first is in a different rack by construction).
 		r2 := fs.c.Racks[second.Rack]
-		if len(r2) > 1 {
-			k := fs.rng.Intn(len(r2) - 1)
-			if k >= second.ID-r2[0].ID {
-				k++
-			}
-			replicas = append(replicas, r2[k])
+		lo2, hi2 := r2[0].ID, r2[0].ID+len(r2)
+		if n := len(r2) - 1 - fs.downIn(lo2, hi2); n > 0 {
+			third := fs.nthLive(lo2, fs.rng.Intn(n), second.ID, second.ID+1)
+			replicas = append(replicas, nodes[third])
 		}
 	}
 	return replicas
+}
+
+// downIn counts the down node IDs in [lo, hi).
+func (fs *FileSystem) downIn(lo, hi int) int {
+	a, _ := slices.BinarySearch(fs.downIDs, lo)
+	b, _ := slices.BinarySearch(fs.downIDs, hi)
+	return b - a
+}
+
+// nthLive returns the k-th (0-based) ID at or above lo, in ascending
+// order, that is neither down nor inside [gapLo, gapHi). The excluded
+// IDs form sorted, disjoint intervals — the gap and each down ID
+// outside it — so it starts at lo+k and steps past every interval that
+// begins at or before the current position.
+func (fs *FileSystem) nthLive(lo, k, gapLo, gapHi int) int {
+	id := lo + k
+	i, _ := slices.BinarySearch(fs.downIDs, lo)
+	gapDone := false
+	for _, d := range fs.downIDs[i:] {
+		if !gapDone && d >= gapLo {
+			if gapLo > id {
+				return id
+			}
+			id += gapHi - gapLo
+			gapDone = true
+		}
+		if d >= gapLo && d < gapHi {
+			continue
+		}
+		if d > id {
+			return id
+		}
+		id++
+	}
+	if !gapDone && gapLo <= id {
+		id += gapHi - gapLo
+	}
+	return id
 }
 
 func (fs *FileSystem) randomNode(ok func(*cluster.Node) bool) *cluster.Node {

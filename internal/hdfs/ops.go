@@ -91,10 +91,13 @@ func (op *ReadOp) child() {
 		op.finished = true
 		// Every flow of the wave has completed and the op is their sole
 		// remaining holder (the fabric drops its reference on
-		// completion), so hand them back to their fabrics' pools.
+		// completion), so hand them back to their fabrics' pools — and
+		// nil the slots, so a finished op never points at a flow that
+		// a later Start has reused.
 		for _, f := range op.flows {
 			f.Recycle()
 		}
+		clear(op.flows)
 		op.flows = op.flows[:0]
 		if op.done != nil {
 			op.done()
@@ -216,10 +219,12 @@ func (op *WriteOp) child() {
 	if op.left == 0 {
 		op.finished = true
 		// As in ReadOp.child: the pipeline's flows are all complete and
-		// exclusively ours — recycle before signalling completion.
+		// exclusively ours — recycle (and nil the slots) before
+		// signalling completion.
 		for _, f := range op.flows {
 			f.Recycle()
 		}
+		clear(op.flows)
 		op.flows = op.flows[:0]
 		if op.done != nil {
 			op.done()

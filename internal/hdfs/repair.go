@@ -1,6 +1,10 @@
 package hdfs
 
-import "repro/internal/cluster"
+import (
+	"slices"
+
+	"repro/internal/cluster"
+)
 
 // Namenode failure handling: when a datanode dies, its replicas are
 // pruned from every block immediately (the namenode learns of the
@@ -8,11 +12,15 @@ import "repro/internal/cluster"
 // under-replicated blocks are queued for re-replication after
 // ReReplicationDelaySecs. A restored node comes back empty — replicas
 // it held are not resurrected; only re-replication restores the
-// replication factor.
+// replication factor. onNodeState also keeps downIDs, the down set
+// placement's fast path indexes around, in step with Node.Down.
 
 func (fs *FileSystem) onNodeState(n *cluster.Node, down bool) {
+	// The cluster notifies only real transitions, so n is listed
+	// exactly when it is coming back up.
+	i, _ := slices.BinarySearch(fs.downIDs, n.ID)
 	if !down {
-		fs.downNodes--
+		fs.downIDs = slices.Delete(fs.downIDs, i, i+1)
 		// A fresh node is a new re-replication target: retry blocks
 		// that previously had no viable destination.
 		if fs.anyUnderReplicated() {
@@ -20,7 +28,7 @@ func (fs *FileSystem) onNodeState(n *cluster.Node, down bool) {
 		}
 		return
 	}
-	fs.downNodes++
+	fs.downIDs = slices.Insert(fs.downIDs, i, n.ID)
 	lost := false
 	for _, b := range fs.blocks {
 		for i, r := range b.Replicas {
