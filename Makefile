@@ -21,22 +21,10 @@ test:
 test-short:
 	go test -short ./...
 
-# Run every benchmark (figure-level in the module root plus the
-# micro-benchmarks under internal/), archive the results as JSON via
-# cmd/benchjson, and refresh the "after" leg of the committed
-# before/after record BENCH_PR10.json (its "before" leg pins the
-# serial BenchmarkStreamDay against which BenchmarkStreamDayParallel
-# runs the same day through the rack-cell parallel-window path;
-# BENCH_PR9.json keeps the tuner-backend record, BENCH_PR8.json the
-# serving-path one, BENCH_PR7.json the sharded-engine one,
-# BENCH_PR3.json the earlier hot-path one). See README.md
-# "Machine-readable benchmarks".
-BENCH_OUT ?= bench.json
-BENCH_ARCHIVE ?= BENCH_PR10.json
+# The repository's benchmark: every workload of BENCHMARK.json, run
+# and checked against its golden digest (see cmd/mrbench/README.md).
 bench:
-	go test -bench=. -benchmem -benchtime=1x -run='^$$' . ./internal/... \
-		| tee /dev/stderr | go run ./cmd/benchjson -o $(BENCH_OUT) \
-			-update $(BENCH_ARCHIVE) -leg after
+	bash cmd/mrbench/run.sh
 
 cover:
 	go test ./internal/... -coverprofile=cover.out

@@ -298,7 +298,7 @@ func BenchmarkAblationLHSSampling(b *testing.B) {
 		e.RunOne(bench, mrconf.Default(), lhsTuner)
 		lhsDur := e.RunOne(bench, lhsTuner.BestConfig(), nil).Duration
 
-		sp := core.DefaultSearchParams()
+		sp := tuner.DefaultSearchParams()
 		sp.PlainRandom = true
 		randTuner := core.NewTuner(bench.Name, bench.NumMaps, bench.NumReduces, mrconf.Default(),
 			core.TunerOptions{Strategy: core.Aggressive, Seed: e.Seed, Search: sp})
@@ -367,13 +367,13 @@ func BenchmarkAblationWaveSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := env()
 		for _, m := range []int{12, 24, 48} {
-			sp := core.DefaultSearchParams()
+			sp := tuner.DefaultSearchParams()
 			sp.M = m
 			sp.N = m * 2 / 3
-			tuner := core.NewTuner(bench.Name, bench.NumMaps, bench.NumReduces, mrconf.Default(),
+			tn := core.NewTuner(bench.Name, bench.NumMaps, bench.NumReduces, mrconf.Default(),
 				core.TunerOptions{Strategy: core.Aggressive, Seed: e.Seed, Search: sp})
-			e.RunOne(bench, mrconf.Default(), tuner)
-			dur := e.RunOne(bench, tuner.BestConfig(), nil).Duration
+			e.RunOne(bench, mrconf.Default(), tn)
+			dur := e.RunOne(bench, tn.BestConfig(), nil).Duration
 			b.ReportMetric(dur, fmt.Sprintf("m%d_s", m))
 		}
 	}
@@ -389,43 +389,17 @@ func BenchmarkAblationWaveSize(b *testing.B) {
 // streaming sinks) allocations stay flat per job rather than growing
 // per event, and the day completes in single-digit wall seconds.
 func BenchmarkStreamDay(b *testing.B) {
-	benchmarkStreamDay(b, false)
-}
-
-// BenchmarkStreamDayLegacy is the A/B "before" leg: the identical day
-// — byte-identical traces and aggregates, asserted by
-// TestStreamLegacyLegIdentical — with every steady-state optimization
-// disabled (no pooling, no precompiled snapshots, no input release,
-// and a grow-forever trace.Recorder retaining all events), restoring
-// the pre-serving-path per-job costs.
-func BenchmarkStreamDayLegacy(b *testing.B) {
-	benchmarkStreamDay(b, true)
+	benchmarkStreamDay(b, 0)
 }
 
 // BenchmarkStreamDayParallel is the same simulated day on the
-// rack-cell architecture with 8 parallel-window workers: each rack is
+// rack-cell partition with 8 parallel-window workers: each rack is
 // a self-contained cell (scoped RM, single-rack namenode, rack-local
 // fabric, private sink) and workers drain rack windows concurrently.
 // Aggregates are identical at any worker count (pinned by
 // TestStreamWindowInvariance); only the wall clock changes.
 func BenchmarkStreamDayParallel(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		spec := experiments.DefaultStreamSpec(7)
-		spec.Parallel = 8
-		start := time.Now()
-		res := experiments.RunStream(spec)
-		wall := time.Since(start).Seconds()
-		if res.Completed != res.Jobs || res.Jobs < 20000 {
-			b.Fatalf("stream day: %d submitted, %d completed (want >=20000, equal)", res.Jobs, res.Completed)
-		}
-		if res.SinkEvents != res.Stats.EventCount() {
-			b.Fatalf("sink ingested %d events, result says %d", res.Stats.EventCount(), res.SinkEvents)
-		}
-		b.ReportMetric(float64(res.Jobs), "jobs")
-		b.ReportMetric(float64(res.Jobs)/wall, "jobs/sec")
-		b.ReportMetric(float64(res.Events)/float64(res.Jobs), "events/job")
-	}
+	benchmarkStreamDay(b, 8)
 }
 
 // BenchmarkTunerBackends races the optimizer backends through one
@@ -456,11 +430,11 @@ func BenchmarkTunerBackends(b *testing.B) {
 	}
 }
 
-func benchmarkStreamDay(b *testing.B, legacy bool) {
+func benchmarkStreamDay(b *testing.B, parallel int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		spec := experiments.DefaultStreamSpec(7)
-		spec.Legacy = legacy
+		spec.Parallel = parallel
 		start := time.Now()
 		res := experiments.RunStream(spec)
 		wall := time.Since(start).Seconds()
@@ -473,6 +447,5 @@ func benchmarkStreamDay(b *testing.B, legacy bool) {
 		b.ReportMetric(float64(res.Jobs), "jobs")
 		b.ReportMetric(float64(res.Jobs)/wall, "jobs/sec")
 		b.ReportMetric(float64(res.Events)/float64(res.Jobs), "events/job")
-		b.ReportMetric(float64(res.RetainedEvents), "retained_events")
 	}
 }

@@ -40,7 +40,6 @@ func main() {
 		tunerName  = flag.String("tuner", "hill", "optimizer backend for aggressive tuning runs: "+strings.Join(tuner.Backends(), "|"))
 		warmStart  = flag.String("warmstart", "", "warm-start store JSON file: load search state per job class before running, save after")
 		parallel   = flag.Int("parallel", 0, "window workers for the continuous-serving legs (rack-cell mode); 0 = serial reference")
-		lookahead  = flag.Float64("lookahead", 0, "parallel-window width in simulated seconds (0 = default 1.0)")
 	)
 	flag.Parse()
 
@@ -78,7 +77,7 @@ func main() {
 		}()
 	}
 
-	env := experiments.Env{Seed: *seed, Backend: *tunerName, Parallel: *parallel, Lookahead: *lookahead}
+	env := experiments.Env{Seed: *seed, Backend: *tunerName, Parallel: *parallel}
 	var store *tuner.Store
 	if *warmStart != "" {
 		if s, err := tuner.LoadStore(*warmStart); err == nil {
@@ -360,7 +359,6 @@ func stream(env experiments.Env) {
 	spec := experiments.DefaultStreamSpec(env.Seed)
 	spec.HorizonSecs = 3600
 	spec.Parallel = env.Parallel
-	spec.Lookahead = env.Lookahead
 	if env.Parallel > 0 {
 		spec.Faults = env.FaultSpec
 		fmt.Printf("rack-cell mode: %d window workers\n", env.Parallel)

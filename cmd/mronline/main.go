@@ -24,8 +24,8 @@
 // -stream <hours> switches to the continuous-serving workload: hours
 // of mixed-job arrivals on the 10,016-node cluster (-strategy default
 // or conservative). -parallel N runs it on the rack-cell architecture
-// with N parallel-window workers (-lookahead tunes the window width);
-// the serial default stays the byte-exact figure reference.
+// with N parallel-window workers; the whole-cluster default stays the
+// byte-exact figure reference.
 package main
 
 import (
@@ -70,7 +70,6 @@ func main() {
 		warmStart = flag.String("warmstart", "", "warm-start store JSON file (read before aggressive runs, written after)")
 		stream    = flag.Float64("stream", 0, "run the continuous-serving stream for this many simulated hours on the 10,016-node cluster instead of a single job")
 		parallel  = flag.Int("parallel", 0, "window workers for -stream (rack-cell mode); 0 = serial reference")
-		lookahead = flag.Float64("lookahead", 0, "parallel-window width in simulated seconds for -stream -parallel (0 = default 1.0)")
 	)
 	flag.Parse()
 
@@ -132,11 +131,11 @@ func main() {
 	}
 
 	if *stream > 0 {
-		runStream(env, *stream, *strategy, *parallel, *lookahead, *asJSON)
+		runStream(env, *stream, *strategy, *parallel, *asJSON)
 		return
 	}
-	if *parallel > 0 || *lookahead > 0 {
-		fmt.Fprintln(os.Stderr, "-parallel/-lookahead require -stream: single-job runs use the"+
+	if *parallel > 0 {
+		fmt.Fprintln(os.Stderr, "-parallel requires -stream: single-job runs use the"+
 			" cluster-wide resource manager, which is not shard-isolated")
 		os.Exit(2)
 	}
@@ -221,7 +220,7 @@ type Report struct {
 // runStream executes the continuous-serving workload (-stream): hours
 // of mixed-job arrivals on the 10,016-node cluster, serially or on the
 // rack-cell parallel-window path (-parallel N).
-func runStream(env experiments.Env, hours float64, strategy string, parallel int, lookahead float64, asJSON bool) {
+func runStream(env experiments.Env, hours float64, strategy string, parallel int, asJSON bool) {
 	if strategy != "default" && strategy != "conservative" {
 		fmt.Fprintln(os.Stderr, "-stream supports -strategy default (untuned) or conservative (per-job MRONLINE tuner)")
 		os.Exit(2)
@@ -230,7 +229,6 @@ func runStream(env experiments.Env, hours float64, strategy string, parallel int
 	spec.HorizonSecs = hours * 3600
 	spec.Tuned = strategy == "conservative"
 	spec.Parallel = parallel
-	spec.Lookahead = lookahead
 	spec.Faults = env.FaultSpec
 	res := experiments.RunStream(spec)
 	if asJSON {

@@ -75,7 +75,7 @@ type Tuner struct {
 	numReduces int
 	blackBox   bool
 	costW      CostWeights
-	search     SearchParams
+	search     tuner.SearchParams
 	backend    string
 
 	// Per-scope optimizer RNGs. For the hill backend both point at the
@@ -149,7 +149,7 @@ type consState struct {
 // TunerOptions configure a Tuner.
 type TunerOptions struct {
 	Strategy Strategy
-	Search   SearchParams
+	Search   tuner.SearchParams
 	Seed     uint64
 	// BlackBox disables the gray-box extensions (§5/§6): no rule-set
 	// parameters, no observation-driven bound tightening — pure smart
@@ -179,7 +179,7 @@ func NewTuner(jobName string, numMaps, numReduces int, base mrconf.Config, opts 
 		opts.Strategy = Conservative
 	}
 	if opts.Search.M == 0 {
-		opts.Search = DefaultSearchParams()
+		opts.Search = tuner.DefaultSearchParams()
 	}
 	if opts.Backend == "" {
 		opts.Backend = "hill"

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/mapreduce"
 	"repro/internal/mrconf"
+	"repro/internal/tuner"
 )
 
 // reportFor builds a synthetic task report.
@@ -111,7 +112,7 @@ func TestAggressiveGateClosesWhenWaveAssigned(t *testing.T) {
 		}
 		tn.TaskConfig(task, mrconf.Default())
 	}
-	want := DefaultSearchParams().M + 1 // LHS wave plus the default seed
+	want := tuner.DefaultSearchParams().M + 1 // LHS wave plus the default seed
 	if i != want {
 		t.Fatalf("gate closed after %d tasks, want %d", i, want)
 	}

@@ -85,9 +85,6 @@ type Env struct {
 	// StreamSpec.Parallel). Zero keeps the serial reference path the
 	// committed figures pin.
 	Parallel int
-	// Lookahead is the parallel-window width for Parallel runs
-	// (0 = DefaultStreamLookahead).
-	Lookahead float64
 }
 
 // DefaultEnv matches the committed EXPERIMENTS.md numbers.

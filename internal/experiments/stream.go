@@ -109,62 +109,40 @@ type StreamSpec struct {
 	// one. Pass a store to persist learning across stream runs.
 	Store *tuner.Store
 
-	// Legacy disables every steady-state optimization — no object pool,
-	// no precompiled config snapshots, no input release, and a
-	// grow-forever trace.Recorder teeing off the stats sink — restoring
-	// the pre-PR per-job costs. It exists for the A/B benchmark; results
-	// are byte-identical to the optimized path, only slower and bigger.
-	Legacy bool
-
 	// Sink, when non-nil, additionally receives every trace event
 	// (tee'd with the internal stats sink).
 	Sink trace.Sink
 
-	// Faults, when non-nil, injects the spec's faults into the run. On
-	// the classic path a single injector serves the whole cluster; in
-	// rack-cell mode each cell gets its own injector carrying exactly
-	// the faults that land on its nodes.
+	// Faults, when non-nil, injects the spec's faults into the run. The
+	// whole-cluster cell's injector carries the whole spec; in rack-cell
+	// mode each cell's injector carries exactly the faults that land on
+	// its nodes.
 	Faults *faults.Spec
 
 	// Parallel, when positive, runs the stream on the rack-cell
-	// architecture with parallel windows: each rack is a self-contained
+	// partition with parallel windows: each rack is a self-contained
 	// cell (scoped resource manager, scoped single-rack namenode,
 	// rack-local fabric, private stats sink) and the only cross-shard
 	// traffic is job submission, delivered by Send with delay
 	// StreamSubmitDelaySecs. Workers drain rack windows concurrently;
 	// results are identical at any worker count (pinned by tests).
-	// Parallel is incompatible with WarmStart, Legacy, and Sink —
-	// those paths retain cross-cell state on the system shard.
+	// Parallel is incompatible with WarmStart and Sink: the store and
+	// an external sink would be state shared across cells.
 	Parallel int
-	// Lookahead is the parallel-window width in simulated seconds
-	// (0 = DefaultStreamLookahead). It must not exceed
-	// StreamSubmitDelaySecs, the minimum cross-shard Send delay.
-	Lookahead float64
 
-	// cellSerial runs the rack-cell architecture on the serial engine:
-	// the reference leg the window-invariance tests compare parallel
-	// runs against (cell results legally differ from the classic
-	// single-namenode path, so the classic path cannot be that
+	// cellSerial runs the rack-cell partition on the serial engine: the
+	// reference leg the window-invariance tests compare parallel runs
+	// against (cell results legally differ from the whole-cluster
+	// partition's single namenode, so that partition cannot be the
 	// reference).
 	cellSerial bool
 }
 
-// Rack-cell serving timing contract: every cross-shard interaction is
-// a Send with delay ≥ the window lookahead.
-const (
-	// DefaultStreamLookahead is the parallel-window width used when
-	// StreamSpec.Lookahead is zero. Wider windows amortize the
-	// per-window barrier over more events; the ceiling is the
-	// submission delay below. 1s already yields near-full window
-	// occupancy at 313 racks — widening it further was measured to
-	// make no difference.
-	DefaultStreamLookahead = 1.0
-	// StreamSubmitDelaySecs is the latency from a job's arrival (drawn
-	// on the system shard) to its delivery at the target rack cell —
-	// the stream's only cross-shard edge, and therefore the upper
-	// bound on the usable lookahead.
-	StreamSubmitDelaySecs = 1.0
-)
+// StreamSubmitDelaySecs is the latency from a job's arrival (drawn on
+// the system shard) to its delivery at a rack cell: the rack-cell
+// partition's only cross-shard edge, and therefore its parallel-window
+// width.
+const StreamSubmitDelaySecs = 1.0
 
 // DefaultStreamSpec is the flagship workload: a simulated day of
 // ~21k jobs (875/hour mean, ±50% diurnal swing) on a 10,016-node
@@ -194,10 +172,6 @@ type StreamResult struct {
 	Events     uint64
 	SinkEvents int
 
-	// RetainedEvents is the legacy recorder's length: O(total events)
-	// in Legacy mode, 0 on the optimized path.
-	RetainedEvents int
-
 	// Stats holds the per-class aggregates the run folded into.
 	Stats *trace.StatsSink
 
@@ -218,11 +192,36 @@ func (r *StreamResult) Report() string {
 	return b.String()
 }
 
+// streamCell is one serving partition's self-contained stack:
+// everything a job touches after submission lives on the cell's shard.
+// The whole-cluster partition is one cell on the system shard; the
+// rack-cell partition has one per rack, so cells drain concurrently
+// inside parallel windows with no shared state.
+type streamCell struct {
+	shard     *sim.Shard
+	rm        *yarn.ResourceManager
+	fs        *hdfs.FileSystem
+	sink      *trace.StatsSink
+	trace     trace.Sink // sink, tee'd with StreamSpec.Sink when set
+	pool      *mapreduce.Pool
+	hooks     mapreduce.FaultHooks
+	tunerFree [][]*core.Tuner // per class: Reset keeps capacity sized by task counts
+
+	completed int
+	totalDur  float64
+	makespan  float64
+}
+
 // RunStream executes one continuous-serving run to completion: every
 // arrival inside the horizon is submitted (subject to MaxJobs) and the
-// engine drains until the last job finishes. Parallel > 0 selects the
-// rack-cell architecture (see StreamSpec.Parallel); the default path
-// is the serial single-RM reference the figure pipeline pins.
+// engine drains until the last job finishes. Arrivals are drawn on the
+// system shard and dealt round-robin to the partition's cells; a cell
+// on another shard receives its jobs by Send (the run's only
+// cross-shard edge). Per-cell results fold in cell order after the
+// drain, so every aggregate is identical at any worker count. The
+// default is the whole-cluster partition the figure pipeline pins;
+// Parallel > 0 selects the rack-cell partition (see
+// StreamSpec.Parallel).
 func RunStream(spec StreamSpec) StreamResult {
 	classes := spec.Classes
 	if classes == nil {
@@ -235,8 +234,12 @@ func RunStream(spec StreamSpec) StreamResult {
 		}
 		totalWeight += cl.Weight
 	}
-	if spec.Parallel > 0 || spec.cellSerial {
-		return runStreamCells(spec, classes, totalWeight)
+	rackCells := spec.Parallel > 0 || spec.cellSerial
+	if rackCells && spec.WarmStart {
+		panic("experiments: stream Parallel is incompatible with WarmStart (the shared store is cross-cell state)")
+	}
+	if rackCells && spec.Sink != nil {
+		panic("experiments: stream Parallel is incompatible with Sink (an external sink is cross-cell state)")
 	}
 
 	eng := sim.NewEngine()
@@ -253,217 +256,11 @@ func RunStream(spec StreamSpec) StreamResult {
 		DiskMBps:       90,
 		NICMBps:        117,
 		// ~4:1 oversubscribed uplink for a 32-node rack of 1 GbE nodes.
-		UplinkMBps: 1000,
-	})
-	rm := yarn.NewResourceManager(eng, c, yarn.FairScheduler{})
-	src := sim.NewSource(spec.Seed)
-	fs := hdfs.New(c, src.Stream("hdfs"))
-
-	stats := trace.NewStatsSink()
-	var sink trace.Sink = stats
-	var legacyRec *trace.Recorder
-	if spec.Legacy {
-		legacyRec = &trace.Recorder{}
-		sink = trace.Tee(stats, legacyRec)
-	}
-	if spec.Sink != nil {
-		sink = trace.Tee(sink, spec.Sink)
-	}
-
-	var hooks mapreduce.FaultHooks
-	if spec.Faults != nil {
-		inj, err := faults.New(c, src, *spec.Faults, sink)
-		if err != nil {
-			panic(err)
-		}
-		hooks = inj
-	}
-
-	base := mrconf.Default()
-	var pool *mapreduce.Pool
-	var pre *mapreduce.PrecompiledConfig
-	if !spec.Legacy {
-		pool = mapreduce.NewPool()
-		pre = mapreduce.Precompile(base)
-	}
-
-	// Tuner recycling: per-class free lists, since Reset keeps the
-	// monitor's report-slice capacity which is sized by task counts.
-	tunerFree := make([][]*core.Tuner, len(classes))
-	getTuner := func(ci int, name string, b workload.Benchmark, seq int) *core.Tuner {
-		if n := len(tunerFree[ci]); n > 0 {
-			tu := tunerFree[ci][n-1]
-			tunerFree[ci][n-1] = nil
-			tunerFree[ci] = tunerFree[ci][:n-1]
-			tu.Reset(name, b.NumMaps, b.NumReduces, base)
-			return tu
-		}
-		return core.NewTuner(name, b.NumMaps, b.NumReduces, base,
-			core.TunerOptions{Strategy: core.Conservative, Seed: spec.Seed + uint64(seq)})
-	}
-
-	classRNG := src.Sub("stream").Stream("classes")
-	pickClass := func() int {
-		w := classRNG.Intn(totalWeight)
-		for i, cl := range classes {
-			w -= cl.Weight
-			if w < 0 {
-				return i
-			}
-		}
-		return len(classes) - 1
-	}
-
-	var store *tuner.Store
-	if spec.Tuned && spec.WarmStart {
-		store = spec.Store
-		if store == nil {
-			store = tuner.NewStore()
-		}
-	}
-
-	res := StreamResult{Stats: stats}
-	if store != nil {
-		res.ClassWaves = make(map[string][]int)
-	}
-	totalDur := 0.0
-	submit := func(i int, t float64) {
-		if spec.MaxJobs > 0 && res.Jobs >= spec.MaxJobs {
-			return
-		}
-		res.Jobs++
-		ci := pickClass()
-		cl := classes[ci]
-		name := fmt.Sprintf("%s-%05d", cl.Bench.Name, i)
-		var ctrl mapreduce.Controller
-		var tun *core.Tuner
-		var warmKey string
-		if spec.Tuned {
-			if store != nil {
-				// Aggressive warm-start path: per-job tuner seeded from
-				// the class's best-known search state.
-				warmKey = tuner.Key(cl.Bench.Name, cl.Bench.InputSizeMB)
-				opts := core.TunerOptions{Strategy: core.Aggressive,
-					Seed: spec.Seed + uint64(i), Backend: spec.Backend}
-				if ent, ok := store.Get(warmKey); ok && ent.Usable() {
-					w := ent
-					opts.Warm = &w
-				}
-				tun = core.NewTuner(name, cl.Bench.NumMaps, cl.Bench.NumReduces, base, opts)
-			} else {
-				tun = getTuner(ci, name, cl.Bench, i)
-			}
-			ctrl = tun
-		}
-		mapreduce.Submit(rm, fs, mapreduce.Spec{
-			Name:                 name,
-			Benchmark:            cl.Bench,
-			BaseConfig:           base,
-			Controller:           ctrl,
-			Trace:                sink,
-			Pool:                 pool,
-			Precompiled:          pre,
-			Faults:               hooks,
-			ReleaseInputOnFinish: !spec.Legacy,
-		}, func(rr mapreduce.Result) {
-			res.Completed++
-			totalDur += rr.Duration
-			if now := eng.Now(); now > res.Makespan {
-				res.Makespan = now
-			}
-			if tun != nil {
-				if store != nil {
-					store.Update(warmKey, tun.ExportWarm())
-					mw, rw := tun.TestWaves()
-					res.ClassWaves[cl.Bench.Name] = append(res.ClassWaves[cl.Bench.Name], mw+rw)
-				} else {
-					tunerFree[ci] = append(tunerFree[ci], tun)
-				}
-			}
-		})
-	}
-
-	_, err := workload.ScheduleArrivals(c.Sys(), src.Sub("stream"), workload.ArrivalSpec{
-		MeanPerHour:      spec.MeanPerHour,
-		DiurnalAmplitude: spec.DiurnalAmplitude,
-		Horizon:          spec.HorizonSecs,
-	}, submit)
-	if err != nil {
-		panic(err)
-	}
-	eng.Run()
-	if res.Completed != res.Jobs {
-		panic(fmt.Sprintf("experiments: stream completed %d of %d jobs", res.Completed, res.Jobs))
-	}
-	if res.Jobs > 0 {
-		res.MeanDur = totalDur / float64(res.Jobs)
-	}
-	res.Events = eng.Processed()
-	res.SinkEvents = stats.EventCount()
-	if legacyRec != nil {
-		res.RetainedEvents = legacyRec.Len()
-	}
-	return res
-}
-
-// streamCell is one rack's self-contained serving stack: everything a
-// job touches after submission lives on the rack's shard, so cells
-// drain concurrently inside parallel windows with no shared state.
-type streamCell struct {
-	shard     *sim.Shard
-	rm        *yarn.ResourceManager
-	fs        *hdfs.FileSystem
-	sink      *trace.StatsSink
-	pool      *mapreduce.Pool
-	hooks     mapreduce.FaultHooks
-	tunerFree [][]*core.Tuner
-
-	completed int
-	totalDur  float64
-	makespan  float64
-}
-
-// runStreamCells is RunStream on the rack-cell architecture: arrivals
-// are drawn on the system shard exactly as on the classic path, then
-// handed round-robin to per-rack cells via Send (the run's only
-// cross-shard edge). Per-cell results fold in rack order after the
-// drain, so every aggregate is identical at any worker count —
-// including cellSerial, the plain-engine reference leg.
-func runStreamCells(spec StreamSpec, classes []StreamClass, totalWeight int) StreamResult {
-	switch {
-	case spec.WarmStart:
-		panic("experiments: stream Parallel is incompatible with WarmStart (the shared store is cross-cell state)")
-	case spec.Legacy:
-		panic("experiments: stream Parallel is incompatible with Legacy (the recorder is cross-cell state)")
-	case spec.Sink != nil:
-		panic("experiments: stream Parallel is incompatible with Sink (an external sink is cross-cell state)")
-	}
-	la := spec.Lookahead
-	if la == 0 {
-		la = DefaultStreamLookahead
-	}
-	if la < 0 || la > StreamSubmitDelaySecs {
-		panic(fmt.Sprintf("experiments: stream lookahead %v outside (0, %v]", la, StreamSubmitDelaySecs))
-	}
-
-	eng := sim.NewEngine()
-	eng.MaxEvents = 2_000_000_000
-	sizes := make([]int, spec.Racks)
-	for i := range sizes {
-		sizes[i] = spec.NodesPerRack
-	}
-	c := cluster.New(eng, cluster.Config{
-		RackSizes:      sizes,
-		CoresPerNode:   8,
-		VCoresPerNode:  28,
-		ContainerMemMB: 6 * 1024,
-		DiskMBps:       90,
-		NICMBps:        117,
-		UplinkMBps:     1000,
-		RackLocalNet:   true,
+		UplinkMBps:   1000,
+		RackLocalNet: rackCells,
 	})
 	if spec.Parallel > 0 {
-		eng.EnableParallelWindows(spec.Parallel, la)
+		eng.EnableParallelWindows(spec.Parallel, StreamSubmitDelaySecs)
 	}
 	src := sim.NewSource(spec.Seed)
 	base := mrconf.Default()
@@ -471,23 +268,39 @@ func runStreamCells(spec StreamSpec, classes []StreamClass, totalWeight int) Str
 	// copy serves every cell.
 	pre := mapreduce.Precompile(base)
 
-	cells := make([]*streamCell, spec.Racks)
+	sys := c.Sys()
+	nCells := 1
+	if rackCells {
+		nCells = spec.Racks
+	}
+	cells := make([]*streamCell, nCells)
 	for r := range cells {
-		rackSrc := src.Sub(fmt.Sprintf("rack%03d", r))
 		cell := &streamCell{
-			shard:     c.RackShard(r),
+			shard:     sys,
 			sink:      trace.NewStatsSink(),
 			pool:      mapreduce.NewPool(),
 			tunerFree: make([][]*core.Tuner, len(classes)),
 		}
-		cell.rm = yarn.NewScopedResourceManager(eng, c, yarn.FairScheduler{}, r)
-		cell.fs = hdfs.NewScoped(c, rackSrc.Stream("hdfs"), r)
-		if spec.Faults != nil {
-			rack := r
-			filtered := spec.Faults.FilterNodes(func(node int) bool {
-				return c.Nodes[node].Rack == rack
-			})
-			inj, err := faults.New(c, rackSrc, filtered, cell.sink)
+		cell.trace = cell.sink
+		if spec.Sink != nil {
+			cell.trace = trace.Tee(cell.sink, spec.Sink)
+		}
+		cellSrc, cellFaults := src, spec.Faults
+		if rackCells {
+			cellSrc = src.Sub(fmt.Sprintf("rack%03d", r))
+			cell.shard = c.RackShard(r)
+			cell.rm = yarn.NewScopedResourceManager(eng, c, yarn.FairScheduler{}, r)
+			cell.fs = hdfs.NewScoped(c, cellSrc.Stream("hdfs"), r)
+			if cellFaults != nil {
+				filtered := cellFaults.FilterNodes(func(node int) bool { return c.Nodes[node].Rack == r })
+				cellFaults = &filtered
+			}
+		} else {
+			cell.rm = yarn.NewResourceManager(eng, c, yarn.FairScheduler{})
+			cell.fs = hdfs.New(c, cellSrc.Stream("hdfs"))
+		}
+		if cellFaults != nil {
+			inj, err := faults.New(c, cellSrc, *cellFaults, cell.trace)
 			if err != nil {
 				panic(err)
 			}
@@ -508,8 +321,20 @@ func runStreamCells(spec StreamSpec, classes []StreamClass, totalWeight int) Str
 		return len(classes) - 1
 	}
 
-	sys := c.Sys()
+	// The warm-start store and ClassWaves are touched only on the system
+	// shard: WarmStart implies the whole-cluster partition.
+	var store *tuner.Store
+	if spec.Tuned && spec.WarmStart {
+		store = spec.Store
+		if store == nil {
+			store = tuner.NewStore()
+		}
+	}
+
 	res := StreamResult{}
+	if store != nil {
+		res.ClassWaves = make(map[string][]int)
+	}
 	submit := func(i int, t float64) {
 		if spec.MaxJobs > 0 && res.Jobs >= spec.MaxJobs {
 			return
@@ -519,15 +344,27 @@ func runStreamCells(spec StreamSpec, classes []StreamClass, totalWeight int) Str
 		cl := classes[ci]
 		cell := cells[(res.Jobs-1)%len(cells)]
 		// Name, class, and tuner seed are all fixed here on the system
-		// shard; the closure only touches its cell's state after the
-		// Send delivers on the rack shard.
+		// shard; run only touches its cell's state.
 		name := fmt.Sprintf("%s-%05d", cl.Bench.Name, i)
-		seq := i
-		sys.Send(cell.shard, StreamSubmitDelaySecs, func() {
+		run := func() {
 			var ctrl mapreduce.Controller
 			var tun *core.Tuner
+			var warmKey string
 			if spec.Tuned {
-				tun = cell.getTuner(ci, name, cl.Bench, base, spec.Seed, seq)
+				if store != nil {
+					// Aggressive warm-start path: per-job tuner seeded from
+					// the class's best-known search state.
+					warmKey = tuner.Key(cl.Bench.Name, cl.Bench.InputSizeMB)
+					opts := core.TunerOptions{Strategy: core.Aggressive,
+						Seed: spec.Seed + uint64(i), Backend: spec.Backend}
+					if ent, ok := store.Get(warmKey); ok && ent.Usable() {
+						w := ent
+						opts.Warm = &w
+					}
+					tun = core.NewTuner(name, cl.Bench.NumMaps, cl.Bench.NumReduces, base, opts)
+				} else {
+					tun = cell.getTuner(ci, name, cl.Bench, base, spec.Seed, i)
+				}
 				ctrl = tun
 			}
 			mapreduce.Submit(cell.rm, cell.fs, mapreduce.Spec{
@@ -535,7 +372,7 @@ func runStreamCells(spec StreamSpec, classes []StreamClass, totalWeight int) Str
 				Benchmark:            cl.Bench,
 				BaseConfig:           base,
 				Controller:           ctrl,
-				Trace:                cell.sink,
+				Trace:                cell.trace,
 				Pool:                 cell.pool,
 				Precompiled:          pre,
 				Faults:               cell.hooks,
@@ -546,11 +383,23 @@ func runStreamCells(spec StreamSpec, classes []StreamClass, totalWeight int) Str
 				if now := cell.shard.Now(); now > cell.makespan {
 					cell.makespan = now
 				}
-				if tun != nil {
+				if tun == nil {
+					return
+				}
+				if store != nil {
+					store.Update(warmKey, tun.ExportWarm())
+					mw, rw := tun.TestWaves()
+					res.ClassWaves[cl.Bench.Name] = append(res.ClassWaves[cl.Bench.Name], mw+rw)
+				} else {
 					cell.tunerFree[ci] = append(cell.tunerFree[ci], tun)
 				}
 			})
-		})
+		}
+		if cell.shard == sys {
+			run()
+		} else {
+			sys.Send(cell.shard, StreamSubmitDelaySecs, run)
+		}
 	}
 
 	_, err := workload.ScheduleArrivals(sys, src.Sub("stream"), workload.ArrivalSpec{
@@ -563,8 +412,9 @@ func runStreamCells(spec StreamSpec, classes []StreamClass, totalWeight int) Str
 	}
 	eng.Run()
 
-	// Fold per-cell results in rack order: the float sums and the sink
-	// merge see the same sequence at every worker count.
+	// Fold per-cell results in cell order: the float sums and the sink
+	// merge see the same sequence at every worker count, and a single
+	// cell folds exactly (every sum is 0 + x).
 	stats := trace.NewStatsSink()
 	totalDur := 0.0
 	for _, cell := range cells {

@@ -128,7 +128,7 @@ func TestStreamParallelRejectsCrossCellState(t *testing.T) {
 				t.Fatalf("%s: parallel stream did not panic", name)
 			}
 			msg := fmt.Sprint(r)
-			if !strings.Contains(msg, "incompatible") && !strings.Contains(msg, "lookahead") {
+			if !strings.Contains(msg, "incompatible") {
 				t.Fatalf("%s: unexpected panic %v", name, r)
 			}
 		}()
@@ -137,8 +137,6 @@ func TestStreamParallelRejectsCrossCellState(t *testing.T) {
 		mutate(&spec)
 		RunStream(spec)
 	}
-	mustPanic("legacy", func(s *StreamSpec) { s.Legacy = true })
 	mustPanic("warmstart", func(s *StreamSpec) { s.Tuned = true; s.WarmStart = true })
 	mustPanic("sink", func(s *StreamSpec) { s.Sink = trace.Discard })
-	mustPanic("lookahead", func(s *StreamSpec) { s.Lookahead = 2 * StreamSubmitDelaySecs })
 }

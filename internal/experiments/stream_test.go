@@ -43,38 +43,6 @@ func TestStreamSameSeedByteIdentical(t *testing.T) {
 	}
 }
 
-// TestStreamLegacyLegIdentical asserts the A/B contract of the
-// benchmark: the Legacy leg (no pooling, no precompiled snapshots, no
-// input release, grow-forever recorder) reproduces the optimized leg's
-// trace event-for-event — the optimizations change cost, not behavior.
-// The legs differ only in retained memory: the legacy recorder holds
-// every event, the optimized path holds none.
-func TestStreamLegacyLegIdentical(t *testing.T) {
-	var optRec, legRec trace.Recorder
-
-	opt := smallStreamSpec(11)
-	opt.Sink = &optRec
-	a := RunStream(opt)
-
-	leg := smallStreamSpec(11)
-	leg.Legacy = true
-	leg.Sink = &legRec
-	b := RunStream(leg)
-
-	if a.Report() != b.Report() {
-		t.Fatalf("legacy leg report differs:\n--- optimized ---\n%s--- legacy ---\n%s", a.Report(), b.Report())
-	}
-	if !reflect.DeepEqual(optRec.Events(), legRec.Events()) {
-		t.Fatalf("legacy leg trace differs: %d vs %d events", optRec.Len(), legRec.Len())
-	}
-	if a.RetainedEvents != 0 {
-		t.Fatalf("optimized leg retained %d events; want 0", a.RetainedEvents)
-	}
-	if b.RetainedEvents != b.SinkEvents || b.RetainedEvents == 0 {
-		t.Fatalf("legacy leg retained %d of %d events; want all", b.RetainedEvents, b.SinkEvents)
-	}
-}
-
 // TestStreamSoloTraceMatchesInStream runs the same first arrival twice
 // — once as the only job of the stream, once followed by two more —
 // and asserts its per-event trace is byte-identical. Placement
@@ -119,8 +87,7 @@ func TestStreamSoloTraceMatchesInStream(t *testing.T) {
 // TestStreamSmokeThreeSeeds is the CI serving smoke (run with -race
 // there): a short simulated stream across three seeds, asserting every
 // job completes and that the sink's retained state stays flat — the
-// stats sink ingests every event yet holds only per-class aggregates,
-// and nothing else in the run retains the trace.
+// stats sink ingests every event yet holds only per-class aggregates.
 func TestStreamSmokeThreeSeeds(t *testing.T) {
 	for _, seed := range []uint64{3, 5, 7} {
 		res := RunStream(smallStreamSpec(seed))
@@ -137,9 +104,6 @@ func TestStreamSmokeThreeSeeds(t *testing.T) {
 		}
 		if res.Stats.InFlight() != 0 {
 			t.Fatalf("seed %d: %d jobs still in flight after drain", seed, res.Stats.InFlight())
-		}
-		if res.RetainedEvents != 0 {
-			t.Fatalf("seed %d: optimized path retained %d events", seed, res.RetainedEvents)
 		}
 	}
 }

@@ -52,7 +52,7 @@ var shardSchedulers = map[string]bool{
 
 // MinSendDelaySecs is the smallest constant Send delay the rule
 // accepts: the parallel-window lookahead the serving path runs with
-// (experiments.DefaultStreamLookahead). A model whose cross-shard
+// (experiments.StreamSubmitDelaySecs). A model whose cross-shard
 // sends all cover this bound can run under parallel windows at that
 // lookahead without the runtime delay check ever firing.
 const MinSendDelaySecs = 1.0

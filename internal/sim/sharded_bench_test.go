@@ -112,8 +112,7 @@ func TestSyntheticWorkloadLayoutInvariant(t *testing.T) {
 }
 
 // BenchmarkSharded10kNode is the acceptance-criteria benchmark: 10k
-// nodes, 1000 concurrent jobs, rack-per-shard layout. The BENCH_PR7.json
-// before-leg runs the identical workload on the pre-sharding engine.
+// nodes, 1000 concurrent jobs, rack-per-shard layout.
 func BenchmarkSharded10kNode(b *testing.B) {
 	b.ReportAllocs()
 	var events uint64

@@ -369,11 +369,14 @@ func (s *StatsSink) Overall() ClassStats {
 
 // Merge folds another sink's aggregates into s, class by class in o's
 // insertion order (names are already classified, so o's classes land
-// verbatim). Event counts sum; o's in-flight jobs are not carried over
-// — a merged sink is expected to be quiescent. Rack-cell serving uses
-// this to fold each cell's private sink into the run-level one.
+// verbatim). Event counts sum and o's in-flight jobs carry over (job
+// names are assumed unique across the merged sinks). The serving path
+// uses this to fold each cell's private sink into the run-level one.
 func (s *StatsSink) Merge(o *StatsSink) {
 	s.events += o.events
+	for job, t := range o.inflight {
+		s.inflight[job] = t
+	}
 	for _, name := range o.order {
 		c, ok := s.classes[name]
 		if !ok {

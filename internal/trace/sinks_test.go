@@ -123,3 +123,18 @@ func TestStatsSinkMerge(t *testing.T) {
 		t.Fatalf("merged overall %+v != whole %+v", got, want)
 	}
 }
+
+// TestStatsSinkMergeInFlight checks that a merged sink still counts the
+// jobs a source sink saw submitted but not finished, so a drain check
+// on a folded result is not vacuous.
+func TestStatsSinkMergeInFlight(t *testing.T) {
+	cell := NewStatsSink()
+	cell.Add(Event{Time: 0, Job: "wordcount-00001", Kind: JobSubmit})
+	cell.Add(Event{Time: 0, Job: "wordcount-00002", Kind: JobSubmit})
+	cell.Add(Event{Time: 5, Job: "wordcount-00002", Kind: JobFinish})
+	merged := NewStatsSink()
+	merged.Merge(cell)
+	if got := merged.InFlight(); got != 1 {
+		t.Fatalf("merged in-flight = %d; want 1", got)
+	}
+}
