@@ -18,8 +18,42 @@ type DynamicConfigurator struct {
 }
 
 type jobConfigs struct {
-	job   map[string]float64
-	tasks map[string]map[string]float64
+	job   assignment
+	tasks map[string]assignment
+}
+
+// assignment is a set of explicitly assigned parameter values, dense by
+// ParamID. Unlike a Config it remembers which keys were set, so an
+// explicit value equal to the default still overrides a non-default
+// base value.
+type assignment struct {
+	set [mrconf.NumParams]bool
+	v   [mrconf.NumParams]float64
+}
+
+// put assigns a known parameter.
+func (a *assignment) put(name string, v float64) {
+	id, _ := mrconf.ID(name)
+	a.set[id], a.v[id] = true, v
+}
+
+// putAll assigns every entry of kv, in registry order.
+func (a *assignment) putAll(kv map[string]float64) {
+	for _, p := range mrconf.Params() {
+		if v, ok := kv[p.Name]; ok {
+			a.put(p.Name, v)
+		}
+	}
+}
+
+// applyTo returns cfg with every assigned value set, in registry order.
+func (a *assignment) applyTo(cfg mrconf.Config) mrconf.Config {
+	for id, ok := range a.set {
+		if ok {
+			cfg = cfg.WithID(mrconf.ParamID(id), a.v[id])
+		}
+	}
+	return cfg
 }
 
 // NewDynamicConfigurator returns an empty configurator.
@@ -30,7 +64,7 @@ func NewDynamicConfigurator() *DynamicConfigurator {
 func (d *DynamicConfigurator) jobEntry(jobID string) *jobConfigs {
 	e, ok := d.jobs[jobID]
 	if !ok {
-		e = &jobConfigs{job: make(map[string]float64), tasks: make(map[string]map[string]float64)}
+		e = &jobConfigs{tasks: make(map[string]assignment)}
 		d.jobs[jobID] = e
 	}
 	return e
@@ -75,10 +109,7 @@ func (d *DynamicConfigurator) SetJobParameters(jobID string, kv map[string]float
 			return -1
 		}
 	}
-	e := d.jobEntry(jobID)
-	for name, v := range kv {
-		e.job[name] = v
-	}
+	d.jobEntry(jobID).job.putAll(kv)
 	return len(kv)
 }
 
@@ -90,15 +121,22 @@ func (d *DynamicConfigurator) SetTaskParameters(jobID, taskID string, kv map[str
 		}
 	}
 	e := d.jobEntry(jobID)
-	tk, ok := e.tasks[taskID]
-	if !ok {
-		tk = make(map[string]float64)
-		e.tasks[taskID] = tk
-	}
-	for name, v := range kv {
-		tk[name] = v
-	}
+	tk := e.tasks[taskID]
+	tk.putAll(kv)
+	e.tasks[taskID] = tk
 	return len(kv)
+}
+
+// setTaskPoint records a search point as one task's parameters, each
+// coordinate quantized to its dimension's grid: SetTaskParameters for
+// the tuner's per-task path, without building a map.
+func (d *DynamicConfigurator) setTaskPoint(jobID, taskID string, dims []mrconf.Param, point []float64) {
+	e := d.jobEntry(jobID)
+	tk := e.tasks[taskID]
+	for i, p := range dims {
+		tk.put(p.Name, p.Quantize(point[i]))
+	}
+	e.tasks[taskID] = tk
 }
 
 // SetAllTaskParameters sets parameters for every task of the job
@@ -110,10 +148,12 @@ func (d *DynamicConfigurator) SetAllTaskParameters(jobID string, kv map[string]f
 		return n
 	}
 	e := d.jobEntry(jobID)
-	for _, tk := range e.tasks {
+	for taskID, tk := range e.tasks {
 		for name := range kv {
-			delete(tk, name)
+			id, _ := mrconf.ID(name)
+			tk.set[id] = false
 		}
+		e.tasks[taskID] = tk
 	}
 	return n
 }
@@ -133,14 +173,9 @@ func (d *DynamicConfigurator) ConfigFor(jobID, taskID string, base mrconf.Config
 	if !ok {
 		return base
 	}
-	cfg := base
-	for name, v := range e.job {
-		cfg = cfg.With(name, v)
-	}
+	cfg := e.job.applyTo(base)
 	if tk, ok := e.tasks[taskID]; ok {
-		for name, v := range tk {
-			cfg = cfg.With(name, v)
-		}
+		cfg = tk.applyTo(cfg)
 	}
 	return cfg
 }

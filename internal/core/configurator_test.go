@@ -62,6 +62,42 @@ func TestPerTaskOverridesWinOverJob(t *testing.T) {
 	}
 }
 
+// An explicit override equal to the Table 2 default is still an
+// override: it resets a non-default base value, at job and task level.
+func TestDefaultValuedOverrideResetsBase(t *testing.T) {
+	base := mrconf.Default().With(mrconf.IOSortMB, 400).With(mrconf.MapCPUVcores, 3)
+	dc := NewDynamicConfigurator()
+	dc.SetJobParameters("job1", map[string]float64{mrconf.IOSortMB: 100})
+	dc.SetTaskParameters("job1", TaskID(true, 7), map[string]float64{mrconf.MapCPUVcores: 1})
+	cfg := dc.ConfigFor("job1", TaskID(true, 7), base)
+	if cfg.SortMB() != 100 || cfg.MapVcores() != 1 {
+		t.Fatalf("default-valued overrides dropped: io.sort.mb=%v vcores=%v, want 100 and 1",
+			cfg.SortMB(), cfg.MapVcores())
+	}
+	if got := dc.ConfigFor("job1", TaskID(true, 8), base).MapVcores(); got != 3 {
+		t.Fatalf("task override leaked to another task: vcores=%v", got)
+	}
+}
+
+// ConfigFor on the tuner's per-task path builds no maps: resolving a
+// task whose overrides change nothing hands back the base itself.
+func TestConfigForNoOpIsAllocationFree(t *testing.T) {
+	base := mrconf.Default().With(mrconf.IOSortMB, 400)
+	dc := NewDynamicConfigurator()
+	dims := []mrconf.Param{mrconf.MustLookup(mrconf.IOSortMB)}
+	id := TaskID(true, 7)
+	dc.setTaskPoint("job1", id, dims, []float64{400})
+	var cfg mrconf.Config
+	if a := testing.AllocsPerRun(100, func() {
+		cfg = dc.ConfigFor("job1", id, base)
+	}); a != 0 {
+		t.Errorf("ConfigFor allocates %v per run, want 0", a)
+	}
+	if !cfg.Same(base) {
+		t.Fatal("no-op overrides did not return the base config")
+	}
+}
+
 func TestSetAllTaskParametersClearsPerTask(t *testing.T) {
 	dc := NewDynamicConfigurator()
 	dc.SetTaskParameters("job1", TaskID(true, 7), map[string]float64{mrconf.IOSortMB: 500})

@@ -71,8 +71,8 @@ func (m *Monitor) Reset(numMaps, numReduces int) {
 	m.redWS.Reset()
 }
 
-// resetReports zeroes the retained reports (they hold Config map
-// references) and keeps the backing array.
+// resetReports zeroes the retained reports (each Config points at a
+// parameter array) and keeps the backing array.
 func resetReports(rs []mapreduce.TaskReport) []mapreduce.TaskReport {
 	for i := range rs {
 		rs[i] = mapreduce.TaskReport{}

@@ -91,12 +91,6 @@ type Tuner struct {
 
 	// conservative state
 	cons consState
-
-	// Percentile caches for the working-set samples: a percentile over
-	// N observations is recomputed only when N changes, since the
-	// samples are append-only.
-	mapWSP95, redWSP95 pctCache
-	mapWSP80, redWSP80 pctCache
 }
 
 // scopeSearch is one scope's (map or reduce) slice of the aggressive
@@ -112,24 +106,9 @@ type scopeSearch struct {
 	waves int
 }
 
-// pctCache memoizes one percentile of an append-only sample, keyed by
-// the observation count.
-type pctCache struct {
-	n int
-	v float64
-}
-
-func (c *pctCache) value(s *metrics.Sample, p float64) float64 {
-	if s.N() != c.n {
-		c.n = s.N()
-		c.v = s.Percentile(p)
-	}
-	return c.v
-}
-
 type consState struct {
-	mapOverrides map[string]float64
-	redOverrides map[string]float64
+	mapOverrides assignment
+	redOverrides assignment
 
 	mapVcores     int
 	mapVcoreDur   float64 // mean map duration at the previous vcore level
@@ -216,8 +195,6 @@ func NewTuner(jobName string, numMaps, numReduces int, base mrconf.Config, opts 
 		t.mapS = t.newSearch(mrconf.ScopeMap, t.mapRNG, warmScope(opts.Warm, mrconf.ScopeMap))
 		t.redS = t.newSearch(mrconf.ScopeReduce, t.redRNG, warmScope(opts.Warm, mrconf.ScopeReduce))
 	} else {
-		t.cons.mapOverrides = map[string]float64{}
-		t.cons.redOverrides = map[string]float64{}
 		t.cons.mapVcores = base.MapVcores()
 		t.cons.redVcores = base.ReduceVcores()
 		t.cons.parCopies = base.ParallelCopies()
@@ -267,8 +244,6 @@ func (t *Tuner) Reset(jobName string, numMaps, numReduces int, base mrconf.Confi
 	t.numMaps = numMaps
 	t.numReduces = numReduces
 	clear(t.assignments)
-	t.mapWSP95, t.redWSP95 = pctCache{}, pctCache{}
-	t.mapWSP80, t.redWSP80 = pctCache{}, pctCache{}
 	if t.Strategy == Aggressive {
 		// Fresh cold searches (a recycled tuner serves a new job; warm
 		// starts are a per-job construction-time decision), reusing the
@@ -280,20 +255,10 @@ func (t *Tuner) Reset(jobName string, numMaps, numReduces int, base mrconf.Confi
 		return
 	}
 	t.cons = consState{
-		mapOverrides: clearedMap(t.cons.mapOverrides),
-		redOverrides: clearedMap(t.cons.redOverrides),
-		mapVcores:    base.MapVcores(),
-		redVcores:    base.ReduceVcores(),
-		parCopies:    base.ParallelCopies(),
+		mapVcores: base.MapVcores(),
+		redVcores: base.ReduceVcores(),
+		parCopies: base.ParallelCopies(),
 	}
-}
-
-func clearedMap(m map[string]float64) map[string]float64 {
-	if m == nil {
-		return map[string]float64{}
-	}
-	clear(m)
-	return m
 }
 
 // Monitor exposes the tuner's monitor (for experiments and tests).
@@ -348,23 +313,19 @@ func (t *Tuner) TaskConfig(task *mapreduce.Task, base mrconf.Config) mrconf.Conf
 		if !s.opt.Done() && task.Attempt == 0 {
 			if point := s.opt.Next(); point != nil {
 				t.assignments[id] = point
-				t.dc.SetTaskParameters(t.jobName, id, tuner.PointToOverrides(s.dims, point))
+				t.dc.setTaskPoint(t.jobName, id, s.dims, point)
 				return t.materialize(t.dc.ConfigFor(t.jobName, id, t.base), task.Type)
 			}
 		}
 		// Search finished (or a retry): use the best configuration.
 		return t.materialize(t.bestSoFar(task.Type), task.Type)
 	}
-	// Conservative: job-wide rule overrides via the configurator.
-	overrides := t.cons.mapOverrides
+	// Conservative: job-wide rule overrides.
+	overrides := &t.cons.mapOverrides
 	if task.Type == mapreduce.ReduceTask {
-		overrides = t.cons.redOverrides
+		overrides = &t.cons.redOverrides
 	}
-	cfg := t.base
-	for name, v := range overrides {
-		cfg = cfg.With(name, v)
-	}
-	return t.materialize(cfg, task.Type)
+	return t.materialize(overrides.applyTo(t.base), task.Type)
 }
 
 // LiveConfig re-applies the live (category 3) rules just before the
@@ -502,12 +463,14 @@ func (t *Tuner) applyGrayBoxRules(sc *scopeSearch, wave []mapreduce.TaskReport, 
 // bestSoFar renders the current best sampled point (or the base
 // config before any wave finished) for one scope.
 func (t *Tuner) bestSoFar(tt mapreduce.TaskType) mrconf.Config {
-	s := t.searchFor(tt)
-	cfg := t.base
+	return withBest(t.base, t.searchFor(tt))
+}
+
+// withBest applies one scope's best point so far onto cfg, if it has
+// one.
+func withBest(cfg mrconf.Config, s *scopeSearch) mrconf.Config {
 	if point, _, ok := s.opt.Best(); ok {
-		for name, v := range tuner.PointToOverrides(s.dims, point) {
-			cfg = cfg.With(name, v)
-		}
+		cfg = tuner.ApplyPoint(cfg, s.dims, point)
 	}
 	return cfg
 }
@@ -518,21 +481,9 @@ func (t *Tuner) bestSoFar(tt mapreduce.TaskType) mrconf.Config {
 func (t *Tuner) BestConfig() mrconf.Config {
 	var cfg mrconf.Config
 	if t.Strategy == Aggressive {
-		cfg = t.base
-		for name, v := range overridesOf(&t.mapS) {
-			cfg = cfg.With(name, v)
-		}
-		for name, v := range overridesOf(&t.redS) {
-			cfg = cfg.With(name, v)
-		}
+		cfg = withBest(withBest(t.base, &t.mapS), &t.redS)
 	} else {
-		cfg = t.base
-		for name, v := range t.cons.mapOverrides {
-			cfg = cfg.With(name, v)
-		}
-		for name, v := range t.cons.redOverrides {
-			cfg = cfg.With(name, v)
-		}
+		cfg = t.cons.redOverrides.applyTo(t.cons.mapOverrides.applyTo(t.base))
 	}
 	// The recommendation runs standalone: use worst-case reserves and
 	// grow the containers to hold them (the search explored with lean
@@ -547,13 +498,6 @@ func (t *Tuner) BestConfig() mrconf.Config {
 	}
 	cfg = t.materializeWith(t.materializeWith(cfg, mapreduce.MapTask, true), mapreduce.ReduceTask, true)
 	return mrconf.Repair(cfg)
-}
-
-func overridesOf(s *scopeSearch) map[string]float64 {
-	if point, _, ok := s.opt.Best(); ok {
-		return tuner.PointToOverrides(s.dims, point)
-	}
-	return nil
 }
 
 // SearchDone reports whether both scopes' searches have converged.
@@ -672,7 +616,7 @@ func (t *Tuner) reduceWorkingSetReserve(safe bool) float64 {
 	// squeezes the buffers out entirely; the occasional straggler OOM
 	// during the test run is handled by the retry path and the cost
 	// penalty.
-	return math.Max(120, t.redWSP95.value(ws, 95)*1.15)
+	return math.Max(120, ws.Percentile(95)*1.15)
 }
 
 // mapWorkingSetReserve mirrors reduceWorkingSetReserve for the map
@@ -685,7 +629,7 @@ func (t *Tuner) mapWorkingSetReserve(safe bool) float64 {
 	if safe {
 		return math.Max(60, ws.Max()*1.3)
 	}
-	return math.Max(60, t.mapWSP95.value(ws, 95)*1.15)
+	return math.Max(60, ws.Percentile(95)*1.15)
 }
 
 // ---------- conservative strategy (§6.1 fast single run) ----------
@@ -716,52 +660,52 @@ func (t *Tuner) recalcConservativeMap() {
 	if !ok {
 		return
 	}
-	o := t.cons.mapOverrides
+	o := &t.cons.mapOverrides
 
 	sortMB := mrconf.MustLookup(mrconf.IOSortMB).Quantize(est * 1.1)
-	o[mrconf.IOSortMB] = sortMB
+	o.put(mrconf.IOSortMB, sortMB)
 
 	// Estimate the user-code working set from observed peaks: peak
 	// resident = (JVMBase + sortMB + ws) / heapFraction under the
 	// configuration those tasks ran with.
-	wsMB := math.Max(50, t.mapWSP80.value(t.mon.MapWorkingSet(), 80))
+	wsMB := math.Max(50, t.mon.MapWorkingSet().Percentile(80))
 	needHeap := mapreduce.JVMBaseMB + sortMB + wsMB
-	o[mrconf.MapMemoryMB] = mrconf.MustLookup(mrconf.MapMemoryMB).Quantize(needHeap * 1.15 / mrconf.HeapFraction)
+	o.put(mrconf.MapMemoryMB, mrconf.MustLookup(mrconf.MapMemoryMB).Quantize(needHeap*1.15/mrconf.HeapFraction))
 
 	// CPU rule: full utilization -> one more vcore, while improving.
 	t.escalate(&t.cons.mapVcores, &t.cons.mapVcoreDur, &t.cons.mapVcoreStop,
 		t.mon.MeanCPUUtil(mapreduce.MapTask) > 0.9, 1, 8,
 		t.mon.MeanDuration(mapreduce.MapTask))
-	o[mrconf.MapCPUVcores] = float64(t.cons.mapVcores)
+	o.put(mrconf.MapCPUVcores, float64(t.cons.mapVcores))
 }
 
 // recalcConservativeReduce mirrors the reduce-side rules: shuffle
 // buffer from the estimated input, container sized to fit, parallel
 // copies escalated in steps of 10 while improving.
 func (t *Tuner) recalcConservativeReduce() {
-	o := t.cons.redOverrides
+	o := &t.cons.redOverrides
 	est, ok := t.mon.EstReduceInputMB()
 	if ok {
-		wsMB := math.Max(100, t.redWSP80.value(t.mon.ReduceWorkingSet(), 80))
+		wsMB := math.Max(100, t.mon.ReduceWorkingSet().Percentile(80))
 		needHeap := mapreduce.JVMBaseMB + est*1.15 + wsMB
-		o[mrconf.ReduceMemoryMB] = mrconf.MustLookup(mrconf.ReduceMemoryMB).Quantize(needHeap * 1.1 / mrconf.HeapFraction)
-		o[mrconf.ShuffleMemoryLimitPct] = 0.5
+		o.put(mrconf.ReduceMemoryMB, mrconf.MustLookup(mrconf.ReduceMemoryMB).Quantize(needHeap*1.1/mrconf.HeapFraction))
+		o.put(mrconf.ShuffleMemoryLimitPct, 0.5)
 	}
 
 	t.escalate(&t.cons.redVcores, &t.cons.redVcoreDur, &t.cons.redVcoreStop,
 		t.mon.MeanCPUUtil(mapreduce.ReduceTask) > 0.9, 1, 8,
 		t.mon.MeanDuration(mapreduce.ReduceTask))
-	o[mrconf.ReduceCPUVcores] = float64(t.cons.redVcores)
+	o.put(mrconf.ReduceCPUVcores, float64(t.cons.redVcores))
 
 	// Shuffle concurrency: +10 until task time stops improving (§6.3).
 	t.escalate(&t.cons.parCopies, &t.cons.parCopiesDur, &t.cons.parCopiesStop,
 		true, 10, 50, t.mon.MeanDuration(mapreduce.ReduceTask))
-	o[mrconf.ShuffleParallelCopies] = float64(t.cons.parCopies)
+	o.put(mrconf.ShuffleParallelCopies, float64(t.cons.parCopies))
 
 	// io.sort.factor: raise once if reduce-side disk merges happen.
 	if !t.cons.sortFactorSet && t.mon.MeanSpillRatio(mapreduce.ReduceTask) > 0.5 {
 		t.cons.sortFactorSet = true
-		o[mrconf.IOSortFactor] = float64(t.base.SortFactor() + 20)
+		o.put(mrconf.IOSortFactor, float64(t.base.SortFactor()+20))
 	}
 }
 

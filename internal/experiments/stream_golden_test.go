@@ -12,7 +12,7 @@ import (
 	"repro/internal/trace"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/stream_golden.json from the current code")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata/*_golden.json digests from the current code")
 
 const streamGoldenPath = "testdata/stream_golden.json"
 

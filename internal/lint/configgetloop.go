@@ -9,11 +9,11 @@ import (
 // ConfigGetLoopAnalyzer implements the config-get-in-loop rule: inside
 // the hot scheduling packages (internal/mapreduce, internal/yarn,
 // internal/cluster) no loop body may call mrconf.Config methods —
-// Get and the named accessors resolve string-keyed override maps on
-// every call, and profiles showed those lookups dominating the per-tick
-// cost. The fix is to hoist one cfg.Snapshot() above the loop and read
-// the compiled snapshot (array-indexed, allocation-free) inside it;
-// the Snapshot call itself is therefore exempt.
+// Get and With hash the parameter name on every call (With also copies
+// the parameter array), a per-iteration tax on the scheduling tick. The
+// fix is to hoist one cfg.Snapshot() above the loop and read the
+// task-local snapshot (array-indexed, allocation-free) inside it; the
+// Snapshot call itself is therefore exempt.
 var ConfigGetLoopAnalyzer = &Analyzer{
 	Name: "config-get-in-loop",
 	Doc:  "flag mrconf Config accessor calls inside loops in hot packages; hoist a Snapshot instead",

@@ -74,7 +74,10 @@ type Sample struct {
 	n          int
 	sum, sumSq float64
 	min, max   float64
-	values     []float64 // retained for percentiles
+	values     []float64 // retained for percentiles, in observation order
+	// sorted holds values[:len(sorted)] in ascending order; Percentile
+	// folds in only the observations made since its previous call.
+	sorted []float64
 }
 
 // Observe adds one value.
@@ -95,10 +98,10 @@ func (s *Sample) Observe(v float64) {
 	s.values = append(s.values, v)
 }
 
-// Reset forgets every observation while keeping the values buffer's
-// capacity, so a Sample reused across jobs stops allocating once warm.
+// Reset forgets every observation while keeping the buffers' capacity,
+// so a Sample reused across jobs stops allocating once warm.
 func (s *Sample) Reset() {
-	*s = Sample{values: s.values[:0]}
+	*s = Sample{values: s.values[:0], sorted: s.sorted[:0]}
 }
 
 // N returns the number of observations.
@@ -136,11 +139,45 @@ func (s *Sample) StdDev() float64 {
 
 // Percentile returns the p-th percentile (0..100) using linear
 // interpolation between closest ranks. It returns 0 with no observations.
+// The sorted view it reads is kept between calls, so a call costs one
+// binary insertion per observation made since the previous call (and
+// nothing when there is none) instead of a full sort; the result equals
+// Percentile(s.Values(), p).
 func (s *Sample) Percentile(p float64) float64 {
 	if s.n == 0 {
 		return 0
 	}
-	return Percentile(s.values, p)
+	s.catchUp()
+	return sortedPercentile(s.sorted, p)
+}
+
+// catchUp folds the observations not yet in s.sorted into it: one
+// binary insertion each, or a single sort when the backlog outnumbers
+// what is already sorted (the first call, or a rare query).
+func (s *Sample) catchUp() {
+	done := len(s.sorted)
+	fresh := s.values[done:]
+	if len(fresh) > done {
+		s.sorted = append(s.sorted, fresh...)
+		sort.Float64s(s.sorted)
+		return
+	}
+	for _, v := range fresh {
+		// Upper bound under sort.Float64s' order (NaNs first), so the
+		// view matches what sorting the whole sample would give.
+		lo, hi := 0, len(s.sorted)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if w := s.sorted[mid]; v < w || (v != v && w == w) {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		s.sorted = append(s.sorted, 0)
+		copy(s.sorted[lo+1:], s.sorted[lo:])
+		s.sorted[lo] = v
+	}
 }
 
 // Values returns a copy of all observations in insertion order.
@@ -159,6 +196,12 @@ func Percentile(values []float64, p float64) float64 {
 	sorted := make([]float64, len(values))
 	copy(sorted, values)
 	sort.Float64s(sorted)
+	return sortedPercentile(sorted, p)
+}
+
+// sortedPercentile is Percentile over an already ascending, non-empty
+// slice.
+func sortedPercentile(sorted []float64, p float64) float64 {
 	if p <= 0 {
 		return sorted[0]
 	}

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -193,4 +194,68 @@ func TestSamplePercentileAndValues(t *testing.T) {
 	if s.Values()[0] != 10 {
 		t.Fatal("Values exposed internal slice")
 	}
+}
+
+// Property: a Sample's incrementally sorted view gives exactly what
+// sorting the whole sample gives, bit for bit, under any interleaving
+// of Observe, Percentile and Reset — including duplicate values and the
+// boundary percentiles.
+func TestSamplePercentileIncrementalProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		// A small pool of values makes duplicates common.
+		pool := make([]float64, 1+rng.Intn(12))
+		for i := range pool {
+			pool[i] = math.Round(rng.NormFloat64()*1000) / 8
+		}
+		var s Sample
+		for op := 0; op < 400; op++ {
+			switch r := rng.Intn(20); {
+			case r == 0:
+				s.Reset()
+			case r < 6:
+				for _, p := range []float64{0, 80, 95, 100} {
+					got, want := s.Percentile(p), Percentile(s.Values(), p)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Logf("seed %d op %d: p%v = %v, full sort gives %v", seed, op, p, got, want)
+						return false
+					}
+				}
+			default:
+				// Bursts exercise both the insertion and the re-sort path.
+				for k := 1 + rng.Intn(1+rng.Intn(40)); k > 0; k-- {
+					s.Observe(pool[rng.Intn(len(pool))])
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSamplePercentileWarmAllocationFree pins the incremental view: a
+// repeated query with no new observations, and a query after a few,
+// reuse the retained buffer.
+func TestSamplePercentileWarmAllocationFree(t *testing.T) {
+	var s Sample
+	for i := 0; i < 500; i++ {
+		s.Observe(float64(i * 7 % 101))
+	}
+	s.Percentile(95)
+	var sink float64
+	if a := testing.AllocsPerRun(100, func() { sink += s.Percentile(95) + s.Percentile(80) }); a != 0 {
+		t.Errorf("warm Percentile allocates %v per run, want 0", a)
+	}
+	if a := testing.AllocsPerRun(10, func() {
+		s.Reset()
+		for i := 0; i < 500; i++ {
+			s.Observe(float64(i % 13))
+		}
+		sink += s.Percentile(95)
+	}); a != 0 {
+		t.Errorf("refilling a Reset sample allocates %v per run, want 0 (capacity kept)", a)
+	}
+	_ = sink
 }

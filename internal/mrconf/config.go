@@ -4,18 +4,28 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"reflect"
 	"sort"
 	"strings"
 )
 
 // Config is one point in the parameter space: a full assignment of the
-// Table 2 parameters. Unset parameters take their defaults. Config
-// values behave like immutable values — With returns a modified copy —
-// so configurations can be shared between tasks safely.
+// Table 2 parameters, laid out densely by ParamID. A nil array means
+// every parameter takes its default. The array is copied on write and
+// never mutated after construction — With returns a modified copy — so
+// configurations can be shared between tasks safely, and a Config stays
+// one word wide wherever it is stored.
 type Config struct {
-	overrides map[string]float64
+	v *[NumParams]float64
 }
+
+// defaults is the Table 2 default assignment, the values a nil Config
+// reads.
+var defaults = func() (d [NumParams]float64) {
+	for i, p := range registry {
+		d[i] = p.Default
+	}
+	return d
+}()
 
 // Default returns the default YARN configuration (Table 2, rightmost
 // column).
@@ -23,130 +33,113 @@ func Default() Config { return Config{} }
 
 // FromMap builds a Config from explicit overrides. Unknown names panic.
 func FromMap(values map[string]float64) Config {
+	for name := range values {
+		mustID(name)
+	}
 	c := Config{}
-	for name, v := range values {
-		c = c.With(name, v)
+	for _, p := range registry {
+		if v, ok := values[p.Name]; ok {
+			c = c.With(p.Name, v)
+		}
 	}
 	return c
+}
+
+// values returns the effective assignment for reading; it must not be
+// written through.
+func (c Config) values() *[NumParams]float64 {
+	if c.v == nil {
+		return &defaults
+	}
+	return c.v
 }
 
 // Get returns the value of a parameter (the default if not overridden).
 // Unknown names panic: a misspelled key silently returning 0 would
 // corrupt a simulation.
-func (c Config) Get(name string) float64 {
-	if v, ok := c.overrides[name]; ok {
-		return v
-	}
-	return MustLookup(name).Default
-}
+func (c Config) Get(name string) float64 { return c.values()[mustID(name)] }
 
 // With returns a copy of c with name set to value. The value is
 // quantized to the parameter's granularity and clamped into range.
 func (c Config) With(name string, value float64) Config {
-	p := MustLookup(name)
+	return c.WithID(mustID(name), value)
+}
+
+// WithID is With addressed by dense index.
+func (c Config) WithID(id ParamID, value float64) Config {
+	p := &registry[id]
 	if math.IsNaN(value) || math.IsInf(value, 0) {
-		panic(fmt.Sprintf("mrconf: non-finite value %v for %s", value, name))
+		panic(fmt.Sprintf("mrconf: non-finite value %v for %s", value, p.Name))
 	}
 	v := p.Quantize(value)
-	// Fast path: the effective value is unchanged, so the receiver can
-	// be returned as-is — override maps are never mutated after
-	// construction, making the share safe.
-	if cur, ok := c.overrides[name]; ok {
-		if cur == v {
-			return c
-		}
-	} else if v == p.Default {
+	cur := c.values()
+	// Fast path: the effective value is unchanged, so the receiver is
+	// returned as-is — arrays are never mutated after construction,
+	// making the share safe, and Same-based snapshot caching relies on
+	// it.
+	if cur[id] == v {
 		return c
 	}
-	out := Config{overrides: make(map[string]float64, len(c.overrides)+1)}
-	for k, ov := range c.overrides {
-		out.overrides[k] = ov
-	}
-	if v == p.Default {
-		delete(out.overrides, name)
-	} else {
-		out.overrides[name] = v
-	}
-	return out
+	out := *cur
+	out[id] = v
+	return Config{v: &out}
 }
 
 // Merge returns c with all of other's overrides applied on top.
 func (c Config) Merge(other Config) Config {
 	out := c
-	for name, v := range other.overrides {
-		out = out.With(name, v)
-	}
+	other.EachOverride(func(p Param, v float64) { out = out.With(p.Name, v) })
 	return out
 }
 
 // Equal reports whether two configs assign identical values to every
 // parameter.
-func (c Config) Equal(other Config) bool {
-	for _, p := range registry {
-		if c.Get(p.Name) != other.Get(p.Name) {
-			return false
-		}
-	}
-	return true
-}
+func (c Config) Equal(other Config) bool { return *c.values() == *other.values() }
 
-// Same reports whether two configs share the identical override set —
-// an O(1) identity check, not a value comparison. It is the fast path
-// behind snapshot caching: With and Repair return their receiver
-// unchanged when nothing changes effectively, so a config that came
-// through a no-op pipeline is Same as the original and its compiled
-// snapshot can be reused. Same never returns a false positive; it may
-// return false for configs that are Equal but built separately (two
-// independently built empty-override maps compare different).
-func (c Config) Same(other Config) bool {
-	if c.overrides == nil || other.overrides == nil {
-		return c.overrides == nil && other.overrides == nil
-	}
-	return mapsShareStorage(c.overrides, other.overrides)
-}
-
-// mapsShareStorage reports whether two non-nil maps are the very same
-// map object. Go has no == on maps; reflect exposes the header pointer.
-func mapsShareStorage(a, b map[string]float64) bool {
-	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
-}
+// Same reports whether two configs share the identical array — an O(1)
+// identity check, not a value comparison. It is the fast path behind
+// snapshot caching: With and Repair return their receiver unchanged
+// when nothing changes effectively, so a config that came through a
+// no-op pipeline is Same as the original and its compiled snapshot can
+// be reused. Same never returns a false positive; it may return false
+// for configs that are Equal but built separately.
+func (c Config) Same(other Config) bool { return c.v == other.v }
 
 // Overrides returns the non-default assignments, for reporting. Each
-// call copies the map; callers that only need to iterate or count
+// call builds a new map; callers that only need to iterate or count
 // should use EachOverride or NumOverrides instead.
 func (c Config) Overrides() map[string]float64 {
-	out := make(map[string]float64, len(c.overrides))
-	for k, v := range c.overrides {
-		out[k] = v
-	}
+	out := make(map[string]float64, c.NumOverrides())
+	c.EachOverride(func(p Param, v float64) { out[p.Name] = v })
 	return out
 }
 
-// NumOverrides returns the number of non-default assignments without
-// copying them.
-func (c Config) NumOverrides() int { return len(c.overrides) }
+// NumOverrides returns the number of non-default assignments.
+func (c Config) NumOverrides() int {
+	n := 0
+	c.EachOverride(func(Param, float64) { n++ })
+	return n
+}
 
 // EachOverride calls fn for every non-default assignment in registry
 // order, without allocating.
 func (c Config) EachOverride(fn func(p Param, v float64)) {
-	if len(c.overrides) == 0 {
+	if c.v == nil {
 		return
 	}
-	for _, p := range registry {
-		if v, ok := c.overrides[p.Name]; ok {
-			fn(p, v)
+	for i, v := range c.v {
+		if v != defaults[i] {
+			fn(registry[i], v)
 		}
 	}
 }
 
 // String renders the non-default assignments in a stable order.
 func (c Config) String() string {
-	if len(c.overrides) == 0 {
+	var keys []string
+	c.EachOverride(func(p Param, _ float64) { keys = append(keys, p.Name) })
+	if len(keys) == 0 {
 		return "defaults"
-	}
-	keys := make([]string, 0, len(c.overrides))
-	for k := range c.overrides {
-		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	var b strings.Builder
@@ -154,7 +147,7 @@ func (c Config) String() string {
 		if i > 0 {
 			b.WriteString(" ")
 		}
-		fmt.Fprintf(&b, "%s=%g", k, c.overrides[k])
+		fmt.Fprintf(&b, "%s=%g", k, c.Get(k))
 	}
 	return b.String()
 }
@@ -162,8 +155,8 @@ func (c Config) String() string {
 // MarshalJSON encodes the full parameter assignment.
 func (c Config) MarshalJSON() ([]byte, error) {
 	m := make(map[string]float64, len(registry))
-	for _, p := range registry {
-		m[p.Name] = c.Get(p.Name)
+	for i, v := range c.values() {
+		m[registry[i].Name] = v
 	}
 	return json.Marshal(m)
 }
@@ -174,57 +167,62 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return err
 	}
-	out := Config{}
-	for name, v := range m {
-		if _, ok := Lookup(name); !ok {
+	for name := range m {
+		if _, ok := idByName[name]; !ok {
 			return fmt.Errorf("mrconf: unknown parameter %q in JSON", name)
 		}
-		out = out.With(name, v)
+	}
+	out := Config{}
+	for _, p := range registry {
+		if v, ok := m[p.Name]; ok {
+			out = out.With(p.Name, v)
+		}
 	}
 	*c = out
 	return nil
 }
 
-// Typed accessors for the parameters the runtime consults constantly.
+// Typed accessors for the parameters the runtime consults constantly,
+// as index loads.
 
 // MapMemMB returns the map container memory in MB.
-func (c Config) MapMemMB() float64 { return c.Get(MapMemoryMB) }
+func (c Config) MapMemMB() float64 { return c.values()[IDMapMemoryMB] }
 
 // ReduceMemMB returns the reduce container memory in MB.
-func (c Config) ReduceMemMB() float64 { return c.Get(ReduceMemoryMB) }
+func (c Config) ReduceMemMB() float64 { return c.values()[IDReduceMemoryMB] }
 
 // SortMB returns the map-side sort buffer size in MB.
-func (c Config) SortMB() float64 { return c.Get(IOSortMB) }
+func (c Config) SortMB() float64 { return c.values()[IDIOSortMB] }
 
 // SpillPct returns the sort-buffer spill threshold fraction.
-func (c Config) SpillPct() float64 { return c.Get(SortSpillPercent) }
+func (c Config) SpillPct() float64 { return c.values()[IDSortSpillPercent] }
 
 // ShuffleBufferPct returns the shuffle input buffer heap fraction.
-func (c Config) ShuffleBufferPct() float64 { return c.Get(ShuffleInputBufferPct) }
+func (c Config) ShuffleBufferPct() float64 { return c.values()[IDShuffleInputBufferPct] }
 
 // MergePct returns the in-memory merge trigger fraction.
-func (c Config) MergePct() float64 { return c.Get(ShuffleMergePct) }
+func (c Config) MergePct() float64 { return c.values()[IDShuffleMergePct] }
 
 // MemoryLimitPct returns the single-segment in-memory fetch limit.
-func (c Config) MemoryLimitPct() float64 { return c.Get(ShuffleMemoryLimitPct) }
+func (c Config) MemoryLimitPct() float64 { return c.values()[IDShuffleMemoryLimitPct] }
 
 // InmemThreshold returns the in-memory merge segment-count trigger.
-func (c Config) InmemThreshold() int { return int(c.Get(MergeInmemThreshold)) }
+func (c Config) InmemThreshold() int { return int(c.values()[IDMergeInmemThreshold]) }
 
 // ReduceInputBufPct returns the reduce-phase retained-buffer fraction.
-func (c Config) ReduceInputBufPct() float64 { return c.Get(ReduceInputBufferPct) }
+func (c Config) ReduceInputBufPct() float64 { return c.values()[IDReduceInputBufferPct] }
 
 // MapVcores returns vcores per map container.
-func (c Config) MapVcores() int { return int(c.Get(MapCPUVcores)) }
+func (c Config) MapVcores() int { return int(c.values()[IDMapCPUVcores]) }
 
 // ReduceVcores returns vcores per reduce container.
-func (c Config) ReduceVcores() int { return int(c.Get(ReduceCPUVcores)) }
+func (c Config) ReduceVcores() int { return int(c.values()[IDReduceCPUVcores]) }
 
 // SortFactor returns the merge fan-in.
-func (c Config) SortFactor() int { return int(c.Get(IOSortFactor)) }
+func (c Config) SortFactor() int { return int(c.values()[IDIOSortFactor]) }
 
 // ParallelCopies returns the shuffle fetch concurrency.
-func (c Config) ParallelCopies() int { return int(c.Get(ShuffleParallelCopies)) }
+func (c Config) ParallelCopies() int { return int(c.values()[IDShuffleParallelCopies]) }
 
 // HeapFraction is the fraction of container memory available as JVM
 // heap (the rest is JVM and native overhead). Hadoop guides recommend

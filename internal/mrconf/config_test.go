@@ -310,6 +310,24 @@ func FuzzConfigJSON(f *testing.F) {
 	f.Add(`{"mapreduce.task.io.sort.mb": 200}`)
 	f.Add(`{}`)
 	f.Add(`{"mapreduce.map.cpu.vcores": 1e308}`)
+	// Practitioner Table 2 settings: the stock defaults written out, and
+	// the common larger-buffer, wide-merge variant.
+	f.Add(`{"mapreduce.task.io.sort.mb": 100, "mapreduce.task.io.sort.factor": 10,
+		"mapreduce.reduce.shuffle.parallelcopies": 5,
+		"mapreduce.reduce.shuffle.input.buffer.percent": 0.70,
+		"mapreduce.reduce.shuffle.merge.percent": 0.66,
+		"mapreduce.reduce.merge.inmem.threshold": 1000,
+		"mapreduce.reduce.input.buffer.percent": 0,
+		"mapreduce.map.memory.mb": 1024, "mapreduce.reduce.memory.mb": 1024,
+		"mapreduce.map.sort.spill.percent": 0.8}`)
+	f.Add(`{"mapreduce.task.io.sort.mb": 128, "mapreduce.task.io.sort.factor": 100,
+		"mapreduce.reduce.shuffle.parallelcopies": 5,
+		"mapreduce.reduce.shuffle.input.buffer.percent": 0.70,
+		"mapreduce.reduce.shuffle.merge.percent": 0.66,
+		"mapreduce.reduce.merge.inmem.threshold": 0,
+		"mapreduce.reduce.input.buffer.percent": 0,
+		"mapreduce.map.memory.mb": 1024, "mapreduce.reduce.memory.mb": 1024,
+		"mapreduce.map.sort.spill.percent": 0.8}`)
 	f.Fuzz(func(t *testing.T, data string) {
 		var c Config
 		if err := json.Unmarshal([]byte(data), &c); err != nil {
@@ -327,4 +345,65 @@ func FuzzConfigJSON(f *testing.F) {
 			t.Fatalf("round trip changed config: %s vs %s", c, back)
 		}
 	})
+}
+
+// TestSameIsIdentity pins the identity semantics snapshot caching
+// relies on: a no-op With hands back its receiver, an effective one a
+// new array, and separately built equal configs are Equal but not Same.
+func TestSameIsIdentity(t *testing.T) {
+	if !Default().Same(Default()) {
+		t.Fatal("two defaults are not Same")
+	}
+	base := Default().With(IOSortMB, 200)
+	if !base.With(IOSortMB, 203).Same(base) {
+		t.Fatal("With of a value that quantizes to the current one is not Same")
+	}
+	if !Default().With(IOSortMB, 100).Same(Default()) {
+		t.Fatal("With of the default onto defaults is not Same")
+	}
+	other := Default().With(IOSortMB, 200)
+	if base.Same(other) || !base.Equal(other) {
+		t.Fatal("separately built configs: want Equal and not Same")
+	}
+	if back := base.With(IOSortMB, 100); back.Same(Default()) || !back.Equal(Default()) {
+		t.Fatal("resetting to the default: want Equal to, not Same as, Default()")
+	}
+}
+
+// TestConfigAllocations pins the copy-on-write cost model: reads and
+// no-op writes never allocate, an effective With makes exactly one
+// allocation (the new array).
+func TestConfigAllocations(t *testing.T) {
+	cfg := Default().With(IOSortMB, 410).With(ReduceMemoryMB, 2048)
+	var sink float64
+	if a := testing.AllocsPerRun(100, func() {
+		sink += cfg.Get(SortSpillPercent) + Default().Get(IOSortMB)
+	}); a != 0 {
+		t.Errorf("Get allocates %v per run, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		sink += cfg.MapMemMB() + cfg.ReduceMemMB() + cfg.SortMB() + cfg.SpillPct() +
+			cfg.ShuffleBufferPct() + cfg.MergePct() + cfg.MemoryLimitPct() +
+			cfg.ReduceInputBufPct() + cfg.MapHeapMB() + cfg.ReduceHeapMB() +
+			float64(cfg.InmemThreshold()+cfg.MapVcores()+cfg.ReduceVcores()+
+				cfg.SortFactor()+cfg.ParallelCopies())
+	}); a != 0 {
+		t.Errorf("typed accessors allocate %v per run, want 0", a)
+	}
+	var same bool
+	if a := testing.AllocsPerRun(100, func() {
+		same = cfg.With(IOSortMB, 412).Same(cfg) // quantizes to 410
+	}); a != 0 || !same {
+		t.Errorf("no-op With: %v allocations, Same=%v; want 0 and true", a, same)
+	}
+	var out Config
+	if a := testing.AllocsPerRun(100, func() {
+		out = cfg.With(IOSortMB, 500)
+	}); a != 1 {
+		t.Errorf("effective With allocates %v per run, want exactly 1", a)
+	}
+	if out.SortMB() != 500 || cfg.SortMB() != 410 {
+		t.Fatalf("With: got %g, receiver now %g", out.SortMB(), cfg.SortMB())
+	}
+	_ = sink
 }

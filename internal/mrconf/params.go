@@ -109,9 +109,9 @@ const (
 	ReduceSlowstartPercent = "mapreduce.job.reduce.slowstart.completedmaps" // category 1, not tuned
 )
 
-// ParamID is a dense index into the registry, used by Snapshot for
-// array-indexed (rather than string-hashed) parameter access on the
-// simulation hot path.
+// ParamID is a dense index into the registry: the layout of Config and
+// Snapshot, whose typed accessors are array loads rather than
+// string-hashed lookups.
 type ParamID int
 
 // Registry indices, in registry order. These are fixed by the Table 2
@@ -131,7 +131,8 @@ const (
 	IDIOSortFactor
 	IDShuffleParallelCopies
 
-	// NumParams is the registry size; Snapshot's backing array length.
+	// NumParams is the registry size; the length of Config's and
+	// Snapshot's arrays.
 	NumParams
 )
 
@@ -165,14 +166,6 @@ var registry = []Param{
 		"concurrent shuffle fetch threads per reducer"},
 }
 
-var byName = func() map[string]Param {
-	m := make(map[string]Param, len(registry))
-	for _, p := range registry {
-		m[p.Name] = p
-	}
-	return m
-}()
-
 // idByName maps parameter names to their dense registry index.
 var idByName = func() map[string]ParamID {
 	m := make(map[string]ParamID, len(registry))
@@ -184,7 +177,7 @@ var idByName = func() map[string]ParamID {
 
 func init() {
 	// The ParamID constants must mirror the registry ordering exactly;
-	// a drift here would silently misroute Snapshot reads.
+	// a drift here would silently misroute Config and Snapshot reads.
 	if len(registry) != int(NumParams) {
 		panic(fmt.Sprintf("mrconf: registry has %d params, NumParams is %d",
 			len(registry), int(NumParams)))
@@ -242,15 +235,21 @@ func ParamsByScope(s Scope) []Param {
 
 // Lookup returns the parameter descriptor for name.
 func Lookup(name string) (Param, bool) {
-	p, ok := byName[name]
-	return p, ok
+	id, ok := idByName[name]
+	if !ok {
+		return Param{}, false
+	}
+	return registry[id], true
 }
 
 // MustLookup is Lookup for known-good names; it panics on a typo.
-func MustLookup(name string) Param {
-	p, ok := byName[name]
+func MustLookup(name string) Param { return registry[mustID(name)] }
+
+// mustID is ID for known-good names; it panics on a typo.
+func mustID(name string) ParamID {
+	id, ok := idByName[name]
 	if !ok {
 		panic(fmt.Sprintf("mrconf: unknown parameter %q", name))
 	}
-	return p
+	return id
 }

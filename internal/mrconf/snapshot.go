@@ -1,27 +1,18 @@
 package mrconf
 
-// Snapshot is a compiled Config: the full parameter assignment laid out
-// as a dense array indexed by ParamID. It is built once per job or task
-// setup (Config.Snapshot) so that the per-event hot path — sort-buffer
-// checks, shuffle thresholds, heap math — costs an index load instead
-// of a string-hash map probe. The string-keyed Config API remains the
-// interface at the edges (tuner, JSON, tests); a Snapshot is a frozen
-// read-only view and never flows back into a Config.
+// Snapshot is a compiled Config: the full parameter assignment held by
+// value, indexed by ParamID. It is taken once per job or task setup
+// (Config.Snapshot) so that the per-event hot path — sort-buffer
+// checks, shuffle thresholds, heap math — reads a task-local array
+// rather than chasing the Config's pointer. The string-keyed Config API
+// remains the interface at the edges (tuner, JSON, tests); a Snapshot
+// is a frozen read-only view and never flows back into a Config.
 type Snapshot struct {
 	v [NumParams]float64
 }
 
-// Snapshot compiles the full effective assignment of c.
-func (c Config) Snapshot() Snapshot {
-	var s Snapshot
-	for i := range registry {
-		s.v[i] = registry[i].Default
-	}
-	for name, v := range c.overrides {
-		s.v[idByName[name]] = v
-	}
-	return s
-}
+// Snapshot copies out the full effective assignment of c.
+func (c Config) Snapshot() Snapshot { return Snapshot{v: *c.values()} }
 
 // Get returns the value of a parameter by dense index.
 func (s *Snapshot) Get(id ParamID) float64 { return s.v[id] }

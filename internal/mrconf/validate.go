@@ -19,9 +19,8 @@ var ErrInvalid = errors.New("invalid configuration")
 // Validate checks per-parameter ranges and the cross-parameter
 // dependency rules. It returns nil for a usable configuration.
 func Validate(c Config) error {
-	for _, p := range registry {
-		v := c.Get(p.Name)
-		if v < p.Min || v > p.Max {
+	for i, v := range c.values() {
+		if p := &registry[i]; v < p.Min || v > p.Max {
 			return fmt.Errorf("%w: %s=%g outside [%g, %g]", ErrInvalid, p.Name, v, p.Min, p.Max)
 		}
 	}

@@ -241,20 +241,20 @@ func TestSearchTerminatesWithinBudget(t *testing.T) {
 	}
 }
 
-func TestPointToOverridesQuantized(t *testing.T) {
+func TestApplyPointQuantized(t *testing.T) {
 	params := mapDims()
 	point := make([]float64, len(params))
 	for i, p := range params {
 		point[i] = p.Min + 0.333*(p.Max-p.Min)
 	}
-	kv := PointToOverrides(params, point)
-	for _, p := range params {
-		v, ok := kv[p.Name]
-		if !ok {
-			t.Fatalf("override for %s missing", p.Name)
+	cfg := ApplyPoint(mrconf.Default(), params, point)
+	for i, p := range params {
+		v := cfg.Get(p.Name)
+		if v != p.Quantize(point[i]) {
+			t.Fatalf("%s=%v, want the quantized coordinate %v", p.Name, v, p.Quantize(point[i]))
 		}
 		if v != p.Quantize(v) {
-			t.Fatalf("override %s=%v not quantized", p.Name, v)
+			t.Fatalf("%s=%v not quantized", p.Name, v)
 		}
 	}
 }

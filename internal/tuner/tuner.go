@@ -241,14 +241,14 @@ func MustNew(name string, o Options) Optimizer {
 	return opt
 }
 
-// PointToOverrides renders a sampled point as quantized parameter
-// overrides, ready for mrconf.Config.With.
-func PointToOverrides(params []mrconf.Param, point []float64) map[string]float64 {
-	kv := make(map[string]float64, len(params))
+// ApplyPoint returns cfg with each searched parameter set to the
+// point's coordinate, quantized to the parameter's grid, in dimension
+// order.
+func ApplyPoint(cfg mrconf.Config, params []mrconf.Param, point []float64) mrconf.Config {
 	for i, p := range params {
-		kv[p.Name] = p.Quantize(point[i])
+		cfg = cfg.With(p.Name, p.Quantize(point[i]))
 	}
-	return kv
+	return cfg
 }
 
 // evaluation pairs a sampled point with its measured cost.
