@@ -389,17 +389,15 @@ func BenchmarkAblationWaveSize(b *testing.B) {
 // streaming sinks) allocations stay flat per job rather than growing
 // per event, and the day completes in single-digit wall seconds.
 func BenchmarkStreamDay(b *testing.B) {
-	benchmarkStreamDay(b, 0)
+	benchmarkStreamDay(b, false)
 }
 
-// BenchmarkStreamDayParallel is the same simulated day on the
-// rack-cell partition with 8 parallel-window workers: each rack is
-// a self-contained cell (scoped RM, single-rack namenode, rack-local
-// fabric, private sink) and workers drain rack windows concurrently.
-// Aggregates are identical at any worker count (pinned by
-// TestStreamWindowInvariance); only the wall clock changes.
-func BenchmarkStreamDayParallel(b *testing.B) {
-	benchmarkStreamDay(b, 8)
+// BenchmarkStreamDayCells is the same simulated day on the rack-cell
+// partition: each rack is a self-contained cell (scoped RM,
+// single-rack namenode, rack-local fabric, private sink) on its own
+// shard of the serial engine.
+func BenchmarkStreamDayCells(b *testing.B) {
+	benchmarkStreamDay(b, true)
 }
 
 // BenchmarkTunerBackends races the optimizer backends through one
@@ -430,11 +428,13 @@ func BenchmarkTunerBackends(b *testing.B) {
 	}
 }
 
-func benchmarkStreamDay(b *testing.B, parallel int) {
+func benchmarkStreamDay(b *testing.B, cells bool) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		spec := experiments.DefaultStreamSpec(7)
-		spec.Parallel = parallel
+		if cells {
+			spec.Parallel = 1
+		}
 		start := time.Now()
 		res := experiments.RunStream(spec)
 		wall := time.Since(start).Seconds()

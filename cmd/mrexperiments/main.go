@@ -39,7 +39,7 @@ func main() {
 		faultSpec  = flag.String("faults", "", "inject faults from this JSON spec into every run (see examples/faults/)")
 		tunerName  = flag.String("tuner", "hill", "optimizer backend for aggressive tuning runs: "+strings.Join(tuner.Backends(), "|"))
 		warmStart  = flag.String("warmstart", "", "warm-start store JSON file: load search state per job class before running, save after")
-		parallel   = flag.Int("parallel", 0, "window workers for the continuous-serving legs (rack-cell mode); 0 = serial reference")
+		cells      = flag.Bool("cells", false, "run the continuous-serving legs on the rack-cell partition (one cell per rack)")
 	)
 	flag.Parse()
 
@@ -77,7 +77,7 @@ func main() {
 		}()
 	}
 
-	env := experiments.Env{Seed: *seed, Backend: *tunerName, Parallel: *parallel}
+	env := experiments.Env{Seed: *seed, Backend: *tunerName, Cells: *cells}
 	var store *tuner.Store
 	if *warmStart != "" {
 		if s, err := tuner.LoadStore(*warmStart); err == nil {
@@ -358,10 +358,10 @@ func stream(env experiments.Env) {
 	header("Extension: continuous serving (1h stream, 10,016 nodes, fair share)")
 	spec := experiments.DefaultStreamSpec(env.Seed)
 	spec.HorizonSecs = 3600
-	spec.Parallel = env.Parallel
-	if env.Parallel > 0 {
-		spec.Faults = env.FaultSpec
-		fmt.Printf("rack-cell mode: %d window workers\n", env.Parallel)
+	spec.Faults = env.FaultSpec
+	if env.Cells {
+		spec.Parallel = 1
+		fmt.Printf("rack-cell mode: %d cells\n", spec.Racks)
 	}
 	fmt.Printf("%-10s %6s %10s %9s %9s %9s\n",
 		"leg", "jobs", "makespan", "mean", "p99~", "max")

@@ -23,8 +23,8 @@
 //
 // -stream <hours> switches to the continuous-serving workload: hours
 // of mixed-job arrivals on the 10,016-node cluster (-strategy default
-// or conservative). -parallel N runs it on the rack-cell architecture
-// with N parallel-window workers; the whole-cluster default stays the
+// or conservative). -cells runs it on the rack-cell partition (one
+// self-contained cell per rack); the whole-cluster default stays the
 // byte-exact figure reference.
 package main
 
@@ -69,7 +69,7 @@ func main() {
 		tunerName = flag.String("tuner", "hill", "optimizer backend for aggressive runs: "+strings.Join(tuner.Backends(), "|"))
 		warmStart = flag.String("warmstart", "", "warm-start store JSON file (read before aggressive runs, written after)")
 		stream    = flag.Float64("stream", 0, "run the continuous-serving stream for this many simulated hours on the 10,016-node cluster instead of a single job")
-		parallel  = flag.Int("parallel", 0, "window workers for -stream (rack-cell mode); 0 = serial reference")
+		cells     = flag.Bool("cells", false, "run -stream on the rack-cell partition (one cell per rack) instead of the whole cluster")
 	)
 	flag.Parse()
 
@@ -131,12 +131,12 @@ func main() {
 	}
 
 	if *stream > 0 {
-		runStream(env, *stream, *strategy, *parallel, *asJSON)
+		runStream(env, *stream, *strategy, *cells, *asJSON)
 		return
 	}
-	if *parallel > 0 {
-		fmt.Fprintln(os.Stderr, "-parallel requires -stream: single-job runs use the"+
-			" cluster-wide resource manager, which is not shard-isolated")
+	if *cells {
+		fmt.Fprintln(os.Stderr, "-cells requires -stream: single-job runs use the"+
+			" 19-node testbed, which has no rack cells")
 		os.Exit(2)
 	}
 
@@ -218,9 +218,9 @@ type Report struct {
 }
 
 // runStream executes the continuous-serving workload (-stream): hours
-// of mixed-job arrivals on the 10,016-node cluster, serially or on the
-// rack-cell parallel-window path (-parallel N).
-func runStream(env experiments.Env, hours float64, strategy string, parallel int, asJSON bool) {
+// of mixed-job arrivals on the 10,016-node cluster, on the whole-cluster
+// partition or on the rack-cell partition (-cells).
+func runStream(env experiments.Env, hours float64, strategy string, cells, asJSON bool) {
 	if strategy != "default" && strategy != "conservative" {
 		fmt.Fprintln(os.Stderr, "-stream supports -strategy default (untuned) or conservative (per-job MRONLINE tuner)")
 		os.Exit(2)
@@ -228,7 +228,9 @@ func runStream(env experiments.Env, hours float64, strategy string, parallel int
 	spec := experiments.DefaultStreamSpec(env.Seed)
 	spec.HorizonSecs = hours * 3600
 	spec.Tuned = strategy == "conservative"
-	spec.Parallel = parallel
+	if cells {
+		spec.Parallel = 1
+	}
 	spec.Faults = env.FaultSpec
 	res := experiments.RunStream(spec)
 	if asJSON {
@@ -241,15 +243,15 @@ func runStream(env experiments.Env, hours float64, strategy string, parallel int
 			MeanDur    float64 `json:"mean_duration_secs"`
 			Events     uint64  `json:"engine_events"`
 			SinkEvents int     `json:"sink_events"`
-			Parallel   int     `json:"parallel"`
-		}{res.Jobs, res.Completed, res.Makespan, res.MeanDur, res.Events, res.SinkEvents, parallel}); err != nil {
+			Cells      bool    `json:"cells"`
+		}{res.Jobs, res.Completed, res.Makespan, res.MeanDur, res.Events, res.SinkEvents, cells}); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		return
 	}
-	if parallel > 0 {
-		fmt.Printf("rack-cell mode: %d window workers\n", parallel)
+	if cells {
+		fmt.Printf("rack-cell mode: %d cells\n", spec.Racks)
 	}
 	fmt.Print(res.Report())
 }

@@ -31,7 +31,7 @@ type Config struct {
 	// themselves are ignored).
 	Classes []NodeClass
 	// RackLocalNet restructures the network for shard-isolated serving
-	// (parallel windows): instead of one fabric on the system shard,
+	// (rack cells): instead of one fabric on the system shard,
 	// each rack gets its own fabric — holding that rack's NICs and its
 	// uplink — on the rack's shard, so every flow event fires where the
 	// endpoints live. Cross-rack Transfer panics in this mode; it

@@ -80,11 +80,10 @@ type Env struct {
 	// AggressiveTestRun warm-starts each job from its class's stored
 	// search state and feeds the outcome back afterwards.
 	WarmStore *tuner.Store
-	// Parallel, when positive, runs the continuous-serving legs on the
-	// rack-cell architecture with that many window workers (see
-	// StreamSpec.Parallel). Zero keeps the serial reference path the
-	// committed figures pin.
-	Parallel int
+	// Cells runs the continuous-serving legs on the rack-cell
+	// partition (see StreamSpec.Parallel). False keeps the
+	// whole-cluster partition the committed figures pin.
+	Cells bool
 }
 
 // DefaultEnv matches the committed EXPERIMENTS.md numbers.

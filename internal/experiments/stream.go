@@ -120,28 +120,20 @@ type StreamSpec struct {
 	Faults *faults.Spec
 
 	// Parallel, when positive, runs the stream on the rack-cell
-	// partition with parallel windows: each rack is a self-contained
-	// cell (scoped resource manager, scoped single-rack namenode,
-	// rack-local fabric, private stats sink) and the only cross-shard
-	// traffic is job submission, delivered by Send with delay
-	// StreamSubmitDelaySecs. Workers drain rack windows concurrently;
-	// results are identical at any worker count (pinned by tests).
-	// Parallel is incompatible with WarmStart and Sink: the store and
-	// an external sink would be state shared across cells.
+	// partition: each rack is a self-contained cell (scoped resource
+	// manager, scoped single-rack namenode, rack-local fabric, private
+	// stats sink) on its own shard, and the only cross-shard traffic is
+	// job submission, delivered by Send with delay
+	// StreamSubmitDelaySecs. Cells run on the serial engine, so any
+	// positive value gives the same result; the field is a switch, not
+	// a worker count. Zero selects the whole-cluster partition.
 	Parallel int
-
-	// cellSerial runs the rack-cell partition on the serial engine: the
-	// reference leg the window-invariance tests compare parallel runs
-	// against (cell results legally differ from the whole-cluster
-	// partition's single namenode, so that partition cannot be the
-	// reference).
-	cellSerial bool
 }
 
 // StreamSubmitDelaySecs is the latency from a job's arrival (drawn on
 // the system shard) to its delivery at a rack cell: the rack-cell
-// partition's only cross-shard edge, and therefore its parallel-window
-// width.
+// partition's only cross-shard edge. It is part of the cell model —
+// every cell result is pinned with it.
 const StreamSubmitDelaySecs = 1.0
 
 // DefaultStreamSpec is the flagship workload: a simulated day of
@@ -195,8 +187,8 @@ func (r *StreamResult) Report() string {
 // streamCell is one serving partition's self-contained stack:
 // everything a job touches after submission lives on the cell's shard.
 // The whole-cluster partition is one cell on the system shard; the
-// rack-cell partition has one per rack, so cells drain concurrently
-// inside parallel windows with no shared state.
+// rack-cell partition has one per rack shard, each with its own
+// resource manager, namenode and stats sink.
 type streamCell struct {
 	shard     *sim.Shard
 	rm        *yarn.ResourceManager
@@ -218,9 +210,8 @@ type streamCell struct {
 // system shard and dealt round-robin to the partition's cells; a cell
 // on another shard receives its jobs by Send (the run's only
 // cross-shard edge). Per-cell results fold in cell order after the
-// drain, so every aggregate is identical at any worker count. The
-// default is the whole-cluster partition the figure pipeline pins;
-// Parallel > 0 selects the rack-cell partition (see
+// drain. The default is the whole-cluster partition the figure
+// pipeline pins; Parallel > 0 selects the rack-cell partition (see
 // StreamSpec.Parallel).
 func RunStream(spec StreamSpec) StreamResult {
 	classes := spec.Classes
@@ -234,13 +225,7 @@ func RunStream(spec StreamSpec) StreamResult {
 		}
 		totalWeight += cl.Weight
 	}
-	rackCells := spec.Parallel > 0 || spec.cellSerial
-	if rackCells && spec.WarmStart {
-		panic("experiments: stream Parallel is incompatible with WarmStart (the shared store is cross-cell state)")
-	}
-	if rackCells && spec.Sink != nil {
-		panic("experiments: stream Parallel is incompatible with Sink (an external sink is cross-cell state)")
-	}
+	rackCells := spec.Parallel > 0
 
 	eng := sim.NewEngine()
 	eng.MaxEvents = 2_000_000_000
@@ -259,9 +244,6 @@ func RunStream(spec StreamSpec) StreamResult {
 		UplinkMBps:   1000,
 		RackLocalNet: rackCells,
 	})
-	if spec.Parallel > 0 {
-		eng.EnableParallelWindows(spec.Parallel, StreamSubmitDelaySecs)
-	}
 	src := sim.NewSource(spec.Seed)
 	base := mrconf.Default()
 	// The precompiled snapshot is immutable after construction, so one
@@ -321,8 +303,6 @@ func RunStream(spec StreamSpec) StreamResult {
 		return len(classes) - 1
 	}
 
-	// The warm-start store and ClassWaves are touched only on the system
-	// shard: WarmStart implies the whole-cluster partition.
 	var store *tuner.Store
 	if spec.Tuned && spec.WarmStart {
 		store = spec.Store
@@ -412,9 +392,8 @@ func RunStream(spec StreamSpec) StreamResult {
 	}
 	eng.Run()
 
-	// Fold per-cell results in cell order: the float sums and the sink
-	// merge see the same sequence at every worker count, and a single
-	// cell folds exactly (every sum is 0 + x).
+	// Fold per-cell results in cell order: a single cell folds exactly
+	// (every sum is 0 + x).
 	stats := trace.NewStatsSink()
 	totalDur := 0.0
 	for _, cell := range cells {

@@ -9,6 +9,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/trace"
 )
 
@@ -30,6 +31,29 @@ type countSink int
 
 func (c *countSink) Add(trace.Event) { *c++ }
 
+// churnSpec is the crash-churn fault schedule of the golden's churn
+// legs: rolling crash+restart waves across several racks (different
+// nodes, overlapping windows), plus probabilistic shuffle-fetch and
+// task attempt failures so the retry machinery runs too. Every crash
+// restarts, so the stream still drains completely.
+func churnSpec() *faults.Spec {
+	s := &faults.Spec{
+		FetchFailRate:   0.02,
+		TaskAttemptFail: &faults.TaskAttemptFail{Rate: 0.02},
+	}
+	// smallStreamSpec topology: 24 racks × 8 nodes, node IDs contiguous
+	// per rack. Crash one node in every third rack, staggered through
+	// the first half of the horizon.
+	for r := 0; r < 24; r += 3 {
+		s.NodeCrashes = append(s.NodeCrashes, faults.NodeCrash{
+			At:           100 + float64(r)*35,
+			Node:         r*8 + (r/3)%8,
+			RestartAfter: 300,
+		})
+	}
+	return s
+}
+
 // TestStreamReportGolden pins RunStream's output across both
 // partitions, with and without crash churn and tuning: a change to the
 // serving path that moves any simulated result shows up here as a
@@ -47,7 +71,7 @@ func TestStreamReportGolden(t *testing.T) {
 			s.Sink = new(countSink)
 			return s
 		}},
-		{"cells", func(s StreamSpec) StreamSpec { s.cellSerial = true; return s }},
+		{"cells", func(s StreamSpec) StreamSpec { s.Parallel = 1; return s }},
 		{"cells-churn-tuned-p2", func(s StreamSpec) StreamSpec {
 			s.Faults = churnSpec()
 			s.Tuned = true

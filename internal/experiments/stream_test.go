@@ -85,25 +85,37 @@ func TestStreamSoloTraceMatchesInStream(t *testing.T) {
 }
 
 // TestStreamSmokeThreeSeeds is the CI serving smoke (run with -race
-// there): a short simulated stream across three seeds, asserting every
-// job completes and that the sink's retained state stays flat — the
-// stats sink ingests every event yet holds only per-class aggregates.
+// there): a short simulated stream across three seeds on both
+// partitions, asserting every job completes, that an attached Sink sees
+// exactly the events the stats sink ingested (every cell tees into the
+// same external sink), and that the sink's retained state stays flat —
+// the stats sink ingests every event yet holds only per-class
+// aggregates.
 func TestStreamSmokeThreeSeeds(t *testing.T) {
 	for _, seed := range []uint64{3, 5, 7} {
-		res := RunStream(smallStreamSpec(seed))
-		if res.Completed != res.Jobs || res.Jobs == 0 {
-			t.Fatalf("seed %d: %d of %d jobs completed", seed, res.Completed, res.Jobs)
-		}
-		if res.SinkEvents != res.Stats.EventCount() || res.SinkEvents < res.Jobs*4 {
-			t.Fatalf("seed %d: sink saw %d events for %d jobs", seed, res.SinkEvents, res.Jobs)
-		}
-		// Flat memory: retained state is bounded by the class mix, not
-		// the stream length.
-		if n := len(res.Stats.Classes()); n > len(DefaultStreamClasses())+1 {
-			t.Fatalf("seed %d: stats sink retains %d classes", seed, n)
-		}
-		if res.Stats.InFlight() != 0 {
-			t.Fatalf("seed %d: %d jobs still in flight after drain", seed, res.Stats.InFlight())
+		for _, parallel := range []int{0, 1} {
+			spec := smallStreamSpec(seed)
+			spec.Parallel = parallel
+			sink := new(countSink)
+			spec.Sink = sink
+			res := RunStream(spec)
+			if res.Completed != res.Jobs || res.Jobs == 0 {
+				t.Fatalf("seed %d parallel=%d: %d of %d jobs completed", seed, parallel, res.Completed, res.Jobs)
+			}
+			if res.SinkEvents != res.Stats.EventCount() || res.SinkEvents < res.Jobs*4 {
+				t.Fatalf("seed %d parallel=%d: sink saw %d events for %d jobs", seed, parallel, res.SinkEvents, res.Jobs)
+			}
+			if int(*sink) != res.SinkEvents {
+				t.Fatalf("seed %d parallel=%d: attached sink saw %d events, stats sink %d", seed, parallel, *sink, res.SinkEvents)
+			}
+			// Flat memory: retained state is bounded by the class mix,
+			// not the stream length.
+			if n := len(res.Stats.Classes()); n > len(DefaultStreamClasses())+1 {
+				t.Fatalf("seed %d parallel=%d: stats sink retains %d classes", seed, parallel, n)
+			}
+			if res.Stats.InFlight() != 0 {
+				t.Fatalf("seed %d parallel=%d: %d jobs still in flight after drain", seed, parallel, res.Stats.InFlight())
+			}
 		}
 	}
 }

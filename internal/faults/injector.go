@@ -99,9 +99,9 @@ func New(c *cluster.Cluster, src *sim.Source, spec Spec, rec trace.Sink) (*Injec
 
 // Scheduled faults arm on the target node's rack shard, not the system
 // shard: the callbacks only touch that node's resource domains (and, in
-// rack-cell mode, that rack's listeners), so the events are rack-local
-// and legal inside parallel windows. In serial mode the shard choice
-// only labels the event — firing order and timestamps are unchanged.
+// rack-cell mode, that rack's listeners), so the events are rack-local.
+// The shard choice only labels the event — firing order and timestamps
+// are unchanged.
 func (in *Injector) armCrash(cr NodeCrash) {
 	n := in.c.Nodes[cr.Node]
 	sh := n.Shard()

@@ -128,7 +128,7 @@ func New(c *cluster.Cluster, rng *rand.Rand) *FileSystem {
 
 // NewScoped returns a namenode whose datanode set is exactly rack's
 // nodes, scheduling on that rack's shard and writing the rack's fault
-// counters — the rack-cell building block for parallel-window serving.
+// counters — the rack-cell building block of stream serving.
 // Placement behaves like New over a single-rack cluster (no off-rack
 // replica), which is the documented rack-cell difference from the
 // cluster-wide namenode.

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 )
 
@@ -12,19 +11,11 @@ import (
 // the one sanctioned way to reach another shard is the owning shard's
 // Send method. A closure scheduled on shard X that calls a scheduling
 // method (At/After/Tick/Reschedule/Cancel/Send) through a *different*
-// shard or engine handle is therefore a latent cross-shard mutation:
-// harmless under the serial engine (which fires everything in global
-// order anyway), a determinism bug or a data race the moment the same
-// model runs under parallel windows.
-//
-// The rule also enforces the parallel-window timing contract on Send
-// itself: a Send whose delay argument is a compile-time constant below
-// MinSendDelaySecs is flagged wherever it appears. Such a send is
-// harmless on the serial engine but panics the moment the model runs
-// under parallel windows (sim.Shard.Send rejects delays below the
-// configured lookahead), so the linter rejects it statically. Delays
-// that are not constants cannot be judged here and are left to the
-// runtime check.
+// shard or engine handle is therefore a hidden cross-shard mutation.
+// The engine fires it in the right global order, but it breaks the
+// ownership the model is built on: a rack cell is self-contained only
+// if nothing reaches into its queue except a Send, whose delay is part
+// of the model.
 //
 // Flagged: inside a function literal passed to a scheduling method on
 // a sim Shard or Engine, any scheduling call whose receiver expression
@@ -49,13 +40,6 @@ var shardSchedulers = map[string]bool{
 	"At": true, "After": true, "Tick": true,
 	"Reschedule": true, "Cancel": true, "Send": true,
 }
-
-// MinSendDelaySecs is the smallest constant Send delay the rule
-// accepts: the parallel-window lookahead the serving path runs with
-// (experiments.StreamSubmitDelaySecs). A model whose cross-shard
-// sends all cover this bound can run under parallel windows at that
-// lookahead without the runtime delay check ever firing.
-const MinSendDelaySecs = 1.0
 
 func runCrossShardEvent(p *Pass) {
 	simulated := false
@@ -82,7 +66,6 @@ func runCrossShardEvent(p *Pass) {
 				return true
 			}
 			if outer == "Send" {
-				checkSendDelay(p, call)
 				// A Send closure fires on the destination shard, so that
 				// is the affinity its body must honor.
 				if len(call.Args) == 0 {
@@ -105,28 +88,6 @@ func runCrossShardEvent(p *Pass) {
 			return true
 		})
 	}
-}
-
-// checkSendDelay flags a Send whose delay argument constant-folds to a
-// value below MinSendDelaySecs. The type checker has already folded
-// named constants and constant arithmetic, so `s.Send(d, shortConst,
-// fn)` is caught no matter how the constant is spelled; non-constant
-// delays are skipped (the engine's runtime check owns those).
-func checkSendDelay(p *Pass, call *ast.CallExpr) {
-	if len(call.Args) < 2 {
-		return
-	}
-	v := p.Info.Types[call.Args[1]].Value
-	if v == nil || (v.Kind() != constant.Int && v.Kind() != constant.Float) {
-		return
-	}
-	delay, _ := constant.Float64Val(v)
-	if delay >= MinSendDelaySecs {
-		return
-	}
-	p.Report("cross-shard-event", call.Pos(),
-		"Send with constant delay %v below the parallel-window lookahead %v; the engine rejects such sends under parallel windows — widen the delay or restructure the interaction to stay shard-local",
-		delay, MinSendDelaySecs)
 }
 
 // schedulingCall reports the method name and receiver path of call if

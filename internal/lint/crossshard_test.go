@@ -133,67 +133,6 @@ func f(a, b *sim.Shard) {
 			want: 0,
 		},
 		{
-			name: "short constant send delay flagged",
-			src: `package cluster
-import "fixture/internal/sim"
-func f(a, b *sim.Shard) {
-	a.After(1, func() { a.Send(b, 0.5, func() {}) })
-}
-`,
-			want: 1,
-		},
-		{
-			name: "short send outside any closure flagged",
-			src: `package cluster
-import "fixture/internal/sim"
-func f(a, b *sim.Shard) {
-	a.Send(b, 0.25, func() {})
-}
-`,
-			want: 1,
-		},
-		{
-			name: "short named-constant send delay flagged",
-			src: `package cluster
-import "fixture/internal/sim"
-const heartbeatGap = 0.5
-func f(a, b *sim.Shard) {
-	a.Send(b, heartbeatGap, func() {})
-}
-`,
-			want: 1,
-		},
-		{
-			name: "send delay at the lookahead clean",
-			src: `package cluster
-import "fixture/internal/sim"
-func f(a, b *sim.Shard) {
-	a.Send(b, 1, func() {})
-}
-`,
-			want: 0,
-		},
-		{
-			name: "non-constant send delay left to the runtime check",
-			src: `package cluster
-import "fixture/internal/sim"
-func f(a, b *sim.Shard, d float64) {
-	a.Send(b, d, func() {})
-}
-`,
-			want: 0,
-		},
-		{
-			name: "short send on unresolvable receiver still flagged",
-			src: `package cluster
-import "fixture/internal/sim"
-func f(ss []*sim.Shard, b *sim.Shard) {
-	ss[0].Send(b, 0.5, func() {})
-}
-`,
-			want: 1,
-		},
-		{
 			name: "unresolvable receiver skipped",
 			src: `package cluster
 import "fixture/internal/sim"

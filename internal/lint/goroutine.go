@@ -9,10 +9,9 @@ import (
 // discrete-event engine is single-threaded by design: every state
 // change happens inside an event callback, and same-timestamp events
 // fire in scheduling order. That invariant is what makes runs
-// bit-reproducible, and it is exactly what the sharded engine of
-// ROADMAP item 2 must preserve *per shard*. A goroutine, channel, or
-// ad-hoc sync.* coordination inside a simulated package introduces OS
-// scheduler ordering into the model — irreproducible by construction.
+// bit-reproducible. A goroutine, channel, or ad-hoc sync.*
+// coordination inside a simulated package introduces OS scheduler
+// ordering into the model — irreproducible by construction.
 //
 // The rule forbids `go` statements, channel types and operations
 // (send, receive, select, close, range-over-channel), and any use of

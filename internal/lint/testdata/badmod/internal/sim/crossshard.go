@@ -41,15 +41,6 @@ func (r *Racks) BadForeignCancel(ev any) {
 	})
 }
 
-// BadShortSend hops shards with a constant delay below the
-// parallel-window lookahead: legal on the serial engine, an immediate
-// panic under parallel windows.
-func (r *Racks) BadShortSend() {
-	r.a.After(1, func() {
-		r.a.Send(r.b, 0.25, func() {}) // want cross-shard-event
-	})
-}
-
 // GoodSameShard keeps every scheduling call on the closure's own shard.
 func (r *Racks) GoodSameShard() {
 	r.a.After(1, func() {

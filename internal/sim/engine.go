@@ -19,12 +19,7 @@
 // performance knob — same-seed runs are bit-identical at any shard
 // count — while each heap stays small (O(log k) on k ≪ N pending
 // events) and idle shards cost nothing (they are simply absent from
-// the index heap).
-//
-// Optionally (off by default, see EnableParallelWindows) independent
-// shards within a window execute on a bounded worker pool with a
-// deterministic cross-shard merge; see parallel.go and docs/MODEL.md
-// ("Sharded event engine & conservative time-windows").
+// the index heap). See docs/MODEL.md ("Sharded event engine").
 package sim
 
 import (
@@ -143,10 +138,10 @@ func (h *shardHeap) Pop() any {
 	return s
 }
 
-// Engine is a sharded, deterministic discrete-event simulator. In the
-// default serial mode it is not safe for concurrent use; all model
-// code runs inside event callbacks on the goroutine that calls Run,
-// strictly in global (time, seq) order regardless of shard layout.
+// Engine is a sharded, deterministic discrete-event simulator. It is
+// not safe for concurrent use; all model code runs inside event
+// callbacks on the goroutine that calls Run, strictly in global
+// (time, seq) order regardless of shard layout.
 type Engine struct {
 	now     float64
 	seq     uint64
@@ -155,8 +150,7 @@ type Engine struct {
 	// runaway detection.
 	processed uint64
 	// MaxEvents aborts Run with a panic when the event count exceeds it.
-	// Zero means no limit. In parallel-window mode the limit is checked
-	// at window barriers rather than per event.
+	// Zero means no limit.
 	MaxEvents uint64
 
 	shards []*Shard
@@ -172,8 +166,6 @@ type Engine struct {
 	// only ever conservative (too low), never unsafe.
 	boundAt  float64
 	boundSeq uint64
-
-	par *parallelConfig
 }
 
 // maxFreeEvents bounds each shard's free list so that a burst of events
@@ -184,11 +176,15 @@ const maxFreeEvents = 1 << 14
 // shard (the system shard).
 func NewEngine() *Engine {
 	e := &Engine{}
-	e.newShard("system")
+	e.NewShard("system")
 	return e
 }
 
-func (e *Engine) newShard(name string) *Shard {
+// NewShard adds a shard to the engine and returns its handle. Shards
+// can be added at any time; an idle shard costs nothing until its
+// first event is scheduled. Shard layout never changes results — it
+// only changes which heap holds which event.
+func (e *Engine) NewShard(name string) *Shard {
 	s := &Shard{
 		eng:  e,
 		id:   ShardID(len(e.shards)),
@@ -197,17 +193,6 @@ func (e *Engine) newShard(name string) *Shard {
 	}
 	e.shards = append(e.shards, s)
 	return s
-}
-
-// NewShard adds a shard to the engine and returns its handle. Shards
-// can be added at any time; an idle shard costs nothing until its
-// first event is scheduled. Shard layout never changes results in
-// serial mode — it only changes which heap holds which event.
-func (e *Engine) NewShard(name string) *Shard {
-	if e.par != nil {
-		panic("sim: NewShard after EnableParallelWindows")
-	}
-	return e.newShard(name)
 }
 
 // SystemShard returns the always-present shard 0, home of
@@ -262,8 +247,7 @@ func (e *Engine) Tick(interval float64, fn func() bool) *Ticker {
 	return e.shards[0].Tick(interval, fn)
 }
 
-// Stop makes Run return after the current event completes (in
-// parallel-window mode, after the current window completes).
+// Stop makes Run return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Pending returns the number of queued (not yet fired) events across
@@ -284,10 +268,6 @@ func (e *Engine) Run() {
 // RunUntil processes events with time <= t, then sets the clock to t if
 // the queues drained earlier than t (and t is finite).
 func (e *Engine) RunUntil(t float64) {
-	if e.par != nil {
-		e.runParallel(t)
-		return
-	}
 	e.stopped = false
 	for len(e.order) > 0 && !e.stopped {
 		s := e.order[0]

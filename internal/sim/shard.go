@@ -13,11 +13,10 @@ import (
 // affinity" means: every At/After/Tick/Reschedule/Cancel call names
 // the shard whose state the callback touches.
 //
-// In serial mode (the default) affinity is purely declarative — the
-// engine fires events in global (time, seq) order whatever the shard
-// layout — but it is what makes the parallel-window mode (and the
-// cross-shard-event lint rule) possible: a callback scheduled on a
-// shard may only touch that shard's state, and talks to other shards
+// Affinity is declarative — the engine fires events in global
+// (time, seq) order whatever the shard layout — and the
+// cross-shard-event lint rule keeps it honest: a callback scheduled on
+// a shard may only touch that shard's state, and talks to other shards
 // through Send.
 type Shard struct {
 	eng  *Engine
@@ -33,22 +32,6 @@ type Shard struct {
 	pos    int
 	minAt  float64
 	minSeq uint64
-
-	// Parallel-window state (see parallel.go). All of it is owned by
-	// the single worker goroutine executing this shard's window, or by
-	// the coordinator between windows.
-	inWindow   bool
-	now        float64 // shard-local clock inside a window
-	windowEnd  float64
-	windowBase uint64 // engine seq at window start
-	windowK    uint64 // number of shards in the window
-	windowIdx  uint64 // this shard's slot in the window's seq interleave
-	localCount uint64 // seqs consumed by this shard within the window
-	fired      uint64 // events fired by this shard within the window
-	outbox     []pendingSend
-	obCur      int // barrier-merge cursor into the sorted outbox
-	stopReq    bool
-	panicked   any
 }
 
 // ID returns the shard's identifier (0 is the system shard).
@@ -60,27 +43,11 @@ func (s *Shard) Name() string { return s.name }
 // Engine returns the owning engine.
 func (s *Shard) Engine() *Engine { return s.eng }
 
-// Now returns the current simulation time as seen by this shard:
-// inside a parallel window, the shard-local clock; otherwise the
-// engine clock.
-func (s *Shard) Now() float64 {
-	if s.inWindow {
-		return s.now
-	}
-	return s.eng.now
-}
+// Now returns the current simulation time (the engine clock).
+func (s *Shard) Now() float64 { return s.eng.now }
 
-// nextSeq consumes one scheduling sequence number. Inside a parallel
-// window each shard draws from its own interleaved lane (base +
-// local*K + idx) so assignment is race-free and deterministic; the
-// coordinator advances the engine counter past every lane at the
-// barrier.
+// nextSeq consumes one scheduling sequence number.
 func (s *Shard) nextSeq() uint64 {
-	if s.inWindow {
-		seq := s.windowBase + s.localCount*s.windowK + s.windowIdx
-		s.localCount++
-		return seq
-	}
 	seq := s.eng.seq
 	s.eng.seq++
 	return seq
@@ -101,21 +68,8 @@ func (s *Shard) take(t float64, seq uint64, fn func()) *Event {
 
 // At schedules fn on this shard at absolute time t. Scheduling in the
 // past panics, since it indicates a broken model rather than a
-// recoverable condition. During a parallel window only the shard's own
-// callbacks may call At on it; cross-shard scheduling must go through
-// Send.
+// recoverable condition.
 func (s *Shard) At(t float64, fn func()) *Event {
-	if p := s.eng.par; p != nil && p.active && !s.inWindow && p.solo != s {
-		panic(fmt.Sprintf("sim: At on shard %q outside its window during parallel execution; use Send", s.name))
-	}
-	return s.at(t, fn)
-}
-
-// at is At without the parallel-mode affinity guard; Send's serial
-// fallback delivers through it (a Send is the sanctioned cross-shard
-// path, so the guard must not reject the destination shard).
-func (s *Shard) at(t float64, fn func()) *Event {
-	e := s.eng
 	if now := s.Now(); t < now {
 		panic(fmt.Sprintf("sim: scheduling event at %.9f before now %.9f", t, now))
 	}
@@ -124,9 +78,7 @@ func (s *Shard) at(t float64, fn func()) *Event {
 	}
 	ev := s.take(t, s.nextSeq(), fn)
 	heap.Push(&s.pq, ev)
-	if !s.inWindow {
-		e.syncShard(s)
-	}
+	s.eng.syncShard(s)
 	return ev
 }
 
@@ -156,9 +108,7 @@ func (s *Shard) Reschedule(ev *Event, t float64) *Event {
 	ev.at = t
 	ev.seq = s.nextSeq()
 	heap.Fix(&s.pq, ev.index)
-	if !s.inWindow {
-		s.eng.syncShard(s)
-	}
+	s.eng.syncShard(s)
 	return ev
 }
 
@@ -176,9 +126,7 @@ func (s *Shard) Cancel(ev *Event) {
 	ev.canceled = true
 	if ev.index >= 0 {
 		heap.Remove(&s.pq, ev.index)
-		if !s.inWindow {
-			s.eng.syncShard(s)
-		}
+		s.eng.syncShard(s)
 	}
 }
 
@@ -193,41 +141,16 @@ func (s *Shard) Tick(interval float64, fn func() bool) *Ticker {
 	return t
 }
 
-// Send schedules fn on shard dst, delay seconds from this shard's
-// current time. It is the sanctioned cross-shard communication
-// primitive: in serial mode it is exactly dst.At(now+delay, fn); in
-// parallel-window mode the send is buffered and merged at the window
-// barrier in deterministic (time, source shard, send order) order, and
-// the returned event is nil. delay must be at least the engine's
-// lookahead when parallel windows are enabled, so a send can never
-// land inside the window that issued it.
+// Send schedules fn on shard dst, delay seconds from now: exactly
+// dst.At(now+delay, fn). It is the sanctioned cross-shard
+// communication primitive — the one call a callback may make on
+// another shard's behalf (see the cross-shard-event lint rule). A
+// negative or non-finite delay panics.
 func (s *Shard) Send(dst *Shard, delay float64, fn func()) *Event {
 	if delay < 0 || math.IsNaN(delay) || math.IsInf(delay, 0) {
 		panic(fmt.Sprintf("sim: Send with invalid delay %v", delay))
 	}
-	// In parallel mode the delay floor is enforced unconditionally —
-	// not just inside windows — so a lookahead violation fails
-	// deterministically on its first execution instead of depending on
-	// the window occupancy that happened to surround it (the adaptive
-	// solo drain otherwise runs sends with serial semantics and would
-	// mask short delays). mrlint's cross-shard-event rule flags the
-	// constant-delay cases statically.
-	if p := s.eng.par; p != nil && delay < p.lookahead {
-		panic(fmt.Sprintf(
-			"sim: Send from shard %q to %q with delay %.9f below the lookahead %.9f; cross-shard delays must be >= the lookahead",
-			s.name, dst.name, delay, p.lookahead))
-	}
-	if s.inWindow {
-		at := s.now + delay
-		if at < s.windowEnd {
-			panic(fmt.Sprintf(
-				"sim: Send from shard %q to %q lands at %.9f inside the window ending %.9f; cross-shard delays must be >= the lookahead",
-				s.name, dst.name, at, s.windowEnd))
-		}
-		s.outbox = append(s.outbox, pendingSend{dst: dst, at: at, order: uint64(len(s.outbox)), fn: fn})
-		return nil
-	}
-	return dst.at(s.Now()+delay, fn)
+	return dst.At(s.Now()+delay, fn)
 }
 
 // Pending returns the number of queued (not yet fired) events on this

@@ -31,10 +31,8 @@ var synthJobs = synthConfig{racks: 64, nodesPerRack: 4, jobs: 1000, waves: 50, h
 // returning the number of events fired. sharded selects the layout:
 // one shard per rack, or everything on the system shard (the
 // single-heap layout, for apples-to-apples comparison). The logical
-// schedule is identical either way. preRun, if non-nil, runs after
-// wiring and before Run (NewShard is frozen once parallel windows are
-// enabled, so the parallel leg flips the switch here).
-func runSynthetic(eng *Engine, cfg synthConfig, sharded bool, preRun func(*Engine)) uint64 {
+// schedule is identical either way.
+func runSynthetic(eng *Engine, cfg synthConfig, sharded bool) uint64 {
 	sys := eng.SystemShard()
 	racks := make([]*Shard, cfg.racks)
 	for r := range racks {
@@ -66,8 +64,7 @@ func runSynthetic(eng *Engine, cfg synthConfig, sharded bool, preRun func(*Engin
 
 	// Concurrent jobs: each job runs waves of dispatch→execute→complete
 	// round trips, hopping system shard → rack shard → system shard via
-	// Send (delays >= 1s keep the workload valid under a sub-second
-	// parallel lookahead too).
+	// Send.
 	done := 0
 	for j := 0; j < cfg.jobs; j++ {
 		j := j
@@ -85,9 +82,6 @@ func runSynthetic(eng *Engine, cfg synthConfig, sharded bool, preRun func(*Engin
 		sys.At(0.1+float64(j)*0.003, func() { wave(0) })
 	}
 
-	if preRun != nil {
-		preRun(eng)
-	}
 	eng.Run()
 	if done != cfg.jobs {
 		panic(fmt.Sprintf("synthetic workload finished %d of %d jobs", done, cfg.jobs))
@@ -101,8 +95,8 @@ func runSynthetic(eng *Engine, cfg synthConfig, sharded bool, preRun func(*Engin
 // really do run the same schedule.
 func TestSyntheticWorkloadLayoutInvariant(t *testing.T) {
 	cfg := synthConfig{racks: 16, nodesPerRack: 4, jobs: 50, waves: 5, horizon: 60, heartbeat: 3}
-	a := runSynthetic(NewEngine(), cfg, false, nil)
-	b := runSynthetic(NewEngine(), cfg, true, nil)
+	a := runSynthetic(NewEngine(), cfg, false)
+	b := runSynthetic(NewEngine(), cfg, true)
 	if a != b {
 		t.Fatalf("event counts differ across layouts: single=%d sharded=%d", a, b)
 	}
@@ -117,7 +111,7 @@ func BenchmarkSharded10kNode(b *testing.B) {
 	b.ReportAllocs()
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		events += runSynthetic(NewEngine(), synth10k, true, nil)
+		events += runSynthetic(NewEngine(), synth10k, true)
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
@@ -129,21 +123,7 @@ func BenchmarkSharded10kNodeSingleShard(b *testing.B) {
 	b.ReportAllocs()
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		events += runSynthetic(NewEngine(), synth10k, false, nil)
-	}
-	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-}
-
-// BenchmarkSharded10kNodeParallel runs the 10k-node workload with the
-// opt-in parallel window pool (lookahead 0.5s; all Send delays are
-// >= 1s).
-func BenchmarkSharded10kNodeParallel(b *testing.B) {
-	b.ReportAllocs()
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		events += runSynthetic(NewEngine(), synth10k, true, func(eng *Engine) {
-			eng.EnableParallelWindows(8, 0.5)
-		})
+		events += runSynthetic(NewEngine(), synth10k, false)
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
@@ -154,7 +134,7 @@ func BenchmarkConcurrentJobs(b *testing.B) {
 	b.ReportAllocs()
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		events += runSynthetic(NewEngine(), synthJobs, true, nil)
+		events += runSynthetic(NewEngine(), synthJobs, true)
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -239,7 +240,7 @@ func TestLazyShardWakeup(t *testing.T) {
 
 // TestEngineRunUntilClampAcrossShards mirrors the single-heap clamp
 // semantics: RunUntil(t) advances the clock to t when the queues drain
-// early, and shard Now() agrees with the engine outside windows.
+// early, and shard Now() agrees with the engine.
 func TestEngineRunUntilClampAcrossShards(t *testing.T) {
 	eng := NewEngine()
 	s := eng.NewShard("s")
@@ -254,5 +255,21 @@ func TestEngineRunUntilClampAcrossShards(t *testing.T) {
 	}
 	if s.Now() != 5 {
 		t.Fatalf("shard clock = %v, want 5", s.Now())
+	}
+}
+
+// TestSendInvalidDelayPanics pins Send's delay check: a negative or
+// non-finite delay is a model bug and panics at the call.
+func TestSendInvalidDelayPanics(t *testing.T) {
+	for _, d := range []float64{-0.5, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Send with delay %v did not panic", d)
+				}
+			}()
+			eng := NewEngine()
+			eng.SystemShard().Send(eng.NewShard("b"), d, func() {})
+		}()
 	}
 }

@@ -254,7 +254,7 @@ func NewResourceManager(eng *sim.Engine, c *cluster.Cluster, sched Scheduler) *R
 
 // NewScopedResourceManager returns an RM that manages exactly rack's
 // nodes, scheduling on that rack's shard and writing the rack's fault
-// counters — the rack-cell building block for parallel-window serving.
+// counters — the rack-cell building block of stream serving.
 // It requires the rack's node IDs to be contiguous (true for the
 // homogeneous RackSizes layout) and, for fault delivery, the cluster
 // to be in RackLocalNet mode.
