@@ -385,7 +385,7 @@ func BenchmarkAblationWaveSize(b *testing.B) {
 // 10,016-node cluster under fair scheduling, traced into the
 // flat-memory aggregating stats sink. One iteration = the whole day,
 // so the -benchmem figures are day totals: on the optimized serving
-// path (object pools, precompiled configs, flow/block recycling,
+// path (object pools, dense copy-on-write configs, flow/block recycling,
 // streaming sinks) allocations stay flat per job rather than growing
 // per event, and the day completes in single-digit wall seconds.
 func BenchmarkStreamDay(b *testing.B) {

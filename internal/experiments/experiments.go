@@ -763,25 +763,7 @@ func (e Env) SeedSweep(b workload.Benchmark, seeds int) SweepStat {
 		run := sub.RunOne(b, tuner.BestConfig(), nil)
 		imps[i] = (def.Duration - run.Duration) / def.Duration
 	})
-	st := SweepStat{Seeds: seeds, MinImp: imps[0], MaxImp: imps[0]}
-	sum, sumSq := 0.0, 0.0
-	for _, v := range imps {
-		sum += v
-		sumSq += v * v
-		if v < st.MinImp {
-			st.MinImp = v
-		}
-		if v > st.MaxImp {
-			st.MaxImp = v
-		}
-	}
-	n := float64(seeds)
-	st.MeanImp = sum / n
-	variance := sumSq/n - st.MeanImp*st.MeanImp
-	if variance > 0 {
-		st.StdDev = math.Sqrt(variance)
-	}
-	return st
+	return sweepStat(imps)
 }
 
 // SeedSweepConservative mirrors SeedSweep for the fast-single-run use
@@ -796,7 +778,13 @@ func (e Env) SeedSweepConservative(b workload.Benchmark, seeds int) SweepStat {
 		run := sub.RunOne(b, mrconf.Default(), tuner)
 		imps[i] = (def.Duration - run.Duration) / def.Duration
 	})
-	st := SweepStat{Seeds: seeds, MinImp: imps[0], MaxImp: imps[0]}
+	return sweepStat(imps)
+}
+
+// sweepStat summarizes per-seed improvements: min, max, mean and
+// population standard deviation.
+func sweepStat(imps []float64) SweepStat {
+	st := SweepStat{Seeds: len(imps), MinImp: imps[0], MaxImp: imps[0]}
 	sum, sumSq := 0.0, 0.0
 	for _, v := range imps {
 		sum += v
@@ -808,7 +796,7 @@ func (e Env) SeedSweepConservative(b workload.Benchmark, seeds int) SweepStat {
 			st.MaxImp = v
 		}
 	}
-	n := float64(seeds)
+	n := float64(len(imps))
 	st.MeanImp = sum / n
 	if variance := sumSq/n - st.MeanImp*st.MeanImp; variance > 0 {
 		st.StdDev = math.Sqrt(variance)

@@ -14,8 +14,9 @@ const figureGoldenPath = "testdata/figure_golden.json"
 
 // TestPaperFiguresGolden pins the tuning figures of `-run all` — the
 // expedited rows of Figs 4–6 (with each row's best configuration) and
-// the single-run rows of Figs 10–12 — as the sha256 of their rows
-// printed at full precision, for DefaultEnv. A change anywhere on the
+// the single-run rows of Figs 10–12 — and the multi-tenant job-stream
+// row (JobStream(9, 30)) as the sha256 of their rows printed at full
+// precision, for DefaultEnv. A change anywhere on the
 // tuner, config or simulation path that moves a figure shows up here
 // as a digest diff. Regenerate with `go test ./internal/experiments
 // -run TestPaperFiguresGolden -update` only when a behaviour change is
@@ -32,6 +33,7 @@ func TestPaperFiguresGolden(t *testing.T) {
 		{"fig10", rowsText(e.Fig10())},
 		{"fig11", rowsText(e.Fig11())},
 		{"fig12", rowsText(e.Fig12())},
+		{"jobstream", rowsText([]JobStreamRow{e.JobStream(9, 30)})},
 	}
 	got := make(map[string]string, len(figs))
 	for _, fig := range figs {

@@ -246,9 +246,6 @@ func RunStream(spec StreamSpec) StreamResult {
 	})
 	src := sim.NewSource(spec.Seed)
 	base := mrconf.Default()
-	// The precompiled snapshot is immutable after construction, so one
-	// copy serves every cell.
-	pre := mapreduce.Precompile(base)
 
 	sys := c.Sys()
 	nCells := 1
@@ -354,7 +351,6 @@ func RunStream(spec StreamSpec) StreamResult {
 				Controller:           ctrl,
 				Trace:                cell.trace,
 				Pool:                 cell.pool,
-				Precompiled:          pre,
 				Faults:               cell.hooks,
 				ReleaseInputOnFinish: true,
 			}, func(rr mapreduce.Result) {

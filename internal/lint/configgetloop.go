@@ -8,15 +8,16 @@ import (
 
 // ConfigGetLoopAnalyzer implements the config-get-in-loop rule: inside
 // the hot scheduling packages (internal/mapreduce, internal/yarn,
-// internal/cluster) no loop body may call mrconf.Config methods —
-// Get and With hash the parameter name on every call (With also copies
-// the parameter array), a per-iteration tax on the scheduling tick. The
-// fix is to hoist one cfg.Snapshot() above the loop and read the
-// task-local snapshot (array-indexed, allocation-free) inside it; the
-// Snapshot call itself is therefore exempt.
+// internal/cluster) no loop body may call a name-keyed mrconf.Config
+// method — one whose first parameter is a string, such as Get and With.
+// Those hash the parameter name on every call (an effective With also
+// copies the parameter array), a per-iteration tax on the scheduling
+// tick. The fix is a typed accessor (cfg.SortMB(), an array index load)
+// or a value read once above the loop. Typed accessors, WithID and the
+// other methods without a name argument are exempt.
 var ConfigGetLoopAnalyzer = &Analyzer{
 	Name: "config-get-in-loop",
-	Doc:  "flag mrconf Config accessor calls inside loops in hot packages; hoist a Snapshot instead",
+	Doc:  "flag name-keyed mrconf Config calls (Get, With) inside loops in hot packages; use a typed accessor instead",
 	Run:  runConfigGetLoop,
 }
 
@@ -74,13 +75,7 @@ func runConfigGetLoop(p *Pass) {
 				return true
 			}
 			sig, ok := fn.Type().(*types.Signature)
-			if !ok || sig.Recv() == nil || !recvIsMrconfConfig(sig) {
-				return true
-			}
-			// Snapshot is the sanctioned way to pay the lookup cost once;
-			// calling it per outer item (e.g. per task in a dispatch loop)
-			// is exactly the hoist the rule asks for.
-			if fn.Name() == "Snapshot" {
+			if !ok || sig.Recv() == nil || !recvIsMrconfConfig(sig) || !firstParamIsString(sig) {
 				return true
 			}
 			inLoop := false
@@ -94,8 +89,18 @@ func runConfigGetLoop(p *Pass) {
 				return true
 			}
 			p.Report("config-get-in-loop", call.Pos(),
-				"mrconf.Config.%s called inside a loop in a hot package; hoist cfg.Snapshot() out of the loop and read the snapshot", fn.Name())
+				"mrconf.Config.%s hashes a parameter name inside a loop in a hot package; use a typed accessor or read the value once above the loop", fn.Name())
 			return true
 		})
 	}
+}
+
+// firstParamIsString reports whether sig takes a string first, the
+// shape of Config's name-keyed methods.
+func firstParamIsString(sig *types.Signature) bool {
+	if sig.Params().Len() == 0 {
+		return false
+	}
+	b, ok := sig.Params().At(0).Type().Underlying().(*types.Basic)
+	return ok && b.Kind() == types.String
 }

@@ -12,7 +12,7 @@
 //	float-map-accum       no floating-point accumulation in map-range order
 //	nondet-flow           map-iteration order never reaches a sink through calls
 //	conf-key-literal      Hadoop parameter names come from mrconf constants
-//	config-get-in-loop    hot scheduling loops read compiled config snapshots
+//	config-get-in-loop    hot scheduling loops use typed config accessors, not Get/With
 //	mutex-copy            sync.Mutex / sync.WaitGroup never passed by value
 //	no-goroutine-in-sim   simulated packages stay single-threaded
 //	event-closure-capture scheduled closures snapshot state at schedule time

@@ -64,11 +64,6 @@ type Config struct{ v float64 }
 func (c Config) Get(name string) float64            { return c.v }
 func (c Config) With(name string, v float64) Config { return Config{v: v} }
 func (c Config) SortMB() float64                    { return c.v }
-func (c Config) Snapshot() Snapshot                 { return Snapshot{v: c.v} }
-
-type Snapshot struct{ v float64 }
-
-func (s *Snapshot) SortMB() float64 { return s.v }
 `
 
 // miniSim gives the ordered-map-iter analyzer an Engine with scheduler
@@ -488,7 +483,23 @@ func Sum(c mrconf.Config, n int) float64 {
 			want:  1,
 		},
 		{
-			name: "configloop positive named accessor in range loop",
+			name: "configloop positive With in range loop",
+			rule: "config-get-in-loop",
+			file: "internal/mapreduce/x.go",
+			src: `package mapreduce
+import "fixture/internal/mrconf"
+func Sweep(c mrconf.Config, xs []float64) mrconf.Config {
+	for _, x := range xs {
+		c = c.With(mrconf.IOSortMB, x)
+	}
+	return c
+}
+`,
+			extra: map[string]string{"internal/mrconf/params.go": miniMrconf},
+			want:  1,
+		},
+		{
+			name: "configloop negative named accessor in range loop",
 			rule: "config-get-in-loop",
 			file: "internal/mapreduce/x.go",
 			src: `package mapreduce
@@ -502,7 +513,7 @@ func Sum(c mrconf.Config, xs []float64) float64 {
 }
 `,
 			extra: map[string]string{"internal/mrconf/params.go": miniMrconf},
-			want:  1,
+			want:  0,
 		},
 		{
 			name: "configloop negative cold package",
@@ -528,42 +539,6 @@ func Sum(c mrconf.Config, n int) float64 {
 			src: `package yarn
 import "fixture/internal/mrconf"
 func F(c mrconf.Config) float64 { return c.Get(mrconf.IOSortMB) }
-`,
-			extra: map[string]string{"internal/mrconf/params.go": miniMrconf},
-			want:  0,
-		},
-		{
-			name: "configloop negative hoisted snapshot",
-			rule: "config-get-in-loop",
-			file: "internal/yarn/x.go",
-			src: `package yarn
-import "fixture/internal/mrconf"
-func Sum(c mrconf.Config, n int) float64 {
-	s := c.Snapshot()
-	total := 0.0
-	for i := 0; i < n; i++ {
-		total += s.SortMB()
-	}
-	return total
-}
-`,
-			extra: map[string]string{"internal/mrconf/params.go": miniMrconf},
-			want:  0,
-		},
-		{
-			name: "configloop negative Snapshot call inside loop",
-			rule: "config-get-in-loop",
-			file: "internal/yarn/x.go",
-			src: `package yarn
-import "fixture/internal/mrconf"
-func Sum(cs []mrconf.Config) float64 {
-	total := 0.0
-	for _, c := range cs {
-		s := c.Snapshot()
-		total += s.SortMB()
-	}
-	return total
-}
 `,
 			extra: map[string]string{"internal/mrconf/params.go": miniMrconf},
 			want:  0,

@@ -5,8 +5,9 @@ package yarn
 
 import "badmod/internal/mrconf"
 
-// SumInLoop violates config-get-in-loop: the string-keyed lookup runs
-// once per iteration instead of being hoisted into a snapshot.
+// SumInLoop violates config-get-in-loop: the string-keyed lookup hashes
+// the parameter name once per iteration instead of using a typed
+// accessor.
 func SumInLoop(c mrconf.Config, n int) float64 {
 	total := 0.0
 	for i := 0; i < n; i++ {

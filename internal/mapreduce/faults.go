@@ -89,7 +89,7 @@ func (j *Job) taskFailedFault(t *Task, detail string) {
 		j.liveShadows--
 		t.specOrigin.specCopy = nil
 		if t.Type == ReduceTask {
-			j.reduceMemHeld -= t.snap.ReduceMemMB()
+			j.reduceMemHeld -= t.Config.ReduceMemMB()
 			j.dropActiveReducer(t)
 		}
 		j.releaseTask(t)
@@ -106,7 +106,7 @@ func (j *Job) taskFailedFault(t *Task, detail string) {
 	j.reports = append(j.reports, r)
 	j.ctrl.TaskCompleted(r)
 	if t.Type == ReduceTask {
-		j.reduceMemHeld -= t.snap.ReduceMemMB()
+		j.reduceMemHeld -= t.Config.ReduceMemMB()
 		j.dropActiveReducer(t)
 	}
 	if node != nil {
@@ -130,7 +130,7 @@ func (j *Job) taskLostNode(t *Task) {
 	}
 	j.cancelWork(t)
 	if t.Type == ReduceTask {
-		j.reduceMemHeld -= t.snap.ReduceMemMB()
+		j.reduceMemHeld -= t.Config.ReduceMemMB()
 		j.dropActiveReducer(t)
 	}
 	t.container = nil // the RM releases the container itself

@@ -20,22 +20,17 @@ type Job struct {
 	Name string
 
 	spec Spec
-	// baseSnap is spec.BaseConfig compiled once at submission; pump
-	// reads window sizes from it on every scheduling pass.
-	baseSnap mrconf.Snapshot
 	// baseRepaired is Repair(spec.BaseConfig), computed once so every
 	// task whose controller returns the base config unchanged (the
-	// common case on the serving path) skips the per-task Repair, and
-	// baseRepairedSnap lets setConfig skip the per-task compile too.
-	baseRepaired     mrconf.Config
-	baseRepairedSnap mrconf.Snapshot
-	bench            workload.Benchmark
-	eng              *sim.Engine
-	shard            *sim.Shard // system shard: the AM/job state machine is a cross-cutting actor
-	rm               *yarn.ResourceManager
-	fs               *hdfs.FileSystem
-	app              *yarn.App
-	ctrl             Controller
+	// common case on the serving path) skips the per-task Repair.
+	baseRepaired mrconf.Config
+	bench        workload.Benchmark
+	eng          *sim.Engine
+	shard        *sim.Shard // system shard: the AM/job state machine is a cross-cutting actor
+	rm           *yarn.ResourceManager
+	fs           *hdfs.FileSystem
+	app          *yarn.App
+	ctrl         Controller
 
 	inputFile   *hdfs.File
 	mapTasks    []*Task
@@ -96,19 +91,7 @@ func Submit(rm *yarn.ResourceManager, fs *hdfs.FileSystem, spec Spec, onDone fun
 	j.ctrl = s.Controller
 	j.startTime = rm.Shard().Now()
 	j.onDone = onDone
-	if pc := s.Precompiled; pc != nil && pc.base.Same(s.BaseConfig) {
-		j.baseSnap = pc.baseSnap
-		j.baseRepaired = pc.repaired
-		j.baseRepairedSnap = pc.repairedSnap
-	} else {
-		j.baseSnap = s.BaseConfig.Snapshot()
-		j.baseRepaired = mrconf.Repair(s.BaseConfig)
-		if j.baseRepaired.Same(s.BaseConfig) {
-			j.baseRepairedSnap = j.baseSnap
-		} else {
-			j.baseRepairedSnap = j.baseRepaired.Snapshot()
-		}
-	}
+	j.baseRepaired = mrconf.Repair(s.BaseConfig)
 	j.app = rm.Submit(s.Name, s.Weight)
 	// Node-loss notifications drive map-output re-execution (the AM's
 	// response to reducer fetch failures against a dead host).
@@ -205,7 +188,7 @@ func (j *Job) pump() {
 	// enqueueing every task at submission; modelling that window is
 	// what lets MRONLINE bind a task's configuration shortly before
 	// launch (the per-task configuration files of §4).
-	mapWindow := j.requestWindow(j.baseSnap.MapMemMB())
+	mapWindow := j.requestWindow(j.spec.BaseConfig.MapMemMB())
 	for j.nextMapReq < len(j.mapTasks) && float64(j.nextMapReq-j.completedMaps) < mapWindow {
 		t := j.mapTasks[j.nextMapReq]
 		if !j.ctrl.AllowLaunch(t) {
@@ -219,15 +202,14 @@ func (j *Job) pump() {
 		slowstartMet = true
 	}
 	if slowstartMet {
-		reduceWindow := j.requestWindow(j.baseSnap.ReduceMemMB())
+		reduceWindow := j.requestWindow(j.spec.BaseConfig.ReduceMemMB())
 		for j.nextReduceReq < len(j.reduceTasks) && float64(j.nextReduceReq-j.completedReduces) < reduceWindow {
 			t := j.reduceTasks[j.nextReduceReq]
 			if !j.ctrl.AllowLaunch(t) {
 				break
 			}
 			cfg := j.taskConfig(t)
-			snap := cfg.Snapshot()
-			if !j.reduceHeadroomOK(snap.ReduceMemMB()) {
+			if !j.reduceHeadroomOK(cfg.ReduceMemMB()) {
 				break
 			}
 			j.requestContainerWithConfig(t, cfg)
@@ -271,17 +253,17 @@ func (j *Job) requestContainer(t *Task) {
 }
 
 func (j *Job) requestContainerWithConfig(t *Task, cfg mrconf.Config) {
-	t.setConfig(cfg)
+	t.Config = cfg
 	t.State = TaskRequested
 	var shape yarn.Resource
 	var prefs []*cluster.Node
 	if t.Type == MapTask {
-		shape = yarn.Resource{MemMB: t.snap.MapMemMB(), VCores: t.snap.MapVcores()}
+		shape = yarn.Resource{MemMB: t.Config.MapMemMB(), VCores: t.Config.MapVcores()}
 		if t.Split != nil {
 			prefs = t.Split.Replicas
 		}
 	} else {
-		shape = yarn.Resource{MemMB: t.snap.ReduceMemMB(), VCores: t.snap.ReduceVcores()}
+		shape = yarn.Resource{MemMB: t.Config.ReduceMemMB(), VCores: t.Config.ReduceVcores()}
 		j.reduceMemHeld += shape.MemMB
 	}
 	if t.onAllocCB == nil {
@@ -350,11 +332,11 @@ func (j *Job) report(t *Task, oom bool) TaskReport {
 	var contMem float64
 	var coreCap float64
 	if t.Type == MapTask {
-		contMem = t.snap.MapMemMB()
-		coreCap = float64(t.snap.MapVcores())
+		contMem = t.Config.MapMemMB()
+		coreCap = float64(t.Config.MapVcores())
 	} else {
-		contMem = t.snap.ReduceMemMB()
-		coreCap = float64(t.snap.ReduceVcores())
+		contMem = t.Config.ReduceMemMB()
+		coreCap = float64(t.Config.ReduceVcores())
 	}
 	// Core ratio is per-node on heterogeneous clusters.
 	ratio := j.rm.Cluster().Nodes[0].CoreRatio()
@@ -424,7 +406,7 @@ func (j *Job) taskSucceeded(t *Task) {
 		}
 	} else {
 		j.completedReduces++
-		j.reduceMemHeld -= t.snap.ReduceMemMB()
+		j.reduceMemHeld -= t.Config.ReduceMemMB()
 	}
 	if j.completedMaps == len(j.mapTasks) && j.completedReduces == len(j.reduceTasks) {
 		j.finish(nil)
@@ -447,7 +429,7 @@ func (j *Job) taskFailed(t *Task, reason error) {
 		j.liveShadows--
 		t.specOrigin.specCopy = nil
 		if t.Type == ReduceTask {
-			j.reduceMemHeld -= t.snap.ReduceMemMB()
+			j.reduceMemHeld -= t.Config.ReduceMemMB()
 		}
 		j.releaseTask(t)
 		j.pump()
@@ -462,7 +444,7 @@ func (j *Job) taskFailed(t *Task, reason error) {
 	j.reports = append(j.reports, r)
 	j.ctrl.TaskCompleted(r)
 	if t.Type == ReduceTask {
-		j.reduceMemHeld -= t.snap.ReduceMemMB()
+		j.reduceMemHeld -= t.Config.ReduceMemMB()
 		// Drop any reducer runtime state; the retry re-registers.
 		j.dropActiveReducer(t)
 	}

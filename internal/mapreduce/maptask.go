@@ -55,7 +55,7 @@ func (j *Job) mapMain(t *Task) {
 		// RM's node-loss path requeues it after the liveness expiry.
 		return
 	}
-	t.setConfig(j.ctrl.LiveConfig(t, t.Config)) // category-3 params may have moved
+	t.Config = j.ctrl.LiveConfig(t, t.Config) // category-3 params may have moved
 	p := j.bench.Profile
 	node := t.container.Node
 
@@ -66,7 +66,7 @@ func (j *Job) mapMain(t *Task) {
 	rawOutMB := (inputMB*p.RawMapSelectivity + p.MapFixedOutputMB) * t.Skew
 	combinedMB := rawOutMB * p.CombinerReduction
 
-	bufferMB := t.snap.SortMB() * t.snap.SpillPct()
+	bufferMB := t.Config.SortMB() * t.Config.SpillPct()
 	numSpills := 1
 	if rawOutMB > bufferMB && bufferMB > 0 {
 		numSpills = int(math.Ceil(rawOutMB / bufferMB))
@@ -74,14 +74,14 @@ func (j *Job) mapMain(t *Task) {
 
 	// Memory feasibility: heap must hold the sort buffer plus the map
 	// function's working set.
-	heapNeedMB := JVMBaseMB + t.snap.SortMB() + p.MapWorkingSetMB*math.Sqrt(t.Skew)
+	heapNeedMB := JVMBaseMB + t.Config.SortMB() + p.MapWorkingSetMB*math.Sqrt(t.Skew)
 	t.peakMemMB = heapNeedMB / mrconf.HeapFraction // resident ≈ heap use / heap fraction
 	coreCap := math.Min(MapComputeParallelism, math.Max(t.container.CoreCap(), BurstFloorCores))
 	cpuSecs := inputMB*p.MapCPUPerMB*t.Skew + p.MapFixedCPUSecs*t.Skew + rawOutMB*p.SortCPUPerMB
 
-	if heapNeedMB > t.snap.MapHeapMB() {
+	if heapNeedMB > t.Config.MapHeapMB() {
 		// The JVM dies partway through filling the buffer.
-		frac := t.snap.MapHeapMB() / heapNeedMB
+		frac := t.Config.MapHeapMB() / heapNeedMB
 		failAfter := math.Max(2, cpuSecs/coreCap*frac)
 		t.cpuSecs = cpuSecs * frac
 		att := t.Attempt
@@ -100,7 +100,7 @@ func (j *Job) mapMain(t *Task) {
 	overlapMB := 0.0
 	if numSpills > 1 {
 		eff := 1.0
-		if t.snap.SpillPct() > 0.9 {
+		if t.Config.SpillPct() > 0.9 {
 			// Too little headroom: the collector blocks while spilling.
 			eff = PipelineEfficiencyHighSpillPct
 		}
@@ -140,7 +140,7 @@ func (j *Job) mapMerge(t *Task, combinedMB, overlapMB float64, numSpills int) {
 	}
 	p := j.bench.Profile
 	node := t.container.Node
-	passes := mergePasses(numSpills, t.snap.SortFactor())
+	passes := mergePasses(numSpills, t.Config.SortFactor())
 
 	finalSpillMB := combinedMB - overlapMB
 	// Merge passes write their output through the disk; the reads hit

@@ -22,20 +22,26 @@ func TestPooledAttemptReuseZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSnapshotCacheHitZeroAlloc pins the per-attempt config cost on
-// the serving path: installing the job's repaired base configuration
-// reuses the snapshot compiled at submission instead of recompiling.
-func TestSnapshotCacheHitZeroAlloc(t *testing.T) {
-	cfg := mrconf.Default()
-	j := &Job{baseRepaired: cfg, baseRepairedSnap: cfg.Snapshot()}
+// TestTaskConfigBaseRepairedZeroAlloc pins the per-attempt config cost
+// on the serving path: when the controller hands back the job's base
+// config untouched, taskConfig returns the Repair computed once at
+// submission instead of repairing again, and allocates nothing. The
+// base here needs repair (io.sort.mb above the map heap), so a
+// per-task Repair would show up as a fresh Config.
+func TestTaskConfigBaseRepairedZeroAlloc(t *testing.T) {
+	base := mrconf.Default().With(mrconf.IOSortMB, 1200)
+	repaired := mrconf.Repair(base)
+	if repaired.Same(base) {
+		t.Fatal("test base config needs no repair; pick one that does")
+	}
+	j := &Job{spec: Spec{BaseConfig: base}, baseRepaired: repaired, ctrl: PassthroughController{}}
 	tk := &Task{Job: j}
-	tk.setConfig(cfg)
-	if tk.snap != j.baseRepairedSnap {
-		t.Fatal("setConfig on the repaired base did not reuse the submission snapshot")
+	if got := j.taskConfig(tk); !got.Same(j.baseRepaired) {
+		t.Fatal("taskConfig on the untouched base did not return the submission-time repair")
 	}
 	if avg := testing.AllocsPerRun(100, func() {
-		tk.setConfig(cfg)
+		tk.Config = j.taskConfig(tk)
 	}); avg != 0 {
-		t.Fatalf("snapshot cache hit allocates %v per run; want 0", avg)
+		t.Fatalf("taskConfig on the untouched base allocates %v per run; want 0", avg)
 	}
 }

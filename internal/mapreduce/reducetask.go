@@ -61,15 +61,15 @@ func (j *Job) reduceMain(t *Task) {
 		// The host crashed during launch; the node-loss path requeues.
 		return
 	}
-	t.setConfig(j.ctrl.LiveConfig(t, t.Config))
+	t.Config = j.ctrl.LiveConfig(t, t.Config)
 	p := j.bench.Profile
 
 	share := j.reduceShare[t.ID]
 	estTotalMB := j.bench.ShuffleSizeMB * share
 
-	heap := t.snap.ReduceHeapMB()
-	shuffleBufMB := t.snap.ShuffleBufferPct() * heap
-	retainMB := math.Min(math.Min(estTotalMB, shuffleBufMB), t.snap.ReduceInputBufPct()*heap)
+	heap := t.Config.ReduceHeapMB()
+	shuffleBufMB := t.Config.ShuffleBufferPct() * heap
+	retainMB := math.Min(math.Min(estTotalMB, shuffleBufMB), t.Config.ReduceInputBufPct()*heap)
 
 	// Peak heap: during shuffle the filled part of the buffer (the
 	// shuffle buffer is allocated lazily, segment by segment, unlike
@@ -98,15 +98,15 @@ func (j *Job) reduceMain(t *Task) {
 	// Segment routing: average segment size vs the in-memory fetch
 	// limit decides whether fetches land in memory or stream to disk.
 	segMB := estTotalMB / math.Max(1, float64(len(j.mapTasks)))
-	segToMem := segMB <= t.snap.MemoryLimitPct()*shuffleBufMB
+	segToMem := segMB <= t.Config.MemoryLimitPct()*shuffleBufMB
 	var diskMB float64
 	if !segToMem || shuffleBufMB <= 0 {
 		diskMB = estTotalMB
 		r.numDiskSegs = len(j.mapTasks)
 	} else {
 		diskMB = math.Max(0, estTotalMB-retainMB)
-		flushUnit := t.snap.MergePct() * shuffleBufMB
-		if th := t.snap.InmemThreshold(); th > 0 {
+		flushUnit := t.Config.MergePct() * shuffleBufMB
+		if th := t.Config.InmemThreshold(); th > 0 {
 			flushUnit = math.Min(flushUnit, float64(th)*segMB)
 		}
 		flushUnit = math.Max(flushUnit, 1)
@@ -181,7 +181,7 @@ func (j *Job) tryFetch(r *reduceRun) {
 	chunk := avail
 	r.busy = true
 	r.fetchingMB = chunk
-	rateCap := float64(t.snap.ParallelCopies()) * ShuffleStreamMBps
+	rateCap := float64(t.Config.ParallelCopies()) * ShuffleStreamMBps
 
 	diskPart := chunk * r.diskFrac
 	flows := 1
@@ -215,8 +215,8 @@ func (j *Job) reduceSort(r *reduceRun) {
 	r.pendingInMB = totalIn
 
 	extraPasses := 0
-	if r.numDiskSegs > t.snap.SortFactor() {
-		extraPasses = mergePasses(r.numDiskSegs, t.snap.SortFactor()) - 1
+	if r.numDiskSegs > t.Config.SortFactor() {
+		extraPasses = mergePasses(r.numDiskSegs, t.Config.SortFactor()) - 1
 	}
 	readMB := diskMB + 2*diskMB*float64(extraPasses)
 	spilledMB := diskMB + diskMB*float64(extraPasses)

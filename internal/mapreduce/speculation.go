@@ -138,7 +138,7 @@ func (j *Job) taskPreempted(t *Task) {
 	}
 	j.cancelWork(t)
 	if t.Type == ReduceTask {
-		j.reduceMemHeld -= t.snap.ReduceMemMB()
+		j.reduceMemHeld -= t.Config.ReduceMemMB()
 		j.dropActiveReducer(t)
 	}
 	t.container = nil // the RM releases the container itself
@@ -175,7 +175,7 @@ func (j *Job) killAttempt(t *Task) {
 		t.pendingReq = nil
 	}
 	if t.Type == ReduceTask {
-		j.reduceMemHeld -= t.snap.ReduceMemMB()
+		j.reduceMemHeld -= t.Config.ReduceMemMB()
 		j.dropActiveReducer(t)
 	}
 	j.releaseTask(t)

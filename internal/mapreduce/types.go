@@ -67,12 +67,9 @@ type Task struct {
 	Split *hdfs.Block
 
 	// Config is the configuration of the current attempt, assigned by
-	// the Controller when the container was requested. Always set via
-	// setConfig so the compiled snapshot stays in sync.
+	// the Controller when the container was requested. Per-event
+	// parameter reads go through its typed accessors (index loads).
 	Config mrconf.Config
-	// snap is Config compiled to a dense array (see mrconf.Snapshot);
-	// per-event parameter reads go through it.
-	snap mrconf.Snapshot
 
 	State     TaskState
 	StartTime float64
@@ -276,11 +273,6 @@ type Spec struct {
 	// onDone returns, so a long stream of submissions stops allocating
 	// per-job state. See Pool for the (strict) ownership contract.
 	Pool *Pool
-	// Precompiled, when non-nil, supplies the base configuration's
-	// compiled snapshots so repeat submissions of the same class skip
-	// Snapshot/Repair work. Build one with Precompile; it must have
-	// been built from this Spec's BaseConfig.
-	Precompiled *PrecompiledConfig
 	// ReleaseInputOnFinish deletes the job's HDFS input file from the
 	// namenode when the job completes, keeping block registries flat
 	// over a continuous stream. Leave false for fault experiments:
@@ -328,19 +320,6 @@ func (s *Spec) withDefaults() Spec {
 
 func (t *Task) String() string {
 	return fmt.Sprintf("%s/%s-%05d", t.Job.Name, t.Type, t.ID)
-}
-
-// setConfig installs the attempt's configuration and compiles it once;
-// the task's event handlers read parameters through t.snap afterwards.
-// When the config is the job's repaired base (by identity — the
-// steady-state case), the snapshot compiled at submission is reused.
-func (t *Task) setConfig(cfg mrconf.Config) {
-	t.Config = cfg
-	if j := t.Job; j != nil && cfg.Same(j.baseRepaired) {
-		t.snap = j.baseRepairedSnap
-		return
-	}
-	t.snap = cfg.Snapshot()
 }
 
 // Runtime model constants. These are substrate calibration, not tuning

@@ -75,8 +75,7 @@ func (c Config) WithID(id ParamID, value float64) Config {
 	cur := c.values()
 	// Fast path: the effective value is unchanged, so the receiver is
 	// returned as-is — arrays are never mutated after construction,
-	// making the share safe, and Same-based snapshot caching relies on
-	// it.
+	// making the share safe, and Same-based fast paths rely on it.
 	if cur[id] == v {
 		return c
 	}
@@ -97,11 +96,11 @@ func (c Config) Merge(other Config) Config {
 func (c Config) Equal(other Config) bool { return *c.values() == *other.values() }
 
 // Same reports whether two configs share the identical array — an O(1)
-// identity check, not a value comparison. It is the fast path behind
-// snapshot caching: With and Repair return their receiver unchanged
-// when nothing changes effectively, so a config that came through a
-// no-op pipeline is Same as the original and its compiled snapshot can
-// be reused. Same never returns a false positive; it may return false
+// identity check, not a value comparison. With and Repair return their
+// receiver unchanged when nothing changes effectively, so a config that
+// came through a no-op pipeline is Same as the original and work
+// derived from it (such as a job's submission-time Repair) can be
+// reused. Same never returns a false positive; it may return false
 // for configs that are Equal but built separately.
 func (c Config) Same(other Config) bool { return c.v == other.v }
 

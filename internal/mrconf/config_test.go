@@ -347,9 +347,10 @@ func FuzzConfigJSON(f *testing.F) {
 	})
 }
 
-// TestSameIsIdentity pins the identity semantics snapshot caching
-// relies on: a no-op With hands back its receiver, an effective one a
-// new array, and separately built equal configs are Equal but not Same.
+// TestSameIsIdentity pins the identity semantics the job's base-config
+// shortcut relies on: a no-op With or Repair hands back its receiver,
+// an effective With a new array, and separately built equal configs
+// are Equal but not Same.
 func TestSameIsIdentity(t *testing.T) {
 	if !Default().Same(Default()) {
 		t.Fatal("two defaults are not Same")
@@ -360,6 +361,12 @@ func TestSameIsIdentity(t *testing.T) {
 	}
 	if !Default().With(IOSortMB, 100).Same(Default()) {
 		t.Fatal("With of the default onto defaults is not Same")
+	}
+	if err := Validate(base); err != nil {
+		t.Fatalf("base needs repair: %v", err)
+	}
+	if !Repair(base).Same(base) {
+		t.Fatal("Repair of a config that needs no repair is not Same")
 	}
 	other := Default().With(IOSortMB, 200)
 	if base.Same(other) || !base.Equal(other) {

@@ -109,8 +109,8 @@ const (
 	ReduceSlowstartPercent = "mapreduce.job.reduce.slowstart.completedmaps" // category 1, not tuned
 )
 
-// ParamID is a dense index into the registry: the layout of Config and
-// Snapshot, whose typed accessors are array loads rather than
+// ParamID is a dense index into the registry: the layout of Config's
+// value array, so its typed accessors are array loads rather than
 // string-hashed lookups.
 type ParamID int
 
@@ -131,8 +131,8 @@ const (
 	IDIOSortFactor
 	IDShuffleParallelCopies
 
-	// NumParams is the registry size; the length of Config's and
-	// Snapshot's arrays.
+	// NumParams is the registry size; the length of Config's value
+	// array.
 	NumParams
 )
 
@@ -177,7 +177,7 @@ var idByName = func() map[string]ParamID {
 
 func init() {
 	// The ParamID constants must mirror the registry ordering exactly;
-	// a drift here would silently misroute Config and Snapshot reads.
+	// a drift here would silently misroute Config reads.
 	if len(registry) != int(NumParams) {
 		panic(fmt.Sprintf("mrconf: registry has %d params, NumParams is %d",
 			len(registry), int(NumParams)))
