@@ -21,6 +21,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -42,8 +43,9 @@ type Link struct {
 	// scratch state for the progressive-filling computation; remaining
 	// doubles as the per-link rate accumulator for the meter update.
 	remaining float64
-	count     int
+	count     int    // unfrozen flows crossing the link
 	visit     uint64 // recompute epoch this link was last swept into
+	id        int32  // position in the owning fabric's links
 }
 
 // Utilization returns the time-average fraction of capacity in use
@@ -76,6 +78,7 @@ type Flow struct {
 	rateCap     float64 // 0 means unlimited
 	rate        float64
 	prevRate    float64 // scratch: rate on entry to the current recompute
+	frozen      bool    // scratch: the current filling has fixed the rate
 	lastAdvance float64
 	done        func()
 	// onComplete is the cached completion callback, allocated once in
@@ -145,14 +148,20 @@ type Fabric struct {
 
 	// Scratch slices reused across recomputations to keep the hot path
 	// allocation-free; contents are only valid during one recompute.
-	dirtyLinks []*Link
-	dirtyFlows []*Flow
-	// orderedFlows is the second component buffer used when restoring
-	// index order by scanning fb.flows; it swaps roles with dirtyFlows.
-	orderedFlows []*Flow
-	// activeFlows is the progressive-filling worklist of not-yet-frozen
-	// flows (compacted by swap-removal as flows freeze).
-	activeFlows []*Flow
+	// They hold positions in links and flows rather than pointers, so
+	// filling them costs no GC write barriers.
+	dirtyLinks []int32
+	dirtyFlows []int32
+	// capped and live are progressive filling's worklists of unfrozen
+	// capped flows and of links still carrying unfrozen flows (both
+	// compacted by swap-removal); exhausted lists the links that ran
+	// out of capacity in the current round.
+	capped    []int32
+	live      []int32
+	exhausted []int32
+	// marks is sortIndices' bitmap over flow positions, all zero
+	// between calls.
+	marks []uint64
 	// free is the pool of recycled Flow objects (see Flow.Recycle):
 	// owners that provably hold the last reference hand finished flows
 	// back so a steady stream of Starts stops allocating.
@@ -175,7 +184,7 @@ func (fb *Fabric) AddLink(name string, capacity float64) *Link {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("cluster: link %q must have positive capacity, got %v", name, capacity))
 	}
-	l := &Link{Name: name, Capacity: capacity}
+	l := &Link{Name: name, Capacity: capacity, id: int32(len(fb.links))}
 	l.used.Set(fb.shard.Now(), 0)  // anchor utilization accounting at creation
 	fb.links = append(fb.links, l) //mrlint:ignore retained-append one entry per topology link, built once at construction
 	return l
@@ -189,16 +198,33 @@ func (fb *Fabric) ActiveFlows() int { return len(fb.flows) }
 // completes. Links must belong to this fabric and must be distinct. A
 // flow must be constrained by at least one link or a positive rate cap.
 func (fb *Fabric) Start(links []*Link, work, rateCap float64, done func()) *Flow {
+	f := fb.add(links, work, rateCap, done)
+	if f.index >= 0 {
+		fb.recompute(links, f)
+	}
+	return f
+}
+
+// add validates a flow and attaches it to the fabric's flow list and
+// its links' membership lists without rebalancing: the caller runs the
+// recompute. A zero-work flow never enters the fabric (its index stays
+// -1); its completion is scheduled at once instead.
+func (fb *Fabric) add(links []*Link, work, rateCap float64, done func()) *Flow {
 	if len(links) == 0 && rateCap <= 0 {
 		panic("cluster: flow with no links and no rate cap would be infinitely fast")
 	}
 	if work < 0 || math.IsNaN(work) || math.IsInf(work, 0) {
 		panic(fmt.Sprintf("cluster: invalid flow work %v", work))
 	}
-	for i := 1; i < len(links); i++ {
+	for i, l := range links {
+		// Recompute scratch addresses links by their position in
+		// fb.links, so a foreign link would alias one of ours.
+		if int(l.id) >= len(fb.links) || fb.links[l.id] != l {
+			panic(fmt.Sprintf("cluster: link %q does not belong to fabric %q", l.Name, fb.Name))
+		}
 		for j := 0; j < i; j++ {
-			if links[i] == links[j] {
-				panic(fmt.Sprintf("cluster: flow lists link %q twice", links[i].Name))
+			if l == links[j] {
+				panic(fmt.Sprintf("cluster: flow lists link %q twice", l.Name))
 			}
 		}
 	}
@@ -223,7 +249,6 @@ func (fb *Fabric) Start(links []*Link, work, rateCap float64, done func()) *Flow
 	f.remaining = work
 	f.rateCap = rateCap
 	f.done = done
-	f.index = -1
 	if n := len(links); n > inlineLinks {
 		if need := n - inlineLinks; cap(f.posX) >= need {
 			f.posX = f.posX[:need]
@@ -240,7 +265,6 @@ func (fb *Fabric) Start(links []*Link, work, rateCap float64, done func()) *Flow
 		f.setLinkPos(i, len(l.flows))
 		l.flows = append(l.flows, f)
 	}
-	fb.recompute(links, f)
 	return f
 }
 
@@ -262,9 +286,11 @@ func (fb *Fabric) newFlow() *Flow {
 // recycleFlow resets a flow that has fully left the fabric and parks
 // it in the free list. Flows still queued, in flight, or already
 // pooled are left alone, so callers may invoke it unconditionally
-// during teardown.
+// during teardown. So are zero-work flows (no onComplete: they never
+// came from the pool), whose completion closure may still be queued
+// after a Cancel and would otherwise fire on the flow's next owner.
 func (fb *Fabric) recycleFlow(f *Flow) {
-	if f.pooled || !f.finished || f.index >= 0 || f.ev != nil {
+	if f.pooled || !f.finished || f.index >= 0 || f.ev != nil || f.onComplete == nil {
 		return
 	}
 	f.pooled = true
@@ -387,7 +413,7 @@ func (fb *Fabric) complete(f *Flow) {
 }
 
 // recompute rebalances fair-share rates after a flow change. seeds are
-// the changed flow's links (still attached for a start, already
+// the changed flows' links (still attached for a start, already
 // detached for a completion or cancel — which is what lets a component
 // split apart); seedFlow, when non-nil, is a newly started flow that
 // must be included even when it has no links (cap-only flows form
@@ -395,7 +421,7 @@ func (fb *Fabric) complete(f *Flow) {
 //
 // Only the connected component of links and flows reachable from the
 // seeds is touched: their work is advanced to now at the old rates,
-// rates are recomputed with uniform-increment progressive filling, link
+// rates are recomputed with progressive filling (see fill), link
 // meters are re-aggregated from the membership lists, and completion
 // events are rescheduled — but only for flows whose rate actually
 // changed (exact float comparison: an epsilon window would make the
@@ -415,34 +441,40 @@ func (fb *Fabric) recompute(seeds []*Link, seedFlow *Flow) {
 	for _, l := range seeds {
 		if l.visit != ep {
 			l.visit = ep
-			links = append(links, l)
+			links = append(links, l.id)
 		}
 	}
 	if seedFlow != nil && seedFlow.visit != ep {
 		seedFlow.visit = ep
-		flows = append(flows, seedFlow)
+		flows = append(flows, int32(seedFlow.index))
 	}
 	for i := 0; i < len(links); i++ {
-		for _, f := range links[i].flows {
+		for _, f := range fb.links[links[i]].flows {
 			if f.visit != ep {
 				f.visit = ep
-				flows = append(flows, f)
+				flows = append(flows, int32(f.index))
 				for _, fl := range f.links {
 					if fl.visit != ep {
 						fl.visit = ep
-						links = append(links, fl)
+						links = append(links, fl.id)
 					}
 				}
 			}
 		}
 	}
-	fb.dirtyLinks = links // keep grown capacity for the next recompute
-	fb.dirtyFlows = flows
+	// Keep grown capacity for the next recompute; storing only on growth
+	// spares the slice-header write barrier on every call.
+	if cap(links) > cap(fb.dirtyLinks) {
+		fb.dirtyLinks = links
+	}
+	if cap(flows) > cap(fb.dirtyFlows) {
+		fb.dirtyFlows = flows
+	}
 
 	if len(flows) == 0 {
 		// The changed flow was the last one on its links.
-		for _, l := range links {
-			l.used.Set(now, 0)
+		for _, li := range links {
+			fb.links[li].used.Set(now, 0)
 		}
 		return
 	}
@@ -451,7 +483,8 @@ func (fb *Fabric) recompute(seeds []*Link, seedFlow *Flow) {
 	// changing them. Untouched flows keep accruing at their (still
 	// valid) rates; they are advanced whenever their component is next
 	// recomputed or their completion event fires.
-	for _, f := range flows {
+	for _, fi := range flows {
+		f := fb.flows[fi]
 		if f.rate > 0 {
 			f.remaining -= f.rate * (now - f.lastAdvance)
 			if f.remaining < 0 {
@@ -462,45 +495,150 @@ func (fb *Fabric) recompute(seeds []*Link, seedFlow *Flow) {
 		f.prevRate = f.rate
 	}
 
-	// Progressive filling, scoped to the component. The arithmetic is
-	// identical to a whole-fabric recomputation restricted to this
-	// component: rates accumulate uniform increments bounded by the
-	// tightest link share or cap room, and the result does not depend
-	// on the iteration order of links or flows.
-	for _, l := range links {
+	fb.fill(flows, links)
+
+	// Update link meters by per-link aggregation over the component
+	// (every flow on a dirty link is itself dirty, by closure), and
+	// reschedule completions for flows whose rate changed. Iterate in
+	// fabric insertion-array order so that meter summation order and
+	// event sequence assignment match a whole-fabric recomputation; a
+	// flow's position is its index, so that order is an index sort.
+	fb.sortIndices(flows)
+	for _, li := range links {
+		fb.links[li].remaining = 0
+	}
+	for _, fi := range flows {
+		f := fb.flows[fi]
+		for _, l := range f.links {
+			l.remaining += f.rate
+		}
+	}
+	for _, li := range links {
+		l := fb.links[li]
+		l.used.Set(now, l.remaining)
+	}
+	for _, fi := range flows {
+		f := fb.flows[fi]
+		if f.rate == f.prevRate && (f.ev != nil || f.rate == 0) {
+			// Rate is bit-identical to before: the scheduled completion
+			// event is still exact, leave it alone.
+			continue
+		}
+		if f.rate > 0 {
+			if f.ev != nil {
+				// Move the queued completion in place instead of
+				// cancel+allocate (canceled events are never recycled).
+				fb.shard.Reschedule(f.ev, now+f.remaining/f.rate)
+			} else {
+				f.ev = fb.shard.After(f.remaining/f.rate, f.onComplete)
+			}
+		} else if f.ev != nil {
+			fb.shard.Cancel(f.ev)
+			f.ev = nil
+		}
+	}
+}
+
+// sortIndices sorts distinct flow positions ascending without
+// allocating: insertion sort for a small component, otherwise a bitmap
+// over fb.flows read back in word order, which is linear in the
+// component plus len(fb.flows)/64.
+func (fb *Fabric) sortIndices(idx []int32) {
+	if len(idx) <= 24 {
+		for i := 1; i < len(idx); i++ {
+			x := idx[i]
+			j := i - 1
+			for j >= 0 && idx[j] > x {
+				idx[j+1] = idx[j]
+				j--
+			}
+			idx[j+1] = x
+		}
+		return
+	}
+	words := (len(fb.flows) + 63) / 64
+	if cap(fb.marks) < words {
+		fb.marks = make([]uint64, words)
+	}
+	marks := fb.marks[:words]
+	for _, i := range idx {
+		marks[i>>6] |= 1 << (uint(i) & 63)
+	}
+	n := 0
+	for w, m := range marks {
+		for m != 0 {
+			idx[n] = int32(w<<6 + bits.TrailingZeros64(m))
+			n++
+			m &= m - 1
+		}
+		marks[w] = 0
+	}
+}
+
+// fill sets the max-min fair rates of a component (flows and links by
+// position; every flow on one of the links must be in flows) by
+// progressive filling: all unfrozen rates rise together by the largest
+// uniform increment that no link share or rate cap forbids, and flows
+// freeze when they reach their cap or sit on an exhausted link.
+//
+// Every unfrozen flow starts at 0 and gains the same increment each
+// round, so all of them hold the same rate: one running level stands
+// for them, and a flow takes the level's value when it freezes. The
+// increments and the per-round freeze sets are those of adding each
+// increment to every unfrozen flow, so the rates are bit-identical to
+// that loop (TestFillMatchesUniformIncrement pins it), and independent
+// of the order of links and flows: min and integer counts commute.
+func (fb *Fabric) fill(flows, links []int32) {
+	for _, li := range links {
+		l := fb.links[li]
 		l.remaining = l.Capacity
 		l.count = 0
 	}
-	// active is the not-yet-frozen worklist, compacted by swap-removal
-	// as flows freeze. The filling result is order-independent: every
-	// active flow accumulates the same delta per round, and the freeze
-	// decision reads only f.rate/f.rateCap and l.remaining, all fixed
-	// during a freeze sweep (l.count changes only affect later rounds).
-	active := fb.activeFlows[:0]
-	for _, f := range flows {
-		f.rate = 0
-		active = append(active, f)
+	// capped holds the unfrozen capped flows and minCap their least
+	// cap. Rounding is monotonic, so the least room cap-level over the
+	// worklist is exactly minCap-level. The cap-freeze pass, the last
+	// step of a round, recomputes minCap, so no later freeze can make
+	// it stale before the next round reads it.
+	capped := fb.capped[:0]
+	minCap := math.Inf(1)
+	for _, fi := range flows {
+		f := fb.flows[fi]
+		f.frozen = false
+		if f.rateCap > 0 {
+			capped = append(capped, fi)
+			if f.rateCap < minCap {
+				minCap = f.rateCap
+			}
+		}
 		for _, l := range f.links {
 			l.count++
 		}
 	}
-	fb.activeFlows = active // keep grown capacity for the next recompute
 	const relEps = 1e-12
-	for len(active) > 0 {
+	level := 0.0
+	unfrozen := len(flows)
+	// live holds the links that may still carry unfrozen flows; the
+	// share scan drops those that no longer do. A link without unfrozen
+	// flows keeps its remaining capacity (x - 0 == x) and, if exhausted,
+	// was exhausted in an earlier round whose freeze emptied it.
+	live := append(fb.live[:0], links...)
+	for unfrozen > 0 {
 		delta := math.Inf(1)
-		for _, l := range links {
-			if l.count > 0 {
-				if share := l.remaining / float64(l.count); share < delta {
-					delta = share
-				}
+		for i := 0; i < len(live); {
+			l := fb.links[live[i]]
+			if l.count == 0 {
+				last := len(live) - 1
+				live[i] = live[last]
+				live = live[:last]
+				continue
 			}
+			if share := l.remaining / float64(l.count); share < delta {
+				delta = share
+			}
+			i++
 		}
-		for _, f := range active {
-			if f.rateCap > 0 {
-				if room := f.rateCap - f.rate; room < delta {
-					delta = room
-				}
-			}
+		if room := minCap - level; room < delta {
+			delta = room
 		}
 		if math.IsInf(delta, 1) {
 			// No link and no cap constrains the remaining flows; this
@@ -511,114 +649,73 @@ func (fb *Fabric) recompute(seeds []*Link, seedFlow *Flow) {
 		if delta < 0 {
 			delta = 0
 		}
-		for _, f := range active {
-			f.rate += delta
-		}
-		for _, l := range links {
+		level += delta
+		exhausted := fb.exhausted[:0]
+		for _, li := range live {
+			l := fb.links[li]
 			l.remaining -= delta * float64(l.count)
+			if l.remaining <= relEps*l.Capacity {
+				exhausted = append(exhausted, li)
+			}
+		}
+		if cap(exhausted) > cap(fb.exhausted) {
+			fb.exhausted = exhausted
 		}
 		// Freeze flows that hit their cap or sit on an exhausted link.
-		for i := 0; i < len(active); {
-			f := active[i]
-			freeze := false
-			if f.rateCap > 0 && f.rate >= f.rateCap-relEps*f.rateCap {
-				freeze = true
-			}
-			if !freeze {
-				for _, l := range f.links {
-					if l.remaining <= relEps*l.Capacity {
-						freeze = true
-						break
-					}
+		// Every test reads the level and link state fixed above, so the
+		// freeze set does not depend on the order of the sweeps.
+		for _, li := range exhausted {
+			for _, f := range fb.links[li].flows {
+				if !f.frozen {
+					freezeAt(f, level)
+					unfrozen--
 				}
 			}
-			if freeze {
-				for _, l := range f.links {
-					l.count--
+		}
+		minCap = math.Inf(1)
+		for i := 0; i < len(capped); {
+			f := fb.flows[capped[i]]
+			if !f.frozen && level < f.rateCap-relEps*f.rateCap {
+				if f.rateCap < minCap {
+					minCap = f.rateCap
 				}
-				last := len(active) - 1
-				active[i] = active[last]
-				active = active[:last]
-			} else {
 				i++
-			}
-		}
-		if delta == 0 && len(active) > 0 {
-			// All remaining flows are rate-0 (exhausted links with
-			// count>0 but zero remaining). Freeze them to terminate.
-			for _, f := range active {
-				for _, l := range f.links {
-					l.count--
-				}
-			}
-			active = active[:0]
-		}
-	}
-
-	// Update link meters by per-link aggregation over the component
-	// (every flow on a dirty link is itself dirty, by closure), and
-	// reschedule completions for flows whose rate changed. Iterate in
-	// fabric insertion-array order so that meter summation order and
-	// event sequence assignment match a whole-fabric recomputation.
-	//
-	// Restoring that order is sort-free: small components use an
-	// allocation-free insertion sort; larger ones are re-collected by
-	// scanning fb.flows, which is index-ordered by construction (a
-	// flow's index is its position), picking out this epoch's members.
-	// Both produce strictly ascending index order.
-	if len(flows) <= 24 {
-		for i := 1; i < len(flows); i++ {
-			f := flows[i]
-			j := i - 1
-			for j >= 0 && flows[j].index > f.index {
-				flows[j+1] = flows[j]
-				j--
-			}
-			flows[j+1] = f
-		}
-	} else {
-		ordered := fb.orderedFlows[:0]
-		for _, g := range fb.flows {
-			if g.visit != ep {
 				continue
 			}
-			ordered = append(ordered, g)
-			if len(ordered) == len(flows) {
-				break
+			if !f.frozen {
+				freezeAt(f, level)
+				unfrozen--
+			}
+			last := len(capped) - 1
+			capped[i] = capped[last]
+			capped = capped[:last]
+		}
+		if delta == 0 {
+			// The level can no longer rise (a share rounded to zero):
+			// the flows still unfrozen keep it.
+			break
+		}
+	}
+	if cap(capped) > cap(fb.capped) {
+		fb.capped = capped
+	}
+	if cap(live) > cap(fb.live) {
+		fb.live = live
+	}
+	if unfrozen > 0 {
+		for _, fi := range flows {
+			if f := fb.flows[fi]; !f.frozen {
+				f.rate = level
 			}
 		}
-		fb.orderedFlows = fb.dirtyFlows // swap buffers, keeping both grown
-		fb.dirtyFlows = ordered
-		flows = ordered
 	}
-	for _, l := range links {
-		l.remaining = 0
-	}
-	for _, f := range flows {
-		for _, l := range f.links {
-			l.remaining += f.rate
-		}
-	}
-	for _, l := range links {
-		l.used.Set(now, l.remaining)
-	}
-	for _, f := range flows {
-		if f.rate == f.prevRate && (f.ev != nil || f.rate == 0) {
-			// Rate is bit-identical to before: the scheduled completion
-			// event is still exact, leave it alone.
-			continue
-		}
-		if f.rate > 0 {
-			if f.ev != nil {
-				// Move the queued completion in place instead of
-				// cancel+allocate (canceled events are never recycled).
-				f.ev = fb.shard.Reschedule(f.ev, now+f.remaining/f.rate)
-			} else {
-				f.ev = fb.shard.After(f.remaining/f.rate, f.onComplete)
-			}
-		} else if f.ev != nil {
-			fb.shard.Cancel(f.ev)
-			f.ev = nil
-		}
+}
+
+// freezeAt fixes f's rate at level and takes it off its links' counts.
+func freezeAt(f *Flow, level float64) {
+	f.frozen = true
+	f.rate = level
+	for _, l := range f.links {
+		l.count--
 	}
 }

@@ -88,11 +88,11 @@ func BenchmarkFabricChurnLarge(b *testing.B) {
 	eng.Run()
 }
 
-// TestRecomputeSteadyStateAllocationFree pins the sort-free recompute:
-// once the scratch buffers have grown to the component size, a
-// recomputation whose rates do not change must not allocate — on both
+// TestRecomputeSteadyStateAllocationFree pins the allocation-free
+// recompute: once the scratch buffers have grown to the component size,
+// a recomputation whose rates do not change must not allocate — on both
 // the small-component insertion-sort path and the large-component
-// epoch-scan path.
+// bitmap path.
 func TestRecomputeSteadyStateAllocationFree(t *testing.T) {
 	for _, nFlows := range []int{8, 32} { // ≤24 and >24 ordering paths
 		eng := sim.NewEngine()

@@ -173,6 +173,56 @@ func TestZeroWorkCompletesImmediately(t *testing.T) {
 	}
 }
 
+// TestRecycledZeroWorkFlowNotHijacked: a canceled zero-work flow still
+// has its completion closure queued, so Recycle must not pool it. If it
+// did, the next Start would reuse the object, the stale closure would
+// fire the canceled flow's done and mark the new flow finished, and the
+// new flow would never complete nor leave the fabric.
+func TestRecycledZeroWorkFlowNotHijacked(t *testing.T) {
+	eng := sim.NewEngine()
+	fb := NewFabric(eng.SystemShard(), "test")
+	l := fb.AddLink("l", 100)
+	canceledFired, newDone := false, false
+	z := fb.Start([]*Link{l}, 0, 0, func() { canceledFired = true })
+	z.Cancel()
+	z.Recycle()
+	fb.Start([]*Link{l}, 10, 0, func() { newDone = true })
+	eng.Run()
+	if canceledFired {
+		t.Error("the canceled zero-work flow's done fired")
+	}
+	if !newDone {
+		t.Error("the flow started after the recycle never completed")
+	}
+	if n := fb.ActiveFlows(); n != 0 {
+		t.Errorf("%d flows left in the fabric after the run, want 0", n)
+	}
+}
+
+// TestPooledFlowCycleAllocationFree: once the pool, the event free
+// list and the scratch buffers are warm, starting a flow, running it to
+// completion and recycling it allocates nothing.
+func TestPooledFlowCycleAllocationFree(t *testing.T) {
+	eng := sim.NewEngine()
+	fb := NewFabric(eng.SystemShard(), "test")
+	links := []*Link{fb.AddLink("a", 100), fb.AddLink("b", 50)}
+	fb.Start(links[1:], 1e12, 0, nil) // standing load, so the cycle changes a shared link's rates
+	done := 0
+	onDone := func() { done++ }
+	cycle := func() {
+		f := fb.Start(links, 10, 30, onDone)
+		eng.RunUntil(eng.Now() + 1)
+		f.Recycle()
+	}
+	cycle()
+	if a := testing.AllocsPerRun(100, cycle); a != 0 {
+		t.Errorf("warm Start/complete/Recycle cycle allocates %v per run, want 0", a)
+	}
+	if done != 102 {
+		t.Fatalf("%d flows completed, want 102", done)
+	}
+}
+
 func TestLinkUtilization(t *testing.T) {
 	eng := sim.NewEngine()
 	fb := NewFabric(eng.SystemShard(), "test")
@@ -205,6 +255,21 @@ func TestUncappedNoLinkPanics(t *testing.T) {
 		}
 	}()
 	fb.Start(nil, 100, 0, nil)
+}
+
+// TestForeignLinkPanics: a link registered with another fabric would
+// alias one of this fabric's links in the recompute scratch.
+func TestForeignLinkPanics(t *testing.T) {
+	eng := sim.NewEngine()
+	fb := NewFabric(eng.SystemShard(), "test")
+	fb.AddLink("own", 100)
+	foreign := NewFabric(eng.SystemShard(), "other").AddLink("theirs", 100)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a flow over another fabric's link did not panic")
+		}
+	}()
+	fb.Start([]*Link{foreign}, 100, 0, nil)
 }
 
 // Property: total work conserved — sum of flow works equals capacity

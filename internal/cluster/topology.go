@@ -269,10 +269,26 @@ func (c *Cluster) Fetch(dst *Node, mb, crossRackFrac, rateCap float64, done func
 			capLocal = rateCap * (1 - crossRackFrac)
 		}
 		nf := c.netFor(dst)
-		return []*Flow{
-			nf.Start([]*Link{dst.NICIn, c.uplinks[dst.Rack]}, mb*crossRackFrac, capCross, child),
-			nf.Start([]*Link{dst.NICIn}, mb*(1-crossRackFrac), capLocal, child),
+		crossLinks := []*Link{dst.NICIn, c.uplinks[dst.Rack]}
+		crossMB, localMB := mb*crossRackFrac, mb*(1-crossRackFrac)
+		if crossMB == 0 || localMB == 0 {
+			// A zero-work part completes asynchronously at once; starting
+			// the parts one by one keeps that event's place in the
+			// schedule.
+			return []*Flow{
+				nf.Start(crossLinks, crossMB, capCross, child),
+				nf.Start([]*Link{dst.NICIn}, localMB, capLocal, child),
+			}
 		}
+		// Both parts cross dst.NICIn, so the second part's component
+		// already holds the first: one recompute after adding both
+		// yields the rates two Starts would, since filling depends only
+		// on the component's flows and advancing twice at one instant
+		// moves nothing.
+		cross := nf.add(crossLinks, crossMB, capCross, child)
+		local := nf.add([]*Link{dst.NICIn}, localMB, capLocal, child)
+		nf.recompute(crossLinks, nil)
+		return []*Flow{cross, local}
 	}
 	return []*Flow{c.netFor(dst).Start([]*Link{dst.NICIn}, mb, rateCap, done)}
 }

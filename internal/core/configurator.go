@@ -48,12 +48,7 @@ func (a *assignment) putAll(kv map[string]float64) {
 
 // applyTo returns cfg with every assigned value set, in registry order.
 func (a *assignment) applyTo(cfg mrconf.Config) mrconf.Config {
-	for id, ok := range a.set {
-		if ok {
-			cfg = cfg.WithID(mrconf.ParamID(id), a.v[id])
-		}
-	}
-	return cfg
+	return cfg.WithIDs(&a.set, &a.v)
 }
 
 // NewDynamicConfigurator returns an empty configurator.

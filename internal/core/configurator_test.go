@@ -96,6 +96,17 @@ func TestConfigForNoOpIsAllocationFree(t *testing.T) {
 	if !cfg.Same(base) {
 		t.Fatal("no-op overrides did not return the base config")
 	}
+	// Overrides that change several values cost one copy, not one each.
+	dims = append(dims, mrconf.MustLookup(mrconf.ReduceMemoryMB), mrconf.MustLookup(mrconf.SortSpillPercent))
+	dc.setTaskPoint("job1", id, dims, []float64{500, 3072, 0.9})
+	if a := testing.AllocsPerRun(100, func() {
+		cfg = dc.ConfigFor("job1", id, base)
+	}); a > 1 {
+		t.Errorf("ConfigFor with three changed values allocates %v per run, want at most 1", a)
+	}
+	if cfg.SortMB() != 500 || cfg.ReduceMemMB() != 3072 || cfg.SpillPct() != 0.9 {
+		t.Fatalf("ConfigFor = %v, want the three overrides applied", cfg)
+	}
 }
 
 func TestSetAllTaskParametersClearsPerTask(t *testing.T) {

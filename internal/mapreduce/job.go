@@ -136,6 +136,12 @@ func Submit(rm *yarn.ResourceManager, fs *hdfs.FileSystem, spec Spec, onDone fun
 		j.reduceTasks = append(j.reduceTasks, t)
 	}
 
+	// One report per task, plus one per failed attempt: presizing spares
+	// the append regrowth of a job with thousands of tasks.
+	if n := s.Benchmark.NumMaps + s.Benchmark.NumReduces; cap(j.reports) < n {
+		j.reports = make([]TaskReport, 0, n)
+	}
+
 	j.spec.Trace.Add(trace.Event{Time: j.shard.Now(), Job: j.Name, Kind: trace.JobSubmit,
 		Detail: fmt.Sprintf("%d maps, %d reduces", len(j.mapTasks), len(j.reduceTasks))})
 	j.shard.After(0, j.pump)

@@ -58,6 +58,10 @@ func TestTerasortCompletes(t *testing.T) {
 	if got := len(res.Reports); got != b.NumMaps+b.NumReduces {
 		t.Fatalf("reports = %d, want %d", got, b.NumMaps+b.NumReduces)
 	}
+	// Submit presizes the report list: a clean run never regrows it.
+	if got := cap(res.Reports); got != b.NumMaps+b.NumReduces {
+		t.Fatalf("report capacity = %d, want exactly %d (presized at submission)", got, b.NumMaps+b.NumReduces)
+	}
 }
 
 func TestDataVolumeConservation(t *testing.T) {

@@ -67,11 +67,7 @@ func (c Config) With(name string, value float64) Config {
 
 // WithID is With addressed by dense index.
 func (c Config) WithID(id ParamID, value float64) Config {
-	p := &registry[id]
-	if math.IsNaN(value) || math.IsInf(value, 0) {
-		panic(fmt.Sprintf("mrconf: non-finite value %v for %s", value, p.Name))
-	}
-	v := p.Quantize(value)
+	v := quantized(id, value)
 	cur := c.values()
 	// Fast path: the effective value is unchanged, so the receiver is
 	// returned as-is — arrays are never mutated after construction,
@@ -82,6 +78,42 @@ func (c Config) WithID(id ParamID, value float64) Config {
 	out := *cur
 	out[id] = v
 	return Config{v: &out}
+}
+
+// WithIDs returns c with vals[id] set for every id marked in set: the
+// result of calling WithID for each of them in registry order, built
+// with at most one copy. It returns the receiver when no value changes.
+func (c Config) WithIDs(set *[NumParams]bool, vals *[NumParams]float64) Config {
+	cur := c.values()
+	var out *[NumParams]float64
+	for id, ok := range set {
+		if !ok {
+			continue
+		}
+		v := quantized(ParamID(id), vals[id])
+		if out == nil {
+			if cur[id] == v {
+				continue
+			}
+			cp := *cur
+			out = &cp
+		}
+		out[id] = v
+	}
+	if out == nil {
+		return c
+	}
+	return Config{v: out}
+}
+
+// quantized returns value quantized to parameter id's grid; a
+// non-finite value panics.
+func quantized(id ParamID, value float64) float64 {
+	p := &registry[id]
+	if math.IsNaN(value) || math.IsInf(value, 0) {
+		panic(fmt.Sprintf("mrconf: non-finite value %v for %s", value, p.Name))
+	}
+	return p.Quantize(value)
 }
 
 // Merge returns c with all of other's overrides applied on top.

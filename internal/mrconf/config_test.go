@@ -414,3 +414,52 @@ func TestConfigAllocations(t *testing.T) {
 	}
 	_ = sink
 }
+
+// TestWithIDsMatchesSequentialWithID: WithIDs equals calling WithID for
+// each marked parameter in registry order, returns the receiver itself
+// when nothing changes, and otherwise makes exactly one allocation
+// however many values change.
+func TestWithIDsMatchesSequentialWithID(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	base := Default().With(IOSortMB, 410).With(ReduceMemoryMB, 2048)
+	for trial := 0; trial < 500; trial++ {
+		var set [NumParams]bool
+		var vals [NumParams]float64
+		want := base
+		for id := range set {
+			if rng.Intn(3) != 0 {
+				continue
+			}
+			p := registry[id]
+			set[id] = true
+			vals[id] = p.Min + rng.Float64()*(p.Max-p.Min)
+			if rng.Intn(2) == 0 {
+				vals[id] = base.values()[id] // an unchanged value
+			}
+			want = want.WithID(ParamID(id), vals[id])
+		}
+		got := base.WithIDs(&set, &vals)
+		if !got.Equal(want) || got.Same(base) != want.Same(base) {
+			t.Fatalf("trial %d: WithIDs = %v (Same as base %v), sequential WithID = %v (Same %v)",
+				trial, got, got.Same(base), want, want.Same(base))
+		}
+	}
+
+	var set [NumParams]bool
+	var vals [NumParams]float64
+	for _, name := range []string{IOSortMB, ReduceMemoryMB, SortSpillPercent} {
+		id := mustID(name)
+		set[id], vals[id] = true, base.values()[id]
+	}
+	var out Config
+	if a := testing.AllocsPerRun(100, func() { out = base.WithIDs(&set, &vals) }); a != 0 || !out.Same(base) {
+		t.Errorf("no-op WithIDs: %v allocations, Same=%v; want 0 and true", a, out.Same(base))
+	}
+	vals[mustID(IOSortMB)], vals[mustID(ReduceMemoryMB)] = 500, 3072
+	if a := testing.AllocsPerRun(100, func() { out = base.WithIDs(&set, &vals) }); a != 1 {
+		t.Errorf("WithIDs changing two values allocates %v per run, want exactly 1", a)
+	}
+	if out.SortMB() != 500 || out.ReduceMemMB() != 3072 || base.SortMB() != 410 {
+		t.Fatalf("WithIDs: got sort %g, reduce mem %g; receiver sort now %g", out.SortMB(), out.ReduceMemMB(), base.SortMB())
+	}
+}

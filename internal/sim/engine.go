@@ -69,37 +69,95 @@ func (e *Event) Canceled() bool { return e.canceled }
 // Shard returns the shard that owns this event.
 func (e *Event) Shard() *Shard { return e.shard }
 
+// eventHeap is a shard's binary min-heap of queued events ordered by
+// (at, seq). seq is unique, so the order is total and the pop sequence
+// is the same as any other correct heap's. The methods are concrete
+// (not container/heap's interface calls) because every scheduling call
+// and every fired event goes through them; each keeps Event.index in
+// step with the event's position.
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// before reports whether a is ordered ahead of b.
+func before(a, b *Event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
+func (h *eventHeap) push(ev *Event) {
 	ev.index = len(*h)
 	*h = append(*h, ev)
+	h.up(ev.index)
 }
 
-func (h *eventHeap) Pop() any {
+// pop removes and returns the earliest event.
+func (h *eventHeap) pop() *Event {
+	return h.remove(0)
+}
+
+// remove takes out the event at position i.
+func (h *eventHeap) remove(i int) *Event {
 	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	ev := old[i]
+	if i != n {
+		old[i] = old[n]
+		old[i].index = i
+	}
+	old[n] = nil
+	*h = old[:n]
+	if i != n {
+		h.fix(i)
+	}
 	ev.index = -1
-	*h = old[:n-1]
 	return ev
+}
+
+// fix restores the heap order after the key at position i changed.
+func (h eventHeap) fix(i int) {
+	if !h.down(i) {
+		h.up(i)
+	}
+}
+
+func (h eventHeap) up(j int) {
+	ev := h[j]
+	for j > 0 {
+		i := (j - 1) / 2
+		p := h[i]
+		if !before(ev, p) {
+			break
+		}
+		h[j] = p
+		p.index = j
+		j = i
+	}
+	h[j] = ev
+	ev.index = j
+}
+
+// down sifts the event at position i0 toward the leaves and reports
+// whether it moved.
+func (h eventHeap) down(i0 int) bool {
+	n := len(h)
+	ev := h[i0]
+	i := i0
+	for {
+		c := 2*i + 1
+		if c >= n || c < 0 {
+			break
+		}
+		if r := c + 1; r < n && before(h[r], h[c]) {
+			c = r
+		}
+		if !before(h[c], ev) {
+			break
+		}
+		h[i] = h[c]
+		h[i].index = i
+		i = c
+	}
+	h[i] = ev
+	ev.index = i
+	return i > i0
 }
 
 // shardHeap orders the non-empty shards by their cached earliest
@@ -289,7 +347,7 @@ func (e *Engine) RunUntil(t float64) {
 			if ev.at > e.boundAt || (ev.at == e.boundAt && ev.seq > e.boundSeq) {
 				break
 			}
-			heap.Pop(&s.pq)
+			s.pq.pop()
 			e.now = ev.at
 			e.processed++
 			if e.MaxEvents > 0 && e.processed > e.MaxEvents {

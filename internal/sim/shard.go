@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -77,7 +76,7 @@ func (s *Shard) At(t float64, fn func()) *Event {
 		panic(fmt.Sprintf("sim: scheduling event at non-finite time %v", t))
 	}
 	ev := s.take(t, s.nextSeq(), fn)
-	heap.Push(&s.pq, ev)
+	s.pq.push(ev)
 	s.eng.syncShard(s)
 	return ev
 }
@@ -107,7 +106,7 @@ func (s *Shard) Reschedule(ev *Event, t float64) *Event {
 	}
 	ev.at = t
 	ev.seq = s.nextSeq()
-	heap.Fix(&s.pq, ev.index)
+	s.pq.fix(ev.index)
 	s.eng.syncShard(s)
 	return ev
 }
@@ -125,7 +124,7 @@ func (s *Shard) Cancel(ev *Event) {
 	}
 	ev.canceled = true
 	if ev.index >= 0 {
-		heap.Remove(&s.pq, ev.index)
+		s.pq.remove(ev.index)
 		s.eng.syncShard(s)
 	}
 }

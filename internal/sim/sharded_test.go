@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -271,5 +272,123 @@ func TestSendInvalidDelayPanics(t *testing.T) {
 			eng := NewEngine()
 			eng.SystemShard().Send(eng.NewShard("b"), d, func() {})
 		}()
+	}
+}
+
+// queueOps abstracts the scheduling calls of one engine for
+// runQueueOps: schedule on a shard, move a queued event, cancel one.
+// On the frozen legacy engine, reschedule is Cancel followed by At with
+// the event's own callback, which is what Reschedule is specified to
+// equal, sequence number included.
+type queueOps struct {
+	now        func() float64
+	at         func(shard int, t float64, fn func()) any
+	reschedule func(h any, t float64) any
+	cancel     func(h any)
+}
+
+// runQueueOps drives random interleavings of At, Reschedule and Cancel,
+// issued up front and from inside callbacks, with delays drawn from a
+// few whole seconds so that many events tie on time and fire by seq.
+// Every decision comes from one seeded stream, so two engines that fire
+// in the same order make the same calls. It returns the firing order
+// and the number of reschedules and cancels issued.
+func runQueueOps(seed int64, shards int, q queueOps, run func()) (order []int, moved, canceled int) {
+	rng := rand.New(rand.NewSource(seed))
+	handles := map[int]any{}
+	var live []int // labels of queued events, in a replay-stable order
+	drop := func(label int) {
+		for i, l := range live {
+			if l == label {
+				live = append(live[:i], live[i+1:]...)
+				return
+			}
+		}
+	}
+	next := 0
+	var act func(depth int)
+	schedule := func(depth int) {
+		label := next
+		next++
+		handles[label] = q.at(rng.Intn(shards), q.now()+float64(rng.Intn(4)), func() {
+			order = append(order, label)
+			drop(label)
+			if depth < 4 {
+				act(depth + 1)
+			}
+		})
+		live = append(live, label)
+	}
+	act = func(depth int) {
+		for k := rng.Intn(5); k > 0; k-- {
+			switch op := rng.Intn(3); {
+			case op == 0 || len(live) == 0:
+				schedule(depth)
+			case op == 1:
+				l := live[rng.Intn(len(live))]
+				handles[l] = q.reschedule(handles[l], q.now()+float64(rng.Intn(4)))
+				moved++
+			default:
+				l := live[rng.Intn(len(live))]
+				q.cancel(handles[l])
+				drop(l)
+				canceled++
+			}
+		}
+	}
+	for i := 0; i < 20; i++ {
+		schedule(0)
+	}
+	act(0)
+	run()
+	return order, moved, canceled
+}
+
+// TestRescheduleCancelInterleavingMatchesLegacy: random interleavings
+// of At, Reschedule and Cancel, across shards and from inside
+// callbacks, fire in exactly the frozen legacy engine's order.
+func TestRescheduleCancelInterleavingMatchesLegacy(t *testing.T) {
+	var moved, canceled int
+	for seed := int64(0); seed < 300; seed++ {
+		leg := newLegacyEngine()
+		want, m, c := runQueueOps(seed, 1, queueOps{
+			now: leg.Now,
+			at:  func(_ int, at float64, fn func()) any { return leg.At(at, fn) },
+			reschedule: func(h any, at float64) any {
+				ev := h.(*legacyEvent)
+				fn := ev.fn
+				leg.Cancel(ev)
+				return leg.At(at, fn)
+			},
+			cancel: func(h any) { leg.Cancel(h.(*legacyEvent)) },
+		}, leg.Run)
+		moved, canceled = moved+m, canceled+c
+
+		for _, shards := range []int{1, 3} {
+			eng := NewEngine()
+			for eng.ShardCount() < shards {
+				eng.NewShard(fmt.Sprintf("s%d", eng.ShardCount()))
+			}
+			got, _, _ := runQueueOps(seed, shards, queueOps{
+				now: eng.Now,
+				at: func(s int, at float64, fn func()) any {
+					return eng.shards[s].At(at, fn)
+				},
+				reschedule: func(h any, at float64) any {
+					ev := h.(*Event)
+					return ev.Shard().Reschedule(ev, at)
+				},
+				cancel: func(h any) { ev := h.(*Event); ev.Shard().Cancel(ev) },
+			}, eng.Run)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("seed %d, %d shards: firing order\n  %v\nwant (legacy)\n  %v", seed, shards, got, want)
+			}
+			if eng.Pending() != 0 {
+				t.Fatalf("seed %d, %d shards: %d events left pending", seed, shards, eng.Pending())
+			}
+		}
+	}
+	if moved == 0 || canceled == 0 {
+		t.Fatalf("workload issued %d reschedules and %d cancels; both must be exercised", moved, canceled)
 	}
 }
