@@ -394,8 +394,8 @@ func BenchmarkStreamDay(b *testing.B) {
 
 // BenchmarkStreamDayCells is the same simulated day on the rack-cell
 // partition: each rack is a self-contained cell (scoped RM,
-// single-rack namenode, rack-local fabric, private sink) on its own
-// shard of the serial engine.
+// single-rack namenode, rack-local fabric, private sink), all on the
+// one event engine.
 func BenchmarkStreamDayCells(b *testing.B) {
 	benchmarkStreamDay(b, true)
 }

@@ -27,6 +27,7 @@ import (
 	"repro/internal/trace"
 	"repro/internal/tuner"
 	"repro/internal/workload"
+	"repro/internal/yarn"
 )
 
 func main() {
@@ -108,6 +109,7 @@ func main() {
 		env.FaultSpec = fspec
 	}
 	if *htmlPath != "" {
+		checkFaultNodes(env, false, true)
 		f, err := os.Create(*htmlPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -142,6 +144,11 @@ func main() {
 		}
 		return false
 	}
+	testbed := false
+	for _, id := range ids {
+		testbed = testbed || (id != "table2" && id != "table3" && id != "stream")
+	}
+	checkFaultNodes(env, need("stream"), testbed)
 	if need("fig4") || need("fig7") {
 		exp4 = env.Fig4()
 	}
@@ -209,6 +216,30 @@ func main() {
 		}
 	}
 	saveStore()
+}
+
+// checkFaultNodes exits 2 unless every node the -faults spec names
+// exists on each cluster it will be armed on: the 10,016-node serving
+// cluster of the stream artifact, and the paper testbed of every job
+// artifact.
+func checkFaultNodes(env experiments.Env, stream, testbed bool) {
+	if env.FaultSpec == nil {
+		return
+	}
+	var workers []int
+	if stream {
+		s := experiments.DefaultStreamSpec(env.Seed)
+		workers = append(workers, s.Racks*s.NodesPerRack)
+	}
+	if testbed {
+		workers = append(workers, len(env.NewRig(yarn.FIFOScheduler{}).C.Nodes))
+	}
+	for _, n := range workers {
+		if err := env.FaultSpec.CheckNodes(n); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+	}
 }
 
 // validBackend fails fast on an unknown -tuner value, listing what is

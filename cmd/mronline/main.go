@@ -48,6 +48,7 @@ import (
 	"repro/internal/trace"
 	"repro/internal/tuner"
 	"repro/internal/workload"
+	"repro/internal/yarn"
 )
 
 func main() {
@@ -123,6 +124,16 @@ func main() {
 	}
 	if *faultSpec != "" {
 		fspec, err := faults.Load(*faultSpec)
+		if err == nil {
+			// Reject nodes the run's cluster does not have: the
+			// 10,016-node serving cluster, or the testbed NewRig builds.
+			workers := len(env.NewRig(yarn.FIFOScheduler{}).C.Nodes)
+			if *stream > 0 {
+				s := experiments.DefaultStreamSpec(env.Seed)
+				workers = s.Racks * s.NodesPerRack
+			}
+			err = fspec.CheckNodes(workers)
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)

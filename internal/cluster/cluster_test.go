@@ -35,7 +35,7 @@ func TestPaperConfigShape(t *testing.T) {
 
 func TestMemPoolAllocateRelease(t *testing.T) {
 	eng := sim.NewEngine()
-	p := NewMemPool(eng.SystemShard(), "m", 1000)
+	p := NewMemPool(eng, "m", 1000)
 	if err := p.Allocate(600); err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestMemPoolAllocateRelease(t *testing.T) {
 
 func TestMemPoolDoubleReleasePanics(t *testing.T) {
 	eng := sim.NewEngine()
-	p := NewMemPool(eng.SystemShard(), "m", 1000)
+	p := NewMemPool(eng, "m", 1000)
 	if err := p.Allocate(100); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestMemPoolDoubleReleasePanics(t *testing.T) {
 
 func TestMemPoolUtilization(t *testing.T) {
 	eng := sim.NewEngine()
-	p := NewMemPool(eng.SystemShard(), "m", 1000)
+	p := NewMemPool(eng, "m", 1000)
 	if err := p.Allocate(500); err != nil {
 		t.Fatal(err)
 	}

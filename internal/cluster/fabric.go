@@ -140,7 +140,7 @@ func (f *Flow) SetOnAbort(fn func()) { f.onAbort = fn }
 // to the connected component of the changed flow.
 type Fabric struct {
 	Name  string
-	shard *sim.Shard
+	eng   *sim.Engine
 	links []*Link
 	flows []*Flow
 
@@ -168,16 +168,11 @@ type Fabric struct {
 	free []*Flow
 }
 
-// NewFabric returns an empty fabric bound to the shard that owns its
-// state: the rack shard for a node-local domain (disk, CPU pool), the
-// system shard for the cluster network. Every completion event the
-// fabric schedules carries that affinity.
-func NewFabric(shard *sim.Shard, name string) *Fabric {
-	return &Fabric{Name: name, shard: shard}
+// NewFabric returns an empty fabric whose completion events are
+// scheduled on eng.
+func NewFabric(eng *sim.Engine, name string) *Fabric {
+	return &Fabric{Name: name, eng: eng}
 }
-
-// Shard returns the shard the fabric schedules on.
-func (fb *Fabric) Shard() *sim.Shard { return fb.shard }
 
 // AddLink registers a link with the fabric and returns it.
 func (fb *Fabric) AddLink(name string, capacity float64) *Link {
@@ -185,7 +180,7 @@ func (fb *Fabric) AddLink(name string, capacity float64) *Link {
 		panic(fmt.Sprintf("cluster: link %q must have positive capacity, got %v", name, capacity))
 	}
 	l := &Link{Name: name, Capacity: capacity, id: int32(len(fb.links))}
-	l.used.Set(fb.shard.Now(), 0)  // anchor utilization accounting at creation
+	l.used.Set(fb.eng.Now(), 0)    // anchor utilization accounting at creation
 	fb.links = append(fb.links, l) //mrlint:ignore retained-append one entry per topology link, built once at construction
 	return l
 }
@@ -233,7 +228,7 @@ func (fb *Fabric) add(links []*Link, work, rateCap float64, done func()) *Flow {
 		// keep callback ordering uniform). These flows never enter the
 		// fabric lists and are not drawn from the pool.
 		f := &Flow{fabric: fb, links: links, remaining: work, rateCap: rateCap, done: done, index: -1}
-		fb.shard.After(0, func() {
+		fb.eng.After(0, func() {
 			if !f.finished {
 				f.finished = true
 				f.done, f.onAbort = nil, nil
@@ -327,7 +322,7 @@ func (fb *Fabric) Cancel(f *Flow) {
 	f.finished = true
 	f.done, f.onAbort = nil, nil
 	if f.ev != nil {
-		fb.shard.Cancel(f.ev)
+		fb.eng.Cancel(f.ev)
 		f.ev = nil
 	}
 	if f.index >= 0 {
@@ -346,7 +341,7 @@ func (fb *Fabric) Abort(f *Flow) {
 	fn := f.onAbort
 	fb.Cancel(f)
 	if fn != nil {
-		fb.shard.After(0, fn)
+		fb.eng.After(0, fn)
 	}
 }
 
@@ -430,7 +425,7 @@ func (fb *Fabric) complete(f *Flow) {
 // transitively, so their fair-share rates — and therefore their
 // scheduled completion events — are provably unaffected.
 func (fb *Fabric) recompute(seeds []*Link, seedFlow *Flow) {
-	now := fb.shard.Now()
+	now := fb.eng.Now()
 
 	// Sweep out the connected component (links and flows) from the
 	// seeds. visit stamps make membership checks O(1) without clearing.
@@ -528,12 +523,12 @@ func (fb *Fabric) recompute(seeds []*Link, seedFlow *Flow) {
 			if f.ev != nil {
 				// Move the queued completion in place instead of
 				// cancel+allocate (canceled events are never recycled).
-				fb.shard.Reschedule(f.ev, now+f.remaining/f.rate)
+				fb.eng.Reschedule(f.ev, now+f.remaining/f.rate)
 			} else {
-				f.ev = fb.shard.After(f.remaining/f.rate, f.onComplete)
+				f.ev = fb.eng.After(f.remaining/f.rate, f.onComplete)
 			}
 		} else if f.ev != nil {
-			fb.shard.Cancel(f.ev)
+			fb.eng.Cancel(f.ev)
 			f.ev = nil
 		}
 	}

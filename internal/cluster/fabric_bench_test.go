@@ -11,7 +11,7 @@ import (
 // contention (the simulator's hot path) on a small 8-link fabric.
 func BenchmarkFabricChurn(b *testing.B) {
 	eng := sim.NewEngine()
-	fb := NewFabric(eng.SystemShard(), "bench")
+	fb := NewFabric(eng, "bench")
 	links := make([]*Link, 8)
 	for i := range links {
 		links[i] = fb.AddLink(fmt.Sprintf("l%d", i), 100)
@@ -96,7 +96,7 @@ func BenchmarkFabricChurnLarge(b *testing.B) {
 func TestRecomputeSteadyStateAllocationFree(t *testing.T) {
 	for _, nFlows := range []int{8, 32} { // ≤24 and >24 ordering paths
 		eng := sim.NewEngine()
-		fb := NewFabric(eng.SystemShard(), "alloc")
+		fb := NewFabric(eng, "alloc")
 		l := fb.AddLink("l", 100)
 		for i := 0; i < nFlows; i++ {
 			fb.Start([]*Link{l}, 1e12, 0, nil)
@@ -116,7 +116,7 @@ func TestRecomputeSteadyStateAllocationFree(t *testing.T) {
 // completion events untouched.
 func BenchmarkFabricCappedStable(b *testing.B) {
 	eng := sim.NewEngine()
-	fb := NewFabric(eng.SystemShard(), "cpu")
+	fb := NewFabric(eng, "cpu")
 	l := fb.AddLink("cpu", 8)
 	const capRate = 8.0 / 56 // uniform vcore-style cap, sum well under capacity
 	for i := 0; i < 24; i++ {

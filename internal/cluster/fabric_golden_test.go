@@ -278,7 +278,7 @@ func sampleTimes() []float64 {
 func runGoldenNew(caps []float64, ops []goldenOp) (samples [][]float64, doneAt []float64) {
 	eng := sim.NewEngine()
 	eng.MaxEvents = 5_000_000
-	fb := NewFabric(eng.SystemShard(), "golden")
+	fb := NewFabric(eng, "golden")
 	links := make([]*Link, len(caps))
 	for i, c := range caps {
 		links[i] = fb.AddLink(fmt.Sprintf("l%d", i), c)

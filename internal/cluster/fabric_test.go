@@ -13,7 +13,7 @@ func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestSingleFlowFullBandwidth(t *testing.T) {
 	eng := sim.NewEngine()
-	fb := NewFabric(eng.SystemShard(), "test")
+	fb := NewFabric(eng, "test")
 	l := fb.AddLink("l", 100)
 	var doneAt float64 = -1
 	fb.Start([]*Link{l}, 500, 0, func() { doneAt = eng.Now() })
@@ -25,7 +25,7 @@ func TestSingleFlowFullBandwidth(t *testing.T) {
 
 func TestTwoFlowsShareFairly(t *testing.T) {
 	eng := sim.NewEngine()
-	fb := NewFabric(eng.SystemShard(), "test")
+	fb := NewFabric(eng, "test")
 	l := fb.AddLink("l", 100)
 	var t1, t2 float64
 	fb.Start([]*Link{l}, 500, 0, func() { t1 = eng.Now() })
@@ -39,7 +39,7 @@ func TestTwoFlowsShareFairly(t *testing.T) {
 
 func TestShorterFlowReleasesBandwidth(t *testing.T) {
 	eng := sim.NewEngine()
-	fb := NewFabric(eng.SystemShard(), "test")
+	fb := NewFabric(eng, "test")
 	l := fb.AddLink("l", 100)
 	var tShort, tLong float64
 	fb.Start([]*Link{l}, 100, 0, func() { tShort = eng.Now() })
@@ -57,7 +57,7 @@ func TestShorterFlowReleasesBandwidth(t *testing.T) {
 
 func TestLateArrivalSlowsExisting(t *testing.T) {
 	eng := sim.NewEngine()
-	fb := NewFabric(eng.SystemShard(), "test")
+	fb := NewFabric(eng, "test")
 	l := fb.AddLink("l", 100)
 	var tA, tB float64
 	fb.Start([]*Link{l}, 400, 0, func() { tA = eng.Now() })
@@ -77,7 +77,7 @@ func TestLateArrivalSlowsExisting(t *testing.T) {
 
 func TestRateCapHonored(t *testing.T) {
 	eng := sim.NewEngine()
-	fb := NewFabric(eng.SystemShard(), "test")
+	fb := NewFabric(eng, "test")
 	l := fb.AddLink("l", 100)
 	var tCapped, tFree float64
 	fb.Start([]*Link{l}, 100, 10, func() { tCapped = eng.Now() })
@@ -94,7 +94,7 @@ func TestRateCapHonored(t *testing.T) {
 
 func TestMultiLinkBottleneck(t *testing.T) {
 	eng := sim.NewEngine()
-	fb := NewFabric(eng.SystemShard(), "test")
+	fb := NewFabric(eng, "test")
 	fast := fb.AddLink("fast", 100)
 	slow := fb.AddLink("slow", 20)
 	var done float64
@@ -110,7 +110,7 @@ func TestCrossLinkMaxMin(t *testing.T) {
 	// A and B both 100. Max-min: X gets 50 on both, Y gets 50 on A,
 	// Z gets 50 on B.
 	eng := sim.NewEngine()
-	fb := NewFabric(eng.SystemShard(), "test")
+	fb := NewFabric(eng, "test")
 	a := fb.AddLink("a", 100)
 	b := fb.AddLink("b", 100)
 	var tX, tY, tZ float64
@@ -127,7 +127,7 @@ func TestAsymmetricMaxMin(t *testing.T) {
 	// Link a=100 shared by X (a only) and W (a+b), b=30 shared by W.
 	// W is bottlenecked at b: W gets 30, X gets 70.
 	eng := sim.NewEngine()
-	fb := NewFabric(eng.SystemShard(), "test")
+	fb := NewFabric(eng, "test")
 	a := fb.AddLink("a", 100)
 	b := fb.AddLink("b", 30)
 	// Keep b saturated with another flow so W's share on b is 15:
@@ -144,7 +144,7 @@ func TestAsymmetricMaxMin(t *testing.T) {
 
 func TestCancelFlow(t *testing.T) {
 	eng := sim.NewEngine()
-	fb := NewFabric(eng.SystemShard(), "test")
+	fb := NewFabric(eng, "test")
 	l := fb.AddLink("l", 100)
 	fired := false
 	var tOther float64
@@ -163,7 +163,7 @@ func TestCancelFlow(t *testing.T) {
 
 func TestZeroWorkCompletesImmediately(t *testing.T) {
 	eng := sim.NewEngine()
-	fb := NewFabric(eng.SystemShard(), "test")
+	fb := NewFabric(eng, "test")
 	l := fb.AddLink("l", 100)
 	var done float64 = -1
 	fb.Start([]*Link{l}, 0, 0, func() { done = eng.Now() })
@@ -180,7 +180,7 @@ func TestZeroWorkCompletesImmediately(t *testing.T) {
 // new flow would never complete nor leave the fabric.
 func TestRecycledZeroWorkFlowNotHijacked(t *testing.T) {
 	eng := sim.NewEngine()
-	fb := NewFabric(eng.SystemShard(), "test")
+	fb := NewFabric(eng, "test")
 	l := fb.AddLink("l", 100)
 	canceledFired, newDone := false, false
 	z := fb.Start([]*Link{l}, 0, 0, func() { canceledFired = true })
@@ -204,7 +204,7 @@ func TestRecycledZeroWorkFlowNotHijacked(t *testing.T) {
 // completion and recycling it allocates nothing.
 func TestPooledFlowCycleAllocationFree(t *testing.T) {
 	eng := sim.NewEngine()
-	fb := NewFabric(eng.SystemShard(), "test")
+	fb := NewFabric(eng, "test")
 	links := []*Link{fb.AddLink("a", 100), fb.AddLink("b", 50)}
 	fb.Start(links[1:], 1e12, 0, nil) // standing load, so the cycle changes a shared link's rates
 	done := 0
@@ -225,7 +225,7 @@ func TestPooledFlowCycleAllocationFree(t *testing.T) {
 
 func TestLinkUtilization(t *testing.T) {
 	eng := sim.NewEngine()
-	fb := NewFabric(eng.SystemShard(), "test")
+	fb := NewFabric(eng, "test")
 	l := fb.AddLink("l", 100)
 	fb.Start([]*Link{l}, 100, 0, nil) // busy 0..1
 	eng.Run()
@@ -237,7 +237,7 @@ func TestLinkUtilization(t *testing.T) {
 
 func TestCapOnlyFlowNoLinks(t *testing.T) {
 	eng := sim.NewEngine()
-	fb := NewFabric(eng.SystemShard(), "test")
+	fb := NewFabric(eng, "test")
 	var done float64 = -1
 	fb.Start(nil, 100, 25, func() { done = eng.Now() })
 	eng.Run()
@@ -248,7 +248,7 @@ func TestCapOnlyFlowNoLinks(t *testing.T) {
 
 func TestUncappedNoLinkPanics(t *testing.T) {
 	eng := sim.NewEngine()
-	fb := NewFabric(eng.SystemShard(), "test")
+	fb := NewFabric(eng, "test")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no-link, no-cap flow did not panic")
@@ -261,9 +261,9 @@ func TestUncappedNoLinkPanics(t *testing.T) {
 // alias one of this fabric's links in the recompute scratch.
 func TestForeignLinkPanics(t *testing.T) {
 	eng := sim.NewEngine()
-	fb := NewFabric(eng.SystemShard(), "test")
+	fb := NewFabric(eng, "test")
 	fb.AddLink("own", 100)
-	foreign := NewFabric(eng.SystemShard(), "other").AddLink("theirs", 100)
+	foreign := NewFabric(eng, "other").AddLink("theirs", 100)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("a flow over another fabric's link did not panic")
@@ -288,7 +288,7 @@ func TestWorkConservationProperty(t *testing.T) {
 			return true
 		}
 		eng := sim.NewEngine()
-		fb := NewFabric(eng.SystemShard(), "test")
+		fb := NewFabric(eng, "test")
 		l := fb.AddLink("l", 50)
 		last := 0.0
 		for _, w := range works {
@@ -317,7 +317,7 @@ func TestCapBoundsProperty(t *testing.T) {
 			return true
 		}
 		eng := sim.NewEngine()
-		fb := NewFabric(eng.SystemShard(), "test")
+		fb := NewFabric(eng, "test")
 		l := fb.AddLink("l", 80)
 		type rec struct {
 			work, cap float64
@@ -358,7 +358,7 @@ func TestFabricChurnProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		eng := sim.NewEngine()
 		eng.MaxEvents = 1_000_000
-		fb := NewFabric(eng.SystemShard(), "churn")
+		fb := NewFabric(eng, "churn")
 		links := []*Link{fb.AddLink("a", 50), fb.AddLink("b", 80), fb.AddLink("c", 20)}
 
 		type rec struct {
@@ -428,7 +428,7 @@ func TestFabricChurnProperty(t *testing.T) {
 // stale completion event for the canceled flow can fire.
 func TestCancelInsideCompletionCascade(t *testing.T) {
 	eng := sim.NewEngine()
-	fb := NewFabric(eng.SystemShard(), "test")
+	fb := NewFabric(eng, "test")
 	l := fb.AddLink("l", 100)
 	var b *Flow
 	bFired := false
@@ -456,7 +456,7 @@ func TestCancelInsideCompletionCascade(t *testing.T) {
 // order breaks the tie deterministically: exactly one callback runs.
 func TestSimultaneousCompletionCancel(t *testing.T) {
 	eng := sim.NewEngine()
-	fb := NewFabric(eng.SystemShard(), "test")
+	fb := NewFabric(eng, "test")
 	l := fb.AddLink("l", 100)
 	fired := 0
 	var a, b *Flow
@@ -477,7 +477,7 @@ func TestSimultaneousCompletionCancel(t *testing.T) {
 // other flow runs at the identical share.
 func TestRateCapExactlyAtFairShare(t *testing.T) {
 	eng := sim.NewEngine()
-	fb := NewFabric(eng.SystemShard(), "test")
+	fb := NewFabric(eng, "test")
 	l := fb.AddLink("l", 100)
 	tCapped, tFree := -1.0, -1.0
 	capped := fb.Start([]*Link{l}, 100, 50, func() { tCapped = eng.Now() })
@@ -500,7 +500,7 @@ func TestRateCapExactlyAtFairShare(t *testing.T) {
 // finish promptly once the contention is canceled.
 func TestStarvedFlowResumesAndCompletes(t *testing.T) {
 	eng := sim.NewEngine()
-	fb := NewFabric(eng.SystemShard(), "test")
+	fb := NewFabric(eng, "test")
 	l := fb.AddLink("l", 100)
 	victimDone := -1.0
 	victim := fb.Start([]*Link{l}, 100, 0, func() { victimDone = eng.Now() })
@@ -530,7 +530,7 @@ func TestStarvedFlowResumesAndCompletes(t *testing.T) {
 // incremental recompute never touches its rate or completion event.
 func TestUntouchedComponentKeepsExactSchedule(t *testing.T) {
 	eng := sim.NewEngine()
-	fb := NewFabric(eng.SystemShard(), "test")
+	fb := NewFabric(eng, "test")
 	la := fb.AddLink("a", 100)
 	lb := fb.AddLink("b", 80)
 	quietDone := -1.0

@@ -22,8 +22,8 @@ func (c *Cluster) SubscribeNodeState(fn func(n *Node, down bool)) {
 // SubscribeNodeStateRack registers a rack-scoped node-state listener:
 // fn sees only rack's nodes, and runs after every global listener.
 // Rack-cell layers (a scoped RM or namenode owning one rack) subscribe
-// here so a rack shard's fault callback never touches another rack's
-// state. Only valid in RackLocalNet mode, where the listener table is
+// here so a node crash only reaches the cell that owns the node. Only
+// valid in RackLocalNet mode, where the listener table is
 // per rack.
 func (c *Cluster) SubscribeNodeStateRack(rack int, fn func(n *Node, down bool)) {
 	if c.rackListeners == nil {
@@ -41,7 +41,7 @@ func (c *Cluster) KillNode(n *Node) {
 		return
 	}
 	n.down = true
-	c.FaultsFor(n.Rack).NodesDowned++
+	c.Faults.NodesDowned++
 	// Node-private fabrics: every flow in them belongs to this node.
 	// Abort mutates the flow list by swap-removal, so drain from the
 	// tail.
@@ -81,7 +81,7 @@ func (c *Cluster) RestoreNode(n *Node) {
 		return
 	}
 	n.down = false
-	c.FaultsFor(n.Rack).NodesRestored++
+	c.Faults.NodesRestored++
 	for _, fn := range c.nodeListeners {
 		fn(n, false)
 	}

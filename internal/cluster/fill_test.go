@@ -115,7 +115,7 @@ func (b *byteStream) next() int {
 // no link always gets a cap.
 func fillTopology(data []byte) (*Fabric, []*Flow) {
 	in := byteStream(data)
-	fb := NewFabric(sim.NewEngine().SystemShard(), "fill")
+	fb := NewFabric(sim.NewEngine(), "fill")
 	nLinks := 1 + in.next()%6
 	links := make([]*Link, nLinks)
 	for i := range links {

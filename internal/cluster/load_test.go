@@ -134,7 +134,7 @@ func TestFlowAccessors(t *testing.T) {
 
 func TestFabricActiveFlows(t *testing.T) {
 	eng := sim.NewEngine()
-	fb := NewFabric(eng.SystemShard(), "t")
+	fb := NewFabric(eng, "t")
 	l := fb.AddLink("l", 10)
 	fb.Start([]*Link{l}, 10, 0, nil)
 	fb.Start([]*Link{l}, 10, 0, nil)

@@ -14,17 +14,17 @@ type MemPool struct {
 	Name     string
 	Capacity float64 // MB
 	used     float64
-	shard    *sim.Shard
+	eng      *sim.Engine
 	meter    metrics.Meter
 }
 
-// NewMemPool returns a pool of capacity MB, owned by the given shard
-// (the rack shard of the node the pool models).
-func NewMemPool(shard *sim.Shard, name string, capacity float64) *MemPool {
+// NewMemPool returns a pool of capacity MB whose utilization meter
+// reads eng's clock.
+func NewMemPool(eng *sim.Engine, name string, capacity float64) *MemPool {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("cluster: mem pool %q must have positive capacity", name))
 	}
-	return &MemPool{Name: name, Capacity: capacity, shard: shard}
+	return &MemPool{Name: name, Capacity: capacity, eng: eng}
 }
 
 // Free returns the unallocated MB.
@@ -45,7 +45,7 @@ func (p *MemPool) Allocate(mb float64) error {
 		return fmt.Errorf("cluster: %s out of memory: want %.0f MB, free %.0f MB", p.Name, mb, p.Free())
 	}
 	p.used += mb
-	p.meter.Set(p.shard.Now(), p.used)
+	p.meter.Set(p.eng.Now(), p.used)
 	return nil
 }
 
@@ -59,7 +59,7 @@ func (p *MemPool) Release(mb float64) {
 	if p.used < 0 {
 		p.used = 0
 	}
-	p.meter.Set(p.shard.Now(), p.used)
+	p.meter.Set(p.eng.Now(), p.used)
 }
 
 // Utilization returns the time-average fraction of capacity allocated.

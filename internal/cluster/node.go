@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "fmt"
 
 // Node is one machine: a CPU pool, a container memory pool, one disk,
 // and a full-duplex NIC. The disk and CPU each live in their own
@@ -39,9 +35,6 @@ type Node struct {
 	NICOut *Link // transmit direction
 
 	cluster *Cluster
-	// shard is the rack shard owning this node's local resource
-	// domains (CPU, disk, memory meter).
-	shard *sim.Shard
 
 	// down marks a crashed node (see Cluster.KillNode). While down, the
 	// node accepts no new work; its fabrics still exist so that restore
@@ -96,9 +89,6 @@ func (n *Node) DiskUtilization(now float64) float64 { return n.diskLink.Utilizat
 
 // Cluster returns the owning cluster.
 func (n *Node) Cluster() *Cluster { return n.cluster }
-
-// Shard returns the rack shard that owns this node's local state.
-func (n *Node) Shard() *sim.Shard { return n.shard }
 
 // CPULoad returns the instantaneous fraction of physical cores busy —
 // the "dynamic cluster utilization information" MRONLINE's monitor

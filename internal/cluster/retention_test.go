@@ -26,7 +26,7 @@ func TestFinishedFlowDropsCallbacks(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine()
-			fb := NewFabric(eng.SystemShard(), "test")
+			fb := NewFabric(eng, "test")
 			f, captured := startCapturing(fb, fb.AddLink("l", 100))
 			tc.finish(fb, f)
 			eng.Run()

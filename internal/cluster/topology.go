@@ -30,13 +30,12 @@ type Config struct {
 	// and spread round-robin across len(RackSizes) racks (the sizes
 	// themselves are ignored).
 	Classes []NodeClass
-	// RackLocalNet restructures the network for shard-isolated serving
-	// (rack cells): instead of one fabric on the system shard,
-	// each rack gets its own fabric — holding that rack's NICs and its
-	// uplink — on the rack's shard, so every flow event fires where the
-	// endpoints live. Cross-rack Transfer panics in this mode; it
-	// exists for rack-cell workloads where all traffic is rack-local.
-	// Fault counters also become per-rack (see FaultsFor).
+	// RackLocalNet restructures the network for rack-isolated serving
+	// (rack cells): instead of one cluster-wide fabric, each rack gets
+	// its own fabric holding that rack's NICs and its uplink, so a
+	// flow's rate recompute only ever scans its own rack. Cross-rack
+	// Transfer panics in this mode; it exists for rack-cell workloads
+	// where all traffic is rack-local.
 	RackLocalNet bool
 }
 
@@ -81,15 +80,9 @@ func HeterogeneousPaperConfig() Config {
 	return cfg
 }
 
-// Cluster owns the nodes and the shared network fabric.
-//
-// Shard layout: the cluster creates one engine shard per rack; each
-// node's local resource domains (CPU pool, disk, memory meter) live on
-// its rack's shard, while the shared network fabric and every
-// cross-cutting actor (RM, HDFS namespace, fault injector, monitors)
-// live on the system shard. In the default serial engine this is a pure
-// performance layout — firing order is identical at any shard count —
-// and it is what lets large idle racks cost nothing.
+// Cluster owns the nodes and the shared network fabric. Every resource
+// domain (each node's CPU pool, disk and memory meter, the network)
+// schedules on the one engine Eng.
 type Cluster struct {
 	Eng   *sim.Engine
 	Nodes []*Node
@@ -100,18 +93,12 @@ type Cluster struct {
 	// through its cluster pointer. All zeros when nothing was injected.
 	Faults *metrics.FaultCounters
 
-	sys        *sim.Shard
-	rackShards []*sim.Shard
-
 	net *Fabric
 	// rackNets, in RackLocalNet mode, are the per-rack network fabrics
 	// (nil otherwise); netFor routes every flow to the right one.
 	rackNets []*Fabric
-	// rackFaults, in RackLocalNet mode, are per-rack counter sheets so
-	// rack-shard callbacks never write shared state (nil otherwise).
-	rackFaults []*metrics.FaultCounters
-	uplinks    []*Link
-	cfg        Config
+	uplinks  []*Link
+	cfg      Config
 	// totalMemMB caches the cluster-wide container memory; the node set
 	// is fixed once New returns.
 	totalMemMB float64
@@ -130,41 +117,32 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 		panic("cluster: config needs at least one rack")
 	}
 	c := &Cluster{Eng: eng, cfg: cfg, Faults: &metrics.FaultCounters{}}
-	c.sys = eng.SystemShard()
-	c.net = NewFabric(c.sys, "network")
+	c.net = NewFabric(eng, "network")
 	racks := len(cfg.RackSizes)
 	c.Racks = make([][]*Node, racks)
-	c.rackShards = make([]*sim.Shard, racks)
-	for r := 0; r < racks; r++ {
-		c.rackShards[r] = eng.NewShard(fmt.Sprintf("rack%02d", r))
-	}
 	if cfg.RackLocalNet {
 		c.rackNets = make([]*Fabric, racks)
-		c.rackFaults = make([]*metrics.FaultCounters, racks)
 		c.rackListeners = make([][]func(n *Node, down bool), racks)
 		for r := 0; r < racks; r++ {
-			c.rackNets[r] = NewFabric(c.rackShards[r], fmt.Sprintf("rack%02d/network", r))
-			c.rackFaults[r] = &metrics.FaultCounters{}
+			c.rackNets[r] = NewFabric(eng, fmt.Sprintf("rack%02d/network", r))
 		}
 	}
 
 	addNode := func(rack int, cores float64, vcores int, memMB, diskMBps, nicMBps float64) {
 		id := len(c.Nodes)
 		name := fmt.Sprintf("node%02d", id)
-		rs := c.rackShards[rack]
 		n := &Node{
 			ID:      id,
 			Name:    name,
 			Rack:    rack,
 			Cores:   cores,
 			VCores:  vcores,
-			Mem:     NewMemPool(rs, name+"/mem", memMB),
+			Mem:     NewMemPool(eng, name+"/mem", memMB),
 			cluster: c,
-			shard:   rs,
 		}
-		n.cpu = NewFabric(rs, name+"/cpu")
+		n.cpu = NewFabric(eng, name+"/cpu")
 		n.cpuLink = n.cpu.AddLink(name+"/cpu", cores)
-		n.disk = NewFabric(rs, name+"/disk")
+		n.disk = NewFabric(eng, name+"/disk")
 		n.diskLink = n.disk.AddLink(name+"/disk", diskMBps)
 		n.cpuLinks = []*Link{n.cpuLink}
 		n.diskLinks = []*Link{n.diskLink}
@@ -215,13 +193,6 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 
 // Config returns the configuration the cluster was built with.
 func (c *Cluster) Config() Config { return c.cfg }
-
-// Sys returns the system shard, home of every cross-cutting actor (RM,
-// HDFS namespace, fault injection, monitors, the network fabric).
-func (c *Cluster) Sys() *sim.Shard { return c.sys }
-
-// RackShard returns the engine shard owning rack r's node-local state.
-func (c *Cluster) RackShard(r int) *sim.Shard { return c.rackShards[r] }
 
 // SameRack reports whether two nodes share a rack.
 func (c *Cluster) SameRack(a, b *Node) bool { return a.Rack == b.Rack }
@@ -294,7 +265,7 @@ func (c *Cluster) Fetch(dst *Node, mb, crossRackFrac, rateCap float64, done func
 }
 
 // netFor returns the fabric that carries flows touching n: the shared
-// system-shard fabric normally, n's rack fabric in RackLocalNet mode.
+// cluster-wide fabric normally, n's rack fabric in RackLocalNet mode.
 func (c *Cluster) netFor(n *Node) *Fabric {
 	if c.rackNets != nil {
 		return c.rackNets[n.Rack]
@@ -306,16 +277,6 @@ func (c *Cluster) netFor(n *Node) *Fabric {
 // monitor components that sample link utilization). In RackLocalNet
 // mode it is empty — flows live on the per-rack fabrics.
 func (c *Cluster) NetworkFabric() *Fabric { return c.net }
-
-// FaultsFor returns the counter sheet that callbacks owning rack's
-// state must write: the per-rack sheet in RackLocalNet mode (so rack
-// shards never share a counter), the cluster-wide one otherwise.
-func (c *Cluster) FaultsFor(rack int) *metrics.FaultCounters {
-	if c.rackFaults != nil {
-		return c.rackFaults[rack]
-	}
-	return c.Faults
-}
 
 // TotalContainerMemMB returns cluster-wide container memory.
 func (c *Cluster) TotalContainerMemMB() float64 { return c.totalMemMB }

@@ -46,9 +46,7 @@ func StartClusterMonitor(eng *sim.Engine, c *cluster.Cluster, interval float64) 
 		c:        c,
 		samples:  make(map[string][]NodeSample, len(c.Nodes)),
 	}
-	// The monitor samples every node on every rack, so it carries
-	// system-shard affinity.
-	m.ticker = c.Sys().Tick(interval, func() bool {
+	m.ticker = eng.Tick(interval, func() bool {
 		m.sample()
 		return true
 	})

@@ -122,24 +122,22 @@ type StreamSpec struct {
 	// Parallel, when positive, runs the stream on the rack-cell
 	// partition: each rack is a self-contained cell (scoped resource
 	// manager, scoped single-rack namenode, rack-local fabric, private
-	// stats sink) on its own shard, and the only cross-shard traffic is
-	// job submission, delivered by Send with delay
-	// StreamSubmitDelaySecs. Cells run on the serial engine, so any
+	// stats sink), and a job reaches its cell StreamSubmitDelaySecs
+	// after it arrives. Every cell schedules on the one engine, so any
 	// positive value gives the same result; the field is a switch, not
 	// a worker count. Zero selects the whole-cluster partition.
 	Parallel int
 }
 
-// StreamSubmitDelaySecs is the latency from a job's arrival (drawn on
-// the system shard) to its delivery at a rack cell: the rack-cell
-// partition's only cross-shard edge. It is part of the cell model —
-// every cell result is pinned with it.
+// StreamSubmitDelaySecs is the latency from a job's arrival to its
+// delivery at a rack cell. It is part of the cell model — every cell
+// result is pinned with it.
 const StreamSubmitDelaySecs = 1.0
 
 // DefaultStreamSpec is the flagship workload: a simulated day of
 // ~21k jobs (875/hour mean, ±50% diurnal swing) on a 10,016-node
-// cluster (313 racks × 32 nodes, matching the sharded-engine
-// acceptance benchmark).
+// cluster (313 racks × 32 nodes, matching the engine's synthetic
+// 10k-node benchmark).
 func DefaultStreamSpec(seed uint64) StreamSpec {
 	return StreamSpec{
 		Seed:             seed,
@@ -185,12 +183,11 @@ func (r *StreamResult) Report() string {
 }
 
 // streamCell is one serving partition's self-contained stack:
-// everything a job touches after submission lives on the cell's shard.
-// The whole-cluster partition is one cell on the system shard; the
-// rack-cell partition has one per rack shard, each with its own
-// resource manager, namenode and stats sink.
+// everything a job touches after submission belongs to its cell. The
+// whole-cluster partition is one cell; the rack-cell partition has one
+// per rack, each with its own resource manager, namenode and stats
+// sink, so cells share no model state by construction.
 type streamCell struct {
-	shard     *sim.Shard
 	rm        *yarn.ResourceManager
 	fs        *hdfs.FileSystem
 	sink      *trace.StatsSink
@@ -206,13 +203,12 @@ type streamCell struct {
 
 // RunStream executes one continuous-serving run to completion: every
 // arrival inside the horizon is submitted (subject to MaxJobs) and the
-// engine drains until the last job finishes. Arrivals are drawn on the
-// system shard and dealt round-robin to the partition's cells; a cell
-// on another shard receives its jobs by Send (the run's only
-// cross-shard edge). Per-cell results fold in cell order after the
-// drain. The default is the whole-cluster partition the figure
-// pipeline pins; Parallel > 0 selects the rack-cell partition (see
-// StreamSpec.Parallel).
+// engine drains until the last job finishes. Arrivals are dealt
+// round-robin to the partition's cells; a rack cell receives its job
+// StreamSubmitDelaySecs after the arrival. Per-cell results fold in
+// cell order after the drain. The default is the whole-cluster
+// partition the figure pipeline pins; Parallel > 0 selects the
+// rack-cell partition (see StreamSpec.Parallel).
 func RunStream(spec StreamSpec) StreamResult {
 	classes := spec.Classes
 	if classes == nil {
@@ -247,7 +243,6 @@ func RunStream(spec StreamSpec) StreamResult {
 	src := sim.NewSource(spec.Seed)
 	base := mrconf.Default()
 
-	sys := c.Sys()
 	nCells := 1
 	if rackCells {
 		nCells = spec.Racks
@@ -255,7 +250,6 @@ func RunStream(spec StreamSpec) StreamResult {
 	cells := make([]*streamCell, nCells)
 	for r := range cells {
 		cell := &streamCell{
-			shard:     sys,
 			sink:      trace.NewStatsSink(),
 			pool:      mapreduce.NewPool(),
 			tunerFree: make([][]*core.Tuner, len(classes)),
@@ -267,7 +261,6 @@ func RunStream(spec StreamSpec) StreamResult {
 		cellSrc, cellFaults := src, spec.Faults
 		if rackCells {
 			cellSrc = src.Sub(fmt.Sprintf("rack%03d", r))
-			cell.shard = c.RackShard(r)
 			cell.rm = yarn.NewScopedResourceManager(eng, c, yarn.FairScheduler{}, r)
 			cell.fs = hdfs.NewScoped(c, cellSrc.Stream("hdfs"), r)
 			if cellFaults != nil {
@@ -320,8 +313,8 @@ func RunStream(spec StreamSpec) StreamResult {
 		ci := pickClass()
 		cl := classes[ci]
 		cell := cells[(res.Jobs-1)%len(cells)]
-		// Name, class, and tuner seed are all fixed here on the system
-		// shard; run only touches its cell's state.
+		// Name, class, and tuner seed are all fixed here at arrival; run
+		// only touches its cell's state.
 		name := fmt.Sprintf("%s-%05d", cl.Bench.Name, i)
 		run := func() {
 			var ctrl mapreduce.Controller
@@ -356,7 +349,7 @@ func RunStream(spec StreamSpec) StreamResult {
 			}, func(rr mapreduce.Result) {
 				cell.completed++
 				cell.totalDur += rr.Duration
-				if now := cell.shard.Now(); now > cell.makespan {
+				if now := eng.Now(); now > cell.makespan {
 					cell.makespan = now
 				}
 				if tun == nil {
@@ -371,14 +364,14 @@ func RunStream(spec StreamSpec) StreamResult {
 				}
 			})
 		}
-		if cell.shard == sys {
-			run()
+		if rackCells {
+			eng.After(StreamSubmitDelaySecs, run)
 		} else {
-			sys.Send(cell.shard, StreamSubmitDelaySecs, run)
+			run()
 		}
 	}
 
-	_, err := workload.ScheduleArrivals(sys, src.Sub("stream"), workload.ArrivalSpec{
+	_, err := workload.ScheduleArrivals(eng, src.Sub("stream"), workload.ArrivalSpec{
 		MeanPerHour:      spec.MeanPerHour,
 		DiurnalAmplitude: spec.DiurnalAmplitude,
 		Horizon:          spec.HorizonSecs,

@@ -86,6 +86,37 @@ func TestNewRejectsBadNodeIndex(t *testing.T) {
 	}
 }
 
+func TestCheckNodes(t *testing.T) {
+	cases := []struct {
+		name string
+		spec faults.Spec
+		want string // substring of the error; "" = valid
+	}{
+		{"empty", faults.Spec{}, ""},
+		{"last node", faults.Spec{NodeCrashes: []faults.NodeCrash{{At: 1, Node: 17}}}, ""},
+		{"crash", faults.Spec{NodeCrashes: []faults.NodeCrash{{At: 1, Node: 0}, {At: 2, Node: 18}}},
+			"node_crashes[1]: node 18 out of range (cluster has 18)"},
+		{"slow", faults.Spec{NodeSlow: []faults.NodeSlow{{Node: 20000, Factor: 0.5}}},
+			"node_slow[0]: node 20000 out of range"},
+		{"disk", faults.Spec{DiskDegrades: []faults.DiskDegrade{{Node: 18, Factor: 0.5}}},
+			"disk_degrades[0]: node 18 out of range"},
+		{"flap", faults.Spec{LinkFlaps: []faults.LinkFlap{{Node: 99}}},
+			"link_flaps[0]: node 99 out of range"},
+		{"rates only", faults.Spec{FetchFailRate: 0.1}, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.spec.CheckNodes(18)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("valid spec rejected: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("CheckNodes(18) = %v, want error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // --- determinism ---------------------------------------------------
 
 // runCrashTerasort runs one faulted Terasort and returns the recorded

@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/cluster"
@@ -38,31 +37,8 @@ const DefaultMeanFailDelaySecs = 5.0
 // as trace.Discard) receives node_down/node_up events under the
 // pseudo-job "cluster".
 func New(c *cluster.Cluster, src *sim.Source, spec Spec, rec trace.Sink) (*Injector, error) {
-	checkNode := func(what string, i, node int) error {
-		if node >= len(c.Nodes) {
-			return fmt.Errorf("faults: %s[%d]: node %d out of range (cluster has %d)", what, i, node, len(c.Nodes))
-		}
-		return nil
-	}
-	for i, cr := range spec.NodeCrashes {
-		if err := checkNode("node_crashes", i, cr.Node); err != nil {
-			return nil, err
-		}
-	}
-	for i, sl := range spec.NodeSlow {
-		if err := checkNode("node_slow", i, sl.Node); err != nil {
-			return nil, err
-		}
-	}
-	for i, d := range spec.DiskDegrades {
-		if err := checkNode("disk_degrades", i, d.Node); err != nil {
-			return nil, err
-		}
-	}
-	for i, l := range spec.LinkFlaps {
-		if err := checkNode("link_flaps", i, l.Node); err != nil {
-			return nil, err
-		}
+	if err := spec.CheckNodes(len(c.Nodes)); err != nil {
+		return nil, err
 	}
 
 	if rec == nil {
@@ -97,30 +73,25 @@ func New(c *cluster.Cluster, src *sim.Source, spec Spec, rec trace.Sink) (*Injec
 	return in, nil
 }
 
-// Scheduled faults arm on the target node's rack shard, not the system
-// shard: the callbacks only touch that node's resource domains (and, in
-// rack-cell mode, that rack's listeners), so the events are rack-local.
-// The shard choice only labels the event — firing order and timestamps
-// are unchanged.
 func (in *Injector) armCrash(cr NodeCrash) {
 	n := in.c.Nodes[cr.Node]
-	sh := n.Shard()
-	sh.At(cr.At, func() {
+	eng := in.c.Eng
+	eng.At(cr.At, func() {
 		if n.Down() {
 			return
 		}
 		in.c.KillNode(n)
-		in.rec.Add(trace.Event{Time: sh.Now(), Job: "cluster", Kind: trace.NodeDown,
+		in.rec.Add(trace.Event{Time: eng.Now(), Job: "cluster", Kind: trace.NodeDown,
 			Node: n.Name, Detail: "crash"})
 		if cr.RestartAfter <= 0 {
 			return
 		}
-		sh.After(cr.RestartAfter, func() {
+		eng.After(cr.RestartAfter, func() {
 			if !n.Down() {
 				return
 			}
 			in.c.RestoreNode(n)
-			in.rec.Add(trace.Event{Time: sh.Now(), Job: "cluster", Kind: trace.NodeUp,
+			in.rec.Add(trace.Event{Time: eng.Now(), Job: "cluster", Kind: trace.NodeUp,
 				Node: n.Name, Detail: "restart"})
 		})
 	})
@@ -132,8 +103,8 @@ func (in *Injector) armCrash(cr NodeCrash) {
 // would otherwise re-install the other window's scaled capacity.
 func (in *Injector) armSlow(at float64, node int, factor, window float64, cpu bool) {
 	n := in.c.Nodes[node]
-	sh := n.Shard()
-	sh.At(at, func() {
+	eng := in.c.Eng
+	eng.At(at, func() {
 		baseCPU := n.CPUCapacity()
 		baseDisk := n.DiskBandwidth()
 		if cpu {
@@ -143,7 +114,7 @@ func (in *Injector) armSlow(at float64, node int, factor, window float64, cpu bo
 		if window <= 0 {
 			return // degraded for the rest of the run
 		}
-		sh.After(window, func() {
+		eng.After(window, func() {
 			if cpu {
 				n.SetCPUCapacity(baseCPU)
 			}
@@ -158,14 +129,14 @@ const linkFlapFactor = 1e-3
 
 func (in *Injector) armFlap(l LinkFlap) {
 	n := in.c.Nodes[l.Node]
-	sh := n.Shard()
-	sh.At(l.At, func() {
+	eng := in.c.Eng
+	eng.At(l.At, func() {
 		base := n.NICBandwidth()
 		n.SetNICBandwidth(base * linkFlapFactor)
 		if l.Window <= 0 {
 			return
 		}
-		sh.After(l.Window, func() {
+		eng.After(l.Window, func() {
 			n.SetNICBandwidth(base)
 		})
 	})

@@ -109,7 +109,7 @@ func (s *Spec) FilterNodes(keep func(node int) bool) Spec {
 }
 
 // Validate checks ranges that do not depend on the target cluster
-// (node indices are checked against the cluster in New).
+// (CheckNodes checks node indices against the cluster size).
 func (s *Spec) Validate() error {
 	for i, c := range s.NodeCrashes {
 		if c.At < 0 || c.RestartAfter < 0 || c.Node < 0 {
@@ -146,6 +146,38 @@ func (s *Spec) Validate() error {
 		}
 		if f.MeanDelaySecs < 0 {
 			return fmt.Errorf("faults: task_attempt_fail.mean_delay_secs must be >= 0")
+		}
+	}
+	return nil
+}
+
+// CheckNodes reports the first fault whose node index is not below n,
+// the worker count of the cluster the spec will be armed against.
+func (s *Spec) CheckNodes(n int) error {
+	check := func(what string, i, node int) error {
+		if node >= n {
+			return fmt.Errorf("faults: %s[%d]: node %d out of range (cluster has %d)", what, i, node, n)
+		}
+		return nil
+	}
+	for i, cr := range s.NodeCrashes {
+		if err := check("node_crashes", i, cr.Node); err != nil {
+			return err
+		}
+	}
+	for i, sl := range s.NodeSlow {
+		if err := check("node_slow", i, sl.Node); err != nil {
+			return err
+		}
+	}
+	for i, d := range s.DiskDegrades {
+		if err := check("disk_degrades", i, d.Node); err != nil {
+			return err
+		}
+	}
+	for i, l := range s.LinkFlaps {
+		if err := check("link_flaps", i, l.Node); err != nil {
+			return err
 		}
 	}
 	return nil

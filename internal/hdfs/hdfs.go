@@ -10,8 +10,6 @@ import (
 	"slices"
 
 	"repro/internal/cluster"
-	"repro/internal/metrics"
-	"repro/internal/sim"
 )
 
 // Locality classifies a reader's distance from a block replica.
@@ -77,13 +75,7 @@ type FileSystem struct {
 	c *cluster.Cluster
 	// nodes is the datanode set this namenode places over: all of
 	// c.Nodes for the stock constructor, one rack for NewScoped.
-	nodes []*cluster.Node
-	// faults is the counter sheet this namenode's shard may write.
-	faults *metrics.FaultCounters
-	// sys is the shard every namenode and op-state-machine event
-	// carries: the system shard normally (HDFS is a cross-cutting
-	// actor), the rack shard for a scoped namenode.
-	sys     *sim.Shard
+	nodes   []*cluster.Node
 	rng     *rand.Rand
 	nextID  int
 	writeAt int // round-robin cursor for first-replica placement
@@ -114,7 +106,7 @@ type FileSystem struct {
 // New returns a file system over the cluster with the paper's layout:
 // 128 MB blocks, 3-way replication (capped by cluster size).
 func New(c *cluster.Cluster, rng *rand.Rand) *FileSystem {
-	fs := newFileSystem(c, rng, c.Nodes, c.Sys(), c.Faults)
+	fs := newFileSystem(c, rng, c.Nodes)
 	fs.rackContig = true
 	for _, r := range c.Racks {
 		if len(r) == 0 || r[len(r)-1].ID-r[0].ID != len(r)-1 {
@@ -127,8 +119,7 @@ func New(c *cluster.Cluster, rng *rand.Rand) *FileSystem {
 }
 
 // NewScoped returns a namenode whose datanode set is exactly rack's
-// nodes, scheduling on that rack's shard and writing the rack's fault
-// counters — the rack-cell building block of stream serving.
+// nodes — the rack-cell building block of stream serving.
 // Placement behaves like New over a single-rack cluster (no off-rack
 // replica), which is the documented rack-cell difference from the
 // cluster-wide namenode.
@@ -137,7 +128,7 @@ func NewScoped(c *cluster.Cluster, rng *rand.Rand, rack int) *FileSystem {
 	if len(nodes) == 0 {
 		panic(fmt.Sprintf("hdfs: scoped namenode over empty rack %d", rack))
 	}
-	fs := newFileSystem(c, rng, nodes, c.RackShard(rack), c.FaultsFor(rack))
+	fs := newFileSystem(c, rng, nodes)
 	// The contiguous-ID fast path indexes the cluster-wide node table;
 	// a scoped namenode always takes the scan path over its own set.
 	fs.rackContig = false
@@ -145,8 +136,7 @@ func NewScoped(c *cluster.Cluster, rng *rand.Rand, rack int) *FileSystem {
 	return fs
 }
 
-func newFileSystem(c *cluster.Cluster, rng *rand.Rand, nodes []*cluster.Node,
-	sys *sim.Shard, faults *metrics.FaultCounters) *FileSystem {
+func newFileSystem(c *cluster.Cluster, rng *rand.Rand, nodes []*cluster.Node) *FileSystem {
 	repl := 3
 	if len(nodes) < repl {
 		repl = len(nodes)
@@ -158,8 +148,6 @@ func newFileSystem(c *cluster.Cluster, rng *rand.Rand, nodes []*cluster.Node,
 		OpRetryDelaySecs:       2,
 		c:                      c,
 		nodes:                  nodes,
-		faults:                 faults,
-		sys:                    sys,
 		rng:                    rng,
 	}
 	// onNodeState tracks transitions from here on; start from the
@@ -500,7 +488,7 @@ func (fs *FileSystem) Write(node *cluster.Node, sizeMB float64, done func()) ([]
 	remaining = count
 	if sizeMB == 0 {
 		// Still asynchronous: model a metadata-only commit.
-		fs.sys.After(0, func() {
+		fs.c.Eng.After(0, func() {
 			if done != nil {
 				done()
 			}

@@ -57,7 +57,7 @@ func (op *ReadOp) start() {
 		// one event so a caller assigning OnFail right after StartRead
 		// still hears about a loss detected at start time.
 		op.canceled = true
-		fs.sys.After(0, func() {
+		fs.c.Eng.After(0, func() {
 			if op.OnFail != nil {
 				op.OnFail()
 			}
@@ -121,13 +121,13 @@ func (op *ReadOp) aborted() {
 		// the node-loss path; a fresh attempt issues a fresh read.
 		return
 	}
-	op.fs.faults.ReadFailovers++
+	op.fs.c.Faults.ReadFailovers++
 	op.retry()
 }
 
 func (op *ReadOp) retry() {
 	op.retrying = true
-	op.fs.sys.After(op.fs.OpRetryDelaySecs, func() {
+	op.fs.c.Eng.After(op.fs.OpRetryDelaySecs, func() {
 		if op.finished || op.canceled {
 			return
 		}
@@ -188,7 +188,7 @@ func (op *WriteOp) start() {
 	}
 	op.left = count
 	if op.sizeMB == 0 {
-		fs.sys.After(0, func() {
+		fs.c.Eng.After(0, func() {
 			if op.finished || op.canceled {
 				return
 			}
@@ -245,9 +245,9 @@ func (op *WriteOp) aborted() {
 		// re-writes its output in full.
 		return
 	}
-	op.fs.faults.WriteRestarts++
+	op.fs.c.Faults.WriteRestarts++
 	op.retrying = true
-	op.fs.sys.After(op.fs.OpRetryDelaySecs, func() {
+	op.fs.c.Eng.After(op.fs.OpRetryDelaySecs, func() {
 		if op.finished || op.canceled {
 			return
 		}

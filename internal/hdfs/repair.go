@@ -42,7 +42,7 @@ func (fs *FileSystem) onNodeState(n *cluster.Node, down bool) {
 				last := len(b.Replicas) - 1
 				b.Replicas[i], b.Replicas[last] = b.Replicas[last], b.Replicas[i]
 				b.Replicas = b.Replicas[:last]
-				fs.faults.ReplicasLost++
+				fs.c.Faults.ReplicasLost++
 				lost = true
 				break
 			}
@@ -69,7 +69,7 @@ func (fs *FileSystem) scheduleRepair() {
 		return
 	}
 	fs.repairScheduled = true
-	fs.sys.After(fs.ReReplicationDelaySecs, func() {
+	fs.c.Eng.After(fs.ReReplicationDelaySecs, func() {
 		fs.repairScheduled = false
 		fs.repairSweep()
 	})
@@ -109,7 +109,7 @@ func (fs *FileSystem) startRepair(b *Block) {
 		if left == 0 {
 			b.repairing = false
 			b.Replicas = append(b.Replicas, dst)
-			fs.faults.BlocksReReplicated++
+			fs.c.Faults.BlocksReReplicated++
 			if len(b.Replicas) < fs.Replication {
 				fs.scheduleRepair()
 			}

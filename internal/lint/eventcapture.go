@@ -13,8 +13,8 @@ import (
 // after the call (directly below it, or on the next loop iteration),
 // the event's behavior depends on what the scheduler happened to do in
 // the meantime, not on the values at schedule time. That coupling is
-// exactly what breaks when events are reordered across shards
-// (ROADMAP item 2) or when code is hoisted during refactors.
+// exactly what breaks when events are reordered or when code is
+// hoisted during refactors.
 //
 // Flagged: a function literal passed to At/After/Tick that captures a
 // variable of the enclosing function which is (a) written after the

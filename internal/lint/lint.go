@@ -108,7 +108,6 @@ func All() []*Analyzer {
 		RetainedAppendAnalyzer,
 		MutexCopyAnalyzer,
 		GoroutineInSimAnalyzer,
-		CrossShardEventAnalyzer,
 		EventClosureCaptureAnalyzer,
 		NondetFlowAnalyzer,
 		MalformedDirectiveAnalyzer,

@@ -174,10 +174,9 @@ func reportMapRangeCall(p *Pass, funcBody *ast.BlockStmt, rs *ast.RangeStmt, cal
 }
 
 // pathIsSimEngine reports whether the method receiver is the sim
-// package's Engine or a Shard of it (matched by import-path suffix so
-// fixtures and the real tree both qualify). Shards carry the same
-// scheduling API — every determinism rule that watches Engine.At/After
-// must watch Shard.At/After too, or sharded call sites go unlinted.
+// package's Engine (matched by import-path suffix so fixtures and the
+// real tree both qualify). Engine is the only scheduling API, so every
+// determinism rule that watches At/After/Tick keys on it.
 func pathIsSimEngine(recvPkg string, sig *types.Signature) bool {
 	if !pathHasSuffix(recvPkg, "internal/sim") {
 		return false
@@ -190,8 +189,7 @@ func pathIsSimEngine(recvPkg string, sig *types.Signature) bool {
 	if !ok {
 		return false
 	}
-	name := named.Obj().Name()
-	return name == "Engine" || name == "Shard"
+	return named.Obj().Name() == "Engine"
 }
 
 func recvPkgPath(sig *types.Signature) string {

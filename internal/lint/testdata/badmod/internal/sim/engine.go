@@ -14,25 +14,3 @@ func (e *Engine) At(t float64, fn func()) { e.n++ }
 
 // Tick schedules fn at the current timestamp.
 func (e *Engine) Tick(fn func()) { e.n++ }
-
-// Shard is a stub per-shard scheduler mirroring the sharded engine's
-// affinity-carrying API (cross-shard-event keys on it).
-type Shard struct{ n int }
-
-// NewShard returns a stub shard.
-func (e *Engine) NewShard(name string) *Shard { return &Shard{} }
-
-// After schedules fn d seconds from now on this shard.
-func (s *Shard) After(d float64, fn func()) { s.n++ }
-
-// At schedules fn at absolute time t on this shard.
-func (s *Shard) At(t float64, fn func()) { s.n++ }
-
-// Tick schedules fn periodically on this shard.
-func (s *Shard) Tick(fn func()) { s.n++ }
-
-// Cancel drops a pending event of this shard.
-func (s *Shard) Cancel(ev any) { s.n++ }
-
-// Send schedules fn on shard dst, delay seconds from now.
-func (s *Shard) Send(dst *Shard, delay float64, fn func()) { s.n++ }

@@ -50,7 +50,7 @@ func (j *Job) armAttemptFault(t *Task) {
 		return
 	}
 	att := t.Attempt
-	j.shard.After(delay, func() {
+	j.eng.After(delay, func() {
 		if j.finished || t.killed || t.Attempt != att || t.State != TaskRunning {
 			return
 		}
@@ -80,7 +80,7 @@ func (j *Job) taskFailedFault(t *Task, detail string) {
 	}
 	j.cancelWork(t)
 	j.counters.TaskFailures++
-	j.spec.Trace.Add(trace.Event{Time: j.shard.Now(), Job: j.Name, Kind: trace.TaskFailed,
+	j.spec.Trace.Add(trace.Event{Time: j.eng.Now(), Job: j.Name, Kind: trace.TaskFailed,
 		TaskType: t.Type.String(), TaskID: t.ID, Attempt: t.Attempt, Node: nodeName, Detail: detail})
 	if t.specOrigin != nil {
 		// A failed speculative copy is simply dropped.
@@ -99,7 +99,7 @@ func (j *Job) taskFailedFault(t *Task, detail string) {
 		j.pump()
 		return
 	}
-	t.EndTime = j.shard.Now()
+	t.EndTime = j.eng.Now()
 	r := j.report(t, false)
 	r.Failed = true
 	j.releaseTask(t)
@@ -136,7 +136,7 @@ func (j *Job) taskLostNode(t *Task) {
 	t.container = nil // the RM releases the container itself
 	j.counters.NodeLossKills++
 	j.rm.FaultCounters().AttemptsKilledNodeLoss++
-	j.spec.Trace.Add(trace.Event{Time: j.shard.Now(), Job: j.Name, Kind: trace.TaskKilled,
+	j.spec.Trace.Add(trace.Event{Time: j.eng.Now(), Job: j.Name, Kind: trace.TaskKilled,
 		TaskType: t.Type.String(), TaskID: t.ID, Attempt: t.Attempt, Detail: "node-lost"})
 	if t.specOrigin != nil {
 		// A lost speculative copy is simply dropped.
@@ -219,10 +219,10 @@ func (j *Job) reexecMap(t *Task, n *cluster.Node) {
 	j.counters.MapsReExecuted++
 	j.rm.FaultCounters().FetchFailures++
 	j.rm.FaultCounters().MapsReExecuted++
-	j.spec.Trace.Add(trace.Event{Time: j.shard.Now(), Job: j.Name, Kind: trace.FetchFail,
+	j.spec.Trace.Add(trace.Event{Time: j.eng.Now(), Job: j.Name, Kind: trace.FetchFail,
 		TaskType: t.Type.String(), TaskID: t.ID, Attempt: t.Attempt, Node: n.Name,
 		Detail: "map output lost"})
-	j.spec.Trace.Add(trace.Event{Time: j.shard.Now(), Job: j.Name, Kind: trace.ReexecMap,
+	j.spec.Trace.Add(trace.Event{Time: j.eng.Now(), Job: j.Name, Kind: trace.ReexecMap,
 		TaskType: t.Type.String(), TaskID: t.ID, Attempt: t.Attempt + 1, Node: n.Name})
 
 	totalBefore := j.totalMapOutMB

@@ -26,7 +26,6 @@ type Job struct {
 	baseRepaired mrconf.Config
 	bench        workload.Benchmark
 	eng          *sim.Engine
-	shard        *sim.Shard // system shard: the AM/job state machine is a cross-cutting actor
 	rm           *yarn.ResourceManager
 	fs           *hdfs.FileSystem
 	app          *yarn.App
@@ -85,11 +84,10 @@ func Submit(rm *yarn.ResourceManager, fs *hdfs.FileSystem, spec Spec, onDone fun
 	j.spec = s
 	j.bench = s.Benchmark
 	j.eng = rm.Engine()
-	j.shard = rm.Shard()
 	j.rm = rm
 	j.fs = fs
 	j.ctrl = s.Controller
-	j.startTime = rm.Shard().Now()
+	j.startTime = j.eng.Now()
 	j.onDone = onDone
 	j.baseRepaired = mrconf.Repair(s.BaseConfig)
 	j.app = rm.Submit(s.Name, s.Weight)
@@ -142,9 +140,9 @@ func Submit(rm *yarn.ResourceManager, fs *hdfs.FileSystem, spec Spec, onDone fun
 		j.reports = make([]TaskReport, 0, n)
 	}
 
-	j.spec.Trace.Add(trace.Event{Time: j.shard.Now(), Job: j.Name, Kind: trace.JobSubmit,
+	j.spec.Trace.Add(trace.Event{Time: j.eng.Now(), Job: j.Name, Kind: trace.JobSubmit,
 		Detail: fmt.Sprintf("%d maps, %d reduces", len(j.mapTasks), len(j.reduceTasks))})
-	j.shard.After(0, j.pump)
+	j.eng.After(0, j.pump)
 	j.scheduleSpeculation()
 	return j
 }
@@ -156,7 +154,7 @@ func (j *Job) traceTask(t *Task, kind trace.Kind) {
 		node = t.container.Node.Name
 	}
 	j.spec.Trace.Add(trace.Event{
-		Time: j.shard.Now(), Job: j.Name, Kind: kind,
+		Time: j.eng.Now(), Job: j.Name, Kind: kind,
 		TaskType: t.Type.String(), TaskID: t.ID, Attempt: t.Attempt, Node: node,
 	})
 }
@@ -169,9 +167,6 @@ func (j *Job) BaseConfig() mrconf.Config { return j.spec.BaseConfig }
 
 // Engine returns the simulation engine (for controllers).
 func (j *Job) Engine() *sim.Engine { return j.eng }
-
-// Shard returns the shard the job's state machine schedules on.
-func (j *Job) Shard() *sim.Shard { return j.shard }
 
 // CompletedMaps returns the number of finished map tasks.
 func (j *Job) CompletedMaps() int { return j.completedMaps }
@@ -399,7 +394,7 @@ func (j *Job) taskSucceeded(t *Task) {
 		j.killAttempt(other)
 	}
 	t.State = TaskSucceeded
-	t.EndTime = j.shard.Now()
+	t.EndTime = j.eng.Now()
 	j.traceTask(t, trace.TaskFinish)
 	r := j.report(t, false)
 	j.releaseTask(t)
@@ -441,7 +436,7 @@ func (j *Job) taskFailed(t *Task, reason error) {
 		j.pump()
 		return
 	}
-	t.EndTime = j.shard.Now()
+	t.EndTime = j.eng.Now()
 	t.oomCount++
 	j.traceTask(t, trace.TaskOOM)
 	j.counters.OOMKills++
@@ -470,12 +465,12 @@ func (j *Job) finish(err error) {
 	j.finished = true
 	j.failed = err != nil
 	j.failErr = err
-	j.spec.Trace.Add(trace.Event{Time: j.shard.Now(), Job: j.Name, Kind: trace.JobFinish,
+	j.spec.Trace.Add(trace.Event{Time: j.eng.Now(), Job: j.Name, Kind: trace.JobFinish,
 		Detail: fmt.Sprintf("failed=%v", j.failed)})
 	j.app.Finish()
 	res := Result{
 		JobName:  j.Name,
-		Duration: j.shard.Now() - j.startTime,
+		Duration: j.eng.Now() - j.startTime,
 		Counters: j.counters,
 		Reports:  j.reports,
 		Failed:   j.failed,
@@ -512,7 +507,7 @@ func (j *Job) finish(err error) {
 	// job. A failed job may still have attempts in flight and is never
 	// recycled. See Pool.
 	if p := j.spec.Pool; p != nil && !j.failed && j.spec.Faults == nil && j.spec.Speculation == nil {
-		j.shard.After(0, func() { p.recycleJob(j) })
+		j.eng.After(0, func() { p.recycleJob(j) })
 	}
 }
 

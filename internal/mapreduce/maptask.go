@@ -20,7 +20,7 @@ var errOOM = errors.New("container killed: out of memory")
 //  3. final spill plus merge passes (disk + merge CPU).
 func (j *Job) runMap(t *Task, c *yarn.Container) {
 	t.State = TaskRunning
-	t.StartTime = j.shard.Now()
+	t.StartTime = j.eng.Now()
 	t.container = c
 	t.cpuSecs = 0
 	j.traceTask(t, trace.TaskStart)
@@ -38,7 +38,7 @@ func (j *Job) runMap(t *Task, c *yarn.Container) {
 
 	j.armAttemptFault(t)
 	att := t.Attempt
-	j.shard.After(TaskLaunchOverheadSecs, func() {
+	j.eng.After(TaskLaunchOverheadSecs, func() {
 		if t.Attempt != att {
 			return // the attempt was preempted during launch
 		}
@@ -85,7 +85,7 @@ func (j *Job) mapMain(t *Task) {
 		failAfter := math.Max(2, cpuSecs/coreCap*frac)
 		t.cpuSecs = cpuSecs * frac
 		att := t.Attempt
-		j.shard.After(failAfter, func() {
+		j.eng.After(failAfter, func() {
 			if t.Attempt != att {
 				return // the attempt was already requeued (preempt/node loss)
 			}

@@ -23,7 +23,7 @@ package mapreduce
 //     retained past onDone for the same reason.
 //
 // A Pool is not safe for concurrent use; like the rest of the job
-// layer it lives on the system shard.
+// layer it runs inside engine callbacks.
 type Pool struct {
 	jobs  []*Job
 	tasks []*Task

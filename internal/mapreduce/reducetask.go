@@ -39,13 +39,13 @@ type reduceRun struct {
 // become available), merge/sort, reduce function, and output write.
 func (j *Job) runReduce(t *Task, c *yarn.Container) {
 	t.State = TaskRunning
-	t.StartTime = j.shard.Now()
+	t.StartTime = j.eng.Now()
 	t.container = c
 	t.cpuSecs = 0
 	j.traceTask(t, trace.TaskStart)
 	j.armAttemptFault(t)
 	att := t.Attempt
-	j.shard.After(TaskLaunchOverheadSecs, func() {
+	j.eng.After(TaskLaunchOverheadSecs, func() {
 		if t.Attempt != att {
 			return // the attempt was preempted during launch
 		}
@@ -84,7 +84,7 @@ func (j *Job) reduceMain(t *Task) {
 		frac := heap / heapNeedMB
 		failAfter := math.Max(2, 10*frac)
 		att := t.Attempt
-		j.shard.After(failAfter, func() {
+		j.eng.After(failAfter, func() {
 			if t.Attempt != att {
 				return // the attempt was already requeued (preempt/node loss)
 			}
@@ -164,12 +164,12 @@ func (j *Job) tryFetch(r *reduceRun) {
 		// The fetch attempt failed (dropped connection, bad checksum);
 		// back off and retry, like the fetcher's exponential backoff.
 		j.rm.FaultCounters().FetchFailures++
-		j.spec.Trace.Add(trace.Event{Time: j.shard.Now(), Job: j.Name, Kind: trace.FetchFail,
+		j.spec.Trace.Add(trace.Event{Time: j.eng.Now(), Job: j.Name, Kind: trace.FetchFail,
 			TaskType: t.Type.String(), TaskID: t.ID, Attempt: t.Attempt,
 			Node: t.container.Node.Name, Detail: "injected"})
 		r.busy = true
 		att := t.Attempt
-		j.shard.After(FetchRetryDelaySecs, func() {
+		j.eng.After(FetchRetryDelaySecs, func() {
 			if j.finished || t.killed || t.Attempt != att {
 				return
 			}

@@ -45,7 +45,7 @@ func (j *Job) scheduleSpeculation() {
 	if cfg == nil {
 		return
 	}
-	j.shard.Tick(cfg.CheckInterval, func() bool {
+	j.eng.Tick(cfg.CheckInterval, func() bool {
 		if j.finished {
 			return false
 		}
@@ -72,7 +72,7 @@ func (j *Job) meanSuccessDuration(tt TaskType) (float64, int) {
 
 func (j *Job) checkSpeculation() {
 	cfg := j.spec.Speculation
-	now := j.shard.Now()
+	now := j.eng.Now()
 	for _, tasks := range [][]*Task{j.mapTasks, j.reduceTasks} {
 		if len(tasks) == 0 {
 			continue
@@ -143,7 +143,7 @@ func (j *Job) taskPreempted(t *Task) {
 	}
 	t.container = nil // the RM releases the container itself
 	j.counters.Preemptions++
-	j.spec.Trace.Add(trace.Event{Time: j.shard.Now(), Job: j.Name, Kind: trace.TaskKilled,
+	j.spec.Trace.Add(trace.Event{Time: j.eng.Now(), Job: j.Name, Kind: trace.TaskKilled,
 		TaskType: t.Type.String(), TaskID: t.ID, Attempt: t.Attempt, Detail: "preempted"})
 	if t.specOrigin != nil {
 		// A preempted speculative copy is simply dropped.
@@ -183,7 +183,7 @@ func (j *Job) killAttempt(t *Task) {
 		j.liveShadows--
 		t.specOrigin.specCopy = nil
 	}
-	j.spec.Trace.Add(trace.Event{Time: j.shard.Now(), Job: j.Name, Kind: trace.TaskKilled,
+	j.spec.Trace.Add(trace.Event{Time: j.eng.Now(), Job: j.Name, Kind: trace.TaskKilled,
 		TaskType: t.Type.String(), TaskID: t.ID, Attempt: t.Attempt})
 	j.counters.SpeculativeKills++
 	j.pump()

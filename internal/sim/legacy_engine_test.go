@@ -1,9 +1,9 @@
 package sim
 
-// Frozen copy of the pre-sharding event engine (single global heap, PR 5
-// vintage), kept as the golden reference for the sharded engine: the
-// serial sharded run loop must fire the same schedule in exactly the
-// same order whatever the shard layout. The copy is deliberately
+// Frozen copy of an early event engine (single global heap built on
+// container/heap), kept as the golden reference for Engine: the
+// concrete heap, the free list and Reschedule must fire the same
+// schedule in exactly the same order. The copy is deliberately
 // verbatim-in-behavior — do not "improve" it; its only job is to stay
 // what the engine was. (Same precedent as the frozen quadratic fabric in
 // fabric_golden_test.go.)

@@ -87,20 +87,20 @@ func Arrivals(src *sim.Source, spec ArrivalSpec) ([]float64, error) {
 	}
 }
 
-// ScheduleArrivals posts one event per arrival on the given shard,
+// ScheduleArrivals posts one event per arrival on eng,
 // invoking submit(i, t) for the i-th arrival at simulated time t. It
 // returns the number of arrivals scheduled. The caller owns what
 // "submit" means — typically mapreduce.Submit of a job drawn from the
 // Table 3 mix — which keeps this generator free of job-layer
 // dependencies.
-func ScheduleArrivals(shard *sim.Shard, src *sim.Source, spec ArrivalSpec, submit func(i int, t float64)) (int, error) {
+func ScheduleArrivals(eng *sim.Engine, src *sim.Source, spec ArrivalSpec, submit func(i int, t float64)) (int, error) {
 	times, err := Arrivals(src, spec)
 	if err != nil {
 		return 0, err
 	}
 	for i, t := range times {
 		i, t := i, t
-		shard.At(t, func() { submit(i, t) })
+		eng.At(t, func() { submit(i, t) })
 	}
 	return len(times), nil
 }

@@ -123,7 +123,7 @@ func TestScheduleArrivals(t *testing.T) {
 	eng := sim.NewEngine()
 	spec := ArrivalSpec{MeanPerHour: 60, Horizon: 3600}
 	var fired []float64
-	n, err := ScheduleArrivals(eng.SystemShard(), sim.NewSource(9), spec, func(i int, at float64) {
+	n, err := ScheduleArrivals(eng, sim.NewSource(9), spec, func(i int, at float64) {
 		if i != len(fired) {
 			t.Fatalf("arrival index %d fired out of order (have %d)", i, len(fired))
 		}

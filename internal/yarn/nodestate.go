@@ -21,7 +21,7 @@ func (rm *ResourceManager) onNodeState(n *cluster.Node, down bool) {
 		rm.declaredLost[id] = false
 		rm.downEpoch[id]++
 		epoch := rm.downEpoch[id]
-		rm.shard.After(rm.NodeExpirySecs, func() {
+		rm.eng.After(rm.NodeExpirySecs, func() {
 			if rm.nodeDown[id] && rm.downEpoch[id] == epoch && !rm.declaredLost[id] {
 				rm.declareNodeLost(n)
 			}
@@ -40,7 +40,7 @@ func (rm *ResourceManager) onNodeState(n *cluster.Node, down bool) {
 	if rm.blacklisted[id] {
 		rm.blacklisted[id] = false
 		rm.blackCount--
-		rm.faults.NodesUnblacklisted++
+		rm.c.Faults.NodesUnblacklisted++
 	}
 	rm.kick()
 }
@@ -78,7 +78,7 @@ func (rm *ResourceManager) reclaimLost(c *Container) {
 	if c.released {
 		return
 	}
-	rm.faults.ContainersLost++
+	rm.c.Faults.ContainersLost++
 	switch {
 	case c.OnNodeLost != nil:
 		c.OnNodeLost(c)
@@ -103,7 +103,7 @@ func (rm *ResourceManager) ReportTaskFailure(n *cluster.Node) {
 	if !rm.blacklisted[id] && rm.nodeFailures[id] >= rm.BlacklistThreshold {
 		rm.blacklisted[id] = true
 		rm.blackCount++
-		rm.faults.NodesBlacklisted++
+		rm.c.Faults.NodesBlacklisted++
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/sim"
 )
 
 // TestNodeLossReclaimsContainers kills a node and checks the RM
@@ -56,6 +57,41 @@ func TestNodeLossReclaimsContainers(t *testing.T) {
 	}
 	if again.Node == victim {
 		t.Fatal("replacement placed on the dead node")
+	}
+}
+
+// TestScopedRMFaultCountersReachCluster: in rack-cell mode (a
+// RackLocalNet cluster with a scoped RM) a node crash and the
+// containers it loses are counted on the cluster-wide sheet, the one
+// every report reads.
+func TestScopedRMFaultCountersReachCluster(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := cluster.PaperConfig()
+	cfg.RackLocalNet = true
+	c := cluster.New(eng, cfg)
+	rm := NewScopedResourceManager(eng, c, FIFOScheduler{}, 1)
+	rm.SchedulingDelay = 0
+	if rm.FaultCounters() != c.Faults {
+		t.Fatal("scoped RM writes a counter sheet other than Cluster.Faults")
+	}
+
+	var got *Container
+	rm.Submit("job", 1).Request(&Request{
+		Resource:   Resource{MemMB: 1024, VCores: 1},
+		OnAllocate: func(cont *Container) { got = cont },
+	})
+	eng.Run()
+	if got == nil || got.Node.Rack != 1 {
+		t.Fatalf("container not allocated on rack 1: %+v", got)
+	}
+	eng.At(10, func() { c.KillNode(got.Node) })
+	eng.Run()
+
+	if c.Faults.NodesDowned != 1 {
+		t.Fatalf("NodesDowned = %d, want 1", c.Faults.NodesDowned)
+	}
+	if c.Faults.ContainersLost != 1 {
+		t.Fatalf("ContainersLost = %d, want 1", c.Faults.ContainersLost)
 	}
 }
 

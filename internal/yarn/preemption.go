@@ -35,7 +35,7 @@ func (rm *ResourceManager) EnablePreemption(cfg PreemptionConfig) {
 	if cfg.CheckInterval <= 0 {
 		cfg = DefaultPreemption()
 	}
-	rm.shard.Tick(cfg.CheckInterval, func() bool {
+	rm.eng.Tick(cfg.CheckInterval, func() bool {
 		if len(rm.apps) == 0 {
 			return false
 		}

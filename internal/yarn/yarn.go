@@ -147,22 +147,18 @@ type Scheduler interface {
 }
 
 // ResourceManager owns cluster capacity and runs the allocation loop.
-// The stock constructor manages the whole cluster from the system
-// shard; NewScopedResourceManager manages one rack from that rack's
-// shard (the rack-cell serving layout), with the same behavior over
-// its node subset.
+// The stock constructor manages the whole cluster;
+// NewScopedResourceManager manages one rack (the rack-cell serving
+// layout), with the same behavior over its node subset.
 type ResourceManager struct {
 	eng   *sim.Engine
-	shard *sim.Shard // system shard, or the rack shard for a scoped RM
 	c     *cluster.Cluster
 	sched Scheduler
 
 	// nodes is the managed node set (all of c.Nodes, or one rack);
-	// baseID rebases the dense per-node arrays onto it, and faults is
-	// the counter sheet this RM's shard may write.
+	// baseID rebases the dense per-node arrays onto it.
 	nodes  []*cluster.Node
 	baseID int
-	faults *metrics.FaultCounters
 	// totalMemMB caches container memory across the managed nodes.
 	totalMemMB float64
 
@@ -245,16 +241,15 @@ type ResourceManager struct {
 }
 
 // NewResourceManager returns an RM over the whole cluster with the
-// given scheduling policy, scheduling on the system shard.
+// given scheduling policy.
 func NewResourceManager(eng *sim.Engine, c *cluster.Cluster, sched Scheduler) *ResourceManager {
-	rm := newResourceManager(eng, c, sched, c.Nodes, c.Sys(), c.Faults)
+	rm := newResourceManager(eng, c, sched, c.Nodes)
 	c.SubscribeNodeState(rm.onNodeState)
 	return rm
 }
 
 // NewScopedResourceManager returns an RM that manages exactly rack's
-// nodes, scheduling on that rack's shard and writing the rack's fault
-// counters — the rack-cell building block of stream serving.
+// nodes — the rack-cell building block of stream serving.
 // It requires the rack's node IDs to be contiguous (true for the
 // homogeneous RackSizes layout) and, for fault delivery, the cluster
 // to be in RackLocalNet mode.
@@ -263,16 +258,15 @@ func NewScopedResourceManager(eng *sim.Engine, c *cluster.Cluster, sched Schedul
 	if len(nodes) == 0 {
 		panic(fmt.Sprintf("yarn: scoped RM over empty rack %d", rack))
 	}
-	rm := newResourceManager(eng, c, sched, nodes, c.RackShard(rack), c.FaultsFor(rack))
+	rm := newResourceManager(eng, c, sched, nodes)
 	c.SubscribeNodeStateRack(rack, rm.onNodeState)
 	return rm
 }
 
 func newResourceManager(eng *sim.Engine, c *cluster.Cluster, sched Scheduler,
-	nodes []*cluster.Node, shard *sim.Shard, faults *metrics.FaultCounters) *ResourceManager {
+	nodes []*cluster.Node) *ResourceManager {
 	rm := &ResourceManager{
-		eng: eng, shard: shard, c: c, sched: sched,
-		nodes: nodes, faults: faults,
+		eng: eng, c: c, sched: sched, nodes: nodes,
 		shapeCounts:     make(map[Resource]int),
 		liveByApp:       make(map[*App][]*Container),
 		SchedulingDelay: 0.5,
@@ -328,17 +322,12 @@ func (rm *ResourceManager) Nodes() []*cluster.Node { return rm.nodes }
 // scoped RM is sized like the rack it owns.
 func (rm *ResourceManager) TotalContainerMemMB() float64 { return rm.totalMemMB }
 
-// FaultCounters returns the counter sheet the RM and the jobs it runs
-// must write: the cluster-wide sheet for the stock RM, the rack's own
-// sheet for a scoped RM (so rack-shard callbacks never share state).
-func (rm *ResourceManager) FaultCounters() *metrics.FaultCounters { return rm.faults }
+// FaultCounters returns the cluster-wide counter sheet the RM and the
+// jobs it runs write.
+func (rm *ResourceManager) FaultCounters() *metrics.FaultCounters { return rm.c.Faults }
 
 // Engine returns the simulation engine.
 func (rm *ResourceManager) Engine() *sim.Engine { return rm.eng }
-
-// Shard returns the system shard the RM schedules on; the AMs and job
-// state machines it drives share this affinity.
-func (rm *ResourceManager) Shard() *sim.Shard { return rm.shard }
 
 // Submit registers a new application.
 func (rm *ResourceManager) Submit(name string, weight float64) *App {
@@ -391,7 +380,7 @@ func (a *App) Request(req *Request) {
 	req.seq = a.rm.nextReqSeq
 	a.rm.nextReqSeq++
 	req.index = len(a.pending)
-	req.enqueued = a.rm.shard.Now()
+	req.enqueued = a.rm.eng.Now()
 	a.pending = append(a.pending, req)
 	a.pendingShapes = addShape(a.pendingShapes, req.Resource)
 	a.rm.pendingShapes = addShape(a.rm.pendingShapes, req.Resource)
@@ -475,7 +464,7 @@ func (rm *ResourceManager) kick() {
 		return
 	}
 	rm.assigning = true
-	rm.shard.After(0, rm.kickFn)
+	rm.eng.After(0, rm.kickFn)
 }
 
 // indexRequest adds (delta=+1) or removes (delta=-1) one pending
@@ -554,7 +543,7 @@ func (rm *ResourceManager) assign() {
 	// one instant and placements only remove requests, so computing
 	// this once up front errs, if at all, toward scanning a node the
 	// sweep could have skipped — never toward skipping a placeable one.
-	now := rm.shard.Now()
+	now := rm.eng.Now()
 	oldest := rm.oldestConstrainedEnqueue()
 	rackEligible := oldest >= 0 && now-oldest >= rm.RackDelay
 	offRackEligible := oldest >= 0 && now-oldest >= rm.OffRackDelay
@@ -634,7 +623,7 @@ func (rm *ResourceManager) hasPending() bool {
 // duplicate's kick would find assigning already set — so it is
 // coalesced away.
 func (rm *ResourceManager) scheduleRelaxRetry() {
-	now := rm.shard.Now()
+	now := rm.eng.Now()
 	earliest := -1.0
 	for _, app := range rm.apps {
 		for _, req := range app.pending {
@@ -657,7 +646,7 @@ func (rm *ResourceManager) scheduleRelaxRetry() {
 		at := earliest
 		rm.retryAt = at
 		rm.retryScheduled++
-		rm.shard.At(at, func() {
+		rm.eng.At(at, func() {
 			if rm.retryAt == at {
 				rm.retryAt = -1
 			}
@@ -671,7 +660,7 @@ func (rm *ResourceManager) scheduleRelaxRetry() {
 // only after the request has waited past the delay-scheduling
 // thresholds.
 func (rm *ResourceManager) selectRequest(app *App, node *cluster.Node, minAge float64) *Request {
-	now := rm.shard.Now()
+	now := rm.eng.Now()
 	var rackLocal, relaxed, unconstrained *Request
 	for _, req := range app.pending {
 		if !rm.fits(node, req.Resource) {
@@ -739,7 +728,7 @@ func (rm *ResourceManager) place(app *App, req *Request, node *cluster.Node) {
 	// embeds it in the task and re-populates it per attempt), so the
 	// deferred launch must not read through req.
 	onAllocate := req.OnAllocate
-	rm.shard.After(delay, func() {
+	rm.eng.After(delay, func() {
 		if cont.released {
 			return // reclaimed by a node-loss declaration in the window
 		}
