@@ -12,15 +12,14 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/mrconf"
@@ -39,7 +38,7 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		faultSpec  = flag.String("faults", "", "inject faults from this JSON spec into every run (see examples/faults/)")
 		tunerName  = flag.String("tuner", "hill", "optimizer backend for aggressive tuning runs: "+strings.Join(tuner.Backends(), "|"))
-		warmStart  = flag.String("warmstart", "", "warm-start store JSON file: load search state per job class before running, save after")
+		kbPath     = flag.String("kb", "", "knowledge base JSON file: aggressive test runs warm-start from it, and it is saved after the run")
 		cells      = flag.Bool("cells", false, "run the continuous-serving legs on the rack-cell partition (one cell per rack)")
 	)
 	flag.Parse()
@@ -79,23 +78,19 @@ func main() {
 	}
 
 	env := experiments.Env{Seed: *seed, Backend: *tunerName, Cells: *cells}
-	var store *tuner.Store
-	if *warmStart != "" {
-		if s, err := tuner.LoadStore(*warmStart); err == nil {
-			store = s
-		} else if errors.Is(err, fs.ErrNotExist) {
-			store = tuner.NewStore()
-		} else {
+	if *kbPath != "" {
+		kb, err := core.LoadOrNew(*kbPath)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		env.WarmStore = store
+		env.KB = kb
 	}
-	saveStore := func() {
-		if store == nil {
+	saveKB := func() {
+		if env.KB == nil {
 			return
 		}
-		if err := store.Save(*warmStart); err != nil {
+		if err := env.KB.Save(*kbPath); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -124,7 +119,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %s\n", *htmlPath)
-		saveStore()
+		saveKB()
 		return
 	}
 	ids := strings.Split(*run, ",")
@@ -215,7 +210,7 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	saveStore()
+	saveKB()
 }
 
 // checkFaultNodes exits 2 unless every node the -faults spec names

@@ -15,11 +15,14 @@
 //	              test run, then re-runs with the best configuration
 //	kb            look up the configuration in the knowledge base file
 //
-// With -kb, aggressive runs store their best configuration for later
-// kb-strategy runs. -tuner selects the search backend the aggressive
-// test run uses (hill, spsa, or tpe), and -warmstart points at a
-// search-state store JSON file: aggressive runs consult it for a warm
-// start keyed by (app, input scale) and write their outcome back.
+// -kb names the knowledge-base JSON file, one per cluster, keyed by
+// (app, input scale). An aggressive run warm-starts its search from the
+// class's stored search state and writes back its best configuration
+// and search state; a kb run reads the stored configuration. A missing
+// file starts an empty knowledge base; an unreadable or corrupt one
+// exits 2 without touching it, and a failed save exits 1. -tuner
+// selects the search backend the aggressive test run uses (hill, spsa,
+// or tpe).
 //
 // -stream <hours> switches to the continuous-serving workload: hours
 // of mixed-job arrivals on the 10,016-node cluster (-strategy default
@@ -30,10 +33,8 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"os"
 	"slices"
 	"sort"
@@ -56,7 +57,7 @@ func main() {
 		benchName = flag.String("bench", "terasort/100GB", "benchmark name (see -list)")
 		strategy  = flag.String("strategy", "default", "default|offline|conservative|aggressive|kb")
 		seed      = flag.Uint64("seed", 42, "simulation seed")
-		kbPath    = flag.String("kb", "", "knowledge base JSON path (read for kb, written by aggressive)")
+		kbPath    = flag.String("kb", "", "knowledge base JSON file (read by kb and aggressive runs, written by aggressive)")
 		asJSON    = flag.Bool("json", false, "emit the report as JSON")
 		list      = flag.Bool("list", false, "list available benchmarks and exit")
 		traceOut  = flag.String("trace", "", "write the job timeline as JSON Lines to this file")
@@ -68,7 +69,6 @@ func main() {
 		explain   = flag.Bool("explain", false, "print what the tuner learned (conservative/aggressive strategies)")
 		counters  = flag.Bool("counters", false, "print the full job counter summary")
 		tunerName = flag.String("tuner", "hill", "optimizer backend for aggressive runs: "+strings.Join(tuner.Backends(), "|"))
-		warmStart = flag.String("warmstart", "", "warm-start store JSON file (read before aggressive runs, written after)")
 		stream    = flag.Float64("stream", 0, "run the continuous-serving stream for this many simulated hours on the 10,016-node cluster instead of a single job")
 		cells     = flag.Bool("cells", false, "run -stream on the rack-cell partition (one cell per rack) instead of the whole cluster")
 	)
@@ -101,23 +101,17 @@ func main() {
 		os.Exit(2)
 	}
 	env := experiments.Env{Seed: *seed, Backend: *tunerName}
-	var store *tuner.Store
-	if *warmStart != "" {
-		if s, err := tuner.LoadStore(*warmStart); err == nil {
-			store = s
-		} else if errors.Is(err, fs.ErrNotExist) {
-			store = tuner.NewStore()
-		} else {
+	if *kbPath != "" {
+		if env.KB, err = core.LoadOrNew(*kbPath); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		env.WarmStore = store
 	}
-	saveStore := func() {
-		if store == nil {
+	saveKB := func() {
+		if env.KB == nil {
 			return
 		}
-		if err := store.Save(*warmStart); err != nil {
+		if err := env.KB.Save(*kbPath); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -152,16 +146,16 @@ func main() {
 	}
 
 	if *compare {
-		compareStrategies(env, b, *kbPath)
-		saveStore()
+		compareStrategies(env, b)
+		saveKB()
 		return
 	}
 	var rec *trace.Recorder
 	if *traceOut != "" || *gantt {
 		rec = &trace.Recorder{}
 	}
-	report := runStrategy(env, b, *strategy, *kbPath, rec, *speculate)
-	saveStore()
+	report := runStrategy(env, b, *strategy, rec, *speculate)
+	saveKB()
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
@@ -287,7 +281,7 @@ func reportFrom(b workload.Benchmark, strategy string, res mapreduce.Result, cfg
 // lastTuner holds the tuner of the most recent strategy run, for -explain.
 var lastTuner *core.Tuner
 
-func runStrategy(env experiments.Env, b workload.Benchmark, strategy, kbPath string, rec *trace.Recorder, speculate bool) Report {
+func runStrategy(env experiments.Env, b workload.Benchmark, strategy string, rec *trace.Recorder, speculate bool) Report {
 	var spCfg *mapreduce.SpeculationConfig
 	if speculate {
 		spCfg = mapreduce.DefaultSpeculation()
@@ -316,24 +310,20 @@ func runStrategy(env experiments.Env, b workload.Benchmark, strategy, kbPath str
 		tuner, test := env.AggressiveTestRun(b)
 		lastTuner = tuner
 		best := tuner.BestConfig()
-		if kbPath != "" {
-			kb := loadOrNewKB(kbPath)
-			kb.Put(core.Key(b.Name, b.InputSizeMB, "paper-19node"), best)
-			if err := kb.Save(kbPath); err != nil {
-				fmt.Fprintln(os.Stderr, "warning:", err)
-			}
-		}
 		res := runJob(best, nil)
 		r := reportFrom(b, strategy, res, best)
 		r.TestRunSecs = test.Duration
 		return r
 	case "kb":
-		kb := loadOrNewKB(kbPath)
-		cfg, ok := kb.Get(core.Key(b.Name, b.InputSizeMB, "paper-19node"))
-		if !ok {
-			fmt.Fprintf(os.Stderr, "no knowledge base entry for %s in %s (run -strategy aggressive -kb first)\n", b.Name, kbPath)
+		var ent core.Entry
+		if env.KB != nil {
+			ent, _ = env.KB.Get(core.Key(b.Name, b.InputSizeMB))
+		}
+		if ent.Config == nil {
+			fmt.Fprintf(os.Stderr, "no knowledge base configuration for %s (run -strategy aggressive -kb first)\n", b.Name)
 			os.Exit(1)
 		}
+		cfg := *ent.Config
 		res := runJob(cfg, nil)
 		return reportFrom(b, strategy, res, cfg)
 	default:
@@ -341,16 +331,6 @@ func runStrategy(env experiments.Env, b workload.Benchmark, strategy, kbPath str
 		os.Exit(2)
 		panic("unreachable")
 	}
-}
-
-func loadOrNewKB(path string) *core.KnowledgeBase {
-	if path == "" {
-		return core.NewKnowledgeBase()
-	}
-	if kb, err := core.Load(path); err == nil {
-		return kb
-	}
-	return core.NewKnowledgeBase()
 }
 
 func lookupBenchmark(name string) (workload.Benchmark, error) {
@@ -401,11 +381,11 @@ func sortedKeys(m map[string]float64) []string {
 
 // compareStrategies runs every strategy on the benchmark and prints a
 // side-by-side summary.
-func compareStrategies(env experiments.Env, b workload.Benchmark, kbPath string) {
+func compareStrategies(env experiments.Env, b workload.Benchmark) {
 	fmt.Printf("%-14s %9s %10s %12s %10s\n", "strategy", "job time", "vs default", "spills/opt", "test run")
 	var defDur float64
 	for _, strat := range []string{"default", "offline", "conservative", "aggressive"} {
-		r := runStrategy(env, b, strat, kbPath, nil, false)
+		r := runStrategy(env, b, strat, nil, false)
 		if strat == "default" {
 			defDur = r.DurationSecs
 		}

@@ -1,0 +1,99 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+)
+
+// TestMain lets the tests drive the CLI in a child process: with
+// MRONLINE_RUN_MAIN set, the test binary runs main instead of the tests.
+func TestMain(m *testing.M) {
+	if os.Getenv("MRONLINE_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// mronline runs the CLI with args and returns its stderr and exit code.
+func mronline(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "MRONLINE_RUN_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	var exit *exec.ExitError
+	if err := cmd.Run(); errors.As(err, &exit) {
+		return stderr.String(), exit.ExitCode()
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	return stderr.String(), 0
+}
+
+func TestKBRoundTrip(t *testing.T) {
+	kb := filepath.Join(t.TempDir(), "kb.json")
+	for i := 0; i < 2; i++ {
+		if msg, code := mronline(t, "-bench", "terasort/20GB", "-strategy", "aggressive", "-kb", kb); code != 0 {
+			t.Fatalf("aggressive run %d exited %d: %s", i+1, code, msg)
+		}
+	}
+	if msg, code := mronline(t, "-bench", "terasort/20GB", "-strategy", "kb", "-kb", kb); code != 0 {
+		t.Fatalf("kb run exited %d: %s", code, msg)
+	}
+	back, err := core.Load(kb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, _ := back.Get(core.Key("terasort/20GB", 20*1024)); e.Config == nil || !e.Map.HaveBest || e.Jobs != 2 {
+		t.Fatalf("knowledge base after two aggressive runs: %+v", e)
+	}
+}
+
+func TestKBCorruptFileExits2Untouched(t *testing.T) {
+	kb := filepath.Join(t.TempDir(), "kb.json")
+	corrupt := []byte(`{"terasort/2GB|2^11MB": {"map": {`)
+	if err := os.WriteFile(kb, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, strategy := range []string{"aggressive", "kb"} {
+		msg, code := mronline(t, "-bench", "terasort/2GB", "-strategy", strategy, "-kb", kb)
+		if code != 2 || !strings.Contains(msg, kb) || strings.Count(msg, "\n") != 1 {
+			t.Fatalf("-strategy %s: exit %d, stderr %q; want 2 and one line naming the file", strategy, code, msg)
+		}
+		if got, _ := os.ReadFile(kb); !bytes.Equal(got, corrupt) {
+			t.Fatalf("-strategy %s rewrote the corrupt file", strategy)
+		}
+	}
+}
+
+func TestKBSaveFailureExits1(t *testing.T) {
+	kb := filepath.Join(t.TempDir(), "missing-dir", "kb.json")
+	if msg, code := mronline(t, "-bench", "terasort/2GB", "-strategy", "aggressive", "-kb", kb); code != 1 {
+		t.Fatalf("unwritable -kb: exit %d (%s), want 1", code, msg)
+	}
+}
+
+// An entry with search state but no configuration is a warm start for
+// aggressive runs, not a configuration for -strategy kb.
+func TestKBSearchOnlyEntryIsNotAHit(t *testing.T) {
+	kb := core.NewKnowledgeBase()
+	var e core.Entry
+	e.Map.HaveBest = true
+	kb.Update(core.Key("terasort/2GB", 2*1024), e)
+	path := filepath.Join(t.TempDir(), "kb.json")
+	if err := kb.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	msg, code := mronline(t, "-bench", "terasort/2GB", "-strategy", "kb", "-kb", path)
+	if code != 1 || !strings.Contains(msg, "no knowledge base configuration") {
+		t.Fatalf("exit %d, stderr %q; want 1 and a missing-configuration error", code, msg)
+	}
+}

@@ -36,28 +36,28 @@ func main() {
 
 	// One aggressive test run. It is slower than a normal run (waves
 	// are held while each batch of sampled configurations is measured)
-	// but it replaces dozens of trial runs.
-	tuner, test := env.AggressiveTestRun(b)
+	// but it replaces dozens of trial runs. It deposits its best
+	// configuration and search state in the knowledge base, keyed by
+	// app and input scale.
+	env.KB = core.NewKnowledgeBase()
+	_, test := env.AggressiveTestRun(b)
 	fmt.Printf("2. MRONLINE aggressive test run:      %5.0f s (tries %s waves of LHS samples)\n",
 		test.Duration, "m=24 global / n=16 local")
 
-	// Store the result in the knowledge base, keyed by app, input
-	// scale, and cluster.
-	kb := core.NewKnowledgeBase()
-	key := core.Key(b.Name, b.InputSizeMB, "paper-19node")
-	kb.Put(key, tuner.BestConfig())
+	// Persist the knowledge base: one file per cluster.
 	path := filepath.Join(os.TempDir(), "mronline-kb.json")
-	if err := kb.Save(path); err != nil {
+	if err := env.KB.Save(path); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("3. best config stored in %s\n", path)
 
 	// Production runs from now on load the tuned configuration.
-	kb2, err := core.Load(path)
+	kb, err := core.Load(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg, _ := kb2.Get(key)
+	ent, _ := kb.Get(core.Key(b.Name, b.InputSizeMB))
+	cfg := *ent.Config
 	tuned := env.RunOne(b, cfg, nil)
 	fmt.Printf("4. production run, tuned config:      %5.0f s  (%.0f%% faster)\n\n",
 		tuned.Duration, 100*(def.Duration-tuned.Duration)/def.Duration)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/mrconf"
@@ -141,64 +139,5 @@ func TestTaskIDFormat(t *testing.T) {
 	}
 	if TaskID(false, 7) != "r-00007" {
 		t.Fatalf("reduce task id = %s", TaskID(false, 7))
-	}
-}
-
-func TestKnowledgeBaseRoundTrip(t *testing.T) {
-	kb := NewKnowledgeBase()
-	cfg := mrconf.Default().With(mrconf.IOSortMB, 400).With(mrconf.MapCPUVcores, 2)
-	key := Key("terasort", 100*1024, "paper-19")
-	kb.Put(key, cfg)
-	if kb.Len() != 1 {
-		t.Fatalf("Len = %d", kb.Len())
-	}
-	got, ok := kb.Get(key)
-	if !ok || !got.Equal(cfg) {
-		t.Fatal("Get returned wrong config")
-	}
-
-	path := filepath.Join(t.TempDir(), "kb.json")
-	if err := kb.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok = back.Get(key)
-	if !ok || !got.Equal(cfg) {
-		t.Fatal("loaded knowledge base differs")
-	}
-	if len(back.Keys()) != 1 {
-		t.Fatal("Keys() wrong")
-	}
-}
-
-func TestKnowledgeBaseKeyBuckets(t *testing.T) {
-	// Nearby sizes share a bucket; far sizes do not.
-	a := Key("terasort", 100*1024, "c")
-	b := Key("terasort", 90*1024, "c")
-	c := Key("terasort", 2*1024, "c")
-	if a != b {
-		t.Fatalf("90GB and 100GB should share a power-of-two bucket: %s vs %s", a, b)
-	}
-	if a == c {
-		t.Fatal("2GB and 100GB should not share a bucket")
-	}
-	if Key("terasort", 100, "c1") == Key("terasort", 100, "c2") {
-		t.Fatal("different clusters share a key")
-	}
-}
-
-func TestKnowledgeBaseLoadErrors(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("missing file load succeeded")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(bad); err == nil {
-		t.Fatal("corrupt file load succeeded")
 	}
 }

@@ -66,7 +66,7 @@ func ExampleService() {
 	fs := hdfs.New(c, sim.NewSource(7).Stream("hdfs"))
 
 	svc := core.NewService(rm, fs, core.ServiceOptions{
-		Strategy: core.Aggressive, ClusterName: "prod", Seed: 7,
+		Strategy: core.Aggressive, Seed: 7,
 	})
 	b := workload.Terasort(20, 0, 0)
 

@@ -115,14 +115,14 @@ func TestKnowledgeBaseWorkflow(t *testing.T) {
 	runJob(t, b, mrconf.Default(), tuner)
 
 	kb := NewKnowledgeBase()
-	key := Key(b.Name, b.InputSizeMB, "paper-19node")
-	kb.Put(key, tuner.BestConfig())
+	best := tuner.BestConfig()
+	kb.Update(Key(b.Name, b.InputSizeMB), Entry{Config: &best})
 
-	cfg, ok := kb.Get(Key(b.Name, b.InputSizeMB*1.02, "paper-19node"))
-	if !ok {
+	ent, _ := kb.Get(Key(b.Name, b.InputSizeMB*1.02))
+	if ent.Config == nil {
 		t.Fatal("KB lookup with near-identical size failed")
 	}
-	res := runJob(t, b, cfg, nil)
+	res := runJob(t, b, *ent.Config, nil)
 	if res.Failed {
 		t.Fatal("KB config failed")
 	}

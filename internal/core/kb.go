@@ -1,23 +1,48 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
-	"sort"
+	"sync"
 
 	"repro/internal/mrconf"
+	"repro/internal/tuner"
 )
 
-// KnowledgeBase stores tuned configurations across application runs
-// (the "tuning knowledge base" of Fig 3), keyed by benchmark identity
-// and input scale. An expedited test run deposits its best
-// configuration here; later production runs look it up. Alongside the
-// category-2/3 configuration it can hold category-1 recommendations
-// (reducer count, slowstart) produced by what-if analysis.
+// KnowledgeBase is the tuning knowledge base of Fig 3. It remembers,
+// per job class (Key), both the answer and the search: the best
+// configuration a test run found, category-1 recommendations from
+// what-if analysis, and each scope's search state, so a later test run
+// of the class starts where the last one ended.
+//
+// The optimal configuration also depends on the cluster (paper §1).
+// A knowledge base covers one cluster: deployments keep one file per
+// cluster.
+//
+// Safe for concurrent use: Env.Fig13 runs aggressive test runs on
+// parallel goroutines against one shared knowledge base.
 type KnowledgeBase struct {
-	entries map[string]mrconf.Config
-	statics map[string]StaticParams
+	mu      sync.Mutex
+	entries map[string]Entry
+}
+
+// Entry is what past jobs taught the knowledge base about one class.
+type Entry struct {
+	// Config is the best configuration found; nil until a test run
+	// deposits one. Only an entry with a Config serves a job as-is.
+	Config *mrconf.Config `json:"config,omitempty"`
+	// Statics are category-1 recommendations; nil when none were made.
+	Statics *StaticParams `json:"statics,omitempty"`
+	// Map and Reduce are the scopes' search states, the warm start for
+	// the class's next test run.
+	Map    tuner.ScopeState `json:"map"`
+	Reduce tuner.ScopeState `json:"reduce"`
+	// Jobs counts how many runs contributed to the entry.
+	Jobs int `json:"jobs,omitempty"`
 }
 
 // StaticParams are category-1 recommendations that must be applied at
@@ -29,65 +54,73 @@ type StaticParams struct {
 
 // NewKnowledgeBase returns an empty knowledge base.
 func NewKnowledgeBase() *KnowledgeBase {
-	return &KnowledgeBase{
-		entries: make(map[string]mrconf.Config),
-		statics: make(map[string]StaticParams),
-	}
+	return &KnowledgeBase{entries: make(map[string]Entry)}
 }
 
-// Key builds the lookup key: the optimal configuration depends on the
-// application, the data scale, and the cluster (paper §1), so all
-// three identify an entry. Sizes are bucketed by power of two so
-// near-identical inputs share a tuning.
-func Key(app string, inputSizeMB float64, clusterName string) string {
+// Key builds the lookup key for a job class: the application name plus
+// the power-of-two input-size bucket, so near-identical inputs share a
+// tuning.
+func Key(app string, inputSizeMB float64) string {
 	bucket := 0
 	for s := 1.0; s < inputSizeMB; s *= 2 {
 		bucket++
 	}
-	return fmt.Sprintf("%s|%s|2^%dMB", app, clusterName, bucket)
+	return fmt.Sprintf("%s|2^%dMB", app, bucket)
 }
 
-// Put stores a configuration.
-func (kb *KnowledgeBase) Put(key string, cfg mrconf.Config) { kb.entries[key] = cfg }
-
-// Get retrieves a configuration.
-func (kb *KnowledgeBase) Get(key string) (mrconf.Config, bool) {
-	cfg, ok := kb.entries[key]
-	return cfg, ok
+// Get retrieves a class entry.
+func (kb *KnowledgeBase) Get(key string) (Entry, bool) {
+	kb.mu.Lock()
+	defer kb.mu.Unlock()
+	e, ok := kb.entries[key]
+	return e, ok
 }
 
-// Keys lists stored keys in sorted order.
-func (kb *KnowledgeBase) Keys() []string {
-	out := make([]string, 0, len(kb.entries))
-	for k := range kb.entries {
-		out = append(out, k)
+// Update merges a run's outcome into the class entry. Each scope keeps
+// the state with the lower best cost (a warm-started run can only match
+// or improve its seed, so the class record never regresses); a non-nil
+// Config or Statics replaces the stored one.
+func (kb *KnowledgeBase) Update(key string, e Entry) {
+	kb.mu.Lock()
+	defer kb.mu.Unlock()
+	cur := kb.entries[key]
+	cur.Jobs++
+	cur.Map = betterScope(cur.Map, e.Map)
+	cur.Reduce = betterScope(cur.Reduce, e.Reduce)
+	if e.Config != nil {
+		cur.Config = e.Config
 	}
-	sort.Strings(out)
-	return out
+	if e.Statics != nil {
+		cur.Statics = e.Statics
+	}
+	kb.entries[key] = cur
 }
 
-// Len returns the number of stored configuration entries.
-func (kb *KnowledgeBase) Len() int { return len(kb.entries) }
-
-// PutStatic stores category-1 recommendations for a key.
-func (kb *KnowledgeBase) PutStatic(key string, p StaticParams) { kb.statics[key] = p }
-
-// GetStatic retrieves category-1 recommendations.
-func (kb *KnowledgeBase) GetStatic(key string) (StaticParams, bool) {
-	p, ok := kb.statics[key]
-	return p, ok
+func betterScope(a, b tuner.ScopeState) tuner.ScopeState {
+	switch {
+	case !b.HaveBest:
+		return a
+	case !a.HaveBest:
+		return b
+	case b.BestCost < a.BestCost:
+		return b
+	default:
+		return a
+	}
 }
 
-// kbDocument is the on-disk format.
-type kbDocument struct {
-	Configs map[string]mrconf.Config `json:"configs"`
-	Statics map[string]StaticParams  `json:"statics,omitempty"`
+// Len returns the number of stored class entries.
+func (kb *KnowledgeBase) Len() int {
+	kb.mu.Lock()
+	defer kb.mu.Unlock()
+	return len(kb.entries)
 }
 
-// Save writes the knowledge base as JSON.
+// Save writes the knowledge base as JSON: a map of key to Entry.
 func (kb *KnowledgeBase) Save(path string) error {
-	doc := kbDocument{Configs: kb.entries, Statics: kb.statics}
-	data, err := json.MarshalIndent(doc, "", "  ")
+	kb.mu.Lock()
+	data, err := json.MarshalIndent(kb.entries, "", "  ")
+	kb.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("core: marshal knowledge base: %w", err)
 	}
@@ -97,30 +130,34 @@ func (kb *KnowledgeBase) Save(path string) error {
 	return nil
 }
 
-// Load reads a knowledge base written by Save. The legacy flat format
-// (a bare map of key → config) is still accepted.
+// Load reads a knowledge base written by Save. Unknown fields and
+// entries no run contributed to are errors, so a file in another
+// format is rejected rather than read as empty entries.
 func Load(path string) (*KnowledgeBase, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: load knowledge base: %w", err)
 	}
-	kb := NewKnowledgeBase()
-	var doc kbDocument
-	if err := json.Unmarshal(data, &doc); err == nil && doc.Configs != nil {
-		for k, v := range doc.Configs {
-			kb.entries[k] = v
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	entries := make(map[string]Entry)
+	if err := dec.Decode(&entries); err != nil {
+		return nil, fmt.Errorf("core: parse knowledge base %s: %w", path, err)
+	}
+	for k, e := range entries {
+		if e.Jobs < 1 {
+			return nil, fmt.Errorf("core: parse knowledge base %s: entry %q records no runs", path, k)
 		}
-		for k, v := range doc.Statics {
-			kb.statics[k] = v
-		}
-		return kb, nil
 	}
-	var flat map[string]mrconf.Config
-	if err := json.Unmarshal(data, &flat); err != nil {
-		return nil, fmt.Errorf("core: parse knowledge base: %w", err)
+	return &KnowledgeBase{entries: entries}, nil
+}
+
+// LoadOrNew loads the knowledge base at path, or returns an empty one
+// when the file does not exist yet. Any other error is returned.
+func LoadOrNew(path string) (*KnowledgeBase, error) {
+	kb, err := Load(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return NewKnowledgeBase(), nil
 	}
-	for k, v := range flat {
-		kb.entries[k] = v
-	}
-	return kb, nil
+	return kb, err
 }

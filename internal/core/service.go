@@ -26,8 +26,6 @@ type Service struct {
 	// parameters (reducer count, slowstart) for future submissions —
 	// the paper's stated future work, closed via the simulator.
 	TuneStaticParams bool
-	// ClusterName keys knowledge-base entries.
-	ClusterName string
 	// Seed derives per-job tuner randomness.
 	Seed uint64
 
@@ -37,7 +35,6 @@ type Service struct {
 // ServiceOptions configure NewService.
 type ServiceOptions struct {
 	Strategy         Strategy
-	ClusterName      string
 	Seed             uint64
 	TuneStaticParams bool
 	// KnowledgeBase to consult/extend; a fresh one when nil.
@@ -49,16 +46,13 @@ func NewService(rm *yarn.ResourceManager, fs *hdfs.FileSystem, opts ServiceOptio
 	if opts.Strategy == 0 {
 		opts.Strategy = Conservative
 	}
-	if opts.ClusterName == "" {
-		opts.ClusterName = "default-cluster"
-	}
 	kb := opts.KnowledgeBase
 	if kb == nil {
 		kb = NewKnowledgeBase()
 	}
 	return &Service{
 		rm: rm, fs: fs, kb: kb,
-		Strategy: opts.Strategy, ClusterName: opts.ClusterName, Seed: opts.Seed,
+		Strategy: opts.Strategy, Seed: opts.Seed,
 		TuneStaticParams: opts.TuneStaticParams,
 	}
 }
@@ -69,23 +63,25 @@ func (s *Service) KnowledgeBase() *KnowledgeBase { return s.kb }
 // Submit runs a job through MRONLINE:
 //
 //   - if the knowledge base holds a tuned configuration for this
-//     application and input scale, the job starts from it;
+//     application and input scale, the job starts from it (an entry
+//     with search state alone is not a hit);
 //   - otherwise the configured strategy's tuner is attached;
-//   - a completed aggressive run deposits its best configuration.
+//   - a completed aggressive run deposits its best configuration and
+//     search state.
 //
 // The caller's Controller, if any, is preserved (the tuner is only
 // attached when the spec has none).
 func (s *Service) Submit(spec mapreduce.Spec, onDone func(mapreduce.Result)) *mapreduce.Job {
 	b := spec.Benchmark
-	key := Key(b.Name, b.InputSizeMB, s.ClusterName)
+	key := Key(b.Name, b.InputSizeMB)
 
 	var tuner *Tuner
-	if cfg, ok := s.kb.Get(key); ok {
+	if ent, _ := s.kb.Get(key); ent.Config != nil {
 		// Known application: run with the stored configuration, no
 		// tuning interference. Apply stored category-1 recommendations
 		// too — they can only be set at submission time.
-		spec.BaseConfig = cfg
-		if p, ok := s.kb.GetStatic(key); ok {
+		spec.BaseConfig = *ent.Config
+		if p := ent.Statics; p != nil {
 			if p.NumReduces > 0 {
 				spec.Benchmark.NumReduces = p.NumReduces
 			}
@@ -107,10 +103,12 @@ func (s *Service) Submit(spec mapreduce.Spec, onDone func(mapreduce.Result)) *ma
 	return mapreduce.Submit(s.rm, s.fs, spec, func(res mapreduce.Result) {
 		if tuner != nil && s.Strategy == Aggressive && !res.Failed {
 			best := tuner.BestConfig()
-			s.kb.Put(key, best)
+			ent := tuner.ExportWarm()
+			ent.Config = &best
 			if s.TuneStaticParams {
-				s.kb.PutStatic(key, s.recommendStatics(spec, res, best))
+				ent.Statics = s.recommendStatics(spec, res, best)
 			}
+			s.kb.Update(key, ent)
 		}
 		if onDone != nil {
 			onDone(res)
@@ -120,7 +118,7 @@ func (s *Service) Submit(spec mapreduce.Spec, onDone func(mapreduce.Result)) *ma
 
 // recommendStatics runs the what-if sweep on a calibrated copy of the
 // observed job and returns the best category-1 settings.
-func (s *Service) recommendStatics(spec mapreduce.Spec, res mapreduce.Result, cfg mrconf.Config) StaticParams {
+func (s *Service) recommendStatics(spec mapreduce.Spec, res mapreduce.Result, cfg mrconf.Config) *StaticParams {
 	calibrated := whatif.CalibrateFromRun(spec.Benchmark, res)
 	best := whatif.Recommend(whatif.Question{
 		Benchmark:  calibrated,
@@ -128,5 +126,5 @@ func (s *Service) recommendStatics(spec mapreduce.Spec, res mapreduce.Result, cf
 		Slowstarts: []float64{0.05, 0.5},
 		Seed:       s.Seed + 1,
 	})
-	return StaticParams{NumReduces: best.NumReduces, Slowstart: best.Slowstart}
+	return &StaticParams{NumReduces: best.NumReduces, Slowstart: best.Slowstart}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"os"
 	"testing"
 
 	"repro/internal/cluster"
@@ -39,7 +38,7 @@ func TestServiceConservativeByDefault(t *testing.T) {
 }
 
 func TestServiceAggressiveStoresAndReuses(t *testing.T) {
-	eng, svc := newServiceRig(t, ServiceOptions{Strategy: Aggressive, ClusterName: "c1", Seed: 7})
+	eng, svc := newServiceRig(t, ServiceOptions{Strategy: Aggressive, Seed: 7})
 	b := workload.Terasort(20, 0, 0)
 
 	var first mapreduce.Result
@@ -67,7 +66,8 @@ func TestServiceAggressiveStoresAndReuses(t *testing.T) {
 		t.Fatalf("KB-configured run (%.0fs) not faster than the test run (%.0fs)",
 			second.Duration, first.Duration)
 	}
-	kbCfg, _ := svc.KnowledgeBase().Get(Key(b.Name, b.InputSizeMB, "c1"))
+	ent, _ := svc.KnowledgeBase().Get(Key(b.Name, b.InputSizeMB))
+	kbCfg := ent.Config
 	for _, rep := range second.Reports {
 		if rep.Type == mapreduce.MapTask && rep.Config.SortMB() != kbCfg.SortMB() {
 			t.Fatalf("second run ignored the KB config: %v vs %v", rep.Config.SortMB(), kbCfg.SortMB())
@@ -115,6 +115,27 @@ func TestServiceDistinctAppsDistinctEntries(t *testing.T) {
 	}
 }
 
+// An entry that holds search state but no configuration (what a
+// warm-started test run deposits) does not serve a job as-is: the
+// service still tunes it, and the run deposits its configuration.
+func TestServiceSearchOnlyEntryIsNotAHit(t *testing.T) {
+	kb := NewKnowledgeBase()
+	eng, svc := newServiceRig(t, ServiceOptions{Strategy: Aggressive, Seed: 7, KnowledgeBase: kb})
+	b := workload.Terasort(20, 0, 0)
+	key := Key(b.Name, b.InputSizeMB)
+	kb.Update(key, Entry{Map: stateWithCost(1)})
+	var res mapreduce.Result
+	svc.Submit(mapreduce.Spec{Name: "r1", Benchmark: b, BaseConfig: mrconf.Default()},
+		func(r mapreduce.Result) { res = r })
+	eng.Run()
+	if res.Failed {
+		t.Fatal(res.Err)
+	}
+	if e, _ := kb.Get(key); e.Config == nil || e.Jobs != 2 {
+		t.Fatalf("search-only entry served as a hit: %+v", e)
+	}
+}
+
 func TestServiceTunesStaticParams(t *testing.T) {
 	eng, svc := newServiceRig(t, ServiceOptions{Strategy: Aggressive, Seed: 7, TuneStaticParams: true})
 	b := workload.Terasort(20, 0, 0) // 150 maps, 37 reduces
@@ -125,9 +146,9 @@ func TestServiceTunesStaticParams(t *testing.T) {
 	if first.Failed {
 		t.Fatal(first.Err)
 	}
-	key := Key(b.Name, b.InputSizeMB, svc.ClusterName)
-	p, ok := svc.KnowledgeBase().GetStatic(key)
-	if !ok {
+	ent, _ := svc.KnowledgeBase().Get(Key(b.Name, b.InputSizeMB))
+	p := ent.Statics
+	if p == nil {
 		t.Fatal("no static recommendation stored")
 	}
 	if p.NumReduces <= 0 || p.Slowstart <= 0 {
@@ -144,67 +165,5 @@ func TestServiceTunesStaticParams(t *testing.T) {
 	eng.Run()
 	if second.Failed {
 		t.Fatal(second.Err)
-	}
-}
-
-func TestKnowledgeBaseStaticsRoundTrip(t *testing.T) {
-	kb := NewKnowledgeBase()
-	kb.Put("k", mrconf.Default().With(mrconf.IOSortMB, 200))
-	kb.PutStatic("k", StaticParams{NumReduces: 75, Slowstart: 0.5})
-	path := t.TempDir() + "/kb.json"
-	if err := kb.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, ok := back.GetStatic("k")
-	if !ok || p.NumReduces != 75 || p.Slowstart != 0.5 {
-		t.Fatalf("statics lost in round trip: %+v ok=%v", p, ok)
-	}
-	if _, ok := back.Get("k"); !ok {
-		t.Fatal("config lost in round trip")
-	}
-}
-
-func TestKnowledgeBaseLegacyFormat(t *testing.T) {
-	// The original flat format (key -> config) must still load.
-	path := t.TempDir() + "/legacy.json"
-	legacy := `{"k": {"mapreduce.task.io.sort.mb": 400}}`
-	if err := osWriteFile(path, legacy); err != nil {
-		t.Fatal(err)
-	}
-	kb, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, ok := kb.Get("k")
-	if !ok || cfg.SortMB() != 400 {
-		t.Fatalf("legacy entry lost: ok=%v cfg=%s", ok, cfg)
-	}
-}
-
-func osWriteFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
-}
-
-func TestKBKeysSeparateClusters(t *testing.T) {
-	// A configuration tuned on one cluster must not be applied on a
-	// differently-named one: the key includes the cluster identity.
-	kb := NewKnowledgeBase()
-	eng1, svc1 := newServiceRig(t, ServiceOptions{Strategy: Aggressive, Seed: 3,
-		ClusterName: "homogeneous", KnowledgeBase: kb})
-	b := workload.Terasort(10, 0, 0)
-	svc1.Submit(mapreduce.Spec{Name: "x", Benchmark: b, BaseConfig: mrconf.Default()}, nil)
-	eng1.Run()
-	if kb.Len() != 1 {
-		t.Fatalf("KB entries = %d", kb.Len())
-	}
-	if _, ok := kb.Get(Key(b.Name, b.InputSizeMB, "heterogeneous")); ok {
-		t.Fatal("cross-cluster KB hit")
-	}
-	if _, ok := kb.Get(Key(b.Name, b.InputSizeMB, "homogeneous")); !ok {
-		t.Fatal("same-cluster KB miss")
 	}
 }

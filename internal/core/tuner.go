@@ -144,11 +144,11 @@ type TunerOptions struct {
 	// output stays byte-identical; other backends draw from dedicated
 	// sim.Source sub-streams ("tuner/<backend>").
 	Backend string
-	// Warm, when non-nil and usable, warm-starts both scopes' searches
-	// from a previous same-class job's outcome (see tuner.Store): the
+	// Warm, when non-nil, warm-starts each scope that has a best point
+	// from a previous same-class job's knowledge-base entry: the
 	// backend begins in its refinement phase around the stored best and
 	// issues strictly fewer test waves than a cold search.
-	Warm *tuner.Entry
+	Warm *Entry
 }
 
 // NewTuner builds a tuner for a job with the given task counts. base
@@ -214,9 +214,9 @@ func (t *Tuner) newSearch(scope mrconf.Scope, rng *rand.Rand, warm *tuner.ScopeS
 	return scopeSearch{dims: dims, opt: opt}
 }
 
-// warmScope extracts one scope's usable warm-start state from a Store
-// entry, or nil.
-func warmScope(e *tuner.Entry, scope mrconf.Scope) *tuner.ScopeState {
+// warmScope extracts one scope's usable warm-start state from a
+// knowledge-base entry, or nil.
+func warmScope(e *Entry, scope mrconf.Scope) *tuner.ScopeState {
 	if e == nil {
 		return nil
 	}
@@ -511,13 +511,14 @@ func (t *Tuner) SearchDone() bool {
 // Backend names the optimizer backend this tuner drives.
 func (t *Tuner) Backend() string { return t.backend }
 
-// ExportWarm snapshots both scopes' search states for the cross-job
-// warm-start Store. Only meaningful for aggressive tuners.
-func (t *Tuner) ExportWarm() tuner.Entry {
+// ExportWarm snapshots both scopes' search states as a knowledge-base
+// entry, the warm start for the class's next test run. Only meaningful
+// for aggressive tuners.
+func (t *Tuner) ExportWarm() Entry {
 	if t.Strategy != Aggressive {
-		return tuner.Entry{}
+		return Entry{}
 	}
-	return tuner.Entry{Map: t.mapS.opt.Export(), Reduce: t.redS.opt.Export()}
+	return Entry{Map: t.mapS.opt.Export(), Reduce: t.redS.opt.Export()}
 }
 
 // TestWaves returns the completed search wave counts per scope — the

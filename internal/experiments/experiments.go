@@ -20,7 +20,6 @@ import (
 	"repro/internal/mrconf"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/tuner"
 	"repro/internal/workload"
 	"repro/internal/yarn"
 )
@@ -76,10 +75,11 @@ type Env struct {
 	// committed figures); "spsa" and "tpe" are the alternatives the
 	// tournament compares. See tuner.Backends().
 	Backend string
-	// WarmStore, when non-nil, closes the cross-job learning loop:
+	// KB, when non-nil, closes the cross-job learning loop:
 	// AggressiveTestRun warm-starts each job from its class's stored
-	// search state and feeds the outcome back afterwards.
-	WarmStore *tuner.Store
+	// search state and deposits its best configuration and search
+	// state afterwards.
+	KB *core.KnowledgeBase
 	// Cells runs the continuous-serving legs on the rack-cell
 	// partition (see StreamSpec.Parallel). False keeps the
 	// whole-cluster partition the committed figures pin.
@@ -155,22 +155,24 @@ func (e Env) ArmFaults(r *Rig, spec *mapreduce.Spec) {
 
 // AggressiveTestRun runs one expedited test run with the aggressive
 // tuner and returns the tuner (for BestConfig) and the run result.
-// With a WarmStore it first consults the job's class entry for a warm
-// start and afterwards feeds the search outcome back into the store.
+// With a KB it first consults the job's class entry for a warm start
+// and afterwards deposits the best configuration and search state.
 func (e Env) AggressiveTestRun(b workload.Benchmark) (*core.Tuner, mapreduce.Result) {
 	opts := core.TunerOptions{Strategy: core.Aggressive, Seed: e.Seed, Backend: e.Backend}
 	var key string
-	if e.WarmStore != nil {
-		key = tuner.Key(b.Name, b.InputSizeMB)
-		if ent, ok := e.WarmStore.Get(key); ok && ent.Usable() {
-			w := ent
-			opts.Warm = &w
+	if e.KB != nil {
+		key = core.Key(b.Name, b.InputSizeMB)
+		if ent, ok := e.KB.Get(key); ok {
+			opts.Warm = &ent
 		}
 	}
 	tn := core.NewTuner(b.Name, b.NumMaps, b.NumReduces, mrconf.Default(), opts)
 	res := e.RunOne(b, mrconf.Default(), tn)
-	if e.WarmStore != nil {
-		e.WarmStore.Update(key, tn.ExportWarm())
+	if e.KB != nil {
+		ent := tn.ExportWarm()
+		best := tn.BestConfig()
+		ent.Config = &best
+		e.KB.Update(key, ent)
 	}
 	return tn, res
 }
@@ -623,11 +625,7 @@ func (e Env) Amortization(b workload.Benchmark, runs int) []AmortizationRow {
 	defDur := e.RunOne(b, mrconf.Default(), nil).Duration
 
 	tuner, test := e.AggressiveTestRun(b)
-	best := tuner.BestConfig()
-	kb := core.NewKnowledgeBase()
-	kb.Put(core.Key(b.Name, b.InputSizeMB, "paper-19node"), best)
-	cfg, _ := kb.Get(core.Key(b.Name, b.InputSizeMB, "paper-19node"))
-	tunedDur := e.RunOne(b, cfg, nil).Duration
+	tunedDur := e.RunOne(b, tuner.BestConfig(), nil).Duration
 
 	consTuner := core.NewTuner(b.Name, b.NumMaps, b.NumReduces, mrconf.Default(),
 		core.TunerOptions{Strategy: core.Conservative, Seed: e.Seed})

@@ -12,7 +12,6 @@ import (
 	"repro/internal/mrconf"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/tuner"
 	"repro/internal/workload"
 	"repro/internal/yarn"
 )
@@ -94,7 +93,7 @@ type StreamSpec struct {
 	Tuned bool
 
 	// WarmStart (requires Tuned) switches the per-job tuner to the
-	// aggressive strategy backed by a shared cross-job tuner.Store:
+	// aggressive strategy backed by a private core.KnowledgeBase:
 	// each job consults its class's stored search state for a warm
 	// start and feeds its outcome back on completion, so later jobs of
 	// a class issue strictly fewer test waves than the first. Warm
@@ -105,9 +104,6 @@ type StreamSpec struct {
 	// Backend names the optimizer backend for WarmStart runs ("" =
 	// "hill"); see tuner.Backends().
 	Backend string
-	// Store is the shared warm-start store; nil allocates a private
-	// one. Pass a store to persist learning across stream runs.
-	Store *tuner.Store
 
 	// Sink, when non-nil, additionally receives every trace event
 	// (tee'd with the internal stats sink).
@@ -293,16 +289,13 @@ func RunStream(spec StreamSpec) StreamResult {
 		return len(classes) - 1
 	}
 
-	var store *tuner.Store
+	var kb *core.KnowledgeBase
 	if spec.Tuned && spec.WarmStart {
-		store = spec.Store
-		if store == nil {
-			store = tuner.NewStore()
-		}
+		kb = core.NewKnowledgeBase()
 	}
 
 	res := StreamResult{}
-	if store != nil {
+	if kb != nil {
 		res.ClassWaves = make(map[string][]int)
 	}
 	submit := func(i int, t float64) {
@@ -321,15 +314,14 @@ func RunStream(spec StreamSpec) StreamResult {
 			var tun *core.Tuner
 			var warmKey string
 			if spec.Tuned {
-				if store != nil {
+				if kb != nil {
 					// Aggressive warm-start path: per-job tuner seeded from
 					// the class's best-known search state.
-					warmKey = tuner.Key(cl.Bench.Name, cl.Bench.InputSizeMB)
+					warmKey = core.Key(cl.Bench.Name, cl.Bench.InputSizeMB)
 					opts := core.TunerOptions{Strategy: core.Aggressive,
 						Seed: spec.Seed + uint64(i), Backend: spec.Backend}
-					if ent, ok := store.Get(warmKey); ok && ent.Usable() {
-						w := ent
-						opts.Warm = &w
+					if ent, ok := kb.Get(warmKey); ok {
+						opts.Warm = &ent
 					}
 					tun = core.NewTuner(name, cl.Bench.NumMaps, cl.Bench.NumReduces, base, opts)
 				} else {
@@ -355,8 +347,8 @@ func RunStream(spec StreamSpec) StreamResult {
 				if tun == nil {
 					return
 				}
-				if store != nil {
-					store.Update(warmKey, tun.ExportWarm())
+				if kb != nil {
+					kb.Update(warmKey, tun.ExportWarm())
 					mw, rw := tun.TestWaves()
 					res.ClassWaves[cl.Bench.Name] = append(res.ClassWaves[cl.Bench.Name], mw+rw)
 				} else {

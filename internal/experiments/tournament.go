@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/tuner"
 	"repro/internal/workload"
@@ -105,9 +106,9 @@ func (e Env) Tournament(spec TournamentSpec) []TournamentRow {
 func (e Env) tournamentCell(b workload.Benchmark, backend string, fspec *faults.Spec) TournamentRow {
 	row := TournamentRow{Bench: b.Name, Backend: backend}
 
-	// Clean leg, feeding a private store for the warm leg below.
-	store := tuner.NewStore()
-	clean := Env{Seed: e.Seed, Backend: backend, WarmStore: store}
+	// Clean leg, feeding a private knowledge base for the warm leg below.
+	kb := core.NewKnowledgeBase()
+	clean := Env{Seed: e.Seed, Backend: backend, KB: kb}
 	tn, test := clean.AggressiveTestRun(b)
 	row.TestRunDur = test.Duration
 	row.TunedDur = clean.RunOne(b, tn.BestConfig(), nil).Duration
@@ -127,8 +128,8 @@ func (e Env) tournamentCell(b workload.Benchmark, backend string, fspec *faults.
 	row.ChurnFailed = ctest.Failed || crun.Failed
 
 	// Warm leg: a later job of the same class, different seed, seeded
-	// from the clean leg's store entry.
-	warm := Env{Seed: e.Seed + 1, Backend: backend, WarmStore: store}
+	// from the clean leg's knowledge-base entry.
+	warm := Env{Seed: e.Seed + 1, Backend: backend, KB: kb}
 	wtn, wtest := warm.AggressiveTestRun(b)
 	wmw, wrw := wtn.TestWaves()
 	row.WarmWaves = wmw + wrw
