@@ -10,6 +10,7 @@ package yarn
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cluster"
 	"repro/internal/metrics"
@@ -196,8 +197,12 @@ type ResourceManager struct {
 	// While every constrained request is still inside its delay-
 	// scheduling window, a node with no preference pointing at it (or
 	// at its rack, once rack-eligible) cannot receive a placement, and
-	// the sweep skips it without consulting the scheduler.
+	// the sweep skips it without consulting the scheduler. prefBits has
+	// bit id set exactly where prefNode[id] > 0, so while only preferred
+	// nodes can place, the sweep jumps between set bits instead of
+	// visiting every node.
 	prefNode      []int
+	prefBits      []uint64
 	prefRack      []int
 	unconstrained int
 	// retryAt is the expiry of the latest scheduled relax-retry wakeup
@@ -301,6 +306,7 @@ func newResourceManager(eng *sim.Engine, c *cluster.Cluster, sched Scheduler,
 	rm.blacklisted = make([]bool, n)
 	rm.nodeFailures = make([]int, n)
 	rm.prefNode = make([]int, n)
+	rm.prefBits = make([]uint64, (n+63)/64)
 	rm.prefRack = make([]int, len(c.Racks))
 	rm.kickFn = func() {
 		rm.assigning = false
@@ -475,9 +481,50 @@ func (rm *ResourceManager) indexRequest(req *Request, delta int) {
 		return
 	}
 	for _, n := range req.PreferredNodes {
-		rm.prefNode[n.ID-rm.baseID] += delta
+		id := n.ID - rm.baseID
+		rm.prefNode[id] += delta
+		switch {
+		case delta > 0 && rm.prefNode[id] == 1:
+			rm.prefBits[id>>6] |= 1 << (id & 63)
+		case delta < 0 && rm.prefNode[id] == 0:
+			rm.prefBits[id>>6] &^= 1 << (id & 63)
+		}
 		rm.prefRack[n.Rack] += delta
 	}
+}
+
+// nextPreferred returns the least sweep offset j >= i whose node,
+// rm.nodes[(rm.assignCur+j) mod n], has a pending request preferring
+// it, or n when no such node is left before the sweep wraps back to
+// the cursor.
+func (rm *ResourceManager) nextPreferred(i int) int {
+	n, cur := len(rm.nodes), rm.assignCur
+	if cur+i < n {
+		if q := rm.nextPrefBit(cur+i, n); q < n {
+			return q - cur
+		}
+		i = n - cur // continue at node 0, past the wrap
+	}
+	// Positions 0..cur-1 are offsets n-cur..n-1; none found gives n.
+	return rm.nextPrefBit(cur+i-n, cur) + n - cur
+}
+
+// nextPrefBit returns the first node position in [from, to) whose
+// prefBits bit is set, or to when there is none.
+func (rm *ResourceManager) nextPrefBit(from, to int) int {
+	if from >= to {
+		return to
+	}
+	w := from >> 6
+	word := rm.prefBits[w] &^ (1<<(from&63) - 1)
+	for word == 0 {
+		w++
+		if w<<6 >= to {
+			return to
+		}
+		word = rm.prefBits[w]
+	}
+	return min(w<<6+bits.TrailingZeros64(word), to)
 }
 
 // oldestConstrainedEnqueue returns the enqueue time of the oldest
@@ -561,8 +608,22 @@ func (rm *ResourceManager) assign() {
 					// a 10k-node cluster from O(nodes) into O(1).
 					break
 				}
-				node := rm.nodes[(rm.assignCur+i)%n]
-				nid := node.ID - rm.baseID
+				if rm.unconstrained == 0 && !offRackEligible && !rackEligible {
+					// Only preferred nodes can place (the skip below):
+					// jump straight to the next one. Every node jumped
+					// over is one the body would `continue` on, so the
+					// checks below see the same nodes in the same order.
+					if i = rm.nextPreferred(i); i == n {
+						break
+					}
+				}
+				// Managed node IDs are contiguous from baseID, so the
+				// sweep position is the dense index.
+				nid := rm.assignCur + i
+				if nid >= n {
+					nid -= n
+				}
+				node := rm.nodes[nid]
 				if rm.nodeDown[nid] || (rm.blacklisted[nid] && !ignoreBlacklist) {
 					continue
 				}
@@ -597,22 +658,13 @@ func (rm *ResourceManager) assign() {
 		}
 	}
 	pass(true, 0)
-	if !placedAny && rm.NodeFilter != nil && rm.hasPending() {
+	if !placedAny && rm.NodeFilter != nil && rm.totalPending > 0 {
 		// Nothing placed on acceptable nodes: requests that have waited
 		// past the fallback delay may take a hot node rather than
 		// stall the job.
 		pass(false, rm.HotSpotFallbackDelay)
 	}
 	rm.scheduleRelaxRetry()
-}
-
-func (rm *ResourceManager) hasPending() bool {
-	for _, app := range rm.apps {
-		if len(app.pending) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // scheduleRelaxRetry arranges another assignment pass when a pending

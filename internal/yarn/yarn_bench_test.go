@@ -69,9 +69,10 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 	eng.Run()
 }
 
-// TestPlacementHotPathAllocationFree pins the allocation behavior the
-// PR's free-capacity index bought: the per-node, per-pass placement
-// queries and the coalesced relax-retry re-check must not allocate.
+// TestPlacementHotPathAllocationFree pins the allocation behavior of
+// the placement hot path: the per-node, per-pass placement queries,
+// the coalesced relax-retry re-check and the preferred-node bitset
+// sweep must not allocate.
 func TestPlacementHotPathAllocationFree(t *testing.T) {
 	eng, c, rm := newRMQuiet(FIFOScheduler{})
 	app := rm.Submit("alloc", 1)
@@ -110,4 +111,58 @@ func TestPlacementHotPathAllocationFree(t *testing.T) {
 	if rm.RetryWakeupsScheduled() != 1 {
 		t.Fatalf("coalesced calls scheduled more wakeups: %d", rm.RetryWakeupsScheduled())
 	}
+	// The preferred-node bitset scan, alone and as a whole sweep: only
+	// node-local demand is pending and none of it fits, so assign jumps
+	// to the one preferred node and places nothing.
+	if a := testing.AllocsPerRun(100, func() { rm.nextPreferred(0) }); a != 0 {
+		t.Errorf("nextPreferred allocates %v per run, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { rm.assign() }); a != 0 {
+		t.Errorf("preferred-only assign allocates %v per run, want 0", a)
+	}
+}
+
+// BenchmarkAssignSparseLocality is the serving day's YARN shape: a
+// 10,016-node cluster (313 racks of 32) where every request is
+// node-local to the up-to-3 replica holders of its split, so each
+// sweep may place on only a handful of nodes. It measures one request
+// through placement and release with 64 in flight.
+func BenchmarkAssignSparseLocality(b *testing.B) {
+	eng := sim.NewEngine()
+	racks := make([]int, 313)
+	for i := range racks {
+		racks[i] = 32
+	}
+	cfg := cluster.PaperConfig()
+	cfg.RackSizes = racks
+	c := cluster.New(eng, cfg)
+	rm := NewResourceManager(eng, c, FairScheduler{})
+	app := rm.Submit("local", 1)
+	n := len(c.Nodes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	done := 0
+	var launch func(k int)
+	launch = func(k int) {
+		first := (k * 7919) % n
+		app.Request(&Request{
+			Resource: Resource{MemMB: 1024, VCores: 2},
+			// Replica holders: one node, a second on another rack,
+			// and a third beside it (HDFS's default placement).
+			PreferredNodes: []*cluster.Node{c.Nodes[first], c.Nodes[(first+4099)%n], c.Nodes[(first+4100)%n]},
+			OnAllocate: func(cont *Container) {
+				eng.After(0.25, func() {
+					rm.Release(cont)
+					done++
+					if done < b.N {
+						launch(done)
+					}
+				})
+			},
+		})
+	}
+	for i := 0; i < 64 && i < b.N; i++ {
+		launch(i)
+	}
+	eng.Run()
 }

@@ -1,6 +1,7 @@
 package yarn
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -352,9 +353,32 @@ func TestDelayedLocalityRelaxation(t *testing.T) {
 	}
 }
 
+// indexConsistent reports whether the RM's pending counters agree with
+// its pending lists: totalPending is the sum of the apps' pending
+// lengths, and prefBits has exactly one bit per node that a pending
+// request prefers.
+func indexConsistent(rm *ResourceManager) bool {
+	pending := 0
+	for _, app := range rm.apps {
+		pending += len(app.pending)
+	}
+	preferred, set := 0, 0
+	for _, c := range rm.prefNode {
+		if c > 0 {
+			preferred++
+		}
+	}
+	for _, w := range rm.prefBits {
+		set += bits.OnesCount64(w)
+	}
+	return pending == rm.totalPending && preferred == set
+}
+
 // Property: under random request/release/cancel churn, allocated
-// memory and vcores never exceed any node's capacity, and accounting
-// returns to zero when everything is released.
+// memory and vcores never exceed any node's capacity, the pending
+// counters and the preferred-node bitset stay consistent with the
+// pending lists, and accounting returns to zero when everything is
+// released.
 func TestYarnChurnProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -362,34 +386,46 @@ func TestYarnChurnProperty(t *testing.T) {
 		apps := []*App{rm.Submit("a", 1), rm.Submit("b", 2)}
 		var live []*Container
 		shapes := []Resource{{MemMB: 512, VCores: 1}, {MemMB: 1024, VCores: 2}, {MemMB: 2048, VCores: 4}}
+		ok := true
 		n := 30 + rng.Intn(60)
 		for i := 0; i < n; i++ {
 			at := rng.Float64() * 50
 			app := apps[rng.Intn(len(apps))]
-			shape := shapes[rng.Intn(len(shapes))]
+			req := &Request{Resource: shapes[rng.Intn(len(shapes))], OnAllocate: func(cc *Container) {
+				live = append(live, cc)
+			}}
+			for k := rng.Intn(4); k > 0; k-- {
+				req.PreferredNodes = append(req.PreferredNodes, c.Nodes[rng.Intn(len(c.Nodes))])
+			}
 			eng.At(at, func() {
-				app.Request(&Request{Resource: shape, OnAllocate: func(cc *Container) {
-					live = append(live, cc)
-				}})
+				app.Request(req)
+				ok = ok && indexConsistent(rm)
 			})
-			if rng.Intn(3) == 0 {
+			switch rng.Intn(6) {
+			case 0, 1:
 				eng.At(at+rng.Float64()*20, func() {
 					if len(live) > 0 {
 						cc := live[0]
 						live = live[1:]
 						rm.Release(cc)
 					}
+					ok = ok && indexConsistent(rm)
+				})
+			case 2:
+				eng.At(at+rng.Float64()*3, func() {
+					app.CancelRequest(req)
+					ok = ok && indexConsistent(rm)
 				})
 			}
 		}
-		// Periodic capacity audit.
-		ok := true
+		// Periodic capacity and index audit.
 		audit := eng.Tick(5, func() bool {
 			for _, node := range c.Nodes {
 				if node.Mem.Used() > node.Mem.Capacity+1e-6 {
 					ok = false
 				}
 			}
+			ok = ok && indexConsistent(rm)
 			return eng.Now() < 100
 		})
 		eng.Run()
