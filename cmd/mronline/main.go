@@ -28,13 +28,15 @@
 // of mixed-job arrivals on the 10,016-node cluster (-strategy default
 // or conservative). -cells runs it on the rack-cell partition (one
 // self-contained cell per rack); the whole-cluster default stays the
-// byte-exact figure reference.
+// byte-exact figure reference. A negative, infinite or NaN -stream, or
+// one too long to simulate, exits 2.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 	"sort"
@@ -77,6 +79,10 @@ func main() {
 	if !slices.Contains(tuner.Backends(), *tunerName) {
 		fmt.Fprintf(os.Stderr, "unknown -tuner backend %q (registered: %s)\n",
 			*tunerName, strings.Join(tuner.Backends(), ", "))
+		os.Exit(2)
+	}
+	if *stream < 0 || math.IsNaN(*stream) || math.IsInf(*stream, 0) {
+		fmt.Fprintf(os.Stderr, "-stream takes 0 or a positive finite number of hours, got %v\n", *stream)
 		os.Exit(2)
 	}
 
@@ -237,6 +243,10 @@ func runStream(env experiments.Env, hours float64, strategy string, cells, asJSO
 		spec.Parallel = 1
 	}
 	spec.Faults = env.FaultSpec
+	if err := spec.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	res := experiments.RunStream(spec)
 	if asJSON {
 		enc := json.NewEncoder(os.Stdout)

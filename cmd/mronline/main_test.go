@@ -81,6 +81,18 @@ func TestKBSaveFailureExits1(t *testing.T) {
 	}
 }
 
+// TestBadStreamExits2: -stream takes 0 or a positive finite number of
+// hours; anything else, or a horizon the arrival process rejects, is a
+// one-line usage error rather than a panic or a silent single-job run.
+func TestBadStreamExits2(t *testing.T) {
+	for _, hours := range []string{"Inf", "NaN", "-1", "1e306"} {
+		msg, code := mronline(t, "-stream", hours)
+		if code != 2 || strings.Count(msg, "\n") != 1 || strings.Contains(msg, "goroutine ") {
+			t.Fatalf("-stream %s: exit %d, stderr %q; want 2 and one line", hours, code, msg)
+		}
+	}
+}
+
 // An entry with search state but no configuration is a warm start for
 // aggressive runs, not a configuration for -strategy kb.
 func TestKBSearchOnlyEntryIsNotAHit(t *testing.T) {

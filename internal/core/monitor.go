@@ -47,39 +47,6 @@ func NewMonitor(numMaps, numReduces int) *Monitor {
 	return &Monitor{numMaps: numMaps, numReduces: numReduces}
 }
 
-// Reset re-targets the monitor at a fresh job, forgetting every
-// observation while keeping the report slices' and samples' capacity —
-// the recycling hook the continuous-serving path uses so per-job
-// monitor state stops growing with the number of jobs ever run.
-func (m *Monitor) Reset(numMaps, numReduces int) {
-	m.numMaps, m.numReduces = numMaps, numReduces
-	m.mapReports = resetReports(m.mapReports)
-	m.reduceReports = resetReports(m.reduceReports)
-	m.tmaxMap, m.tmaxReduce = 0, 0
-	m.mapOutMB.Reset()
-	m.mapRawMB.Reset()
-	m.mapMemUtil.Reset()
-	m.mapCPUUtil.Reset()
-	m.mapSpillRat.Reset()
-	m.redInMB.Reset()
-	m.redMemUtil.Reset()
-	m.redCPUUtil.Reset()
-	m.redSpillRat.Reset()
-	m.mapDurations.Reset()
-	m.redDurations.Reset()
-	m.mapWS.Reset()
-	m.redWS.Reset()
-}
-
-// resetReports zeroes the retained reports (each Config points at a
-// parameter array) and keeps the backing array.
-func resetReports(rs []mapreduce.TaskReport) []mapreduce.TaskReport {
-	for i := range rs {
-		rs[i] = mapreduce.TaskReport{}
-	}
-	return rs[:0]
-}
-
 // Observe ingests one task report.
 func (m *Monitor) Observe(r mapreduce.TaskReport) {
 	d := r.Duration()

@@ -230,37 +230,6 @@ func warmScope(e *Entry, scope mrconf.Scope) *tuner.ScopeState {
 	return &s
 }
 
-// Reset re-targets the tuner at a fresh job, reusing the monitor's
-// sample buffers and the tuner's maps instead of allocating new ones —
-// the recycling hook for serving many jobs of the same class with one
-// tuner. The RNG stream continues rather than reseeding, which keeps a
-// same-seed job stream deterministic (the k-th job always sees the
-// same draws). Strategy, black-box mode, and cost weights carry over.
-func (t *Tuner) Reset(jobName string, numMaps, numReduces int, base mrconf.Config) {
-	t.mon.Reset(numMaps, numReduces)
-	t.dc = NewDynamicConfigurator()
-	t.base = base
-	t.jobName = jobName
-	t.numMaps = numMaps
-	t.numReduces = numReduces
-	clear(t.assignments)
-	if t.Strategy == Aggressive {
-		// Fresh cold searches (a recycled tuner serves a new job; warm
-		// starts are a per-job construction-time decision), reusing the
-		// wave buffers' capacity.
-		mapBuf, redBuf := t.mapS.waveBuf[:0], t.redS.waveBuf[:0]
-		t.mapS = t.newSearch(mrconf.ScopeMap, t.mapRNG, nil)
-		t.redS = t.newSearch(mrconf.ScopeReduce, t.redRNG, nil)
-		t.mapS.waveBuf, t.redS.waveBuf = mapBuf, redBuf
-		return
-	}
-	t.cons = consState{
-		mapVcores: base.MapVcores(),
-		redVcores: base.ReduceVcores(),
-		parCopies: base.ParallelCopies(),
-	}
-}
-
 // Monitor exposes the tuner's monitor (for experiments and tests).
 func (t *Tuner) Monitor() *Monitor { return t.mon }
 

@@ -87,23 +87,9 @@ type StreamSpec struct {
 	// Classes is the job mix; nil means DefaultStreamClasses().
 	Classes []StreamClass
 
-	// Tuned attaches a per-job MRONLINE conservative tuner to every
+	// Tuned attaches a fresh MRONLINE conservative tuner to every
 	// submission (the fast-single-run use case applied fleet-wide).
-	// Tuner objects are recycled across jobs via core.Tuner.Reset.
 	Tuned bool
-
-	// WarmStart (requires Tuned) switches the per-job tuner to the
-	// aggressive strategy backed by a private core.KnowledgeBase:
-	// each job consults its class's stored search state for a warm
-	// start and feeds its outcome back on completion, so later jobs of
-	// a class issue strictly fewer test waves than the first. Warm
-	// tuners are built per job (a warm start is a construction-time
-	// decision), not recycled. Default-off, leaving the committed
-	// conservative-stream results byte-identical.
-	WarmStart bool
-	// Backend names the optimizer backend for WarmStart runs ("" =
-	// "hill"); see tuner.Backends().
-	Backend string
 
 	// Sink, when non-nil, additionally receives every trace event
 	// (tee'd with the internal stats sink).
@@ -160,11 +146,6 @@ type StreamResult struct {
 
 	// Stats holds the per-class aggregates the run folded into.
 	Stats *trace.StatsSink
-
-	// ClassWaves records, for WarmStart runs, every job's total test
-	// waves (both scopes) per class name in completion order — the
-	// evidence that warm-started jobs issue fewer waves. Nil otherwise.
-	ClassWaves map[string][]int
 }
 
 // Report renders the deterministic aggregate summary: run totals plus
@@ -184,17 +165,44 @@ func (r *StreamResult) Report() string {
 // per rack, each with its own resource manager, namenode and stats
 // sink, so cells share no model state by construction.
 type streamCell struct {
-	rm        *yarn.ResourceManager
-	fs        *hdfs.FileSystem
-	sink      *trace.StatsSink
-	trace     trace.Sink // sink, tee'd with StreamSpec.Sink when set
-	pool      *mapreduce.Pool
-	hooks     mapreduce.FaultHooks
-	tunerFree [][]*core.Tuner // per class: Reset keeps capacity sized by task counts
+	rm    *yarn.ResourceManager
+	fs    *hdfs.FileSystem
+	sink  *trace.StatsSink
+	trace trace.Sink // sink, tee'd with StreamSpec.Sink when set
+	pool  *mapreduce.Pool
+	hooks mapreduce.FaultHooks
 
 	completed int
 	totalDur  float64
 	makespan  float64
+}
+
+// arrivals is the spec's arrival process.
+func (spec StreamSpec) arrivals() workload.ArrivalSpec {
+	return workload.ArrivalSpec{
+		MeanPerHour:      spec.MeanPerHour,
+		DiurnalAmplitude: spec.DiurnalAmplitude,
+		Horizon:          spec.HorizonSecs,
+	}
+}
+
+// Validate reports the first reason spec cannot run: a class without a
+// positive weight, a cluster without nodes, or an arrival process
+// workload.ArrivalSpec rejects.
+func (spec StreamSpec) Validate() error {
+	if spec.Classes != nil && len(spec.Classes) == 0 {
+		return fmt.Errorf("experiments: stream needs at least one class")
+	}
+	for _, cl := range spec.Classes {
+		if cl.Weight <= 0 {
+			return fmt.Errorf("experiments: stream class %s needs positive weight", cl.Bench.Name)
+		}
+	}
+	if spec.Racks <= 0 || spec.NodesPerRack <= 0 {
+		return fmt.Errorf("experiments: stream cluster needs positive racks and nodes per rack, got %d x %d",
+			spec.Racks, spec.NodesPerRack)
+	}
+	return spec.arrivals().Validate()
 }
 
 // RunStream executes one continuous-serving run to completion: every
@@ -204,17 +212,18 @@ type streamCell struct {
 // StreamSubmitDelaySecs after the arrival. Per-cell results fold in
 // cell order after the drain. The default is the whole-cluster
 // partition the figure pipeline pins; Parallel > 0 selects the
-// rack-cell partition (see StreamSpec.Parallel).
+// rack-cell partition (see StreamSpec.Parallel). It panics with
+// Validate's error on an invalid spec.
 func RunStream(spec StreamSpec) StreamResult {
+	if err := spec.Validate(); err != nil {
+		panic(err)
+	}
 	classes := spec.Classes
 	if classes == nil {
 		classes = DefaultStreamClasses()
 	}
 	totalWeight := 0
 	for _, cl := range classes {
-		if cl.Weight <= 0 {
-			panic(fmt.Sprintf("experiments: stream class %s needs positive weight", cl.Bench.Name))
-		}
 		totalWeight += cl.Weight
 	}
 	rackCells := spec.Parallel > 0
@@ -246,9 +255,8 @@ func RunStream(spec StreamSpec) StreamResult {
 	cells := make([]*streamCell, nCells)
 	for r := range cells {
 		cell := &streamCell{
-			sink:      trace.NewStatsSink(),
-			pool:      mapreduce.NewPool(),
-			tunerFree: make([][]*core.Tuner, len(classes)),
+			sink: trace.NewStatsSink(),
+			pool: mapreduce.NewPool(),
 		}
 		cell.trace = cell.sink
 		if spec.Sink != nil {
@@ -289,45 +297,22 @@ func RunStream(spec StreamSpec) StreamResult {
 		return len(classes) - 1
 	}
 
-	var kb *core.KnowledgeBase
-	if spec.Tuned && spec.WarmStart {
-		kb = core.NewKnowledgeBase()
-	}
-
 	res := StreamResult{}
-	if kb != nil {
-		res.ClassWaves = make(map[string][]int)
-	}
 	submit := func(i int, t float64) {
 		if spec.MaxJobs > 0 && res.Jobs >= spec.MaxJobs {
 			return
 		}
 		res.Jobs++
-		ci := pickClass()
-		cl := classes[ci]
+		cl := classes[pickClass()]
 		cell := cells[(res.Jobs-1)%len(cells)]
 		// Name, class, and tuner seed are all fixed here at arrival; run
 		// only touches its cell's state.
 		name := fmt.Sprintf("%s-%05d", cl.Bench.Name, i)
 		run := func() {
 			var ctrl mapreduce.Controller
-			var tun *core.Tuner
-			var warmKey string
 			if spec.Tuned {
-				if kb != nil {
-					// Aggressive warm-start path: per-job tuner seeded from
-					// the class's best-known search state.
-					warmKey = core.Key(cl.Bench.Name, cl.Bench.InputSizeMB)
-					opts := core.TunerOptions{Strategy: core.Aggressive,
-						Seed: spec.Seed + uint64(i), Backend: spec.Backend}
-					if ent, ok := kb.Get(warmKey); ok {
-						opts.Warm = &ent
-					}
-					tun = core.NewTuner(name, cl.Bench.NumMaps, cl.Bench.NumReduces, base, opts)
-				} else {
-					tun = cell.getTuner(ci, name, cl.Bench, base, spec.Seed, i)
-				}
-				ctrl = tun
+				ctrl = core.NewTuner(name, cl.Bench.NumMaps, cl.Bench.NumReduces, base,
+					core.TunerOptions{Strategy: core.Conservative, Seed: spec.Seed + uint64(i)})
 			}
 			mapreduce.Submit(cell.rm, cell.fs, mapreduce.Spec{
 				Name:                 name,
@@ -344,16 +329,6 @@ func RunStream(spec StreamSpec) StreamResult {
 				if now := eng.Now(); now > cell.makespan {
 					cell.makespan = now
 				}
-				if tun == nil {
-					return
-				}
-				if kb != nil {
-					kb.Update(warmKey, tun.ExportWarm())
-					mw, rw := tun.TestWaves()
-					res.ClassWaves[cl.Bench.Name] = append(res.ClassWaves[cl.Bench.Name], mw+rw)
-				} else {
-					cell.tunerFree[ci] = append(cell.tunerFree[ci], tun)
-				}
 			})
 		}
 		if rackCells {
@@ -363,12 +338,7 @@ func RunStream(spec StreamSpec) StreamResult {
 		}
 	}
 
-	_, err := workload.ScheduleArrivals(eng, src.Sub("stream"), workload.ArrivalSpec{
-		MeanPerHour:      spec.MeanPerHour,
-		DiurnalAmplitude: spec.DiurnalAmplitude,
-		Horizon:          spec.HorizonSecs,
-	}, submit)
-	if err != nil {
+	if _, err := workload.ScheduleArrivals(eng, src.Sub("stream"), spec.arrivals(), submit); err != nil {
 		panic(err)
 	}
 	eng.Run()
@@ -395,17 +365,4 @@ func RunStream(spec StreamSpec) StreamResult {
 	res.Events = eng.Processed()
 	res.SinkEvents = stats.EventCount()
 	return res
-}
-
-func (cell *streamCell) getTuner(ci int, name string, b workload.Benchmark,
-	base mrconf.Config, seed uint64, seq int) *core.Tuner {
-	if n := len(cell.tunerFree[ci]); n > 0 {
-		tu := cell.tunerFree[ci][n-1]
-		cell.tunerFree[ci][n-1] = nil
-		cell.tunerFree[ci] = cell.tunerFree[ci][:n-1]
-		tu.Reset(name, b.NumMaps, b.NumReduces, base)
-		return tu
-	}
-	return core.NewTuner(name, b.NumMaps, b.NumReduces, base,
-		core.TunerOptions{Strategy: core.Conservative, Seed: seed + uint64(seq)})
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -121,7 +122,7 @@ func TestStreamSmokeThreeSeeds(t *testing.T) {
 }
 
 // TestStreamTunedRuns exercises the fleet-wide per-job MRONLINE leg:
-// tuners attach to every submission, recycle across jobs, and the run
+// a fresh conservative tuner attaches to every submission, and the run
 // still drains deterministically.
 func TestStreamTunedRuns(t *testing.T) {
 	spec := smallStreamSpec(11)
@@ -133,6 +134,44 @@ func TestStreamTunedRuns(t *testing.T) {
 	}
 	if a.Report() != b.Report() {
 		t.Fatalf("tuned stream is not deterministic:\n%s\nvs\n%s", a.Report(), b.Report())
+	}
+}
+
+// TestStreamSpecValidate: the default spec and the test-scale spec are
+// valid, and each out-of-range field is rejected by Validate and by
+// RunStream (with Validate's error) before any simulation starts.
+func TestStreamSpecValidate(t *testing.T) {
+	for _, ok := range []StreamSpec{DefaultStreamSpec(1), smallStreamSpec(1)} {
+		if err := ok.Validate(); err != nil {
+			t.Fatalf("valid spec rejected: %v", err)
+		}
+	}
+	bad := map[string]func(*StreamSpec){
+		"zero weight":   func(s *StreamSpec) { s.Classes = []StreamClass{{Weight: 0, Bench: DefaultStreamClasses()[0].Bench}} },
+		"no classes":    func(s *StreamSpec) { s.Classes = []StreamClass{} },
+		"no racks":      func(s *StreamSpec) { s.Racks = 0 },
+		"no nodes":      func(s *StreamSpec) { s.NodesPerRack = -1 },
+		"inf horizon":   func(s *StreamSpec) { s.HorizonSecs = math.Inf(1) },
+		"nan horizon":   func(s *StreamSpec) { s.HorizonSecs = math.NaN() },
+		"zero rate":     func(s *StreamSpec) { s.MeanPerHour = 0 },
+		"amplitude > 1": func(s *StreamSpec) { s.DiurnalAmplitude = 1.5 },
+	}
+	for name, mutate := range bad {
+		spec := smallStreamSpec(1)
+		mutate(&spec)
+		err := spec.Validate()
+		if err == nil {
+			t.Errorf("%s: Validate accepted the spec", name)
+			continue
+		}
+		func() {
+			defer func() {
+				if r, ok := recover().(error); !ok || r.Error() != err.Error() {
+					t.Errorf("%s: RunStream panicked with %v, want Validate's %v", name, r, err)
+				}
+			}()
+			RunStream(spec)
+		}()
 	}
 }
 

@@ -71,73 +71,3 @@ func TestTournamentDeterministic(t *testing.T) {
 		t.Fatalf("same-seed tournaments differ:\n%+v\nvs\n%+v", a, b)
 	}
 }
-
-// TestStreamWarmStartFewerWaves drives a near-serial single-class
-// stream with WarmStart on: the first job of the class tunes cold, and
-// every later job — seeded from the store entry the first one wrote —
-// must issue strictly fewer test waves. The rack-cell leg deals the
-// jobs to different cells, which share the one store.
-func TestStreamWarmStartFewerWaves(t *testing.T) {
-	bench := workload.Terasort(60, 0, 0)
-	for _, parallel := range []int{0, 1} {
-		spec := StreamSpec{
-			Seed:         7,
-			Racks:        24,
-			NodesPerRack: 8,
-			MeanPerHour:  6, // sparse arrivals: jobs run serially, so job 2 sees job 1's store entry
-			HorizonSecs:  3 * 3600,
-			MaxJobs:      3,
-			Classes:      []StreamClass{{Weight: 1, Bench: bench}},
-			Tuned:        true,
-			WarmStart:    true,
-			Parallel:     parallel,
-		}
-		res := RunStream(spec)
-		waves := res.ClassWaves[bench.Name]
-		if len(waves) != res.Completed || len(waves) < 2 {
-			t.Fatalf("parallel=%d: ClassWaves[%s] = %v for %d completed jobs", parallel, bench.Name, waves, res.Completed)
-		}
-		cold := waves[0]
-		if cold <= 0 {
-			t.Fatalf("parallel=%d: cold job completed %d waves, want > 0", parallel, cold)
-		}
-		for i, w := range waves[1:] {
-			if w >= cold {
-				t.Fatalf("parallel=%d: warm job %d issued %d waves, not fewer than the cold job's %d (all: %v)",
-					parallel, i+2, w, cold, waves)
-			}
-		}
-	}
-}
-
-// TestStreamWarmStartBackends runs the same warm-start stream under
-// every non-default backend: the plumbing (per-job tuner construction,
-// store feedback, wave accounting) must be backend-agnostic.
-func TestStreamWarmStartBackends(t *testing.T) {
-	if testing.Short() {
-		t.Skip("backend sweep in -short mode")
-	}
-	bench := workload.Terasort(60, 0, 0)
-	for _, backend := range []string{"spsa", "tpe"} {
-		spec := StreamSpec{
-			Seed:         7,
-			Racks:        24,
-			NodesPerRack: 8,
-			MeanPerHour:  6,
-			HorizonSecs:  3 * 3600,
-			MaxJobs:      2,
-			Classes:      []StreamClass{{Weight: 1, Bench: bench}},
-			Tuned:        true,
-			WarmStart:    true,
-			Backend:      backend,
-		}
-		res := RunStream(spec)
-		waves := res.ClassWaves[bench.Name]
-		if len(waves) < 2 {
-			t.Fatalf("%s: ClassWaves = %v, want 2 jobs", backend, waves)
-		}
-		if waves[1] >= waves[0] {
-			t.Fatalf("%s: warm job issued %d waves, not fewer than cold %d", backend, waves[1], waves[0])
-		}
-	}
-}

@@ -12,9 +12,8 @@ import (
 //
 //   - a node hosting a RUNNING attempt dies → the RM reclaims the
 //     container (after its liveness expiry) and taskLostNode requeues
-//     the attempt with the same configuration, like a preemption — the
-//     task did nothing wrong, so this does not count against
-//     MaxAttempts;
+//     the attempt with the same configuration — the task did nothing
+//     wrong, so this does not count against MaxAttempts;
 //   - a node holding a COMPLETED map's output dies while reducers
 //     still need that output → reducer fetches against the dead host
 //     fail and the map re-executes (nodeLost/reexecMap), reversing
@@ -122,8 +121,8 @@ func (j *Job) taskFailedFault(t *Task, detail string) {
 }
 
 // taskLostNode handles a container whose host was declared lost by the
-// RM: like a preemption, the attempt's work is discarded and the task
-// requeued with the same configuration, with no MaxAttempts penalty.
+// RM: the attempt's work is discarded and the task requeued with the
+// same configuration, with no MaxAttempts penalty.
 func (j *Job) taskLostNode(t *Task) {
 	if j.finished || t.killed || t.State == TaskSucceeded || t.logical().logicalDone {
 		return

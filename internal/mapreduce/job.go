@@ -281,14 +281,12 @@ func (j *Job) requestContainerWithConfig(t *Task, cfg mrconf.Config) {
 				j.runReduce(t, c)
 			}
 		}
-		t.onPreemptCB = func(c *yarn.Container) { t.Job.taskPreempted(t) }
 		t.onNodeLostCB = func(c *yarn.Container) { t.Job.taskLostNode(t) }
 	}
 	t.req = yarn.Request{
 		Resource:       shape,
 		PreferredNodes: prefs,
 		OnAllocate:     t.onAllocCB,
-		OnPreempt:      t.onPreemptCB,
 		OnNodeLost:     t.onNodeLostCB,
 	}
 	t.pendingReq = &t.req

@@ -40,7 +40,7 @@ func (j *Job) runMap(t *Task, c *yarn.Container) {
 	att := t.Attempt
 	j.eng.After(TaskLaunchOverheadSecs, func() {
 		if t.Attempt != att {
-			return // the attempt was preempted during launch
+			return // the attempt was requeued during launch
 		}
 		j.mapMain(t)
 	})
@@ -87,7 +87,7 @@ func (j *Job) mapMain(t *Task) {
 		att := t.Attempt
 		j.eng.After(failAfter, func() {
 			if t.Attempt != att {
-				return // the attempt was already requeued (preempt/node loss)
+				return // the attempt was already requeued (node loss)
 			}
 			j.taskFailed(t, errOOM)
 		})

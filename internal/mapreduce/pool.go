@@ -88,7 +88,7 @@ func (p *Pool) recycleTask(t *Task) {
 	flows := clearSlice(t.liveFlows)
 	ops := clearSlice(t.liveOps)
 	*t = Task{liveFlows: flows, liveOps: ops,
-		onAllocCB: t.onAllocCB, onPreemptCB: t.onPreemptCB, onNodeLostCB: t.onNodeLostCB}
+		onAllocCB: t.onAllocCB, onNodeLostCB: t.onNodeLostCB}
 	p.tasks = append(p.tasks, t)
 }
 

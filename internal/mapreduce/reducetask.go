@@ -11,7 +11,7 @@ import (
 // reduceRun holds the shuffle-phase runtime state of one reducer.
 type reduceRun struct {
 	task *Task
-	// attempt pins the run to one incarnation: a preempted-and-requeued
+	// attempt pins the run to one incarnation: a requeued (node-lost)
 	// task gets a fresh reduceRun, and stale callbacks must not finish
 	// the task on the old one's behalf.
 	attempt int
@@ -47,7 +47,7 @@ func (j *Job) runReduce(t *Task, c *yarn.Container) {
 	att := t.Attempt
 	j.eng.After(TaskLaunchOverheadSecs, func() {
 		if t.Attempt != att {
-			return // the attempt was preempted during launch
+			return // the attempt was requeued during launch
 		}
 		j.reduceMain(t)
 	})
@@ -86,7 +86,7 @@ func (j *Job) reduceMain(t *Task) {
 		att := t.Attempt
 		j.eng.After(failAfter, func() {
 			if t.Attempt != att {
-				return // the attempt was already requeued (preempt/node loss)
+				return // the attempt was already requeued (node loss)
 			}
 			j.taskFailed(t, errOOM)
 		})
@@ -253,8 +253,8 @@ func (j *Job) reduceOutput(r *reduceRun, totalIn float64) {
 func (j *Job) reduceFinish(r *reduceRun, outMB float64) {
 	t := r.task
 	if t.Attempt != r.attempt {
-		// Stale incarnation: its container was already reclaimed at
-		// preemption time, and t.container now belongs to the retry.
+		// Stale incarnation: its container was already reclaimed when
+		// its node was lost, and t.container now belongs to the retry.
 		return
 	}
 	if j.finished || t.killed || t.logical().logicalDone {

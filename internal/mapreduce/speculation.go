@@ -128,38 +128,6 @@ func (t *Task) otherCopy() *Task {
 	return t.specCopy
 }
 
-// taskPreempted handles a container revoked by the resource manager's
-// fair-share preemption: the attempt's work is discarded and the task
-// re-queued with the same configuration. Unlike an OOM kill this does
-// not count against MaxAttempts — the task did nothing wrong.
-func (j *Job) taskPreempted(t *Task) {
-	if j.finished || t.killed || t.State == TaskSucceeded || t.logical().logicalDone {
-		return
-	}
-	j.cancelWork(t)
-	if t.Type == ReduceTask {
-		j.reduceMemHeld -= t.Config.ReduceMemMB()
-		j.dropActiveReducer(t)
-	}
-	t.container = nil // the RM releases the container itself
-	j.counters.Preemptions++
-	j.spec.Trace.Add(trace.Event{Time: j.eng.Now(), Job: j.Name, Kind: trace.TaskKilled,
-		TaskType: t.Type.String(), TaskID: t.ID, Attempt: t.Attempt, Detail: "preempted"})
-	if t.specOrigin != nil {
-		// A preempted speculative copy is simply dropped.
-		t.killed = true
-		t.State = TaskFailed
-		j.liveShadows--
-		t.specOrigin.specCopy = nil
-		return
-	}
-	// Invalidate any pending phase timers of the old incarnation and
-	// re-request with the same configuration.
-	t.Attempt++
-	t.State = TaskPending
-	j.requestContainerWithConfig(t, t.Config)
-}
-
 // killAttempt aborts a running or pending attempt: cancels its flows,
 // returns its container, and unregisters any reducer state. The
 // attempt's phase callbacks are inert afterwards (t.killed guards).

@@ -136,55 +136,12 @@ func TestKillAttemptReleasesResources(t *testing.T) {
 	}
 }
 
-func TestPreemptionEndToEnd(t *testing.T) {
-	// A long Terasort fills the cluster; a short job arrives later.
-	// With fair-share preemption the short job finishes much earlier,
-	// and the long job still completes with conserved counters.
-	runPair := func(preempt bool) (longDur, shortDone float64, preemptions int) {
-		eng := sim.NewEngine()
-		c := cluster.New(eng, cluster.PaperConfig())
-		rm := yarn.NewResourceManager(eng, c, yarn.FairScheduler{})
-		fs := hdfs.New(c, sim.NewSource(42).Stream("hdfs"))
-		if preempt {
-			rm.EnablePreemption(yarn.DefaultPreemption())
-		}
-		long := workload.Terasort(60, 0, 0)
-		short := workload.Terasort(2, 0, 0)
-		var longRes Result
-		Submit(rm, fs, Spec{Name: "long", Benchmark: long, BaseConfig: mrconf.Default()},
-			func(r Result) { longRes = r })
-		eng.At(30, func() {
-			Submit(rm, fs, Spec{Name: "short", Benchmark: short, BaseConfig: mrconf.Default()},
-				func(r Result) { shortDone = eng.Now() })
-		})
-		eng.Run()
-		if longRes.Failed {
-			t.Fatalf("long job failed: %v", longRes.Err)
-		}
-		checkInvariants(t, long, longRes)
-		return longRes.Duration, shortDone, longRes.Counters.Preemptions
-	}
-
-	_, shortNo, _ := runPair(false)
-	longP, shortYes, preempted := runPair(true)
-	if preempted == 0 {
-		t.Fatal("no tasks preempted")
-	}
-	if shortYes >= shortNo {
-		t.Fatalf("preemption did not help the short job: %.0fs vs %.0fs", shortYes, shortNo)
-	}
-	if longP <= 0 {
-		t.Fatal("long job broken")
-	}
-}
-
-func TestSpeculationPlusPreemption(t *testing.T) {
-	// All three mechanisms at once: stragglers (mid-job interference),
-	// speculation, and a second job triggering fair-share preemption.
+func TestSpeculationTwoJobsUnderInterference(t *testing.T) {
+	// Stragglers (mid-job interference) and speculation in two jobs
+	// sharing the cluster under fair share.
 	eng := sim.NewEngine()
 	c := cluster.New(eng, cluster.PaperConfig())
 	rm := yarn.NewResourceManager(eng, c, yarn.FairScheduler{})
-	rm.EnablePreemption(yarn.DefaultPreemption())
 	fs := hdfs.New(c, sim.NewSource(5).Stream("hdfs"))
 	eng.At(3, func() {
 		for i := 0; i < 2; i++ {
@@ -216,33 +173,6 @@ func TestSpeculationPlusPreemption(t *testing.T) {
 			t.Fatalf("node %s leaks %v MB", n.Name, n.Mem.Used())
 		}
 	}
-}
-
-func TestPreemptionWhilePending(t *testing.T) {
-	// Preempting containers while other requests are still queued must
-	// not corrupt the request bookkeeping: the preempted tasks requeue
-	// and everything completes.
-	eng := sim.NewEngine()
-	c := cluster.New(eng, cluster.PaperConfig())
-	rm := yarn.NewResourceManager(eng, c, yarn.FairScheduler{})
-	rm.EnablePreemption(yarn.PreemptionConfig{CheckInterval: 3, StarvationFraction: 0.8, MaxKillsPerRound: 8})
-	fs := hdfs.New(c, sim.NewSource(6).Stream("hdfs"))
-	a := workload.Terasort(20, 0, 0)
-	bb := workload.Terasort(20, 0, 0)
-	done := 0
-	var resA, resB Result
-	Submit(rm, fs, Spec{Name: "a", Benchmark: a, BaseConfig: mrconf.Default()},
-		func(r Result) { resA = r; done++ })
-	eng.At(10, func() {
-		Submit(rm, fs, Spec{Name: "b", Benchmark: bb, BaseConfig: mrconf.Default()},
-			func(r Result) { resB = r; done++ })
-	})
-	eng.Run()
-	if done != 2 || resA.Failed || resB.Failed {
-		t.Fatalf("done=%d failedA=%v failedB=%v", done, resA.Failed, resB.Failed)
-	}
-	checkInvariants(t, a, resA)
-	checkInvariants(t, bb, resB)
 }
 
 func TestShadowOOMDropsQuietly(t *testing.T) {

@@ -84,7 +84,6 @@ type Task struct {
 	// adopted by a later job.
 	req          yarn.Request
 	onAllocCB    func(*yarn.Container)
-	onPreemptCB  func(*yarn.Container)
 	onNodeLostCB func(*yarn.Container)
 	// liveFlows are the attempt's in-flight resource flows, canceled
 	// when a speculative twin wins.
@@ -137,7 +136,6 @@ type Counters struct {
 	SpeculativeLaunches int
 	SpeculativeWins     int
 	SpeculativeKills    int
-	Preemptions         int
 	NodeLocalMaps       int
 	RackLocalMaps       int
 	OffRackMaps         int
@@ -375,9 +373,6 @@ func (c Counters) Summary() string {
 	if c.SpeculativeLaunches > 0 {
 		fmt.Fprintf(&b, "Speculative: launched=%d won=%d killed=%d\n",
 			c.SpeculativeLaunches, c.SpeculativeWins, c.SpeculativeKills)
-	}
-	if c.Preemptions > 0 {
-		fmt.Fprintf(&b, "Preempted containers=%d\n", c.Preemptions)
 	}
 	if c.TaskFailures > 0 {
 		fmt.Fprintf(&b, "Failed task attempts=%d\n", c.TaskFailures)

@@ -98,12 +98,6 @@ func (s *Sample) Observe(v float64) {
 	s.values = append(s.values, v)
 }
 
-// Reset forgets every observation while keeping the buffers' capacity,
-// so a Sample reused across jobs stops allocating once warm.
-func (s *Sample) Reset() {
-	*s = Sample{values: s.values[:0], sorted: s.sorted[:0]}
-}
-
 // N returns the number of observations.
 func (s *Sample) N() int { return s.n }
 

@@ -198,7 +198,7 @@ func TestSamplePercentileAndValues(t *testing.T) {
 
 // Property: a Sample's incrementally sorted view gives exactly what
 // sorting the whole sample gives, bit for bit, under any interleaving
-// of Observe, Percentile and Reset — including duplicate values and the
+// of Observe and Percentile — including duplicate values and the
 // boundary percentiles.
 func TestSamplePercentileIncrementalProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -211,8 +211,6 @@ func TestSamplePercentileIncrementalProperty(t *testing.T) {
 		var s Sample
 		for op := 0; op < 400; op++ {
 			switch r := rng.Intn(20); {
-			case r == 0:
-				s.Reset()
 			case r < 6:
 				for _, p := range []float64{0, 80, 95, 100} {
 					got, want := s.Percentile(p), Percentile(s.Values(), p)
@@ -236,8 +234,7 @@ func TestSamplePercentileIncrementalProperty(t *testing.T) {
 }
 
 // TestSamplePercentileWarmAllocationFree pins the incremental view: a
-// repeated query with no new observations, and a query after a few,
-// reuse the retained buffer.
+// repeated query with no new observations reuses the retained buffer.
 func TestSamplePercentileWarmAllocationFree(t *testing.T) {
 	var s Sample
 	for i := 0; i < 500; i++ {
@@ -247,15 +244,6 @@ func TestSamplePercentileWarmAllocationFree(t *testing.T) {
 	var sink float64
 	if a := testing.AllocsPerRun(100, func() { sink += s.Percentile(95) + s.Percentile(80) }); a != 0 {
 		t.Errorf("warm Percentile allocates %v per run, want 0", a)
-	}
-	if a := testing.AllocsPerRun(10, func() {
-		s.Reset()
-		for i := 0; i < 500; i++ {
-			s.Observe(float64(i % 13))
-		}
-		sink += s.Percentile(95)
-	}); a != 0 {
-		t.Errorf("refilling a Reset sample allocates %v per run, want 0 (capacity kept)", a)
 	}
 	_ = sink
 }

@@ -48,6 +48,13 @@ func (s ArrivalSpec) withDefaults() (ArrivalSpec, error) {
 	return s, nil
 }
 
+// Validate reports the first out-of-range field of spec, the same
+// check Arrivals and ScheduleArrivals apply before generating.
+func (s ArrivalSpec) Validate() error {
+	_, err := s.withDefaults()
+	return err
+}
+
 // rate returns the instantaneous arrival rate in jobs/second at time t.
 func (s ArrivalSpec) rate(t float64) float64 {
 	base := s.MeanPerHour / 3600

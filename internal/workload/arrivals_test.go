@@ -116,6 +116,9 @@ func TestArrivalSpecValidation(t *testing.T) {
 		if _, err := Arrivals(sim.NewSource(1), spec); err == nil {
 			t.Errorf("spec %d (%+v) did not error", i, spec)
 		}
+		if spec.Validate() == nil {
+			t.Errorf("spec %d (%+v) passed Validate", i, spec)
+		}
 	}
 }
 

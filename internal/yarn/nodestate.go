@@ -46,10 +46,10 @@ func (rm *ResourceManager) onNodeState(n *cluster.Node, down bool) {
 }
 
 // declareNodeLost reclaims every live container on the node — each
-// owner is told through OnNodeLost (or OnPreempt as the fallback) and
-// the container is released — then notifies each application master so
-// it can handle node-scoped state (completed map outputs), and re-runs
-// assignment for the freed demand.
+// owner is told through OnNodeLost and the container is released —
+// then notifies each application master so it can handle node-scoped
+// state (completed map outputs), and re-runs assignment for the freed
+// demand.
 func (rm *ResourceManager) declareNodeLost(n *cluster.Node) {
 	rm.declaredLost[n.ID-rm.baseID] = true
 	// Collect first: Release rewrites liveByApp. Iterating the apps
@@ -79,11 +79,8 @@ func (rm *ResourceManager) reclaimLost(c *Container) {
 		return
 	}
 	rm.c.Faults.ContainersLost++
-	switch {
-	case c.OnNodeLost != nil:
+	if c.OnNodeLost != nil {
 		c.OnNodeLost(c)
-	case c.OnPreempt != nil:
-		c.OnPreempt(c)
 	}
 	if !c.released {
 		rm.Release(c)

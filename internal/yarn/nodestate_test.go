@@ -9,54 +9,63 @@ import (
 
 // TestNodeLossReclaimsContainers kills a node and checks the RM
 // declares it lost after the liveness expiry, releases its containers
-// through OnNodeLost, and excludes the node from placement until it
-// restarts.
+// through OnNodeLost — or silently, for a request that set none — and
+// excludes the node from placement until it restarts.
 func TestNodeLossReclaimsContainers(t *testing.T) {
-	eng, c, rm := newRM(t, FIFOScheduler{})
-	app := rm.Submit("job", 1)
+	for _, notify := range []bool{true, false} {
+		eng, c, rm := newRM(t, FIFOScheduler{})
+		app := rm.Submit("job", 1)
 
-	var got *Container
-	lost := 0
-	app.Request(&Request{
-		Resource:   Resource{MemMB: 1024, VCores: 1},
-		OnAllocate: func(cont *Container) { got = cont },
-		OnNodeLost: func(cont *Container) { lost++ },
-	})
-	eng.Run()
-	if got == nil {
-		t.Fatal("container never allocated")
-	}
+		var got *Container
+		lost, wantLost := 0, 0
+		req := &Request{
+			Resource:   Resource{MemMB: 1024, VCores: 1},
+			OnAllocate: func(cont *Container) { got = cont },
+		}
+		if notify {
+			req.OnNodeLost = func(cont *Container) { lost++ }
+			wantLost = 1
+		}
+		app.Request(req)
+		eng.Run()
+		if got == nil {
+			t.Fatalf("notify=%v: container never allocated", notify)
+		}
 
-	victim := got.Node
-	eng.At(10, func() { c.KillNode(victim) })
-	eng.Run()
+		victim := got.Node
+		eng.At(10, func() { c.KillNode(victim) })
+		eng.Run()
 
-	if lost != 1 {
-		t.Fatalf("OnNodeLost fired %d times, want 1", lost)
-	}
-	if !rm.NodeDeclaredLost(victim) {
-		t.Fatal("node not declared lost after expiry")
-	}
-	if c.Faults.ContainersLost != 1 {
-		t.Fatalf("ContainersLost = %d, want 1", c.Faults.ContainersLost)
-	}
-	if app.Running() != 0 {
-		t.Fatalf("app still running %d containers", app.Running())
-	}
+		if lost != wantLost {
+			t.Fatalf("notify=%v: OnNodeLost fired %d times, want %d", notify, lost, wantLost)
+		}
+		if !rm.NodeDeclaredLost(victim) {
+			t.Fatalf("notify=%v: node not declared lost after expiry", notify)
+		}
+		if c.Faults.ContainersLost != 1 {
+			t.Fatalf("notify=%v: ContainersLost = %d, want 1", notify, c.Faults.ContainersLost)
+		}
+		if app.Running() != 0 {
+			t.Fatalf("notify=%v: app still running %d containers", notify, app.Running())
+		}
+		if used := victim.Mem.Used(); used != 0 {
+			t.Fatalf("notify=%v: lost node still has %v MB allocated", notify, used)
+		}
 
-	// New requests must avoid the dead node.
-	var again *Container
-	app.Request(&Request{
-		Resource:       Resource{MemMB: 1024, VCores: 1},
-		PreferredNodes: []*cluster.Node{victim},
-		OnAllocate:     func(cont *Container) { again = cont },
-	})
-	eng.Run()
-	if again == nil {
-		t.Fatal("replacement container never allocated")
-	}
-	if again.Node == victim {
-		t.Fatal("replacement placed on the dead node")
+		// New requests must avoid the dead node.
+		var again *Container
+		app.Request(&Request{
+			Resource:       Resource{MemMB: 1024, VCores: 1},
+			PreferredNodes: []*cluster.Node{victim},
+			OnAllocate:     func(cont *Container) { again = cont },
+		})
+		eng.Run()
+		if again == nil {
+			t.Fatalf("notify=%v: replacement container never allocated", notify)
+		}
+		if again.Node == victim {
+			t.Fatalf("notify=%v: replacement placed on the dead node", notify)
+		}
 	}
 }
 

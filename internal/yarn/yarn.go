@@ -33,8 +33,6 @@ type Container struct {
 	Node     *cluster.Node
 	Resource Resource
 	App      *App
-	// OnPreempt is copied from the granting request.
-	OnPreempt func(*Container)
 	// OnNodeLost is copied from the granting request; see Request.
 	OnNodeLost func(*Container)
 	released   bool
@@ -56,12 +54,8 @@ type Request struct {
 	// OnAllocate runs when a container is granted. It must eventually
 	// lead to Release.
 	OnAllocate func(*Container)
-	// OnPreempt, if set, is invoked when the resource manager preempts
-	// the granted container: stop its work; the RM releases it.
-	OnPreempt func(*Container)
 	// OnNodeLost, if set, is invoked when the container's node is
 	// declared lost: the work is gone; the RM releases the container.
-	// When unset, OnPreempt is used as the fallback notification.
 	OnNodeLost func(*Container)
 
 	app      *App
@@ -209,7 +203,6 @@ type ResourceManager struct {
 	// (-1 when none); duplicate wakeups at the same instant coalesce.
 	retryAt        float64
 	retryScheduled int
-	preemptions    int
 	// SchedulingDelay adds latency between a container becoming
 	// available and the task launch, modelling heartbeat granularity.
 	SchedulingDelay float64
@@ -764,7 +757,7 @@ func (rm *ResourceManager) place(app *App, req *Request, node *cluster.Node) {
 		panic("yarn: placed request not pending")
 	}
 	cont := &Container{ID: rm.nextContID, Node: node, Resource: req.Resource, App: app,
-		OnPreempt: req.OnPreempt, OnNodeLost: req.OnNodeLost}
+		OnNodeLost: req.OnNodeLost}
 	rm.nextContID++
 	rm.liveByApp[app] = append(rm.liveByApp[app], cont)
 	app.usedMemMB += req.Resource.MemMB
