@@ -8,15 +8,20 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 const figureGoldenPath = "testdata/figure_golden.json"
 
-// TestPaperFiguresGolden pins the tuning figures of `-run all` — the
-// expedited rows of Figs 4–6 (with each row's best configuration) and
-// the single-run rows of Figs 10–12 — and the multi-tenant job-stream
-// row (JobStream(9, 30)) as the sha256 of their rows printed at full
-// precision, for DefaultEnv. A change anywhere on the
+// TestPaperFiguresGolden pins the job-running sections of `-run all` —
+// Table 3, the expedited rows of Figs 4–6 (with each row's best
+// configuration), the single-run rows of Figs 10–12, Fig 13, the
+// multi-tenant pair of Figs 14–16, the §7 test-run counts, the
+// hot-spot, straggler, amortization, fault-recovery and tournament
+// extensions, and the job-stream row (JobStream(9, 30)) — as the
+// sha256 of their rows printed at full precision, for DefaultEnv, with
+// the arguments cmd/mrexperiments passes. A change anywhere on the
 // tuner, config or simulation path that moves a figure shows up here
 // as a digest diff. Regenerate with `go test ./internal/experiments
 // -run TestPaperFiguresGolden -update` only when a behaviour change is
@@ -34,6 +39,15 @@ func TestPaperFiguresGolden(t *testing.T) {
 		{"fig11", rowsText(e.Fig11())},
 		{"fig12", rowsText(e.Fig12())},
 		{"jobstream", rowsText([]JobStreamRow{e.JobStream(9, 30)})},
+		{"table3", rowsText(e.Table3())},
+		{"fig13", rowsText(e.Fig13())},
+		{"multitenant", rowsText([]MultiTenantResult{e.MultiTenant()})},
+		{"testruns", rowsText(e.TestRunCounts(workload.Terasort(20, 0, 0), 4))},
+		{"hotspot", rowsText([]HotSpotRow{e.HotSpotStudy(4)})},
+		{"straggler", rowsText([]StragglerRow{e.StragglerStudy(3)})},
+		{"amortization", rowsText(e.Amortization(workload.Terasort(60, 0, 0), 8))},
+		{"faults", rowsText(e.FaultRecovery())},
+		{"tournament", rowsText(e.Tournament(DefaultTournamentSpec()))},
 	}
 	got := make(map[string]string, len(figs))
 	for _, fig := range figs {
