@@ -17,6 +17,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -26,7 +27,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/tuner"
 	"repro/internal/workload"
-	"repro/internal/yarn"
 )
 
 func main() {
@@ -45,6 +45,23 @@ func main() {
 
 	if err := validBackend(*tunerName); err != nil {
 		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	all := []string{"table2", "table3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
+		"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "testruns",
+		"hotspot", "straggler", "amortization", "stream", "faults", "tournament"}
+	ids := strings.Split(*run, ",")
+	if *run == "all" {
+		ids = all
+	}
+	for _, id := range ids {
+		if !slices.Contains(all, id) {
+			fmt.Fprintf(os.Stderr, "unknown artifact %q\n", id)
+			os.Exit(2)
+		}
+	}
+	if *cells && (*htmlPath != "" || !slices.Contains(ids, "stream")) {
+		fmt.Fprintln(os.Stderr, "-cells applies only to the continuous-serving legs of -run stream")
 		os.Exit(2)
 	}
 
@@ -122,23 +139,9 @@ func main() {
 		saveKB()
 		return
 	}
-	ids := strings.Split(*run, ",")
-	if *run == "all" {
-		ids = []string{"table2", "table3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-			"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "testruns",
-			"hotspot", "straggler", "amortization", "stream", "faults", "tournament"}
-	}
-
 	// Expedited results back Figs 4-9; compute each set once.
 	var exp4, exp5, exp6 []experiments.ExpeditedRow
-	need := func(id string) bool {
-		for _, want := range ids {
-			if want == id {
-				return true
-			}
-		}
-		return false
-	}
+	need := func(id string) bool { return slices.Contains(ids, id) }
 	testbed := false
 	for _, id := range ids {
 		testbed = testbed || (id != "table2" && id != "table3" && id != "stream")
@@ -205,9 +208,6 @@ func main() {
 			faultRecovery(env)
 		case "tournament":
 			tournament(env)
-		default:
-			fmt.Fprintf(os.Stderr, "unknown artifact %q\n", id)
-			os.Exit(2)
 		}
 	}
 	saveKB()
@@ -218,22 +218,9 @@ func main() {
 // cluster of the stream artifact, and the paper testbed of every job
 // artifact.
 func checkFaultNodes(env experiments.Env, stream, testbed bool) {
-	if env.FaultSpec == nil {
-		return
-	}
-	var workers []int
-	if stream {
-		s := experiments.DefaultStreamSpec(env.Seed)
-		workers = append(workers, s.Racks*s.NodesPerRack)
-	}
-	if testbed {
-		workers = append(workers, len(env.NewRig(yarn.FIFOScheduler{}).C.Nodes))
-	}
-	for _, n := range workers {
-		if err := env.FaultSpec.CheckNodes(n); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+	if err := env.CheckFaultNodes(stream, testbed); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 }
 

@@ -24,6 +24,11 @@
 // selects the search backend the aggressive test run uses (hill, spsa,
 // or tpe).
 //
+// -compare runs default, offline, conservative and aggressive and
+// prints one comparison table; it exits 2 when combined with a per-run
+// output flag (-trace, -gantt, -explain, -counters, -json,
+// -speculation).
+//
 // -stream <hours> switches to the continuous-serving workload: hours
 // of mixed-job arrivals on the 10,016-node cluster (-strategy default
 // or conservative). -cells runs it on the rack-cell partition (one
@@ -51,7 +56,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/tuner"
 	"repro/internal/workload"
-	"repro/internal/yarn"
 )
 
 func main() {
@@ -84,6 +88,20 @@ func main() {
 	if *stream < 0 || math.IsNaN(*stream) || math.IsInf(*stream, 0) {
 		fmt.Fprintf(os.Stderr, "-stream takes 0 or a positive finite number of hours, got %v\n", *stream)
 		os.Exit(2)
+	}
+	if *compare {
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"trace", *traceOut != ""}, {"gantt", *gantt}, {"explain", *explain},
+			{"counters", *counters}, {"json", *asJSON}, {"speculation", *speculate},
+		} {
+			if f.set {
+				fmt.Fprintf(os.Stderr, "-compare prints only its comparison table; drop -%s\n", f.name)
+				os.Exit(2)
+			}
+		}
 	}
 
 	if *list {
@@ -126,19 +144,14 @@ func main() {
 		fspec, err := faults.Load(*faultSpec)
 		if err == nil {
 			// Reject nodes the run's cluster does not have: the
-			// 10,016-node serving cluster, or the testbed NewRig builds.
-			workers := len(env.NewRig(yarn.FIFOScheduler{}).C.Nodes)
-			if *stream > 0 {
-				s := experiments.DefaultStreamSpec(env.Seed)
-				workers = s.Racks * s.NodesPerRack
-			}
-			err = fspec.CheckNodes(workers)
+			// 10,016-node serving cluster, or the paper testbed.
+			env.FaultSpec = fspec
+			err = env.CheckFaultNodes(*stream > 0, *stream == 0)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		env.FaultSpec = fspec
 	}
 
 	if *stream > 0 {

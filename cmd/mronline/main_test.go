@@ -109,3 +109,21 @@ func TestKBSearchOnlyEntryIsNotAHit(t *testing.T) {
 		t.Fatalf("exit %d, stderr %q; want 1 and a missing-configuration error", code, msg)
 	}
 }
+
+// -compare prints one comparison table, so every per-run output flag is
+// a one-line usage error instead of being silently dropped; -trace
+// writes no file.
+func TestCompareRejectsPerRunFlags(t *testing.T) {
+	tracePath := filepath.Join(t.TempDir(), "t.jsonl")
+	for _, args := range [][]string{
+		{"-trace", tracePath}, {"-gantt"}, {"-explain"}, {"-counters"}, {"-json"}, {"-speculation"},
+	} {
+		msg, code := mronline(t, append([]string{"-compare", "-bench", "terasort/2GB"}, args...)...)
+		if code != 2 || strings.Count(msg, "\n") != 1 || !strings.Contains(msg, args[0]) {
+			t.Fatalf("-compare %s: exit %d, stderr %q; want 2 and one line naming the flag", args[0], code, msg)
+		}
+	}
+	if _, err := os.Stat(tracePath); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("-compare -trace left %s behind (stat: %v)", tracePath, err)
+	}
+}

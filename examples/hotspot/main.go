@@ -48,13 +48,12 @@ func main() {
 	rig.RM.HotSpotFallbackDelay = 600
 	rig.FS.HotThreshold = 0.85
 	rec := &trace.Recorder{}
-	mapreduce.Submit(rig.RM, rig.FS, mapreduce.Spec{
+	rig.Run(mapreduce.Spec{
 		Benchmark:   b,
 		BaseConfig:  mrconf.Default(),
 		Speculation: mapreduce.DefaultSpeculation(),
 		Trace:       rec,
-	}, func(mapreduce.Result) {})
-	rig.Eng.Run()
+	})
 
 	fmt.Println("\nper-node occupancy with both mitigations (nodes 00-02 are hot):")
 	fmt.Print(rec.Gantt(90))

@@ -15,9 +15,6 @@ import (
 	"repro/internal/mrconf"
 )
 
-// Default returns the stock YARN configuration (Table 2 defaults).
-func Default() mrconf.Config { return mrconf.Default() }
-
 // ProfileStats are the aggregate statistics an offline tuning guide
 // asks the operator to collect from profiling runs before applying its
 // heuristics.

@@ -171,9 +171,3 @@ func TestRandomSearch(t *testing.T) {
 		t.Fatal("random search found nothing")
 	}
 }
-
-func TestDefaultIsTable2(t *testing.T) {
-	if !Default().Equal(mrconf.Default()) {
-		t.Fatal("baseline default differs from Table 2 defaults")
-	}
-}

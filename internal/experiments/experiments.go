@@ -19,7 +19,6 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/mrconf"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 	"repro/internal/yarn"
 )
@@ -114,14 +113,54 @@ func (e Env) NewRig(sched yarn.Scheduler) *Rig {
 	return &Rig{Eng: eng, C: c, RM: rm, FS: fs}
 }
 
-// RunOne executes a single job on a fresh FIFO cluster.
-func (e Env) RunOne(b workload.Benchmark, cfg mrconf.Config, ctrl mapreduce.Controller) mapreduce.Result {
-	return e.RunTraced(b, cfg, ctrl, nil)
+// Run submits specs in order at the current simulated time, drains the
+// engine, and returns the results in spec order. It panics naming the
+// first job that did not complete.
+func (r *Rig) Run(specs ...mapreduce.Spec) []mapreduce.Result {
+	res := make([]mapreduce.Result, len(specs))
+	done := make([]bool, len(specs))
+	for i, spec := range specs {
+		mapreduce.Submit(r.RM, r.FS, spec, func(rr mapreduce.Result) { res[i], done[i] = rr, true })
+	}
+	r.Eng.Run()
+	for i, ok := range done {
+		if !ok {
+			name := specs[i].Name
+			if name == "" {
+				name = specs[i].Benchmark.Name
+			}
+			panic(fmt.Sprintf("experiments: job %s never completed", name))
+		}
+	}
+	return res
 }
 
-// RunTraced is RunOne with an optional timeline recorder attached.
-func (e Env) RunTraced(b workload.Benchmark, cfg mrconf.Config, ctrl mapreduce.Controller, rec *trace.Recorder) mapreduce.Result {
-	return e.RunSpec(mapreduce.Spec{Benchmark: b, BaseConfig: cfg, Controller: ctrl, Trace: rec})
+// CheckFaultNodes reports a node e.FaultSpec names that a cluster it
+// will be armed on lacks: the serving cluster of DefaultStreamSpec when
+// stream is set, and the paper testbed when testbed is set.
+func (e Env) CheckFaultNodes(stream, testbed bool) error {
+	if e.FaultSpec == nil {
+		return nil
+	}
+	if stream {
+		s := DefaultStreamSpec(e.Seed)
+		if err := e.FaultSpec.CheckNodes(s.Racks * s.NodesPerRack); err != nil {
+			return err
+		}
+	}
+	if testbed {
+		n := 0
+		for _, size := range cluster.PaperConfig().RackSizes {
+			n += size
+		}
+		return e.FaultSpec.CheckNodes(n)
+	}
+	return nil
+}
+
+// RunOne executes a single job on a fresh FIFO cluster.
+func (e Env) RunOne(b workload.Benchmark, cfg mrconf.Config, ctrl mapreduce.Controller) mapreduce.Result {
+	return e.RunSpec(mapreduce.Spec{Benchmark: b, BaseConfig: cfg, Controller: ctrl})
 }
 
 // RunSpec executes one fully-specified job submission on a fresh FIFO
@@ -129,14 +168,7 @@ func (e Env) RunTraced(b workload.Benchmark, cfg mrconf.Config, ctrl mapreduce.C
 func (e Env) RunSpec(spec mapreduce.Spec) mapreduce.Result {
 	r := e.NewRig(yarn.FIFOScheduler{})
 	e.ArmFaults(r, &spec)
-	var res mapreduce.Result
-	done := false
-	mapreduce.Submit(r.RM, r.FS, spec, func(rr mapreduce.Result) { res = rr; done = true })
-	r.Eng.Run()
-	if !done {
-		panic(fmt.Sprintf("experiments: job %s never completed", spec.Benchmark.Name))
-	}
-	return res
+	return r.Run(spec)[0]
 }
 
 // ArmFaults schedules e.FaultSpec (if any) against the rig's cluster
@@ -390,18 +422,10 @@ func (e Env) MultiTenant() MultiTenantResult {
 	bbp := workload.BBP(500000, 100)
 
 	runPair := func(tsCfg, bbpCfg mrconf.Config, tsCtrl, bbpCtrl mapreduce.Controller) MultiTenantRun {
-		r := e.NewRig(yarn.FairScheduler{})
-		var out MultiTenantRun
-		done := 0
-		mapreduce.Submit(r.RM, r.FS, mapreduce.Spec{Name: "terasort60", Benchmark: ts, BaseConfig: tsCfg, Controller: tsCtrl},
-			func(rr mapreduce.Result) { out.Terasort = rr; done++ })
-		mapreduce.Submit(r.RM, r.FS, mapreduce.Spec{Name: "bbp", Benchmark: bbp, BaseConfig: bbpCfg, Controller: bbpCtrl},
-			func(rr mapreduce.Result) { out.BBP = rr; done++ })
-		r.Eng.Run()
-		if done != 2 {
-			panic("experiments: multi-tenant pair did not complete")
-		}
-		return out
+		res := e.NewRig(yarn.FairScheduler{}).Run(
+			mapreduce.Spec{Name: "terasort60", Benchmark: ts, BaseConfig: tsCfg, Controller: tsCtrl},
+			mapreduce.Spec{Name: "bbp", Benchmark: bbp, BaseConfig: bbpCfg, Controller: bbpCtrl})
+		return MultiTenantRun{Terasort: res[0], BBP: res[1]}
 	}
 
 	def := runPair(mrconf.Default(), mrconf.Default(), nil, nil)
@@ -415,9 +439,6 @@ func (e Env) MultiTenant() MultiTenantResult {
 	mro := runPair(tsTuner.BestConfig(), bbpTuner.BestConfig(), nil, nil)
 	return MultiTenantResult{Default: def, Mronline: mro}
 }
-
-// Fig14 returns the §8.5 execution times.
-func (e Env) Fig14() MultiTenantResult { return e.MultiTenant() }
 
 // TestRunCountRow compares how many test runs each tuning approach
 // needs to reach a near-optimal configuration (§7: MRONLINE finishes
@@ -531,14 +552,7 @@ func (e Env) HotSpotStudy(hotNodes int) HotSpotRow {
 			// capacity instead.
 			r.RM.HotSpotFallbackDelay = 600
 		}
-		dur := -1.0
-		mapreduce.Submit(r.RM, r.FS, mapreduce.Spec{Benchmark: b, BaseConfig: mrconf.Default()},
-			func(res mapreduce.Result) { dur = res.Duration })
-		r.Eng.Run()
-		if dur < 0 {
-			panic("experiments: hot-spot run did not complete")
-		}
-		return dur
+		return r.Run(mapreduce.Spec{Benchmark: b, BaseConfig: mrconf.Default()})[0].Duration
 	}
 	return HotSpotRow{
 		HotNodes:   hotNodes,
@@ -585,14 +599,7 @@ func (e Env) StragglerStudy(hotNodes int) StragglerRow {
 		if speculate {
 			spec.Speculation = mapreduce.DefaultSpeculation()
 		}
-		var res mapreduce.Result
-		done := false
-		mapreduce.Submit(r.RM, r.FS, spec, func(rr mapreduce.Result) { res = rr; done = true })
-		r.Eng.Run()
-		if !done {
-			panic("experiments: straggler run did not complete")
-		}
-		return res
+		return r.Run(spec)[0]
 	}
 	none := run(false, false)
 	spec := run(true, false)
@@ -671,64 +678,49 @@ func (r JobStreamRow) Improvement() float64 {
 	return (r.MeanDefault - r.MeanMronline) / r.MeanDefault
 }
 
-// JobStream submits `count` jobs drawn round-robin from a small mix
-// (Terasort 20 GB, wordcount-like, compute-heavy) with exponential
-// inter-arrival times, under fair-share scheduling.
+// JobStream serves `count` jobs drawn with equal weight from a small
+// mix (Terasort 20 GB, wordcount-like, compute-heavy) on the paper
+// testbed's 2 × 9 nodes: a RunStream whose Poisson arrivals have mean
+// gap meanGapSecs and no diurnal swing, once untuned and once Tuned.
 func (e Env) JobStream(count int, meanGapSecs float64) JobStreamRow {
-	mix := []workload.Benchmark{
-		workload.Terasort(20, 0, 0),
-		mustSpec(workload.BenchmarkSpec{
-			Name: "logcount", InputGB: 15, Maps: 112, Reduces: 28,
-			MapCPUPerMB: 0.015, RawMapSelectivity: 1.1, CombinerReduction: 0.3,
-			ReduceSelectivity: 0.3, RecordBytes: 20, SkewCV: 0.15,
-			MapWorkingSetMB: 200, ReduceWorkingSetMB: 150,
-		}),
-		mustSpec(workload.BenchmarkSpec{
-			Name: "featurize", InputGB: 10, Maps: 75, Reduces: 19,
-			MapCPUPerMB: 0.05, RawMapSelectivity: 0.4, CombinerReduction: 1,
-			ReduceSelectivity: 0.5, RecordBytes: 80, SkewCV: 0.1,
-			MapWorkingSetMB: 150, ReduceWorkingSetMB: 150,
-		}),
+	spec := StreamSpec{
+		Seed:         e.Seed,
+		Racks:        2,
+		NodesPerRack: 9,
+		MeanPerHour:  3600 / meanGapSecs,
+		HorizonSecs:  100 * float64(count) * meanGapSecs,
+		MaxJobs:      count,
+		Classes: []StreamClass{
+			{Weight: 1, Bench: workload.Terasort(20, 0, 0)},
+			{Weight: 1, Bench: mustSpec(workload.BenchmarkSpec{
+				Name: "logcount", InputGB: 15, Maps: 112, Reduces: 28,
+				MapCPUPerMB: 0.015, RawMapSelectivity: 1.1, CombinerReduction: 0.3,
+				ReduceSelectivity: 0.3, RecordBytes: 20, SkewCV: 0.15,
+				MapWorkingSetMB: 200, ReduceWorkingSetMB: 150,
+			})},
+			{Weight: 1, Bench: mustSpec(workload.BenchmarkSpec{
+				Name: "featurize", InputGB: 10, Maps: 75, Reduces: 19,
+				MapCPUPerMB: 0.05, RawMapSelectivity: 0.4, CombinerReduction: 1,
+				ReduceSelectivity: 0.5, RecordBytes: 80, SkewCV: 0.1,
+				MapWorkingSetMB: 150, ReduceWorkingSetMB: 150,
+			})},
+		},
 	}
-	run := func(tuned bool) (mean, makespan float64) {
-		r := e.NewRig(yarn.FairScheduler{})
-		rng := sim.NewSource(e.Seed).Stream("arrivals")
-		at := 0.0
-		completions := 0
-		total := 0.0
-		for i := 0; i < count; i++ {
-			i := i
-			b := mix[i%len(mix)]
-			submitAt := at
-			r.Eng.At(submitAt, func() {
-				name := fmt.Sprintf("%s-%02d", b.Name, i)
-				var ctrl mapreduce.Controller
-				if tuned {
-					ctrl = core.NewTuner(name, b.NumMaps, b.NumReduces, mrconf.Default(),
-						core.TunerOptions{Strategy: core.Conservative, Seed: e.Seed + uint64(i)})
-				}
-				mapreduce.Submit(r.RM, r.FS, mapreduce.Spec{
-					Name: name, Benchmark: b, BaseConfig: mrconf.Default(), Controller: ctrl,
-				}, func(res mapreduce.Result) {
-					completions++
-					total += res.Duration
-					if t := r.Eng.Now(); t > makespan {
-						makespan = t
-					}
-				})
-			})
-			at += rng.ExpFloat64() * meanGapSecs
+	def := RunStream(spec)
+	spec.Tuned = true
+	mro := RunStream(spec)
+	for _, r := range []StreamResult{def, mro} {
+		if r.Jobs < count {
+			panic(fmt.Sprintf("experiments: job stream submitted %d of %d jobs", r.Jobs, count))
 		}
-		r.Eng.Run()
-		if completions != count {
-			panic(fmt.Sprintf("experiments: job stream completed %d of %d", completions, count))
-		}
-		return total / float64(count), makespan
 	}
-	row := JobStreamRow{Jobs: count}
-	row.MeanDefault, row.MakespanDefault = run(false)
-	row.MeanMronline, row.MakespanMron = run(true)
-	return row
+	return JobStreamRow{
+		Jobs:            count,
+		MeanDefault:     def.MeanDur,
+		MeanMronline:    mro.MeanDur,
+		MakespanDefault: def.Makespan,
+		MakespanMron:    mro.Makespan,
+	}
 }
 
 func mustSpec(s workload.BenchmarkSpec) workload.Benchmark {

@@ -299,16 +299,40 @@ func TestJobStreamImproves(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure reproduction in -short mode")
 	}
-	row := DefaultEnv().JobStream(9, 30)
-	if row.Jobs != 9 {
-		t.Fatalf("jobs = %d", row.Jobs)
+	for _, seed := range []uint64{42, 7} {
+		row := Env{Seed: seed}.JobStream(9, 30)
+		if row.Jobs != 9 {
+			t.Fatalf("seed %d: jobs = %d", seed, row.Jobs)
+		}
+		if imp := row.Improvement(); imp < 0.03 || imp > 0.45 {
+			t.Fatalf("seed %d: job-stream mean completion improvement = %.0f%%, want meaningful and plausible", seed, imp*100)
+		}
+		if row.MakespanMron > row.MakespanDefault*1.02 {
+			t.Fatalf("seed %d: makespan regressed: %.0fs vs %.0fs", seed, row.MakespanMron, row.MakespanDefault)
+		}
 	}
-	if imp := row.Improvement(); imp < 0.03 || imp > 0.45 {
-		t.Fatalf("job-stream mean completion improvement = %.0f%%, want meaningful and plausible", imp*100)
-	}
-	if row.MakespanMron > row.MakespanDefault*1.02 {
-		t.Fatalf("makespan regressed: %.0fs vs %.0fs", row.MakespanMron, row.MakespanDefault)
-	}
+}
+
+// holdController never lets a task launch, so the engine drains with
+// the job still pending.
+type holdController struct {
+	mapreduce.PassthroughController
+}
+
+func (holdController) AllowLaunch(*mapreduce.Task) bool { return false }
+
+func TestRigRunPanicsOnUndrainedJob(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "held") {
+			t.Fatalf("panic %q, want one naming the job", msg)
+		}
+	}()
+	DefaultEnv().NewRig(yarn.FIFOScheduler{}).Run(mapreduce.Spec{
+		Name: "held", Benchmark: workload.Terasort(2, 0, 0),
+		BaseConfig: mrconf.Default(), Controller: holdController{},
+	})
+	t.Fatal("Run returned with the job pending")
 }
 
 func TestSeedSweepRobustness(t *testing.T) {

@@ -6,8 +6,6 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/metrics"
 	"repro/internal/mrconf"
-	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 	"repro/internal/yarn"
 )
@@ -48,23 +46,13 @@ func (e Env) FaultRecovery() []FaultRecoveryRow {
 	if fspec == nil || fspec.Empty() {
 		fspec = DefaultCrashSpec()
 	}
-	run := func(leg string, inject bool, ctrl mapreduce.Controller, rec *trace.Recorder) FaultRecoveryRow {
+	run := func(leg string, inject bool, ctrl mapreduce.Controller) FaultRecoveryRow {
 		r := e.NewRig(yarn.FIFOScheduler{})
-		js := mapreduce.Spec{Benchmark: b, BaseConfig: mrconf.Default(), Controller: ctrl, Trace: rec}
+		js := mapreduce.Spec{Benchmark: b, BaseConfig: mrconf.Default(), Controller: ctrl}
 		if inject {
-			inj, err := faults.New(r.C, sim.NewSource(e.Seed), *fspec, rec)
-			if err != nil {
-				panic(err)
-			}
-			js.Faults = inj
+			Env{Seed: e.Seed, FaultSpec: fspec}.ArmFaults(r, &js)
 		}
-		var res mapreduce.Result
-		done := false
-		mapreduce.Submit(r.RM, r.FS, js, func(rr mapreduce.Result) { res = rr; done = true })
-		r.Eng.Run()
-		if !done {
-			panic("experiments: fault-recovery run did not complete")
-		}
+		res := r.Run(js)[0]
 		return FaultRecoveryRow{
 			Leg: leg, Duration: res.Duration, Failed: res.Failed,
 			Faults:         *r.C.Faults,
@@ -74,11 +62,11 @@ func (e Env) FaultRecovery() []FaultRecoveryRow {
 		}
 	}
 	rows := []FaultRecoveryRow{
-		run("clean/default", false, nil, nil),
-		run("faults/default", true, nil, nil),
+		run("clean/default", false, nil),
+		run("faults/default", true, nil),
 	}
 	cons := core.NewTuner(b.Name, b.NumMaps, b.NumReduces, mrconf.Default(),
 		core.TunerOptions{Strategy: core.Conservative, Seed: e.Seed})
-	rows = append(rows, run("faults/mronline", true, cons, nil))
+	rows = append(rows, run("faults/mronline", true, cons))
 	return rows
 }

@@ -234,17 +234,12 @@ func RunStream(spec StreamSpec) StreamResult {
 	for i := range sizes {
 		sizes[i] = spec.NodesPerRack
 	}
-	c := cluster.New(eng, cluster.Config{
-		RackSizes:      sizes,
-		CoresPerNode:   8,
-		VCoresPerNode:  28,
-		ContainerMemMB: 6 * 1024,
-		DiskMBps:       90,
-		NICMBps:        117,
-		// ~4:1 oversubscribed uplink for a 32-node rack of 1 GbE nodes.
-		UplinkMBps:   1000,
-		RackLocalNet: rackCells,
-	})
+	cfg := cluster.PaperConfig()
+	cfg.RackSizes = sizes
+	// ~4:1 oversubscribed uplink for a 32-node rack of 1 GbE nodes.
+	cfg.UplinkMBps = 1000
+	cfg.RackLocalNet = rackCells
+	c := cluster.New(eng, cfg)
 	src := sim.NewSource(spec.Seed)
 	base := mrconf.Default()
 

@@ -208,18 +208,6 @@ func (h *hillClimb) Report(point []float64, cost float64) {
 	}
 }
 
-// Abandon returns an assigned-but-unmeasured point to the accounting
-// (task could not run); the wave completes without it.
-func (h *hillClimb) Abandon() {
-	if h.outstanding > 0 {
-		h.outstanding--
-		h.waveSize--
-		if len(h.wave) >= h.waveSize && h.outstanding <= 0 && len(h.pending) == 0 && h.waveSize > 0 {
-			h.endWave()
-		}
-	}
-}
-
 func (h *hillClimb) endWave() {
 	h.waves++
 	cand, candCost := h.waveBest()

@@ -164,27 +164,6 @@ func TestWaveGating(t *testing.T) {
 	}
 }
 
-func TestAbandonShrinksWave(t *testing.T) {
-	params := mapDims()
-	h := hillOver(params, 7, DefaultSearchParams())
-	var points [][]float64
-	for {
-		p := h.Next()
-		if p == nil {
-			break
-		}
-		points = append(points, p)
-	}
-	// Abandon one, report the rest: the wave must still complete.
-	h.Abandon()
-	for _, p := range points[:len(points)-1] {
-		h.Report(p, 1.0)
-	}
-	if h.Next() == nil {
-		t.Fatal("wave with an abandoned task never completed")
-	}
-}
-
 func TestTightenClampsBestAndBounds(t *testing.T) {
 	params := mapDims()
 	h := hillOver(params, 8, DefaultSearchParams())

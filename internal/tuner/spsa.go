@@ -244,16 +244,6 @@ func (s *spsa) probeFor(point []float64) *spsaProbe {
 	return nil
 }
 
-func (s *spsa) Abandon() {
-	if s.outstanding > 0 {
-		s.outstanding--
-		s.waveSize--
-		if s.reported >= s.waveSize && s.outstanding <= 0 && len(s.pending) == 0 && s.waveSize > 0 {
-			s.endWave()
-		}
-	}
-}
-
 // endWave averages the completed pairs' two-point gradient estimates
 // and takes one projected descent step. For Rademacher ±1 components,
 // 1/Δ_i = Δ_i, so ĝ_i = (y⁺−y⁻)/(2 c_k) · Δ_i.

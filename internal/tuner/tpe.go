@@ -282,16 +282,6 @@ func (t *tpe) Report(point []float64, cost float64) {
 	}
 }
 
-func (t *tpe) Abandon() {
-	if t.outstanding > 0 {
-		t.outstanding--
-		t.waveSize--
-		if t.waveCount >= t.waveSize && t.outstanding <= 0 && len(t.pending) == 0 && t.waveSize > 0 {
-			t.endWave()
-		}
-	}
-}
-
 func (t *tpe) endWave() {
 	t.waves++
 	if len(t.history) >= t.budget {

@@ -61,8 +61,7 @@ func DefaultSearchParams() SearchParams {
 //
 // The driver hands each proposed point to one task (Next), feeds the
 // measured Eq. 1 cost back (Report, with the same slice it got from
-// Next), and may drop a point whose task never ran (Abandon). Backends
-// gate proposals in waves: Next returns nil while a wave is fully
+// Next). Backends gate proposals in waves: Next returns nil while a wave is fully
 // assigned but not yet measured, and the launch gate upstream holds
 // further tasks until the wave completes.
 type Optimizer interface {
@@ -77,9 +76,6 @@ type Optimizer interface {
 	// Report feeds back the measured cost of a point obtained from
 	// Next. Completing a wave advances the backend by one step.
 	Report(point []float64, cost float64)
-	// Abandon returns one assigned-but-unmeasured point to the
-	// accounting; the wave completes without it.
-	Abandon()
 	// Best returns the best point found so far and its cost; ok is
 	// false before any evaluation completed.
 	Best() ([]float64, float64, bool)
@@ -107,14 +103,10 @@ type Shaper interface {
 	Tighten(name string, lo, hi float64)
 	// Bias sets a sampling weight profile for one dimension; nil
 	// restores uniform sampling.
-	Bias(name string, w Weights)
+	Bias(name string, w lhs.Weights)
 	// Bounds returns the current bounds of a dimension.
 	Bounds(name string) (lo, hi float64)
 }
-
-// Weights aliases lhs.Weights so Shaper users can spell the bias
-// profile without importing internal/lhs directly.
-type Weights = lhs.Weights
 
 // ScopeState is the persistable outcome of one scope's search (map or
 // reduce side): what the Store keeps per (app, input-scale) class and
