@@ -91,7 +91,7 @@ type Flow struct {
 	posX       []int            // spill positions for flows crossing more links
 	visit      uint64           // recompute epoch this flow was last swept into
 	finished   bool
-	pooled     bool // sitting in the fabric's free list (guards double-recycle)
+	pooled     bool // sitting in a free list (guards double-recycle)
 	// onAbort, when set, is scheduled (asynchronously) if the flow is
 	// torn down by Fabric.Abort — a fault, not a cancellation by the
 	// flow's owner — so remote consumers can fail over instead of
@@ -162,16 +162,27 @@ type Fabric struct {
 	// marks is sortIndices' bitmap over flow positions, all zero
 	// between calls.
 	marks []uint64
-	// free is the pool of recycled Flow objects (see Flow.Recycle):
-	// owners that provably hold the last reference hand finished flows
-	// back so a steady stream of Starts stops allocating.
-	free []*Flow
+	// free is the pool of recycled Flow objects (see Flow.Recycle),
+	// shared by every fabric of a cluster.
+	free *flowPool
 }
 
-// NewFabric returns an empty fabric whose completion events are
-// scheduled on eng.
+// flowPool is a free list of recycled Flow objects: owners that
+// provably hold the last reference hand finished flows back so a
+// steady stream of Starts stops allocating. cluster.New shares one
+// among all of its fabrics, so a flow finished on one node's disk can
+// serve the next Start on any fabric instead of waiting for that disk.
+type flowPool struct{ flows []*Flow }
+
+// NewFabric returns an empty fabric, with a free list of its own,
+// whose completion events are scheduled on eng.
 func NewFabric(eng *sim.Engine, name string) *Fabric {
-	return &Fabric{Name: name, eng: eng}
+	return newFabric(eng, name, &flowPool{})
+}
+
+// newFabric returns an empty fabric that recycles flows through free.
+func newFabric(eng *sim.Engine, name string, free *flowPool) *Fabric {
+	return &Fabric{Name: name, eng: eng, free: free}
 }
 
 // AddLink registers a link with the fabric and returns it.
@@ -252,7 +263,7 @@ func (fb *Fabric) add(links []*Link, work, rateCap float64, done func()) *Flow {
 		}
 	}
 	if f.onComplete == nil {
-		f.onComplete = func() { fb.complete(f) }
+		f.onComplete = func() { f.fabric.complete(f) }
 	}
 	f.index = len(fb.flows)
 	fb.flows = append(fb.flows, f)
@@ -263,14 +274,17 @@ func (fb *Fabric) add(links []*Link, work, rateCap float64, done func()) *Flow {
 	return f
 }
 
-// newFlow pops a recycled Flow or allocates a fresh one. Pooled flows
-// keep their cached onComplete closure (it captures only the (fabric,
-// flow) pair, which survives recycling) and their posX capacity.
+// newFlow pops a recycled Flow, possibly finished on another fabric,
+// or allocates a fresh one. Pooled flows keep their cached onComplete
+// closure (it captures only the flow and resolves f.fabric when
+// called) and their posX capacity.
 func (fb *Fabric) newFlow() *Flow {
-	if n := len(fb.free); n > 0 {
-		f := fb.free[n-1]
-		fb.free[n-1] = nil
-		fb.free = fb.free[:n-1]
+	free := fb.free
+	if n := len(free.flows); n > 0 {
+		f := free.flows[n-1]
+		free.flows[n-1] = nil
+		free.flows = free.flows[:n-1]
+		f.fabric = fb
 		f.pooled = false
 		f.finished = false
 		return f
@@ -279,11 +293,14 @@ func (fb *Fabric) newFlow() *Flow {
 }
 
 // recycleFlow resets a flow that has fully left the fabric and parks
-// it in the free list. Flows still queued, in flight, or already
-// pooled are left alone, so callers may invoke it unconditionally
-// during teardown. So are zero-work flows (no onComplete: they never
-// came from the pool), whose completion closure may still be queued
-// after a Cancel and would otherwise fire on the flow's next owner.
+// it in the free list. The visit stamp is cleared because it is an
+// epoch of this fabric: on another fabric whose epoch later reaches
+// the same value, the sweep would take the flow as already visited.
+// Flows still queued, in flight, or already pooled are left alone, so
+// callers may invoke it unconditionally during teardown. So are
+// zero-work flows (no onComplete: they never came from the pool),
+// whose completion closure may still be queued after a Cancel and
+// would otherwise fire on the flow's next owner.
 func (fb *Fabric) recycleFlow(f *Flow) {
 	if f.pooled || !f.finished || f.index >= 0 || f.ev != nil || f.onComplete == nil {
 		return
@@ -295,18 +312,20 @@ func (fb *Fabric) recycleFlow(f *Flow) {
 	f.rate = 0
 	f.prevRate = 0
 	f.lastAdvance = 0
+	f.visit = 0
 	f.done = nil
 	f.onAbort = nil
-	fb.free = append(fb.free, f)
+	fb.free.flows = append(fb.free.flows, f)
 }
 
-// Recycle hands a finished flow back to its fabric's free pool for
-// reuse by a future Start. Strict ownership contract: call it only
-// when you hold the last reference — after Recycle the object may be
-// handed to an unrelated Start, so a retained pointer must never be
+// Recycle hands a finished flow back to its fabric's free list (in a
+// cluster, the list all its fabrics share) for reuse by a future
+// Start. Strict ownership contract: call it only when you hold the
+// last reference — after Recycle the object may be handed to an
+// unrelated Start, on any fabric, so a retained pointer must never be
 // Canceled or inspected again. Unfinished, still-queued, and
-// already-recycled flows are ignored, which makes Recycle safe to
-// call unconditionally when tearing down a completed owner.
+// already-recycled flows are ignored, which makes Recycle safe to call
+// unconditionally when tearing down a completed owner.
 func (f *Flow) Recycle() {
 	if f == nil {
 		return

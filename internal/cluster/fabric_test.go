@@ -201,7 +201,9 @@ func TestRecycledZeroWorkFlowNotHijacked(t *testing.T) {
 
 // TestPooledFlowCycleAllocationFree: once the pool, the event free
 // list and the scratch buffers are warm, starting a flow, running it to
-// completion and recycling it allocates nothing.
+// completion and recycling it allocates nothing — also when, in a
+// cluster, the flow hops between a node's CPU and disk fabrics through
+// the free list they share.
 func TestPooledFlowCycleAllocationFree(t *testing.T) {
 	eng := sim.NewEngine()
 	fb := NewFabric(eng, "test")
@@ -220,6 +222,73 @@ func TestPooledFlowCycleAllocationFree(t *testing.T) {
 	}
 	if done != 102 {
 		t.Fatalf("%d flows completed, want 102", done)
+	}
+
+	eng, c := newTestCluster(t)
+	n := c.Nodes[0]
+	done = 0
+	var cpuFlow, diskFlow *Flow
+	hop := func() {
+		cpuFlow = n.Compute(10, 1, onDone)
+		eng.RunUntil(eng.Now() + 10)
+		cpuFlow.Recycle()
+		diskFlow = n.DiskWrite(10, onDone)
+		eng.RunUntil(eng.Now() + 10)
+		diskFlow.Recycle()
+	}
+	hop()
+	if diskFlow != cpuFlow {
+		t.Fatal("the disk fabric did not reuse the flow recycled on the CPU fabric")
+	}
+	if a := testing.AllocsPerRun(100, hop); a != 0 {
+		t.Errorf("warm CPU/disk hop allocates %v per run, want 0", a)
+	}
+	if done != 2*102 {
+		t.Fatalf("%d flows completed in the hop, want %d", done, 2*102)
+	}
+}
+
+// TestFlowReusedAcrossFabrics: a flow's visit stamp is an epoch of the
+// fabric that last swept it. A flow recycled on one fabric and reused on
+// another whose epoch has reached that stamp must still be swept into
+// its first recompute, or it never gets a rate and never completes.
+func TestFlowReusedAcrossFabrics(t *testing.T) {
+	eng, c := newTestCluster(t)
+	n0, n1, n2 := c.Nodes[0], c.Nodes[1], c.Nodes[2]
+	// Drive n0's CPU fabric epoch well above the network's, then leave
+	// one flow recycled there with a high stamp.
+	var f *Flow
+	for i := 0; i < 50; i++ {
+		f = n0.Compute(1, 1, nil)
+		eng.Run()
+		f.Recycle()
+	}
+	f = n0.Compute(1, 1, nil)
+	eng.Run()
+	stale := f.visit
+	f.Recycle()
+
+	// Walk the network's epoch up to just below the stamp by rebalancing
+	// an idle link, so the next Start sweeps at exactly the stale epoch.
+	net := c.NetworkFabric()
+	if net.epoch >= stale {
+		t.Fatalf("network epoch %d already past the stale stamp %d", net.epoch, stale)
+	}
+	idle := n2.NICIn
+	for net.epoch < stale-1 {
+		net.SetCapacity(idle, idle.Capacity+1)
+	}
+
+	start := eng.Now()
+	end := -1.0
+	mb := 2 * n0.NICOut.Capacity
+	g := net.Start([]*Link{n0.NICOut, n1.NICIn}, mb, 0, func() { end = eng.Now() })
+	if g != f {
+		t.Fatal("the network Start did not reuse the flow recycled on the CPU fabric")
+	}
+	eng.Run()
+	if want := start + mb/n0.NICOut.Capacity; !almostEqual(end, want, 1e-9) {
+		t.Fatalf("reused flow completed at %v, want %v as a fresh flow would", end, want)
 	}
 }
 

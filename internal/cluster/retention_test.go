@@ -22,13 +22,15 @@ func TestFinishedFlowDropsCallbacks(t *testing.T) {
 		{"completed", func(*Fabric, *Flow) {}},
 		{"canceled", func(_ *Fabric, f *Flow) { f.Cancel() }},
 		{"aborted", func(fb *Fabric, f *Flow) { fb.Abort(f) }},
+		// Parked in the free list every fabric of the cluster shares.
+		{"recycled", func(fb *Fabric, f *Flow) { fb.eng.Run(); f.Recycle() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine()
-			fb := NewFabric(eng, "test")
-			f, captured := startCapturing(fb, fb.AddLink("l", 100))
-			tc.finish(fb, f)
+			n := New(eng, PaperConfig()).Nodes[0]
+			f, captured := startCapturing(n.disk, n.diskLink)
+			tc.finish(n.disk, f)
 			eng.Run()
 			if !f.Done() {
 				t.Fatal("flow did not finish")

@@ -117,14 +117,16 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 		panic("cluster: config needs at least one rack")
 	}
 	c := &Cluster{Eng: eng, cfg: cfg, Faults: &metrics.FaultCounters{}}
-	c.net = NewFabric(eng, "network")
+	// Every fabric recycles flows through one free list.
+	free := &flowPool{}
+	c.net = newFabric(eng, "network", free)
 	racks := len(cfg.RackSizes)
 	c.Racks = make([][]*Node, racks)
 	if cfg.RackLocalNet {
 		c.rackNets = make([]*Fabric, racks)
 		c.rackListeners = make([][]func(n *Node, down bool), racks)
 		for r := 0; r < racks; r++ {
-			c.rackNets[r] = NewFabric(eng, fmt.Sprintf("rack%02d/network", r))
+			c.rackNets[r] = newFabric(eng, fmt.Sprintf("rack%02d/network", r), free)
 		}
 	}
 
@@ -140,9 +142,9 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 			Mem:     NewMemPool(eng, name+"/mem", memMB),
 			cluster: c,
 		}
-		n.cpu = NewFabric(eng, name+"/cpu")
+		n.cpu = newFabric(eng, name+"/cpu", free)
 		n.cpuLink = n.cpu.AddLink(name+"/cpu", cores)
-		n.disk = NewFabric(eng, name+"/disk")
+		n.disk = newFabric(eng, name+"/disk", free)
 		n.diskLink = n.disk.AddLink(name+"/disk", diskMBps)
 		n.cpuLinks = []*Link{n.cpuLink}
 		n.diskLinks = []*Link{n.diskLink}

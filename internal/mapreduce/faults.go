@@ -48,9 +48,9 @@ func (j *Job) armAttemptFault(t *Task) {
 	if !ok {
 		return
 	}
-	att := t.Attempt
+	att, g := t.Attempt, j.gen
 	j.eng.After(delay, func() {
-		if j.finished || t.killed || t.Attempt != att || t.State != TaskRunning {
+		if j.gen != g || j.finished || t.killed || t.Attempt != att || t.State != TaskRunning {
 			return
 		}
 		if t.logical().logicalDone {

@@ -66,6 +66,11 @@ type Job struct {
 	// Stream's output exactly.
 	mapSkewRNG *rand.Rand
 	reduceRNG  *rand.Rand
+
+	// gen counts the job object's recycles (see Pool). Every closure
+	// the job schedules captures it and does nothing once it has moved
+	// on, so a timer that outlives the job cannot reach its successor.
+	gen uint64
 }
 
 // ReduceHeadroomFraction caps reduce-container memory at this share of
@@ -268,10 +273,14 @@ func (j *Job) requestContainerWithConfig(t *Task, cfg mrconf.Config) {
 		j.reduceMemHeld += shape.MemMB
 	}
 	if t.onAllocCB == nil {
+		// The RM calls neither callback once the job's app has finished
+		// (j.finish calls app.Finish), so t.Job is still the job that
+		// made the request, even for a pooled task: a container that
+		// outlives its job never reaches a recycled task.
 		t.onAllocCB = func(c *yarn.Container) {
 			j := t.Job
 			t.pendingReq = nil
-			if j.finished || t.killed {
+			if t.killed {
 				j.rm.Release(c)
 				return
 			}
@@ -304,18 +313,20 @@ func (t *Task) trackOp(op canceler) {
 	t.liveOps = append(t.liveOps, op)
 }
 
-// cancelWork aborts everything an attempt has in flight.
+// cancelWork aborts everything an attempt has in flight. The tracking
+// slices keep their capacity for the next attempt; the canceled flows
+// are dropped, not recycled.
 func (j *Job) cancelWork(t *Task) {
 	for _, f := range t.liveFlows {
 		if f != nil {
 			f.Cancel()
 		}
 	}
-	t.liveFlows = nil
+	t.liveFlows = clearSlice(t.liveFlows)
 	for _, op := range t.liveOps {
 		op.Cancel()
 	}
-	t.liveOps = nil
+	t.liveOps = clearSlice(t.liveOps)
 }
 
 // finishAttempt handles bookkeeping common to success and failure.
@@ -496,15 +507,14 @@ func (j *Job) finish(err error) {
 	if j.onDone != nil {
 		j.onDone(res)
 	}
-	// With no fault hooks, no speculation, and a clean finish, nothing
-	// scheduled can reach the job or its tasks after this event (every
-	// launch/OOM/retry closure has provably fired or is permanently
-	// guarded), so the objects are safe to recycle. The recycle is
-	// deferred one zero-delay event so callers still on the stack
-	// (mapFinish's reducer wake-up, onDone itself) never see a reset
-	// job. A failed job may still have attempts in flight and is never
-	// recycled. See Pool.
-	if p := j.spec.Pool; p != nil && !j.failed && j.spec.Faults == nil && j.spec.Speculation == nil {
+	// After a clean finish the job's timers may still be queued (fault,
+	// OOM, fetch-retry, speculation), but each is guarded by j.gen,
+	// which recycling bumps, so the objects are safe to recycle. The
+	// recycle is deferred one zero-delay event so callers still on the
+	// stack (mapFinish's reducer wake-up, onDone itself) never see a
+	// reset job. A failed job may still have attempts in flight and is
+	// never recycled. See Pool.
+	if p := j.spec.Pool; p != nil && !j.failed {
 		j.eng.After(0, func() { p.recycleJob(j) })
 	}
 }

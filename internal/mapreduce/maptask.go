@@ -37,10 +37,10 @@ func (j *Job) runMap(t *Task, c *yarn.Container) {
 	}
 
 	j.armAttemptFault(t)
-	att := t.Attempt
+	att, g := t.Attempt, j.gen
 	j.eng.After(TaskLaunchOverheadSecs, func() {
-		if t.Attempt != att {
-			return // the attempt was requeued during launch
+		if j.gen != g || t.Attempt != att {
+			return // the job was recycled, or the attempt requeued during launch
 		}
 		j.mapMain(t)
 	})
@@ -84,10 +84,10 @@ func (j *Job) mapMain(t *Task) {
 		frac := t.Config.MapHeapMB() / heapNeedMB
 		failAfter := math.Max(2, cpuSecs/coreCap*frac)
 		t.cpuSecs = cpuSecs * frac
-		att := t.Attempt
+		att, g := t.Attempt, j.gen
 		j.eng.After(failAfter, func() {
-			if t.Attempt != att {
-				return // the attempt was already requeued (node loss)
+			if j.gen != g || t.Attempt != att {
+				return // the job was recycled, or the attempt requeued (node loss)
 			}
 			j.taskFailed(t, errOOM)
 		})
@@ -118,9 +118,9 @@ func (j *Job) mapMain(t *Task) {
 	t.track(node.Compute(cpuSecs, coreCap, next))
 	if t.Split != nil {
 		op := j.fs.StartRead(t.Split, node, next)
-		att := t.Attempt
+		att, g := t.Attempt, j.gen
 		op.OnFail = func() {
-			if t.Attempt != att {
+			if j.gen != g || t.Attempt != att {
 				return
 			}
 			j.taskFailedFault(t, "input split lost")

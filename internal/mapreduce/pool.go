@@ -9,10 +9,22 @@ package mapreduce
 // Ownership contract — recycling is strictly opt-in and gated:
 //
 //   - Only jobs submitted with Spec.Pool set participate.
-//   - A job is recycled only when it finishes cleanly AND ran with
-//     Spec.Faults == nil and Spec.Speculation == nil. Under those
-//     conditions no scheduled closure capturing the job or a task can
-//     fire after the finish event, so nothing dangles.
+//   - A job is recycled when it finishes cleanly, with or without fault
+//     hooks and speculation. A failed job may still have attempts in
+//     flight and is never recycled.
+//   - Timers the job scheduled may outlive it: fault, OOM and launch
+//     timers, fetch retries, HDFS callbacks, the speculation tick. Each
+//     captures the job's generation, which recycleJob bumps, and
+//     returns at once on a mismatch, so none of them can reach the
+//     job's or a task's next owner. A job-level counter suffices: a
+//     task is recycled only with its owning job, and every closure
+//     captures that job.
+//   - Container callbacks need no generation: the RM never calls
+//     OnAllocate or OnNodeLost once the job's app has finished. A
+//     container it granted inside the scheduling delay for an attempt
+//     killed since (a speculative loser whose request was already
+//     placed) goes back to the RM when the delay ends, not to the
+//     task, which may by then be pooled or serve another job.
 //   - The recycle happens one zero-delay event after the finish, so
 //     everything on the finishing event's stack (onDone included) sees
 //     intact state.
@@ -55,7 +67,8 @@ func (p *Pool) getTask() *Task {
 }
 
 // recycleJob resets the job and its tasks to zero values — keeping
-// slice capacity — and returns everything to the free lists.
+// slice capacity and advancing the generation — and returns everything
+// to the free lists.
 func (p *Pool) recycleJob(j *Job) {
 	for _, t := range j.mapTasks {
 		p.recycleTask(t)
@@ -69,18 +82,18 @@ func (p *Pool) recycleJob(j *Job) {
 	reports := clearSlice(j.reports)
 	active := clearSlice(j.activeReducers)
 	*j = Job{mapTasks: mt, reduceTasks: rt, reduceShare: shares, reports: reports, activeReducers: active,
-		mapSkewRNG: j.mapSkewRNG, reduceRNG: j.reduceRNG}
+		mapSkewRNG: j.mapSkewRNG, reduceRNG: j.reduceRNG, gen: j.gen + 1}
 	p.jobs = append(p.jobs, j)
 }
 
 // recycleTask zeroes one task, dropping every reference it holds
 // (flows, ops, container, split, job) while keeping the tracking
-// slices' capacity. Finished flows are handed back to their fabric's
-// free list first: liveFlows is the sole surviving reference to them
-// (the fabric drops its own on completion, and nothing else in this
-// package retains *cluster.Flow), so the task is entitled to recycle.
-// HDFS-internal flows live inside liveOps' operation objects and are
-// deliberately left alone.
+// slices' capacity. Finished flows are handed back to the cluster's
+// flow free list first: liveFlows is the sole surviving reference to
+// them (the fabric drops its own on completion, and nothing else in
+// this package retains *cluster.Flow), so the task is entitled to
+// recycle. HDFS-internal flows live inside liveOps' operation objects
+// and are deliberately left alone.
 func (p *Pool) recycleTask(t *Task) {
 	for _, f := range t.liveFlows {
 		f.Recycle()

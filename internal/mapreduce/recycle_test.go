@@ -1,0 +1,249 @@
+package mapreduce
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/faults"
+	"repro/internal/mrconf"
+	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/workload"
+)
+
+// lateFaults arms a failure for every attempt, delay seconds after its
+// launch, and never fails a fetch. fires records when each armed timer
+// goes off.
+type lateFaults struct {
+	eng   *sim.Engine
+	delay float64
+	fires []float64
+}
+
+func (h *lateFaults) FetchFails() bool { return false }
+
+func (h *lateFaults) AttemptFailDelay(string, int, int) (float64, bool) {
+	h.fires = append(h.fires, h.eng.Now()+h.delay)
+	return h.delay, true
+}
+
+// recycledPair runs job A from specA, then a plain job B one event
+// after A's recycle. With shared set both draw from one Pool, so B
+// reuses A's objects; otherwise A is not pooled and B runs alone on a
+// fresh Pool, after the same cluster history. It returns B's result
+// (reports copied), B's submit and finish times, and whether B reused
+// A's Job object.
+func recycledPair(t *testing.T, r *rig, specA Spec, shared bool) (res Result, startB, endB float64, reused bool) {
+	t.Helper()
+	poolA, poolB := (*Pool)(nil), NewPool()
+	if shared {
+		poolA = poolB
+	}
+	specA.Pool = poolA
+	var jobA, jobB *Job
+	got := false
+	jobA = Submit(r.rm, r.fs, specA, func(Result) {
+		// A's recycle is queued after this callback returns: two nested
+		// zero-delay events put B's submission just behind it.
+		r.eng.After(0, func() {
+			r.eng.After(0, func() {
+				startB = r.eng.Now()
+				specB := Spec{Name: "b", Benchmark: smallTerasort(), BaseConfig: mrconf.Default(), Pool: poolB}
+				jobB = Submit(r.rm, r.fs, specB, func(rr Result) {
+					rr.Reports = append([]TaskReport(nil), rr.Reports...)
+					res, endB, got = rr, r.eng.Now(), true
+				})
+			})
+		})
+	})
+	r.eng.Run()
+	if !got {
+		t.Fatal("job b never completed")
+	}
+	return res, startB, endB, jobB == jobA
+}
+
+// TestRecycledJobClosuresInert: job A's fault timers outlive it, and
+// job B, submitted right after A is recycled, reuses A's Job and Task
+// objects while those timers fire. The generation guard keeps every
+// stale timer inert, so B runs exactly as it does on a fresh pool.
+func TestRecycledJobClosuresInert(t *testing.T) {
+	// A alone, to learn when it finishes.
+	probe := newRig()
+	endA := probe.run(t, Spec{Name: "a", Benchmark: smallTerasort(), BaseConfig: mrconf.Default()}).Duration
+
+	specA := func(h *lateFaults) Spec {
+		return Spec{Name: "a", Benchmark: smallTerasort(), BaseConfig: mrconf.Default(), Faults: h}
+	}
+	ref := newRig()
+	want, _, _, reused := recycledPair(t, ref, specA(&lateFaults{eng: ref.eng, delay: endA + 1}), false)
+	if reused {
+		t.Fatal("the reference run reused A's job object")
+	}
+
+	r := newRig()
+	h := &lateFaults{eng: r.eng, delay: endA + 1}
+	got, startB, endB, reused := recycledPair(t, r, specA(h), true)
+	if !reused {
+		t.Fatal("job b did not reuse job a's recycled object")
+	}
+	during := 0
+	for _, at := range h.fires {
+		if at > startB && at < endB {
+			during++
+		}
+	}
+	if during == 0 {
+		t.Fatalf("none of a's %d fault timers fired while b ran (%v..%v)", len(h.fires), startB, endB)
+	}
+	if got.Counters.TaskFailures != 0 {
+		t.Errorf("a's stale fault timers failed %d of b's attempts", got.Counters.TaskFailures)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("b on a's recycled objects differs from b on a fresh pool:\n got %+v\nwant %+v", got.Counters, want.Counters)
+	}
+}
+
+// flakyReducer fails every regular attempt of one reduce task delay
+// seconds after launch; speculative copies (attempt >= 100) run clean.
+type flakyReducer struct {
+	id    int
+	delay float64
+}
+
+func (h flakyReducer) FetchFails() bool { return false }
+
+func (h flakyReducer) AttemptFailDelay(taskType string, id, attempt int) (float64, bool) {
+	return h.delay, taskType == ReduceTask.String() && id == h.id && attempt < 100
+}
+
+// TestLateContainerAfterRecycle: one reducer's regular attempts keep
+// failing, so its original is re-requested over and over while a
+// speculative copy runs. The copy wins, and the job finishes, while the
+// original's latest request is placed but still inside the RM's
+// scheduling delay: killAttempt cannot withdraw it, and the container
+// reaches job A's app after A has been recycled. The RM must hand it
+// back without calling into the task, which by then sits in the pool
+// (A alone) or belongs to job B.
+func TestLateContainerAfterRecycle(t *testing.T) {
+	specA := Spec{Name: "a", Benchmark: smallTerasort(), BaseConfig: mrconf.Default(),
+		Faults: flakyReducer{id: 0, delay: 2.5}, MaxAttempts: 100,
+		Speculation: &SpeculationConfig{CheckInterval: 1, SlowTaskThreshold: 0.01, MinCompleted: 1, MaxConcurrent: 100}}
+	delayed := func() *rig {
+		r := newRig()
+		r.rm.SchedulingDelay = 30
+		return r
+	}
+
+	// A alone on a pool. At its finish containers must still be booked
+	// on the nodes, waiting out the delay; they arrive after the
+	// recycle, while A's objects sit unused in the pool.
+	probe := delayed()
+	pooled := specA
+	pooled.Pool = NewPool()
+	held := 0.0
+	Submit(probe.rm, probe.fs, pooled, func(res Result) {
+		if res.Failed || res.Counters.TaskFailures == 0 || res.Counters.SpeculativeWins == 0 {
+			t.Errorf("job a: failed=%v, %d attempt failures, %d speculative wins; want a clean finish with both",
+				res.Failed, res.Counters.TaskFailures, res.Counters.SpeculativeWins)
+		}
+		for _, n := range probe.rm.Nodes() {
+			held += n.Mem.Used()
+		}
+	})
+	probe.eng.Run()
+	if held == 0 {
+		t.Fatal("no container was inside the scheduling delay when job a finished; the test exercises nothing")
+	}
+
+	want, _, _, reused := recycledPair(t, delayed(), specA, false)
+	if reused {
+		t.Fatal("the reference run reused A's job object")
+	}
+	got, _, _, reused := recycledPair(t, delayed(), specA, true)
+	if !reused {
+		t.Fatal("job b did not reuse job a's recycled object")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("b on a's recycled objects differs from b on a fresh pool:\n got %+v\nwant %+v", got.Counters, want.Counters)
+	}
+}
+
+// TestPoolInvisibleUnderFaults: under a node crash, attempt failures,
+// fetch failures and speculation, recycling finished jobs through a
+// Pool changes nothing a caller can see — neither any job's result nor
+// a single trace event.
+func TestPoolInvisibleUnderFaults(t *testing.T) {
+	run := func(pool *Pool) (results []Result, events []byte, jobs map[*Job]int, fc string) {
+		r := newRig()
+		rec := &trace.Recorder{}
+		spec := faults.Spec{
+			NodeCrashes:     []faults.NodeCrash{{At: 40, Node: 3, RestartAfter: 120}},
+			FetchFailRate:   0.05,
+			TaskAttemptFail: &faults.TaskAttemptFail{Rate: 0.05, MeanDelaySecs: 3},
+		}
+		inj, err := faults.New(r.c, sim.NewSource(7), spec, rec)
+		if err != nil {
+			t.Fatalf("faults.New: %v", err)
+		}
+		jobs = map[*Job]int{}
+		benches := []workload.Benchmark{workload.Terasort(2, 0, 0), workload.Terasort(6, 0, 0)}
+		// Arrivals every 30 s against ~200 s jobs: later jobs reuse the
+		// objects of earlier ones while those jobs' timers still fire.
+		for i := 0; i < 16; i++ {
+			i := i
+			r.eng.At(float64(i)*30, func() {
+				spec := Spec{
+					Name:        fmt.Sprintf("job%02d", i),
+					Benchmark:   benches[i%len(benches)],
+					BaseConfig:  mrconf.Default(),
+					Trace:       rec,
+					Speculation: DefaultSpeculation(),
+					Faults:      inj,
+					Pool:        pool,
+				}
+				j := Submit(r.rm, r.fs, spec, func(res Result) {
+					res.Reports = append([]TaskReport(nil), res.Reports...)
+					results = append(results, res)
+				})
+				jobs[j]++
+			})
+		}
+		r.eng.Run()
+		var buf bytes.Buffer
+		if err := rec.WriteJSONL(&buf); err != nil {
+			t.Fatalf("WriteJSONL: %v", err)
+		}
+		return results, buf.Bytes(), jobs, fmt.Sprintf("%+v", *r.c.Faults)
+	}
+
+	want, wantEvents, _, wantFaults := run(nil)
+	got, gotEvents, jobs, gotFaults := run(NewPool())
+	if len(jobs) == len(got) {
+		t.Fatal("no job reused a recycled Job object; the test exercises nothing")
+	}
+	var failures, specs int
+	for _, res := range want {
+		failures += res.Counters.TaskFailures
+		specs += res.Counters.SpeculativeLaunches
+	}
+	if failures == 0 || specs == 0 {
+		t.Fatalf("faults or speculation idle (%d attempt failures, %d speculative launches)", failures, specs)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d jobs finished with a pool, %d without", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("job %s differs with a pool:\n got %+v\nwant %+v", want[i].JobName, got[i].Counters, want[i].Counters)
+		}
+	}
+	if gotFaults != wantFaults {
+		t.Errorf("fault counters differ with a pool:\n got %s\nwant %s", gotFaults, wantFaults)
+	}
+	if !bytes.Equal(gotEvents, wantEvents) {
+		t.Error("the trace event stream differs with a pool")
+	}
+}

@@ -44,10 +44,10 @@ func (j *Job) runReduce(t *Task, c *yarn.Container) {
 	t.cpuSecs = 0
 	j.traceTask(t, trace.TaskStart)
 	j.armAttemptFault(t)
-	att := t.Attempt
+	att, g := t.Attempt, j.gen
 	j.eng.After(TaskLaunchOverheadSecs, func() {
-		if t.Attempt != att {
-			return // the attempt was requeued during launch
+		if j.gen != g || t.Attempt != att {
+			return // the job was recycled, or the attempt requeued during launch
 		}
 		j.reduceMain(t)
 	})
@@ -83,10 +83,10 @@ func (j *Job) reduceMain(t *Task) {
 	if heapNeedMB > heap {
 		frac := heap / heapNeedMB
 		failAfter := math.Max(2, 10*frac)
-		att := t.Attempt
+		att, g := t.Attempt, j.gen
 		j.eng.After(failAfter, func() {
-			if t.Attempt != att {
-				return // the attempt was already requeued (node loss)
+			if j.gen != g || t.Attempt != att {
+				return // the job was recycled, or the attempt requeued (node loss)
 			}
 			j.taskFailed(t, errOOM)
 		})
@@ -168,9 +168,9 @@ func (j *Job) tryFetch(r *reduceRun) {
 			TaskType: t.Type.String(), TaskID: t.ID, Attempt: t.Attempt,
 			Node: t.container.Node.Name, Detail: "injected"})
 		r.busy = true
-		att := t.Attempt
+		att, g := t.Attempt, j.gen
 		j.eng.After(FetchRetryDelaySecs, func() {
-			if j.finished || t.killed || t.Attempt != att {
+			if j.gen != g || j.finished || t.killed || t.Attempt != att {
 				return
 			}
 			r.busy = false
@@ -243,7 +243,11 @@ func (j *Job) reduceOutput(r *reduceRun, totalIn float64) {
 	}
 	t := r.task
 	outMB := totalIn * j.bench.Profile.ReduceSelectivity
+	g := j.gen
 	op := j.fs.StartWrite(t.container.Node, outMB, func() {
+		if j.gen != g {
+			return
+		}
 		j.reduceFinish(r, outMB)
 	})
 	t.trackOp(op)

@@ -39,14 +39,16 @@ func DefaultSpeculation() *SpeculationConfig {
 }
 
 // scheduleSpeculation arms the periodic straggler check; the ticker
-// stops itself when the job finishes so the event queue can drain.
+// stops itself when the job finishes (or was recycled) so the event
+// queue can drain.
 func (j *Job) scheduleSpeculation() {
 	cfg := j.spec.Speculation
 	if cfg == nil {
 		return
 	}
+	g := j.gen
 	j.eng.Tick(cfg.CheckInterval, func() bool {
-		if j.finished {
+		if j.gen != g || j.finished {
 			return false
 		}
 		j.checkSpeculation()

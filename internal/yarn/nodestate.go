@@ -73,13 +73,15 @@ func (rm *ResourceManager) declareNodeLost(n *cluster.Node) {
 	rm.kick()
 }
 
-// reclaimLost reclaims one container from a lost node.
+// reclaimLost reclaims one container from a lost node. The owner of a
+// finished app is not told: it may already have recycled the objects
+// OnNodeLost would touch.
 func (rm *ResourceManager) reclaimLost(c *Container) {
 	if c.released {
 		return
 	}
 	rm.c.Faults.ContainersLost++
-	if c.OnNodeLost != nil {
+	if c.OnNodeLost != nil && !c.App.finished {
 		c.OnNodeLost(c)
 	}
 	if !c.released {

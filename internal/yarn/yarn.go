@@ -52,10 +52,13 @@ type Request struct {
 	Resource       Resource
 	PreferredNodes []*cluster.Node
 	// OnAllocate runs when a container is granted. It must eventually
-	// lead to Release.
+	// lead to Release. It never runs after the app has finished: a
+	// container granted inside the scheduling delay to an app that
+	// finishes before the delay ends is released by the RM instead.
 	OnAllocate func(*Container)
 	// OnNodeLost, if set, is invoked when the container's node is
 	// declared lost: the work is gone; the RM releases the container.
+	// Like OnAllocate, it never runs after the app has finished.
 	OnNodeLost func(*Container)
 
 	app      *App
@@ -782,6 +785,15 @@ func (rm *ResourceManager) place(app *App, req *Request, node *cluster.Node) {
 			// launch never happens. Reclaim the container right away
 			// (its loss notification would otherwise wait for expiry).
 			rm.reclaimLost(cont)
+			return
+		}
+		if app.finished {
+			// The app finished inside the window: its owner killed the
+			// attempt this container was for after the request had been
+			// placed (a losing speculative copy), and may since have
+			// recycled the objects onAllocate would touch. Hand the
+			// container straight back.
+			rm.Release(cont)
 			return
 		}
 		if onAllocate != nil {

@@ -284,6 +284,46 @@ func TestSchedulingDelayApplied(t *testing.T) {
 	}
 }
 
+// TestFinishInsideSchedulingDelay: a container placed for an app that
+// finishes before the scheduling delay ends is released by the RM; the
+// app's callbacks never run. The node-loss variant still counts the
+// lost container.
+func TestFinishInsideSchedulingDelay(t *testing.T) {
+	for _, nodeDies := range []bool{false, true} {
+		eng, c, rm := newRM(t, FIFOScheduler{})
+		rm.SchedulingDelay = 5
+		app := rm.Submit("job", 1)
+		calls := 0
+		app.Request(&Request{
+			Resource:   Resource{MemMB: 1024, VCores: 1},
+			OnAllocate: func(*Container) { calls++ },
+			OnNodeLost: func(*Container) { calls++ },
+		})
+		eng.At(1, func() {
+			if nodeDies {
+				for _, n := range c.Nodes {
+					if n.Mem.Used() > 0 {
+						c.KillNode(n)
+					}
+				}
+			}
+			app.Finish()
+		})
+		eng.Run()
+		if calls != 0 {
+			t.Errorf("nodeDies=%v: %d callbacks ran for a finished app", nodeDies, calls)
+		}
+		for _, n := range c.Nodes {
+			if n.Mem.Used() != 0 {
+				t.Errorf("nodeDies=%v: %v MB still booked on %s", nodeDies, n.Mem.Used(), n.Name)
+			}
+		}
+		if want := map[bool]int{false: 0, true: 1}[nodeDies]; c.Faults.ContainersLost != want {
+			t.Errorf("nodeDies=%v: ContainersLost = %d, want %d", nodeDies, c.Faults.ContainersLost, want)
+		}
+	}
+}
+
 func TestSchedulerNamesAndResourceString(t *testing.T) {
 	if (FIFOScheduler{}).Name() != "fifo" || (FairScheduler{}).Name() != "fair" {
 		t.Fatal("scheduler names broken")
