@@ -143,13 +143,29 @@ type Fabric struct {
 	eng   *sim.Engine
 	links []*Link
 	flows []*Flow
+	// ws is the recompute scratch and flow free list, shared by every
+	// fabric of a cluster.
+	ws *workspace
+}
 
-	epoch uint64 // recompute generation for visit stamps
+// workspace is what the fabrics of one cluster share: the recompute
+// epoch and scratch, and the free list of recycled flows. cluster.New
+// gives all of its fabrics one, so the scratch is sized by the largest
+// component any fabric sweeps rather than once per node, and a flow
+// finished on one node's disk can serve the next Start on any fabric.
+// Sharing is safe because recompute runs no callbacks (it only
+// schedules events), so it never re-enters, and one goroutine drives a
+// cluster.
+type workspace struct {
+	// epoch is the recompute generation for visit stamps. It is shared,
+	// so every stamp on a link or flow of the cluster, a recycled flow's
+	// included, is below the epoch of the next sweep.
+	epoch uint64
 
 	// Scratch slices reused across recomputations to keep the hot path
 	// allocation-free; contents are only valid during one recompute.
-	// They hold positions in links and flows rather than pointers, so
-	// filling them costs no GC write barriers.
+	// They hold positions in the recomputing fabric's links and flows
+	// rather than pointers, so filling them costs no GC write barriers.
 	dirtyLinks []int32
 	dirtyFlows []int32
 	// capped and live are progressive filling's worklists of unfrozen
@@ -162,27 +178,23 @@ type Fabric struct {
 	// marks is sortIndices' bitmap over flow positions, all zero
 	// between calls.
 	marks []uint64
-	// free is the pool of recycled Flow objects (see Flow.Recycle),
-	// shared by every fabric of a cluster.
-	free *flowPool
+
+	// free is the pool of recycled Flow objects (see Flow.Recycle):
+	// owners that provably hold the last reference hand finished flows
+	// back so a steady stream of Starts stops allocating.
+	free []*Flow
 }
 
-// flowPool is a free list of recycled Flow objects: owners that
-// provably hold the last reference hand finished flows back so a
-// steady stream of Starts stops allocating. cluster.New shares one
-// among all of its fabrics, so a flow finished on one node's disk can
-// serve the next Start on any fabric instead of waiting for that disk.
-type flowPool struct{ flows []*Flow }
-
-// NewFabric returns an empty fabric, with a free list of its own,
+// NewFabric returns an empty fabric, with a workspace of its own,
 // whose completion events are scheduled on eng.
 func NewFabric(eng *sim.Engine, name string) *Fabric {
-	return newFabric(eng, name, &flowPool{})
+	return newFabric(eng, name, &workspace{})
 }
 
-// newFabric returns an empty fabric that recycles flows through free.
-func newFabric(eng *sim.Engine, name string, free *flowPool) *Fabric {
-	return &Fabric{Name: name, eng: eng, free: free}
+// newFabric returns an empty fabric that recomputes in, and recycles
+// flows through, ws.
+func newFabric(eng *sim.Engine, name string, ws *workspace) *Fabric {
+	return &Fabric{Name: name, eng: eng, ws: ws}
 }
 
 // AddLink registers a link with the fabric and returns it.
@@ -279,11 +291,11 @@ func (fb *Fabric) add(links []*Link, work, rateCap float64, done func()) *Flow {
 // closure (it captures only the flow and resolves f.fabric when
 // called) and their posX capacity.
 func (fb *Fabric) newFlow() *Flow {
-	free := fb.free
-	if n := len(free.flows); n > 0 {
-		f := free.flows[n-1]
-		free.flows[n-1] = nil
-		free.flows = free.flows[:n-1]
+	ws := fb.ws
+	if n := len(ws.free); n > 0 {
+		f := ws.free[n-1]
+		ws.free[n-1] = nil
+		ws.free = ws.free[:n-1]
 		f.fabric = fb
 		f.pooled = false
 		f.finished = false
@@ -293,11 +305,10 @@ func (fb *Fabric) newFlow() *Flow {
 }
 
 // recycleFlow resets a flow that has fully left the fabric and parks
-// it in the free list. The visit stamp is cleared because it is an
-// epoch of this fabric: on another fabric whose epoch later reaches
-// the same value, the sweep would take the flow as already visited.
-// Flows still queued, in flight, or already pooled are left alone, so
-// callers may invoke it unconditionally during teardown. So are
+// it in the free list. Its visit stamp stays: the epoch is the
+// cluster's, so the stamp is below any later sweep's. Flows still
+// queued, in flight, or already pooled are left alone, so callers
+// may invoke it unconditionally during teardown. So are
 // zero-work flows (no onComplete: they never came from the pool),
 // whose completion closure may still be queued after a Cancel and
 // would otherwise fire on the flow's next owner.
@@ -312,10 +323,9 @@ func (fb *Fabric) recycleFlow(f *Flow) {
 	f.rate = 0
 	f.prevRate = 0
 	f.lastAdvance = 0
-	f.visit = 0
 	f.done = nil
 	f.onAbort = nil
-	fb.free.flows = append(fb.free.flows, f)
+	fb.ws.free = append(fb.ws.free, f)
 }
 
 // Recycle hands a finished flow back to its fabric's free list (in a
@@ -448,10 +458,11 @@ func (fb *Fabric) recompute(seeds []*Link, seedFlow *Flow) {
 
 	// Sweep out the connected component (links and flows) from the
 	// seeds. visit stamps make membership checks O(1) without clearing.
-	fb.epoch++
-	ep := fb.epoch
-	links := fb.dirtyLinks[:0]
-	flows := fb.dirtyFlows[:0]
+	ws := fb.ws
+	ws.epoch++
+	ep := ws.epoch
+	links := ws.dirtyLinks[:0]
+	flows := ws.dirtyFlows[:0]
 	for _, l := range seeds {
 		if l.visit != ep {
 			l.visit = ep
@@ -478,11 +489,11 @@ func (fb *Fabric) recompute(seeds []*Link, seedFlow *Flow) {
 	}
 	// Keep grown capacity for the next recompute; storing only on growth
 	// spares the slice-header write barrier on every call.
-	if cap(links) > cap(fb.dirtyLinks) {
-		fb.dirtyLinks = links
+	if cap(links) > cap(ws.dirtyLinks) {
+		ws.dirtyLinks = links
 	}
-	if cap(flows) > cap(fb.dirtyFlows) {
-		fb.dirtyFlows = flows
+	if cap(flows) > cap(ws.dirtyFlows) {
+		ws.dirtyFlows = flows
 	}
 
 	if len(flows) == 0 {
@@ -571,10 +582,11 @@ func (fb *Fabric) sortIndices(idx []int32) {
 		return
 	}
 	words := (len(fb.flows) + 63) / 64
-	if cap(fb.marks) < words {
-		fb.marks = make([]uint64, words)
+	ws := fb.ws
+	if cap(ws.marks) < words {
+		ws.marks = make([]uint64, words)
 	}
-	marks := fb.marks[:words]
+	marks := ws.marks[:words]
 	for _, i := range idx {
 		marks[i>>6] |= 1 << (uint(i) & 63)
 	}
@@ -603,6 +615,7 @@ func (fb *Fabric) sortIndices(idx []int32) {
 // that loop (TestFillMatchesUniformIncrement pins it), and independent
 // of the order of links and flows: min and integer counts commute.
 func (fb *Fabric) fill(flows, links []int32) {
+	ws := fb.ws
 	for _, li := range links {
 		l := fb.links[li]
 		l.remaining = l.Capacity
@@ -613,7 +626,7 @@ func (fb *Fabric) fill(flows, links []int32) {
 	// worklist is exactly minCap-level. The cap-freeze pass, the last
 	// step of a round, recomputes minCap, so no later freeze can make
 	// it stale before the next round reads it.
-	capped := fb.capped[:0]
+	capped := ws.capped[:0]
 	minCap := math.Inf(1)
 	for _, fi := range flows {
 		f := fb.flows[fi]
@@ -635,7 +648,7 @@ func (fb *Fabric) fill(flows, links []int32) {
 	// share scan drops those that no longer do. A link without unfrozen
 	// flows keeps its remaining capacity (x - 0 == x) and, if exhausted,
 	// was exhausted in an earlier round whose freeze emptied it.
-	live := append(fb.live[:0], links...)
+	live := append(ws.live[:0], links...)
 	for unfrozen > 0 {
 		delta := math.Inf(1)
 		for i := 0; i < len(live); {
@@ -664,7 +677,7 @@ func (fb *Fabric) fill(flows, links []int32) {
 			delta = 0
 		}
 		level += delta
-		exhausted := fb.exhausted[:0]
+		exhausted := ws.exhausted[:0]
 		for _, li := range live {
 			l := fb.links[li]
 			l.remaining -= delta * float64(l.count)
@@ -672,8 +685,8 @@ func (fb *Fabric) fill(flows, links []int32) {
 				exhausted = append(exhausted, li)
 			}
 		}
-		if cap(exhausted) > cap(fb.exhausted) {
-			fb.exhausted = exhausted
+		if cap(exhausted) > cap(ws.exhausted) {
+			ws.exhausted = exhausted
 		}
 		// Freeze flows that hit their cap or sit on an exhausted link.
 		// Every test reads the level and link state fixed above, so the
@@ -710,11 +723,11 @@ func (fb *Fabric) fill(flows, links []int32) {
 			break
 		}
 	}
-	if cap(capped) > cap(fb.capped) {
-		fb.capped = capped
+	if cap(capped) > cap(ws.capped) {
+		ws.capped = capped
 	}
-	if cap(live) > cap(fb.live) {
-		fb.live = live
+	if cap(live) > cap(ws.live) {
+		ws.live = live
 	}
 	if unfrozen > 0 {
 		for _, fi := range flows {

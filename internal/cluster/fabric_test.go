@@ -248,47 +248,95 @@ func TestPooledFlowCycleAllocationFree(t *testing.T) {
 	}
 }
 
-// TestFlowReusedAcrossFabrics: a flow's visit stamp is an epoch of the
-// fabric that last swept it. A flow recycled on one fabric and reused on
-// another whose epoch has reached that stamp must still be swept into
-// its first recompute, or it never gets a rate and never completes.
+// TestFlowReusedAcrossFabrics: a flow recycled on a node's CPU fabric
+// and reused by the network completes exactly as a fresh flow does.
+// The setup replays the collision that an epoch per fabric would hit
+// without clearing stamps on recycle: the flow's last sweep is the CPU
+// fabric's 101st recompute, and the network Start is the network's
+// 101st. With one epoch per cluster the stamp is below every later
+// sweep, so the Start still sweeps the flow in and gives it a rate.
 func TestFlowReusedAcrossFabrics(t *testing.T) {
-	eng, c := newTestCluster(t)
-	n0, n1, n2 := c.Nodes[0], c.Nodes[1], c.Nodes[2]
-	// Drive n0's CPU fabric epoch well above the network's, then leave
-	// one flow recycled there with a high stamp.
-	var f *Flow
-	for i := 0; i < 50; i++ {
-		f = n0.Compute(1, 1, nil)
+	run := func(recycle bool) (end float64, reused bool) {
+		eng, c := newTestCluster(t)
+		n0, n1, n2 := c.Nodes[0], c.Nodes[1], c.Nodes[2]
+		// 51 CPU flows: a Start and a completion recompute each, the
+		// last Start being the CPU fabric's 101st.
+		var f *Flow
+		for i := 0; i < 51; i++ {
+			f = n0.Compute(1, 1, nil)
+			eng.Run()
+			if recycle {
+				f.Recycle()
+			}
+		}
+		// 100 rebalances of an idle link, so the Start below is the
+		// network's 101st recompute.
+		net := c.NetworkFabric()
+		idle := n2.NICIn
+		for i := 0; i < 100; i++ {
+			net.SetCapacity(idle, idle.Capacity+1)
+		}
+		end = -1
+		g := net.Start([]*Link{n0.NICOut, n1.NICIn}, 2*n0.NICOut.Capacity, 0, func() { end = eng.Now() })
 		eng.Run()
-		f.Recycle()
+		return end, g == f
 	}
-	f = n0.Compute(1, 1, nil)
-	eng.Run()
-	stale := f.visit
-	f.Recycle()
-
-	// Walk the network's epoch up to just below the stamp by rebalancing
-	// an idle link, so the next Start sweeps at exactly the stale epoch.
-	net := c.NetworkFabric()
-	if net.epoch >= stale {
-		t.Fatalf("network epoch %d already past the stale stamp %d", net.epoch, stale)
+	fresh, reused := run(false)
+	if reused || fresh < 0 {
+		t.Fatalf("fresh run: reused=%v end=%v, want a fresh flow that completes", reused, fresh)
 	}
-	idle := n2.NICIn
-	for net.epoch < stale-1 {
-		net.SetCapacity(idle, idle.Capacity+1)
-	}
-
-	start := eng.Now()
-	end := -1.0
-	mb := 2 * n0.NICOut.Capacity
-	g := net.Start([]*Link{n0.NICOut, n1.NICIn}, mb, 0, func() { end = eng.Now() })
-	if g != f {
+	end, reused := run(true)
+	if !reused {
 		t.Fatal("the network Start did not reuse the flow recycled on the CPU fabric")
 	}
+	if end != fresh {
+		t.Fatalf("reused flow completed at %v, want %v as a fresh flow does", end, fresh)
+	}
+}
+
+// TestClusterFabricsShareScratch: a cluster's fabrics recompute in one
+// scratch workspace. Once one node's disk fabric has grown it, a Start
+// and completion on another node's never-used fabric allocates
+// nothing. The test pre-sizes only that fabric's own flow list and its
+// link's membership list, which stay per fabric and per link.
+func TestClusterFabricsShareScratch(t *testing.T) {
+	eng, c := newTestCluster(t)
+	grow := c.Nodes[0]
+	var flows []*Flow
+	for i := 0; i < 3; i++ {
+		flows = append(flows, grow.DiskWrite(float64(10*(i+1)), nil))
+	}
+	flows = append(flows, grow.InjectDiskLoad(5, 2, nil))
 	eng.Run()
-	if want := start + mb/n0.NICOut.Capacity; !almostEqual(end, want, 1e-9) {
-		t.Fatalf("reused flow completed at %v, want %v as a fresh flow would", end, want)
+	for _, f := range flows {
+		f.Recycle()
+	}
+
+	next := 1
+	done := 0
+	onDone := func() { done++ }
+	cycle := func() {
+		n := c.Nodes[next]
+		next++
+		a := n.InjectDiskLoad(5, 2, onDone) // capped, below the fair share
+		b := n.DiskWrite(10, onDone)
+		eng.Run()
+		a.Recycle()
+		b.Recycle()
+	}
+	for _, n := range c.Nodes[1:] {
+		if n.disk.ActiveFlows() != 0 || n.diskLink.visit != 0 {
+			t.Fatalf("%s's disk fabric has been used", n.Name)
+		}
+		n.disk.flows = make([]*Flow, 0, 2)
+		n.diskLink.flows = make([]*Flow, 0, 2)
+	}
+	runs := len(c.Nodes) - 2 // AllocsPerRun adds one warm-up run
+	if a := testing.AllocsPerRun(runs, cycle); a != 0 {
+		t.Errorf("Start and completion on a never-used fabric allocate %v per run, want 0", a)
+	}
+	if want := 2 * (runs + 1); done != want {
+		t.Fatalf("%d flows completed, want %d", done, want)
 	}
 }
 

@@ -117,16 +117,17 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 		panic("cluster: config needs at least one rack")
 	}
 	c := &Cluster{Eng: eng, cfg: cfg, Faults: &metrics.FaultCounters{}}
-	// Every fabric recycles flows through one free list.
-	free := &flowPool{}
-	c.net = newFabric(eng, "network", free)
+	// Every fabric recomputes in one scratch workspace and recycles
+	// flows through its free list.
+	ws := &workspace{}
+	c.net = newFabric(eng, "network", ws)
 	racks := len(cfg.RackSizes)
 	c.Racks = make([][]*Node, racks)
 	if cfg.RackLocalNet {
 		c.rackNets = make([]*Fabric, racks)
 		c.rackListeners = make([][]func(n *Node, down bool), racks)
 		for r := 0; r < racks; r++ {
-			c.rackNets[r] = newFabric(eng, fmt.Sprintf("rack%02d/network", r), free)
+			c.rackNets[r] = newFabric(eng, fmt.Sprintf("rack%02d/network", r), ws)
 		}
 	}
 
@@ -142,9 +143,9 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 			Mem:     NewMemPool(eng, name+"/mem", memMB),
 			cluster: c,
 		}
-		n.cpu = newFabric(eng, name+"/cpu", free)
+		n.cpu = newFabric(eng, name+"/cpu", ws)
 		n.cpuLink = n.cpu.AddLink(name+"/cpu", cores)
-		n.disk = newFabric(eng, name+"/disk", free)
+		n.disk = newFabric(eng, name+"/disk", ws)
 		n.diskLink = n.disk.AddLink(name+"/disk", diskMBps)
 		n.cpuLinks = []*Link{n.cpuLink}
 		n.diskLinks = []*Link{n.diskLink}

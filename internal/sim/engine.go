@@ -173,17 +173,75 @@ func (e *Engine) At(t float64, fn func()) *Event {
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		panic(fmt.Sprintf("sim: scheduling event at non-finite time %v", t))
 	}
+	return e.push(t, e.nextSeq(), fn)
+}
+
+// push queues fn under the key (t, seq), reusing a fired event when
+// the free list has one.
+func (e *Engine) push(t float64, seq uint64, fn func()) *Event {
 	var ev *Event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		ev.at, ev.seq, ev.fn, ev.canceled = t, e.nextSeq(), fn, false
+		ev.at, ev.seq, ev.fn, ev.canceled = t, seq, fn, false
 	} else {
-		ev = &Event{at: t, seq: e.nextSeq(), fn: fn}
+		ev = &Event{at: t, seq: seq, fn: fn}
 	}
 	e.pq.push(ev)
 	return ev
+}
+
+// AtEach schedules fn(i) at times[i] for every i: the same firings, in
+// the same order and under the same (time, seq) keys, as one At call
+// per time in index order, but with only the next time of the series
+// queued. The call reserves len(times) consecutive sequence numbers,
+// exactly what those At calls would consume; when a series event
+// fires it queues its successor under the successor's reserved key,
+// then runs fn. Times must be finite, not before now and strictly
+// increasing, or AtEach panics before scheduling anything. The engine
+// keeps times until the series has fired, so the caller must not
+// modify it. A series cannot be canceled.
+func (e *Engine) AtEach(times []float64, fn func(i int)) {
+	for i, t := range times {
+		if math.IsNaN(t) || math.IsInf(t, 0) {
+			panic(fmt.Sprintf("sim: scheduling series event %d at non-finite time %v", i, t))
+		}
+		if t < e.now {
+			panic(fmt.Sprintf("sim: scheduling series event %d at %.9f before now %.9f", i, t, e.now))
+		}
+		if i > 0 && t <= times[i-1] {
+			panic(fmt.Sprintf("sim: series time %d (%.9f) is not after time %d (%.9f)", i, t, i-1, times[i-1]))
+		}
+	}
+	if len(times) == 0 {
+		return
+	}
+	s := &series{eng: e, times: times, seq0: e.seq, fn: fn}
+	e.seq += uint64(len(times))
+	s.step = s.fire
+	e.push(times[0], s.seq0, s.step)
+}
+
+// series is one AtEach registration: fn(next) fires at times[next]
+// under the reserved sequence number seq0+next.
+type series struct {
+	eng   *Engine
+	times []float64
+	seq0  uint64
+	next  int
+	fn    func(i int)
+	step  func() // s.fire, bound once so each firing reuses it
+}
+
+// fire runs one series event: it queues the successor, then calls fn.
+func (s *series) fire() {
+	i := s.next
+	s.next++
+	if s.next < len(s.times) {
+		s.eng.push(s.times[s.next], s.seq0+uint64(s.next), s.step)
+	}
+	s.fn(i)
 }
 
 // After schedules fn d seconds from now. Negative d panics.
@@ -238,7 +296,9 @@ func (e *Engine) Tick(interval float64, fn func() bool) *Ticker {
 // Stop makes Run return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Pending returns the number of queued (not yet fired) events.
+// Pending returns the number of queued (not yet fired) events. A
+// series registered with AtEach counts as one event until its last
+// time fires, since only its next time is queued.
 func (e *Engine) Pending() int { return len(e.pq) }
 
 // Run processes events until the queue is empty or Stop is called.

@@ -40,8 +40,10 @@ func (s ArrivalSpec) withDefaults() (ArrivalSpec, error) {
 		return s, fmt.Errorf("workload: arrival rate must be positive and finite, got %v", s.MeanPerHour)
 	case s.DiurnalAmplitude < 0 || s.DiurnalAmplitude >= 1:
 		return s, fmt.Errorf("workload: diurnal amplitude must be in [0, 1), got %v", s.DiurnalAmplitude)
-	case s.PeriodSecs <= 0:
-		return s, fmt.Errorf("workload: diurnal period must be positive, got %v", s.PeriodSecs)
+	case s.PeriodSecs <= 0 || math.IsNaN(s.PeriodSecs) || math.IsInf(s.PeriodSecs, 0):
+		return s, fmt.Errorf("workload: diurnal period must be positive and finite, got %v", s.PeriodSecs)
+	case math.IsNaN(s.PhaseSecs) || math.IsInf(s.PhaseSecs, 0):
+		return s, fmt.Errorf("workload: diurnal phase must be finite, got %v", s.PhaseSecs)
 	case s.Horizon <= 0 || math.IsNaN(s.Horizon) || math.IsInf(s.Horizon, 0):
 		return s, fmt.Errorf("workload: arrival horizon must be positive and finite, got %v", s.Horizon)
 	}
@@ -94,20 +96,18 @@ func Arrivals(src *sim.Source, spec ArrivalSpec) ([]float64, error) {
 	}
 }
 
-// ScheduleArrivals posts one event per arrival on eng,
-// invoking submit(i, t) for the i-th arrival at simulated time t. It
-// returns the number of arrivals scheduled. The caller owns what
-// "submit" means — typically mapreduce.Submit of a job drawn from the
-// Table 3 mix — which keeps this generator free of job-layer
-// dependencies.
+// ScheduleArrivals schedules every arrival on eng as one sim.AtEach
+// series, invoking submit(i, t) for the i-th arrival at simulated time
+// t. Only the next arrival is queued at any moment; the firing order
+// is that of one event per arrival. It returns the number of arrivals
+// scheduled. The caller owns what "submit" means — typically
+// mapreduce.Submit of a job drawn from the Table 3 mix — which keeps
+// this generator free of job-layer dependencies.
 func ScheduleArrivals(eng *sim.Engine, src *sim.Source, spec ArrivalSpec, submit func(i int, t float64)) (int, error) {
 	times, err := Arrivals(src, spec)
 	if err != nil {
 		return 0, err
 	}
-	for i, t := range times {
-		i, t := i, t
-		eng.At(t, func() { submit(i, t) })
-	}
+	eng.AtEach(times, func(i int) { submit(i, times[i]) })
 	return len(times), nil
 }

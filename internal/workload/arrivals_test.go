@@ -111,6 +111,13 @@ func TestArrivalSpecValidation(t *testing.T) {
 		{MeanPerHour: 10, Horizon: 0},
 		{MeanPerHour: 10, PeriodSecs: -3600, Horizon: 10},
 		{MeanPerHour: math.Inf(1), Horizon: 10},
+		// A non-finite phase or period makes the diurnal rate NaN, and
+		// thinning would silently accept no arrival at all.
+		{MeanPerHour: 10, DiurnalAmplitude: 0.5, PhaseSecs: math.NaN(), Horizon: 10},
+		{MeanPerHour: 10, DiurnalAmplitude: 0.5, PhaseSecs: math.Inf(1), Horizon: 10},
+		{MeanPerHour: 10, DiurnalAmplitude: 0.5, PhaseSecs: math.Inf(-1), Horizon: 10},
+		{MeanPerHour: 10, DiurnalAmplitude: 0.5, PeriodSecs: math.NaN(), Horizon: 10},
+		{MeanPerHour: 10, DiurnalAmplitude: 0.5, PeriodSecs: math.Inf(1), Horizon: 10},
 	}
 	for i, spec := range bad {
 		if _, err := Arrivals(sim.NewSource(1), spec); err == nil {
@@ -138,8 +145,12 @@ func TestScheduleArrivals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 {
-		t.Fatal("no arrivals scheduled")
+	if n < 2 {
+		t.Fatalf("%d arrivals scheduled, want several", n)
+	}
+	// The arrivals are one sim.AtEach series: only the next is queued.
+	if eng.Pending() != 1 {
+		t.Fatalf("Pending() = %d after scheduling %d arrivals, want 1", eng.Pending(), n)
 	}
 	eng.Run()
 	if len(fired) != n {
