@@ -315,7 +315,11 @@ func (t *Task) trackOp(op canceler) {
 
 // cancelWork aborts everything an attempt has in flight. The tracking
 // slices keep their capacity for the next attempt; the canceled flows
-// are dropped, not recycled.
+// are dropped, not recycled. A succeeded attempt's flows are never
+// reached here: recycleFlows emptied liveFlows at the success, so a
+// later attempt of the same task (a map re-executed after its output
+// was lost) cancels only its own flows, never a recycled one that now
+// serves another attempt.
 func (j *Job) cancelWork(t *Task) {
 	for _, f := range t.liveFlows {
 		if f != nil {
@@ -327,6 +331,22 @@ func (j *Job) cancelWork(t *Task) {
 		op.Cancel()
 	}
 	t.liveOps = clearSlice(t.liveOps)
+}
+
+// recycleFlows hands a succeeded attempt's flows back to the cluster's
+// flow free list and empties liveFlows, keeping its capacity. Every
+// tracked flow has finished by the time the attempt succeeds (its last
+// phase's join fired, and each earlier phase's join fired before that),
+// and liveFlows is their only holder: the fabric drops its own
+// references on completion, and nothing else in this package retains a
+// *cluster.Flow. Pooled or not, later attempts on the same cluster then
+// start their flows from the recycled objects. HDFS-internal flows live
+// inside liveOps' operation objects and are left alone.
+func (t *Task) recycleFlows() {
+	for _, f := range t.liveFlows {
+		f.Recycle()
+	}
+	t.liveFlows = clearSlice(t.liveFlows)
 }
 
 // finishAttempt handles bookkeeping common to success and failure.
@@ -387,6 +407,7 @@ func (j *Job) taskSucceeded(t *Task) {
 	if j.finished || t.killed {
 		return
 	}
+	t.recycleFlows()
 	logical := t.logical()
 	if logical.logicalDone {
 		// The twin already won; this copy's work is discarded.

@@ -88,17 +88,14 @@ func (p *Pool) recycleJob(j *Job) {
 
 // recycleTask zeroes one task, dropping every reference it holds
 // (flows, ops, container, split, job) while keeping the tracking
-// slices' capacity. Finished flows are handed back to the cluster's
-// flow free list first: liveFlows is the sole surviving reference to
-// them (the fabric drops its own on completion, and nothing else in
-// this package retains *cluster.Flow), so the task is entitled to
-// recycle. HDFS-internal flows live inside liveOps' operation objects
-// and are deliberately left alone.
+// slices' capacity. An attempt that succeeded recycled its flows at
+// the success (Task.recycleFlows) and a killed or failed one canceled
+// its own, so liveFlows is normally empty here; recycleFlows returns
+// whatever a copy that completed after its twin had won (mapFinish,
+// reduceFinish) still holds.
 func (p *Pool) recycleTask(t *Task) {
-	for _, f := range t.liveFlows {
-		f.Recycle()
-	}
-	flows := clearSlice(t.liveFlows)
+	t.recycleFlows()
+	flows := t.liveFlows
 	ops := clearSlice(t.liveOps)
 	*t = Task{liveFlows: flows, liveOps: ops,
 		onAllocCB: t.onAllocCB, onNodeLostCB: t.onNodeLostCB}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/mrconf"
 	"repro/internal/sim"
@@ -245,5 +246,153 @@ func TestPoolInvisibleUnderFaults(t *testing.T) {
 	}
 	if !bytes.Equal(gotEvents, wantEvents) {
 		t.Error("the trace event stream differs with a pool")
+	}
+}
+
+// flowSampler watches one job's tasks at a fixed simulated-time
+// interval. It records every flow a task tracks while the flow still
+// has work left (zero-work flows never come from the free list), and
+// fails the test when two tasks track one flow at the same time: a
+// flow recycled at one attempt's success and restarted for another
+// must have left the first attempt's list.
+type flowSampler struct {
+	inFlight map[*cluster.Flow]bool
+	samples  int
+}
+
+func sampleTrackedFlows(t *testing.T, r *rig, j *Job, interval float64) *flowSampler {
+	t.Helper()
+	s := &flowSampler{inFlight: map[*cluster.Flow]bool{}}
+	r.eng.Tick(interval, func() bool {
+		if j.finished {
+			return false
+		}
+		s.samples++
+		owner := map[*cluster.Flow]*Task{}
+		for _, tasks := range [][]*Task{j.mapTasks, j.reduceTasks} {
+			for _, tk := range tasks {
+				for _, f := range tk.liveFlows {
+					if o := owner[f]; o != nil && o != tk {
+						t.Fatalf("t=%g: %s and %s both track one flow", r.eng.Now(), o, tk)
+					}
+					owner[f] = tk
+					if f.Remaining() > 0 {
+						s.inFlight[f] = true
+					}
+				}
+			}
+		}
+		return true
+	})
+	return s
+}
+
+// TestSucceededAttemptFlowsRecycled: in an unpooled job, each attempt
+// hands its flows back to the cluster's free list when it succeeds.
+// After the job no task tracks a flow, and draining the free list
+// yields every flow an attempt was seen running.
+func TestSucceededAttemptFlowsRecycled(t *testing.T) {
+	r := newRig()
+	done := false
+	j := Submit(r.rm, r.fs, Spec{Name: "a", Benchmark: smallTerasort(), BaseConfig: mrconf.Default()},
+		func(res Result) { done = !res.Failed })
+	s := sampleTrackedFlows(t, r, j, 0.05)
+	r.eng.Run()
+	if !done {
+		t.Fatal("job did not complete cleanly")
+	}
+	if s.samples == 0 || len(s.inFlight) == 0 {
+		t.Fatalf("sampled %d times and saw %d flows in flight; the test exercises nothing", s.samples, len(s.inFlight))
+	}
+	for _, tasks := range [][]*Task{j.mapTasks, j.reduceTasks} {
+		for _, tk := range tasks {
+			if len(tk.liveFlows) != 0 {
+				t.Errorf("%s still tracks %d flows after the job", tk, len(tk.liveFlows))
+			}
+		}
+	}
+	// Cap-only flows are singleton components, so starting one is cheap;
+	// each pops the free list until it is empty and then allocates.
+	fb := r.c.NetworkFabric()
+	missing := len(s.inFlight)
+	for i := 0; missing > 0 && i < 100_000; i++ {
+		if f := fb.Start(nil, 1, 1, nil); s.inFlight[f] {
+			delete(s.inFlight, f)
+			missing--
+		}
+	}
+	if missing > 0 {
+		t.Fatalf("%d flows that succeeded attempts tracked are not in the cluster's free list", missing)
+	}
+}
+
+// failReexec fails, delay seconds after launch, the named attempt of
+// each map task in attempt: the first re-execution of a map whose
+// output was lost.
+type failReexec struct {
+	attempt map[int]int
+	delay   float64
+	armed   int
+}
+
+func (h *failReexec) FetchFails() bool { return false }
+
+func (h *failReexec) AttemptFailDelay(taskType string, id, attempt int) (float64, bool) {
+	if a, ok := h.attempt[id]; !ok || taskType != MapTask.String() || attempt != a {
+		return 0, false
+	}
+	h.armed++
+	return h.delay, true
+}
+
+// TestReexecutedMapCancelsOnlyItsOwnFlows: a node crash after maps
+// succeeded on it re-executes them, and each re-executed attempt is
+// failed mid-run, so cancelWork runs on a task whose earlier attempt
+// succeeded and recycled its flows — which other attempts have since
+// restarted. cancelWork must cancel only the new attempt's flows: no
+// two tasks ever track one flow, and the job completes with its data
+// conserved.
+func TestReexecutedMapCancelsOnlyItsOwnFlows(t *testing.T) {
+	r := newRig()
+	h := &failReexec{attempt: map[int]int{}, delay: 3}
+	b := smallTerasort()
+	var res Result
+	done := false
+	j := Submit(r.rm, r.fs, Spec{Name: "a", Benchmark: b, BaseConfig: mrconf.Default(), Faults: h},
+		func(rr Result) { res, done = rr, true })
+	s := sampleTrackedFlows(t, r, j, 0.05)
+	// Crash the host of the first completed map output once reducers
+	// need it, and bring it back two minutes later.
+	r.eng.Tick(1, func() bool {
+		if j.finished || !j.anyReducerNeedsMapOutput() {
+			return !j.finished
+		}
+		for _, tk := range j.mapTasks {
+			if !tk.logicalDone || tk.outputNode == nil {
+				continue
+			}
+			node := tk.outputNode
+			for _, m := range j.mapTasks {
+				if m.logicalDone && m.outputNode == node {
+					h.attempt[m.ID] = m.Attempt + 1
+				}
+			}
+			r.c.KillNode(node)
+			r.eng.After(120, func() { r.c.RestoreNode(node) })
+			return false
+		}
+		return true
+	})
+	r.eng.Run()
+	if !done || res.Failed {
+		t.Fatalf("job did not complete cleanly (done=%v, err=%v)", done, res.Err)
+	}
+	checkInvariants(t, b, res)
+	if res.Counters.MapsReExecuted == 0 || h.armed == 0 || res.Counters.TaskFailures == 0 {
+		t.Fatalf("%d maps re-executed, %d re-executions armed to fail, %d attempt failures; want all positive",
+			res.Counters.MapsReExecuted, h.armed, res.Counters.TaskFailures)
+	}
+	if s.samples == 0 {
+		t.Fatal("the flow sampler never ran")
 	}
 }

@@ -124,3 +124,101 @@ func TestFreeCapacityIndexMirrorsMemPools(t *testing.T) {
 		check("after release")
 	}
 }
+
+// FuzzRelaxRetry drives an RM through request, cancel, finish, release
+// and advance schedules decoded from the fuzzer's input, one byte per
+// decision (0 once the input runs out): requests with and without node
+// preferences, many enqueued at one instant, a NodeFilter on or off,
+// and delays drawn independently, so RackDelay may reach OffRackDelay.
+// After every step the order-based oldestConstrainedEnqueue and
+// relaxExpiry must equal the linear scans over every pending request,
+// each pending list must be in enqueue order with each request's index
+// its position, and CancelRequest must succeed exactly when the request
+// is pending on the app it is called on.
+func FuzzRelaxRetry(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 1, 4, 1, 0, 1, 0, 1, 1, 0, 0, 1, 1, 2, 0, 4, 2, 4, 3, 0, 2, 5, 1, 4, 5, 2, 0, 6, 1})
+	f.Add([]byte("delay scheduling: rack, then off-rack, then the hot-spot fallback"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pos := 0
+		next := func(n int) int {
+			if pos >= len(data) {
+				return 0
+			}
+			pos++
+			return int(data[pos-1]) % n
+		}
+		eng := sim.NewEngine()
+		c := cluster.New(eng, cluster.PaperConfig())
+		rm := NewResourceManager(eng, c, FIFOScheduler{})
+		delays := []float64{0, 0.1, 0.5, 1, 2, 5, 7.5}
+		rm.SchedulingDelay = delays[next(3)]
+		rm.RackDelay = delays[next(len(delays))]
+		rm.OffRackDelay = delays[next(len(delays))]
+		rm.HotSpotFallbackDelay = delays[next(len(delays))]
+		if next(2) == 1 {
+			rm.NodeFilter = func(n *cluster.Node) bool { return n.ID%3 != 0 }
+		}
+		apps := []*App{rm.Submit("a", 1), rm.Submit("b", 2), rm.Submit("c", 1)}
+		// Small requests place while the cluster has room; an oversized
+		// one never fits, so pending lists also grow.
+		shapes := []Resource{{MemMB: 1024, VCores: 1}, {MemMB: 4096, VCores: 4}, {MemMB: 1 << 30, VCores: 1}}
+		steps := []float64{0, 0, 0.1, 0.3, 1, 2.5}
+		var reqs []*Request
+		var live []*Container
+		for step := 0; pos < len(data) && step < 512; step++ {
+			switch op := next(6); op {
+			case 0, 1:
+				req := &Request{Resource: shapes[next(len(shapes))]}
+				for k := next(3); k > 0; k-- {
+					req.PreferredNodes = append(req.PreferredNodes, c.Nodes[next(len(c.Nodes))])
+				}
+				req.OnAllocate = func(cont *Container) { live = append(live, cont) }
+				reqs = append(reqs, req)
+				apps[next(len(apps))].Request(req)
+			case 2:
+				if len(reqs) == 0 {
+					break
+				}
+				req, app := reqs[next(len(reqs))], apps[next(len(apps))]
+				pending := false
+				for _, r := range app.pending {
+					pending = pending || r == req
+				}
+				if got := app.CancelRequest(req); got != pending {
+					t.Fatalf("step %d: CancelRequest = %v on app %d, want %v", step, got, app.ID, pending)
+				}
+			case 3:
+				// Finish an app with no live containers and submit a
+				// fresh one in its place.
+				i := next(len(apps))
+				busy := false
+				for _, cont := range live {
+					busy = busy || cont.App == apps[i]
+				}
+				if !busy {
+					apps[i].Finish()
+					apps[i] = rm.Submit("next", 1)
+				}
+			case 4:
+				if len(live) > 0 {
+					k := next(len(live))
+					cont := live[k]
+					live = append(live[:k], live[k+1:]...)
+					rm.Release(cont)
+				}
+			default:
+				eng.RunUntil(eng.Now() + steps[next(len(steps))])
+			}
+			if got, want := rm.oldestConstrainedEnqueue(), rm.oldestConstrainedEnqueueScan(); got != want {
+				t.Fatalf("step %d at t=%g: oldestConstrainedEnqueue = %g, linear scan %g", step, eng.Now(), got, want)
+			}
+			if got, want := rm.relaxExpiry(), rm.relaxExpiryScan(); got != want {
+				t.Fatalf("step %d at t=%g: relaxExpiry = %g, linear scan %g", step, eng.Now(), got, want)
+			}
+			if msg := pendingOrderError(rm); msg != "" {
+				t.Fatalf("step %d at t=%g: %s", step, eng.Now(), msg)
+			}
+		}
+	})
+}

@@ -1,6 +1,7 @@
 package yarn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -10,7 +11,9 @@ import (
 
 // assignScan is the reference sweep: assign as it was before the
 // preferred-node bitset, visiting every node round-robin from the
-// cursor. TestAssignMatchesScan runs it in lockstep against assign.
+// cursor, with the delay-scheduling times found by linear scans over
+// every pending request. TestAssignMatchesScan runs it in lockstep
+// against assign.
 func (rm *ResourceManager) assignScan() {
 	n := len(rm.nodes)
 	if n == 0 {
@@ -35,7 +38,7 @@ func (rm *ResourceManager) assignScan() {
 	// this once up front errs, if at all, toward scanning a node the
 	// sweep could have skipped — never toward skipping a placeable one.
 	now := rm.eng.Now()
-	oldest := rm.oldestConstrainedEnqueue()
+	oldest := rm.oldestConstrainedEnqueueScan()
 	rackEligible := oldest >= 0 && now-oldest >= rm.RackDelay
 	offRackEligible := oldest >= 0 && now-oldest >= rm.OffRackDelay
 	pass := func(useFilter bool, minAge float64) {
@@ -94,7 +97,7 @@ func (rm *ResourceManager) assignScan() {
 		// stall the job.
 		pass(false, rm.HotSpotFallbackDelay)
 	}
-	rm.scheduleRelaxRetry()
+	rm.scheduleRelaxRetry(rm.relaxExpiryScan())
 }
 
 func scanHasPending(rm *ResourceManager) bool {
@@ -106,13 +109,74 @@ func scanHasPending(rm *ResourceManager) bool {
 	return false
 }
 
+// oldestConstrainedEnqueueScan is the reference for
+// oldestConstrainedEnqueue: the minimum over every pending request with
+// node preferences, with no use of the pending lists' order.
+func (rm *ResourceManager) oldestConstrainedEnqueueScan() float64 {
+	oldest := -1.0
+	for _, app := range rm.apps {
+		for _, req := range app.pending {
+			if len(req.PreferredNodes) > 0 && (oldest < 0 || req.enqueued < oldest) {
+				oldest = req.enqueued
+			}
+		}
+	}
+	return oldest
+}
+
+// relaxExpiryScan is the reference for relaxExpiry: every pending
+// request's every threshold, with no use of the pending lists' order.
+func (rm *ResourceManager) relaxExpiryScan() float64 {
+	now := rm.eng.Now()
+	earliest := -1.0
+	for _, app := range rm.apps {
+		for _, req := range app.pending {
+			if len(req.PreferredNodes) > 0 {
+				if e := req.enqueued + rm.RackDelay; e > now && (earliest < 0 || e < earliest) {
+					earliest = e
+				}
+				if e := req.enqueued + rm.OffRackDelay; e > now && (earliest < 0 || e < earliest) {
+					earliest = e
+				}
+			}
+			if rm.NodeFilter != nil {
+				if e := req.enqueued + rm.HotSpotFallbackDelay; e > now && (earliest < 0 || e < earliest) {
+					earliest = e
+				}
+			}
+		}
+	}
+	return earliest
+}
+
+// pendingOrderError describes the first breach of the pending-list
+// invariant the order-based scans rely on — enqueued non-decreasing
+// along each app's list, and every request's index equal to its
+// position — or returns "" when it holds.
+func pendingOrderError(rm *ResourceManager) string {
+	for _, app := range rm.apps {
+		for i, req := range app.pending {
+			if req.index != i {
+				return fmt.Sprintf("app %d: request seq %d at position %d has index %d", app.ID, req.seq, i, req.index)
+			}
+			if i > 0 && req.enqueued < app.pending[i-1].enqueued {
+				return fmt.Sprintf("app %d: request seq %d enqueued at %g after one enqueued at %g",
+					app.ID, req.seq, req.enqueued, app.pending[i-1].enqueued)
+			}
+		}
+	}
+	return ""
+}
+
 // sweepStep is one observable step of a twin: a scheduler Pick (the
 // node offered and the app index returned), a NodeFilter call, a
-// launch (the node and the granted request's seq), or the end of an
-// assign (the cursor and the pending count it left).
+// launch (the node and the granted request's seq), the end of an
+// assign (the cursor, the pending count and the latest relax-retry
+// wakeup armed), or a relax-retry wakeup firing (its time).
 type sweepStep struct {
-	kind      string // pick, filter, launch or assign
+	kind      string // pick, filter, launch, assign or wakeup
 	node, val int
+	at        float64
 }
 
 // sweepTwin is one side of the lockstep: its own engine, cluster and
@@ -125,6 +189,7 @@ type sweepTwin struct {
 	c    *cluster.Cluster
 	rm   *ResourceManager
 	apps []*App
+	reqs []*Request // every request made, pending or not
 	live []*Container
 	hot  []bool
 	log  []sweepStep
@@ -203,7 +268,12 @@ func newSweepTwin(t *testing.T, seed int64, p sweepParams, ref *sweepTwin) *swee
 	rm.kickFn = func() {
 		rm.assigning = false
 		assign()
-		tw.record(sweepStep{kind: "assign", node: rm.assignCur, val: rm.totalPending})
+		tw.record(sweepStep{kind: "assign", node: rm.assignCur, val: rm.totalPending, at: rm.retryAt})
+	}
+	retry := rm.retryFn
+	rm.retryFn = func() {
+		tw.record(sweepStep{kind: "wakeup", at: eng.Now()})
+		retry()
 	}
 	tw.rm = rm
 	for k := 0; k < 3; k++ {
@@ -222,7 +292,41 @@ func (tw *sweepTwin) request(app int, shape Resource, prefs []int) {
 		tw.record(sweepStep{kind: "launch", node: cont.Node.ID, val: req.seq})
 		tw.live = append(tw.live, cont)
 	}
+	tw.reqs = append(tw.reqs, req)
 	tw.apps[app].Request(req)
+}
+
+// cancelNotPending tries to cancel the k-th request ever made through
+// an app that does not hold it pending: its own app once it was placed
+// or canceled (its index is stale), and otherwise the next app over.
+// The RM must refuse and change nothing. It reports whether the app
+// was another app.
+func (tw *sweepTwin) cancelNotPending(k int) (foreign bool) {
+	req := tw.reqs[k]
+	app := req.app
+	if i := req.index; i < len(app.pending) && app.pending[i] == req {
+		app, foreign = tw.apps[(app.ID+1)%len(tw.apps)], true
+	}
+	pending := tw.rm.totalPending
+	if app.CancelRequest(req) {
+		tw.t.Fatalf("seed %d: app %d canceled request seq %d it does not hold pending (its app %d, index %d)",
+			tw.seed, app.ID, req.seq, req.app.ID, req.index)
+	}
+	if tw.rm.totalPending != pending {
+		tw.t.Fatalf("seed %d: refused cancel changed the pending count %d -> %d", tw.seed, pending, tw.rm.totalPending)
+	}
+	return foreign
+}
+
+// checkPendingOrder fails the test when either twin breaks the
+// pending-list invariant.
+func checkPendingOrder(t *testing.T, seed int64, op int, twins ...*sweepTwin) {
+	t.Helper()
+	for _, tw := range twins {
+		if msg := pendingOrderError(tw.rm); msg != "" {
+			t.Fatalf("seed %d, op %d at t=%g: %s", seed, op, tw.eng.Now(), msg)
+		}
+	}
 }
 
 // release frees the k-th live container (skipping any a node loss
@@ -240,6 +344,7 @@ func (tw *sweepTwin) release(k int) {
 type sweepCoverage struct {
 	preferredOnly, rackEligible, offRackEligible int
 	ignoreBlacklist, downWithPending, fallback   int
+	staleCancel, foreignCancel, sameInstant      int // sameInstant: adjacent pending requests enqueued together
 }
 
 // observe classifies the state an imminent assign will see.
@@ -270,17 +375,30 @@ func (cov *sweepCoverage) observe(rm *ResourceManager) {
 	if rm.NodeFilter != nil && oldest >= 0 && now-oldest >= rm.HotSpotFallbackDelay {
 		cov.fallback++
 	}
+	for _, app := range rm.apps {
+		for i := 1; i < len(app.pending); i++ {
+			if app.pending[i].enqueued == app.pending[i-1].enqueued {
+				cov.sameInstant++
+			}
+		}
+	}
 }
 
 // TestAssignMatchesScan drives the indexed sweep and the reference
 // linear scan in lockstep on twin clusters through randomized churn:
-// requests preferring 0–3 nodes, releases and cancellations, delay-
-// scheduling expiry, node crashes and restores, blacklisting up to and
-// past the one-third ignore threshold, and a NodeFilter whose hot set
-// forces the fallback pass. Every Pick, filter call, launch and
-// post-assign cursor must match step for step. Cluster sizes cross
-// 64-node bitset words, and the cursor sweeps past the end of the
-// node list, so a scan that skipped the wrap-around would diverge.
+// requests preferring 0–3 nodes, some enqueued at the same instant,
+// releases and cancellations (also refused ones, of a request no
+// longer pending or pending on another app), delay-scheduling expiry,
+// node crashes and restores, blacklisting up to and past the one-third
+// ignore threshold, and a NodeFilter whose hot set forces the fallback
+// pass. The reference also finds the oldest constrained request and
+// the next relax-retry time by scanning every pending request. Every
+// Pick, filter call, launch, post-assign cursor and armed wakeup, and
+// every wakeup firing, must match step for step, and after every op
+// each pending list must be in enqueue order with each request's index
+// its position. Cluster sizes cross 64-node bitset words, and the
+// cursor sweeps past the end of the node list, so a scan that skipped
+// the wrap-around would diverge.
 func TestAssignMatchesScan(t *testing.T) {
 	var cov sweepCoverage
 	for seed := int64(1); seed <= 40; seed++ {
@@ -302,9 +420,12 @@ func TestAssignMatchesScan(t *testing.T) {
 		shapes := []Resource{{MemMB: 512, VCores: 1}, {MemMB: 1536, VCores: 4}, {MemMB: 4096, VCores: 8}}
 		now := 0.0
 		for op := 0; op < 300; op++ {
-			now += rng.Float64() * 1.5
+			if rng.Intn(4) > 0 {
+				now += rng.Float64() * 1.5
+			}
 			ref.eng.RunUntil(now)
 			idx.eng.RunUntil(now)
+			checkPendingOrder(t, seed, op, ref, idx)
 			cov.observe(ref.rm)
 			switch k := rng.Intn(12); {
 			case k < 6:
@@ -325,8 +446,18 @@ func TestAssignMatchesScan(t *testing.T) {
 				app := rng.Intn(len(ref.apps))
 				if pend := ref.apps[app].pending; len(pend) > 0 {
 					i := rng.Intn(len(pend))
-					ref.apps[app].CancelRequest(pend[i])
-					idx.apps[app].CancelRequest(idx.apps[app].pending[i])
+					if !ref.apps[app].CancelRequest(pend[i]) || !idx.apps[app].CancelRequest(idx.apps[app].pending[i]) {
+						t.Fatalf("seed %d: cancel of pending request %d of app %d refused", seed, i, app)
+					}
+				}
+				if len(ref.reqs) > 0 {
+					r := rng.Intn(len(ref.reqs))
+					ref.cancelNotPending(r)
+					if idx.cancelNotPending(r) {
+						cov.foreignCancel++
+					} else {
+						cov.staleCancel++
+					}
 				}
 			case k == 9:
 				i := rng.Intn(n)
@@ -346,6 +477,7 @@ func TestAssignMatchesScan(t *testing.T) {
 				ref.hot[i] = !ref.hot[i]
 				idx.hot[i] = !idx.hot[i]
 			}
+			checkPendingOrder(t, seed, op, ref, idx)
 		}
 		ref.eng.RunUntil(now + 100)
 		idx.eng.RunUntil(now + 100)
@@ -355,7 +487,8 @@ func TestAssignMatchesScan(t *testing.T) {
 	}
 	t.Logf("coverage: %+v", cov)
 	if cov.preferredOnly == 0 || cov.rackEligible == 0 || cov.offRackEligible == 0 ||
-		cov.ignoreBlacklist == 0 || cov.downWithPending == 0 || cov.fallback == 0 {
+		cov.ignoreBlacklist == 0 || cov.downWithPending == 0 || cov.fallback == 0 ||
+		cov.staleCancel == 0 || cov.foreignCancel == 0 || cov.sameInstant == 0 {
 		t.Fatalf("lockstep missed a situation it must cover: %+v", cov)
 	}
 }

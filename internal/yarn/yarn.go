@@ -11,6 +11,7 @@ package yarn
 import (
 	"fmt"
 	"math/bits"
+	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/metrics"
@@ -115,7 +116,13 @@ type App struct {
 	// node-scoped state it kept there (completed map outputs).
 	OnNodeLost func(*cluster.Node)
 
-	rm      *ResourceManager
+	rm *ResourceManager
+	// pending is in enqueue order: Request appends at the engine's
+	// current time, which never decreases, and CancelRequest removes
+	// by an order-preserving shift, so enqueued is non-decreasing along
+	// the slice and each request's index is its position. The delay-
+	// scheduling scans (oldestConstrainedEnqueue, relaxExpiry) rely on
+	// that order.
 	pending []*Request
 	// pendingShapes summarizes pending by distinct resource shape, so
 	// fitting checks touch shapes instead of every request.
@@ -167,6 +174,7 @@ type ResourceManager struct {
 	assignCur   int // round-robin node cursor
 	assigning   bool
 	kickFn      func()           // cached kick callback (one closure per RM, not per kick)
+	retryFn     func()           // cached relax-retry callback, likewise
 	shapeCounts map[Resource]int // the §4 "hash map" of container shapes
 	// shapeOrder records first-allocation order of distinct shapes so
 	// EachShape iterates deterministically.
@@ -308,6 +316,14 @@ func newResourceManager(eng *sim.Engine, c *cluster.Cluster, sched Scheduler,
 		rm.assigning = false
 		rm.assign()
 	}
+	rm.retryFn = func() {
+		// The wakeup fires exactly at the instant it was armed for, so
+		// it is the latest one armed when that instant is retryAt.
+		if rm.retryAt == rm.eng.Now() {
+			rm.retryAt = -1
+		}
+		rm.kick()
+	}
 	return rm
 }
 
@@ -391,22 +407,28 @@ func (a *App) Request(req *Request) {
 	a.rm.kick()
 }
 
-// CancelRequest removes a not-yet-satisfied request.
+// CancelRequest removes a not-yet-satisfied request. It returns false,
+// changing nothing, when req is not pending on a: already placed or
+// canceled, dropped by Finish, or another app's. The request is found
+// through its index in O(1); the shift that keeps the rest in enqueue
+// order is O(requests behind it).
 func (a *App) CancelRequest(req *Request) bool {
-	for i, r := range a.pending {
-		if r == req {
-			a.pending = append(a.pending[:i], a.pending[i+1:]...)
-			for j := i; j < len(a.pending); j++ {
-				a.pending[j].index = j
-			}
-			a.pendingShapes = removeShape(a.pendingShapes, req.Resource)
-			a.rm.pendingShapes = removeShape(a.rm.pendingShapes, req.Resource)
-			a.rm.totalPending--
-			a.rm.indexRequest(req, -1)
-			return true
-		}
+	i := req.index
+	if i < 0 || i >= len(a.pending) || a.pending[i] != req {
+		return false
 	}
-	return false
+	last := len(a.pending) - 1
+	copy(a.pending[i:], a.pending[i+1:])
+	a.pending[last] = nil
+	a.pending = a.pending[:last]
+	for j := i; j < last; j++ {
+		a.pending[j].index = j
+	}
+	a.pendingShapes = removeShape(a.pendingShapes, req.Resource)
+	a.rm.pendingShapes = removeShape(a.rm.pendingShapes, req.Resource)
+	a.rm.totalPending--
+	a.rm.indexRequest(req, -1)
+	return true
 }
 
 // Release frees a container's resources and re-runs assignment.
@@ -525,13 +547,19 @@ func (rm *ResourceManager) nextPrefBit(from, to int) int {
 
 // oldestConstrainedEnqueue returns the enqueue time of the oldest
 // pending request that has node preferences, or -1 when none is
-// pending. O(total pending), called once per assignment pass.
+// pending. Pending lists are in enqueue order, so each app's first
+// constrained request is its oldest: the cost is the unconstrained
+// requests ahead of it, summed over apps, called once per assignment
+// pass.
 func (rm *ResourceManager) oldestConstrainedEnqueue() float64 {
 	oldest := -1.0
 	for _, app := range rm.apps {
 		for _, req := range app.pending {
-			if len(req.PreferredNodes) > 0 && (oldest < 0 || req.enqueued < oldest) {
-				oldest = req.enqueued
+			if len(req.PreferredNodes) > 0 {
+				if oldest < 0 || req.enqueued < oldest {
+					oldest = req.enqueued
+				}
+				break
 			}
 		}
 	}
@@ -660,47 +688,69 @@ func (rm *ResourceManager) assign() {
 		// stall the job.
 		pass(false, rm.HotSpotFallbackDelay)
 	}
-	rm.scheduleRelaxRetry()
+	rm.scheduleRelaxRetry(rm.relaxExpiry())
 }
 
-// scheduleRelaxRetry arranges another assignment pass when a pending
-// locality-restricted request's delay-scheduling timer next expires;
-// without it a request could wait for a release forever even though
-// relaxation would let it place off-node. A wakeup already queued for
-// exactly the chosen instant makes a second one redundant — the
-// duplicate's kick would find assigning already set — so it is
-// coalesced away.
-func (rm *ResourceManager) scheduleRelaxRetry() {
+// scheduleRelaxRetry arranges another assignment pass at at, the
+// next delay-scheduling expiry (relaxExpiry; nothing when it is -1);
+// without it a locality-restricted request could wait for a release
+// forever even though relaxation would let it place off-node. A
+// wakeup already queued for exactly that instant makes a second one
+// redundant — the duplicate's kick would find assigning already set —
+// so it is coalesced away. Every wakeup shares the cached retryFn.
+func (rm *ResourceManager) scheduleRelaxRetry(at float64) {
+	if at > rm.eng.Now() && rm.retryAt != at {
+		rm.retryAt = at
+		rm.retryScheduled++
+		rm.eng.At(at, rm.retryFn)
+	}
+}
+
+// relaxExpiry returns the earliest instant after now at which a
+// pending request crosses a delay-scheduling threshold — RackDelay or
+// OffRackDelay for a request with node preferences, HotSpotFallbackDelay
+// for any request while a NodeFilter is installed — or -1 when there is
+// none. A pending list is in enqueue order and float addition is
+// monotone, so for each delay d the requests with enqueued+d > now form
+// a suffix, found by binary search; the minimum is the first eligible
+// request in it. The cost per app is O(log pending) plus the
+// unconstrained requests stepped over.
+func (rm *ResourceManager) relaxExpiry() float64 {
 	now := rm.eng.Now()
 	earliest := -1.0
 	for _, app := range rm.apps {
-		for _, req := range app.pending {
-			if len(req.PreferredNodes) > 0 {
-				if e := req.enqueued + rm.RackDelay; e > now && (earliest < 0 || e < earliest) {
-					earliest = e
-				}
-				if e := req.enqueued + rm.OffRackDelay; e > now && (earliest < 0 || e < earliest) {
-					earliest = e
-				}
-			}
-			if rm.NodeFilter != nil {
-				if e := req.enqueued + rm.HotSpotFallbackDelay; e > now && (earliest < 0 || e < earliest) {
-					earliest = e
+		p := app.pending
+		for _, d := range [2]float64{rm.RackDelay, rm.OffRackDelay} {
+			for i := expiringAfter(p, d, now); i < len(p); i++ {
+				if len(p[i].PreferredNodes) > 0 {
+					earliest = earlierExpiry(earliest, p[i].enqueued+d)
+					break
 				}
 			}
 		}
-	}
-	if earliest > now && rm.retryAt != earliest {
-		at := earliest
-		rm.retryAt = at
-		rm.retryScheduled++
-		rm.eng.At(at, func() {
-			if rm.retryAt == at {
-				rm.retryAt = -1
+		if rm.NodeFilter != nil {
+			if i := expiringAfter(p, rm.HotSpotFallbackDelay, now); i < len(p) {
+				earliest = earlierExpiry(earliest, p[i].enqueued+rm.HotSpotFallbackDelay)
 			}
-			rm.kick()
-		})
+		}
 	}
+	return earliest
+}
+
+// expiringAfter returns the first index of pending, a list in enqueue
+// order, whose request's enqueued+d is after now (len(pending) when
+// none is).
+func expiringAfter(pending []*Request, d, now float64) int {
+	return sort.Search(len(pending), func(i int) bool { return pending[i].enqueued+d > now })
+}
+
+// earlierExpiry folds expiry e (always after now, so positive) into
+// the running minimum earliest, where -1 means none yet.
+func earlierExpiry(earliest, e float64) float64 {
+	if earliest < 0 || e < earliest {
+		return e
+	}
+	return earliest
 }
 
 // selectRequest picks the app's best pending request for the node:

@@ -71,8 +71,9 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 
 // TestPlacementHotPathAllocationFree pins the allocation behavior of
 // the placement hot path: the per-node, per-pass placement queries,
-// the coalesced relax-retry re-check and the preferred-node bitset
-// sweep must not allocate.
+// the relax-retry expiry search, the coalesced and the non-coalesced
+// relax-retry wakeup, and the preferred-node bitset sweep must not
+// allocate.
 func TestPlacementHotPathAllocationFree(t *testing.T) {
 	eng, c, rm := newRMQuiet(FIFOScheduler{})
 	app := rm.Submit("alloc", 1)
@@ -99,13 +100,16 @@ func TestPlacementHotPathAllocationFree(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { rm.EachShape(func(Resource, int) {}) }); a != 0 {
 		t.Errorf("EachShape allocates %v per run, want 0", a)
 	}
+	if a := testing.AllocsPerRun(100, func() { rm.relaxExpiry() }); a != 0 {
+		t.Errorf("relaxExpiry allocates %v per run, want 0", a)
+	}
 	// First call arms the wakeup for the pending preferred request;
 	// every further call finds it coalesced and must be free.
-	rm.scheduleRelaxRetry()
+	rm.scheduleRelaxRetry(rm.relaxExpiry())
 	if rm.RetryWakeupsScheduled() != 1 {
 		t.Fatalf("retry wakeups = %d, want 1", rm.RetryWakeupsScheduled())
 	}
-	if a := testing.AllocsPerRun(100, func() { rm.scheduleRelaxRetry() }); a != 0 {
+	if a := testing.AllocsPerRun(100, func() { rm.scheduleRelaxRetry(rm.relaxExpiry()) }); a != 0 {
 		t.Errorf("coalesced scheduleRelaxRetry allocates %v per run, want 0", a)
 	}
 	if rm.RetryWakeupsScheduled() != 1 {
@@ -119,6 +123,22 @@ func TestPlacementHotPathAllocationFree(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(100, func() { rm.assign() }); a != 0 {
 		t.Errorf("preferred-only assign allocates %v per run, want 0", a)
+	}
+	// Arming a wakeup at a new instant shares the cached callback: once
+	// the engine's event free list is warm, it allocates nothing either.
+	// (Last: running the engine ages the request past its delays.)
+	eng.Run()
+	armed := rm.RetryWakeupsScheduled()
+	next := eng.Now() + 1
+	if a := testing.AllocsPerRun(100, func() {
+		next++
+		rm.scheduleRelaxRetry(next)
+		eng.Run()
+	}); a != 0 {
+		t.Errorf("non-coalesced scheduleRelaxRetry allocates %v per run, want 0", a)
+	}
+	if got := rm.RetryWakeupsScheduled() - armed; got != 101 {
+		t.Fatalf("non-coalesced calls armed %d wakeups, want 101 (one per run plus the warm-up)", got)
 	}
 }
 
