@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -260,13 +261,132 @@ func TestHeterogeneousCluster(t *testing.T) {
 	}
 }
 
-func TestInvalidNodeClassPanics(t *testing.T) {
-	cfg := PaperConfig()
-	cfg.Classes = []NodeClass{{Count: 1}}
+// panicsWith runs fn and fails unless it panics with a message that
+// contains want.
+func panicsWith(t *testing.T, want string, fn func()) {
+	t.Helper()
 	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid class accepted")
+		t.Helper()
+		r := recover()
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, want) {
+			t.Fatalf("panic %v, want a message containing %q", r, want)
 		}
 	}()
-	New(sim.NewEngine(), cfg)
+	fn()
+}
+
+// TestInvalidNodeClassPanics: New validates the whole config before it
+// sizes the node array, so a bad class or rack panics with its own
+// message, never with a runtime makeslice panic on a negative total.
+func TestInvalidNodeClassPanics(t *testing.T) {
+	valid := NodeClass{Count: 2, Cores: 8, VCores: 28, ContainerMemMB: 6 * 1024, DiskMBps: 90, NICMBps: 117}
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+		want string
+	}{
+		{"zero class", func(c *Config) { c.Classes = []NodeClass{{Count: 1}} }, "cluster: invalid node class"},
+		{"negative count", func(c *Config) {
+			bad := valid
+			bad.Count = -5
+			c.Classes = []NodeClass{valid, bad}
+		}, "cluster: invalid node class {Count:-5 "},
+		{"negative rack", func(c *Config) { c.RackSizes = []int{9, -1} }, "cluster: rack 1 has negative size -1"},
+		{"no rack", func(c *Config) { c.RackSizes = nil }, "cluster: config needs at least one rack"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := PaperConfig()
+			tc.edit(&cfg)
+			panicsWith(t, tc.want, func() { New(sim.NewEngine(), cfg) })
+		})
+	}
+}
+
+// TestNewAllocationsPerNode pins the node layout: a node's memory
+// pool, fabrics and links live inside it and all nodes share one
+// array, so a cluster's allocations barely grow with its node count.
+func TestNewAllocationsPerNode(t *testing.T) {
+	allocs := func(racks int) float64 {
+		cfg := PaperConfig()
+		cfg.RackSizes = make([]int, racks)
+		for r := range cfg.RackSizes {
+			cfg.RackSizes[r] = 32
+		}
+		eng := sim.NewEngine()
+		return testing.AllocsPerRun(5, func() { New(eng, cfg) })
+	}
+	small, large := allocs(4), allocs(16)
+	if per := (large - small) / (16*32 - 4*32); per > 2 {
+		t.Errorf("New makes %.2f allocations per added node (%v at 4×32, %v at 16×32), want ≤ 2", per, small, large)
+	}
+}
+
+// TestTopologyNames: the topology stores no names, yet every pool,
+// fabric and link still reports its role's name, and the errors and
+// panics that print one still do.
+func TestTopologyNames(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"paper", PaperConfig()},
+		{"heterogeneous", HeterogeneousPaperConfig()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			c := New(eng, tc.cfg)
+			n := c.Nodes[3]
+			for _, nm := range []struct{ got, want string }{
+				{n.Name, "node03"},
+				{c.Nodes[17].Name, "node17"},
+				{n.Mem.Name(), "node03/mem"},
+				{n.cpu.Name(), "node03/cpu"},
+				{n.cpuLink.Name(), "node03/cpu"},
+				{n.disk.Name(), "node03/disk"},
+				{n.diskLink.Name(), "node03/disk"},
+				{n.NICIn.Name(), "node03/nic-in"},
+				{n.NICOut.Name(), "node03/nic-out"},
+				{c.uplinks[1].Name(), "rack1/uplink"},
+				{c.NetworkFabric().Name(), "network"},
+			} {
+				if nm.got != nm.want {
+					t.Errorf("name %q, want %q", nm.got, nm.want)
+				}
+			}
+			err := n.Mem.Allocate(2 * n.Mem.Capacity)
+			if want := "cluster: node03/mem out of memory"; err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("over-allocation error %v, want one containing %q", err, want)
+			}
+			panicsWith(t, `cluster: link "node03/disk" does not belong to fabric "network"`, func() {
+				c.NetworkFabric().Start([]*Link{&n.diskLink}, 1, 0, nil)
+			})
+			panicsWith(t, `cluster: link "rack1/uplink" does not belong to fabric "node03/cpu"`, func() {
+				n.cpu.Start([]*Link{c.uplinks[1]}, 1, 0, nil)
+			})
+		})
+	}
+	t.Run("rack-local", func(t *testing.T) {
+		cfg := PaperConfig()
+		cfg.RackLocalNet = true
+		c := New(sim.NewEngine(), cfg)
+		n := c.Nodes[12]
+		if got, want := c.netFor(n).Name(), "rack01/network"; got != want {
+			t.Errorf("rack fabric name %q, want %q", got, want)
+		}
+		panicsWith(t, `cluster: link "node12/nic-in" does not belong to fabric "rack00/network"`, func() {
+			c.rackNets[0].Start([]*Link{n.NICIn}, 1, 0, nil)
+		})
+	})
+	t.Run("standalone", func(t *testing.T) {
+		eng := sim.NewEngine()
+		fb := NewFabric(eng, "bus")
+		l := fb.AddLink("lane", 10)
+		p := NewMemPool(eng, "heap", 10)
+		if fb.Name() != "bus" || l.Name() != "lane" || p.Name() != "heap" {
+			t.Errorf("names %q %q %q, want bus lane heap", fb.Name(), l.Name(), p.Name())
+		}
+		panicsWith(t, `cluster: link "" does not belong to fabric "bus"`, func() { fb.Start([]*Link{{Capacity: 1}}, 1, 0, nil) })
+		panicsWith(t, `cluster: link "gone" must have positive capacity`, func() { fb.AddLink("gone", 0) })
+		panicsWith(t, `cluster: mem pool "dry" must have positive capacity`, func() { NewMemPool(eng, "dry", 0) })
+	})
 }

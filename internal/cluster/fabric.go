@@ -30,7 +30,6 @@ import (
 // Link is a capacity-constrained shared channel: a disk, a NIC
 // direction, a rack uplink, or a node's CPU pool.
 type Link struct {
-	Name     string
 	Capacity float64 // units per second
 
 	used metrics.Meter // current aggregate rate of flows on this link
@@ -40,12 +39,24 @@ type Link struct {
 	// order perturbed by swap-removal — deterministic, but arbitrary.
 	flows []*Flow
 
+	fabric *Fabric // the fabric the link was registered with
+
 	// scratch state for the progressive-filling computation; remaining
 	// doubles as the per-link rate accumulator for the meter update.
 	remaining float64
-	count     int    // unfrozen flows crossing the link
-	visit     uint64 // recompute epoch this link was last swept into
+	count     int32  // unfrozen flows crossing the link
 	id        int32  // position in the owning fabric's links
+	visit     uint64 // recompute epoch this link was last swept into
+}
+
+// Name returns the link's name: the one given to AddLink, or, in a
+// cluster, the one its role implies (node03/nic-in, rack1/uplink). A
+// link no fabric registered has no name.
+func (l *Link) Name() string {
+	if l.fabric == nil {
+		return ""
+	}
+	return l.fabric.ws.name(l)
 }
 
 // Utilization returns the time-average fraction of capacity in use
@@ -139,7 +150,6 @@ func (f *Flow) SetOnAbort(fn func()) { f.onAbort = fn }
 // stays local to the domain; within a fabric, recomputation stays local
 // to the connected component of the changed flow.
 type Fabric struct {
-	Name  string
 	eng   *sim.Engine
 	links []*Link
 	flows []*Flow
@@ -148,15 +158,28 @@ type Fabric struct {
 	ws *workspace
 }
 
-// workspace is what the fabrics of one cluster share: the recompute
-// epoch and scratch, and the free list of recycled flows. cluster.New
-// gives all of its fabrics one, so the scratch is sized by the largest
-// component any fabric sweeps rather than once per node, and a flow
-// finished on one node's disk can serve the next Start on any fabric.
-// Sharing is safe because recompute runs no callbacks (it only
-// schedules events), so it never re-enters, and one goroutine drives a
-// cluster.
+// Name returns the fabric's name: the one given to NewFabric, or, in a
+// cluster, the one its role implies (network, node03/disk).
+func (fb *Fabric) Name() string { return fb.ws.name(fb) }
+
+// workspace is what the fabrics and memory pools of one cluster share:
+// the engine, the recompute epoch and scratch, the free list of
+// recycled flows, and the way to their names. cluster.New gives all of
+// its fabrics one, so the scratch is sized by the largest component
+// any fabric sweeps rather than once per node, and a flow finished on
+// one node's disk can serve the next Start on any fabric. Sharing is
+// safe because recompute runs no callbacks (it only schedules events),
+// so it never re-enters, and one goroutine drives a cluster.
 type workspace struct {
+	eng *sim.Engine
+
+	// cluster, when set, names the topology it built by role (see
+	// Cluster.topologyName), so no link, fabric or pool stores a name;
+	// names holds the names given to NewFabric, AddLink and NewMemPool.
+	// Only panics and errors read either.
+	cluster *Cluster
+	names   map[any]string
+
 	// epoch is the recompute generation for visit stamps. It is shared,
 	// so every stamp on a link or flow of the cluster, a recycled flow's
 	// included, is below the epoch of the next sweep.
@@ -185,24 +208,55 @@ type workspace struct {
 	free []*Flow
 }
 
+// name returns obj's name for a panic or an error message.
+func (ws *workspace) name(obj any) string {
+	if s, ok := ws.names[obj]; ok {
+		return s
+	}
+	if ws.cluster != nil {
+		return ws.cluster.topologyName(obj)
+	}
+	return ""
+}
+
+// nameAs records the name obj was given at construction.
+func (ws *workspace) nameAs(obj any, name string) {
+	if ws.names == nil {
+		ws.names = make(map[any]string)
+	}
+	ws.names[obj] = name
+}
+
 // NewFabric returns an empty fabric, with a workspace of its own,
 // whose completion events are scheduled on eng.
 func NewFabric(eng *sim.Engine, name string) *Fabric {
-	return newFabric(eng, name, &workspace{})
+	fb := newFabric(&workspace{eng: eng})
+	fb.ws.nameAs(fb, name)
+	return fb
 }
 
-// newFabric returns an empty fabric that recomputes in, and recycles
-// flows through, ws.
-func newFabric(eng *sim.Engine, name string, ws *workspace) *Fabric {
-	return &Fabric{Name: name, eng: eng, ws: ws}
+// newFabric returns an empty fabric that schedules on ws's engine,
+// recomputes in ws and recycles flows through it.
+func newFabric(ws *workspace) *Fabric {
+	return &Fabric{eng: ws.eng, ws: ws}
 }
 
 // AddLink registers a link with the fabric and returns it.
 func (fb *Fabric) AddLink(name string, capacity float64) *Link {
+	l := &Link{}
+	fb.ws.nameAs(l, name)
+	return fb.addLink(l, capacity)
+}
+
+// addLink registers l, whose memory the caller provides, with the
+// fabric and returns it.
+func (fb *Fabric) addLink(l *Link, capacity float64) *Link {
+	l.fabric = fb
 	if capacity <= 0 {
-		panic(fmt.Sprintf("cluster: link %q must have positive capacity, got %v", name, capacity))
+		panic(fmt.Sprintf("cluster: link %q must have positive capacity, got %v", l.Name(), capacity))
 	}
-	l := &Link{Name: name, Capacity: capacity, id: int32(len(fb.links))}
+	l.Capacity = capacity
+	l.id = int32(len(fb.links))
 	l.used.Set(fb.eng.Now(), 0)    // anchor utilization accounting at creation
 	fb.links = append(fb.links, l) //mrlint:ignore retained-append one entry per topology link, built once at construction
 	return l
@@ -237,12 +291,12 @@ func (fb *Fabric) add(links []*Link, work, rateCap float64, done func()) *Flow {
 	for i, l := range links {
 		// Recompute scratch addresses links by their position in
 		// fb.links, so a foreign link would alias one of ours.
-		if int(l.id) >= len(fb.links) || fb.links[l.id] != l {
-			panic(fmt.Sprintf("cluster: link %q does not belong to fabric %q", l.Name, fb.Name))
+		if l.fabric != fb {
+			panic(fmt.Sprintf("cluster: link %q does not belong to fabric %q", l.Name(), fb.Name()))
 		}
 		for j := 0; j < i; j++ {
 			if l == links[j] {
-				panic(fmt.Sprintf("cluster: flow lists link %q twice", l.Name))
+				panic(fmt.Sprintf("cluster: flow lists link %q twice", l.Name()))
 			}
 		}
 	}
@@ -380,7 +434,7 @@ func (fb *Fabric) Abort(f *Flow) {
 // continue at the recomputed fair-share rates.
 func (fb *Fabric) SetCapacity(l *Link, capacity float64) {
 	if capacity <= 0 {
-		panic(fmt.Sprintf("cluster: link %q capacity must stay positive, got %v", l.Name, capacity))
+		panic(fmt.Sprintf("cluster: link %q capacity must stay positive, got %v", l.Name(), capacity))
 	}
 	if capacity == l.Capacity {
 		return

@@ -45,7 +45,7 @@ func (c *Cluster) KillNode(n *Node) {
 	// Node-private fabrics: every flow in them belongs to this node.
 	// Abort mutates the flow list by swap-removal, so drain from the
 	// tail.
-	for _, fb := range []*Fabric{n.cpu, n.disk} {
+	for _, fb := range []*Fabric{&n.cpu, &n.disk} {
 		for len(fb.flows) > 0 {
 			fb.Abort(fb.flows[len(fb.flows)-1])
 		}

@@ -5,7 +5,9 @@ import "fmt"
 // Node is one machine: a CPU pool, a container memory pool, one disk,
 // and a full-duplex NIC. The disk and CPU each live in their own
 // single-link fabric (contention is node-local); the NIC links live in
-// the cluster-wide network fabric.
+// the cluster-wide network fabric. The pool, both fabrics and all four
+// links are part of the Node itself, so cluster.New builds a node
+// without allocating; a Node must therefore never be copied.
 type Node struct {
 	ID   int
 	Name string
@@ -18,21 +20,10 @@ type Node struct {
 	// the daemon reservation).
 	VCores int
 
-	Mem *MemPool // container memory, MB
+	Mem *MemPool // container memory, MB; points at mem
 
-	cpu      *Fabric
-	cpuLink  *Link
-	disk     *Fabric
-	diskLink *Link
-	// cpuLinks/diskLinks are persistent one-element link slices shared
-	// by every flow on the node's single-link fabrics. The fabric never
-	// mutates a flow's links slice, so the share is safe and saves one
-	// allocation per Compute/DiskRead/DiskWrite.
-	cpuLinks  []*Link
-	diskLinks []*Link
-
-	NICIn  *Link // receive direction, in the cluster network fabric
-	NICOut *Link // transmit direction
+	NICIn  *Link // receive direction, in the cluster network fabric; points at nicIn
+	NICOut *Link // transmit direction; points at nicOut
 
 	cluster *Cluster
 
@@ -40,6 +31,15 @@ type Node struct {
 	// node accepts no new work; its fabrics still exist so that restore
 	// is cheap, but every flow was aborted at crash time.
 	down bool
+
+	mem                              MemPool
+	cpu, disk                        Fabric
+	cpuLink, diskLink, nicIn, nicOut Link
+	// links backs the CPU and disk fabrics' one-element link slices,
+	// which every flow on those fabrics shares. The fabric never
+	// mutates a flow's links slice, so the share is safe and saves one
+	// allocation per Compute/DiskRead/DiskWrite.
+	links [2]*Link
 }
 
 // CoreRatio returns physical cores per vcore: a container holding v
@@ -56,18 +56,18 @@ func (n *Node) Compute(cpuSeconds, maxCores float64, done func()) *Flow {
 	if maxCores <= 0 {
 		panic(fmt.Sprintf("cluster: Compute on %s with non-positive core cap %v", n.Name, maxCores))
 	}
-	return n.cpu.Start(n.cpuLinks, cpuSeconds, maxCores, done)
+	return n.cpu.Start(n.cpu.links, cpuSeconds, maxCores, done)
 }
 
 // DiskRead starts a disk flow of mb megabytes. Reads and writes share
 // the single disk channel, as on the paper's one-SATA-disk nodes.
 func (n *Node) DiskRead(mb float64, done func()) *Flow {
-	return n.disk.Start(n.diskLinks, mb, 0, done)
+	return n.disk.Start(n.disk.links, mb, 0, done)
 }
 
 // DiskWrite starts a disk flow of mb megabytes.
 func (n *Node) DiskWrite(mb float64, done func()) *Flow {
-	return n.disk.Start(n.diskLinks, mb, 0, done)
+	return n.disk.Start(n.disk.links, mb, 0, done)
 }
 
 // CancelFlow aborts a flow previously started on this node's CPU or
@@ -107,13 +107,13 @@ func (n *Node) DiskLoad() float64 {
 // It models interference from co-located services — the cluster hot
 // spots the paper's online tuning reacts to.
 func (n *Node) InjectDiskLoad(rate, duration float64, done func()) *Flow {
-	return n.disk.Start(n.diskLinks, rate*duration, rate, done)
+	return n.disk.Start(n.disk.links, rate*duration, rate, done)
 }
 
 // InjectCPULoad starts a background computation using up to `cores`
 // cores for `duration` seconds.
 func (n *Node) InjectCPULoad(cores, duration float64, done func()) *Flow {
-	return n.cpu.Start(n.cpuLinks, cores*duration, cores, done)
+	return n.cpu.Start(n.cpu.links, cores*duration, cores, done)
 }
 
 // Down reports whether the node is currently crashed.
@@ -125,14 +125,14 @@ func (n *Node) CPUCapacity() float64 { return n.cpuLink.Capacity }
 
 // SetCPUCapacity rescales the node's CPU pool (fault injection: a slow
 // or throttled node). Running flows continue at recomputed fair shares.
-func (n *Node) SetCPUCapacity(cores float64) { n.cpu.SetCapacity(n.cpuLink, cores) }
+func (n *Node) SetCPUCapacity(cores float64) { n.cpu.SetCapacity(&n.cpuLink, cores) }
 
 // DiskBandwidth returns the disk link's current capacity in MB/s.
 func (n *Node) DiskBandwidth() float64 { return n.diskLink.Capacity }
 
 // SetDiskBandwidth rescales the node's disk channel (fault injection:
 // a degraded disk).
-func (n *Node) SetDiskBandwidth(mbps float64) { n.disk.SetCapacity(n.diskLink, mbps) }
+func (n *Node) SetDiskBandwidth(mbps float64) { n.disk.SetCapacity(&n.diskLink, mbps) }
 
 // NICBandwidth returns the per-direction NIC capacity in MB/s.
 func (n *Node) NICBandwidth() float64 { return n.NICIn.Capacity }

@@ -29,8 +29,8 @@ func TestFinishedFlowDropsCallbacks(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine()
 			n := New(eng, PaperConfig()).Nodes[0]
-			f, captured := startCapturing(n.disk, n.diskLink)
-			tc.finish(n.disk, f)
+			f, captured := startCapturing(&n.disk, &n.diskLink)
+			tc.finish(&n.disk, f)
 			eng.Run()
 			if !f.Done() {
 				t.Fatal("flow did not finish")

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -85,8 +87,11 @@ func HeterogeneousPaperConfig() Config {
 // schedules on the one engine Eng.
 type Cluster struct {
 	Eng   *sim.Engine
-	Nodes []*Node
+	Nodes []*Node // points into nodes
 	Racks [][]*Node
+
+	// nodes holds every node, in ID order.
+	nodes []Node
 
 	// Faults is the cluster-wide fault/recovery counter sheet. Every
 	// layer (HDFS, YARN, MapReduce) records recovery activity here
@@ -111,63 +116,99 @@ type Cluster struct {
 	rackListeners [][]func(n *Node, down bool)
 }
 
-// New builds a cluster per cfg.
+// New builds a cluster per cfg. It validates the whole config first,
+// then sizes everything it builds once: all nodes live in one array.
 func New(eng *sim.Engine, cfg Config) *Cluster {
-	if len(cfg.RackSizes) == 0 {
+	racks := len(cfg.RackSizes)
+	if racks == 0 {
 		panic("cluster: config needs at least one rack")
 	}
-	c := &Cluster{Eng: eng, cfg: cfg, Faults: &metrics.FaultCounters{}}
-	// Every fabric recomputes in one scratch workspace and recycles
-	// flows through its free list.
-	ws := &workspace{}
-	c.net = newFabric(eng, "network", ws)
-	racks := len(cfg.RackSizes)
-	c.Racks = make([][]*Node, racks)
-	if cfg.RackLocalNet {
-		c.rackNets = make([]*Fabric, racks)
-		c.rackListeners = make([][]func(n *Node, down bool), racks)
-		for r := 0; r < racks; r++ {
-			c.rackNets[r] = newFabric(eng, fmt.Sprintf("rack%02d/network", r), ws)
-		}
-	}
-
-	addNode := func(rack int, cores float64, vcores int, memMB, diskMBps, nicMBps float64) {
-		id := len(c.Nodes)
-		name := fmt.Sprintf("node%02d", id)
-		n := &Node{
-			ID:      id,
-			Name:    name,
-			Rack:    rack,
-			Cores:   cores,
-			VCores:  vcores,
-			Mem:     NewMemPool(eng, name+"/mem", memMB),
-			cluster: c,
-		}
-		n.cpu = newFabric(eng, name+"/cpu", ws)
-		n.cpuLink = n.cpu.AddLink(name+"/cpu", cores)
-		n.disk = newFabric(eng, name+"/disk", ws)
-		n.diskLink = n.disk.AddLink(name+"/disk", diskMBps)
-		n.cpuLinks = []*Link{n.cpuLink}
-		n.diskLinks = []*Link{n.diskLink}
-		nf := c.net
-		if c.rackNets != nil {
-			nf = c.rackNets[rack]
-		}
-		n.NICIn = nf.AddLink(name+"/nic-in", nicMBps)
-		n.NICOut = nf.AddLink(name+"/nic-out", nicMBps)
-		c.Nodes = append(c.Nodes, n) //mrlint:ignore retained-append topology is built once and immutable afterwards
-		c.Racks[rack] = append(c.Racks[rack], n)
-	}
-
+	total := 0
 	if len(cfg.Classes) > 0 {
-		i := 0
 		for _, cl := range cfg.Classes {
 			if cl.Count <= 0 || cl.Cores <= 0 || cl.VCores <= 0 || cl.ContainerMemMB <= 0 {
 				panic(fmt.Sprintf("cluster: invalid node class %+v", cl))
 			}
+			total += cl.Count
+		}
+	} else {
+		for r, size := range cfg.RackSizes {
+			if size < 0 {
+				panic(fmt.Sprintf("cluster: rack %d has negative size %d", r, size))
+			}
+			total += size
+		}
+	}
+	sizes := cfg.RackSizes
+	if len(cfg.Classes) > 0 {
+		// Classes deal their nodes round-robin across the racks.
+		sizes = make([]int, racks)
+		for i := 0; i < total; i++ {
+			sizes[i%racks]++
+		}
+	}
+	uplinks := 0
+	if racks > 1 {
+		uplinks = 1
+	}
+
+	c := &Cluster{Eng: eng, cfg: cfg, Faults: &metrics.FaultCounters{}}
+	// Every fabric recomputes in one scratch workspace and recycles
+	// flows through its free list; the workspace also names the
+	// topology for panics and errors.
+	ws := &workspace{eng: eng, cluster: c}
+	c.net = newFabric(ws)
+	c.Racks = make([][]*Node, racks)
+	for r := range c.Racks {
+		c.Racks[r] = make([]*Node, 0, sizes[r])
+	}
+	if cfg.RackLocalNet {
+		c.rackNets = make([]*Fabric, racks)
+		c.rackListeners = make([][]func(n *Node, down bool), racks)
+		for r := range c.rackNets {
+			c.rackNets[r] = newFabric(ws)
+			c.rackNets[r].links = make([]*Link, 0, 2*sizes[r]+uplinks)
+		}
+	} else {
+		c.net.links = make([]*Link, 0, 2*total+racks*uplinks)
+	}
+	c.nodes = make([]Node, total)
+	c.Nodes = make([]*Node, total)
+	// The node names slice one string: node00, node01, ...
+	var names strings.Builder
+	names.Grow(total * len(fmt.Sprintf("node%02d", total)))
+
+	id := 0
+	addNode := func(rack int, cores float64, vcores int, memMB, diskMBps, nicMBps float64) {
+		n := &c.nodes[id]
+		start := names.Len()
+		var digits [20]byte
+		names.WriteString("node")
+		if id < 10 {
+			names.WriteByte('0')
+		}
+		names.Write(strconv.AppendInt(digits[:0], int64(id), 10))
+		n.ID, n.Name, n.Rack = id, names.String()[start:], rack
+		n.Cores, n.VCores, n.cluster = cores, vcores, c
+		n.mem.ws = ws
+		n.mem.init(memMB)
+		n.Mem = &n.mem
+		n.cpu = Fabric{eng: eng, ws: ws, links: n.links[0:0:1]}
+		n.cpu.addLink(&n.cpuLink, cores)
+		n.disk = Fabric{eng: eng, ws: ws, links: n.links[1:1:2]}
+		n.disk.addLink(&n.diskLink, diskMBps)
+		nf := c.netFor(n)
+		n.NICIn = nf.addLink(&n.nicIn, nicMBps)
+		n.NICOut = nf.addLink(&n.nicOut, nicMBps)
+		c.Nodes[id] = n
+		c.Racks[rack] = append(c.Racks[rack], n)
+		id++
+	}
+
+	if len(cfg.Classes) > 0 {
+		for _, cl := range cfg.Classes {
 			for k := 0; k < cl.Count; k++ {
-				addNode(i%racks, cl.Cores, cl.VCores, cl.ContainerMemMB, cl.DiskMBps, cl.NICMBps)
-				i++
+				addNode(id%racks, cl.Cores, cl.VCores, cl.ContainerMemMB, cl.DiskMBps, cl.NICMBps)
 			}
 		}
 	} else {
@@ -177,21 +218,61 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 			}
 		}
 	}
-	if racks > 1 {
-		for r := 0; r < racks; r++ {
+	if uplinks > 0 {
+		links := make([]Link, racks)
+		c.uplinks = make([]*Link, racks)
+		for r := range links {
 			nf := c.net
 			if c.rackNets != nil {
 				// The uplink throttles only its own rack's cross-rack
 				// fetch share in this mode, so it lives with the rack.
 				nf = c.rackNets[r]
 			}
-			c.uplinks = append(c.uplinks, nf.AddLink(fmt.Sprintf("rack%d/uplink", r), cfg.UplinkMBps)) //mrlint:ignore retained-append topology is built once and immutable afterwards
+			// Listed before it is added, so that a capacity panic can
+			// name it.
+			c.uplinks[r] = &links[r]
+			nf.addLink(c.uplinks[r], cfg.UplinkMBps)
 		}
 	}
 	for _, n := range c.Nodes {
 		c.totalMemMB += n.Mem.Capacity
 	}
 	return c
+}
+
+// topologyName names one of the cluster's fabrics, links or memory
+// pools by its role, in O(nodes): only panics and errors need a name,
+// so the topology stores none.
+func (c *Cluster) topologyName(obj any) string {
+	if obj == any(c.net) {
+		return "network"
+	}
+	for r, fb := range c.rackNets {
+		if obj == any(fb) {
+			return fmt.Sprintf("rack%02d/network", r)
+		}
+	}
+	for r, l := range c.uplinks {
+		if obj == any(l) {
+			return fmt.Sprintf("rack%d/uplink", r)
+		}
+	}
+	for i := range c.nodes {
+		n := &c.nodes[i]
+		switch obj {
+		case &n.mem:
+			return n.Name + "/mem"
+		case &n.cpu, &n.cpuLink:
+			return n.Name + "/cpu"
+		case &n.disk, &n.diskLink:
+			return n.Name + "/disk"
+		case &n.nicIn:
+			return n.Name + "/nic-in"
+		case &n.nicOut:
+			return n.Name + "/nic-out"
+		}
+	}
+	return ""
 }
 
 // Config returns the configuration the cluster was built with.
