@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
@@ -25,28 +26,47 @@ func TestMain(m *testing.M) {
 // mronline runs the CLI with args and returns its stderr and exit code.
 func mronline(t *testing.T, args ...string) (string, int) {
 	t.Helper()
+	_, stderr, code := mronlineOut(t, args...)
+	return stderr, code
+}
+
+// mronlineOut is mronline that also returns the CLI's stdout.
+func mronlineOut(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "MRONLINE_RUN_MAIN=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
 	var exit *exec.ExitError
 	if err := cmd.Run(); errors.As(err, &exit) {
-		return stderr.String(), exit.ExitCode()
+		return out.String(), errOut.String(), exit.ExitCode()
 	} else if err != nil {
 		t.Fatal(err)
 	}
-	return stderr.String(), 0
+	return out.String(), errOut.String(), 0
 }
 
 func TestKBRoundTrip(t *testing.T) {
 	kb := filepath.Join(t.TempDir(), "kb.json")
-	for i := 0; i < 2; i++ {
-		if msg, code := mronline(t, "-bench", "terasort/20GB", "-strategy", "aggressive", "-kb", kb); code != 0 {
-			t.Fatalf("aggressive run %d exited %d: %s", i+1, code, msg)
+	var reports [3]Report
+	for i, strategy := range []string{"aggressive", "aggressive", "kb"} {
+		out, msg, code := mronlineOut(t, "-bench", "terasort/20GB", "-strategy", strategy, "-kb", kb, "-json")
+		if code != 0 {
+			t.Fatalf("run %d (-strategy %s) exited %d: %s", i+1, strategy, code, msg)
+		}
+		if err := json.Unmarshal([]byte(out), &reports[i]); err != nil {
+			t.Fatalf("run %d (-strategy %s): %v in %q", i+1, strategy, err, out)
 		}
 	}
-	if msg, code := mronline(t, "-bench", "terasort/20GB", "-strategy", "kb", "-kb", kb); code != 0 {
-		t.Fatalf("kb run exited %d: %s", code, msg)
+	// The kb run and the second aggressive run's tuned run both run the
+	// stored configuration on a fresh testbed with the same seed, and
+	// the stored configuration beats the test run that found it.
+	second, hit := reports[1], reports[2]
+	if hit.DurationSecs != second.DurationSecs {
+		t.Fatalf("kb run took %v s, the stored configuration's run %v s", hit.DurationSecs, second.DurationSecs)
+	}
+	if hit.DurationSecs >= second.TestRunSecs {
+		t.Fatalf("kb run (%v s) not faster than the test run (%v s)", hit.DurationSecs, second.TestRunSecs)
 	}
 	back, err := core.Load(kb)
 	if err != nil {

@@ -9,45 +9,27 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/hdfs"
-	"repro/internal/mapreduce"
+	"repro/internal/experiments"
 	"repro/internal/mrconf"
-	"repro/internal/sim"
 	"repro/internal/workload"
-	"repro/internal/yarn"
 )
 
-// runJob builds a fresh simulated cluster and executes one job on it.
-func runJob(b workload.Benchmark, ctrl mapreduce.Controller) mapreduce.Result {
-	eng := sim.NewEngine()
-	c := cluster.New(eng, cluster.PaperConfig())
-	rm := yarn.NewResourceManager(eng, c, yarn.FIFOScheduler{})
-	fs := hdfs.New(c, sim.NewSource(42).Stream("hdfs"))
-
-	var res mapreduce.Result
-	mapreduce.Submit(rm, fs, mapreduce.Spec{
-		Benchmark:  b,
-		BaseConfig: mrconf.Default(),
-		Controller: ctrl,
-	}, func(r mapreduce.Result) { res = r })
-	eng.Run() // drive the discrete-event simulation to completion
-	return res
-}
-
 func main() {
+	// Each run builds a fresh simulated testbed and drives the
+	// discrete-event simulation to the job's completion.
+	env := experiments.Env{Seed: 42}
 	b := workload.Terasort(20, 0, 0) // 20 GB synthetic sort
 
 	fmt.Printf("Terasort %d maps / %d reduces on 18 worker nodes\n\n", b.NumMaps, b.NumReduces)
 
-	def := runJob(b, nil)
+	def := env.RunOne(b, mrconf.Default(), nil)
 	fmt.Printf("default configuration:  %6.0f s, %.2e spilled records\n",
 		def.Duration, def.Counters.SpilledRecords())
 
 	tuner := core.NewTuner(b.Name, b.NumMaps, b.NumReduces, mrconf.Default(),
 		core.TunerOptions{Strategy: core.Conservative, Seed: 42})
-	tuned := runJob(b, tuner)
+	tuned := env.RunOne(b, mrconf.Default(), tuner)
 	fmt.Printf("MRONLINE conservative:  %6.0f s, %.2e spilled records\n",
 		tuned.Duration, tuned.Counters.SpilledRecords())
 

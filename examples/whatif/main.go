@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"repro/internal/experiments"
 	"repro/internal/mrconf"
@@ -28,13 +29,17 @@ func main() {
 	// Calibrate the profile to what the run actually measured, then
 	// ask the simulator what other settings would have done.
 	calibrated := whatif.CalibrateFromRun(b, observed)
-	preds := whatif.Explore(whatif.Question{
+	preds, err := whatif.Explore(whatif.Question{
 		Benchmark:    calibrated,
 		Config:       mrconf.Default(),
 		ReduceCounts: []int{28, 56, 112, 224, 448},
 		Slowstarts:   []float64{0.05, 0.5, 0.9},
 		Seed:         42,
 	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 
 	fmt.Println("what-if sweep (fastest first):")
 	for i, p := range preds {

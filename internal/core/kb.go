@@ -15,9 +15,8 @@ import (
 
 // KnowledgeBase is the tuning knowledge base of Fig 3. It remembers,
 // per job class (Key), both the answer and the search: the best
-// configuration a test run found, category-1 recommendations from
-// what-if analysis, and each scope's search state, so a later test run
-// of the class starts where the last one ended.
+// configuration a test run found and each scope's search state, so a
+// later test run of the class starts where the last one ended.
 //
 // The optimal configuration also depends on the cluster (paper §1).
 // A knowledge base covers one cluster: deployments keep one file per
@@ -35,21 +34,12 @@ type Entry struct {
 	// Config is the best configuration found; nil until a test run
 	// deposits one. Only an entry with a Config serves a job as-is.
 	Config *mrconf.Config `json:"config,omitempty"`
-	// Statics are category-1 recommendations; nil when none were made.
-	Statics *StaticParams `json:"statics,omitempty"`
 	// Map and Reduce are the scopes' search states, the warm start for
 	// the class's next test run.
 	Map    tuner.ScopeState `json:"map"`
 	Reduce tuner.ScopeState `json:"reduce"`
 	// Jobs counts how many runs contributed to the entry.
 	Jobs int `json:"jobs,omitempty"`
-}
-
-// StaticParams are category-1 recommendations that must be applied at
-// submission time (paper §2.2: they cannot change once a job starts).
-type StaticParams struct {
-	NumReduces int     `json:"num_reduces"`
-	Slowstart  float64 `json:"slowstart"`
 }
 
 // NewKnowledgeBase returns an empty knowledge base.
@@ -79,7 +69,7 @@ func (kb *KnowledgeBase) Get(key string) (Entry, bool) {
 // Update merges a run's outcome into the class entry. Each scope keeps
 // the state with the lower best cost (a warm-started run can only match
 // or improve its seed, so the class record never regresses); a non-nil
-// Config or Statics replaces the stored one.
+// Config replaces the stored one.
 func (kb *KnowledgeBase) Update(key string, e Entry) {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
@@ -89,9 +79,6 @@ func (kb *KnowledgeBase) Update(key string, e Entry) {
 	cur.Reduce = betterScope(cur.Reduce, e.Reduce)
 	if e.Config != nil {
 		cur.Config = e.Config
-	}
-	if e.Statics != nil {
-		cur.Statics = e.Statics
 	}
 	kb.entries[key] = cur
 }

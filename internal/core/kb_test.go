@@ -124,27 +124,6 @@ func TestKnowledgeBaseSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestKnowledgeBaseStaticsRoundTrip(t *testing.T) {
-	kb := NewKnowledgeBase()
-	cfg := mrconf.Default().With(mrconf.IOSortMB, 200)
-	kb.Update("k", Entry{Config: &cfg, Statics: &StaticParams{NumReduces: 75, Slowstart: 0.5}})
-	path := filepath.Join(t.TempDir(), "kb.json")
-	if err := kb.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, _ := back.Get("k")
-	if p := e.Statics; p == nil || p.NumReduces != 75 || p.Slowstart != 0.5 {
-		t.Fatalf("statics lost in round trip: %+v", p)
-	}
-	if e.Config == nil {
-		t.Fatal("config lost in round trip")
-	}
-}
-
 func TestKnowledgeBaseKeepsLowerCostScope(t *testing.T) {
 	kb := NewKnowledgeBase()
 	key := Key("wc", 2048)
@@ -169,17 +148,17 @@ func TestKnowledgeBaseMergeFillsEmptyScope(t *testing.T) {
 	kb := NewKnowledgeBase()
 	first := mrconf.Default().With(mrconf.IOSortMB, 200)
 	second := mrconf.Default().With(mrconf.IOSortMB, 300)
-	kb.Update("k", Entry{Config: &first, Statics: &StaticParams{NumReduces: 9}, Map: stateWithCost(2.0)})
+	kb.Update("k", Entry{Config: &first, Map: stateWithCost(2.0)})
 	kb.Update("k", Entry{Reduce: stateWithCost(1.0)})
 	e, _ := kb.Get("k")
 	if !e.Map.HaveBest || !e.Reduce.HaveBest {
 		t.Fatalf("merge lost a scope: %+v", e)
 	}
-	if e.Config == nil || e.Config.SortMB() != 200 || e.Statics == nil {
+	if e.Config == nil || e.Config.SortMB() != 200 {
 		t.Fatalf("an update without a config dropped the stored one: %+v", e)
 	}
 	kb.Update("k", Entry{Config: &second})
-	if e, _ := kb.Get("k"); e.Config.SortMB() != 300 || e.Statics.NumReduces != 9 || e.Jobs != 3 {
+	if e, _ := kb.Get("k"); e.Config.SortMB() != 300 || e.Jobs != 3 {
 		t.Fatalf("a new config did not replace the stored one: %+v", e)
 	}
 }
@@ -259,13 +238,15 @@ func TestKnowledgeBaseLoadsPreMergeWarmStartFile(t *testing.T) {
 
 // Configuration files written before the merge ({configs, statics}, or
 // the older flat key → config map) carry cluster-qualified keys the
-// merged store does not use; Load rejects them, naming the file.
+// merged store does not use, and entries no longer carry category-1
+// statics; Load rejects all of them, naming the file.
 func TestKnowledgeBaseRejectsPreMergeKBFiles(t *testing.T) {
 	paths := []string{
 		filepath.Join("testdata", "premerge_kb.json"),
 		writeFile(t, `{"terasort|paper-19node|2^15MB": {"mapreduce.task.io.sort.mb": 400}}`),
 		writeFile(t, `{"configs": {}}`),
 		writeFile(t, `{"k": {}}`),
+		writeFile(t, `{"k": {"jobs": 1, "statics": {"num_reduces": 9, "slowstart": 0.5}}}`),
 	}
 	for _, path := range paths {
 		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), path) {

@@ -9,15 +9,13 @@ package whatif
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
-	"repro/internal/cluster"
-	"repro/internal/hdfs"
+	"repro/internal/experiments"
 	"repro/internal/mapreduce"
 	"repro/internal/mrconf"
-	"repro/internal/sim"
 	"repro/internal/workload"
-	"repro/internal/yarn"
 )
 
 // Question describes the sweep: a benchmark (profile + data volumes),
@@ -26,11 +24,11 @@ import (
 type Question struct {
 	Benchmark workload.Benchmark
 	Config    mrconf.Config
-	// ReduceCounts are the candidate reducer counts; default: a
-	// geometric ladder around the benchmark's current value.
+	// ReduceCounts are the candidate reducer counts, none negative;
+	// default: a geometric ladder around the benchmark's current value.
 	ReduceCounts []int
-	// Slowstarts are candidate slowstart fractions; default:
-	// {0.05, 0.3, 0.6, 0.9}.
+	// Slowstarts are candidate slowstart fractions, each in (0, 1];
+	// default: {0.05, 0.3, 0.6, 0.9}.
 	Slowstarts []float64
 	// Seed drives the simulation.
 	Seed uint64
@@ -75,10 +73,31 @@ func (q Question) withDefaults() Question {
 	return out
 }
 
+// validate reports the first candidate the simulator cannot run as
+// labelled: a negative reducer count, or a slowstart that is not a
+// fraction in (0, 1].
+func (q Question) validate() error {
+	for _, nr := range q.ReduceCounts {
+		if nr < 0 {
+			return fmt.Errorf("whatif: reduce count %d is negative", nr)
+		}
+	}
+	for _, ss := range q.Slowstarts {
+		if math.IsNaN(ss) || ss <= 0 || ss > 1 {
+			return fmt.Errorf("whatif: slowstart %v is not in (0, 1]", ss)
+		}
+	}
+	return nil
+}
+
 // Explore runs the full sweep and returns predictions sorted by
-// predicted job time (fastest first).
-func Explore(q Question) []Prediction {
+// predicted job time (fastest first). It returns an error, and runs
+// nothing, when a candidate is invalid.
+func Explore(q Question) ([]Prediction, error) {
 	q = q.withDefaults()
+	if err := q.validate(); err != nil {
+		return nil, err
+	}
 	var out []Prediction
 	for _, nr := range q.ReduceCounts {
 		for _, ss := range q.Slowstarts {
@@ -98,42 +117,32 @@ func Explore(q Question) []Prediction {
 		}
 		return out[i].Slowstart < out[j].Slowstart
 	})
-	return out
+	return out, nil
 }
 
-// Recommend returns the best point of the sweep.
-func Recommend(q Question) Prediction {
-	return Explore(q)[0]
+// Recommend returns the best point of the sweep, or Explore's error.
+func Recommend(q Question) (Prediction, error) {
+	preds, err := Explore(q)
+	if err != nil {
+		return Prediction{}, err
+	}
+	return preds[0], nil
 }
 
-// simulate runs one what-if configuration on a fresh cluster.
+// simulate runs one what-if configuration on a fresh testbed.
 func simulate(q Question, numReduces int, slowstart float64) float64 {
 	b := q.Benchmark
 	b.NumReduces = numReduces
-
-	eng := sim.NewEngine()
-	eng.MaxEvents = 200_000_000
-	c := cluster.New(eng, cluster.PaperConfig())
-	rm := yarn.NewResourceManager(eng, c, yarn.FIFOScheduler{})
-	fs := hdfs.New(c, sim.NewSource(q.Seed).Stream("hdfs"))
-
-	duration := -1.0
-	mapreduce.Submit(rm, fs, mapreduce.Spec{
+	res := experiments.Env{Seed: q.Seed}.RunSpec(mapreduce.Spec{
 		Name:              fmt.Sprintf("whatif-%s-r%d-s%02.0f", b.Name, numReduces, slowstart*100),
 		Benchmark:         b,
 		BaseConfig:        q.Config,
 		SlowstartFraction: slowstart,
-	}, func(res mapreduce.Result) {
-		duration = res.Duration
-		if res.Failed {
-			duration = duration * 10 // penalize infeasible settings
-		}
 	})
-	eng.Run()
-	if duration < 0 {
-		panic(fmt.Sprintf("whatif: simulation of %s did not complete", b.Name))
+	if res.Failed {
+		return res.Duration * 10 // penalize infeasible settings
 	}
-	return duration
+	return res.Duration
 }
 
 // CalibrateFromRun adjusts a benchmark's data-flow profile to match an

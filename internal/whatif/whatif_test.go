@@ -1,16 +1,24 @@
 package whatif
 
 import (
+	"math"
+	"strings"
 	"testing"
 
-	"repro/internal/cluster"
-	"repro/internal/hdfs"
-	"repro/internal/mapreduce"
+	"repro/internal/experiments"
 	"repro/internal/mrconf"
-	"repro/internal/sim"
 	"repro/internal/workload"
-	"repro/internal/yarn"
 )
+
+// mustExplore runs a sweep whose candidates are all valid.
+func mustExplore(t *testing.T, q Question) []Prediction {
+	t.Helper()
+	preds, err := Explore(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return preds
+}
 
 func TestExploreSorted(t *testing.T) {
 	q := Question{
@@ -19,7 +27,7 @@ func TestExploreSorted(t *testing.T) {
 		ReduceCounts: []int{5, 19, 76},
 		Slowstarts:   []float64{0.05, 0.9},
 	}
-	preds := Explore(q)
+	preds := mustExplore(t, q)
 	if len(preds) != 6 {
 		t.Fatalf("predictions = %d, want 6", len(preds))
 	}
@@ -37,7 +45,7 @@ func TestRecommendBeatsWorstCandidate(t *testing.T) {
 		ReduceCounts: []int{1, 37, 300},
 		Slowstarts:   []float64{0.05},
 	}
-	preds := Explore(q)
+	preds := mustExplore(t, q)
 	best, worst := preds[0], preds[len(preds)-1]
 	if best.PredictedSecs >= worst.PredictedSecs {
 		t.Fatal("no spread across reducer counts")
@@ -78,15 +86,7 @@ func TestSlowstartMatters(t *testing.T) {
 
 func TestCalibrateFromRun(t *testing.T) {
 	b := workload.Terasort(10, 0, 0)
-	eng := sim.NewEngine()
-	c := cluster.New(eng, cluster.PaperConfig())
-	rm := yarn.NewResourceManager(eng, c, yarn.FIFOScheduler{})
-	fs := hdfs.New(c, sim.NewSource(1).Stream("hdfs"))
-	var res mapreduce.Result
-	mapreduce.Submit(rm, fs, mapreduce.Spec{Benchmark: b, BaseConfig: mrconf.Default()},
-		func(r mapreduce.Result) { res = r })
-	eng.Run()
-
+	res := experiments.Env{Seed: 1}.RunOne(b, mrconf.Default(), nil)
 	cal := CalibrateFromRun(b, res)
 	// Terasort is identity: calibration should stay ~1.0 selectivity.
 	sel := cal.Profile.RawMapSelectivity * cal.Profile.CombinerReduction
@@ -106,24 +106,62 @@ func TestDeterministic(t *testing.T) {
 		Slowstarts:   []float64{0.05},
 		Seed:         7,
 	}
-	a := Explore(q)[0].PredictedSecs
-	b := Explore(q)[0].PredictedSecs
+	a := mustExplore(t, q)[0].PredictedSecs
+	b := mustExplore(t, q)[0].PredictedSecs
 	if a != b {
 		t.Fatalf("what-if not deterministic: %v vs %v", a, b)
 	}
 }
 
 func TestRecommendAndString(t *testing.T) {
-	p := Recommend(Question{
+	p, err := Recommend(Question{
 		Benchmark:    workload.Terasort(6, 0, 0),
 		Config:       mrconf.Default(),
 		ReduceCounts: []int{11, 23},
 		Slowstarts:   []float64{0.05},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p.NumReduces != 11 && p.NumReduces != 23 {
 		t.Fatalf("recommendation outside candidates: %+v", p)
 	}
 	if s := p.String(); s == "" {
 		t.Fatal("empty String()")
+	}
+}
+
+// Candidates the simulator cannot run as labelled are rejected before
+// any simulation, naming the first offender.
+func TestExploreRejectsBadCandidates(t *testing.T) {
+	cases := []struct {
+		name         string
+		reduceCounts []int
+		slowstarts   []float64
+		want         string
+	}{
+		{"negative reduce count", []int{19, -3, -4}, nil, "reduce count -3 is negative"},
+		{"NaN slowstart", nil, []float64{0.05, math.NaN()}, "slowstart NaN is not in (0, 1]"},
+		{"infinite slowstart", nil, []float64{math.Inf(1)}, "slowstart +Inf is not in (0, 1]"},
+		{"slowstart above one", nil, []float64{2}, "slowstart 2 is not in (0, 1]"},
+		{"negative slowstart", nil, []float64{-1}, "slowstart -1 is not in (0, 1]"},
+		{"zero slowstart", nil, []float64{0.5, 0, -1}, "slowstart 0 is not in (0, 1]"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			q := Question{
+				Benchmark:    workload.Terasort(2, 0, 0),
+				Config:       mrconf.Default(),
+				ReduceCounts: tc.reduceCounts,
+				Slowstarts:   tc.slowstarts,
+			}
+			preds, err := Explore(q)
+			if err == nil || !strings.Contains(err.Error(), tc.want) || preds != nil {
+				t.Fatalf("Explore: preds=%v err=%v, want an error containing %q", preds, err, tc.want)
+			}
+			if _, err := Recommend(q); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Recommend: err=%v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
