@@ -22,7 +22,7 @@ import (
 	"repro/internal/workload"
 )
 
-func env() experiments.Env { return experiments.DefaultEnv() }
+func env() experiments.Env { return experiments.Env{Seed: 42} }
 
 // BenchmarkTable2Parameters walks the Table 2 registry (sanity-scale
 // benchmark: configuration handling must stay cheap since every task

@@ -233,40 +233,3 @@ func argmin(xs []float64) int {
 	}
 	return best
 }
-
-// RandomSearch is the weakest baseline: independent uniform samples,
-// one test run each.
-type RandomSearch struct {
-	rng    *rand.Rand
-	params []mrconf.Param
-
-	Evals    int
-	best     mrconf.Config
-	bestCost float64
-}
-
-// NewRandomSearch builds a random-search tuner.
-func NewRandomSearch(rng *rand.Rand) *RandomSearch {
-	return &RandomSearch{rng: rng, params: mrconf.Params(), bestCost: math.Inf(1)}
-}
-
-// Run draws n random configurations and returns the best.
-func (r *RandomSearch) Run(eval func(mrconf.Config) float64, n int) mrconf.Config {
-	for i := 0; i < n; i++ {
-		cfg := mrconf.Default()
-		for _, p := range r.params {
-			cfg = cfg.With(p.Name, p.Min+r.rng.Float64()*(p.Max-p.Min))
-		}
-		cfg = mrconf.Repair(cfg)
-		c := eval(cfg)
-		r.Evals++
-		if c < r.bestCost {
-			r.bestCost = c
-			r.best = cfg
-		}
-	}
-	return r.best
-}
-
-// Best returns the best configuration and cost found.
-func (r *RandomSearch) Best() (mrconf.Config, float64) { return r.best, r.bestCost }

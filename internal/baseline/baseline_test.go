@@ -158,16 +158,3 @@ func TestGeneticConfigsAlwaysValid(t *testing.T) {
 		t.Fatal("eval never called")
 	}
 }
-
-func TestRandomSearch(t *testing.T) {
-	eval, _ := synthEval()
-	rs := NewRandomSearch(sim.NewSource(4).Stream("rs"))
-	rs.Run(eval, 30)
-	if rs.Evals != 30 {
-		t.Fatalf("Evals = %d", rs.Evals)
-	}
-	_, best := rs.Best()
-	if math.IsInf(best, 1) {
-		t.Fatal("random search found nothing")
-	}
-}

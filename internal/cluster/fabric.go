@@ -59,15 +59,6 @@ func (l *Link) Name() string {
 	return l.fabric.ws.name(l)
 }
 
-// Utilization returns the time-average fraction of capacity in use
-// through time now.
-func (l *Link) Utilization(now float64) float64 {
-	if l.Capacity <= 0 {
-		return 0
-	}
-	return l.used.Average(now) / l.Capacity
-}
-
 // CurrentRate returns the aggregate rate currently flowing on the link.
 func (l *Link) CurrentRate() float64 { return l.used.Level() }
 
@@ -124,16 +115,6 @@ func (f *Flow) setLinkPos(i, p int) {
 	}
 	f.posX[i-inlineLinks] = p
 }
-
-// Remaining returns the amount of work left, valid as of the last
-// recomputation that touched this flow's component.
-func (f *Flow) Remaining() float64 { return f.remaining }
-
-// Rate returns the current fair-share rate.
-func (f *Flow) Rate() float64 { return f.rate }
-
-// Done reports whether the flow completed or was canceled.
-func (f *Flow) Done() bool { return f.finished }
 
 // Cancel aborts the flow; its done callback will not fire. Canceling
 // a completed flow is a no-op.
@@ -227,25 +208,10 @@ func (ws *workspace) nameAs(obj any, name string) {
 	ws.names[obj] = name
 }
 
-// NewFabric returns an empty fabric, with a workspace of its own,
-// whose completion events are scheduled on eng.
-func NewFabric(eng *sim.Engine, name string) *Fabric {
-	fb := newFabric(&workspace{eng: eng})
-	fb.ws.nameAs(fb, name)
-	return fb
-}
-
 // newFabric returns an empty fabric that schedules on ws's engine,
 // recomputes in ws and recycles flows through it.
 func newFabric(ws *workspace) *Fabric {
 	return &Fabric{eng: ws.eng, ws: ws}
-}
-
-// AddLink registers a link with the fabric and returns it.
-func (fb *Fabric) AddLink(name string, capacity float64) *Link {
-	l := &Link{}
-	fb.ws.nameAs(l, name)
-	return fb.addLink(l, capacity)
 }
 
 // addLink registers l, whose memory the caller provides, with the
@@ -261,9 +227,6 @@ func (fb *Fabric) addLink(l *Link, capacity float64) *Link {
 	fb.links = append(fb.links, l) //mrlint:ignore retained-append one entry per topology link, built once at construction
 	return l
 }
-
-// ActiveFlows returns the number of in-flight flows in the fabric.
-func (fb *Fabric) ActiveFlows() int { return len(fb.flows) }
 
 // Start begins a flow of `work` units across the given links, at most
 // rateCap units/s (0 = unlimited), invoking done when the work

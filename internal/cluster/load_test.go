@@ -101,14 +101,8 @@ func TestClusterTotals(t *testing.T) {
 	if c.SameRack(c.Racks[0][0], c.Racks[1][0]) {
 		t.Fatal("SameRack true across racks")
 	}
-	if c.Config().DiskMBps != PaperConfig().DiskMBps {
-		t.Fatal("Config() does not round-trip")
-	}
 	if c.NetworkFabric() == nil {
 		t.Fatal("no network fabric")
-	}
-	if c.Nodes[0].Cluster() != c {
-		t.Fatal("node does not know its cluster")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/metrics"
-	"repro/internal/sim"
 )
 
 // MemPool is a counting resource (megabytes of container memory on a
@@ -15,15 +14,6 @@ type MemPool struct {
 	used     float64
 	ws       *workspace // the engine whose clock the meter reads, and the pool's name
 	meter    metrics.Meter
-}
-
-// NewMemPool returns a pool of capacity MB whose utilization meter
-// reads eng's clock.
-func NewMemPool(eng *sim.Engine, name string, capacity float64) *MemPool {
-	p := &MemPool{ws: &workspace{eng: eng}}
-	p.ws.nameAs(p, name)
-	p.init(capacity)
-	return p
 }
 
 // init validates and sets the capacity of a pool whose workspace is
@@ -72,9 +62,4 @@ func (p *MemPool) Release(mb float64) {
 		p.used = 0
 	}
 	p.meter.Set(p.ws.eng.Now(), p.used)
-}
-
-// Utilization returns the time-average fraction of capacity allocated.
-func (p *MemPool) Utilization(now float64) float64 {
-	return p.meter.Average(now) / p.Capacity
 }

@@ -70,26 +70,6 @@ func (n *Node) DiskWrite(mb float64, done func()) *Flow {
 	return n.disk.Start(n.disk.links, mb, 0, done)
 }
 
-// CancelFlow aborts a flow previously started on this node's CPU or
-// disk, or in the cluster network.
-func (n *Node) CancelFlow(f *Flow) {
-	if f == nil {
-		return
-	}
-	f.fabric.Cancel(f)
-}
-
-// CPUUtilization returns the time-average fraction of physical cores
-// busy through now.
-func (n *Node) CPUUtilization(now float64) float64 { return n.cpuLink.Utilization(now) }
-
-// DiskUtilization returns the time-average fraction of disk bandwidth
-// busy through now.
-func (n *Node) DiskUtilization(now float64) float64 { return n.diskLink.Utilization(now) }
-
-// Cluster returns the owning cluster.
-func (n *Node) Cluster() *Cluster { return n.cluster }
-
 // CPULoad returns the instantaneous fraction of physical cores busy —
 // the "dynamic cluster utilization information" MRONLINE's monitor
 // samples for hot-spot avoidance.

@@ -73,6 +73,8 @@ func PaperConfig() Config {
 // testbed: 12 standard nodes plus 6 older, smaller ones — the setting
 // in which one-size-fits-all configurations hurt most and per-task
 // configuration pays.
+//
+//mrlint:ignore test-only-export the mixed-hardware testbed shared by the cluster and experiments tests; one definition keeps them alike
 func HeterogeneousPaperConfig() Config {
 	cfg := PaperConfig()
 	cfg.Classes = []NodeClass{
@@ -103,7 +105,6 @@ type Cluster struct {
 	// (nil otherwise); netFor routes every flow to the right one.
 	rackNets []*Fabric
 	uplinks  []*Link
-	cfg      Config
 	// totalMemMB caches the cluster-wide container memory; the node set
 	// is fixed once New returns.
 	totalMemMB float64
@@ -152,7 +153,7 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 		uplinks = 1
 	}
 
-	c := &Cluster{Eng: eng, cfg: cfg, Faults: &metrics.FaultCounters{}}
+	c := &Cluster{Eng: eng, Faults: &metrics.FaultCounters{}}
 	// Every fabric recomputes in one scratch workspace and recycles
 	// flows through its free list; the workspace also names the
 	// topology for panics and errors.
@@ -275,12 +276,6 @@ func (c *Cluster) topologyName(obj any) string {
 	return ""
 }
 
-// Config returns the configuration the cluster was built with.
-func (c *Cluster) Config() Config { return c.cfg }
-
-// SameRack reports whether two nodes share a rack.
-func (c *Cluster) SameRack(a, b *Node) bool { return a.Rack == b.Rack }
-
 // Transfer moves mb megabytes from src to dst over the network,
 // traversing src's transmit NIC, dst's receive NIC, and — when the
 // nodes are on different racks — both rack uplinks. A same-node
@@ -355,21 +350,4 @@ func (c *Cluster) netFor(n *Node) *Fabric {
 		return c.rackNets[n.Rack]
 	}
 	return c.net
-}
-
-// NetworkFabric exposes the shared network fabric (for tests and for
-// monitor components that sample link utilization). In RackLocalNet
-// mode it is empty — flows live on the per-rack fabrics.
-func (c *Cluster) NetworkFabric() *Fabric { return c.net }
-
-// TotalContainerMemMB returns cluster-wide container memory.
-func (c *Cluster) TotalContainerMemMB() float64 { return c.totalMemMB }
-
-// TotalVCores returns cluster-wide container vcores.
-func (c *Cluster) TotalVCores() int {
-	total := 0
-	for _, n := range c.Nodes {
-		total += n.VCores
-	}
-	return total
 }

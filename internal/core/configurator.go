@@ -68,6 +68,8 @@ func (d *DynamicConfigurator) jobEntry(jobID string) *jobConfigs {
 // GetConfigurableJobParameters returns the parameters that can still
 // be changed for the job's current and future tasks (categories 2 and
 // 3 of §2.2), sorted for stable output.
+//
+//mrlint:ignore test-only-export paper Table 1 API (getConfigurableJobParameters), the configurator's public contract; the tuner reads the registry directly
 func (d *DynamicConfigurator) GetConfigurableJobParameters(jobID string) []string {
 	var names []string
 	for _, p := range mrconf.Params() {
@@ -82,6 +84,8 @@ func (d *DynamicConfigurator) GetConfigurableJobParameters(jobID string) []strin
 // GetConfigurableTaskParameters returns the parameters applicable to
 // one task: its scope's parameters (a map task is not affected by
 // reduce buffers).
+//
+//mrlint:ignore test-only-export paper Table 1 API (getConfigurableTaskParameters), the configurator's public contract
 func (d *DynamicConfigurator) GetConfigurableTaskParameters(jobID, taskID string) []string {
 	scope := mrconf.ScopeMap
 	if len(taskID) > 0 && taskID[0] == 'r' {
@@ -109,6 +113,8 @@ func (d *DynamicConfigurator) SetJobParameters(jobID string, kv map[string]float
 }
 
 // SetTaskParameters sets parameters for one task.
+//
+//mrlint:ignore test-only-export paper Table 1 API (setTaskParameters); the tuner writes through setTaskPoint, which builds no map
 func (d *DynamicConfigurator) SetTaskParameters(jobID, taskID string, kv map[string]float64) int {
 	for name := range kv {
 		if _, ok := mrconf.Lookup(name); !ok {
@@ -137,6 +143,8 @@ func (d *DynamicConfigurator) setTaskPoint(jobID, taskID string, dims []mrconf.P
 // SetAllTaskParameters sets parameters for every task of the job
 // (clearing conflicting per-task overrides so the job-wide value
 // wins, as the paper's setTaskParameters(jid, kv) overload does).
+//
+//mrlint:ignore test-only-export paper Table 1 API (the setTaskParameters(jid, kv) overload), the configurator's public contract
 func (d *DynamicConfigurator) SetAllTaskParameters(jobID string, kv map[string]float64) int {
 	n := d.SetJobParameters(jobID, kv)
 	if n < 0 {

@@ -24,17 +24,13 @@ type CostWeights [4]float64
 // UnitWeights is Equation 1 as published.
 var UnitWeights = CostWeights{1, 1, 1, 1}
 
-// Cost is the paper's Equation 1:
+// WeightedCost is the paper's Equation 1 with per-term weights w:
 //
 //	y = (1-umem) + (1-ucpu) + spills/outputRecords + t/tmax
 //
-// lower is better: fully used memory and CPU, no redundant spills, and
-// a short run relative to the slowest task of the same type.
-func Cost(r mapreduce.TaskReport, tmax float64) float64 {
-	return WeightedCost(r, tmax, UnitWeights)
-}
-
-// WeightedCost is Cost with per-term weights (for ablations).
+// under UnitWeights; lower is better: fully used memory and CPU, no
+// redundant spills, and a short run relative to the slowest task of
+// the same type. Other weights serve ablations.
 func WeightedCost(r mapreduce.TaskReport, tmax float64, w CostWeights) float64 {
 	spillRatio := 0.0
 	if r.OutputRecords > 0 {

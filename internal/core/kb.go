@@ -96,13 +96,6 @@ func betterScope(a, b tuner.ScopeState) tuner.ScopeState {
 	}
 }
 
-// Len returns the number of stored class entries.
-func (kb *KnowledgeBase) Len() int {
-	kb.mu.Lock()
-	defer kb.mu.Unlock()
-	return len(kb.entries)
-}
-
 // Save writes the knowledge base as JSON: a map of key to Entry.
 func (kb *KnowledgeBase) Save(path string) error {
 	kb.mu.Lock()

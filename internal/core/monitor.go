@@ -142,10 +142,6 @@ func (m *Monitor) EstReduceInputMB() (float64, bool) {
 	return total / float64(m.numReduces), true
 }
 
-// MapReports and ReduceReports return all ingested reports.
-func (m *Monitor) MapReports() []mapreduce.TaskReport    { return m.mapReports }
-func (m *Monitor) ReduceReports() []mapreduce.TaskReport { return m.reduceReports }
-
 // Completed returns how many attempts have been observed for a type.
 func (m *Monitor) Completed(t mapreduce.TaskType) int {
 	if t == mapreduce.MapTask {

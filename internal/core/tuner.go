@@ -230,12 +230,6 @@ func warmScope(e *Entry, scope mrconf.Scope) *tuner.ScopeState {
 	return &s
 }
 
-// Monitor exposes the tuner's monitor (for experiments and tests).
-func (t *Tuner) Monitor() *Monitor { return t.mon }
-
-// Configurator exposes the Table 1 API instance backing this tuner.
-func (t *Tuner) Configurator() *DynamicConfigurator { return t.dc }
-
 func (t *Tuner) searchFor(tt mapreduce.TaskType) *scopeSearch {
 	if tt == mapreduce.MapTask {
 		return &t.mapS
@@ -468,17 +462,6 @@ func (t *Tuner) BestConfig() mrconf.Config {
 	cfg = t.materializeWith(t.materializeWith(cfg, mapreduce.MapTask, true), mapreduce.ReduceTask, true)
 	return mrconf.Repair(cfg)
 }
-
-// SearchDone reports whether both scopes' searches have converged.
-func (t *Tuner) SearchDone() bool {
-	if t.Strategy != Aggressive {
-		return false
-	}
-	return t.mapS.opt.Done() && t.redS.opt.Done()
-}
-
-// Backend names the optimizer backend this tuner drives.
-func (t *Tuner) Backend() string { return t.backend }
 
 // ExportWarm snapshots both scopes' search states as a knowledge-base
 // entry, the warm start for the class's next test run. Only meaningful

@@ -85,9 +85,6 @@ type Env struct {
 	Cells bool
 }
 
-// DefaultEnv matches the committed EXPERIMENTS.md numbers.
-func DefaultEnv() Env { return Env{Seed: 42} }
-
 func (e Env) reps() int {
 	if e.Reps <= 0 {
 		return 3
@@ -751,21 +748,6 @@ func (e Env) SeedSweep(b workload.Benchmark, seeds int) SweepStat {
 		def := sub.RunOne(b, mrconf.Default(), nil)
 		tuner, _ := sub.AggressiveTestRun(b)
 		run := sub.RunOne(b, tuner.BestConfig(), nil)
-		imps[i] = (def.Duration - run.Duration) / def.Duration
-	})
-	return sweepStat(imps)
-}
-
-// SeedSweepConservative mirrors SeedSweep for the fast-single-run use
-// case: the conservative tuner attached to one run, across seeds.
-func (e Env) SeedSweepConservative(b workload.Benchmark, seeds int) SweepStat {
-	imps := make([]float64, seeds)
-	parallelFor(seeds, func(i int) {
-		sub := Env{Seed: e.Seed + uint64(i)*977, Reps: 1}
-		def := sub.RunOne(b, mrconf.Default(), nil)
-		tuner := core.NewTuner(b.Name, b.NumMaps, b.NumReduces, mrconf.Default(),
-			core.TunerOptions{Strategy: core.Conservative, Seed: sub.Seed})
-		run := sub.RunOne(b, mrconf.Default(), tuner)
 		imps[i] = (def.Duration - run.Duration) / def.Duration
 	})
 	return sweepStat(imps)

@@ -410,11 +410,26 @@ func TestBuildReportRenders(t *testing.T) {
 	}
 }
 
+// seedSweepConservative mirrors SeedSweep for the fast-single-run use
+// case: the conservative tuner attached to one run, across seeds.
+func (e Env) seedSweepConservative(b workload.Benchmark, seeds int) SweepStat {
+	imps := make([]float64, seeds)
+	parallelFor(seeds, func(i int) {
+		sub := Env{Seed: e.Seed + uint64(i)*977, Reps: 1}
+		def := sub.RunOne(b, mrconf.Default(), nil)
+		tuner := core.NewTuner(b.Name, b.NumMaps, b.NumReduces, mrconf.Default(),
+			core.TunerOptions{Strategy: core.Conservative, Seed: sub.Seed})
+		run := sub.RunOne(b, mrconf.Default(), tuner)
+		imps[i] = (def.Duration - run.Duration) / def.Duration
+	})
+	return sweepStat(imps)
+}
+
 func TestSeedSweepConservativeRobustness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure reproduction in -short mode")
 	}
-	st := DefaultEnv().SeedSweepConservative(workload.Terasort(60, 0, 0), 5)
+	st := DefaultEnv().seedSweepConservative(workload.Terasort(60, 0, 0), 5)
 	if st.MinImp < 0.03 {
 		t.Fatalf("worst-seed conservative improvement = %.0f%%", st.MinImp*100)
 	}

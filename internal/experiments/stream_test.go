@@ -114,8 +114,8 @@ func TestStreamSmokeThreeSeeds(t *testing.T) {
 			if n := len(res.Stats.Classes()); n > len(DefaultStreamClasses())+1 {
 				t.Fatalf("seed %d parallel=%d: stats sink retains %d classes", seed, parallel, n)
 			}
-			if res.Stats.InFlight() != 0 {
-				t.Fatalf("seed %d parallel=%d: %d jobs still in flight after drain", seed, parallel, res.Stats.InFlight())
+			if o := res.Stats.Overall(); o.Submitted != o.Jobs {
+				t.Fatalf("seed %d parallel=%d: %d jobs still in flight after drain", seed, parallel, o.Submitted-o.Jobs)
 			}
 		}
 	}

@@ -160,13 +160,6 @@ func newFileSystem(c *cluster.Cluster, rng *rand.Rand, nodes []*cluster.Node) *F
 	return fs
 }
 
-// Create places a file of sizeMB across the cluster using the HDFS
-// default placement policy: first replica on a round-robin "writer"
-// node, second on a different rack, third on the second's rack.
-func (fs *FileSystem) Create(name string, sizeMB float64) *File {
-	return fs.CreateWithBlockSize(name, sizeMB, fs.BlockSizeMB)
-}
-
 // CreateWithBlockSize is Create with a per-file block size, used to
 // model jobs whose input-split size differs from the filesystem
 // default (the paper's corpora use ~137 MB splits).
@@ -411,30 +404,6 @@ func (b *Block) HasReplicaOn(node *cluster.Node) bool {
 	return false
 }
 
-// Read streams block b to the reader node: a local disk read when a
-// replica is node-local, otherwise a pipelined remote read (source
-// disk read in parallel with the network transfer; completion when
-// both finish, approximating the streaming bottleneck). The returned
-// flows let the caller cancel an in-flight read (speculative-attempt
-// kills).
-func (fs *FileSystem) Read(b *Block, reader *cluster.Node, done func()) []*cluster.Flow {
-	if b.HasReplicaOn(reader) {
-		return []*cluster.Flow{reader.DiskRead(b.SizeMB, done)}
-	}
-	src := fs.closestReplica(b, reader)
-	remaining := 2
-	child := func() {
-		remaining--
-		if remaining == 0 && done != nil {
-			done()
-		}
-	}
-	return []*cluster.Flow{
-		src.DiskRead(b.SizeMB, child),
-		fs.c.Transfer(src, reader, b.SizeMB, child),
-	}
-}
-
 func (fs *FileSystem) closestReplica(b *Block, reader *cluster.Node) *cluster.Node {
 	var rackLocal, rackLocalCold, cold *cluster.Node
 	for _, r := range b.Replicas {
@@ -459,48 +428,4 @@ func (fs *FileSystem) closestReplica(b *Block, reader *cluster.Node) *cluster.No
 		return rackLocal
 	}
 	return b.Replicas[fs.rng.Intn(len(b.Replicas))]
-}
-
-// Write stores sizeMB of new data originating at node, running the
-// replica pipeline: a local disk write plus, per extra replica, a
-// network transfer and remote disk write, all in parallel (HDFS
-// pipelines chunks through the replica chain). done fires when every
-// replica is durable. It returns the replica nodes chosen and the
-// in-flight flows (for cancellation).
-func (fs *FileSystem) Write(node *cluster.Node, sizeMB float64, done func()) ([]*cluster.Node, []*cluster.Flow) {
-	replicas := fs.placeReplicas(node)
-	remaining := 0
-	child := func() {
-		remaining--
-		if remaining == 0 && done != nil {
-			done()
-		}
-	}
-	// Count the flows first so an early completion cannot fire done
-	// prematurely.
-	count := 0
-	for i := range replicas {
-		count++ // disk write at each replica
-		if i > 0 {
-			count++ // transfer from previous pipeline stage
-		}
-	}
-	remaining = count
-	if sizeMB == 0 {
-		// Still asynchronous: model a metadata-only commit.
-		fs.c.Eng.After(0, func() {
-			if done != nil {
-				done()
-			}
-		})
-		return replicas, nil
-	}
-	flows := make([]*cluster.Flow, 0, count)
-	for i, r := range replicas {
-		flows = append(flows, r.DiskWrite(sizeMB, child))
-		if i > 0 {
-			flows = append(flows, fs.c.Transfer(replicas[i-1], r, sizeMB, child))
-		}
-	}
-	return replicas, flows
 }

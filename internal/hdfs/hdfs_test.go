@@ -101,7 +101,7 @@ func TestLocalReadUsesOnlyDisk(t *testing.T) {
 	f := fs.Create("input", 90) // one block, 90 MB
 	b := f.Blocks[0]
 	var done float64
-	fs.Read(b, b.Replicas[0], func() { done = eng.Now() })
+	fs.StartRead(b, b.Replicas[0], func() { done = eng.Now() })
 	eng.Run()
 	// 90 MB at 90 MB/s disk = 1 s, no network involvement.
 	if done < 0.99 || done > 1.01 {
@@ -121,7 +121,7 @@ func TestRemoteReadSlowerThanLocal(t *testing.T) {
 		}
 	}
 	var done float64
-	fs.Read(b, reader, func() { done = eng.Now() })
+	fs.StartRead(b, reader, func() { done = eng.Now() })
 	eng.Run()
 	// Bottleneck is max(disk 117/90, net 117/117) = 1.3 s.
 	if done < 1.29 || done > 1.4 {
@@ -133,14 +133,16 @@ func TestWritePipeline(t *testing.T) {
 	eng, c, fs := newFS(t)
 	n := c.Nodes[0]
 	var done float64
-	replicas, _ := fs.Write(n, 90, func() { done = eng.Now() })
+	op := fs.StartWrite(n, 90, func() { done = eng.Now() })
+	// Three replicas: a disk write at each, and a transfer into each
+	// after the first.
+	if len(op.flows) != 5 {
+		t.Fatalf("write pipeline has %d flows, want 5 (3 replicas)", len(op.flows))
+	}
+	if n.DiskLoad() != 1 {
+		t.Fatal("first replica not local: the writer's disk is idle")
+	}
 	eng.Run()
-	if len(replicas) != 3 {
-		t.Fatalf("write produced %d replicas, want 3", len(replicas))
-	}
-	if replicas[0] != n {
-		t.Fatal("first replica not local")
-	}
 	// Local disk write of 90 MB at 90 MB/s = 1 s; transfers at 117 MB/s
 	// are faster. Expect ~1 s, certainly under 2.
 	if done < 0.99 || done > 2 {
@@ -151,7 +153,7 @@ func TestWritePipeline(t *testing.T) {
 func TestZeroByteWrite(t *testing.T) {
 	eng, c, fs := newFS(t)
 	fired := false
-	fs.Write(c.Nodes[0], 0, func() { fired = true })
+	fs.StartWrite(c.Nodes[0], 0, func() { fired = true })
 	eng.Run()
 	if !fired {
 		t.Fatal("zero-byte write never completed")

@@ -2,15 +2,18 @@ package hdfs
 
 import "repro/internal/cluster"
 
-// Fault-tolerant data-path operations. StartRead and StartWrite wrap
-// the plain Read/Write flow construction with failure handling: if a
-// remote replica dies mid-transfer the operation restarts against the
-// surviving replicas after OpRetryDelaySecs; if the local node (the
-// reader or writer — i.e. the task's own container host) dies, the op
-// goes quiet and lets YARN's node-loss path requeue the whole attempt.
-// With no faults injected the flows created, their order, and the
-// completion callbacks are identical to Read/Write, so fault tolerance
-// costs nothing when it is not exercised.
+// Fault-tolerant data-path operations. StartRead streams a block to a
+// reader: a local disk read when a replica is node-local, otherwise the
+// closest replica's disk read in parallel with the network transfer
+// (completion when both finish, approximating the streaming
+// bottleneck). StartWrite runs the replica pipeline: a local disk write
+// plus, per extra replica, a network transfer and remote disk write,
+// all in parallel. If a remote replica dies mid-transfer the operation
+// restarts against the surviving replicas after OpRetryDelaySecs; if
+// the local node (the reader or writer — i.e. the task's own container
+// host) dies, the op goes quiet and lets YARN's node-loss path requeue
+// the whole attempt. With no faults injected an op creates its flows
+// once, so fault tolerance costs nothing when it is not exercised.
 
 // ReadOp is a cancellable, fault-tolerant block read.
 type ReadOp struct {
@@ -31,9 +34,9 @@ type ReadOp struct {
 	retrying bool
 }
 
-// StartRead begins streaming block b to the reader node, like Read,
-// but survives source-replica failure by failing over to another
-// replica. done fires exactly once, when a full copy has streamed.
+// StartRead begins streaming block b to the reader node, and survives
+// source-replica failure by failing over to another replica. done
+// fires exactly once, when a full copy has streamed.
 func (fs *FileSystem) StartRead(b *Block, reader *cluster.Node, done func()) *ReadOp {
 	op := &ReadOp{fs: fs, b: b, reader: reader, done: done}
 	op.start()
@@ -162,8 +165,8 @@ type WriteOp struct {
 }
 
 // StartWrite begins storing sizeMB originating at node through the
-// replica pipeline, like Write, but survives the death of a downstream
-// replica by rebuilding the pipeline from scratch on fresh targets.
+// replica pipeline, and survives the death of a downstream replica by
+// rebuilding the pipeline from scratch on fresh targets.
 // done fires exactly once, when every replica of a complete pipeline
 // is durable.
 func (fs *FileSystem) StartWrite(node *cluster.Node, sizeMB float64, done func()) *WriteOp {

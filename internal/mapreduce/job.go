@@ -164,25 +164,6 @@ func (j *Job) traceTask(t *Task, kind trace.Kind) {
 	})
 }
 
-// Benchmark returns the workload this job runs.
-func (j *Job) Benchmark() workload.Benchmark { return j.bench }
-
-// BaseConfig returns the job-level configuration.
-func (j *Job) BaseConfig() mrconf.Config { return j.spec.BaseConfig }
-
-// Engine returns the simulation engine (for controllers).
-func (j *Job) Engine() *sim.Engine { return j.eng }
-
-// CompletedMaps returns the number of finished map tasks.
-func (j *Job) CompletedMaps() int { return j.completedMaps }
-
-// CompletedReduces returns the number of finished reduce tasks.
-func (j *Job) CompletedReduces() int { return j.completedReduces }
-
-// MapTasks and ReduceTasks expose task state to controllers.
-func (j *Job) MapTasks() []*Task    { return j.mapTasks }
-func (j *Job) ReduceTasks() []*Task { return j.reduceTasks }
-
 // pump requests containers for every launchable pending task: maps in
 // order, then reduces once slowstart has been reached, subject to the
 // controller's launch gate and the reduce headroom policy.

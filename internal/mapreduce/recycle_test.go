@@ -150,7 +150,7 @@ func TestLateContainerAfterRecycle(t *testing.T) {
 			t.Errorf("job a: failed=%v, %d attempt failures, %d speculative wins; want a clean finish with both",
 				res.Failed, res.Counters.TaskFailures, res.Counters.SpeculativeWins)
 		}
-		for _, n := range probe.rm.Nodes() {
+		for _, n := range probe.rm.Cluster().Nodes {
 			held += n.Mem.Used()
 		}
 	})
@@ -250,19 +250,17 @@ func TestPoolInvisibleUnderFaults(t *testing.T) {
 }
 
 // flowSampler watches one job's tasks at a fixed simulated-time
-// interval. It records every flow a task tracks while the flow still
-// has work left (zero-work flows never come from the free list), and
-// fails the test when two tasks track one flow at the same time: a
+// interval. It records every flow a task tracks, and fails the test when two tasks track one flow at the same time: a
 // flow recycled at one attempt's success and restarted for another
 // must have left the first attempt's list.
 type flowSampler struct {
-	inFlight map[*cluster.Flow]bool
-	samples  int
+	tracked map[*cluster.Flow]bool
+	samples int
 }
 
 func sampleTrackedFlows(t *testing.T, r *rig, j *Job, interval float64) *flowSampler {
 	t.Helper()
-	s := &flowSampler{inFlight: map[*cluster.Flow]bool{}}
+	s := &flowSampler{tracked: map[*cluster.Flow]bool{}}
 	r.eng.Tick(interval, func() bool {
 		if j.finished {
 			return false
@@ -276,9 +274,7 @@ func sampleTrackedFlows(t *testing.T, r *rig, j *Job, interval float64) *flowSam
 						t.Fatalf("t=%g: %s and %s both track one flow", r.eng.Now(), o, tk)
 					}
 					owner[f] = tk
-					if f.Remaining() > 0 {
-						s.inFlight[f] = true
-					}
+					s.tracked[f] = true
 				}
 			}
 		}
@@ -301,8 +297,8 @@ func TestSucceededAttemptFlowsRecycled(t *testing.T) {
 	if !done {
 		t.Fatal("job did not complete cleanly")
 	}
-	if s.samples == 0 || len(s.inFlight) == 0 {
-		t.Fatalf("sampled %d times and saw %d flows in flight; the test exercises nothing", s.samples, len(s.inFlight))
+	if s.samples == 0 || len(s.tracked) == 0 {
+		t.Fatalf("sampled %d times and saw %d tracked flows; the test exercises nothing", s.samples, len(s.tracked))
 	}
 	for _, tasks := range [][]*Task{j.mapTasks, j.reduceTasks} {
 		for _, tk := range tasks {
@@ -311,13 +307,16 @@ func TestSucceededAttemptFlowsRecycled(t *testing.T) {
 			}
 		}
 	}
-	// Cap-only flows are singleton components, so starting one is cheap;
+	// Every fabric of the cluster shares one free list. A disk read
+	// canceled at once keeps the link empty, so starting one is cheap;
 	// each pops the free list until it is empty and then allocates.
-	fb := r.c.NetworkFabric()
-	missing := len(s.inFlight)
+	node := r.c.Nodes[0]
+	missing := len(s.tracked)
 	for i := 0; missing > 0 && i < 100_000; i++ {
-		if f := fb.Start(nil, 1, 1, nil); s.inFlight[f] {
-			delete(s.inFlight, f)
+		f := node.DiskRead(1, nil)
+		f.Cancel()
+		if s.tracked[f] {
+			delete(s.tracked, f)
 			missing--
 		}
 	}

@@ -19,8 +19,8 @@ func TestJobEmitsTrace(t *testing.T) {
 	}
 	// submit + (start+finish) per task + job finish
 	want := 1 + 2*(b.NumMaps+b.NumReduces) + 1
-	if rec.Len() != want {
-		t.Fatalf("trace events = %d, want %d", rec.Len(), want)
+	if len(rec.Events()) != want {
+		t.Fatalf("trace events = %d, want %d", len(rec.Events()), want)
 	}
 	events := rec.Events()
 	if events[0].Kind != trace.JobSubmit {

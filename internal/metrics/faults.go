@@ -1,10 +1,5 @@
 package metrics
 
-import (
-	"fmt"
-	"strings"
-)
-
 // FaultCounters aggregates fault-injection and recovery activity across
 // every layer of the stack. One instance lives on the cluster (see
 // cluster.Cluster.Faults); the HDFS, YARN and MapReduce layers all
@@ -31,33 +26,4 @@ type FaultCounters struct {
 	BlocksReReplicated int
 	ReadFailovers      int // block reads restarted from another replica
 	WriteRestarts      int // replica pipelines rebuilt after a crash
-}
-
-// Any reports whether any fault or recovery activity was recorded.
-func (f *FaultCounters) Any() bool {
-	return *f != FaultCounters{}
-}
-
-// Summary renders the non-zero counters, one per line.
-func (f *FaultCounters) Summary() string {
-	var b strings.Builder
-	line := func(name string, v int) {
-		if v != 0 {
-			fmt.Fprintf(&b, "%s=%d\n", name, v)
-		}
-	}
-	line("Nodes downed", f.NodesDowned)
-	line("Nodes restored", f.NodesRestored)
-	line("Containers lost", f.ContainersLost)
-	line("Nodes blacklisted", f.NodesBlacklisted)
-	line("Nodes unblacklisted", f.NodesUnblacklisted)
-	line("Attempts killed by node loss", f.AttemptsKilledNodeLoss)
-	line("Injected task failures", f.TaskFailuresInjected)
-	line("Fetch failures", f.FetchFailures)
-	line("Maps re-executed", f.MapsReExecuted)
-	line("Replicas lost", f.ReplicasLost)
-	line("Blocks re-replicated", f.BlocksReReplicated)
-	line("Read failovers", f.ReadFailovers)
-	line("Write restarts", f.WriteRestarts)
-	return b.String()
 }

@@ -40,19 +40,18 @@ func (m *Meter) Set(now, v float64) {
 	}
 }
 
-// Add adjusts the level by delta at time now.
-func (m *Meter) Add(now, delta float64) {
-	m.Set(now, m.level+delta)
-}
-
 // Level returns the current level.
 func (m *Meter) Level() float64 { return m.level }
 
 // Peak returns the maximum level ever set.
+//
+//mrlint:ignore test-only-export the fabric property test reads each link meter's peak to prove no link ran over capacity
 func (m *Meter) Peak() float64 { return m.peak }
 
 // Average returns the time-weighted average level from the first Set
 // through time now.
+//
+//mrlint:ignore test-only-export the link and memory-pool utilization hooks of the cluster tests read it; no report shows utilization yet
 func (m *Meter) Average(now float64) float64 {
 	if !m.started || now <= m.start {
 		return 0
@@ -61,20 +60,11 @@ func (m *Meter) Average(now float64) float64 {
 	return integral / (now - m.start)
 }
 
-// Integral returns the accumulated level·time product through time now.
-func (m *Meter) Integral(now float64) float64 {
-	if !m.started {
-		return 0
-	}
-	return m.integral + m.level*(now-m.lastTime)
-}
-
 // Sample is a streaming aggregate over scalar observations.
 type Sample struct {
-	n          int
-	sum, sumSq float64
-	min, max   float64
-	values     []float64 // retained for percentiles, in observation order
+	n        int
+	sum, max float64
+	values   []float64 // retained for percentiles, in observation order
 	// sorted holds values[:len(sorted)] in ascending order; Percentile
 	// folds in only the observations made since its previous call.
 	sorted []float64
@@ -82,27 +72,16 @@ type Sample struct {
 
 // Observe adds one value.
 func (s *Sample) Observe(v float64) {
-	if s.n == 0 {
-		s.min, s.max = v, v
-	} else {
-		if v < s.min {
-			s.min = v
-		}
-		if v > s.max {
-			s.max = v
-		}
+	if s.n == 0 || v > s.max {
+		s.max = v
 	}
 	s.n++
 	s.sum += v
-	s.sumSq += v * v
 	s.values = append(s.values, v)
 }
 
 // N returns the number of observations.
 func (s *Sample) N() int { return s.n }
-
-// Sum returns the total of all observations.
-func (s *Sample) Sum() float64 { return s.sum }
 
 // Mean returns the arithmetic mean, or 0 with no observations.
 func (s *Sample) Mean() float64 {
@@ -112,31 +91,15 @@ func (s *Sample) Mean() float64 {
 	return s.sum / float64(s.n)
 }
 
-// Min returns the smallest observation, or 0 with no observations.
-func (s *Sample) Min() float64 { return s.min }
-
 // Max returns the largest observation, or 0 with no observations.
 func (s *Sample) Max() float64 { return s.max }
-
-// StdDev returns the population standard deviation.
-func (s *Sample) StdDev() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	mean := s.Mean()
-	v := s.sumSq/float64(s.n) - mean*mean
-	if v < 0 {
-		v = 0 // guard against tiny negative from rounding
-	}
-	return math.Sqrt(v)
-}
 
 // Percentile returns the p-th percentile (0..100) using linear
 // interpolation between closest ranks. It returns 0 with no observations.
 // The sorted view it reads is kept between calls, so a call costs one
 // binary insertion per observation made since the previous call (and
 // nothing when there is none) instead of a full sort; the result equals
-// Percentile(s.Values(), p).
+// Percentile over all observations.
 func (s *Sample) Percentile(p float64) float64 {
 	if s.n == 0 {
 		return 0
@@ -172,13 +135,6 @@ func (s *Sample) catchUp() {
 		copy(s.sorted[lo+1:], s.sorted[lo:])
 		s.sorted[lo] = v
 	}
-}
-
-// Values returns a copy of all observations in insertion order.
-func (s *Sample) Values() []float64 {
-	out := make([]float64, len(s.values))
-	copy(out, s.values)
-	return out
 }
 
 // Percentile computes the p-th percentile (0..100) of values using

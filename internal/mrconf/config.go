@@ -31,20 +31,6 @@ var defaults = func() (d [NumParams]float64) {
 // column).
 func Default() Config { return Config{} }
 
-// FromMap builds a Config from explicit overrides. Unknown names panic.
-func FromMap(values map[string]float64) Config {
-	for name := range values {
-		mustID(name)
-	}
-	c := Config{}
-	for _, p := range registry {
-		if v, ok := values[p.Name]; ok {
-			c = c.With(p.Name, v)
-		}
-	}
-	return c
-}
-
 // values returns the effective assignment for reading; it must not be
 // written through.
 func (c Config) values() *[NumParams]float64 {
@@ -114,13 +100,6 @@ func quantized(id ParamID, value float64) float64 {
 		panic(fmt.Sprintf("mrconf: non-finite value %v for %s", value, p.Name))
 	}
 	return p.Quantize(value)
-}
-
-// Merge returns c with all of other's overrides applied on top.
-func (c Config) Merge(other Config) Config {
-	out := c
-	other.EachOverride(func(p Param, v float64) { out = out.With(p.Name, v) })
-	return out
 }
 
 // Equal reports whether two configs assign identical values to every

@@ -93,20 +93,19 @@ func (p Param) Quantize(v float64) float64 {
 
 // Canonical parameter names (Hadoop property keys, as in Table 2).
 const (
-	MapMemoryMB            = "mapreduce.map.memory.mb"
-	ReduceMemoryMB         = "mapreduce.reduce.memory.mb"
-	IOSortMB               = "mapreduce.task.io.sort.mb"
-	SortSpillPercent       = "mapreduce.map.sort.spill.percent"
-	ShuffleInputBufferPct  = "mapreduce.reduce.shuffle.input.buffer.percent"
-	ShuffleMergePct        = "mapreduce.reduce.shuffle.merge.percent"
-	ShuffleMemoryLimitPct  = "mapreduce.reduce.shuffle.memory.limit.percent"
-	MergeInmemThreshold    = "mapreduce.reduce.merge.inmem.threshold"
-	ReduceInputBufferPct   = "mapreduce.reduce.input.buffer.percent"
-	MapCPUVcores           = "mapreduce.map.cpu.vcores"
-	ReduceCPUVcores        = "mapreduce.reduce.cpu.vcores"
-	IOSortFactor           = "mapreduce.task.io.sort.factor"
-	ShuffleParallelCopies  = "mapreduce.reduce.shuffle.parallelcopies"
-	ReduceSlowstartPercent = "mapreduce.job.reduce.slowstart.completedmaps" // category 1, not tuned
+	MapMemoryMB           = "mapreduce.map.memory.mb"
+	ReduceMemoryMB        = "mapreduce.reduce.memory.mb"
+	IOSortMB              = "mapreduce.task.io.sort.mb"
+	SortSpillPercent      = "mapreduce.map.sort.spill.percent"
+	ShuffleInputBufferPct = "mapreduce.reduce.shuffle.input.buffer.percent"
+	ShuffleMergePct       = "mapreduce.reduce.shuffle.merge.percent"
+	ShuffleMemoryLimitPct = "mapreduce.reduce.shuffle.memory.limit.percent"
+	MergeInmemThreshold   = "mapreduce.reduce.merge.inmem.threshold"
+	ReduceInputBufferPct  = "mapreduce.reduce.input.buffer.percent"
+	MapCPUVcores          = "mapreduce.map.cpu.vcores"
+	ReduceCPUVcores       = "mapreduce.reduce.cpu.vcores"
+	IOSortFactor          = "mapreduce.task.io.sort.factor"
+	ShuffleParallelCopies = "mapreduce.reduce.shuffle.parallelcopies"
 )
 
 // ParamID is a dense index into the registry: the layout of Config's

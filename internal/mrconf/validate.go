@@ -18,6 +18,8 @@ var ErrInvalid = errors.New("invalid configuration")
 
 // Validate checks per-parameter ranges and the cross-parameter
 // dependency rules. It returns nil for a usable configuration.
+//
+//mrlint:ignore test-only-export the independent reference that tests check Repair and every tuner's output against
 func Validate(c Config) error {
 	for i, v := range c.values() {
 		if p := &registry[i]; v < p.Min || v > p.Max {

@@ -27,12 +27,6 @@ type Event struct {
 	canceled bool
 }
 
-// At reports the simulation time this event is scheduled for.
-func (e *Event) At() float64 { return e.at }
-
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
-
 // eventHeap is the engine's binary min-heap of queued events ordered by
 // (at, seq). seq is unique, so the order is total and the pop sequence
 // is the same as any other correct heap's. The methods are concrete
@@ -293,12 +287,11 @@ func (e *Engine) Tick(interval float64, fn func() bool) *Ticker {
 	return t
 }
 
-// Stop makes Run return after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Pending returns the number of queued (not yet fired) events. A
 // series registered with AtEach counts as one event until its last
 // time fires, since only its next time is queued.
+//
+//mrlint:ignore test-only-export the queue length the sim, yarn and workload tests assert the one-queued-event AtEach contract with
 func (e *Engine) Pending() int { return len(e.pq) }
 
 // Run processes events until the queue is empty or Stop is called.
@@ -358,6 +351,3 @@ func (t *Ticker) schedule() {
 		t.schedule()
 	})
 }
-
-// Stop halts the ticker (idempotent).
-func (t *Ticker) Stop() { t.stopped = true }

@@ -18,9 +18,6 @@ func NewSource(seed uint64) *Source {
 	return &Source{seed: seed}
 }
 
-// Seed returns the root seed.
-func (s *Source) Seed() uint64 { return s.seed }
-
 // Stream returns a deterministic PRNG for the given name. Calling Stream
 // twice with the same name yields streams with identical output.
 func (s *Source) Stream(name string) *rand.Rand {

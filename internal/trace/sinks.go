@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -14,8 +13,6 @@ import (
 //
 //	*Recorder   keeps every event in memory (grows with the run)
 //	Discard     drops everything (zero cost)
-//	*JSONLSink  streams each event to an io.Writer (flat memory)
-//	*RingSink   keeps only the most recent N events (flat memory)
 //	*StatsSink  folds events into per-class aggregates (flat memory)
 //
 // Add must not retain the Event past the call (it is passed by value,
@@ -34,87 +31,6 @@ var Discard Sink = discardSink{}
 type discardSink struct{}
 
 func (discardSink) Add(Event) {}
-
-// JSONLSink streams each event as one JSON line to an io.Writer the
-// moment it is added, retaining nothing. The first encoding error
-// sticks and silences the sink; check Err after the run.
-type JSONLSink struct {
-	enc *json.Encoder
-	n   int
-	err error
-}
-
-// NewJSONLSink wraps w in a streaming JSON Lines sink.
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	return &JSONLSink{enc: json.NewEncoder(w)}
-}
-
-// Add encodes the event immediately. No-op after the first error.
-func (s *JSONLSink) Add(e Event) {
-	if s.err != nil {
-		return
-	}
-	if err := s.enc.Encode(e); err != nil {
-		s.err = fmt.Errorf("trace: encode event: %w", err)
-		return
-	}
-	s.n++
-}
-
-// Len returns the number of events successfully encoded.
-func (s *JSONLSink) Len() int { return s.n }
-
-// Err returns the first encoding error, if any.
-func (s *JSONLSink) Err() error { return s.err }
-
-// RingSink keeps the most recent events in a fixed-capacity ring
-// buffer. Add is allocation-free after construction, so a RingSink in
-// the steady-state loop costs O(capacity) memory no matter how long
-// the stream runs — the "flight recorder" mode for postmortems.
-type RingSink struct {
-	buf   []Event
-	next  int
-	count int
-	total int
-}
-
-// NewRingSink returns a ring that retains the last capacity events
-// (minimum 1).
-func NewRingSink(capacity int) *RingSink {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &RingSink{buf: make([]Event, capacity)}
-}
-
-// Add stores the event, evicting the oldest once full. Never allocates.
-func (s *RingSink) Add(e Event) {
-	s.buf[s.next] = e
-	s.next++
-	if s.next == len(s.buf) {
-		s.next = 0
-	}
-	if s.count < len(s.buf) {
-		s.count++
-	}
-	s.total++
-}
-
-// Len returns the number of retained events (≤ capacity).
-func (s *RingSink) Len() int { return s.count }
-
-// Total returns the number of events ever added, retained or not.
-func (s *RingSink) Total() int { return s.total }
-
-// Events returns the retained events, oldest first.
-func (s *RingSink) Events() []Event {
-	out := make([]Event, 0, s.count)
-	if s.count < len(s.buf) {
-		return append(out, s.buf[:s.count]...)
-	}
-	out = append(out, s.buf[s.next:]...)
-	return append(out, s.buf[:s.next]...)
-}
 
 // Tee fans every event out to each sink in order. Use it to combine a
 // flat-memory aggregate (StatsSink) with a retained or streamed copy.
@@ -336,23 +252,12 @@ func (s *StatsSink) Add(e Event) {
 // state does not.
 func (s *StatsSink) EventCount() int { return s.events }
 
-// InFlight returns the number of submitted-but-unfinished jobs.
-func (s *StatsSink) InFlight() int { return len(s.inflight) }
-
 // Classes returns the class names sorted alphabetically.
 func (s *StatsSink) Classes() []string {
 	out := make([]string, len(s.order))
 	copy(out, s.order)
 	sort.Strings(out)
 	return out
-}
-
-// Class returns a copy of one class's aggregate (zero value if absent).
-func (s *StatsSink) Class(name string) ClassStats {
-	if c, ok := s.classes[name]; ok {
-		return *c
-	}
-	return ClassStats{}
 }
 
 // Overall merges every class into one fleet-level aggregate: counters

@@ -24,39 +24,6 @@ func streamEvents(n int) []Event {
 	return out
 }
 
-// TestRingSinkAddZeroAlloc pins the flight-recorder contract: once the
-// ring is constructed, Add never allocates, no matter how long the
-// stream runs.
-func TestRingSinkAddZeroAlloc(t *testing.T) {
-	s := NewRingSink(64)
-	e := Event{Time: 1, Job: "terasort-00042", Kind: TaskStart, TaskType: "map", Node: "n1"}
-	if avg := testing.AllocsPerRun(1000, func() {
-		s.Add(e)
-	}); avg != 0 {
-		t.Fatalf("RingSink.Add allocates %v per run; want 0", avg)
-	}
-	if s.Len() != 64 {
-		t.Fatalf("ring retains %d events; want capacity 64", s.Len())
-	}
-}
-
-// TestRingSinkEviction checks ordering and eviction semantics.
-func TestRingSinkEviction(t *testing.T) {
-	s := NewRingSink(4)
-	for _, e := range streamEvents(10) {
-		s.Add(e)
-	}
-	got := s.Events()
-	if len(got) != 4 || s.Total() != 10 {
-		t.Fatalf("ring holds %d events of %d total; want 4 of 10", len(got), s.Total())
-	}
-	for i, e := range got {
-		if want := float64(6 + i); e.Time != want {
-			t.Fatalf("ring[%d].Time = %v; want %v (oldest-first, last 4 retained)", i, e.Time, want)
-		}
-	}
-}
-
 // TestStatsSinkAggregatesAndOverall checks the per-class fold and the
 // merged fleet-level aggregate.
 func TestStatsSinkAggregatesAndOverall(t *testing.T) {

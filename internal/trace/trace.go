@@ -1,17 +1,15 @@
 // Package trace records job execution timelines: task lifecycle
 // events with timestamps and node placement. Traces export as JSON
-// Lines or CSV for external tooling, and render as an ASCII per-node
+// Lines for external tooling, and render as an ASCII per-node
 // utilization Gantt for quick terminal inspection — the observability
 // layer a performance-tuning system needs.
 package trace
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -57,7 +55,7 @@ func (r *Recorder) Add(e Event) {
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, e) //mrlint:ignore retained-append Recorder is the opt-in retained sink; serving paths use StatsSink/RingSink
+	r.events = append(r.events, e) //mrlint:ignore retained-append Recorder is the opt-in retained sink; serving paths use StatsSink
 }
 
 // Events returns a copy of the recorded events in insertion order
@@ -71,14 +69,6 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// Len returns the number of recorded events.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.events)
-}
-
 // WriteJSONL streams the trace as JSON Lines.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -88,27 +78,6 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteCSV streams the trace as CSV with a header row.
-func (r *Recorder) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"time", "job", "kind", "task_type", "task_id", "attempt", "node", "detail"}); err != nil {
-		return fmt.Errorf("trace: write header: %w", err)
-	}
-	for _, e := range r.Events() {
-		rec := []string{
-			strconv.FormatFloat(e.Time, 'f', 3, 64),
-			e.Job, string(e.Kind), e.TaskType,
-			strconv.Itoa(e.TaskID), strconv.Itoa(e.Attempt),
-			e.Node, e.Detail,
-		}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("trace: write row: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // span is one task occupancy interval on a node.
@@ -233,9 +202,6 @@ type JobStats struct {
 	LastMapEnd   float64
 	FirstRedStat float64 // first reduce task start (slowstart point)
 }
-
-// Duration returns the job's wall-clock span.
-func (s JobStats) Duration() float64 { return s.FinishTime - s.SubmitTime }
 
 // MapPhaseSecs returns the time from submission to the last map finish.
 func (s JobStats) MapPhaseSecs() float64 { return s.LastMapEnd - s.SubmitTime }

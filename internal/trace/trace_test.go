@@ -21,7 +21,7 @@ func sampleTrace() *Recorder {
 func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
 	r.Add(Event{Time: 1}) // must not panic
-	if r.Len() != 0 || r.Events() != nil {
+	if r.Events() != nil {
 		t.Fatal("nil recorder misbehaved")
 	}
 	if !strings.Contains(r.Gantt(20), "empty") {
@@ -53,20 +53,6 @@ func TestWriteJSONL(t *testing.T) {
 	}
 	if e.Kind != TaskStart || e.Node != "node00" {
 		t.Fatalf("decoded event wrong: %+v", e)
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sampleTrace().WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 7 { // header + 6 events
-		t.Fatalf("CSV lines = %d, want 7", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "time,job,kind") {
-		t.Fatalf("bad CSV header: %s", lines[0])
 	}
 }
 

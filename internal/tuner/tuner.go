@@ -224,15 +224,6 @@ func New(name string, o Options) (Optimizer, error) {
 	return f(o), nil
 }
 
-// MustNew is New for callers that already validated the name.
-func MustNew(name string, o Options) Optimizer {
-	opt, err := New(name, o)
-	if err != nil {
-		panic(err)
-	}
-	return opt
-}
-
 // ApplyPoint returns cfg with each searched parameter set to the
 // point's coordinate, quantized to the parameter's grid, in dimension
 // order.

@@ -4,7 +4,7 @@
 // §2.2). The paper defers these to simulation tools such as MRPerf
 // ("remains a focus of our on-going research"); this package is that
 // extension: it replays the job on the calibrated discrete-event
-// simulator under candidate settings and recommends the best.
+// simulator under candidate settings and ranks them, best first.
 package whatif
 
 import (
@@ -118,15 +118,6 @@ func Explore(q Question) ([]Prediction, error) {
 		return out[i].Slowstart < out[j].Slowstart
 	})
 	return out, nil
-}
-
-// Recommend returns the best point of the sweep, or Explore's error.
-func Recommend(q Question) (Prediction, error) {
-	preds, err := Explore(q)
-	if err != nil {
-		return Prediction{}, err
-	}
-	return preds[0], nil
 }
 
 // simulate runs one what-if configuration on a fresh testbed.

@@ -105,15 +105,3 @@ func (rm *ResourceManager) ReportTaskFailure(n *cluster.Node) {
 		rm.c.Faults.NodesBlacklisted++
 	}
 }
-
-// Blacklisted reports whether the node is currently blacklisted.
-func (rm *ResourceManager) Blacklisted(n *cluster.Node) bool {
-	return rm.blacklisted[n.ID-rm.baseID]
-}
-
-// NodeDeclaredLost reports whether the node is down and its containers
-// have been reclaimed (for tests).
-func (rm *ResourceManager) NodeDeclaredLost(n *cluster.Node) bool {
-	id := n.ID - rm.baseID
-	return rm.nodeDown[id] && rm.declaredLost[id]
-}

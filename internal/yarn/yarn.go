@@ -133,15 +133,6 @@ type App struct {
 	finished      bool
 }
 
-// UsedMemMB returns the memory currently allocated to the app.
-func (a *App) UsedMemMB() float64 { return a.usedMemMB }
-
-// Running returns the app's live container count.
-func (a *App) Running() int { return a.running }
-
-// Pending returns the number of unsatisfied requests.
-func (a *App) Pending() int { return len(a.pending) }
-
 // Scheduler picks which application gets the next free capacity.
 type Scheduler interface {
 	// Pick returns the index into apps of the application to serve
@@ -167,18 +158,14 @@ type ResourceManager struct {
 	// totalMemMB caches container memory across the managed nodes.
 	totalMemMB float64
 
-	apps        []*App
-	nextAppID   int
-	nextContID  int
-	nextReqSeq  int
-	assignCur   int // round-robin node cursor
-	assigning   bool
-	kickFn      func()           // cached kick callback (one closure per RM, not per kick)
-	retryFn     func()           // cached relax-retry callback, likewise
-	shapeCounts map[Resource]int // the §4 "hash map" of container shapes
-	// shapeOrder records first-allocation order of distinct shapes so
-	// EachShape iterates deterministically.
-	shapeOrder []Resource
+	apps       []*App
+	nextAppID  int
+	nextContID int
+	nextReqSeq int
+	assignCur  int // round-robin node cursor
+	assigning  bool
+	kickFn     func() // cached kick callback (one closure per RM, not per kick)
+	retryFn    func() // cached relax-retry callback, likewise
 	liveByApp  map[*App][]*Container
 	// Free-capacity index: per-node used/capacity arrays keyed by the
 	// dense Node.ID, mirroring each node's MemPool arithmetic exactly so
@@ -276,7 +263,6 @@ func newResourceManager(eng *sim.Engine, c *cluster.Cluster, sched Scheduler,
 	nodes []*cluster.Node) *ResourceManager {
 	rm := &ResourceManager{
 		eng: eng, c: c, sched: sched, nodes: nodes,
-		shapeCounts:     make(map[Resource]int),
 		liveByApp:       make(map[*App][]*Container),
 		SchedulingDelay: 0.5,
 		RackDelay:       2,
@@ -329,10 +315,6 @@ func newResourceManager(eng *sim.Engine, c *cluster.Cluster, sched Scheduler,
 
 // Cluster returns the managed cluster.
 func (rm *ResourceManager) Cluster() *cluster.Cluster { return rm.c }
-
-// Nodes returns the managed node set: the whole cluster for the stock
-// RM, one rack for a scoped RM.
-func (rm *ResourceManager) Nodes() []*cluster.Node { return rm.nodes }
 
 // TotalContainerMemMB returns container memory across the managed
 // nodes. Consumers sizing against the RM (the mapreduce AM's reduce
@@ -456,30 +438,6 @@ func (rm *ResourceManager) Release(c *Container) {
 	c.App.running--
 	rm.kick()
 }
-
-// ShapeCounts returns how many containers of each distinct resource
-// shape have been allocated, mirroring the paper's hash-map bookkeeping
-// for different-sized containers. Each call copies the map; use
-// EachShape to iterate without allocating.
-func (rm *ResourceManager) ShapeCounts() map[Resource]int {
-	out := make(map[Resource]int, len(rm.shapeCounts))
-	for k, v := range rm.shapeCounts {
-		out[k] = v
-	}
-	return out
-}
-
-// EachShape calls fn for every allocated container shape and its count,
-// in first-allocation order, without allocating.
-func (rm *ResourceManager) EachShape(fn func(r Resource, count int)) {
-	for _, r := range rm.shapeOrder {
-		fn(r, rm.shapeCounts[r])
-	}
-}
-
-// RetryWakeupsScheduled returns how many relax-retry wakeup events have
-// been scheduled (after coalescing), for tests.
-func (rm *ResourceManager) RetryWakeupsScheduled() int { return rm.retryScheduled }
 
 // kick schedules an assignment pass; multiple kicks in one instant
 // coalesce.
@@ -816,10 +774,6 @@ func (rm *ResourceManager) place(app *App, req *Request, node *cluster.Node) {
 	app.usedMemMB += req.Resource.MemMB
 	app.usedVC += req.Resource.VCores
 	app.running++
-	if rm.shapeCounts[req.Resource] == 0 {
-		rm.shapeOrder = append(rm.shapeOrder, req.Resource) //mrlint:ignore retained-append bounded by distinct container shapes ever seen (a handful)
-	}
-	rm.shapeCounts[req.Resource]++
 	delay := rm.SchedulingDelay
 	// Copy the callback out of the request: once the request leaves the
 	// pending list the caller may reuse the object (the mapreduce AM

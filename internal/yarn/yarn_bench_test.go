@@ -97,9 +97,6 @@ func TestPlacementHotPathAllocationFree(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { rm.anyPendingFits(node) }); a != 0 {
 		t.Errorf("anyPendingFits allocates %v per run, want 0", a)
 	}
-	if a := testing.AllocsPerRun(100, func() { rm.EachShape(func(Resource, int) {}) }); a != 0 {
-		t.Errorf("EachShape allocates %v per run, want 0", a)
-	}
 	if a := testing.AllocsPerRun(100, func() { rm.relaxExpiry() }); a != 0 {
 		t.Errorf("relaxExpiry allocates %v per run, want 0", a)
 	}

@@ -132,17 +132,17 @@ func TestVariableSizedContainers(t *testing.T) {
 		{MemMB: 1024, VCores: 2},
 		{MemMB: 2048, VCores: 4},
 	}
+	counts := map[Resource]int{}
 	for _, s := range shapes {
 		s := s
 		app.Request(&Request{Resource: s, OnAllocate: func(c *Container) {
 			if c.Resource != s {
 				t.Errorf("container shape %v, want %v", c.Resource, s)
 			}
+			counts[c.Resource]++
 		}})
 	}
 	eng.Run()
-	counts := map[Resource]int{}
-	rm.EachShape(func(r Resource, n int) { counts[r] = n })
 	for _, s := range shapes {
 		if counts[s] != 1 {
 			t.Errorf("shape %v count = %d, want 1", s, counts[s])
@@ -459,7 +459,8 @@ func TestYarnChurnProperty(t *testing.T) {
 			}
 		}
 		// Periodic capacity and index audit.
-		audit := eng.Tick(5, func() bool {
+		// The audit stops itself at t=100, so Run returns.
+		eng.Tick(5, func() bool {
 			for _, node := range c.Nodes {
 				if node.Mem.Used() > node.Mem.Capacity+1e-6 {
 					ok = false
@@ -469,7 +470,6 @@ func TestYarnChurnProperty(t *testing.T) {
 			return eng.Now() < 100
 		})
 		eng.Run()
-		audit.Stop()
 		// Drain everything.
 		for _, cc := range live {
 			rm.Release(cc)
