@@ -202,7 +202,7 @@ func NewTuner(jobName string, numMaps, numReduces int, base mrconf.Config, opts 
 	return t
 }
 
-// newSearch builds one scope's optimizer through the backend registry.
+// newSearch builds one scope's optimizer from the backend table.
 // Both the gray-box and the black-box parameter spaces route through
 // the same path — the search plumbing no longer cares which.
 func (t *Tuner) newSearch(scope mrconf.Scope, rng *rand.Rand, warm *tuner.ScopeState) scopeSearch {
@@ -336,16 +336,13 @@ func (t *Tuner) aggressiveObserve(r mapreduce.TaskReport) {
 // applyGrayBoxRules narrows the search bounds from the completed
 // wave's observations (§6.2): memory bounds chase the 80th percentile
 // of sampled values on over/under-utilization, and io.sort.mb bounds
-// chase the spill ratio. It applies to any backend that implements the
-// tuner.Shaper capability (all built-in ones do).
+// chase the spill ratio. Every backend takes the rules; one without a
+// stratified sampler ignores the bias.
 func (t *Tuner) applyGrayBoxRules(sc *scopeSearch, wave []mapreduce.TaskReport, scope mrconf.Scope) {
 	if len(wave) == 0 || t.blackBox {
 		return
 	}
-	s, ok := sc.opt.(tuner.Shaper)
-	if !ok {
-		return
-	}
+	s := sc.opt
 	memParam := mrconf.MapMemoryMB
 	if scope == mrconf.ScopeReduce {
 		memParam = mrconf.ReduceMemoryMB

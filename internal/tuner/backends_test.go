@@ -216,7 +216,6 @@ func TestBackendsRespectTighten(t *testing.T) {
 	}
 	for _, backend := range Backends() {
 		opt := MustNew(backend, Options{Params: params, RNG: rand.New(rand.NewSource(9))})
-		sh := opt.(Shaper)
 		cost := scriptedCost(params)
 		// Let the first wave finish, then clamp io.sort.mb hard.
 		for i := 0; i < 30; i++ {
@@ -226,7 +225,7 @@ func TestBackendsRespectTighten(t *testing.T) {
 			}
 			opt.Report(p, cost(p))
 		}
-		sh.Tighten(params[ioSortDim].Name, 200, 400)
+		opt.Tighten(params[ioSortDim].Name, 200, 400)
 		// The wave in flight was sampled under the old bounds (rules fire
 		// at wave boundaries); only waves started after the Tighten must
 		// respect it.
@@ -241,6 +240,29 @@ func TestBackendsRespectTighten(t *testing.T) {
 				t.Fatalf("%s proposed io.sort.mb %v outside tightened [200,400]", backend, p[ioSortDim])
 			}
 			opt.Report(p, cost(p))
+		}
+	}
+}
+
+// TestWarmBestClampedIntoBounds: a warm state whose best point lies
+// outside the parameter bounds (only a hand-edited knowledge-base file
+// has one) is clamped into them by every backend before the search
+// uses it.
+func TestWarmBestClampedIntoBounds(t *testing.T) {
+	params := mapDims()
+	st := ScopeState{Names: make([]string, len(params)), Best: make([]float64, len(params)), BestCost: 1, HaveBest: true}
+	for i, p := range params {
+		st.Names[i] = p.Name
+		st.Best[i] = p.Max + (p.Max - p.Min)
+	}
+	for _, backend := range Backends() {
+		opt := MustNew(backend, Options{Params: params, RNG: rand.New(rand.NewSource(4)), Warm: &st})
+		best, _, _ := opt.Best()
+		first := opt.Next()
+		for i, p := range params {
+			if best[i] != p.Max || first[i] > p.Max {
+				t.Fatalf("%s: %s best %v, first proposal %v; bound is %v", backend, p.Name, best[i], first[i], p.Max)
+			}
 		}
 	}
 }

@@ -1,17 +1,10 @@
 package tuner
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/lhs"
-	"repro/internal/metrics"
-	"repro/internal/mrconf"
 )
-
-func init() {
-	Register("hill", func(o Options) Optimizer { return newHillClimb(o) })
-}
 
 type searchPhase int
 
@@ -41,31 +34,13 @@ func (p searchPhase) String() string {
 // its RNG draw sequence is pinned bit-exact by a golden test against
 // a frozen copy of the pre-refactor code.
 type hillClimb struct {
-	params []mrconf.Param
-	space  lhs.Space // current (rule-tightened) bounds
-	full   lhs.Space // original bounds
-	rng    *rand.Rand
-	sp     SearchParams
+	search
 
 	weights []lhs.Weights // optional per-dim sampling bias
-
-	phase       searchPhase
-	pending     [][]float64
-	waveSize    int
-	wave        []evaluation
-	outstanding int
-
-	best     []float64
-	bestCost float64
-	haveBest bool
-	nbSize   float64
-	globals  int
-
-	// waves counts completed waves, for diagnostics.
-	waves int
-
-	evals int
-	traj  trajectory
+	phase   searchPhase
+	wave    []evaluation // the current wave's measurements
+	nbSize  float64
+	globals int
 }
 
 // newHillClimb builds a search over the given parameters. A valid
@@ -74,70 +49,60 @@ type hillClimb struct {
 // budget nearly spent, so one neighborhood refinement is all a
 // warm-started job pays.
 func newHillClimb(o Options) *hillClimb {
-	params, sp := o.Params, o.Search
-	space := make(lhs.Space, len(params))
-	for i, p := range params {
-		space[i] = lhs.Dim{Name: p.Name, Min: p.Min, Max: p.Max}
-	}
-	h := &hillClimb{
-		params:  params,
-		space:   space,
-		full:    append(lhs.Space(nil), space...),
-		rng:     o.RNG,
-		sp:      sp,
-		weights: make([]lhs.Weights, len(params)),
-	}
+	sp := o.Search
+	h := &hillClimb{search: newSearch("hill", o), weights: make([]lhs.Weights, len(o.Params))}
 	if w := o.warmFor(); w != nil {
-		h.best = append([]float64(nil), w.Best...)
-		for d, dim := range h.space {
-			h.best[d] = metrics.Clamp(h.best[d], dim.Min, dim.Max)
-		}
-		h.bestCost = w.BestCost
-		h.haveBest = true
+		h.warmBest(w)
 		h.nbSize = sp.InitialNeighbors
 		h.phase = phaseLocal
 		h.globals = sp.GlobalBudget - 1
-		h.startWave(sp.N, lhs.Neighborhood(h.space, h.best, h.nbSize))
 		// Seed the wave with the stored best itself, so this job's
 		// measurements re-anchor its cost under current conditions and
 		// the recommendation never regresses below the class's
 		// best-known configuration.
 		seed := append([]float64(nil), h.best...)
-		h.pending = append([][]float64{seed}, h.pending...)
-		h.waveSize++
+		h.startWave(append([][]float64{seed}, h.sample(sp.N, lhs.Neighborhood(h.space, h.best, h.nbSize))...))
 		return h
 	}
-	h.startWave(sp.M, h.space)
 	// Seed the first wave with the current (default) configuration so
 	// the search never recommends something worse than its starting
 	// point — the tuning process of Fig 3 starts from "a default
 	// configuration or a configuration based on rough understanding".
-	seed := make([]float64, len(params))
-	for i, p := range params {
+	seed := make([]float64, len(o.Params))
+	for i, p := range o.Params {
 		seed[i] = p.Default
 	}
-	h.pending = append([][]float64{seed}, h.pending...)
-	h.waveSize++
+	h.startWave(append([][]float64{seed}, h.sample(sp.M, h.space)...))
 	return h
 }
 
-func (h *hillClimb) startWave(size int, space lhs.Space) {
+// sample draws one wave's points over space: weighted LHS, or
+// independent uniform draws under PlainRandom.
+func (h *hillClimb) sample(size int, space lhs.Space) [][]float64 {
+	var points [][]float64
 	if h.sp.PlainRandom {
-		h.pending = uniformSample(h.rng, space, size)
+		points = uniformSample(h.rng, space, size)
 	} else {
-		h.pending = lhs.WeightedSample(h.rng, space, h.weights, size)
+		points = lhs.WeightedSample(h.rng, space, h.weights, size)
 	}
 	// Snap each coordinate to the paper's k-interval grid (§5: "the
 	// LHS interval k indicates the granularity of each parameter
 	// interval, set to 24"): samples land on interval midpoints.
 	if h.sp.K > 1 {
-		for _, p := range h.pending {
+		for _, p := range points {
 			snapToGrid(p, space, h.sp.K)
 		}
 	}
-	h.waveSize = size
+	return points
+}
+
+// startWave opens a wave; an empty one ends the search.
+func (h *hillClimb) startWave(points [][]float64) {
 	h.wave = h.wave[:0]
-	h.outstanding = 0
+	h.beginWave(points)
+	if h.done {
+		h.phase = phaseDone
+	}
 }
 
 // snapToGrid moves point coordinates to the midpoints of k equal
@@ -174,42 +139,19 @@ func uniformSample(rng *rand.Rand, space lhs.Space, m int) [][]float64 {
 	return out
 }
 
-// Done reports whether the search has converged.
-func (h *hillClimb) Done() bool { return h.phase == phaseDone }
-
-// HasPending reports whether an unassigned sampled point exists.
-func (h *hillClimb) HasPending() bool { return len(h.pending) > 0 }
-
-// Next pops the next sampled point for assignment to a task. It
-// returns nil when the current wave is fully assigned (the launch gate
-// then holds further tasks until the wave completes).
-func (h *hillClimb) Next() []float64 {
-	if h.phase == phaseDone || len(h.pending) == 0 {
-		return nil
-	}
-	p := h.pending[0]
-	h.pending = h.pending[1:]
-	h.outstanding++
-	return p
-}
-
 // Report feeds back the measured cost of an assigned point. When the
 // wave is complete it advances Algorithm 1 by one step.
 func (h *hillClimb) Report(point []float64, cost float64) {
-	if h.phase == phaseDone {
+	if h.done {
 		return
 	}
-	h.evals++
-	h.traj.observe(cost)
 	h.wave = append(h.wave, evaluation{point: point, cost: cost})
-	h.outstanding--
-	if len(h.wave) >= h.waveSize && h.outstanding <= 0 && len(h.pending) == 0 {
+	if h.observe(cost) {
 		h.endWave()
 	}
 }
 
 func (h *hillClimb) endWave() {
-	h.waves++
 	cand, candCost := h.waveBest()
 	switch h.phase {
 	case phaseGlobal:
@@ -217,15 +159,10 @@ func (h *hillClimb) endWave() {
 			h.best, h.bestCost, h.haveBest = cand, candCost, true
 			h.nbSize = h.sp.InitialNeighbors
 			h.phase = phaseLocal
-			h.startWave(h.sp.N, lhs.Neighborhood(h.space, h.best, h.nbSize))
+			h.startWave(h.sample(h.sp.N, lhs.Neighborhood(h.space, h.best, h.nbSize)))
 			return
 		}
-		h.globals++
-		if h.globals >= h.sp.GlobalBudget {
-			h.phase = phaseDone
-			return
-		}
-		h.startWave(h.sp.M, h.space)
+		h.nextGlobal()
 	case phaseLocal:
 		if candCost < h.bestCost {
 			// A better point: recenter and keep exploring (adjust_neighbor).
@@ -235,23 +172,28 @@ func (h *hillClimb) endWave() {
 		}
 		if h.nbSize < h.sp.Nt {
 			// Local optimum found; resume the global phase.
-			h.globals++
-			if h.globals >= h.sp.GlobalBudget {
-				h.phase = phaseDone
-				return
-			}
-			h.phase = phaseGlobal
-			h.startWave(h.sp.M, h.space)
+			h.nextGlobal()
 			return
 		}
-		h.startWave(h.sp.N, lhs.Neighborhood(h.space, h.best, h.nbSize))
+		h.startWave(h.sample(h.sp.N, lhs.Neighborhood(h.space, h.best, h.nbSize)))
 	}
 }
 
-func (h *hillClimb) waveBest() ([]float64, float64) {
-	if len(h.wave) == 0 {
-		return h.best, h.bestCost
+// nextGlobal spends one global iteration: a fresh global wave, or the
+// end of the search once the budget g is spent.
+func (h *hillClimb) nextGlobal() {
+	h.globals++
+	if h.globals >= h.sp.GlobalBudget {
+		h.phase, h.done = phaseDone, true
+		return
 	}
+	h.phase = phaseGlobal
+	h.startWave(h.sample(h.sp.M, h.space))
+}
+
+// waveBest returns the completed wave's lowest-cost point; a wave that
+// completes holds at least one measurement.
+func (h *hillClimb) waveBest() ([]float64, float64) {
 	best := h.wave[0]
 	for _, e := range h.wave[1:] {
 		if e.cost < best.cost {
@@ -261,82 +203,9 @@ func (h *hillClimb) waveBest() ([]float64, float64) {
 	return best.point, best.cost
 }
 
-// Best returns the best point found so far (nil before any wave
-// completes) and its cost.
-func (h *hillClimb) Best() ([]float64, float64, bool) {
-	return h.best, h.bestCost, h.haveBest
-}
-
-// Waves counts completed waves.
-func (h *hillClimb) Waves() int { return h.waves }
-
 // State names the current Algorithm 1 phase.
 func (h *hillClimb) State() string { return h.phase.String() }
 
-// Trajectory returns the best-cost-so-far series.
-func (h *hillClimb) Trajectory() []float64 { return h.traj.Trajectory() }
-
-// Export snapshots the search outcome for the warm-start Store.
-func (h *hillClimb) Export() ScopeState {
-	s := ScopeState{
-		Backend:  "hill",
-		Names:    paramNames(h.params),
-		BestCost: h.bestCost,
-		HaveBest: h.haveBest,
-		Evals:    h.evals,
-		Waves:    h.waves,
-	}
-	if h.haveBest {
-		s.Best = append([]float64(nil), h.best...)
-	}
-	return s
-}
-
-// Tighten narrows a dimension's bounds (gray-box rule §6.2). The
-// current best point is clamped into the new bounds.
-func (h *hillClimb) Tighten(name string, lo, hi float64) {
-	for d := range h.space {
-		if h.space[d].Name != name {
-			continue
-		}
-		fullLo, fullHi := h.full[d].Min, h.full[d].Max
-		lo = metrics.Clamp(lo, fullLo, fullHi)
-		hi = metrics.Clamp(hi, fullLo, fullHi)
-		if hi < lo {
-			hi = lo
-		}
-		h.space[d].Min, h.space[d].Max = lo, hi
-		if h.haveBest {
-			h.best[d] = metrics.Clamp(h.best[d], lo, hi)
-		}
-		return
-	}
-	panic(fmt.Sprintf("tuner: Tighten of unknown dimension %q", name))
-}
-
 // Bias sets a sampling weight profile for one dimension (weighted
 // LHS): nil restores uniform sampling.
-func (h *hillClimb) Bias(name string, w lhs.Weights) {
-	for d := range h.space {
-		if h.space[d].Name == name {
-			h.weights[d] = w
-			return
-		}
-	}
-	panic(fmt.Sprintf("tuner: Bias of unknown dimension %q", name))
-}
-
-// Bounds returns the current bounds of a dimension.
-func (h *hillClimb) Bounds(name string) (lo, hi float64) {
-	for _, d := range h.space {
-		if d.Name == name {
-			return d.Min, d.Max
-		}
-	}
-	panic(fmt.Sprintf("tuner: Bounds of unknown dimension %q", name))
-}
-
-var (
-	_ Optimizer = (*hillClimb)(nil)
-	_ Shaper    = (*hillClimb)(nil)
-)
+func (h *hillClimb) Bias(name string, w lhs.Weights) { h.weights[h.dim(name)] = w }

@@ -1,18 +1,10 @@
 package tuner
 
 import (
-	"fmt"
 	"math"
-	"math/rand"
 
-	"repro/internal/lhs"
 	"repro/internal/metrics"
-	"repro/internal/mrconf"
 )
-
-func init() {
-	Register("spsa", func(o Options) Optimizer { return newSPSA(o) })
-}
 
 // SPSA gain-sequence constants (Spall's practically-universal choices:
 // a_k = a/(A+k+1)^alpha, c_k = c/(k+1)^gamma). The step sizes live in
@@ -36,14 +28,10 @@ const (
 // gradient estimates and takes one projected descent step.
 //
 // The iterate lives in the normalized [0,1]^d space; proposals cross
-// the Optimizer interface denormalized into raw parameter coordinates
+// the Optimizer interface mapped back to raw parameter coordinates
 // and projected into the current (rule-tightened) mrconf bounds.
 type spsa struct {
-	params []mrconf.Param
-	space  lhs.Space // current (rule-tightened) bounds
-	full   lhs.Space // original bounds
-	rng    *rand.Rand
-	sp     SearchParams
+	search
 
 	theta []float64 // normalized current iterate
 	k     int       // SPSA iteration (== completed waves)
@@ -56,21 +44,8 @@ type spsa struct {
 	// One wave of proposals. kind: 0 = θ probe, 1 = +c_kΔ, 2 = −c_kΔ;
 	// pair indexes the Δ vector. Reports are matched to probes by
 	// slice identity (the driver returns the exact slice Next gave it).
-	probes      []spsaProbe
-	pending     [][]float64
-	outstanding int
-	reported    int
-	waveSize    int
-	deltas      [][]float64 // per-pair Rademacher vectors, normalized
-
-	best     []float64
-	bestCost float64
-	haveBest bool
-	done     bool
-
-	waves int
-	evals int
-	traj  trajectory
+	probes []spsaProbe
+	deltas [][]float64 // per-pair Rademacher vectors, normalized
 }
 
 type spsaProbe struct {
@@ -82,18 +57,10 @@ type spsaProbe struct {
 }
 
 func newSPSA(o Options) *spsa {
-	params, sp := o.Params, o.Search
-	space := make(lhs.Space, len(params))
-	for i, p := range params {
-		space[i] = lhs.Dim{Name: p.Name, Min: p.Min, Max: p.Max}
-	}
+	sp := o.Search
 	s := &spsa{
-		params: params,
-		space:  space,
-		full:   append(lhs.Space(nil), space...),
-		rng:    o.RNG,
-		sp:     sp,
-		theta:  make([]float64, len(params)),
+		search: newSearch("spsa", o),
+		theta:  make([]float64, len(o.Params)),
 		pairs:  (sp.N + 1) / 2,
 		// Cold budget ≈ the hill backend's typical eval count: with
 		// the paper's knobs (N=16 → B=8, g=5) this is 15 waves of
@@ -104,47 +71,21 @@ func newSPSA(o Options) *spsa {
 		// Warm start: descend from the class's best-known point with
 		// the schedule advanced past the large early steps and half
 		// the wave budget — refinement, not re-exploration.
+		s.warmBest(w)
 		for i := range s.theta {
-			s.theta[i] = s.normalize(i, w.Best[i])
+			s.theta[i] = s.normalize(i, s.best[i])
 		}
-		s.best = append([]float64(nil), w.Best...)
-		s.bestCost = w.BestCost
-		s.haveBest = true
 		s.k = s.budgetWaves                     // past the large early steps
 		s.budgetWaves = (s.budgetWaves + 1) / 2 // half the cold wave budget
 	} else {
 		// θ0 is the default configuration, the same starting point the
 		// hill backend seeds its first wave with.
-		for i, p := range params {
+		for i, p := range o.Params {
 			s.theta[i] = s.normalize(i, p.Default)
 		}
 	}
 	s.startWave()
 	return s
-}
-
-// normalize maps a raw coordinate into [0,1] over the full bounds.
-func (s *spsa) normalize(d int, v float64) float64 {
-	r := s.full[d].Range()
-	if r <= 0 {
-		return 0
-	}
-	return metrics.Clamp((v-s.full[d].Min)/r, 0, 1)
-}
-
-// denormalize maps a normalized coordinate back to raw space, projected
-// into the current (possibly rule-tightened) bounds.
-func (s *spsa) denormalize(d int, x float64) float64 {
-	v := s.full[d].Min + x*s.full[d].Range()
-	return metrics.Clamp(v, s.space[d].Min, s.space[d].Max)
-}
-
-func (s *spsa) rawPoint(x []float64) []float64 {
-	p := make([]float64, len(x))
-	for d := range x {
-		p[d] = s.denormalize(d, x[d])
-	}
-	return p
 }
 
 func (s *spsa) ck() float64 { return spsaC / math.Pow(float64(s.k+1), spsaGamma) }
@@ -158,11 +99,9 @@ func (s *spsa) startWave() {
 	ck := s.ck()
 	s.probes = s.probes[:0]
 	s.deltas = s.deltas[:0]
-	s.reported = 0
-	s.outstanding = 0
 
 	add := func(x []float64, kind, pair int) {
-		s.probes = append(s.probes, spsaProbe{point: s.rawPoint(x), kind: kind, pair: pair})
+		s.probes = append(s.probes, spsaProbe{point: s.raw(x), kind: kind, pair: pair})
 	}
 	add(s.theta, 0, -1)
 	for b := 0; b < s.pairs; b++ {
@@ -184,47 +123,25 @@ func (s *spsa) startWave() {
 		add(plus, 1, b)
 		add(minus, 2, b)
 	}
-	s.waveSize = len(s.probes)
-	s.pending = s.pending[:0]
+	points := make([][]float64, len(s.probes))
 	for i := range s.probes {
-		s.pending = append(s.pending, s.probes[i].point)
+		points[i] = s.probes[i].point
 	}
+	s.beginWave(points)
 }
 
-func (s *spsa) Done() bool            { return s.done }
-func (s *spsa) HasPending() bool      { return len(s.pending) > 0 }
-func (s *spsa) Waves() int            { return s.waves }
-func (s *spsa) State() string         { return "gradient" }
-func (s *spsa) Trajectory() []float64 { return s.traj.Trajectory() }
-
-func (s *spsa) Next() []float64 {
-	if s.done || len(s.pending) == 0 {
-		return nil
-	}
-	p := s.pending[0]
-	s.pending = s.pending[1:]
-	s.outstanding++
-	return p
-}
+func (s *spsa) State() string { return "gradient" }
 
 func (s *spsa) Report(point []float64, cost float64) {
 	if s.done {
 		return
 	}
-	s.evals++
-	s.traj.observe(cost)
 	if pr := s.probeFor(point); pr != nil && !pr.seen {
 		pr.cost = cost
 		pr.seen = true
 	}
-	if !s.haveBest || cost < s.bestCost {
-		s.best = append(s.best[:0], point...)
-		s.bestCost = cost
-		s.haveBest = true
-	}
-	s.reported++
-	s.outstanding--
-	if s.reported >= s.waveSize && s.outstanding <= 0 && len(s.pending) == 0 {
+	s.offer(point, cost)
+	if s.observe(cost) {
 		s.endWave()
 	}
 }
@@ -248,7 +165,6 @@ func (s *spsa) probeFor(point []float64) *spsaProbe {
 // and takes one projected descent step. For Rademacher ±1 components,
 // 1/Δ_i = Δ_i, so ĝ_i = (y⁺−y⁻)/(2 c_k) · Δ_i.
 func (s *spsa) endWave() {
-	s.waves++
 	ck := s.ck()
 	ak := s.ak()
 	d := len(s.theta)
@@ -286,7 +202,7 @@ func (s *spsa) endWave() {
 	// Keep θ inside the normalized image of the rule-tightened bounds,
 	// so descent cannot wander where the §6.2 rules forbid sampling.
 	for i := range s.theta {
-		s.theta[i] = metrics.Clamp(s.theta[i], s.normalize(i, s.space[i].Min), s.normalize(i, s.space[i].Max))
+		s.clampTheta(i)
 	}
 	s.k++
 	if s.waves >= s.budgetWaves {
@@ -296,64 +212,15 @@ func (s *spsa) endWave() {
 	s.startWave()
 }
 
-func (s *spsa) Best() ([]float64, float64, bool) {
-	return s.best, s.bestCost, s.haveBest
-}
-
-func (s *spsa) Export() ScopeState {
-	st := ScopeState{
-		Backend:  "spsa",
-		Names:    paramNames(s.params),
-		BestCost: s.bestCost,
-		HaveBest: s.haveBest,
-		Evals:    s.evals,
-		Waves:    s.waves,
-	}
-	if s.haveBest {
-		st.Best = append([]float64(nil), s.best...)
-	}
-	return st
-}
-
 // Tighten narrows a dimension's bounds (§6.2 gray-box rule); the
 // iterate and best point are clamped into the new bounds.
 func (s *spsa) Tighten(name string, lo, hi float64) {
-	d := s.dimIndex(name)
-	fullLo, fullHi := s.full[d].Min, s.full[d].Max
-	lo = metrics.Clamp(lo, fullLo, fullHi)
-	hi = metrics.Clamp(hi, fullLo, fullHi)
-	if hi < lo {
-		hi = lo
-	}
-	s.space[d].Min, s.space[d].Max = lo, hi
-	s.theta[d] = metrics.Clamp(s.theta[d], s.normalize(d, lo), s.normalize(d, hi))
-	if s.haveBest {
-		s.best[d] = metrics.Clamp(s.best[d], lo, hi)
-	}
+	s.search.Tighten(name, lo, hi)
+	s.clampTheta(s.dim(name))
 }
 
-// Bias is a no-op: SPSA has no stratified sampler to bias; the §6.2
-// preference for a range is already expressed through Tighten.
-func (s *spsa) Bias(name string, w lhs.Weights) {
-	s.dimIndex(name) // still validate the dimension
+// clampTheta keeps θ's coordinate d inside the normalized image of the
+// dimension's live bounds.
+func (s *spsa) clampTheta(d int) {
+	s.theta[d] = metrics.Clamp(s.theta[d], s.normalize(d, s.space[d].Min), s.normalize(d, s.space[d].Max))
 }
-
-// Bounds returns the current bounds of a dimension.
-func (s *spsa) Bounds(name string) (lo, hi float64) {
-	d := s.dimIndex(name)
-	return s.space[d].Min, s.space[d].Max
-}
-
-func (s *spsa) dimIndex(name string) int {
-	for d := range s.space {
-		if s.space[d].Name == name {
-			return d
-		}
-	}
-	panic(fmt.Sprintf("tuner: unknown dimension %q", name))
-}
-
-var (
-	_ Optimizer = (*spsa)(nil)
-	_ Shaper    = (*spsa)(nil)
-)

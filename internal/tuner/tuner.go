@@ -1,12 +1,14 @@
-// Package tuner holds the pluggable optimizer backends behind
-// MRONLINE's aggressive (expedited test run) strategy. The search that
-// was historically hard-wired into core.Tuner — the paper's gray-box
-// smart hill-climbing (Algorithm 1) — is one backend among several
-// here; SPSA (simultaneous-perturbation stochastic approximation) and
-// a TPE-style Bayesian optimizer tune the same mrconf parameter space
-// through the same wave-oriented interface, which is what lets the
-// tournament experiment ask whether the paper's convergence claim is a
-// property of the algorithm or of online tuning itself.
+// Package tuner holds the optimizer backends behind MRONLINE's
+// aggressive (expedited test run) strategy. The search that was
+// historically hard-wired into core.Tuner — the paper's gray-box smart
+// hill-climbing (Algorithm 1) — is one backend among three here; SPSA
+// (simultaneous-perturbation stochastic approximation) and a TPE-style
+// Bayesian optimizer tune the same mrconf parameter space through the
+// same wave-oriented interface, which is what lets the tournament
+// experiment ask whether the paper's convergence claim is a property
+// of the algorithm or of online tuning itself. The backends sit in a
+// static table (Backends, New), and each embeds one shared search core:
+// the bounds, the wave gate, the best point and the effort counters.
 //
 // Every backend is deterministic given its Options.RNG: same seed,
 // same proposal trace, bit for bit. Callers derive that RNG from a
@@ -18,10 +20,10 @@ package tuner
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"repro/internal/lhs"
+	"repro/internal/metrics"
 	"repro/internal/mrconf"
 )
 
@@ -91,18 +93,16 @@ type Optimizer interface {
 	// completed evaluation — the convergence curve the tournament
 	// experiment reads.
 	Trajectory() []float64
-}
 
-// Shaper is the optional capability behind the §6.2 gray-box rules:
-// observation-driven bound tightening and sampling bias. All built-in
-// backends implement it (Bias is a no-op where the backend has no
-// stratified sampler to bias).
-type Shaper interface {
+	// Tighten, Bias and Bounds carry the §6.2 gray-box rules, which
+	// core.Tuner fires at wave boundaries.
+	//
 	// Tighten narrows a dimension's bounds; the current best point is
 	// clamped into the new bounds.
 	Tighten(name string, lo, hi float64)
 	// Bias sets a sampling weight profile for one dimension; nil
-	// restores uniform sampling.
+	// restores uniform sampling. Backends without a stratified sampler
+	// ignore it.
 	Bias(name string, w lhs.Weights)
 	// Bounds returns the current bounds of a dimension.
 	Bounds(name string) (lo, hi float64)
@@ -143,15 +143,6 @@ func (s ScopeState) Matches(params []mrconf.Param) bool {
 	return true
 }
 
-// paramNames renders the dimension names of a search space.
-func paramNames(params []mrconf.Param) []string {
-	out := make([]string, len(params))
-	for i, p := range params {
-		out[i] = p.Name
-	}
-	return out
-}
-
 // Options configure a backend instance.
 type Options struct {
 	// Params define the searched dimensions and their bounds.
@@ -180,37 +171,36 @@ func (o Options) warmFor() *ScopeState {
 	return o.Warm
 }
 
-// Factory builds one backend instance.
-type Factory func(Options) Optimizer
-
-var backends = map[string]Factory{}
-
-// Register installs a backend under a name. Called from init
-// functions; duplicate names panic.
-func Register(name string, f Factory) {
-	if _, dup := backends[name]; dup {
-		panic(fmt.Sprintf("tuner: duplicate backend %q", name))
-	}
-	backends[name] = f
+// backends is the table of built-in backends, in name order.
+var backends = []struct {
+	name  string
+	build func(Options) Optimizer
+}{
+	{"hill", func(o Options) Optimizer { return newHillClimb(o) }},
+	{"spsa", func(o Options) Optimizer { return newSPSA(o) }},
+	{"tpe", func(o Options) Optimizer { return newTPE(o) }},
 }
 
-// Backends lists the registered backend names, sorted.
+// Backends lists the backend names, sorted.
 func Backends() []string {
-	out := make([]string, 0, len(backends))
-	for name := range backends {
-		out = append(out, name)
+	out := make([]string, len(backends))
+	for i, b := range backends {
+		out[i] = b.name
 	}
-	sort.Strings(out)
 	return out
 }
 
 // New builds a named backend. Unknown names return an error listing
-// what is registered, so CLI flags can fail fast and helpfully.
+// the backends, so CLI flags can fail fast and helpfully.
 func New(name string, o Options) (Optimizer, error) {
-	f, ok := backends[name]
-	if !ok {
-		return nil, fmt.Errorf("tuner: unknown backend %q (registered: %s)",
-			name, strings.Join(Backends(), ", "))
+	var build func(Options) Optimizer
+	for _, b := range backends {
+		if b.name == name {
+			build = b.build
+		}
+	}
+	if build == nil {
+		return nil, fmt.Errorf("tuner: unknown backend %q (backends: %s)", name, strings.Join(Backends(), ", "))
 	}
 	if o.Search.M == 0 {
 		o.Search = DefaultSearchParams()
@@ -221,7 +211,7 @@ func New(name string, o Options) (Optimizer, error) {
 	if len(o.Params) == 0 {
 		return nil, fmt.Errorf("tuner: backend %q needs a non-empty parameter space", name)
 	}
-	return f(o), nil
+	return build(o), nil
 }
 
 // ApplyPoint returns cfg with each searched parameter set to the
@@ -240,20 +230,188 @@ type evaluation struct {
 	cost  float64
 }
 
-// trajectory tracks the best-cost-so-far series across evaluations.
-type trajectory struct {
-	series []float64
+// search is the plumbing every backend shares: the searched space with
+// its live (rule-tightened) and full bounds, the RNG, the wave gate,
+// the best point so far and the effort counters. A backend embeds it
+// and adds its own algorithm: which points open each wave, and what a
+// completed wave does.
+type search struct {
+	backend string
+	params  []mrconf.Param
+	space   lhs.Space // live (rule-tightened) bounds
+	full    lhs.Space // original bounds
+	rng     *rand.Rand
+	sp      SearchParams
+
+	// The wave gate: the points not yet handed out, and how many of the
+	// wave's waveSize points are out (outstanding) or measured
+	// (reported).
+	pending     [][]float64
+	waveSize    int
+	reported    int
+	outstanding int
+
+	best     []float64 // raw space
+	bestCost float64
+	haveBest bool
+	done     bool
+
+	waves int
+	evals int
+	traj  []float64 // best cost so far, one entry per evaluation
 }
 
-func (t *trajectory) observe(cost float64) {
-	best := cost
-	if n := len(t.series); n > 0 && t.series[n-1] < best {
-		best = t.series[n-1]
+func newSearch(backend string, o Options) search {
+	space := make(lhs.Space, len(o.Params))
+	for i, p := range o.Params {
+		space[i] = lhs.Dim{Name: p.Name, Min: p.Min, Max: p.Max}
 	}
-	// The series is a per-run diagnostic bounded by the backend's
-	// evaluation budget (a few hundred entries); it is read wholesale
-	// by Trajectory and never trimmed, by design.
-	t.series = append(t.series, best) //mrlint:ignore retained-append bounded by the search's evaluation budget; the convergence curve is the product
+	return search{
+		backend: backend,
+		params:  o.Params,
+		space:   space,
+		full:    append(lhs.Space(nil), space...),
+		rng:     o.RNG,
+		sp:      o.Search,
+	}
 }
 
-func (t *trajectory) Trajectory() []float64 { return t.series }
+// beginWave opens a wave of points. An empty wave could never complete
+// and would hold the launch gate shut for good, so it ends the search.
+func (s *search) beginWave(points [][]float64) {
+	s.pending, s.waveSize = points, len(points)
+	s.reported, s.outstanding = 0, 0
+	s.done = len(points) == 0
+}
+
+// observe counts the report of a handed-out point and extends the
+// trajectory with its cost. It reports whether the wave is complete,
+// and counts the wave when it is.
+func (s *search) observe(cost float64) bool {
+	s.evals++
+	best := cost
+	if n := len(s.traj); n > 0 && s.traj[n-1] < best {
+		best = s.traj[n-1]
+	}
+	// The trajectory is bounded by the evaluation budget (a few hundred
+	// entries); it is read wholesale by Trajectory and never trimmed.
+	s.traj = append(s.traj, best) //mrlint:ignore retained-append bounded by the search's evaluation budget; the convergence curve is the product
+	s.reported++
+	s.outstanding--
+	if s.reported < s.waveSize || s.outstanding > 0 || len(s.pending) > 0 {
+		return false
+	}
+	s.waves++
+	return true
+}
+
+// offer makes point the best so far when its cost beats the incumbent.
+func (s *search) offer(point []float64, cost float64) {
+	if !s.haveBest || cost < s.bestCost {
+		s.best = append(s.best[:0], point...)
+		s.bestCost, s.haveBest = cost, true
+	}
+}
+
+// warmBest adopts a warm state's best point, clamped into the bounds,
+// as the incumbent.
+func (s *search) warmBest(w *ScopeState) {
+	s.best = append([]float64(nil), w.Best...)
+	for d, dim := range s.space {
+		s.best[d] = metrics.Clamp(s.best[d], dim.Min, dim.Max)
+	}
+	s.bestCost, s.haveBest = w.BestCost, true
+}
+
+// normalize maps a raw coordinate into [0,1] over the full bounds.
+func (s *search) normalize(d int, v float64) float64 {
+	r := s.full[d].Range()
+	if r <= 0 {
+		return 0
+	}
+	return metrics.Clamp((v-s.full[d].Min)/r, 0, 1)
+}
+
+// raw maps a normalized point back to raw coordinates, projected into
+// the live bounds.
+func (s *search) raw(x []float64) []float64 {
+	p := make([]float64, len(x))
+	for d := range x {
+		v := s.full[d].Min + x[d]*s.full[d].Range()
+		p[d] = metrics.Clamp(v, s.space[d].Min, s.space[d].Max)
+	}
+	return p
+}
+
+// dim returns the index of a named dimension.
+func (s *search) dim(name string) int {
+	for d := range s.space {
+		if s.space[d].Name == name {
+			return d
+		}
+	}
+	panic(fmt.Sprintf("tuner: unknown dimension %q", name))
+}
+
+func (s *search) Done() bool            { return s.done }
+func (s *search) HasPending() bool      { return len(s.pending) > 0 }
+func (s *search) Waves() int            { return s.waves }
+func (s *search) Trajectory() []float64 { return s.traj }
+
+func (s *search) Best() ([]float64, float64, bool) {
+	return s.best, s.bestCost, s.haveBest
+}
+
+func (s *search) Next() []float64 {
+	if s.done || len(s.pending) == 0 {
+		return nil
+	}
+	p := s.pending[0]
+	s.pending = s.pending[1:]
+	s.outstanding++
+	return p
+}
+
+func (s *search) Export() ScopeState {
+	st := ScopeState{
+		Backend:  s.backend,
+		Names:    make([]string, len(s.params)),
+		BestCost: s.bestCost,
+		HaveBest: s.haveBest,
+		Evals:    s.evals,
+		Waves:    s.waves,
+	}
+	for i, p := range s.params {
+		st.Names[i] = p.Name
+	}
+	if s.haveBest {
+		st.Best = append([]float64(nil), s.best...)
+	}
+	return st
+}
+
+// Tighten narrows a dimension's bounds within its full range; the best
+// point is clamped into the new bounds.
+func (s *search) Tighten(name string, lo, hi float64) {
+	d := s.dim(name)
+	full := s.full[d]
+	lo = metrics.Clamp(lo, full.Min, full.Max)
+	hi = metrics.Clamp(hi, full.Min, full.Max)
+	if hi < lo {
+		hi = lo
+	}
+	s.space[d].Min, s.space[d].Max = lo, hi
+	if s.haveBest {
+		s.best[d] = metrics.Clamp(s.best[d], lo, hi)
+	}
+}
+
+func (s *search) Bounds(name string) (lo, hi float64) {
+	d := s.dim(name)
+	return s.space[d].Min, s.space[d].Max
+}
+
+// Bias only validates the dimension: spsa has no stratified sampler to
+// bias, and tpe's Parzen model already concentrates sampling where the
+// observed costs are low. hill overrides it.
+func (s *search) Bias(name string, _ lhs.Weights) { s.dim(name) }
