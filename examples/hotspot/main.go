@@ -44,9 +44,7 @@ func main() {
 			}
 		}
 	})
-	core.EnableHotSpotAvoidance(rig.RM)
-	rig.RM.HotSpotFallbackDelay = 600
-	rig.FS.HotThreshold = 0.85
+	core.EnableHotSpotAvoidance(rig.RM, rig.FS)
 	rec := &trace.Recorder{}
 	rig.Run(mapreduce.Spec{
 		Benchmark:   b,

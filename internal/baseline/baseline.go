@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/mapreduce"
 	"repro/internal/metrics"
 	"repro/internal/mrconf"
@@ -42,15 +43,12 @@ func ProfileFromResult(res mapreduce.Result) ProfileStats {
 		if r.Type == mapreduce.MapTask {
 			mapOut.Observe(r.RawOutputMB)
 			mapCPU.Observe(r.CPUUtil)
-			peakHeap := r.MemUtil * r.Config.MapMemMB() * mrconf.HeapFraction
-			if w := peakHeap - mapreduce.JVMBaseMB - r.Config.SortMB(); w > 0 {
+			if w := r.WorkingSetMB(); w > 0 {
 				mapWS.Observe(w)
 			}
 		} else {
 			redIn.Observe(r.DataMB)
-			peakHeap := r.MemUtil * r.Config.ReduceMemMB() * mrconf.HeapFraction
-			buf := r.Config.ShuffleBufferPct() * r.Config.ReduceHeapMB()
-			if w := peakHeap - mapreduce.JVMBaseMB - buf; w > 0 {
+			if w := r.WorkingSetMB(); w > 0 {
 				redWS.Observe(w)
 			}
 		}
@@ -80,26 +78,12 @@ func OfflineGuide(p ProfileStats) mrconf.Config {
 	sortMB = cfg.SortMB()
 	mapHeapNeed := mapreduce.JVMBaseMB + sortMB + p.MapWorkingSetMB
 	cfg = cfg.With(mrconf.MapMemoryMB, mapHeapNeed*1.1/mrconf.HeapFraction)
-	if cfg.SortMB() >= p.MapOutputMBPerTask*1.05 {
-		cfg = cfg.With(mrconf.SortSpillPercent, 0.99)
-	}
+	cfg = core.SetSpillPercent(cfg, p.MapOutputMBPerTask)
 
 	// Reduce side.
 	redHeapNeed := mapreduce.JVMBaseMB + p.ReduceInputMBPerTask*1.2 + p.ReduceWorkingSetMB
 	cfg = cfg.With(mrconf.ReduceMemoryMB, redHeapNeed*1.1/mrconf.HeapFraction)
-	heap := cfg.ReduceHeapMB()
-	if heap > 0 {
-		sbpMax := (heap - mapreduce.JVMBaseMB - p.ReduceWorkingSetMB) / heap
-		sbp := metrics.Clamp(p.ReduceInputMBPerTask*1.15/heap, 0.2, math.Min(0.9, sbpMax))
-		cfg = cfg.With(mrconf.ShuffleInputBufferPct, sbp)
-		sbp = cfg.ShuffleBufferPct()
-		if sbp*heap >= p.ReduceInputMBPerTask {
-			cfg = cfg.With(mrconf.ReduceInputBufferPct, sbp).With(mrconf.ShuffleMergePct, sbp)
-		} else {
-			cfg = cfg.With(mrconf.ReduceInputBufferPct, math.Max(0, sbp-0.1)).
-				With(mrconf.ShuffleMergePct, math.Max(0.2, sbp-0.04))
-		}
-	}
+	cfg = core.SizeShuffleBuffer(cfg, p.ReduceInputMBPerTask, p.ReduceWorkingSetMB)
 	cfg = cfg.With(mrconf.ShuffleMemoryLimitPct, 0.5).With(mrconf.MergeInmemThreshold, 0)
 
 	if p.ShuffleHeavy {

@@ -1,7 +1,9 @@
-// Package core implements MRONLINE: the online tuner (monitor, tuner,
-// dynamic configurator) of the paper, built on the task-level dynamic
-// configuration framework (per-task configs and variable-sized
-// containers in internal/yarn and internal/mapreduce), the gray-box
+// Package core implements MRONLINE: the online tuner (monitor and
+// tuner; as a mapreduce.Controller the tuner is also the dynamic
+// configurator that hands each task its configuration) of the paper,
+// built on the task-level dynamic configuration framework (per-task
+// configs and variable-sized containers in internal/yarn and
+// internal/mapreduce), the gray-box
 // smart hill-climbing search (§5) over the mrconf parameter space, and
 // the MapReduce-specific tuning rules (§6).
 package core

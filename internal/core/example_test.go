@@ -41,22 +41,6 @@ func ExampleTuner() {
 	// tuned io.sort.mb: 150
 }
 
-// The Table 1 API: other tuning algorithms can drive per-task
-// configurations through the dynamic configurator.
-func ExampleDynamicConfigurator() {
-	dc := core.NewDynamicConfigurator()
-	dc.SetJobParameters("job-7", map[string]float64{mrconf.IOSortMB: 400})
-	dc.SetTaskParameters("job-7", core.TaskID(true, 3), map[string]float64{mrconf.MapCPUVcores: 2})
-
-	wide := dc.ConfigFor("job-7", core.TaskID(true, 0), mrconf.Default())
-	task3 := dc.ConfigFor("job-7", core.TaskID(true, 3), mrconf.Default())
-	fmt.Println(wide.SortMB(), wide.MapVcores())
-	fmt.Println(task3.SortMB(), task3.MapVcores())
-	// Output:
-	// 400 1
-	// 400 2
-}
-
 // One aggressive test run stores a tuned configuration in the knowledge
 // base; a repeat submission of the class runs it and beats the test run.
 func ExampleKnowledgeBase() {

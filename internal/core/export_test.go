@@ -14,9 +14,6 @@ func (kb *KnowledgeBase) Len() int {
 // Monitor exposes the tuner's monitor.
 func (t *Tuner) Monitor() *Monitor { return t.mon }
 
-// Configurator exposes the Table 1 API instance backing this tuner.
-func (t *Tuner) Configurator() *DynamicConfigurator { return t.dc }
-
 // SearchDone reports whether both scopes' searches have converged.
 func (t *Tuner) SearchDone() bool {
 	if t.Strategy != Aggressive {
@@ -32,7 +29,3 @@ func (t *Tuner) Backend() string { return t.backend }
 func Cost(r mapreduce.TaskReport, tmax float64) float64 {
 	return WeightedCost(r, tmax, UnitWeights)
 }
-
-// MapReports and ReduceReports return all ingested reports.
-func (m *Monitor) MapReports() []mapreduce.TaskReport    { return m.mapReports }
-func (m *Monitor) ReduceReports() []mapreduce.TaskReport { return m.reduceReports }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/cluster"
+	"repro/internal/hdfs"
 	"repro/internal/yarn"
 )
 
@@ -9,32 +10,30 @@ import (
 // utilization information to help MapReduce applications avoid hot
 // spots"). The monitor's node-level utilization feed becomes a
 // placement veto: containers prefer nodes whose disk and CPU are not
-// saturated by other tenants or background services.
+// saturated by other tenants or background services, and HDFS prefers
+// replicas on cold disks.
 
-// HotSpotThresholds configure when a node counts as hot.
-type HotSpotThresholds struct {
-	// CPULoad and DiskLoad are instantaneous-load fractions above
-	// which a node is avoided.
-	CPULoad  float64
-	DiskLoad float64
+const (
+	// hotLoad is the instantaneous CPU or disk load fraction at which
+	// a node counts as hot.
+	hotLoad = 0.85
+	// hotSpotFallbackDelay is how long a request waits for a cold node
+	// before it may place on a hot one. Interference that lasts the
+	// whole job makes falling back to hot nodes never pay, so it waits
+	// out cold capacity instead.
+	hotSpotFallbackDelay = 600
+)
+
+// isCold is the yarn node filter of the policy.
+func isCold(n *cluster.Node) bool {
+	return n.CPULoad() < hotLoad && n.DiskLoad() < hotLoad
 }
 
-// DefaultHotSpotThresholds avoid nodes with ≥85% busy disk or CPU.
-func DefaultHotSpotThresholds() HotSpotThresholds {
-	return HotSpotThresholds{CPULoad: 0.85, DiskLoad: 0.85}
-}
-
-// HotSpotFilter returns a yarn node filter implementing the policy.
-func HotSpotFilter(th HotSpotThresholds) func(*cluster.Node) bool {
-	return func(n *cluster.Node) bool {
-		return n.CPULoad() < th.CPULoad && n.DiskLoad() < th.DiskLoad
-	}
-}
-
-// EnableHotSpotAvoidance installs the default policy on a resource
-// manager. Returns the filter so tests can probe it.
-func EnableHotSpotAvoidance(rm *yarn.ResourceManager) func(*cluster.Node) bool {
-	f := HotSpotFilter(DefaultHotSpotThresholds())
-	rm.NodeFilter = f
-	return f
+// EnableHotSpotAvoidance installs the policy on a resource manager and
+// its file system: the node filter, the fallback delay and the HDFS
+// replica threshold.
+func EnableHotSpotAvoidance(rm *yarn.ResourceManager, fs *hdfs.FileSystem) {
+	rm.NodeFilter = isCold
+	rm.HotSpotFallbackDelay = hotSpotFallbackDelay
+	fs.HotThreshold = hotLoad
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/hdfs"
 	"repro/internal/mapreduce"
 	"repro/internal/mrconf"
 	"repro/internal/sim"
@@ -14,9 +15,8 @@ import (
 func TestHotSpotFilterThresholds(t *testing.T) {
 	eng := sim.NewEngine()
 	c := cluster.New(eng, cluster.PaperConfig())
-	f := HotSpotFilter(DefaultHotSpotThresholds())
 	n := c.Nodes[0]
-	if !f(n) {
+	if !isCold(n) {
 		t.Fatal("idle node rejected")
 	}
 	// Saturate the disk: the node becomes hot.
@@ -24,7 +24,7 @@ func TestHotSpotFilterThresholds(t *testing.T) {
 		n.InjectDiskLoad(30, 100, nil)
 	}
 	eng.RunUntil(0.001)
-	if f(n) {
+	if isCold(n) {
 		t.Fatal("disk-saturated node accepted")
 	}
 	// A different node with only CPU saturation is also hot.
@@ -33,7 +33,7 @@ func TestHotSpotFilterThresholds(t *testing.T) {
 		m.InjectCPULoad(1, 100, nil)
 	}
 	eng.RunUntil(0.002)
-	if f(m) {
+	if isCold(m) {
 		t.Fatal("CPU-saturated node accepted")
 	}
 }
@@ -42,22 +42,34 @@ func TestEnableHotSpotAvoidanceInstallsFilter(t *testing.T) {
 	eng := sim.NewEngine()
 	c := cluster.New(eng, cluster.PaperConfig())
 	rm := yarn.NewResourceManager(eng, c, yarn.FIFOScheduler{})
-	f := EnableHotSpotAvoidance(rm)
+	fs := hdfs.New(c, sim.NewSource(1).Stream("hdfs"))
+	EnableHotSpotAvoidance(rm, fs)
 	if rm.NodeFilter == nil {
 		t.Fatal("filter not installed")
 	}
-	if !f(c.Nodes[0]) {
+	if !rm.NodeFilter(c.Nodes[0]) {
 		t.Fatal("installed filter rejects an idle node")
+	}
+	if rm.HotSpotFallbackDelay != 600 || fs.HotThreshold != 0.85 {
+		t.Fatalf("fallback delay %v and HDFS threshold %v, want 600 and 0.85",
+			rm.HotSpotFallbackDelay, fs.HotThreshold)
 	}
 }
 
-func TestHotSpotPlacementSkipsHotNodes(t *testing.T) {
-	// Saturate the first node; all containers must land elsewhere.
+// hotSpotRig is a paper cluster with hot-spot avoidance on and no
+// scheduling delay.
+func hotSpotRig() (*sim.Engine, *cluster.Cluster, *yarn.ResourceManager) {
 	eng := sim.NewEngine()
 	c := cluster.New(eng, cluster.PaperConfig())
 	rm := yarn.NewResourceManager(eng, c, yarn.FIFOScheduler{})
 	rm.SchedulingDelay = 0
-	EnableHotSpotAvoidance(rm)
+	EnableHotSpotAvoidance(rm, hdfs.New(c, sim.NewSource(1).Stream("hdfs")))
+	return eng, c, rm
+}
+
+func TestHotSpotPlacementSkipsHotNodes(t *testing.T) {
+	// Saturate the first node; all containers must land elsewhere.
+	eng, c, rm := hotSpotRig()
 	hot := c.Nodes[0]
 	for k := 0; k < 10; k++ {
 		hot.InjectDiskLoad(30, 1000, nil)
@@ -86,12 +98,8 @@ func TestHotSpotPlacementSkipsHotNodes(t *testing.T) {
 func TestHotSpotFallbackWhenEverythingHot(t *testing.T) {
 	// All nodes hot: after the fallback delay, placement proceeds
 	// anyway (liveness over placement quality).
-	eng := sim.NewEngine()
-	c := cluster.New(eng, cluster.PaperConfig())
-	rm := yarn.NewResourceManager(eng, c, yarn.FIFOScheduler{})
-	rm.SchedulingDelay = 0
+	eng, c, rm := hotSpotRig()
 	rm.HotSpotFallbackDelay = 10
-	EnableHotSpotAvoidance(rm)
 	for _, n := range c.Nodes {
 		for k := 0; k < 10; k++ {
 			n.InjectDiskLoad(30, 1000, nil)
@@ -130,14 +138,14 @@ func TestMonitorAccessors(t *testing.T) {
 	if m.MeanMemUtil(mapreduce.ReduceTask) != 0 {
 		t.Fatal("reduce accessors should be zero with no reports")
 	}
-	if len(m.MapReports()) != 1 || len(m.ReduceReports()) != 0 {
-		t.Fatal("report accessors wrong")
+	if m.Completed(mapreduce.MapTask) != 1 || m.Completed(mapreduce.ReduceTask) != 0 {
+		t.Fatal("attempt counts wrong")
 	}
 }
 
 func TestTunerAccessors(t *testing.T) {
 	tn := NewTuner("j", 10, 2, mrconf.Default(), TunerOptions{Strategy: Aggressive, Seed: 1})
-	if tn.Monitor() == nil || tn.Configurator() == nil {
+	if tn.Monitor() == nil {
 		t.Fatal("nil accessors")
 	}
 	if got := tn.Backend(); got != "hill" {

@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/mapreduce"
 	"repro/internal/metrics"
-	"repro/internal/mrconf"
 )
 
 // Monitor is MRONLINE's centralized monitor (§3): it aggregates the
@@ -15,8 +14,9 @@ type Monitor struct {
 	numMaps    int
 	numReduces int
 
-	mapReports    []mapreduce.TaskReport
-	reduceReports []mapreduce.TaskReport
+	// mapDone and redDone count the attempts observed per type.
+	mapDone int
+	redDone int
 
 	tmaxMap    float64
 	tmaxReduce float64
@@ -34,10 +34,9 @@ type Monitor struct {
 	redDurations metrics.Sample
 
 	// mapWS and redWS accumulate the user-code working-set estimates
-	// (heap beside the sort/shuffle buffer) incrementally at ingestion,
-	// so the tuning rules stop re-deriving them from every report on
-	// each recompute. Fed under the same filter and in the same order as
-	// a scan over MapReports/ReduceReports would observe.
+	// (heap beside the sort/shuffle buffer) of successful attempts
+	// incrementally at ingestion, in arrival order, so the tuning rules
+	// stop re-deriving them from every report on each recompute.
 	mapWS metrics.Sample
 	redWS metrics.Sample
 }
@@ -51,11 +50,11 @@ func NewMonitor(numMaps, numReduces int) *Monitor {
 func (m *Monitor) Observe(r mapreduce.TaskReport) {
 	d := r.Duration()
 	if r.Type == mapreduce.MapTask {
-		m.mapReports = append(m.mapReports, r)
+		m.mapDone++
 		// Failed attempts (injected fault, node loss) carry partial,
-		// misleading measurements: keep the report for bookkeeping but
-		// feed none of the estimators, not even tmax — a fault is not
-		// evidence about the configuration.
+		// misleading measurements: count the attempt but feed none of
+		// the estimators, not even tmax — a fault is not evidence about
+		// the configuration.
 		if d > m.tmaxMap && !r.Failed {
 			m.tmaxMap = d
 		}
@@ -68,14 +67,13 @@ func (m *Monitor) Observe(r mapreduce.TaskReport) {
 			if r.OutputRecords > 0 {
 				m.mapSpillRat.Observe(r.SpilledRecords / r.OutputRecords)
 			}
-			peakHeap := r.MemUtil * r.Config.MapMemMB() * mrconf.HeapFraction
-			if w := peakHeap - mapreduce.JVMBaseMB - r.Config.SortMB(); w > 0 {
+			if w := r.WorkingSetMB(); w > 0 {
 				m.mapWS.Observe(w)
 			}
 		}
 		return
 	}
-	m.reduceReports = append(m.reduceReports, r)
+	m.redDone++
 	if d > m.tmaxReduce && !r.Failed {
 		m.tmaxReduce = d
 	}
@@ -87,9 +85,7 @@ func (m *Monitor) Observe(r mapreduce.TaskReport) {
 		if r.OutputRecords > 0 {
 			m.redSpillRat.Observe(r.SpilledRecords / r.OutputRecords)
 		}
-		peakHeap := r.MemUtil * r.Config.ReduceMemMB() * mrconf.HeapFraction
-		w := peakHeap - mapreduce.JVMBaseMB - r.Config.ShuffleBufferPct()*r.Config.ReduceHeapMB()
-		if w > 0 {
+		if w := r.WorkingSetMB(); w > 0 {
 			m.redWS.Observe(w)
 		}
 	}
@@ -145,9 +141,9 @@ func (m *Monitor) EstReduceInputMB() (float64, bool) {
 // Completed returns how many attempts have been observed for a type.
 func (m *Monitor) Completed(t mapreduce.TaskType) int {
 	if t == mapreduce.MapTask {
-		return len(m.mapReports)
+		return m.mapDone
 	}
-	return len(m.reduceReports)
+	return m.redDone
 }
 
 // MeanCPUUtil returns the running mean CPU utilization for a type.

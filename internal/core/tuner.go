@@ -66,28 +66,17 @@ type Tuner struct {
 	Strategy Strategy
 
 	mon  *Monitor
-	dc   *DynamicConfigurator
 	base mrconf.Config
-	rng  *rand.Rand
 
-	jobName    string
-	numMaps    int
-	numReduces int
-	blackBox   bool
-	costW      CostWeights
-	search     tuner.SearchParams
-	backend    string
-
-	// Per-scope optimizer RNGs. For the hill backend both point at the
-	// legacy shared stream (t.rng); for other backends each scope gets
-	// its own sim.Source sub-stream.
-	mapRNG *rand.Rand
-	redRNG *rand.Rand
+	jobName  string
+	blackBox bool
+	costW    CostWeights
+	search   tuner.SearchParams
+	backend  string
 
 	// aggressive state
-	mapS        scopeSearch
-	redS        scopeSearch
-	assignments map[string][]float64 // taskID -> sampled point
+	mapS scopeSearch
+	redS scopeSearch
 
 	// conservative state
 	cons consState
@@ -95,15 +84,39 @@ type Tuner struct {
 
 // scopeSearch is one scope's (map or reduce) slice of the aggressive
 // search: the searched dimensions, the optimizer backend walking them,
-// and the wave buffer the §6.2 gray-box rules read at wave boundaries.
+// the points in flight, and the wave buffer the §6.2 gray-box rules
+// read at wave boundaries.
 type scopeSearch struct {
-	dims    []mrconf.Param
-	opt     tuner.Optimizer
+	dims []mrconf.Param
+	opt  tuner.Optimizer
+	// points[id] is the sampled point task id runs until it reports,
+	// nil when the task holds none.
+	points  [][]float64
 	waveBuf []mapreduce.TaskReport
 	// waves counts wave boundaries this driver observed (differs from
 	// opt.Waves only when a wave completes with no assignment routed
 	// through this tuner).
 	waves int
+}
+
+// assignment is a set of explicitly assigned parameter values, dense by
+// ParamID. Unlike a Config it remembers which keys were set, so an
+// explicit value equal to the default still overrides a non-default
+// base value.
+type assignment struct {
+	set [mrconf.NumParams]bool
+	v   [mrconf.NumParams]float64
+}
+
+// put assigns a known parameter.
+func (a *assignment) put(name string, v float64) {
+	id, _ := mrconf.ID(name)
+	a.set[id], a.v[id] = true, v
+}
+
+// applyTo returns cfg with every assigned value set, in registry order.
+func (a *assignment) applyTo(cfg mrconf.Config) mrconf.Config {
+	return cfg.WithIDs(&a.set, &a.v)
 }
 
 type consState struct {
@@ -163,37 +176,32 @@ func NewTuner(jobName string, numMaps, numReduces int, base mrconf.Config, opts 
 	if opts.Backend == "" {
 		opts.Backend = "hill"
 	}
-	rng := rand.New(rand.NewSource(int64(opts.Seed) ^ 0x6d726f6e6c696e65))
 	if opts.CostWeights == (CostWeights{}) {
 		opts.CostWeights = UnitWeights
 	}
 	t := &Tuner{
-		Strategy:    opts.Strategy,
-		mon:         NewMonitor(numMaps, numReduces),
-		dc:          NewDynamicConfigurator(),
-		base:        base,
-		rng:         rng,
-		jobName:     jobName,
-		numMaps:     numMaps,
-		numReduces:  numReduces,
-		blackBox:    opts.BlackBox,
-		costW:       opts.CostWeights,
-		search:      opts.Search,
-		backend:     opts.Backend,
-		assignments: make(map[string][]float64),
-	}
-	// The hill backend shares the legacy RNG stream between both scopes
-	// (map scope constructed first) — the exact pre-refactor draw
-	// sequence, pinned by the figure pipeline's byte-identity contract.
-	// Other backends get independent named sub-streams.
-	t.mapRNG, t.redRNG = rng, rng
-	if opts.Backend != "hill" {
-		src := sim.NewSource(opts.Seed).Sub("tuner").Sub(opts.Backend)
-		t.mapRNG, t.redRNG = src.Stream("map"), src.Stream("reduce")
+		Strategy: opts.Strategy,
+		mon:      NewMonitor(numMaps, numReduces),
+		base:     base,
+		jobName:  jobName,
+		blackBox: opts.BlackBox,
+		costW:    opts.CostWeights,
+		search:   opts.Search,
+		backend:  opts.Backend,
 	}
 	if t.Strategy == Aggressive {
-		t.mapS = t.newSearch(mrconf.ScopeMap, t.mapRNG, warmScope(opts.Warm, mrconf.ScopeMap))
-		t.redS = t.newSearch(mrconf.ScopeReduce, t.redRNG, warmScope(opts.Warm, mrconf.ScopeReduce))
+		// The hill backend shares the legacy RNG stream between both
+		// scopes (map scope constructed first) — the exact pre-refactor
+		// draw sequence, pinned by the figure pipeline's byte-identity
+		// contract. Other backends get independent named sub-streams.
+		rng := rand.New(rand.NewSource(int64(opts.Seed) ^ 0x6d726f6e6c696e65))
+		mapRNG, redRNG := rng, rng
+		if opts.Backend != "hill" {
+			src := sim.NewSource(opts.Seed).Sub("tuner").Sub(opts.Backend)
+			mapRNG, redRNG = src.Stream("map"), src.Stream("reduce")
+		}
+		t.mapS = t.newSearch(mrconf.ScopeMap, numMaps, mapRNG, warmScope(opts.Warm, mrconf.ScopeMap))
+		t.redS = t.newSearch(mrconf.ScopeReduce, numReduces, redRNG, warmScope(opts.Warm, mrconf.ScopeReduce))
 	} else {
 		t.cons.mapVcores = base.MapVcores()
 		t.cons.redVcores = base.ReduceVcores()
@@ -202,16 +210,17 @@ func NewTuner(jobName string, numMaps, numReduces int, base mrconf.Config, opts 
 	return t
 }
 
-// newSearch builds one scope's optimizer from the backend table.
-// Both the gray-box and the black-box parameter spaces route through
-// the same path — the search plumbing no longer cares which.
-func (t *Tuner) newSearch(scope mrconf.Scope, rng *rand.Rand, warm *tuner.ScopeState) scopeSearch {
+// newSearch builds one scope's optimizer from the backend table, with
+// a point slot for each of the scope's tasks. Both the gray-box and the
+// black-box parameter spaces route through the same path — the search
+// plumbing no longer cares which.
+func (t *Tuner) newSearch(scope mrconf.Scope, tasks int, rng *rand.Rand, warm *tuner.ScopeState) scopeSearch {
 	dims := searchDims(scope, t.blackBox)
 	opt, err := tuner.New(t.backend, tuner.Options{Params: dims, RNG: rng, Search: t.search, Warm: warm})
 	if err != nil {
 		panic(err) // CLI flags validate backend names before building a Tuner
 	}
-	return scopeSearch{dims: dims, opt: opt}
+	return scopeSearch{dims: dims, opt: opt, points: make([][]float64, tasks)}
 }
 
 // warmScope extracts one scope's usable warm-start state from a
@@ -246,12 +255,12 @@ func (t *Tuner) AllowLaunch(task *mapreduce.Task) bool {
 	if t.Strategy != Aggressive {
 		return true
 	}
-	if _, ok := t.assignments[TaskID(task.Type == mapreduce.MapTask, task.ID)]; ok {
+	s := t.searchFor(task.Type)
+	if s.points[task.ID] != nil {
 		// The task already holds a sampled point (its first launch was
 		// deferred, e.g. by the reduce headroom policy); let it through.
 		return true
 	}
-	s := t.searchFor(task.Type)
 	return s.opt.Done() || s.opt.HasPending()
 }
 
@@ -259,7 +268,6 @@ func (t *Tuner) AllowLaunch(task *mapreduce.Task) bool {
 // under aggressive tuning, the current rule-tuned configuration under
 // conservative tuning.
 func (t *Tuner) TaskConfig(task *mapreduce.Task, base mrconf.Config) mrconf.Config {
-	id := TaskID(task.Type == mapreduce.MapTask, task.ID)
 	if task.Attempt >= 2 {
 		// Two straight OOM kills: stop experimenting on this task and
 		// fall back to the job's base configuration, which is known to
@@ -268,16 +276,16 @@ func (t *Tuner) TaskConfig(task *mapreduce.Task, base mrconf.Config) mrconf.Conf
 	}
 	if t.Strategy == Aggressive {
 		s := t.searchFor(task.Type)
-		if _, ok := t.assignments[id]; ok && task.Attempt == 0 {
-			// Re-asked for a task that still holds its point (deferred
-			// launch): idempotently return the same configuration.
-			return t.materialize(t.dc.ConfigFor(t.jobName, id, t.base), task.Type)
-		}
-		if !s.opt.Done() && task.Attempt == 0 {
-			if point := s.opt.Next(); point != nil {
-				t.assignments[id] = point
-				t.dc.setTaskPoint(t.jobName, id, s.dims, point)
-				return t.materialize(t.dc.ConfigFor(t.jobName, id, t.base), task.Type)
+		if task.Attempt == 0 {
+			// A task that still holds its point (deferred launch) is
+			// idempotently handed the same configuration again.
+			point := s.points[task.ID]
+			if point == nil && !s.opt.Done() {
+				point = s.opt.Next()
+				s.points[task.ID] = point
+			}
+			if point != nil {
+				return t.materialize(tuner.ApplyPoint(t.base, s.dims, point), task.Type)
 			}
 		}
 		// Search finished (or a retry): use the best configuration.
@@ -311,14 +319,12 @@ func (t *Tuner) TaskCompleted(r mapreduce.TaskReport) {
 // ---------- aggressive strategy ----------
 
 func (t *Tuner) aggressiveObserve(r mapreduce.TaskReport) {
-	id := TaskID(r.Type == mapreduce.MapTask, r.ID)
-	point, ok := t.assignments[id]
-	if !ok {
+	s := t.searchFor(r.Type)
+	point := s.points[r.ID]
+	if point == nil {
 		return
 	}
-	delete(t.assignments, id)
-	t.dc.ClearTask(t.jobName, id)
-	s := t.searchFor(r.Type)
+	s.points[r.ID] = nil
 	scope := mrconf.ScopeMap
 	if r.Type != mapreduce.MapTask {
 		scope = mrconf.ScopeReduce
@@ -513,40 +519,47 @@ func (t *Tuner) materializeWith(cfg mrconf.Config, tt mapreduce.TaskType, safe b
 		if cfg.SortMB() > maxSort {
 			cfg = cfg.With(mrconf.IOSortMB, math.Max(50, maxSort-10))
 		}
-		// spill.percent: 0.99 when the buffer holds the whole raw map
-		// output in one spill, otherwise the default (§6.2).
 		if est, ok := t.mon.EstMapRawOutputMB(); ok {
-			if cfg.SortMB() >= est*1.05 {
-				cfg = cfg.With(mrconf.SortSpillPercent, 0.99)
-			} else {
-				cfg = cfg.With(mrconf.SortSpillPercent, mrconf.MustLookup(mrconf.SortSpillPercent).Default)
-			}
+			cfg = SetSpillPercent(cfg, est)
 		}
 		return mrconf.Repair(cfg)
 	}
 	// Reduce-side buffer rules.
 	cfg = cfg.With(mrconf.MergeInmemThreshold, 0) // merge on memory consumption only
-	heap := cfg.ReduceHeapMB()
-	if est, ok := t.mon.EstReduceInputMB(); ok && heap > 0 {
-		// Size the shuffle buffer to the estimated reduce input, but
-		// never so large that the JVM base plus the user code working
-		// set cannot fit next to it (that would guarantee an OOM kill).
-		wsReserve := t.reduceWorkingSetReserve(safe)
-		sbpMax := (heap - mapreduce.JVMBaseMB - wsReserve) / heap
-		sbp := metrics.Clamp(est*1.15/heap, 0.2, math.Min(0.9, sbpMax))
-		cfg = cfg.With(mrconf.ShuffleInputBufferPct, sbp)
-		sbp = cfg.ShuffleBufferPct() // post-quantization
-		if sbp*heap >= est {
-			// Everything fits: retain through the reduce phase and merge
-			// at the full buffer.
-			cfg = cfg.With(mrconf.ReduceInputBufferPct, sbp)
-			cfg = cfg.With(mrconf.ShuffleMergePct, sbp)
-		} else {
-			cfg = cfg.With(mrconf.ReduceInputBufferPct, math.Max(0, sbp-0.1))
-			cfg = cfg.With(mrconf.ShuffleMergePct, math.Max(0.2, sbp-0.04))
-		}
+	if est, ok := t.mon.EstReduceInputMB(); ok {
+		cfg = SizeShuffleBuffer(cfg, est, t.reduceWorkingSetReserve(safe))
 	}
 	return mrconf.Repair(cfg)
+}
+
+// SetSpillPercent applies the §6.2 spill rule for a map task whose raw
+// (pre-combiner) output is rawOutputMB: spill.percent is 0.99 when the
+// sort buffer holds the whole output in one spill, otherwise the
+// default.
+func SetSpillPercent(cfg mrconf.Config, rawOutputMB float64) mrconf.Config {
+	if cfg.SortMB() >= rawOutputMB*1.05 {
+		return cfg.With(mrconf.SortSpillPercent, 0.99)
+	}
+	return cfg.With(mrconf.SortSpillPercent, mrconf.MustLookup(mrconf.SortSpillPercent).Default)
+}
+
+// SizeShuffleBuffer applies the §6.2 reduce buffer rules for a reducer
+// expecting inputMB of shuffle input and needing workingSetMB of heap
+// for its user code. The shuffle buffer is sized to the input, but
+// never so large that the JVM base and the working set cannot fit next
+// to it (that would guarantee an OOM kill). When the input fits, it is
+// retained through the reduce phase and merged at the full buffer.
+func SizeShuffleBuffer(cfg mrconf.Config, inputMB, workingSetMB float64) mrconf.Config {
+	heap := cfg.ReduceHeapMB() // positive: reduce memory is at least 512 MB
+	sbpMax := (heap - mapreduce.JVMBaseMB - workingSetMB) / heap
+	sbp := metrics.Clamp(inputMB*1.15/heap, 0.2, math.Min(0.9, sbpMax))
+	cfg = cfg.With(mrconf.ShuffleInputBufferPct, sbp)
+	sbp = cfg.ShuffleBufferPct() // post-quantization
+	if sbp*heap >= inputMB {
+		return cfg.With(mrconf.ReduceInputBufferPct, sbp).With(mrconf.ShuffleMergePct, sbp)
+	}
+	return cfg.With(mrconf.ReduceInputBufferPct, math.Max(0, sbp-0.1)).
+		With(mrconf.ShuffleMergePct, math.Max(0.2, sbp-0.04))
 }
 
 // reduceWorkingSetReserve estimates how much heap the reduce user code

@@ -208,6 +208,46 @@ func TestMaterializeReduceRulesRespectHeap(t *testing.T) {
 	}
 }
 
+// An explicit override equal to the Table 2 default is still an
+// override: it resets a non-default base value.
+func TestDefaultValuedOverrideResetsBase(t *testing.T) {
+	base := mrconf.Default().With(mrconf.IOSortMB, 400).With(mrconf.MapCPUVcores, 3)
+	var o assignment
+	o.put(mrconf.IOSortMB, 100)
+	o.put(mrconf.MapCPUVcores, 1)
+	cfg := o.applyTo(base)
+	if cfg.SortMB() != 100 || cfg.MapVcores() != 1 {
+		t.Fatalf("default-valued overrides dropped: io.sort.mb=%v vcores=%v, want 100 and 1",
+			cfg.SortMB(), cfg.MapVcores())
+	}
+	if got := (&assignment{}).applyTo(base); !got.Same(base) {
+		t.Fatal("an empty assignment did not return the base config")
+	}
+}
+
+// The §6.2 shuffle-buffer rule's branches: an input that fits is
+// retained and merged at the full buffer, one that does not leaves
+// headroom, and a working set that crowds out the smallest heap a
+// Config can hold pins the buffer at its floor.
+func TestSizeShuffleBuffer(t *testing.T) {
+	for _, c := range []struct {
+		name                     string
+		memMB, inputMB, wsMB     float64
+		shuffle, retain, mergeAt float64
+	}{
+		{"input fits", 1024, 300, 150, 0.42, 0.42, 0.42},
+		{"input does not fit", 1024, 800, 150, 0.63, 0.53, 0.59},
+		{"working set fills the heap", 512, 100, 350, 0.2, 0.1, 0.2},
+	} {
+		base := mrconf.Default().With(mrconf.ReduceMemoryMB, c.memMB)
+		cfg := SizeShuffleBuffer(base, c.inputMB, c.wsMB)
+		if cfg.ShuffleBufferPct() != c.shuffle || cfg.ReduceInputBufPct() != c.retain || cfg.MergePct() != c.mergeAt {
+			t.Errorf("%s: shuffle=%v retain=%v merge=%v, want %v %v %v", c.name,
+				cfg.ShuffleBufferPct(), cfg.ReduceInputBufPct(), cfg.MergePct(), c.shuffle, c.retain, c.mergeAt)
+		}
+	}
+}
+
 func TestBestConfigValidAndRepairable(t *testing.T) {
 	tn := NewTuner("j", 100, 10, mrconf.Default(), TunerOptions{Strategy: Aggressive, Seed: 1})
 	// Run a full synthetic wave through the tuner.

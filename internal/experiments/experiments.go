@@ -542,12 +542,7 @@ func (e Env) HotSpotStudy(hotNodes int) HotSpotRow {
 			}
 		}
 		if avoid {
-			core.EnableHotSpotAvoidance(r.RM)
-			r.FS.HotThreshold = 0.85
-			// The interference is sustained for the whole job, so
-			// falling back to hot nodes never pays; wait out cold
-			// capacity instead.
-			r.RM.HotSpotFallbackDelay = 600
+			core.EnableHotSpotAvoidance(r.RM, r.FS)
 		}
 		return r.Run(mapreduce.Spec{Benchmark: b, BaseConfig: mrconf.Default()})[0].Duration
 	}
@@ -588,9 +583,7 @@ func (e Env) StragglerStudy(hotNodes int) StragglerRow {
 			}
 		})
 		if avoid {
-			core.EnableHotSpotAvoidance(r.RM)
-			r.RM.HotSpotFallbackDelay = 600
-			r.FS.HotThreshold = 0.85
+			core.EnableHotSpotAvoidance(r.RM, r.FS)
 		}
 		spec := mapreduce.Spec{Benchmark: b, BaseConfig: mrconf.Default()}
 		if speculate {

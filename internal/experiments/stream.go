@@ -19,8 +19,8 @@ import (
 // StreamClass is one entry of the continuous-serving job mix: a
 // benchmark submitted with relative frequency Weight. Class names must
 // not contain '-' after the last path segment, because job names are
-// "<class>-<index>" and trace.DefaultClassify folds them back by
-// stripping the final "-<suffix>".
+// "<class>-<index>" and trace.StatsSink folds them back into classes
+// by stripping the final "-<suffix>".
 type StreamClass struct {
 	Weight int
 	Bench  workload.Benchmark

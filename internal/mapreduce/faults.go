@@ -80,7 +80,7 @@ func (j *Job) taskFailedFault(t *Task, detail string) {
 	j.cancelWork(t)
 	j.counters.TaskFailures++
 	j.spec.Trace.Add(trace.Event{Time: j.eng.Now(), Job: j.Name, Kind: trace.TaskFailed,
-		TaskType: t.Type.String(), TaskID: t.ID, Attempt: t.Attempt, Node: nodeName, Detail: detail})
+		TaskType: t.Type.String(), Task: t.ID, Attempt: t.Attempt, Node: nodeName, Detail: detail})
 	if t.specOrigin != nil {
 		// A failed speculative copy is simply dropped.
 		t.killed = true
@@ -136,7 +136,7 @@ func (j *Job) taskLostNode(t *Task) {
 	j.counters.NodeLossKills++
 	j.rm.FaultCounters().AttemptsKilledNodeLoss++
 	j.spec.Trace.Add(trace.Event{Time: j.eng.Now(), Job: j.Name, Kind: trace.TaskKilled,
-		TaskType: t.Type.String(), TaskID: t.ID, Attempt: t.Attempt, Detail: "node-lost"})
+		TaskType: t.Type.String(), Task: t.ID, Attempt: t.Attempt, Detail: "node-lost"})
 	if t.specOrigin != nil {
 		// A lost speculative copy is simply dropped.
 		t.killed = true
@@ -219,10 +219,10 @@ func (j *Job) reexecMap(t *Task, n *cluster.Node) {
 	j.rm.FaultCounters().FetchFailures++
 	j.rm.FaultCounters().MapsReExecuted++
 	j.spec.Trace.Add(trace.Event{Time: j.eng.Now(), Job: j.Name, Kind: trace.FetchFail,
-		TaskType: t.Type.String(), TaskID: t.ID, Attempt: t.Attempt, Node: n.Name,
+		TaskType: t.Type.String(), Task: t.ID, Attempt: t.Attempt, Node: n.Name,
 		Detail: "map output lost"})
 	j.spec.Trace.Add(trace.Event{Time: j.eng.Now(), Job: j.Name, Kind: trace.ReexecMap,
-		TaskType: t.Type.String(), TaskID: t.ID, Attempt: t.Attempt + 1, Node: n.Name})
+		TaskType: t.Type.String(), Task: t.ID, Attempt: t.Attempt + 1, Node: n.Name})
 
 	totalBefore := j.totalMapOutMB
 	j.totalMapOutMB -= t.dataMB

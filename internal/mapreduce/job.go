@@ -160,7 +160,7 @@ func (j *Job) traceTask(t *Task, kind trace.Kind) {
 	}
 	j.spec.Trace.Add(trace.Event{
 		Time: j.eng.Now(), Job: j.Name, Kind: kind,
-		TaskType: t.Type.String(), TaskID: t.ID, Attempt: t.Attempt, Node: node,
+		TaskType: t.Type.String(), Task: t.ID, Attempt: t.Attempt, Node: node,
 	})
 }
 

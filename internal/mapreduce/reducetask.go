@@ -165,7 +165,7 @@ func (j *Job) tryFetch(r *reduceRun) {
 		// back off and retry, like the fetcher's exponential backoff.
 		j.rm.FaultCounters().FetchFailures++
 		j.spec.Trace.Add(trace.Event{Time: j.eng.Now(), Job: j.Name, Kind: trace.FetchFail,
-			TaskType: t.Type.String(), TaskID: t.ID, Attempt: t.Attempt,
+			TaskType: t.Type.String(), Task: t.ID, Attempt: t.Attempt,
 			Node: t.container.Node.Name, Detail: "injected"})
 		r.busy = true
 		att, g := t.Attempt, j.gen

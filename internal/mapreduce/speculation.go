@@ -154,7 +154,7 @@ func (j *Job) killAttempt(t *Task) {
 		t.specOrigin.specCopy = nil
 	}
 	j.spec.Trace.Add(trace.Event{Time: j.eng.Now(), Job: j.Name, Kind: trace.TaskKilled,
-		TaskType: t.Type.String(), TaskID: t.ID, Attempt: t.Attempt})
+		TaskType: t.Type.String(), Task: t.ID, Attempt: t.Attempt})
 	j.counters.SpeculativeKills++
 	j.pump()
 }

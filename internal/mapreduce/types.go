@@ -190,6 +190,19 @@ type TaskReport struct {
 // Duration returns the attempt's wall-clock run time.
 func (r TaskReport) Duration() float64 { return r.End - r.Start }
 
+// WorkingSetMB estimates the heap the attempt's user code used beside
+// its buffer: the peak heap, less the JVM base and the sort buffer
+// (maps) or the shuffle buffer (reduces). It is negative when the peak
+// stayed below the JVM base and the buffer.
+func (r TaskReport) WorkingSetMB() float64 {
+	if r.Type == MapTask {
+		peakHeap := r.MemUtil * r.Config.MapMemMB() * mrconf.HeapFraction
+		return peakHeap - JVMBaseMB - r.Config.SortMB()
+	}
+	peakHeap := r.MemUtil * r.Config.ReduceMemMB() * mrconf.HeapFraction
+	return peakHeap - JVMBaseMB - r.Config.ShuffleBufferPct()*r.Config.ReduceHeapMB()
+}
+
 // Controller is MRONLINE's hook into the application master. The
 // default PassthroughController runs the job exactly as stock YARN
 // would.

@@ -232,16 +232,8 @@ func ParamsByScope(s Scope) []Param {
 	return out
 }
 
-// Lookup returns the parameter descriptor for name.
-func Lookup(name string) (Param, bool) {
-	id, ok := idByName[name]
-	if !ok {
-		return Param{}, false
-	}
-	return registry[id], true
-}
-
-// MustLookup is Lookup for known-good names; it panics on a typo.
+// MustLookup returns the parameter descriptor for a known-good name;
+// it panics on a typo.
 func MustLookup(name string) Param { return registry[mustID(name)] }
 
 // mustID is ID for known-good names; it panics on a typo.

@@ -161,13 +161,11 @@ func (c *ClassStats) observeDuration(d float64) {
 // StatsSink folds the event stream into per-class counters, keeping
 // memory proportional to the number of job *classes* plus the jobs
 // currently in flight — not the jobs ever submitted. It is the sink
-// the continuous-serving benchmark asserts flat memory with.
+// the continuous-serving benchmark asserts flat memory with. A job's
+// class is its name without the trailing "-<suffix>" (so
+// "terasort-00042" → "terasort"); cluster events (node up/down) land
+// in class "cluster".
 type StatsSink struct {
-	// Classify maps a job name to its class. The default strips the
-	// trailing "-<suffix>" (so "terasort-00042" → "terasort"); cluster
-	// events (node up/down) land in class "cluster".
-	Classify func(job string) string
-
 	events   int
 	classes  map[string]*ClassStats
 	order    []string
@@ -182,8 +180,8 @@ func NewStatsSink() *StatsSink {
 	}
 }
 
-// DefaultClassify strips the trailing "-<suffix>" from a job name.
-func DefaultClassify(job string) string {
+// classify strips the trailing "-<suffix>" from a job name.
+func classify(job string) string {
 	for i := len(job) - 1; i >= 0; i-- {
 		if job[i] == '-' {
 			return job[:i]
@@ -193,12 +191,7 @@ func DefaultClassify(job string) string {
 }
 
 func (s *StatsSink) class(job string) *ClassStats {
-	name := job
-	if s.Classify != nil {
-		name = s.Classify(job)
-	} else {
-		name = DefaultClassify(job)
-	}
+	name := classify(job)
 	c, ok := s.classes[name]
 	if !ok {
 		c = &ClassStats{}

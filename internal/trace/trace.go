@@ -38,7 +38,7 @@ type Event struct {
 	Job      string  `json:"job"`
 	Kind     Kind    `json:"kind"`
 	TaskType string  `json:"task_type,omitempty"`
-	TaskID   int     `json:"task_id,omitempty"`
+	Task     int     `json:"task_id,omitempty"` // task index within its type
 	Attempt  int     `json:"attempt,omitempty"`
 	Node     string  `json:"node,omitempty"`
 	Detail   string  `json:"detail,omitempty"`
@@ -96,7 +96,7 @@ func (r *Recorder) spans() []span {
 	open := map[key]Event{}
 	var out []span
 	for _, e := range r.Events() {
-		k := key{e.Job, e.TaskType, e.TaskID, e.Attempt}
+		k := key{e.Job, e.TaskType, e.Task, e.Attempt}
 		switch e.Kind {
 		case TaskStart:
 			open[k] = e

@@ -10,10 +10,10 @@ import (
 func sampleTrace() *Recorder {
 	r := &Recorder{}
 	r.Add(Event{Time: 0, Job: "j", Kind: JobSubmit})
-	r.Add(Event{Time: 1, Job: "j", Kind: TaskStart, TaskType: "map", TaskID: 0, Node: "node00"})
-	r.Add(Event{Time: 2, Job: "j", Kind: TaskStart, TaskType: "map", TaskID: 1, Node: "node01"})
-	r.Add(Event{Time: 5, Job: "j", Kind: TaskFinish, TaskType: "map", TaskID: 0, Node: "node00"})
-	r.Add(Event{Time: 7, Job: "j", Kind: TaskFinish, TaskType: "map", TaskID: 1, Node: "node01"})
+	r.Add(Event{Time: 1, Job: "j", Kind: TaskStart, TaskType: "map", Task: 0, Node: "node00"})
+	r.Add(Event{Time: 2, Job: "j", Kind: TaskStart, TaskType: "map", Task: 1, Node: "node01"})
+	r.Add(Event{Time: 5, Job: "j", Kind: TaskFinish, TaskType: "map", Task: 0, Node: "node00"})
+	r.Add(Event{Time: 7, Job: "j", Kind: TaskFinish, TaskType: "map", Task: 1, Node: "node01"})
 	r.Add(Event{Time: 8, Job: "j", Kind: JobFinish})
 	return r
 }
@@ -73,8 +73,8 @@ func TestGanttShowsBusyNodes(t *testing.T) {
 
 func TestGanttHandlesOOM(t *testing.T) {
 	r := &Recorder{}
-	r.Add(Event{Time: 0, Job: "j", Kind: TaskStart, TaskType: "map", TaskID: 0, Node: "n0"})
-	r.Add(Event{Time: 3, Job: "j", Kind: TaskOOM, TaskType: "map", TaskID: 0, Node: "n0"})
+	r.Add(Event{Time: 0, Job: "j", Kind: TaskStart, TaskType: "map", Task: 0, Node: "n0"})
+	r.Add(Event{Time: 3, Job: "j", Kind: TaskOOM, TaskType: "map", Task: 0, Node: "n0"})
 	g := r.Gantt(20)
 	if !strings.Contains(g, "n0") {
 		t.Fatalf("OOM span not rendered:\n%s", g)
@@ -91,11 +91,11 @@ func TestGanttMinWidth(t *testing.T) {
 func TestStats(t *testing.T) {
 	r := &Recorder{}
 	r.Add(Event{Time: 0, Job: "j", Kind: JobSubmit})
-	r.Add(Event{Time: 1, Job: "j", Kind: TaskStart, TaskType: "map", TaskID: 0, Node: "n0"})
-	r.Add(Event{Time: 5, Job: "j", Kind: TaskFinish, TaskType: "map", TaskID: 0, Node: "n0"})
-	r.Add(Event{Time: 3, Job: "j", Kind: TaskStart, TaskType: "reduce", TaskID: 0, Node: "n1"})
-	r.Add(Event{Time: 9, Job: "j", Kind: TaskFinish, TaskType: "reduce", TaskID: 0, Node: "n1"})
-	r.Add(Event{Time: 4, Job: "j", Kind: TaskOOM, TaskType: "map", TaskID: 1})
+	r.Add(Event{Time: 1, Job: "j", Kind: TaskStart, TaskType: "map", Task: 0, Node: "n0"})
+	r.Add(Event{Time: 5, Job: "j", Kind: TaskFinish, TaskType: "map", Task: 0, Node: "n0"})
+	r.Add(Event{Time: 3, Job: "j", Kind: TaskStart, TaskType: "reduce", Task: 0, Node: "n1"})
+	r.Add(Event{Time: 9, Job: "j", Kind: TaskFinish, TaskType: "reduce", Task: 0, Node: "n1"})
+	r.Add(Event{Time: 4, Job: "j", Kind: TaskOOM, TaskType: "map", Task: 1})
 	r.Add(Event{Time: 9, Job: "j", Kind: JobFinish})
 
 	stats := r.Stats()

@@ -238,6 +238,34 @@ func TestApplyPointQuantized(t *testing.T) {
 	}
 }
 
+// The aggressive tuner renders each task's point with ApplyPoint: a
+// point that changes nothing hands back the base itself without
+// allocating, and one that changes several values costs one copy.
+func TestApplyPointNoOpIsAllocationFree(t *testing.T) {
+	base := mrconf.Default().With(mrconf.IOSortMB, 400)
+	dims := []mrconf.Param{mrconf.MustLookup(mrconf.IOSortMB)}
+	point := []float64{400}
+	var cfg mrconf.Config
+	if a := testing.AllocsPerRun(100, func() {
+		cfg = ApplyPoint(base, dims, point)
+	}); a != 0 {
+		t.Errorf("ApplyPoint allocates %v per run, want 0", a)
+	}
+	if !cfg.Same(base) {
+		t.Fatal("a no-op point did not return the base config")
+	}
+	dims = append(dims, mrconf.MustLookup(mrconf.ReduceMemoryMB), mrconf.MustLookup(mrconf.SortSpillPercent))
+	point = []float64{500, 3072, 0.9}
+	if a := testing.AllocsPerRun(100, func() {
+		cfg = ApplyPoint(base, dims, point)
+	}); a > 1 {
+		t.Errorf("ApplyPoint with three changed values allocates %v per run, want at most 1", a)
+	}
+	if cfg.SortMB() != 500 || cfg.ReduceMemMB() != 3072 || cfg.SpillPct() != 0.9 {
+		t.Fatalf("ApplyPoint = %v, want the three values applied", cfg)
+	}
+}
+
 // Property: for any cost surface drawn from random quadratics the
 // search returns a point no worse than the first wave's best.
 func TestSearchMonotoneProperty(t *testing.T) {

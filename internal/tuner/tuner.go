@@ -215,13 +215,16 @@ func New(name string, o Options) (Optimizer, error) {
 }
 
 // ApplyPoint returns cfg with each searched parameter set to the
-// point's coordinate, quantized to the parameter's grid, in dimension
-// order.
+// point's coordinate, quantized to the parameter's grid. It makes at
+// most one copy of the configuration, and none when no value changes.
 func ApplyPoint(cfg mrconf.Config, params []mrconf.Param, point []float64) mrconf.Config {
+	var set [mrconf.NumParams]bool
+	var vals [mrconf.NumParams]float64
 	for i, p := range params {
-		cfg = cfg.With(p.Name, p.Quantize(point[i]))
+		id, _ := mrconf.ID(p.Name)
+		set[id], vals[id] = true, p.Quantize(point[i])
 	}
-	return cfg
+	return cfg.WithIDs(&set, &vals)
 }
 
 // evaluation pairs a sampled point with its measured cost.
