@@ -23,7 +23,7 @@ func TestFinishedFlowDropsCallbacks(t *testing.T) {
 		{"canceled", func(_ *Fabric, f *Flow) { f.Cancel() }},
 		{"aborted", func(fb *Fabric, f *Flow) { fb.Abort(f) }},
 		// Parked in the free list every fabric of the cluster shares.
-		{"recycled", func(fb *Fabric, f *Flow) { fb.eng.Run(); f.Recycle() }},
+		{"recycled", func(fb *Fabric, f *Flow) { fb.ws.eng.Run(); f.Recycle() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

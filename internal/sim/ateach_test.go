@@ -76,7 +76,7 @@ func engineSeriesOps(eng *Engine) seriesOps {
 		queueOps: queueOps{
 			now:        eng.Now,
 			at:         func(at float64, fn func()) any { return eng.At(at, fn) },
-			reschedule: func(h any, at float64) any { return eng.Reschedule(h.(*Event), at) },
+			reschedule: func(h any, at float64) any { return engineRekey(eng, h, at) },
 			cancel:     func(h any) { eng.Cancel(h.(*Event)) },
 		},
 		atEach:    eng.AtEach,
@@ -86,7 +86,7 @@ func engineSeriesOps(eng *Engine) seriesOps {
 	}
 }
 
-// runSeriesOps drives random At, Reschedule and Cancel calls around
+// runSeriesOps drives random At, Rekey and Cancel calls around
 // AtEach series, with RunUntil cut points between rounds and Stop
 // calls from inside callbacks. Times are multiples of 0.5 s and many
 // events are placed exactly at a series time, scheduled before the
@@ -256,7 +256,7 @@ func compareSeriesRuns(t *testing.T, label string, newPick func() func(n int) in
 
 // TestAtEachMatchesLegacy: a series registered with AtEach fires in
 // exactly the order, and with the same Processed counts, as one At per
-// time on the frozen legacy engine, under random At, Reschedule and
+// time on the frozen legacy engine, under random At, Rekey and
 // Cancel calls, RunUntil cut points, Stop calls and nested series.
 func TestAtEachMatchesLegacy(t *testing.T) {
 	var total seriesStats

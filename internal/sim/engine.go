@@ -11,33 +11,52 @@ import (
 	"math"
 )
 
+// Key is a place in the engine's firing order: a time, then a
+// sequence number that breaks ties in scheduling order. Stamp issues
+// keys, each with a fresh sequence number; the zero Key, which Stamp
+// never returns, stands for no key.
+type Key struct {
+	at  float64
+	seq uint64
+}
+
+// Before reports whether k fires ahead of o. The zero Key orders after
+// every stamped key, so the least of a set of keys, some of them zero,
+// is the earliest stamped one.
+func (k Key) Before(o Key) bool {
+	if k.seq == 0 || o.seq == 0 {
+		return o.seq == 0 && k.seq != 0
+	}
+	return k.at < o.at || (k.at == o.at && k.seq < o.seq)
+}
+
 // Event is a scheduled callback. It can be canceled before it fires.
 //
 // Ownership: once an event has fired, the engine may recycle the Event
-// value for a later At/After call (the free list keeps the hot
+// value for a later At/After/AtKey call (the free list keeps the hot
 // schedule→fire path allocation-free). Callers must therefore drop
 // their reference to an event after it fires and must not Cancel it; a
 // canceled-but-never-fired event is never recycled, so canceling it
 // again remains a safe no-op.
 type Event struct {
-	at       float64
-	seq      uint64
+	key      Key
 	fn       func()
 	index    int // position in the engine's heap, -1 when not queued
 	canceled bool
 }
 
 // eventHeap is the engine's binary min-heap of queued events ordered by
-// (at, seq). seq is unique, so the order is total and the pop sequence
-// is the same as any other correct heap's. The methods are concrete
-// (not container/heap's interface calls) because every scheduling call
-// and every fired event goes through them; each keeps Event.index in
-// step with the event's position.
+// key. Sequence numbers are unique, so the order is total and the pop
+// sequence is the same as any other correct heap's. The methods are
+// concrete (not container/heap's interface calls) because every
+// scheduling call and every fired event goes through them; each keeps
+// Event.index in step with the event's position.
 type eventHeap []*Event
 
-// before reports whether a is ordered ahead of b.
+// before reports whether a is ordered ahead of b. Queued keys are never
+// zero, so this is Key.Before without its zero-key test.
 func before(a, b *Event) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+	return a.key.at < b.key.at || (a.key.at == b.key.at && a.key.seq < b.key.seq)
 }
 
 func (h *eventHeap) push(ev *Event) {
@@ -119,11 +138,13 @@ func (h eventHeap) down(i0 int) bool {
 }
 
 // Engine is a deterministic discrete-event simulator: one event heap
-// ordered by (time, seq) and one free list of fired events. It is not
+// ordered by key and one free list of fired events. It is not
 // safe for concurrent use; all model code runs inside event callbacks
-// on the goroutine that calls Run, strictly in (time, seq) order.
+// on the goroutine that calls Run, strictly in key order.
 type Engine struct {
-	now     float64
+	now float64
+	// seq is the last sequence number issued; the first is 1, so no
+	// stamped Key is zero.
 	seq     uint64
 	stopped bool
 	// processed counts events that have fired, useful for tests and
@@ -150,37 +171,76 @@ func (e *Engine) Now() float64 { return e.now }
 // Processed returns the number of events that have fired so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// nextSeq consumes one scheduling sequence number.
-func (e *Engine) nextSeq() uint64 {
-	seq := e.seq
-	e.seq++
-	return seq
-}
-
-// At schedules fn at absolute time t. Scheduling in the past panics,
-// since it indicates a broken model rather than a recoverable
-// condition.
-func (e *Engine) At(t float64, fn func()) *Event {
+// Stamp validates t as a time to schedule at and consumes one sequence
+// number, returning the key At(t, fn) would queue fn under. Stamping in
+// the past panics, since it indicates a broken model rather than a
+// recoverable condition. AtKey and Rekey queue an event under a stamped
+// key without consuming another, so a caller can fix an event's place
+// in the order when its time is known and queue it later, or never. An
+// event queued under a key fires exactly where an At call made at the
+// key's stamping would have put it among all other events.
+func (e *Engine) Stamp(t float64) Key {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %.9f before now %.9f", t, e.now))
 	}
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		panic(fmt.Sprintf("sim: scheduling event at non-finite time %v", t))
 	}
-	return e.push(t, e.nextSeq(), fn)
+	e.seq++
+	return Key{at: t, seq: e.seq}
 }
 
-// push queues fn under the key (t, seq), reusing a fired event when
-// the free list has one.
-func (e *Engine) push(t float64, seq uint64, fn func()) *Event {
+// At schedules fn at absolute time t. It is AtKey(Stamp(t), fn), so a
+// past or non-finite t panics.
+func (e *Engine) At(t float64, fn func()) *Event {
+	return e.push(e.Stamp(t), fn)
+}
+
+// AtKey schedules fn under k, a key Stamp returned. It consumes no
+// sequence number. The caller owns k's uniqueness: queuing two events
+// under one key leaves their order to the heap. A zero key, or one
+// whose time is already past, panics.
+func (e *Engine) AtKey(k Key, fn func()) *Event {
+	e.checkKey(k)
+	return e.push(k, fn)
+}
+
+// Rekey moves a still-queued event to k, a key Stamp returned, and
+// makes fn its callback. It consumes no sequence number: Rekey(ev,
+// Stamp(t), fn) is Cancel(ev) followed by At(t, fn), but reuses the
+// Event instead of abandoning it (canceled events are never recycled;
+// see Cancel). Rekeying a fired or canceled event panics, and so does a
+// key AtKey would refuse.
+func (e *Engine) Rekey(ev *Event, k Key, fn func()) {
+	if ev == nil || ev.canceled || ev.index < 0 {
+		panic("sim: Rekey of a fired or canceled event")
+	}
+	e.checkKey(k)
+	ev.key, ev.fn = k, fn
+	e.pq.fix(ev.index)
+}
+
+// checkKey panics unless k is a stamped key whose time is not past.
+func (e *Engine) checkKey(k Key) {
+	if k.seq == 0 {
+		panic("sim: queuing an event under the zero key")
+	}
+	if k.at < e.now {
+		panic(fmt.Sprintf("sim: queuing event at %.9f before now %.9f", k.at, e.now))
+	}
+}
+
+// push queues fn under k, reusing a fired event when the free list has
+// one.
+func (e *Engine) push(k Key, fn func()) *Event {
 	var ev *Event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		ev.at, ev.seq, ev.fn, ev.canceled = t, seq, fn, false
+		ev.key, ev.fn, ev.canceled = k, fn, false
 	} else {
-		ev = &Event{at: t, seq: seq, fn: fn}
+		ev = &Event{key: k, fn: fn}
 	}
 	e.pq.push(ev)
 	return ev
@@ -211,10 +271,10 @@ func (e *Engine) AtEach(times []float64, fn func(i int)) {
 	if len(times) == 0 {
 		return
 	}
-	s := &series{eng: e, times: times, seq0: e.seq, fn: fn}
+	s := &series{eng: e, times: times, seq0: e.seq + 1, fn: fn}
 	e.seq += uint64(len(times))
 	s.step = s.fire
-	e.push(times[0], s.seq0, s.step)
+	e.push(Key{at: times[0], seq: s.seq0}, s.step)
 }
 
 // series is one AtEach registration: fn(next) fires at times[next]
@@ -233,36 +293,13 @@ func (s *series) fire() {
 	i := s.next
 	s.next++
 	if s.next < len(s.times) {
-		s.eng.push(s.times[s.next], s.seq0+uint64(s.next), s.step)
+		s.eng.push(Key{at: s.times[s.next], seq: s.seq0 + uint64(s.next)}, s.step)
 	}
 	s.fn(i)
 }
 
 // After schedules fn d seconds from now. Negative d panics.
 func (e *Engine) After(d float64, fn func()) *Event { return e.At(e.now+d, fn) }
-
-// Reschedule moves a still-queued event to absolute time t, keeping
-// its callback. It is exactly equivalent to Cancel(ev) followed by
-// At(t, fn) with the event's own fn — including consuming one sequence
-// number, so same-instant ordering against other events is unchanged —
-// but reuses the Event instead of abandoning it (canceled events are
-// never recycled; see Cancel). The event must still be queued:
-// rescheduling a fired or canceled event panics.
-func (e *Engine) Reschedule(ev *Event, t float64) *Event {
-	if ev == nil || ev.canceled || ev.index < 0 {
-		panic("sim: Reschedule of a fired or canceled event")
-	}
-	if t < e.now {
-		panic(fmt.Sprintf("sim: rescheduling event at %.9f before now %.9f", t, e.now))
-	}
-	if math.IsNaN(t) || math.IsInf(t, 0) {
-		panic(fmt.Sprintf("sim: rescheduling event at non-finite time %v", t))
-	}
-	ev.at = t
-	ev.seq = e.nextSeq()
-	e.pq.fix(ev.index)
-	return ev
-}
 
 // Cancel removes ev from the queue. Canceling an already-fired or
 // already-canceled event is a no-op.
@@ -305,11 +342,11 @@ func (e *Engine) RunUntil(t float64) {
 	e.stopped = false
 	for len(e.pq) > 0 && !e.stopped {
 		ev := e.pq[0]
-		if ev.at > t {
+		if ev.key.at > t {
 			break
 		}
 		e.pq.pop()
-		e.now = ev.at
+		e.now = ev.key.at
 		e.processed++
 		if e.MaxEvents > 0 && e.processed > e.MaxEvents {
 			panic(fmt.Sprintf("sim: exceeded MaxEvents=%d (runaway model?)", e.MaxEvents))

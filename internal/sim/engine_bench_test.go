@@ -25,7 +25,7 @@ func BenchmarkEngineSchedule(b *testing.B) {
 
 // BenchmarkEngineScheduleFan measures a fan of events per step: each
 // firing schedules several short-lived events and cancels one, the
-// cancel/reschedule pattern of a fabric recomputation.
+// cancel/move pattern of a fabric recomputation.
 func BenchmarkEngineScheduleFan(b *testing.B) {
 	eng := NewEngine()
 	b.ReportAllocs()

@@ -320,8 +320,8 @@ func runActorWorkload(t *testing.T, seed uint64, actors int, s actorSched, run f
 // queueOps abstracts the scheduling calls of one engine for
 // runQueueOps: schedule an event, move a queued one, cancel one.
 // On the frozen legacy engine, reschedule is Cancel followed by At with
-// the event's own callback, which is what Reschedule is specified to
-// equal, sequence number included.
+// the event's own callback; on Engine it is Rekey under a fresh Stamp,
+// which is specified to equal that, sequence number included.
 type queueOps struct {
 	now        func() float64
 	at         func(t float64, fn func()) any
@@ -329,7 +329,7 @@ type queueOps struct {
 	cancel     func(h any)
 }
 
-// runQueueOps drives random interleavings of At, Reschedule and Cancel,
+// runQueueOps drives random interleavings of At, Rekey and Cancel,
 // issued up front and from inside callbacks, with delays drawn from a
 // few whole seconds so that many events tie on time and fire by seq.
 // Every decision comes from one seeded stream, so two engines that fire
@@ -430,8 +430,9 @@ func TestActorWorkloadMatchesLegacy(t *testing.T) {
 }
 
 // TestRescheduleCancelInterleavingMatchesLegacy: random interleavings
-// of At, Reschedule and Cancel, issued up front and from inside
-// callbacks, fire in exactly the frozen legacy engine's order.
+// of At, Stamp+Rekey and Cancel, issued up front and from inside
+// callbacks, fire in exactly the frozen legacy engine's order, where
+// the move is Cancel followed by At.
 func TestRescheduleCancelInterleavingMatchesLegacy(t *testing.T) {
 	var moved, canceled int
 	for seed := int64(0); seed < 300; seed++ {
@@ -453,7 +454,7 @@ func TestRescheduleCancelInterleavingMatchesLegacy(t *testing.T) {
 		got, _, _ := runQueueOps(seed, queueOps{
 			now:        eng.Now,
 			at:         func(at float64, fn func()) any { return eng.At(at, fn) },
-			reschedule: func(h any, at float64) any { return eng.Reschedule(h.(*Event), at) },
+			reschedule: func(h any, at float64) any { return engineRekey(eng, h, at) },
 			cancel:     func(h any) { eng.Cancel(h.(*Event)) },
 		}, eng.Run)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -465,6 +466,104 @@ func TestRescheduleCancelInterleavingMatchesLegacy(t *testing.T) {
 	}
 	if moved == 0 || canceled == 0 {
 		t.Fatalf("workload issued %d reschedules and %d cancels; both must be exercised", moved, canceled)
+	}
+}
+
+// engineRekey moves the queued event h to time at, keeping its
+// callback: Rekey under a key stamped now.
+func engineRekey(eng *Engine, h any, at float64) any {
+	ev := h.(*Event)
+	eng.Rekey(ev, eng.Stamp(at), ev.fn)
+	return ev
+}
+
+// TestStampedKeysFireInStampOrder: events queued with AtKey, or moved
+// with Rekey, under keys stamped earlier fire where At calls made at
+// the stampings would have put them, whenever they are queued.
+func TestStampedKeysFireInStampOrder(t *testing.T) {
+	var want, got []string
+	leg := newLegacyEngine()
+	eng := NewEngine()
+	note := func(log *[]string, name string, now func() float64) func() {
+		return func() { *log = append(*log, fmt.Sprintf("%g %s", now(), name)) }
+	}
+	// The legacy engine schedules each event with At at its stamping.
+	leg.At(2, note(&want, "a", leg.Now))
+	leg.At(1, note(&want, "b", leg.Now))
+	leg.At(2, note(&want, "c", leg.Now))
+	leg.At(2, note(&want, "d", leg.Now))
+	leg.At(1, note(&want, "e", leg.Now))
+	leg.Run()
+
+	ka := eng.Stamp(2)
+	kb := eng.Stamp(1)
+	eng.At(2, note(&got, "c", eng.Now))
+	kd := eng.Stamp(2)
+	ke := eng.Stamp(1)
+	// Queue in another order than stamped; e first sits under d's key.
+	ev := eng.AtKey(kd, note(&got, "e", eng.Now))
+	eng.AtKey(kb, note(&got, "b", eng.Now))
+	eng.AtKey(ka, note(&got, "a", eng.Now))
+	eng.Rekey(ev, ke, note(&got, "e", eng.Now))
+	eng.AtKey(kd, note(&got, "d", eng.Now))
+	eng.Run()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("firing order %v, want (legacy At at each stamping) %v", got, want)
+	}
+}
+
+// TestKeyMisusePanics: a key that is zero or already past, a Rekey of
+// an event that is not queued, and a stamp at a bad time all panic.
+func TestKeyMisusePanics(t *testing.T) {
+	e := NewEngine()
+	early := e.Stamp(1)
+	fired := e.At(1, func() {})
+	queued := e.At(4, func() {})
+	canceled := e.At(5, func() {})
+	e.Cancel(canceled)
+	e.RunUntil(2)
+	late := e.Stamp(3)
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"AtKey zero key", func() { e.AtKey(Key{}, func() {}) }},
+		{"AtKey past key", func() { e.AtKey(early, func() {}) }},
+		{"Rekey to zero key", func() { e.Rekey(queued, Key{}, func() {}) }},
+		{"Rekey to past key", func() { e.Rekey(queued, early, func() {}) }},
+		{"Rekey fired event", func() { e.Rekey(fired, late, func() {}) }},
+		{"Rekey canceled event", func() { e.Rekey(canceled, late, func() {}) }},
+		{"Stamp past time", func() { e.Stamp(1.5) }},
+		{"Stamp NaN", func() { e.Stamp(math.NaN()) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", c.name)
+				}
+			}()
+			c.fn()
+		}()
+	}
+}
+
+// TestKeyBefore: stamped keys order by time, then by stamping; the
+// zero key orders after every stamped one.
+func TestKeyBefore(t *testing.T) {
+	e := NewEngine()
+	k2 := e.Stamp(2)
+	k1 := e.Stamp(1)
+	k2b := e.Stamp(2)
+	for _, c := range []struct {
+		a, b Key
+		want bool
+	}{
+		{k1, k2, true}, {k2, k1, false}, {k2, k2b, true}, {k2b, k2, false},
+		{k2, k2, false}, {k1, Key{}, true}, {Key{}, k1, false}, {Key{}, Key{}, false},
+	} {
+		if got := c.a.Before(c.b); got != c.want {
+			t.Errorf("%+v.Before(%+v) = %v, want %v", c.a, c.b, got, c.want)
+		}
 	}
 }
 

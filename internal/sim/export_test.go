@@ -3,7 +3,7 @@ package sim
 // Engine, event and seed views that only tests use.
 
 // At reports the simulation time this event is scheduled for.
-func (e *Event) At() float64 { return e.at }
+func (e *Event) At() float64 { return e.key.at }
 
 // Canceled reports whether Cancel was called on the event.
 func (e *Event) Canceled() bool { return e.canceled }

@@ -2,7 +2,7 @@ package sim
 
 // Frozen copy of an early event engine (single global heap built on
 // container/heap), kept as the golden reference for Engine: the
-// concrete heap, the free list and Reschedule must fire the same
+// concrete heap, the free list and stamped keys must fire the same
 // schedule in exactly the same order. The copy is deliberately
 // verbatim-in-behavior — do not "improve" it; its only job is to stay
 // what the engine was. (Same precedent as the frozen quadratic fabric in
