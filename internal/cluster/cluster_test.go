@@ -35,8 +35,7 @@ func TestPaperConfigShape(t *testing.T) {
 }
 
 func TestMemPoolAllocateRelease(t *testing.T) {
-	eng := sim.NewEngine()
-	p := NewMemPool(eng, "m", 1000)
+	p := NewMemPool("m", 1000)
 	if err := p.Allocate(600); err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +55,7 @@ func TestMemPoolAllocateRelease(t *testing.T) {
 }
 
 func TestMemPoolDoubleReleasePanics(t *testing.T) {
-	eng := sim.NewEngine()
-	p := NewMemPool(eng, "m", 1000)
+	p := NewMemPool("m", 1000)
 	if err := p.Allocate(100); err != nil {
 		t.Fatal(err)
 	}
@@ -70,15 +68,24 @@ func TestMemPoolDoubleReleasePanics(t *testing.T) {
 	p.Release(100)
 }
 
+// TestMemPoolUtilization checks that the pool's level is what its
+// allocations hold right now, and that a release overshooting by a
+// rounding error leaves it at zero, not below.
 func TestMemPoolUtilization(t *testing.T) {
-	eng := sim.NewEngine()
-	p := NewMemPool(eng, "m", 1000)
+	p := NewMemPool("m", 1000)
 	if err := p.Allocate(500); err != nil {
 		t.Fatal(err)
 	}
-	eng.RunUntil(10)
-	if u := p.Utilization(10); !almostEqual(u, 0.5, 1e-9) {
-		t.Fatalf("utilization = %v, want 0.5", u)
+	if err := p.Allocate(0.1); err != nil {
+		t.Fatal(err)
+	}
+	p.Release(200)
+	if u := p.Used() / p.Capacity; !almostEqual(u, 0.3001, 1e-12) {
+		t.Fatalf("utilization = %v, want 0.3001", u)
+	}
+	p.Release(300.1 + 1e-7)
+	if p.Used() != 0 || p.Free() != p.Capacity {
+		t.Fatalf("after releasing everything: used %v, free %v", p.Used(), p.Free())
 	}
 }
 
@@ -198,19 +205,46 @@ func TestDiskReadWriteShareChannel(t *testing.T) {
 	}
 }
 
+// TestNodeUtilizationAccounting churns a node's CPU and disk and checks
+// after every change that each one-link fabric lists its flows in the
+// link's membership order, so CPULoad and DiskLoad sum the rates in
+// fabric order, and that a drained node reads zero load.
 func TestNodeUtilizationAccounting(t *testing.T) {
 	eng, c := newTestCluster(t)
 	n := c.Nodes[0]
-	n.Compute(8, 8, nil) // full node for 1s
-	eng.Run()
-	eng.RunUntil(4)
-	if u := n.CPUUtilization(4); !almostEqual(u, 0.25, 1e-6) {
-		t.Fatalf("cpu utilization = %v, want 0.25", u)
+	check := func(when string) {
+		t.Helper()
+		for _, fb := range []*Fabric{&n.cpu, &n.disk} {
+			l := fb.links[0]
+			if len(l.flows) != len(fb.flows) {
+				t.Fatalf("%s: %s link holds %d flows, fabric %d", when, fb.Name(), len(l.flows), len(fb.flows))
+			}
+			sum := 0.0
+			for i, f := range fb.flows {
+				if l.flows[i] != f {
+					t.Fatalf("%s: %s flow %d is not the link's flow %d", when, fb.Name(), i, i)
+				}
+				sum += f.rate
+			}
+			if got := l.CurrentRate(); got != sum {
+				t.Fatalf("%s: %s rate %v, want %v", when, fb.Name(), got, sum)
+			}
+		}
 	}
-	n.DiskWrite(90, nil)
+	var flows []*Flow
+	for i := 0; i < 12; i++ {
+		flows = append(flows,
+			n.Compute(float64(1+i%5), float64(1+i%3), func() { check("cpu completion") }),
+			n.DiskWrite(float64(10+7*i), func() { check("disk completion") }))
+		check("start")
+	}
+	for _, i := range []int{3, 0, 22, 9} {
+		n.CancelFlow(flows[i])
+		check("cancel")
+	}
 	eng.Run()
-	if u := n.DiskUtilization(5); u <= 0.15 || u >= 0.25 {
-		t.Fatalf("disk utilization = %v, want ~0.2", u)
+	if n.CPULoad() != 0 || n.DiskLoad() != 0 {
+		t.Fatalf("drained node reads cpu %v, disk %v", n.CPULoad(), n.DiskLoad())
 	}
 }
 
@@ -381,12 +415,12 @@ func TestTopologyNames(t *testing.T) {
 		eng := sim.NewEngine()
 		fb := NewFabric(eng, "bus")
 		l := fb.AddLink("lane", 10)
-		p := NewMemPool(eng, "heap", 10)
+		p := NewMemPool("heap", 10)
 		if fb.Name() != "bus" || l.Name() != "lane" || p.Name() != "heap" {
 			t.Errorf("names %q %q %q, want bus lane heap", fb.Name(), l.Name(), p.Name())
 		}
 		panicsWith(t, `cluster: link "" does not belong to fabric "bus"`, func() { fb.Start([]*Link{{Capacity: 1}}, 1, 0, nil) })
 		panicsWith(t, `cluster: link "gone" must have positive capacity`, func() { fb.AddLink("gone", 0) })
-		panicsWith(t, `cluster: mem pool "dry" must have positive capacity`, func() { NewMemPool(eng, "dry", 0) })
+		panicsWith(t, `cluster: mem pool "dry" must have positive capacity`, func() { NewMemPool("dry", 0) })
 	})
 }

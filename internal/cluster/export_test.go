@@ -32,18 +32,12 @@ func (fb *Fabric) AddLink(name string, capacity float64) *Link {
 // ActiveFlows returns the number of in-flight flows in the fabric.
 func (fb *Fabric) ActiveFlows() int { return len(fb.flows) }
 
-// NewMemPool returns a pool of capacity MB whose utilization meter
-// reads eng's clock.
-func NewMemPool(eng *sim.Engine, name string, capacity float64) *MemPool {
-	p := &MemPool{ws: &workspace{eng: eng}}
+// NewMemPool returns a pool of capacity MB.
+func NewMemPool(name string, capacity float64) *MemPool {
+	p := &MemPool{ws: &workspace{}}
 	p.ws.nameAs(p, name)
 	p.init(capacity)
 	return p
-}
-
-// Utilization returns the time-average fraction of capacity allocated.
-func (p *MemPool) Utilization(now float64) float64 {
-	return p.meter.Average(now) / p.Capacity
 }
 
 // CancelFlow aborts a flow previously started on this node's CPU or
@@ -55,19 +49,10 @@ func (n *Node) CancelFlow(f *Flow) {
 	f.fabric.Cancel(f)
 }
 
-// CPUUtilization returns the time-average fraction of physical cores
-// busy through now.
-func (n *Node) CPUUtilization(now float64) float64 { return n.cpuLink.Utilization(now) }
-
-// DiskUtilization returns the time-average fraction of disk bandwidth
-// busy through now.
-func (n *Node) DiskUtilization(now float64) float64 { return n.diskLink.Utilization(now) }
-
 // SameRack reports whether two nodes share a rack.
 func (c *Cluster) SameRack(a, b *Node) bool { return a.Rack == b.Rack }
 
-// NetworkFabric exposes the shared network fabric (for tests and for
-// monitor components that sample link utilization). In RackLocalNet
+// NetworkFabric exposes the shared network fabric. In RackLocalNet
 // mode it is empty — flows live on the per-rack fabrics.
 func (c *Cluster) NetworkFabric() *Fabric { return c.net }
 
@@ -81,13 +66,4 @@ func (c *Cluster) TotalVCores() int {
 		total += n.VCores
 	}
 	return total
-}
-
-// Utilization returns the time-average fraction of capacity in use
-// through time now.
-func (l *Link) Utilization(now float64) float64 {
-	if l.Capacity <= 0 {
-		return 0
-	}
-	return l.used.Average(now) / l.Capacity
 }

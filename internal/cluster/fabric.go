@@ -31,7 +31,6 @@ import (
 	"math"
 	"math/bits"
 
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -40,8 +39,6 @@ import (
 type Link struct {
 	Capacity float64 // units per second
 
-	used metrics.Meter // current aggregate rate of flows on this link
-
 	// flows is the membership list of active flows crossing this link,
 	// maintained by Fabric.Start and Fabric.remove. Order is insertion
 	// order perturbed by swap-removal — deterministic, but arbitrary.
@@ -49,8 +46,7 @@ type Link struct {
 
 	fabric *Fabric // the fabric the link was registered with
 
-	// scratch state for the progressive-filling computation; remaining
-	// doubles as the per-link rate accumulator for the meter update.
+	// scratch state for the progressive-filling computation
 	remaining float64
 	count     int32  // unfrozen flows crossing the link
 	id        int32  // position in the owning fabric's links
@@ -67,8 +63,15 @@ func (l *Link) Name() string {
 	return l.fabric.ws.name(l)
 }
 
-// CurrentRate returns the aggregate rate currently flowing on the link.
-func (l *Link) CurrentRate() float64 { return l.used.Level() }
+// CurrentRate returns the aggregate rate currently flowing on the link,
+// summed over its flows.
+func (l *Link) CurrentRate() float64 {
+	sum := 0.0
+	for _, f := range l.flows {
+		sum += f.rate
+	}
+	return sum
+}
 
 // inlineLinks is how many per-link membership positions a Flow stores
 // without a separate allocation; transfers cross at most four links
@@ -245,7 +248,6 @@ func (fb *Fabric) addLink(l *Link, capacity float64) *Link {
 	}
 	l.Capacity = capacity
 	l.id = int32(len(fb.links))
-	l.used.Set(fb.ws.eng.Now(), 0) // anchor utilization accounting at creation
 	fb.links = append(fb.links, l) //mrlint:ignore retained-append one entry per topology link, built once at construction
 	return l
 }
@@ -465,8 +467,7 @@ func (fb *Fabric) complete(f *Flow) {
 	f.done, f.onAbort = nil, nil
 	fb.remove(f)
 	// Recompute before the callback so that work started inside the
-	// callback sees up-to-date rates (it will trigger its own
-	// recompute anyway, but intermediate meter accounting stays exact).
+	// callback, and any load it reads, sees up-to-date rates.
 	fb.recompute(f.links, nil)
 	f.key = sim.Key{}
 	if done != nil {
@@ -484,11 +485,10 @@ func (fb *Fabric) complete(f *Flow) {
 //
 // Only the connected component of links and flows reachable from the
 // seeds is touched: their work is advanced to now at the old rates,
-// rates are recomputed with progressive filling (see fill), link
-// meters are re-aggregated from the membership lists, and completion
-// keys are stamped — but only for flows whose rate actually changed
-// (exact float comparison: an epsilon window would make the outcome
-// depend on accumulated drift and break reproducibility). Flows
+// rates are recomputed with progressive filling (see fill), and
+// completion keys are stamped — but only for flows whose rate actually
+// changed (exact float comparison: an epsilon window would make the
+// outcome depend on accumulated drift and break reproducibility). Flows
 // outside the component share no link with any flow inside it,
 // transitively, so their fair-share rates — and therefore their
 // completion keys — are provably unaffected. Last, the timer moves to
@@ -543,9 +543,6 @@ func (fb *Fabric) recompute(seeds []*Link, seedFlow *Flow) {
 	if len(flows) == 0 {
 		// The changed flow was the last one on its links. If it held
 		// the timer, the earliest flow is elsewhere.
-		for _, li := range links {
-			fb.links[li].used.Set(now, 0)
-		}
 		if removed {
 			fb.arm(fb.earliest())
 		}
@@ -570,26 +567,11 @@ func (fb *Fabric) recompute(seeds []*Link, seedFlow *Flow) {
 
 	fb.fill(flows, links)
 
-	// Update link meters by per-link aggregation over the component
-	// (every flow on a dirty link is itself dirty, by closure), and
-	// stamp completion keys for flows whose rate changed. Iterate in
-	// fabric insertion-array order so that meter summation order and
-	// key stamping order match a whole-fabric recomputation; a flow's
-	// position is its index, so that order is an index sort.
+	// Stamp completion keys for flows whose rate changed. Iterate in
+	// fabric insertion-array order so that key stamping order matches
+	// a whole-fabric recomputation; a flow's position is its index, so
+	// that order is an index sort.
 	fb.sortIndices(flows)
-	for _, li := range links {
-		fb.links[li].remaining = 0
-	}
-	for _, fi := range flows {
-		f := fb.flows[fi]
-		for _, l := range f.links {
-			l.remaining += f.rate
-		}
-	}
-	for _, li := range links {
-		l := fb.links[li]
-		l.used.Set(now, l.remaining)
-	}
 	// Move the timer to the fabric's new earliest key. old is cur's key
 	// before the change; rescan records that cur is gone or in the
 	// component, whose keys may have moved.

@@ -3,8 +3,10 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -340,15 +342,25 @@ func TestClusterFabricsShareScratch(t *testing.T) {
 	}
 }
 
+// TestLinkUtilization reads each link's rate while flows that cross
+// different links share it, and after they finish.
 func TestLinkUtilization(t *testing.T) {
 	eng := sim.NewEngine()
 	fb := NewFabric(eng, "test")
 	l := fb.AddLink("l", 100)
-	fb.Start([]*Link{l}, 100, 0, nil) // busy 0..1
+	m := fb.AddLink("m", 30)
+	fb.Start([]*Link{l, m}, 60, 0, nil) // held to 30 by m: done at 2
+	fb.Start([]*Link{l}, 240, 0, nil)   // 70, then 100 from 2: done at 3
+	if !almostEqual(l.CurrentRate(), 100, 1e-9) || !almostEqual(m.CurrentRate(), 30, 1e-9) {
+		t.Fatalf("rates at 0 = %v, %v, want 100, 30", l.CurrentRate(), m.CurrentRate())
+	}
+	eng.RunUntil(2.5)
+	if !almostEqual(l.CurrentRate(), 100, 1e-9) || m.CurrentRate() != 0 {
+		t.Fatalf("rates at 2.5 = %v, %v, want 100, 0", l.CurrentRate(), m.CurrentRate())
+	}
 	eng.Run()
-	eng.RunUntil(2) // idle 1..2
-	if u := l.Utilization(2); !almostEqual(u, 0.5, 1e-9) {
-		t.Fatalf("utilization = %v, want 0.5", u)
+	if l.CurrentRate() != 0 || eng.Now() != 3 {
+		t.Fatalf("at %v the drained link reads %v, want 0 at 3", eng.Now(), l.CurrentRate())
 	}
 }
 
@@ -469,7 +481,7 @@ func TestCapBoundsProperty(t *testing.T) {
 // Property: under random churn (flows starting at random times, some
 // canceled mid-flight), the fabric stays consistent — every
 // non-canceled flow completes, no flow finishes faster than the link
-// capacity allows, and link meters never exceed capacity.
+// capacity allows, and no link ever carries more than its capacity.
 func TestFabricChurnProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -477,6 +489,17 @@ func TestFabricChurnProperty(t *testing.T) {
 		eng.MaxEvents = 1_000_000
 		fb := NewFabric(eng, "churn")
 		links := []*Link{fb.AddLink("a", 50), fb.AddLink("b", 80), fb.AddLink("c", 20)}
+		// Every Start, completion and Cancel recomputes, and each is
+		// followed by a check that no link carries more than its
+		// capacity.
+		over := false
+		checkCapacity := func() {
+			for _, l := range links {
+				if l.CurrentRate() > l.Capacity+1e-6 {
+					over = true
+				}
+			}
+		}
 
 		type rec struct {
 			work     float64
@@ -501,7 +524,11 @@ func TestFabricChurnProperty(t *testing.T) {
 			r := &rec{work: work, started: start, done: -1}
 			recs = append(recs, r)
 			eng.At(start, func() {
-				r.flow = fb.Start(ls, work, 0, func() { r.done = eng.Now() })
+				r.flow = fb.Start(ls, work, 0, func() {
+					r.done = eng.Now()
+					checkCapacity()
+				})
+				checkCapacity()
 			})
 			if rng.Intn(4) == 0 {
 				// Cancel at a random later time.
@@ -509,6 +536,7 @@ func TestFabricChurnProperty(t *testing.T) {
 				eng.At(start+rng.Float64()*3, func() {
 					if r.flow != nil {
 						fb.Cancel(r.flow)
+						checkCapacity()
 					}
 				})
 			}
@@ -526,13 +554,7 @@ func TestFabricChurnProperty(t *testing.T) {
 				return false
 			}
 		}
-		// Capacity was never exceeded on any link.
-		for _, l := range links {
-			if l.used.Peak() > l.Capacity+1e-6 {
-				return false
-			}
-		}
-		return fb.ActiveFlows() == 0
+		return !over && fb.ActiveFlows() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -665,5 +687,29 @@ func TestUntouchedComponentKeepsExactSchedule(t *testing.T) {
 	eng.Run()
 	if quietDone != 400.0/80 {
 		t.Fatalf("quiet flow completed at %v, want exactly %v", quietDone, 400.0/80)
+	}
+}
+
+// TestHotStructSizes bounds the structs the serving day keeps tens of
+// thousands of (two fabrics and four links per node) or churns through
+// on every task phase (flows). A field added to one of them is paid in
+// resident memory on every node, so growing past a bound needs a
+// reason, and the bound is changed in the same change.
+func TestHotStructSizes(t *testing.T) {
+	if strconv.IntSize == 32 {
+		t.Skip("sizes are bounded on 64-bit builds")
+	}
+	for _, c := range []struct {
+		name      string
+		size, max uintptr
+	}{
+		{"Fabric", unsafe.Sizeof(Fabric{}), 64},
+		{"Link", unsafe.Sizeof(Link{}), 64},
+		{"Node", unsafe.Sizeof(Node{}), 512},
+		{"Flow", unsafe.Sizeof(Flow{}), 192},
+	} {
+		if c.size > c.max {
+			t.Errorf("%s is %d bytes, want at most %d", c.name, c.size, c.max)
+		}
 	}
 }

@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-
-	"repro/internal/metrics"
-)
+import "fmt"
 
 // MemPool is a counting resource (megabytes of container memory on a
 // node). Allocation either succeeds immediately or fails; queueing is
@@ -12,8 +8,7 @@ import (
 type MemPool struct {
 	Capacity float64 // MB
 	used     float64
-	ws       *workspace // the engine whose clock the meter reads, and the pool's name
-	meter    metrics.Meter
+	ws       *workspace // names the pool for panics and errors
 }
 
 // init validates and sets the capacity of a pool whose workspace is
@@ -47,7 +42,6 @@ func (p *MemPool) Allocate(mb float64) error {
 		return fmt.Errorf("cluster: %s out of memory: want %.0f MB, free %.0f MB", p.Name(), mb, p.Free())
 	}
 	p.used += mb
-	p.meter.Set(p.ws.eng.Now(), p.used)
 	return nil
 }
 
@@ -61,5 +55,4 @@ func (p *MemPool) Release(mb float64) {
 	if p.used < 0 {
 		p.used = 0
 	}
-	p.meter.Set(p.ws.eng.Now(), p.used)
 }

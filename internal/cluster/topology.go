@@ -84,9 +84,9 @@ func HeterogeneousPaperConfig() Config {
 	return cfg
 }
 
-// Cluster owns the nodes and the shared network fabric. Every resource
-// domain (each node's CPU pool, disk and memory meter, the network)
-// schedules on the one engine Eng.
+// Cluster owns the nodes and the shared network fabric. Every fabric
+// (each node's CPU pool and disk, the network) schedules on the one
+// engine Eng.
 type Cluster struct {
 	Eng   *sim.Engine
 	Nodes []*Node // points into nodes
@@ -154,6 +154,10 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 	}
 
 	c := &Cluster{Eng: eng, Faults: &metrics.FaultCounters{}}
+	// The node array, by far the largest allocation here, comes first:
+	// allocated after the slices below, it made the day's set-up time
+	// read about 1.5 times this order's in side-by-side pairs (GC timing).
+	c.nodes = make([]Node, total)
 	// Every fabric recomputes in one scratch workspace and recycles
 	// flows through its free list; the workspace also names the
 	// topology for panics and errors.
@@ -173,7 +177,6 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 	} else {
 		c.net.links = make([]*Link, 0, 2*total+racks*uplinks)
 	}
-	c.nodes = make([]Node, total)
 	c.Nodes = make([]*Node, total)
 	// The node names slice one string: node00, node01, ...
 	var names strings.Builder

@@ -1,11 +1,6 @@
 package metrics
 
-// Views of Meter and Sample state that only tests read.
-
-// Add adjusts the level by delta at time now.
-func (m *Meter) Add(now, delta float64) {
-	m.Set(now, m.level+delta)
-}
+// Views of Sample state that only tests read.
 
 // Sum returns the total of all observations.
 func (s *Sample) Sum() float64 { return s.sum }

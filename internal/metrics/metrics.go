@@ -1,64 +1,12 @@
 // Package metrics provides the small statistics toolkit used across the
-// simulator: time-weighted utilization meters, sample aggregates, and
-// percentile helpers. MRONLINE's monitor component is built on these.
+// simulator: sample aggregates, percentile helpers and the fault
+// counter sheet.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
-
-// Meter integrates a piecewise-constant level over simulated time,
-// yielding time-weighted averages. It is used for resource utilization:
-// set the level whenever it changes, then read Average over a window.
-type Meter struct {
-	level    float64
-	lastTime float64
-	integral float64
-	started  bool
-	start    float64
-	peak     float64
-}
-
-// Set records that the level changed to v at time now. Times must be
-// nondecreasing.
-func (m *Meter) Set(now, v float64) {
-	if !m.started {
-		m.started = true
-		m.start = now
-		m.lastTime = now
-	}
-	if now < m.lastTime {
-		panic(fmt.Sprintf("metrics: Meter time went backwards: %v < %v", now, m.lastTime))
-	}
-	m.integral += m.level * (now - m.lastTime)
-	m.lastTime = now
-	m.level = v
-	if v > m.peak {
-		m.peak = v
-	}
-}
-
-// Level returns the current level.
-func (m *Meter) Level() float64 { return m.level }
-
-// Peak returns the maximum level ever set.
-//
-//mrlint:ignore test-only-export the fabric property test reads each link meter's peak to prove no link ran over capacity
-func (m *Meter) Peak() float64 { return m.peak }
-
-// Average returns the time-weighted average level from the first Set
-// through time now.
-//
-//mrlint:ignore test-only-export the link and memory-pool utilization hooks of the cluster tests read it; no report shows utilization yet
-func (m *Meter) Average(now float64) float64 {
-	if !m.started || now <= m.start {
-		return 0
-	}
-	integral := m.integral + m.level*(now-m.lastTime)
-	return integral / (now - m.start)
-}
 
 // Sample is a streaming aggregate over scalar observations.
 type Sample struct {

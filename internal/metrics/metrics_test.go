@@ -11,64 +11,6 @@ func almostEqual(a, b float64) bool {
 	return math.Abs(a-b) < 1e-9
 }
 
-func TestMeterAverage(t *testing.T) {
-	var m Meter
-	m.Set(0, 1.0)
-	m.Set(10, 0.0) // level 1 for 10s
-	m.Set(20, 0.5) // level 0 for 10s
-	// level 0.5 for 10s
-	avg := m.Average(30)
-	want := (1.0*10 + 0*10 + 0.5*10) / 30
-	if !almostEqual(avg, want) {
-		t.Fatalf("Average = %v, want %v", avg, want)
-	}
-}
-
-func TestMeterAdd(t *testing.T) {
-	var m Meter
-	m.Add(0, 2)
-	m.Add(5, 3)
-	if m.Level() != 5 {
-		t.Fatalf("Level = %v, want 5", m.Level())
-	}
-	m.Add(10, -5)
-	if m.Level() != 0 {
-		t.Fatalf("Level = %v, want 0", m.Level())
-	}
-	// integral: 2*5 + 5*5 = 35 over 10 s
-	if !almostEqual(m.Average(10), 3.5) {
-		t.Fatalf("Average = %v, want 3.5", m.Average(10))
-	}
-}
-
-func TestMeterPeak(t *testing.T) {
-	var m Meter
-	m.Set(0, 3)
-	m.Set(1, 7)
-	m.Set(2, 2)
-	if m.Peak() != 7 {
-		t.Fatalf("Peak = %v, want 7", m.Peak())
-	}
-}
-
-func TestMeterEmptyAverage(t *testing.T) {
-	var m Meter
-	if m.Average(10) != 0 {
-		t.Fatal("empty meter average should be 0")
-	}
-}
-
-func TestMeterTimeBackwardsPanics(t *testing.T) {
-	var m Meter
-	m.Set(5, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("backwards time did not panic")
-		}
-	}()
-	m.Set(4, 2)
-}
-
 func TestSampleBasics(t *testing.T) {
 	var s Sample
 	for _, v := range []float64{4, 2, 8, 6} {
@@ -139,32 +81,6 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		lo := Percentile(vals, 0)
 		hi := Percentile(vals, 100)
 		return v1 <= v2 && v1 >= lo && v2 <= hi
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: meter average is always between the min and max level set.
-func TestMeterAverageBoundsProperty(t *testing.T) {
-	f := func(levels []uint8) bool {
-		if len(levels) == 0 {
-			return true
-		}
-		var m Meter
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i, l := range levels {
-			v := float64(l)
-			m.Set(float64(i), v)
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		avg := m.Average(float64(len(levels)))
-		return avg >= lo-1e-9 && avg <= hi+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -172,7 +172,7 @@ type ResourceManager struct {
 	// that fits() is two array loads instead of a method call plus a map
 	// probe. nodeUsedMem tracks MemPool.used bit-for-bit (yarn is the
 	// pool's only writer); the pool itself still sees every
-	// Allocate/Release for its utilization meters.
+	// Allocate/Release, so it catches a double free.
 	nodeCapMem  []float64
 	nodeUsedMem []float64
 	nodeUsedVC  []int
