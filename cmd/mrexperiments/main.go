@@ -94,7 +94,7 @@ func main() {
 		}()
 	}
 
-	env := experiments.Env{Seed: *seed, Backend: *tunerName, Cells: *cells}
+	env := experiments.Env{Seed: *seed, Backend: *tunerName}
 	if *kbPath != "" {
 		kb, err := core.LoadOrNew(*kbPath)
 		if err != nil {
@@ -203,7 +203,7 @@ func main() {
 		case "amortization":
 			amortization(env)
 		case "stream":
-			stream(env)
+			stream(env, *cells)
 		case "faults":
 			faultRecovery(env)
 		case "tournament":
@@ -360,7 +360,7 @@ func amortization(env experiments.Env) {
 	}
 }
 
-func stream(env experiments.Env) {
+func stream(env experiments.Env, cells bool) {
 	header("Extension: multi-job arrival stream (9 mixed jobs, fair share)")
 	r := env.JobStream(9, 30)
 	fmt.Printf("mean completion: default %.0fs -> MRONLINE %.0fs (%.0f%%)\n",
@@ -372,7 +372,7 @@ func stream(env experiments.Env) {
 	spec := experiments.DefaultStreamSpec(env.Seed)
 	spec.HorizonSecs = 3600
 	spec.Faults = env.FaultSpec
-	if env.Cells {
+	if cells {
 		spec.Parallel = 1
 		fmt.Printf("rack-cell mode: %d cells\n", spec.Racks)
 	}

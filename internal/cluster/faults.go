@@ -14,22 +14,11 @@ package cluster
 // (down=true) or is restored (down=false). Callbacks run synchronously
 // from KillNode/RestoreNode, in registration order — construction order
 // of the subscribing layers therefore fixes the recovery ordering and
-// keeps same-seed runs reproducible.
+// keeps same-seed runs reproducible. Every listener hears every node;
+// a layer that owns one rack (a rack cell's RM or namenode) ignores the
+// other racks' nodes.
 func (c *Cluster) SubscribeNodeState(fn func(n *Node, down bool)) {
 	c.nodeListeners = append(c.nodeListeners, fn) //mrlint:ignore retained-append one subscription per layer, registered at construction
-}
-
-// SubscribeNodeStateRack registers a rack-scoped node-state listener:
-// fn sees only rack's nodes, and runs after every global listener.
-// Rack-cell layers (a scoped RM or namenode owning one rack) subscribe
-// here so a node crash only reaches the cell that owns the node. Only
-// valid in RackLocalNet mode, where the listener table is
-// per rack.
-func (c *Cluster) SubscribeNodeStateRack(rack int, fn func(n *Node, down bool)) {
-	if c.rackListeners == nil {
-		panic("cluster: SubscribeNodeStateRack needs RackLocalNet mode")
-	}
-	c.rackListeners[rack] = append(c.rackListeners[rack], fn) //mrlint:ignore retained-append one subscription per layer, registered at construction
 }
 
 // KillNode crashes a node: every in-flight flow on its CPU, disk and
@@ -64,11 +53,6 @@ func (c *Cluster) KillNode(n *Node) {
 	for _, fn := range c.nodeListeners {
 		fn(n, true)
 	}
-	if c.rackListeners != nil {
-		for _, fn := range c.rackListeners[n.Rack] {
-			fn(n, true)
-		}
-	}
 }
 
 // RestoreNode brings a crashed node back as an empty machine: no flows,
@@ -84,10 +68,5 @@ func (c *Cluster) RestoreNode(n *Node) {
 	c.Faults.NodesRestored++
 	for _, fn := range c.nodeListeners {
 		fn(n, false)
-	}
-	if c.rackListeners != nil {
-		for _, fn := range c.rackListeners[n.Rack] {
-			fn(n, false)
-		}
 	}
 }

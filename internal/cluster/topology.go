@@ -112,9 +112,6 @@ type Cluster struct {
 	// nodeListeners are notified, in registration order, when a node
 	// goes down or comes back up (see SubscribeNodeState).
 	nodeListeners []func(n *Node, down bool)
-	// rackListeners are the rack-scoped equivalent (see
-	// SubscribeNodeStateRack); entry r only ever sees rack r's nodes.
-	rackListeners [][]func(n *Node, down bool)
 }
 
 // New builds a cluster per cfg. It validates the whole config first,
@@ -169,7 +166,6 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 	}
 	if cfg.RackLocalNet {
 		c.rackNets = make([]*Fabric, racks)
-		c.rackListeners = make([][]func(n *Node, down bool), racks)
 		for r := range c.rackNets {
 			c.rackNets[r] = newFabric(ws)
 			c.rackNets[r].links = make([]*Link, 0, 2*sizes[r]+uplinks)

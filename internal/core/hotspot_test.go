@@ -74,7 +74,7 @@ func TestHotSpotPlacementSkipsHotNodes(t *testing.T) {
 	for k := 0; k < 10; k++ {
 		hot.InjectDiskLoad(30, 1000, nil)
 	}
-	app := rm.Submit("job", 1)
+	app := rm.Submit("job")
 	placed := map[string]int{}
 	for i := 0; i < 30; i++ {
 		app.Request(&yarn.Request{
@@ -105,7 +105,7 @@ func TestHotSpotFallbackWhenEverythingHot(t *testing.T) {
 			n.InjectDiskLoad(30, 1000, nil)
 		}
 	}
-	app := rm.Submit("job", 1)
+	app := rm.Submit("job")
 	var at float64 = -1
 	app.Request(&yarn.Request{
 		Resource:   yarn.Resource{MemMB: 1024, VCores: 1},

@@ -79,10 +79,6 @@ type Env struct {
 	// search state and deposits its best configuration and search
 	// state afterwards.
 	KB *core.KnowledgeBase
-	// Cells runs the continuous-serving legs on the rack-cell
-	// partition (see StreamSpec.Parallel). False keeps the
-	// whole-cluster partition the committed figures pin.
-	Cells bool
 }
 
 func (e Env) reps() int {

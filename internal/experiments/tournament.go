@@ -10,21 +10,17 @@ import (
 )
 
 // TournamentSpec configures the optimizer-backend tournament: every
-// backend tunes every app, cold and warm, clean and under churn.
+// registered backend tunes every app, cold and warm, clean and under
+// DefaultCrashSpec's churn.
 type TournamentSpec struct {
-	Apps     []workload.Benchmark
-	Backends []string
-	// Faults is the churn leg's fault spec; nil uses DefaultCrashSpec.
-	Faults *faults.Spec
+	Apps []workload.Benchmark
 }
 
 // DefaultTournamentSpec covers three Table 3 apps with distinct
-// resource profiles (map-, compute-, and shuffle-intensive-adjacent)
-// and all registered backends, crashed mid-job per PR 4's canonical
-// fault spec on the churn leg.
+// resource profiles (map-, compute-, and shuffle-intensive-adjacent).
 func DefaultTournamentSpec() TournamentSpec {
 	apps := []string{"wordcount/Wikipedia", "invertedindex/Freebase", "textsearch/Wikipedia"}
-	spec := TournamentSpec{Backends: tuner.Backends()}
+	var spec TournamentSpec
 	for _, name := range apps {
 		b, err := workload.ByName(name)
 		if err != nil {
@@ -75,17 +71,11 @@ type TournamentRow struct {
 // after all backends of an app have run, against the app's
 // cross-backend best final cost.
 func (e Env) Tournament(spec TournamentSpec) []TournamentRow {
-	if len(spec.Backends) == 0 {
-		spec.Backends = tuner.Backends()
-	}
-	fspec := spec.Faults
-	if fspec == nil || fspec.Empty() {
-		fspec = DefaultCrashSpec()
-	}
-	nb := len(spec.Backends)
+	backends, fspec := tuner.Backends(), DefaultCrashSpec()
+	nb := len(backends)
 	rows := make([]TournamentRow, len(spec.Apps)*nb)
 	parallelFor(len(rows), func(i int) {
-		rows[i] = e.tournamentCell(spec.Apps[i/nb], spec.Backends[i%nb], fspec)
+		rows[i] = e.tournamentCell(spec.Apps[i/nb], backends[i%nb], fspec)
 	})
 	// Score tests-to-within-15% against each app's cross-backend best.
 	for a := 0; a < len(spec.Apps); a++ {

@@ -1,10 +1,12 @@
 package hdfs
 
-// Create with the file system default block size, for tests.
+// testBlockMB is the HDFS default block size, which Create uses.
+const testBlockMB = 128
 
-// Create places a file of sizeMB across the cluster using the HDFS
-// default placement policy: first replica on a round-robin "writer"
-// node, second on a different rack, third on the second's rack.
+// Create places a file of sizeMB across the cluster in testBlockMB
+// blocks using the HDFS default placement policy: first replica on a
+// round-robin "writer" node, second on a different rack, third on the
+// second's rack.
 func (fs *FileSystem) Create(name string, sizeMB float64) *File {
-	return fs.CreateWithBlockSize(name, sizeMB, fs.BlockSizeMB)
+	return fs.CreateWithBlockSize(name, sizeMB, testBlockMB)
 }

@@ -56,21 +56,12 @@ type File struct {
 
 // FileSystem is the namenode + datanode ensemble.
 type FileSystem struct {
-	BlockSizeMB float64
 	Replication int
 	// HotThreshold, when positive, enables load-aware replica
 	// selection: reads prefer replicas whose disk load is below the
 	// threshold and writes prefer cold targets (HDFS's slow-datanode
 	// avoidance, used by MRONLINE's hot-spot policy).
 	HotThreshold float64
-	// ReReplicationDelaySecs is how long the namenode waits after
-	// losing replicas before re-replicating under-replicated blocks
-	// (a scaled-down dfs.namenode.replication pending window).
-	ReReplicationDelaySecs float64
-	// OpRetryDelaySecs is the backoff before a fault-tolerant read or
-	// write op (StartRead/StartWrite) retries after a replica died
-	// mid-transfer.
-	OpRetryDelaySecs float64
 
 	c *cluster.Cluster
 	// nodes is the datanode set this namenode places over: all of
@@ -92,7 +83,7 @@ type FileSystem struct {
 	// rack's node IDs form one contiguous run of the cluster-wide node
 	// table (true for homogeneous layouts, false for interleaved node
 	// classes and for scoped namenodes). With load-aware selection off,
-	// rackContig gates placeReplicas' arithmetic fast path, which
+	// rackContig gates placeReplicasInto's arithmetic fast path, which
 	// indexes each candidate set as rack ID runs minus downIDs instead
 	// of scanning.
 	downIDs    []int
@@ -104,7 +95,7 @@ type FileSystem struct {
 }
 
 // New returns a file system over the cluster with the paper's layout:
-// 128 MB blocks, 3-way replication (capped by cluster size).
+// 3-way replication (capped by cluster size).
 func New(c *cluster.Cluster, rng *rand.Rand) *FileSystem {
 	fs := newFileSystem(c, rng, c.Nodes)
 	fs.rackContig = true
@@ -132,7 +123,11 @@ func NewScoped(c *cluster.Cluster, rng *rand.Rand, rack int) *FileSystem {
 	// The contiguous-ID fast path indexes the cluster-wide node table;
 	// a scoped namenode always takes the scan path over its own set.
 	fs.rackContig = false
-	c.SubscribeNodeStateRack(rack, fs.onNodeState)
+	c.SubscribeNodeState(func(n *cluster.Node, down bool) {
+		if n.Rack == rack {
+			fs.onNodeState(n, down)
+		}
+	})
 	return fs
 }
 
@@ -141,15 +136,7 @@ func newFileSystem(c *cluster.Cluster, rng *rand.Rand, nodes []*cluster.Node) *F
 	if len(nodes) < repl {
 		repl = len(nodes)
 	}
-	fs := &FileSystem{
-		BlockSizeMB:            128,
-		Replication:            repl,
-		ReReplicationDelaySecs: 15,
-		OpRetryDelaySecs:       2,
-		c:                      c,
-		nodes:                  nodes,
-		rng:                    rng,
-	}
+	fs := &FileSystem{Replication: repl, c: c, nodes: nodes, rng: rng}
 	// onNodeState tracks transitions from here on; start from the
 	// nodes already down.
 	for _, n := range nodes {
@@ -234,13 +221,9 @@ func (fs *FileSystem) Remove(f *File) {
 	}
 }
 
-func (fs *FileSystem) placeReplicas(first *cluster.Node) []*cluster.Node {
-	return fs.placeReplicasInto(first, nil)
-}
-
-// placeReplicasInto is placeReplicas appending into buf (which must be
-// empty), letting callers with recycled blocks reuse replica-slice
-// capacity.
+// placeReplicasInto appends the replica targets of a block written at
+// first to buf (which must be empty), letting callers with recycled
+// blocks reuse replica-slice capacity.
 func (fs *FileSystem) placeReplicasInto(first *cluster.Node, buf []*cluster.Node) []*cluster.Node {
 	if fs.HotThreshold <= 0 && fs.rackContig {
 		if replicas := fs.placeReplicasFast(first, buf); replicas != nil {
@@ -276,7 +259,7 @@ func (fs *FileSystem) placeReplicasScan(first *cluster.Node, buf []*cluster.Node
 	return replicas
 }
 
-// placeReplicasFast is placeReplicas in O(down nodes) instead of the
+// placeReplicasFast is placeReplicasScan in O(down nodes) instead of the
 // scan path's O(nodes). With load-aware selection off, the candidate
 // set of each randomNode call is a run of node IDs minus one excluded
 // interval and minus the down nodes, and candidates appear in ID order

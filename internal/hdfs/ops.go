@@ -8,27 +8,35 @@ import "repro/internal/cluster"
 // (completion when both finish, approximating the streaming
 // bottleneck). StartWrite runs the replica pipeline: a local disk write
 // plus, per extra replica, a network transfer and remote disk write,
-// all in parallel. If a remote replica dies mid-transfer the operation
-// restarts against the surviving replicas after OpRetryDelaySecs; if
-// the local node (the reader or writer — i.e. the task's own container
-// host) dies, the op goes quiet and lets YARN's node-loss path requeue
-// the whole attempt. With no faults injected an op creates its flows
-// once, so fault tolerance costs nothing when it is not exercised.
+// all in parallel. Either op runs in waves: if a remote replica dies
+// mid-transfer, the wave is dropped and a fresh one starts against the
+// surviving replicas after opRetryDelaySecs; if the op's own node (the
+// reader or writer, i.e. the task's container host) dies, the op goes
+// quiet and lets YARN's node-loss path requeue the whole attempt. With
+// no faults injected an op creates its flows once, so fault tolerance
+// costs nothing when it is not exercised.
 
-// ReadOp is a cancellable, fault-tolerant block read.
-type ReadOp struct {
+// opRetryDelaySecs is the backoff before an op starts a fresh wave
+// after a replica died mid-transfer.
+const opRetryDelaySecs = 2
+
+// Op is a cancellable, fault-tolerant block read or replica-pipeline
+// write.
+type Op struct {
 	fs     *FileSystem
-	b      *Block
-	reader *cluster.Node
+	node   *cluster.Node // the reader or the writer
+	b      *Block        // the block a read streams; nil for a write
+	sizeMB float64       // the bytes a write stores
 	done   func()
 
-	// OnFail, when set, fires if the block becomes permanently
-	// unreadable (every replica lost with no repair possible), letting
-	// the owning task fail its attempt instead of hanging.
+	// OnFail, when set on a read, fires if the block becomes
+	// permanently unreadable (every replica lost with no repair
+	// possible), letting the owning task fail its attempt instead of
+	// hanging.
 	OnFail func()
 
-	flows    []*cluster.Flow
-	left     int
+	flows    []*cluster.Flow // the current wave
+	left     int32           // flows of the wave still running; int32 keeps Op at 80 bytes
 	finished bool
 	canceled bool
 	retrying bool
@@ -37,18 +45,42 @@ type ReadOp struct {
 // StartRead begins streaming block b to the reader node, and survives
 // source-replica failure by failing over to another replica. done
 // fires exactly once, when a full copy has streamed.
-func (fs *FileSystem) StartRead(b *Block, reader *cluster.Node, done func()) *ReadOp {
-	op := &ReadOp{fs: fs, b: b, reader: reader, done: done}
+func (fs *FileSystem) StartRead(b *Block, reader *cluster.Node, done func()) *Op {
+	op := &Op{fs: fs, node: reader, b: b, done: done}
 	op.start()
 	return op
 }
 
-func (op *ReadOp) start() {
+// StartWrite begins storing sizeMB originating at node through the
+// replica pipeline, and survives the death of a downstream replica by
+// rebuilding the pipeline from scratch on fresh targets.
+// done fires exactly once, when every replica of a complete pipeline
+// is durable.
+func (fs *FileSystem) StartWrite(node *cluster.Node, sizeMB float64, done func()) *Op {
+	op := &Op{fs: fs, node: node, sizeMB: sizeMB, done: done}
+	op.start()
+	return op
+}
+
+// start issues one wave of flows.
+func (op *Op) start() {
 	op.retrying = false
-	fs, b, reader := op.fs, op.b, op.reader
-	if reader.Down() {
+	if op.node.Down() {
 		return // the attempt is being requeued by the node-loss path
 	}
+	if op.b != nil {
+		op.startRead()
+	} else {
+		op.startWrite()
+	}
+	op.left = int32(len(op.flows))
+	for _, f := range op.flows {
+		f.SetOnAbort(op.aborted)
+	}
+}
+
+func (op *Op) startRead() {
+	fs, b, reader := op.fs, op.b, op.node
 	if len(b.Replicas) == 0 {
 		if b.repairing {
 			// A repair raced the last loss; wait for it to land.
@@ -68,24 +100,40 @@ func (op *ReadOp) start() {
 		return
 	}
 	if b.HasReplicaOn(reader) {
-		f := reader.DiskRead(b.SizeMB, op.child)
-		f.SetOnAbort(op.aborted)
-		op.left = 1
-		op.flows = append(op.flows[:0], f)
+		op.flows = append(op.flows, reader.DiskRead(b.SizeMB, op.child))
 		return
 	}
 	src := fs.closestReplica(b, reader)
-	op.left = 2
-	op.flows = append(op.flows[:0],
+	op.flows = append(op.flows,
 		src.DiskRead(b.SizeMB, op.child),
 		fs.c.Transfer(src, reader, b.SizeMB, op.child),
 	)
-	for _, f := range op.flows {
-		f.SetOnAbort(op.aborted)
+}
+
+func (op *Op) startWrite() {
+	fs := op.fs
+	replicas := fs.placeReplicasInto(op.node, nil)
+	if op.sizeMB == 0 {
+		fs.c.Eng.After(0, func() {
+			if op.finished || op.canceled {
+				return
+			}
+			op.finished = true
+			if op.done != nil {
+				op.done()
+			}
+		})
+		return
+	}
+	for i, r := range replicas {
+		op.flows = append(op.flows, r.DiskWrite(op.sizeMB, op.child))
+		if i > 0 {
+			op.flows = append(op.flows, fs.c.Transfer(replicas[i-1], r, op.sizeMB, op.child))
+		}
 	}
 }
 
-func (op *ReadOp) child() {
+func (op *Op) child() {
 	if op.finished || op.canceled {
 		return
 	}
@@ -109,9 +157,9 @@ func (op *ReadOp) child() {
 }
 
 // aborted runs when any flow of the current wave was killed by a node
-// crash. Both flows of a remote read can abort at the same instant
-// (the source node carried both); retrying coalesces them.
-func (op *ReadOp) aborted() {
+// crash. Several flows can abort at the same instant (one node carried
+// them all); retrying coalesces them.
+func (op *Op) aborted() {
 	if op.finished || op.canceled || op.retrying {
 		return
 	}
@@ -119,18 +167,22 @@ func (op *ReadOp) aborted() {
 		f.Cancel()
 	}
 	op.flows = op.flows[:0]
-	if op.reader.Down() {
-		// The reader itself crashed: the attempt is being requeued by
-		// the node-loss path; a fresh attempt issues a fresh read.
+	if op.node.Down() {
+		// The op's own node crashed: the attempt is being requeued by
+		// the node-loss path, and a fresh attempt issues a fresh op.
 		return
 	}
-	op.fs.c.Faults.ReadFailovers++
+	if op.b != nil {
+		op.fs.c.Faults.ReadFailovers++
+	} else {
+		op.fs.c.Faults.WriteRestarts++
+	}
 	op.retry()
 }
 
-func (op *ReadOp) retry() {
+func (op *Op) retry() {
 	op.retrying = true
-	op.fs.c.Eng.After(op.fs.OpRetryDelaySecs, func() {
+	op.fs.c.Eng.After(opRetryDelaySecs, func() {
 		if op.finished || op.canceled {
 			return
 		}
@@ -138,128 +190,8 @@ func (op *ReadOp) retry() {
 	})
 }
 
-// Cancel aborts the read; done will not fire.
-func (op *ReadOp) Cancel() {
-	if op.finished || op.canceled {
-		return
-	}
-	op.canceled = true
-	for _, f := range op.flows {
-		f.Cancel()
-	}
-	op.flows = nil
-}
-
-// WriteOp is a cancellable, fault-tolerant replica-pipeline write.
-type WriteOp struct {
-	fs     *FileSystem
-	node   *cluster.Node
-	sizeMB float64
-	done   func()
-
-	flows    []*cluster.Flow
-	left     int
-	finished bool
-	canceled bool
-	retrying bool
-}
-
-// StartWrite begins storing sizeMB originating at node through the
-// replica pipeline, and survives the death of a downstream replica by
-// rebuilding the pipeline from scratch on fresh targets.
-// done fires exactly once, when every replica of a complete pipeline
-// is durable.
-func (fs *FileSystem) StartWrite(node *cluster.Node, sizeMB float64, done func()) *WriteOp {
-	op := &WriteOp{fs: fs, node: node, sizeMB: sizeMB, done: done}
-	op.start()
-	return op
-}
-
-func (op *WriteOp) start() {
-	op.retrying = false
-	fs := op.fs
-	if op.node.Down() {
-		return // the attempt is being requeued by the node-loss path
-	}
-	replicas := fs.placeReplicas(op.node)
-	count := 0
-	for i := range replicas {
-		count++ // disk write at each replica
-		if i > 0 {
-			count++ // transfer from previous pipeline stage
-		}
-	}
-	op.left = count
-	if op.sizeMB == 0 {
-		fs.c.Eng.After(0, func() {
-			if op.finished || op.canceled {
-				return
-			}
-			op.finished = true
-			if op.done != nil {
-				op.done()
-			}
-		})
-		return
-	}
-	op.flows = op.flows[:0]
-	for i, r := range replicas {
-		op.flows = append(op.flows, r.DiskWrite(op.sizeMB, op.child))
-		if i > 0 {
-			op.flows = append(op.flows, fs.c.Transfer(replicas[i-1], r, op.sizeMB, op.child))
-		}
-	}
-	for _, f := range op.flows {
-		f.SetOnAbort(op.aborted)
-	}
-}
-
-func (op *WriteOp) child() {
-	if op.finished || op.canceled {
-		return
-	}
-	op.left--
-	if op.left == 0 {
-		op.finished = true
-		// As in ReadOp.child: the pipeline's flows are all complete and
-		// exclusively ours — recycle (and nil the slots) before
-		// signalling completion.
-		for _, f := range op.flows {
-			f.Recycle()
-		}
-		clear(op.flows)
-		op.flows = op.flows[:0]
-		if op.done != nil {
-			op.done()
-		}
-	}
-}
-
-func (op *WriteOp) aborted() {
-	if op.finished || op.canceled || op.retrying {
-		return
-	}
-	for _, f := range op.flows {
-		f.Cancel()
-	}
-	op.flows = op.flows[:0]
-	if op.node.Down() {
-		// The writer crashed: the reduce attempt re-runs elsewhere and
-		// re-writes its output in full.
-		return
-	}
-	op.fs.c.Faults.WriteRestarts++
-	op.retrying = true
-	op.fs.c.Eng.After(op.fs.OpRetryDelaySecs, func() {
-		if op.finished || op.canceled {
-			return
-		}
-		op.start()
-	})
-}
-
-// Cancel aborts the write; done will not fire.
-func (op *WriteOp) Cancel() {
+// Cancel aborts the op; done will not fire.
+func (op *Op) Cancel() {
 	if op.finished || op.canceled {
 		return
 	}

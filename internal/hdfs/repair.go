@@ -10,10 +10,15 @@ import (
 // pruned from every block immediately (the namenode learns of the
 // loss via the missed heartbeat, collapsed to one event here), and
 // under-replicated blocks are queued for re-replication after
-// ReReplicationDelaySecs. A restored node comes back empty — replicas
+// reReplicationDelaySecs. A restored node comes back empty — replicas
 // it held are not resurrected; only re-replication restores the
 // replication factor. onNodeState also keeps downIDs, the down set
 // placement's fast path indexes around, in step with Node.Down.
+
+// reReplicationDelaySecs is how long the namenode waits after losing
+// replicas before re-replicating under-replicated blocks (a
+// scaled-down dfs.namenode.replication pending window).
+const reReplicationDelaySecs = 15
 
 func (fs *FileSystem) onNodeState(n *cluster.Node, down bool) {
 	// The cluster notifies only real transitions, so n is listed
@@ -69,7 +74,7 @@ func (fs *FileSystem) scheduleRepair() {
 		return
 	}
 	fs.repairScheduled = true
-	fs.c.Eng.After(fs.ReReplicationDelaySecs, func() {
+	fs.c.Eng.After(reReplicationDelaySecs, func() {
 		fs.repairScheduled = false
 		fs.repairSweep()
 	})

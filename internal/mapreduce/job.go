@@ -95,7 +95,7 @@ func Submit(rm *yarn.ResourceManager, fs *hdfs.FileSystem, spec Spec, onDone fun
 	j.startTime = j.eng.Now()
 	j.onDone = onDone
 	j.baseRepaired = mrconf.Repair(s.BaseConfig)
-	j.app = rm.Submit(s.Name, s.Weight)
+	j.app = rm.Submit(s.Name)
 	// Node-loss notifications drive map-output re-execution (the AM's
 	// response to reducer fetch failures against a dead host).
 	j.app.OnNodeLost = j.nodeLost

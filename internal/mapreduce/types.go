@@ -261,8 +261,6 @@ type Spec struct {
 	Benchmark  workload.Benchmark
 	BaseConfig mrconf.Config
 	Controller Controller
-	// Weight is the fair-share weight.
-	Weight float64
 	// SlowstartFraction of maps must finish before reduces launch
 	// (category-1 parameter, default 0.05 as in Hadoop).
 	SlowstartFraction float64
@@ -310,9 +308,6 @@ func (s *Spec) withDefaults() Spec {
 	out := *s
 	if out.Controller == nil {
 		out.Controller = PassthroughController{}
-	}
-	if out.Weight == 0 {
-		out.Weight = 1
 	}
 	if out.SlowstartFraction == 0 {
 		out.SlowstartFraction = 0.05

@@ -18,43 +18,30 @@ type ArrivalSpec struct {
 	// per hour of simulated time.
 	MeanPerHour float64
 	// DiurnalAmplitude in [0, 1) scales the day/night swing: the
-	// instantaneous rate is MeanPerHour * (1 + A*sin(2π(t-Phase)/Period)).
+	// instantaneous rate is MeanPerHour * (1 + A*sin(2πt/daySecs)),
+	// which crosses the mean going up at t=0 and peaks six hours in.
 	// 0 is a flat Poisson process.
 	DiurnalAmplitude float64
-	// PeriodSecs is the cycle length (default 86400, one day).
-	PeriodSecs float64
-	// PhaseSecs shifts the cycle; with the default 0 the rate crosses
-	// the mean going up at t=0 and peaks a quarter period in.
-	PhaseSecs float64
 	// Horizon stops the stream: no arrivals are generated at or past
 	// this simulated time.
 	Horizon float64
 }
 
-func (s ArrivalSpec) withDefaults() (ArrivalSpec, error) {
-	if s.PeriodSecs == 0 {
-		s.PeriodSecs = 86400
-	}
-	switch {
-	case s.MeanPerHour <= 0 || math.IsNaN(s.MeanPerHour) || math.IsInf(s.MeanPerHour, 0):
-		return s, fmt.Errorf("workload: arrival rate must be positive and finite, got %v", s.MeanPerHour)
-	case s.DiurnalAmplitude < 0 || s.DiurnalAmplitude >= 1:
-		return s, fmt.Errorf("workload: diurnal amplitude must be in [0, 1), got %v", s.DiurnalAmplitude)
-	case s.PeriodSecs <= 0 || math.IsNaN(s.PeriodSecs) || math.IsInf(s.PeriodSecs, 0):
-		return s, fmt.Errorf("workload: diurnal period must be positive and finite, got %v", s.PeriodSecs)
-	case math.IsNaN(s.PhaseSecs) || math.IsInf(s.PhaseSecs, 0):
-		return s, fmt.Errorf("workload: diurnal phase must be finite, got %v", s.PhaseSecs)
-	case s.Horizon <= 0 || math.IsNaN(s.Horizon) || math.IsInf(s.Horizon, 0):
-		return s, fmt.Errorf("workload: arrival horizon must be positive and finite, got %v", s.Horizon)
-	}
-	return s, nil
-}
+// daySecs is the diurnal cycle's length: one day.
+const daySecs = 86400
 
 // Validate reports the first out-of-range field of spec, the same
 // check Arrivals and ScheduleArrivals apply before generating.
 func (s ArrivalSpec) Validate() error {
-	_, err := s.withDefaults()
-	return err
+	switch {
+	case s.MeanPerHour <= 0 || math.IsNaN(s.MeanPerHour) || math.IsInf(s.MeanPerHour, 0):
+		return fmt.Errorf("workload: arrival rate must be positive and finite, got %v", s.MeanPerHour)
+	case s.DiurnalAmplitude < 0 || s.DiurnalAmplitude >= 1:
+		return fmt.Errorf("workload: diurnal amplitude must be in [0, 1), got %v", s.DiurnalAmplitude)
+	case s.Horizon <= 0 || math.IsNaN(s.Horizon) || math.IsInf(s.Horizon, 0):
+		return fmt.Errorf("workload: arrival horizon must be positive and finite, got %v", s.Horizon)
+	}
+	return nil
 }
 
 // rate returns the instantaneous arrival rate in jobs/second at time t.
@@ -63,7 +50,7 @@ func (s ArrivalSpec) rate(t float64) float64 {
 	if s.DiurnalAmplitude == 0 {
 		return base
 	}
-	return base * (1 + s.DiurnalAmplitude*math.Sin(2*math.Pi*(t-s.PhaseSecs)/s.PeriodSecs))
+	return base * (1 + s.DiurnalAmplitude*math.Sin(2*math.Pi*t/daySecs))
 }
 
 // Arrivals generates the arrival times of the nonhomogeneous Poisson
@@ -74,23 +61,22 @@ func (s ArrivalSpec) rate(t float64) float64 {
 // is exact for any bounded rate function. Each accepted time is
 // strictly later than the one before it.
 func Arrivals(src *sim.Source, spec ArrivalSpec) ([]float64, error) {
-	s, err := spec.withDefaults()
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	gaps := src.Sub("arrivals").Stream("gaps")
 	accept := src.Sub("arrivals").Stream("thinning")
-	peak := (s.MeanPerHour / 3600) * (1 + s.DiurnalAmplitude)
+	peak := (spec.MeanPerHour / 3600) * (1 + spec.DiurnalAmplitude)
 
 	var times []float64
 	t := 0.0
 	for {
 		// Exponential gap at the peak rate. ExpFloat64 has mean 1.
 		t += gaps.ExpFloat64() / peak
-		if t >= s.Horizon {
+		if t >= spec.Horizon {
 			return times, nil
 		}
-		if s.DiurnalAmplitude == 0 || accept.Float64()*peak < s.rate(t) {
+		if spec.DiurnalAmplitude == 0 || accept.Float64()*peak < spec.rate(t) {
 			times = append(times, t)
 		}
 	}

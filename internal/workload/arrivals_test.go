@@ -67,7 +67,7 @@ func TestArrivalsOrderedAndBounded(t *testing.T) {
 func TestArrivalsMeanRate(t *testing.T) {
 	// Over two full diurnal cycles the sine integrates to zero, so the
 	// expected count is MeanPerHour * hours whatever the amplitude.
-	spec := ArrivalSpec{MeanPerHour: 100, DiurnalAmplitude: 0.8, PeriodSecs: 3600, Horizon: 2 * 3600}
+	spec := ArrivalSpec{MeanPerHour: 100.0 / 24, DiurnalAmplitude: 0.8, Horizon: 2 * 86400}
 	times, err := Arrivals(sim.NewSource(42), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestArrivalsMeanRate(t *testing.T) {
 func TestArrivalsDiurnalShape(t *testing.T) {
 	// With a strong diurnal swing, the quarter-cycle around the peak
 	// must see far more arrivals than the one around the trough.
-	spec := ArrivalSpec{MeanPerHour: 400, DiurnalAmplitude: 0.9, PeriodSecs: 86400, Horizon: 86400}
+	spec := ArrivalSpec{MeanPerHour: 400, DiurnalAmplitude: 0.9, Horizon: 86400}
 	times, err := Arrivals(sim.NewSource(5), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -109,15 +109,7 @@ func TestArrivalSpecValidation(t *testing.T) {
 		{MeanPerHour: 10, DiurnalAmplitude: 1.0, Horizon: 10},
 		{MeanPerHour: 10, DiurnalAmplitude: -0.1, Horizon: 10},
 		{MeanPerHour: 10, Horizon: 0},
-		{MeanPerHour: 10, PeriodSecs: -3600, Horizon: 10},
 		{MeanPerHour: math.Inf(1), Horizon: 10},
-		// A non-finite phase or period makes the diurnal rate NaN, and
-		// thinning would silently accept no arrival at all.
-		{MeanPerHour: 10, DiurnalAmplitude: 0.5, PhaseSecs: math.NaN(), Horizon: 10},
-		{MeanPerHour: 10, DiurnalAmplitude: 0.5, PhaseSecs: math.Inf(1), Horizon: 10},
-		{MeanPerHour: 10, DiurnalAmplitude: 0.5, PhaseSecs: math.Inf(-1), Horizon: 10},
-		{MeanPerHour: 10, DiurnalAmplitude: 0.5, PeriodSecs: math.NaN(), Horizon: 10},
-		{MeanPerHour: 10, DiurnalAmplitude: 0.5, PeriodSecs: math.Inf(1), Horizon: 10},
 	}
 	for i, spec := range bad {
 		if _, err := Arrivals(sim.NewSource(1), spec); err == nil {

@@ -14,7 +14,7 @@ import (
 func TestNodeLossReclaimsContainers(t *testing.T) {
 	for _, notify := range []bool{true, false} {
 		eng, c, rm := newRM(t, FIFOScheduler{})
-		app := rm.Submit("job", 1)
+		app := rm.Submit("job")
 
 		var got *Container
 		lost, wantLost := 0, 0
@@ -85,7 +85,7 @@ func TestScopedRMFaultCountersReachCluster(t *testing.T) {
 	}
 
 	var got *Container
-	rm.Submit("job", 1).Request(&Request{
+	rm.Submit("job").Request(&Request{
 		Resource:   Resource{MemMB: 1024, VCores: 1},
 		OnAllocate: func(cont *Container) { got = cont },
 	})
@@ -104,12 +104,37 @@ func TestScopedRMFaultCountersReachCluster(t *testing.T) {
 	}
 }
 
+// TestScopedRMIgnoresOtherRacks: a scoped RM hears every node's
+// crash and restart, and must act on none outside its rack.
+func TestScopedRMIgnoresOtherRacks(t *testing.T) {
+	eng := sim.NewEngine()
+	c := cluster.New(eng, cluster.PaperConfig())
+	rm := NewScopedResourceManager(eng, c, FIFOScheduler{}, 1)
+	other := c.Racks[0][0]
+	eng.At(1, func() { c.KillNode(other) })
+	eng.At(2, func() { c.RestoreNode(other) })
+	eng.Run()
+
+	var got *Container
+	rm.Submit("job").Request(&Request{
+		Resource:   Resource{MemMB: 1024, VCores: 1},
+		OnAllocate: func(cont *Container) { got = cont },
+	})
+	eng.Run()
+	if got == nil || got.Node.Rack != 1 {
+		t.Fatalf("container not allocated on rack 1: %+v", got)
+	}
+	if c.Faults.ContainersLost != 0 || c.Faults.NodesUnblacklisted != 0 {
+		t.Fatalf("scoped RM acted on another rack's node: %+v", *c.Faults)
+	}
+}
+
 // TestRestoreBeforeExpiryStillDeclaresLost pins the NM-resync rule: a
 // node that bounces faster than the expiry window still loses its
 // containers (the restarted NM has none), then rejoins.
 func TestRestoreBeforeExpiryStillDeclaresLost(t *testing.T) {
 	eng, c, rm := newRM(t, FIFOScheduler{})
-	app := rm.Submit("job", 1)
+	app := rm.Submit("job")
 
 	var got *Container
 	lost := 0
@@ -150,7 +175,7 @@ func TestRestoreBeforeExpiryStillDeclaresLost(t *testing.T) {
 // blacklist (Hadoop's NM-resync forgiveness).
 func TestBlacklistRoundTrip(t *testing.T) {
 	eng, c, rm := newRM(t, FIFOScheduler{})
-	app := rm.Submit("job", 1)
+	app := rm.Submit("job")
 	n := c.Nodes[0]
 
 	for i := 0; i < rm.BlacklistThreshold-1; i++ {
@@ -203,7 +228,7 @@ func TestBlacklistRoundTrip(t *testing.T) {
 // blacklisted nodes anyway rather than starving.
 func TestBlacklistIgnoredWhenTooWide(t *testing.T) {
 	eng, c, rm := newRM(t, FIFOScheduler{})
-	app := rm.Submit("job", 1)
+	app := rm.Submit("job")
 
 	// Blacklist 7 of 18 nodes (> 33%).
 	for i := 0; i < 7; i++ {

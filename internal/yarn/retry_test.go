@@ -14,7 +14,7 @@ import (
 // are scheduled in total (rack delay, then off-rack delay) — not 2K.
 func TestRelaxRetryCoalescing(t *testing.T) {
 	eng, c, rm := newRMQuiet(FIFOScheduler{})
-	holder := rm.Submit("holder", 1)
+	holder := rm.Submit("holder")
 	for range c.Nodes {
 		holder.Request(&Request{
 			Resource:   Resource{MemMB: c.Nodes[0].Mem.Capacity, VCores: c.Nodes[0].VCores},
@@ -26,7 +26,7 @@ func TestRelaxRetryCoalescing(t *testing.T) {
 		t.Fatalf("wakeups after fill = %d, want 0", got)
 	}
 
-	app := rm.Submit("blocked", 1)
+	app := rm.Submit("blocked")
 	const K = 16
 	for i := 0; i < K; i++ {
 		app.Request(&Request{
@@ -62,7 +62,7 @@ func TestPlacementDeterministicAcrossRuns(t *testing.T) {
 			{MemMB: 1536, VCores: 2},
 		}
 		for a := 0; a < 3; a++ {
-			app := rm.Submit(fmt.Sprintf("app%d", a), float64(a+1))
+			app := rm.Submit(fmt.Sprintf("app%d", a))
 			for i := 0; i < 40; i++ {
 				i := i
 				name := app.Name
@@ -106,7 +106,7 @@ func TestFreeCapacityIndexMirrorsMemPools(t *testing.T) {
 			}
 		}
 	}
-	app := rm.Submit("mirror", 1)
+	app := rm.Submit("mirror")
 	var live []*Container
 	for i := 0; i < 60; i++ {
 		app.Request(&Request{
@@ -159,7 +159,7 @@ func FuzzRelaxRetry(f *testing.F) {
 		if next(2) == 1 {
 			rm.NodeFilter = func(n *cluster.Node) bool { return n.ID%3 != 0 }
 		}
-		apps := []*App{rm.Submit("a", 1), rm.Submit("b", 2), rm.Submit("c", 1)}
+		apps := []*App{rm.Submit("a"), rm.Submit("b"), rm.Submit("c")}
 		// Small requests place while the cluster has room; an oversized
 		// one never fits, so pending lists also grow.
 		shapes := []Resource{{MemMB: 1024, VCores: 1}, {MemMB: 4096, VCores: 4}, {MemMB: 1 << 30, VCores: 1}}
@@ -198,7 +198,7 @@ func FuzzRelaxRetry(f *testing.F) {
 				}
 				if !busy {
 					apps[i].Finish()
-					apps[i] = rm.Submit("next", 1)
+					apps[i] = rm.Submit("next")
 				}
 			case 4:
 				if len(live) > 0 {

@@ -6,9 +6,6 @@ import "repro/internal/cluster"
 // capacity scheduler with a single queue.
 type FIFOScheduler struct{}
 
-// Name implements Scheduler.
-func (FIFOScheduler) Name() string { return "fifo" }
-
 // Pick implements Scheduler: the first app with a fitting request wins.
 func (FIFOScheduler) Pick(apps []*App, node *cluster.Node) int {
 	for i, app := range apps {
@@ -19,13 +16,10 @@ func (FIFOScheduler) Pick(apps []*App, node *cluster.Node) int {
 	return -1
 }
 
-// FairScheduler serves the application with the smallest
-// weight-normalized memory share, YARN's fair share policy used in the
-// paper's multi-tenant experiment (§8.5).
+// FairScheduler serves the application with the smallest memory share,
+// YARN's fair share policy (with equal weights) used in the paper's
+// multi-tenant experiment (§8.5).
 type FairScheduler struct{}
-
-// Name implements Scheduler.
-func (FairScheduler) Name() string { return "fair" }
 
 // Pick implements Scheduler.
 func (FairScheduler) Pick(apps []*App, node *cluster.Node) int {
@@ -35,10 +29,9 @@ func (FairScheduler) Pick(apps []*App, node *cluster.Node) int {
 		if !app.hasFittingRequest(node) {
 			continue
 		}
-		share := app.usedMemMB / app.Weight
-		if best == -1 || share < bestShare {
+		if best == -1 || app.usedMemMB < bestShare {
 			best = i
-			bestShare = share
+			bestShare = app.usedMemMB
 		}
 	}
 	return best

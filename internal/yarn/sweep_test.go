@@ -225,8 +225,6 @@ func (s recordingScheduler) Pick(apps []*App, node *cluster.Node) int {
 	return idx
 }
 
-func (s recordingScheduler) Name() string { return s.inner.Name() }
-
 // sweepParams is one randomized scenario, shared by both twins.
 type sweepParams struct {
 	racks          []int
@@ -277,7 +275,7 @@ func newSweepTwin(t *testing.T, seed int64, p sweepParams, ref *sweepTwin) *swee
 	}
 	tw.rm = rm
 	for k := 0; k < 3; k++ {
-		tw.apps = append(tw.apps, rm.Submit("app", float64(1+k)))
+		tw.apps = append(tw.apps, rm.Submit("app"))
 	}
 	return tw
 }

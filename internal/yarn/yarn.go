@@ -107,9 +107,8 @@ func removeShape(shapes []shapeCount, r Resource) []shapeCount {
 
 // App is an application registered with the resource manager.
 type App struct {
-	ID     int
-	Name   string
-	Weight float64 // fair-share weight
+	ID   int
+	Name string
 
 	// OnNodeLost, if set, is invoked after a lost node's containers
 	// have been reclaimed, so the application master can handle
@@ -139,7 +138,6 @@ type Scheduler interface {
 	// next on node, or -1 if none should be served. Only apps with at
 	// least one pending request that fits the node are candidates.
 	Pick(apps []*App, node *cluster.Node) int
-	Name() string
 }
 
 // ResourceManager owns cluster capacity and runs the allocation loop.
@@ -247,15 +245,18 @@ func NewResourceManager(eng *sim.Engine, c *cluster.Cluster, sched Scheduler) *R
 // NewScopedResourceManager returns an RM that manages exactly rack's
 // nodes — the rack-cell building block of stream serving.
 // It requires the rack's node IDs to be contiguous (true for the
-// homogeneous RackSizes layout) and, for fault delivery, the cluster
-// to be in RackLocalNet mode.
+// homogeneous RackSizes layout).
 func NewScopedResourceManager(eng *sim.Engine, c *cluster.Cluster, sched Scheduler, rack int) *ResourceManager {
 	nodes := c.Racks[rack]
 	if len(nodes) == 0 {
 		panic(fmt.Sprintf("yarn: scoped RM over empty rack %d", rack))
 	}
 	rm := newResourceManager(eng, c, sched, nodes)
-	c.SubscribeNodeStateRack(rack, rm.onNodeState)
+	c.SubscribeNodeState(func(n *cluster.Node, down bool) {
+		if n.Rack == rack {
+			rm.onNodeState(n, down)
+		}
+	})
 	return rm
 }
 
@@ -330,11 +331,8 @@ func (rm *ResourceManager) FaultCounters() *metrics.FaultCounters { return rm.c.
 func (rm *ResourceManager) Engine() *sim.Engine { return rm.eng }
 
 // Submit registers a new application.
-func (rm *ResourceManager) Submit(name string, weight float64) *App {
-	if weight <= 0 {
-		weight = 1
-	}
-	app := &App{ID: rm.nextAppID, Name: name, Weight: weight, rm: rm}
+func (rm *ResourceManager) Submit(name string) *App {
+	app := &App{ID: rm.nextAppID, Name: name, rm: rm}
 	rm.nextAppID++
 	rm.apps = append(rm.apps, app)
 	return app

@@ -24,7 +24,7 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 		UplinkMBps:     2000,
 	})
 	rm := NewResourceManager(eng, c, FIFOScheduler{})
-	app := rm.Submit("churn", 1)
+	app := rm.Submit("churn")
 	// Standing load: two thirds of every node held by long-lived
 	// containers, so placement always works against a loaded index.
 	for range c.Nodes {
@@ -76,7 +76,7 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 // allocate.
 func TestPlacementHotPathAllocationFree(t *testing.T) {
 	eng, c, rm := newRMQuiet(FIFOScheduler{})
-	app := rm.Submit("alloc", 1)
+	app := rm.Submit("alloc")
 	// A satisfiable request warms the placement path, and an
 	// unsatisfiably large one keeps the pending shape sets non-empty.
 	app.Request(&Request{Resource: Resource{MemMB: 1024, VCores: 1}, OnAllocate: func(*Container) {}})
@@ -154,7 +154,7 @@ func BenchmarkAssignSparseLocality(b *testing.B) {
 	cfg.RackSizes = racks
 	c := cluster.New(eng, cfg)
 	rm := NewResourceManager(eng, c, FairScheduler{})
-	app := rm.Submit("local", 1)
+	app := rm.Submit("local")
 	n := len(c.Nodes)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -21,7 +21,7 @@ func newRM(t *testing.T, sched Scheduler) (*sim.Engine, *cluster.Cluster, *Resou
 
 func TestAllocateAndRelease(t *testing.T) {
 	eng, c, rm := newRM(t, FIFOScheduler{})
-	app := rm.Submit("job", 1)
+	app := rm.Submit("job")
 	var got *Container
 	app.Request(&Request{
 		Resource:   Resource{MemMB: 1024, VCores: 1},
@@ -50,7 +50,7 @@ func TestAllocateAndRelease(t *testing.T) {
 
 func TestDoubleReleasePanics(t *testing.T) {
 	eng, _, rm := newRM(t, FIFOScheduler{})
-	app := rm.Submit("job", 1)
+	app := rm.Submit("job")
 	var got *Container
 	app.Request(&Request{Resource: Resource{MemMB: 512, VCores: 1}, OnAllocate: func(c *Container) { got = c }})
 	eng.Run()
@@ -65,7 +65,7 @@ func TestDoubleReleasePanics(t *testing.T) {
 
 func TestMemoryCapacityLimitsConcurrency(t *testing.T) {
 	eng, c, rm := newRM(t, FIFOScheduler{})
-	app := rm.Submit("job", 1)
+	app := rm.Submit("job")
 	allocated := 0
 	// 6 GB per node, 18 nodes: 108 containers of 1 GB fit; request 150.
 	for i := 0; i < 150; i++ {
@@ -86,7 +86,7 @@ func TestMemoryCapacityLimitsConcurrency(t *testing.T) {
 
 func TestVcoreCapacityLimitsConcurrency(t *testing.T) {
 	eng, c, rm := newRM(t, FIFOScheduler{})
-	app := rm.Submit("job", 1)
+	app := rm.Submit("job")
 	allocated := 0
 	// 28 vcores per node; 8-vcore, small-memory containers: 3 per node.
 	for i := 0; i < 100; i++ {
@@ -104,7 +104,7 @@ func TestVcoreCapacityLimitsConcurrency(t *testing.T) {
 
 func TestReleaseUnblocksQueued(t *testing.T) {
 	eng, c, rm := newRM(t, FIFOScheduler{})
-	app := rm.Submit("job", 1)
+	app := rm.Submit("job")
 	var conts []*Container
 	total := 6*len(c.Nodes) + 10
 	for i := 0; i < total; i++ {
@@ -126,7 +126,7 @@ func TestReleaseUnblocksQueued(t *testing.T) {
 
 func TestVariableSizedContainers(t *testing.T) {
 	eng, _, rm := newRM(t, FIFOScheduler{})
-	app := rm.Submit("job", 1)
+	app := rm.Submit("job")
 	shapes := []Resource{
 		{MemMB: 512, VCores: 1},
 		{MemMB: 1024, VCores: 2},
@@ -152,7 +152,7 @@ func TestVariableSizedContainers(t *testing.T) {
 
 func TestLocalityPreference(t *testing.T) {
 	eng, c, rm := newRM(t, FIFOScheduler{})
-	app := rm.Submit("job", 1)
+	app := rm.Submit("job")
 	want := c.Nodes[7]
 	var got *Container
 	app.Request(&Request{
@@ -168,8 +168,8 @@ func TestLocalityPreference(t *testing.T) {
 
 func TestFIFOOrdering(t *testing.T) {
 	eng, c, rm := newRM(t, FIFOScheduler{})
-	a := rm.Submit("first", 1)
-	b := rm.Submit("second", 1)
+	a := rm.Submit("first")
+	b := rm.Submit("second")
 	capacity := 6 * len(c.Nodes)
 	aGot, bGot := 0, 0
 	for i := 0; i < capacity; i++ {
@@ -189,8 +189,8 @@ func TestFIFOOrdering(t *testing.T) {
 
 func TestFairSharing(t *testing.T) {
 	eng, c, rm := newRM(t, FairScheduler{})
-	a := rm.Submit("a", 1)
-	b := rm.Submit("b", 1)
+	a := rm.Submit("a")
+	b := rm.Submit("b")
 	capacity := 6 * len(c.Nodes)
 	aGot, bGot := 0, 0
 	for i := 0; i < capacity; i++ {
@@ -206,26 +206,9 @@ func TestFairSharing(t *testing.T) {
 	}
 }
 
-func TestFairWeights(t *testing.T) {
-	eng, c, rm := newRM(t, FairScheduler{})
-	a := rm.Submit("heavy", 3)
-	b := rm.Submit("light", 1)
-	capacity := 6 * len(c.Nodes)
-	aGot, bGot := 0, 0
-	for i := 0; i < capacity; i++ {
-		a.Request(&Request{Resource: Resource{MemMB: 1024, VCores: 1}, OnAllocate: func(*Container) { aGot++ }})
-		b.Request(&Request{Resource: Resource{MemMB: 1024, VCores: 1}, OnAllocate: func(*Container) { bGot++ }})
-	}
-	eng.Run()
-	// Weight 3:1 should give roughly 3/4 of capacity to "heavy".
-	if aGot < capacity*3/4-4 {
-		t.Fatalf("weighted fair share: heavy got %d of %d", aGot, capacity)
-	}
-}
-
 func TestCancelRequest(t *testing.T) {
 	eng, c, rm := newRM(t, FIFOScheduler{})
-	app := rm.Submit("job", 1)
+	app := rm.Submit("job")
 	// Saturate the cluster so a later request stays pending.
 	capacity := 6 * len(c.Nodes)
 	for i := 0; i < capacity; i++ {
@@ -249,8 +232,8 @@ func TestCancelRequest(t *testing.T) {
 
 func TestFinishDropsPending(t *testing.T) {
 	eng, c, rm := newRM(t, FIFOScheduler{})
-	a := rm.Submit("a", 1)
-	b := rm.Submit("b", 1)
+	a := rm.Submit("a")
+	b := rm.Submit("b")
 	capacity := 6 * len(c.Nodes)
 	var aConts []*Container
 	for i := 0; i < capacity+10; i++ {
@@ -275,7 +258,7 @@ func TestFinishDropsPending(t *testing.T) {
 func TestSchedulingDelayApplied(t *testing.T) {
 	eng, _, rm := newRM(t, FIFOScheduler{})
 	rm.SchedulingDelay = 2.5
-	app := rm.Submit("job", 1)
+	app := rm.Submit("job")
 	var at float64 = -1
 	app.Request(&Request{Resource: Resource{MemMB: 512, VCores: 1}, OnAllocate: func(*Container) { at = eng.Now() }})
 	eng.Run()
@@ -292,7 +275,7 @@ func TestFinishInsideSchedulingDelay(t *testing.T) {
 	for _, nodeDies := range []bool{false, true} {
 		eng, c, rm := newRM(t, FIFOScheduler{})
 		rm.SchedulingDelay = 5
-		app := rm.Submit("job", 1)
+		app := rm.Submit("job")
 		calls := 0
 		app.Request(&Request{
 			Resource:   Resource{MemMB: 1024, VCores: 1},
@@ -324,10 +307,7 @@ func TestFinishInsideSchedulingDelay(t *testing.T) {
 	}
 }
 
-func TestSchedulerNamesAndResourceString(t *testing.T) {
-	if (FIFOScheduler{}).Name() != "fifo" || (FairScheduler{}).Name() != "fair" {
-		t.Fatal("scheduler names broken")
-	}
+func TestResourceString(t *testing.T) {
 	r := Resource{MemMB: 1024, VCores: 2}
 	if r.String() != "<1024MB,2vc>" {
 		t.Fatalf("Resource.String = %q", r.String())
@@ -336,7 +316,7 @@ func TestSchedulerNamesAndResourceString(t *testing.T) {
 
 func TestContainerCoreCap(t *testing.T) {
 	eng, c, rm := newRM(t, FIFOScheduler{})
-	app := rm.Submit("job", 1)
+	app := rm.Submit("job")
 	var got *Container
 	app.Request(&Request{Resource: Resource{MemMB: 512, VCores: 4}, OnAllocate: func(cc *Container) { got = cc }})
 	eng.Run()
@@ -359,7 +339,7 @@ func TestDelayedLocalityRelaxation(t *testing.T) {
 	eng, c, rm := newRM(t, FIFOScheduler{})
 	rm.RackDelay = 4
 	rm.OffRackDelay = 50
-	app := rm.Submit("job", 1)
+	app := rm.Submit("job")
 	target := c.Racks[0][0]
 	// Fill the target node completely.
 	filled := 0
@@ -423,7 +403,7 @@ func TestYarnChurnProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		eng, c, rm := newRMQuiet(FairScheduler{})
-		apps := []*App{rm.Submit("a", 1), rm.Submit("b", 2)}
+		apps := []*App{rm.Submit("a"), rm.Submit("b")}
 		var live []*Container
 		shapes := []Resource{{MemMB: 512, VCores: 1}, {MemMB: 1024, VCores: 2}, {MemMB: 2048, VCores: 4}}
 		ok := true
