@@ -54,6 +54,21 @@ func churnSpec() *faults.Spec {
 	return s
 }
 
+// degradeSpec is the node-addressed fault schedule of the golden's
+// cells-degrade leg, on smallStreamSpec's 24 × 8 layout: a slow node, a
+// degraded disk and a flapping link, each outside rack 0, and a crash
+// in the last rack. In rack-cell mode each fault reaches its rack's
+// cell renumbered, so the leg pins that renumbering for every
+// node-addressed kind.
+func degradeSpec() *faults.Spec {
+	return &faults.Spec{
+		NodeSlow:     []faults.NodeSlow{{At: 0, Node: 1*8 + 2, Factor: 0.3}},
+		DiskDegrades: []faults.DiskDegrade{{At: 60, Node: 2*8 + 5, Factor: 0.2}},
+		LinkFlaps:    []faults.LinkFlap{{At: 0, Node: 3*8 + 3, Window: 1500}},
+		NodeCrashes:  []faults.NodeCrash{{At: 700, Node: 23*8 + 4, RestartAfter: 300}},
+	}
+}
+
 // TestStreamReportGolden pins RunStream's output across both
 // partitions, with and without crash churn and tuning: a change to the
 // serving path that moves any simulated result shows up here as a
@@ -78,6 +93,11 @@ func TestStreamReportGolden(t *testing.T) {
 			s.Parallel = 2
 			return s
 		}},
+		{"cells-degrade", func(s StreamSpec) StreamSpec {
+			s.Faults = degradeSpec()
+			s.Parallel = 2
+			return s
+		}},
 	}
 	got := make(map[string]streamGolden)
 	for _, leg := range legs {
@@ -90,6 +110,14 @@ func TestStreamReportGolden(t *testing.T) {
 				g.Sink = int(*c)
 			}
 			got[fmt.Sprintf("%s/%d", leg.name, seed)] = g
+		}
+	}
+
+	// The degrade leg's faults must land on nodes that carry work, or
+	// it pins nothing the plain cells leg does not.
+	for _, seed := range []uint64{11, 12, 13} {
+		if a, b := got[fmt.Sprintf("cells/%d", seed)], got[fmt.Sprintf("cells-degrade/%d", seed)]; a.Report == b.Report {
+			t.Errorf("seed %d: cells-degrade digest equals the cells digest; its faults moved nothing", seed)
 		}
 	}
 
