@@ -393,9 +393,8 @@ func BenchmarkStreamDay(b *testing.B) {
 }
 
 // BenchmarkStreamDayCells is the same simulated day on the rack-cell
-// partition: each rack is a self-contained cell (scoped RM,
-// single-rack namenode, rack-local fabric, private sink), all on the
-// one event engine.
+// partition: each rack is a self-contained cell (a one-rack cluster
+// with its own RM, namenode and sink), all on the one event engine.
 func BenchmarkStreamDayCells(b *testing.B) {
 	benchmarkStreamDay(b, true)
 }

@@ -52,12 +52,8 @@ func (n *Node) CancelFlow(f *Flow) {
 // SameRack reports whether two nodes share a rack.
 func (c *Cluster) SameRack(a, b *Node) bool { return a.Rack == b.Rack }
 
-// NetworkFabric exposes the shared network fabric. In RackLocalNet
-// mode it is empty — flows live on the per-rack fabrics.
+// NetworkFabric exposes the shared network fabric.
 func (c *Cluster) NetworkFabric() *Fabric { return c.net }
-
-// TotalContainerMemMB returns cluster-wide container memory.
-func (c *Cluster) TotalContainerMemMB() float64 { return c.totalMemMB }
 
 // TotalVCores returns cluster-wide container vcores.
 func (c *Cluster) TotalVCores() int {

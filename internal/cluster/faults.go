@@ -14,9 +14,7 @@ package cluster
 // (down=true) or is restored (down=false). Callbacks run synchronously
 // from KillNode/RestoreNode, in registration order — construction order
 // of the subscribing layers therefore fixes the recovery ordering and
-// keeps same-seed runs reproducible. Every listener hears every node;
-// a layer that owns one rack (a rack cell's RM or namenode) ignores the
-// other racks' nodes.
+// keeps same-seed runs reproducible. Every listener hears every node.
 func (c *Cluster) SubscribeNodeState(fn func(n *Node, down bool)) {
 	c.nodeListeners = append(c.nodeListeners, fn) //mrlint:ignore retained-append one subscription per layer, registered at construction
 }
@@ -42,8 +40,7 @@ func (c *Cluster) KillNode(n *Node) {
 	// Network flows crossing either NIC direction: collect first, since
 	// aborting rewrites the membership lists. A flow never appears on
 	// both lists (same-node transfers carry no links), and Abort is
-	// idempotent regardless. Each flow is aborted on its owning fabric
-	// (the shared one, or the rack fabric in RackLocalNet mode).
+	// idempotent regardless.
 	nic := make([]*Flow, 0, len(n.NICIn.flows)+len(n.NICOut.flows))
 	nic = append(nic, n.NICIn.flows...)
 	nic = append(nic, n.NICOut.flows...)

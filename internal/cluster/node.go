@@ -5,7 +5,7 @@ import "fmt"
 // Node is one machine: a CPU pool, a container memory pool, one disk,
 // and a full-duplex NIC. The disk and CPU each live in their own
 // single-link fabric (contention is node-local); the NIC links live in
-// the cluster-wide network fabric. The pool, both fabrics and all four
+// the cluster's network fabric. The pool, both fabrics and all four
 // links are part of the Node itself, so cluster.New builds a node
 // without allocating; a Node must therefore never be copied.
 type Node struct {
@@ -120,7 +120,6 @@ func (n *Node) NICBandwidth() float64 { return n.NICIn.Capacity }
 // SetNICBandwidth rescales both NIC directions (fault injection: a
 // flapping or degraded link).
 func (n *Node) SetNICBandwidth(mbps float64) {
-	nf := n.cluster.netFor(n)
-	nf.SetCapacity(n.NICIn, mbps)
-	nf.SetCapacity(n.NICOut, mbps)
+	n.cluster.net.SetCapacity(n.NICIn, mbps)
+	n.cluster.net.SetCapacity(n.NICOut, mbps)
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -32,13 +33,6 @@ type Config struct {
 	// and spread round-robin across len(RackSizes) racks (the sizes
 	// themselves are ignored).
 	Classes []NodeClass
-	// RackLocalNet restructures the network for rack-isolated serving
-	// (rack cells): instead of one cluster-wide fabric, each rack gets
-	// its own fabric holding that rack's NICs and its uplink, so a
-	// flow's rate recompute only ever scans its own rack. Cross-rack
-	// Transfer panics in this mode; it exists for rack-cell workloads
-	// where all traffic is rack-local.
-	RackLocalNet bool
 }
 
 // NodeClass describes one hardware flavor in a heterogeneous cluster.
@@ -89,11 +83,8 @@ func HeterogeneousPaperConfig() Config {
 // engine Eng.
 type Cluster struct {
 	Eng   *sim.Engine
-	Nodes []*Node // points into nodes
+	Nodes []*Node
 	Racks [][]*Node
-
-	// nodes holds every node, in ID order.
-	nodes []Node
 
 	// Faults is the cluster-wide fault/recovery counter sheet. Every
 	// layer (HDFS, YARN, MapReduce) records recovery activity here
@@ -101,12 +92,12 @@ type Cluster struct {
 	Faults *metrics.FaultCounters
 
 	net *Fabric
-	// rackNets, in RackLocalNet mode, are the per-rack network fabrics
-	// (nil otherwise); netFor routes every flow to the right one.
-	rackNets []*Fabric
-	uplinks  []*Link
-	// totalMemMB caches the cluster-wide container memory; the node set
-	// is fixed once New returns.
+	// uplinks holds one uplink per rack, a one-rack cluster's too: the
+	// cross-rack share of a reducer's fetch passes through its rack's
+	// uplink (see Fetch).
+	uplinks []*Link
+	// totalMemMB caches the container memory of every node; the node
+	// set is fixed once the cluster is built.
 	totalMemMB float64
 
 	// nodeListeners are notified, in registration order, when a node
@@ -117,78 +108,117 @@ type Cluster struct {
 // New builds a cluster per cfg. It validates the whole config first,
 // then sizes everything it builds once: all nodes live in one array.
 func New(eng *sim.Engine, cfg Config) *Cluster {
+	sizes, total := layout(cfg)
+	// The node array, by far the largest allocation here, comes first:
+	// allocated after the slices build makes, it made the day's set-up
+	// time read about 1.5 times this order's in side-by-side pairs (GC
+	// timing).
+	nodes := make([]Node, total)
+	// Every fabric recomputes in one scratch workspace and recycles
+	// flows through its free list; the workspace also names the
+	// topology for panics and errors.
+	c := &Cluster{}
+	c.build(&workspace{eng: eng, clusters: []*Cluster{c}}, nodes, cfg, sizes, nodeNames(total))
+	return c
+}
+
+// NewCells builds one single-rack cluster per rack of cfg, each with
+// its nodes numbered from 0. The cells run on the one engine and share
+// one workspace, so a flow recycled in one cell serves a Start in any
+// other, and their nodes come from one array. A cell is otherwise an
+// ordinary cluster with one rack and its uplink. NewCells panics on a
+// Classes config, whose racks are dealt round-robin.
+func NewCells(eng *sim.Engine, cfg Config) []*Cluster {
+	if len(cfg.Classes) > 0 {
+		panic("cluster: NewCells needs a RackSizes layout, not node classes")
+	}
+	sizes, total := layout(cfg)
+	nodes := make([]Node, total)
+	all := make([]Cluster, len(sizes))
+	cells := make([]*Cluster, len(sizes))
+	for r := range all {
+		cells[r] = &all[r]
+	}
+	ws := &workspace{eng: eng, clusters: cells}
+	names := nodeNames(slices.Max(sizes))
+	for r, size := range sizes {
+		one := cfg
+		one.RackSizes = sizes[r : r+1]
+		cells[r].build(ws, nodes[:size:size], one, one.RackSizes, names)
+		nodes = nodes[size:]
+	}
+	return cells
+}
+
+// layout validates cfg and returns its per-rack node counts and their
+// total.
+func layout(cfg Config) (sizes []int, total int) {
 	racks := len(cfg.RackSizes)
 	if racks == 0 {
 		panic("cluster: config needs at least one rack")
 	}
-	total := 0
-	if len(cfg.Classes) > 0 {
-		for _, cl := range cfg.Classes {
-			if cl.Count <= 0 || cl.Cores <= 0 || cl.VCores <= 0 || cl.ContainerMemMB <= 0 {
-				panic(fmt.Sprintf("cluster: invalid node class %+v", cl))
-			}
-			total += cl.Count
-		}
-	} else {
+	if len(cfg.Classes) == 0 {
 		for r, size := range cfg.RackSizes {
 			if size < 0 {
 				panic(fmt.Sprintf("cluster: rack %d has negative size %d", r, size))
 			}
 			total += size
 		}
+		return cfg.RackSizes, total
 	}
-	sizes := cfg.RackSizes
-	if len(cfg.Classes) > 0 {
-		// Classes deal their nodes round-robin across the racks.
-		sizes = make([]int, racks)
-		for i := 0; i < total; i++ {
-			sizes[i%racks]++
+	for _, cl := range cfg.Classes {
+		if cl.Count <= 0 || cl.Cores <= 0 || cl.VCores <= 0 || cl.ContainerMemMB <= 0 {
+			panic(fmt.Sprintf("cluster: invalid node class %+v", cl))
 		}
+		total += cl.Count
 	}
-	uplinks := 0
-	if racks > 1 {
-		uplinks = 1
+	// Classes deal their nodes round-robin across the racks.
+	sizes = make([]int, racks)
+	for i := 0; i < total; i++ {
+		sizes[i%racks]++
 	}
+	return sizes, total
+}
 
-	c := &Cluster{Eng: eng, Faults: &metrics.FaultCounters{}}
-	// The node array, by far the largest allocation here, comes first:
-	// allocated after the slices below, it made the day's set-up time
-	// read about 1.5 times this order's in side-by-side pairs (GC timing).
-	c.nodes = make([]Node, total)
-	// Every fabric recomputes in one scratch workspace and recycles
-	// flows through its free list; the workspace also names the
-	// topology for panics and errors.
-	ws := &workspace{eng: eng, cluster: c}
+// nodeNames concatenates the names of n nodes: node00, node01, ....
+// Each node's name is a slice of the one string.
+func nodeNames(n int) string {
+	var b strings.Builder
+	b.Grow(n * len(fmt.Sprintf("node%02d", n)))
+	var digits [20]byte
+	for id := 0; id < n; id++ {
+		b.WriteString("node")
+		if id < 10 {
+			b.WriteByte('0')
+		}
+		b.Write(strconv.AppendInt(digits[:0], int64(id), 10))
+	}
+	return b.String()
+}
+
+// build lays out a validated cfg in c over nodes, which it numbers
+// from 0 and names from names (see nodeNames). ws already lists c, so
+// that a panic while building can name what it rejects.
+func (c *Cluster) build(ws *workspace, nodes []Node, cfg Config, sizes []int, names string) {
+	racks, total := len(sizes), len(nodes)
+	c.Eng, c.Faults = ws.eng, &metrics.FaultCounters{}
 	c.net = newFabric(ws)
 	c.Racks = make([][]*Node, racks)
 	for r := range c.Racks {
 		c.Racks[r] = make([]*Node, 0, sizes[r])
 	}
-	if cfg.RackLocalNet {
-		c.rackNets = make([]*Fabric, racks)
-		for r := range c.rackNets {
-			c.rackNets[r] = newFabric(ws)
-			c.rackNets[r].links = make([]*Link, 0, 2*sizes[r]+uplinks)
-		}
-	} else {
-		c.net.links = make([]*Link, 0, 2*total+racks*uplinks)
-	}
+	c.net.links = make([]*Link, 0, 2*total+racks)
 	c.Nodes = make([]*Node, total)
-	// The node names slice one string: node00, node01, ...
-	var names strings.Builder
-	names.Grow(total * len(fmt.Sprintf("node%02d", total)))
 
-	id := 0
+	id, name := 0, 0
 	addNode := func(rack int, cores float64, vcores int, memMB, diskMBps, nicMBps float64) {
-		n := &c.nodes[id]
-		start := names.Len()
-		var digits [20]byte
-		names.WriteString("node")
-		if id < 10 {
-			names.WriteByte('0')
+		n := &nodes[id]
+		end := name + len("node00")
+		for k := 100; k <= id; k *= 10 {
+			end++
 		}
-		names.Write(strconv.AppendInt(digits[:0], int64(id), 10))
-		n.ID, n.Name, n.Rack = id, names.String()[start:], rack
+		n.ID, n.Name, n.Rack = id, names[name:end], rack
+		name = end
 		n.Cores, n.VCores, n.cluster = cores, vcores, c
 		n.mem.ws = ws
 		n.mem.init(memMB)
@@ -197,11 +227,11 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 		n.cpu.addLink(&n.cpuLink, cores)
 		n.disk = Fabric{ws: ws, links: n.links[1:1:2]}
 		n.disk.addLink(&n.diskLink, diskMBps)
-		nf := c.netFor(n)
-		n.NICIn = nf.addLink(&n.nicIn, nicMBps)
-		n.NICOut = nf.addLink(&n.nicOut, nicMBps)
+		n.NICIn = c.net.addLink(&n.nicIn, nicMBps)
+		n.NICOut = c.net.addLink(&n.nicOut, nicMBps)
 		c.Nodes[id] = n
 		c.Racks[rack] = append(c.Racks[rack], n)
+		c.totalMemMB += n.Mem.Capacity
 		id++
 	}
 
@@ -212,33 +242,25 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 			}
 		}
 	} else {
-		for r, size := range cfg.RackSizes {
+		for r, size := range sizes {
 			for i := 0; i < size; i++ {
 				addNode(r, cfg.CoresPerNode, cfg.VCoresPerNode, cfg.ContainerMemMB, cfg.DiskMBps, cfg.NICMBps)
 			}
 		}
 	}
-	if uplinks > 0 {
-		links := make([]Link, racks)
-		c.uplinks = make([]*Link, racks)
-		for r := range links {
-			nf := c.net
-			if c.rackNets != nil {
-				// The uplink throttles only its own rack's cross-rack
-				// fetch share in this mode, so it lives with the rack.
-				nf = c.rackNets[r]
-			}
-			// Listed before it is added, so that a capacity panic can
-			// name it.
-			c.uplinks[r] = &links[r]
-			nf.addLink(c.uplinks[r], cfg.UplinkMBps)
-		}
+	links := make([]Link, racks)
+	c.uplinks = make([]*Link, racks)
+	for r := range links {
+		// Listed before it is added, so that a capacity panic can name
+		// it.
+		c.uplinks[r] = &links[r]
+		c.net.addLink(c.uplinks[r], cfg.UplinkMBps)
 	}
-	for _, n := range c.Nodes {
-		c.totalMemMB += n.Mem.Capacity
-	}
-	return c
 }
+
+// TotalContainerMemMB returns the container memory of every node, summed
+// in node order.
+func (c *Cluster) TotalContainerMemMB() float64 { return c.totalMemMB }
 
 // topologyName names one of the cluster's fabrics, links or memory
 // pools by its role, in O(nodes): only panics and errors need a name,
@@ -247,18 +269,12 @@ func (c *Cluster) topologyName(obj any) string {
 	if obj == any(c.net) {
 		return "network"
 	}
-	for r, fb := range c.rackNets {
-		if obj == any(fb) {
-			return fmt.Sprintf("rack%02d/network", r)
-		}
-	}
 	for r, l := range c.uplinks {
 		if obj == any(l) {
 			return fmt.Sprintf("rack%d/uplink", r)
 		}
 	}
-	for i := range c.nodes {
-		n := &c.nodes[i]
+	for _, n := range c.Nodes {
 		switch obj {
 		case &n.mem:
 			return n.Name + "/mem"
@@ -281,16 +297,13 @@ func (c *Cluster) topologyName(obj any) string {
 // transfer is a memory copy and completes (asynchronously) at once.
 func (c *Cluster) Transfer(src, dst *Node, mb float64, done func()) *Flow {
 	if src == dst {
-		return c.netFor(src).Start(nil, mb, 1e9, done) // effectively instant
-	}
-	if src.Rack != dst.Rack && c.rackNets != nil {
-		panic(fmt.Sprintf("cluster: cross-rack transfer %s -> %s in rack-local network mode", src.Name, dst.Name))
+		return c.net.Start(nil, mb, 1e9, done) // effectively instant
 	}
 	links := []*Link{src.NICOut, dst.NICIn}
-	if src.Rack != dst.Rack && len(c.uplinks) > 0 {
+	if src.Rack != dst.Rack {
 		links = append(links, c.uplinks[src.Rack], c.uplinks[dst.Rack])
 	}
-	return c.netFor(src).Start(links, mb, 0, done)
+	return c.net.Start(links, mb, 0, done)
 }
 
 // Fetch starts an inbound network flow of mb megabytes terminating at
@@ -302,7 +315,7 @@ func (c *Cluster) Transfer(src, dst *Node, mb float64, done func()) *Flow {
 // none) bounds the aggregate fetch rate, modelling a limited number of
 // parallel copy threads.
 func (c *Cluster) Fetch(dst *Node, mb, crossRackFrac, rateCap float64, done func()) []*Flow {
-	if crossRackFrac > 0 && len(c.uplinks) > 0 {
+	if crossRackFrac > 0 {
 		// Split into a rack-local part and a cross-rack part; done fires
 		// when both complete. The rate cap is divided pro rata.
 		remaining := 2
@@ -317,7 +330,7 @@ func (c *Cluster) Fetch(dst *Node, mb, crossRackFrac, rateCap float64, done func
 			capCross = rateCap * crossRackFrac
 			capLocal = rateCap * (1 - crossRackFrac)
 		}
-		nf := c.netFor(dst)
+		nf := c.net
 		crossLinks := []*Link{dst.NICIn, c.uplinks[dst.Rack]}
 		crossMB, localMB := mb*crossRackFrac, mb*(1-crossRackFrac)
 		if crossMB == 0 || localMB == 0 {
@@ -339,14 +352,5 @@ func (c *Cluster) Fetch(dst *Node, mb, crossRackFrac, rateCap float64, done func
 		nf.recompute(crossLinks, nil)
 		return []*Flow{cross, local}
 	}
-	return []*Flow{c.netFor(dst).Start([]*Link{dst.NICIn}, mb, rateCap, done)}
-}
-
-// netFor returns the fabric that carries flows touching n: the shared
-// cluster-wide fabric normally, n's rack fabric in RackLocalNet mode.
-func (c *Cluster) netFor(n *Node) *Fabric {
-	if c.rackNets != nil {
-		return c.rackNets[n.Rack]
-	}
-	return c.net
+	return []*Flow{c.net.Start([]*Link{dst.NICIn}, mb, rateCap, done)}
 }

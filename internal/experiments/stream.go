@@ -97,14 +97,14 @@ type StreamSpec struct {
 
 	// Faults, when non-nil, injects the spec's faults into the run. The
 	// whole-cluster cell's injector carries the whole spec; in rack-cell
-	// mode each cell's injector carries exactly the faults that land on
-	// its nodes.
+	// mode each cell's injector carries its rack's faults, renumbered
+	// like the cell's nodes (faults.Spec.Rack).
 	Faults *faults.Spec
 
 	// Parallel, when positive, runs the stream on the rack-cell
-	// partition: each rack is a self-contained cell (scoped resource
-	// manager, scoped single-rack namenode, rack-local fabric, private
-	// stats sink), and a job reaches its cell StreamSubmitDelaySecs
+	// partition: each rack is a self-contained cell, a one-rack cluster
+	// (cluster.NewCells) with its own resource manager, namenode and
+	// stats sink, and a job reaches its cell StreamSubmitDelaySecs
 	// after it arrives. Every cell schedules on the one engine, so any
 	// positive value gives the same result; the field is a switch, not
 	// a worker count. Zero selects the whole-cluster partition.
@@ -162,8 +162,8 @@ func (r *StreamResult) Report() string {
 // streamCell is one serving partition's self-contained stack:
 // everything a job touches after submission belongs to its cell. The
 // whole-cluster partition is one cell; the rack-cell partition has one
-// per rack, each with its own resource manager, namenode and stats
-// sink, so cells share no model state by construction.
+// per rack, each over its own one-rack cluster, so cells share no
+// model state by construction.
 type streamCell struct {
 	rm    *yarn.ResourceManager
 	fs    *hdfs.FileSystem
@@ -187,8 +187,8 @@ func (spec StreamSpec) arrivals() workload.ArrivalSpec {
 }
 
 // Validate reports the first reason spec cannot run: a class without a
-// positive weight, a cluster without nodes, or an arrival process
-// workload.ArrivalSpec rejects.
+// positive weight, a cluster without nodes, a fault on a node the
+// cluster lacks, or an arrival process workload.ArrivalSpec rejects.
 func (spec StreamSpec) Validate() error {
 	if spec.Classes != nil && len(spec.Classes) == 0 {
 		return fmt.Errorf("experiments: stream needs at least one class")
@@ -201,6 +201,11 @@ func (spec StreamSpec) Validate() error {
 	if spec.Racks <= 0 || spec.NodesPerRack <= 0 {
 		return fmt.Errorf("experiments: stream cluster needs positive racks and nodes per rack, got %d x %d",
 			spec.Racks, spec.NodesPerRack)
+	}
+	if spec.Faults != nil {
+		if err := spec.Faults.CheckNodes(spec.Racks * spec.NodesPerRack); err != nil {
+			return err
+		}
 	}
 	return spec.arrivals().Validate()
 }
@@ -238,17 +243,17 @@ func RunStream(spec StreamSpec) StreamResult {
 	cfg.RackSizes = sizes
 	// ~4:1 oversubscribed uplink for a 32-node rack of 1 GbE nodes.
 	cfg.UplinkMBps = 1000
-	cfg.RackLocalNet = rackCells
-	c := cluster.New(eng, cfg)
+	var clusters []*cluster.Cluster
+	if rackCells {
+		clusters = cluster.NewCells(eng, cfg)
+	} else {
+		clusters = []*cluster.Cluster{cluster.New(eng, cfg)}
+	}
 	src := sim.NewSource(spec.Seed)
 	base := mrconf.Default()
 
-	nCells := 1
-	if rackCells {
-		nCells = spec.Racks
-	}
-	cells := make([]*streamCell, nCells)
-	for r := range cells {
+	cells := make([]*streamCell, len(clusters))
+	for r, c := range clusters {
 		cell := &streamCell{
 			sink: trace.NewStatsSink(),
 			pool: mapreduce.NewPool(),
@@ -260,16 +265,13 @@ func RunStream(spec StreamSpec) StreamResult {
 		cellSrc, cellFaults := src, spec.Faults
 		if rackCells {
 			cellSrc = src.Sub(fmt.Sprintf("rack%03d", r))
-			cell.rm = yarn.NewScopedResourceManager(eng, c, yarn.FairScheduler{}, r)
-			cell.fs = hdfs.NewScoped(c, cellSrc.Stream("hdfs"), r)
 			if cellFaults != nil {
-				filtered := cellFaults.FilterNodes(func(node int) bool { return c.Nodes[node].Rack == r })
-				cellFaults = &filtered
+				rack := cellFaults.Rack(r*spec.NodesPerRack, spec.NodesPerRack)
+				cellFaults = &rack
 			}
-		} else {
-			cell.rm = yarn.NewResourceManager(eng, c, yarn.FairScheduler{})
-			cell.fs = hdfs.New(c, cellSrc.Stream("hdfs"))
 		}
+		cell.rm = yarn.NewResourceManager(eng, c, yarn.FairScheduler{})
+		cell.fs = hdfs.New(c, cellSrc.Stream("hdfs"))
 		if cellFaults != nil {
 			inj, err := faults.New(c, cellSrc, *cellFaults, cell.trace)
 			if err != nil {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/trace"
 )
 
@@ -155,6 +156,11 @@ func TestStreamSpecValidate(t *testing.T) {
 		"nan horizon":   func(s *StreamSpec) { s.HorizonSecs = math.NaN() },
 		"zero rate":     func(s *StreamSpec) { s.MeanPerHour = 0 },
 		"amplitude > 1": func(s *StreamSpec) { s.DiurnalAmplitude = 1.5 },
+		// Rack cells would drop a fault past the last rack unarmed.
+		"cells fault out of range": func(s *StreamSpec) {
+			s.Parallel = 1
+			s.Faults = &faults.Spec{LinkFlaps: []faults.LinkFlap{{Node: s.Racks * s.NodesPerRack}}}
+		},
 	}
 	for name, mutate := range bad {
 		spec := smallStreamSpec(1)

@@ -4,6 +4,8 @@ package faults_test
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -112,6 +114,56 @@ func TestCheckNodes(t *testing.T) {
 				t.Fatalf("valid spec rejected: %v", err)
 			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 				t.Fatalf("CheckNodes(18) = %v, want error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestSpecRack: Rack keeps the faults of every node-addressed kind on
+// nodes [lo, lo+n), renumbers them from 0, carries both rates and
+// leaves its receiver unchanged.
+func TestSpecRack(t *testing.T) {
+	attempt := &faults.TaskAttemptFail{Rate: 0.1, MeanDelaySecs: 3}
+	whole := faults.Spec{
+		NodeCrashes: []faults.NodeCrash{
+			{At: 1, Node: 7, RestartAfter: 5}, {At: 2, Node: 8}, {At: 3, Node: 15}, {At: 4, Node: 16},
+		},
+		NodeSlow:        []faults.NodeSlow{{At: 1, Node: 9, Factor: 0.5, Window: 2}, {At: 2, Node: 0, Factor: 0.3}},
+		DiskDegrades:    []faults.DiskDegrade{{At: 1, Node: 31, Factor: 0.2}, {At: 2, Node: 12, Factor: 0.4, Window: 9}},
+		LinkFlaps:       []faults.LinkFlap{{At: 5, Node: 14, Window: 1}, {At: 6, Node: 24, Window: 2}},
+		FetchFailRate:   0.05,
+		TaskAttemptFail: attempt,
+	}
+	before := fmt.Sprintf("%+v", whole)
+	cases := []struct {
+		name  string
+		lo, n int
+		want  faults.Spec
+	}{
+		{"middle rack", 8, 8, faults.Spec{
+			NodeCrashes:  []faults.NodeCrash{{At: 2, Node: 0}, {At: 3, Node: 7}},
+			NodeSlow:     []faults.NodeSlow{{At: 1, Node: 1, Factor: 0.5, Window: 2}},
+			DiskDegrades: []faults.DiskDegrade{{At: 2, Node: 4, Factor: 0.4, Window: 9}},
+			LinkFlaps:    []faults.LinkFlap{{At: 5, Node: 6, Window: 1}},
+		}},
+		{"first rack", 0, 8, faults.Spec{
+			NodeCrashes: []faults.NodeCrash{{At: 1, Node: 7, RestartAfter: 5}},
+			NodeSlow:    []faults.NodeSlow{{At: 2, Node: 0, Factor: 0.3}},
+		}},
+		{"last rack", 24, 8, faults.Spec{
+			DiskDegrades: []faults.DiskDegrade{{At: 1, Node: 7, Factor: 0.2}},
+			LinkFlaps:    []faults.LinkFlap{{At: 6, Node: 0, Window: 2}},
+		}},
+		{"no faults", 32, 8, faults.Spec{}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.want.FetchFailRate, tc.want.TaskAttemptFail = 0.05, attempt
+			if got := whole.Rack(tc.lo, tc.n); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("Rack(%d, %d) =\n%+v\nwant\n%+v", tc.lo, tc.n, got, tc.want)
+			}
+			if after := fmt.Sprintf("%+v", whole); after != before {
+				t.Errorf("Rack changed its receiver:\n%s\nwas\n%s", after, before)
 			}
 		})
 	}

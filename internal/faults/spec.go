@@ -78,30 +78,30 @@ func (s *Spec) Empty() bool {
 		s.FetchFailRate == 0 && s.TaskAttemptFail == nil
 }
 
-// FilterNodes returns a copy of the spec keeping only the scheduled
-// faults whose target node satisfies keep, along with the
-// probabilistic rates (which are not node-addressed). Node indices are
-// not renumbered. Rack-cell serving uses it to hand each rack's
-// injector exactly the faults landing on its own nodes.
-func (s *Spec) FilterNodes(keep func(node int) bool) Spec {
+// Rack returns a copy of the spec keeping only the scheduled faults on
+// nodes [lo, lo+n), renumbered from 0, along with the probabilistic
+// rates (which are not node-addressed). A rack cell, a one-rack
+// cluster numbered from 0, arms its rack's slice of a whole-cluster
+// spec.
+func (s *Spec) Rack(lo, n int) Spec {
 	out := Spec{FetchFailRate: s.FetchFailRate, TaskAttemptFail: s.TaskAttemptFail}
 	for _, c := range s.NodeCrashes {
-		if keep(c.Node) {
+		if c.Node -= lo; c.Node >= 0 && c.Node < n {
 			out.NodeCrashes = append(out.NodeCrashes, c)
 		}
 	}
 	for _, sl := range s.NodeSlow {
-		if keep(sl.Node) {
+		if sl.Node -= lo; sl.Node >= 0 && sl.Node < n {
 			out.NodeSlow = append(out.NodeSlow, sl)
 		}
 	}
 	for _, d := range s.DiskDegrades {
-		if keep(d.Node) {
+		if d.Node -= lo; d.Node >= 0 && d.Node < n {
 			out.DiskDegrades = append(out.DiskDegrades, d)
 		}
 	}
 	for _, l := range s.LinkFlaps {
-		if keep(l.Node) {
+		if l.Node -= lo; l.Node >= 0 && l.Node < n {
 			out.LinkFlaps = append(out.LinkFlaps, l)
 		}
 	}

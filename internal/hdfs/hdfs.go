@@ -63,10 +63,7 @@ type FileSystem struct {
 	// avoidance, used by MRONLINE's hot-spot policy).
 	HotThreshold float64
 
-	c *cluster.Cluster
-	// nodes is the datanode set this namenode places over: all of
-	// c.Nodes for the stock constructor, one rack for NewScoped.
-	nodes   []*cluster.Node
+	c       *cluster.Cluster
 	rng     *rand.Rand
 	nextID  int
 	writeAt int // round-robin cursor for first-replica placement
@@ -78,14 +75,13 @@ type FileSystem struct {
 	// next call, so the backing arrays are safe to reuse.
 	scratchCand []*cluster.Node
 	scratchCold []*cluster.Node
-	// downIDs is the ascending list of this namenode's currently-crashed
-	// node IDs, kept by onNodeState. rackContig records whether every
-	// rack's node IDs form one contiguous run of the cluster-wide node
-	// table (true for homogeneous layouts, false for interleaved node
-	// classes and for scoped namenodes). With load-aware selection off,
-	// rackContig gates placeReplicasInto's arithmetic fast path, which
-	// indexes each candidate set as rack ID runs minus downIDs instead
-	// of scanning.
+	// downIDs is the ascending list of the currently-crashed node IDs,
+	// kept by onNodeState. rackContig records whether every rack's node
+	// IDs form one contiguous run of the node table (true for
+	// homogeneous layouts, false for interleaved node classes). With
+	// load-aware selection off, rackContig gates placeReplicasInto's
+	// arithmetic fast path, which indexes each candidate set as rack ID
+	// runs minus downIDs instead of scanning.
 	downIDs    []int
 	rackContig bool
 	// freeBlocks recycles Block objects (and their Replicas capacity)
@@ -97,53 +93,21 @@ type FileSystem struct {
 // New returns a file system over the cluster with the paper's layout:
 // 3-way replication (capped by cluster size).
 func New(c *cluster.Cluster, rng *rand.Rand) *FileSystem {
-	fs := newFileSystem(c, rng, c.Nodes)
-	fs.rackContig = true
+	fs := &FileSystem{Replication: min(3, len(c.Nodes)), c: c, rng: rng, rackContig: true}
 	for _, r := range c.Racks {
 		if len(r) == 0 || r[len(r)-1].ID-r[0].ID != len(r)-1 {
 			fs.rackContig = false
 			break
 		}
 	}
-	c.SubscribeNodeState(fs.onNodeState)
-	return fs
-}
-
-// NewScoped returns a namenode whose datanode set is exactly rack's
-// nodes — the rack-cell building block of stream serving.
-// Placement behaves like New over a single-rack cluster (no off-rack
-// replica), which is the documented rack-cell difference from the
-// cluster-wide namenode.
-func NewScoped(c *cluster.Cluster, rng *rand.Rand, rack int) *FileSystem {
-	nodes := c.Racks[rack]
-	if len(nodes) == 0 {
-		panic(fmt.Sprintf("hdfs: scoped namenode over empty rack %d", rack))
-	}
-	fs := newFileSystem(c, rng, nodes)
-	// The contiguous-ID fast path indexes the cluster-wide node table;
-	// a scoped namenode always takes the scan path over its own set.
-	fs.rackContig = false
-	c.SubscribeNodeState(func(n *cluster.Node, down bool) {
-		if n.Rack == rack {
-			fs.onNodeState(n, down)
-		}
-	})
-	return fs
-}
-
-func newFileSystem(c *cluster.Cluster, rng *rand.Rand, nodes []*cluster.Node) *FileSystem {
-	repl := 3
-	if len(nodes) < repl {
-		repl = len(nodes)
-	}
-	fs := &FileSystem{Replication: repl, c: c, nodes: nodes, rng: rng}
 	// onNodeState tracks transitions from here on; start from the
 	// nodes already down.
-	for _, n := range nodes {
+	for _, n := range c.Nodes {
 		if n.Down() {
 			fs.downIDs = append(fs.downIDs, n.ID)
 		}
 	}
+	c.SubscribeNodeState(fs.onNodeState)
 	return fs
 }
 
@@ -158,16 +122,16 @@ func (fs *FileSystem) CreateWithBlockSize(name string, sizeMB, blockMB float64) 
 		panic(fmt.Sprintf("hdfs: non-positive block size %v", blockMB))
 	}
 	f := &File{Name: name, SizeMB: sizeMB}
-	remaining := sizeMB
+	remaining, nodes := sizeMB, fs.c.Nodes
 	for remaining > 1e-9 {
 		size := blockMB
 		if remaining < size {
 			size = remaining
 		}
-		writer := fs.nodes[fs.writeAt%len(fs.nodes)]
+		writer := nodes[fs.writeAt%len(nodes)]
 		fs.writeAt++
-		for i := 0; writer.Down() && i < len(fs.nodes); i++ {
-			writer = fs.nodes[fs.writeAt%len(fs.nodes)]
+		for i := 0; writer.Down() && i < len(nodes); i++ {
+			writer = nodes[fs.writeAt%len(nodes)]
 			fs.writeAt++
 		}
 		var b *Block
@@ -337,7 +301,7 @@ func (fs *FileSystem) nthLive(lo, k, gapLo, gapHi int) int {
 
 func (fs *FileSystem) randomNode(ok func(*cluster.Node) bool) *cluster.Node {
 	candidates, cold := fs.scratchCand[:0], fs.scratchCold[:0]
-	for _, n := range fs.nodes {
+	for _, n := range fs.c.Nodes {
 		if n.Down() {
 			continue
 		}

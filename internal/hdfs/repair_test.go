@@ -151,19 +151,3 @@ func TestRestoredNodeServesNewReplicas(t *testing.T) {
 		t.Fatalf("NodesRestored = %d, want 1", c.Faults.NodesRestored)
 	}
 }
-
-// TestScopedNamenodeIgnoresOtherRacks: a scoped namenode hears every
-// node's crash, and must prune, count and track none outside its rack.
-func TestScopedNamenodeIgnoresOtherRacks(t *testing.T) {
-	eng := sim.NewEngine()
-	c := cluster.New(eng, cluster.PaperConfig())
-	fs := NewScoped(c, sim.NewSource(1).Stream("hdfs"), 1)
-	fs.Create("input", 128*4)
-	eng.At(1, func() { c.KillNode(c.Racks[0][0]) })
-	eng.Run()
-
-	if len(fs.downIDs) != 0 || c.Faults.ReplicasLost != 0 {
-		t.Fatalf("scoped namenode tracked another rack's crash: downIDs %v, ReplicasLost %d",
-			fs.downIDs, c.Faults.ReplicasLost)
-	}
-}

@@ -208,7 +208,7 @@ func (j *Job) pump() {
 // requestWindow caps requested-but-unfinished tasks at roughly twice
 // what the cluster can run at once for the given container size.
 func (j *Job) requestWindow(memMB float64) float64 {
-	slots := 2 * j.rm.TotalContainerMemMB() / memMB
+	slots := 2 * j.rm.Cluster().TotalContainerMemMB() / memMB
 	if slots < 36 {
 		slots = 36
 	}
@@ -219,7 +219,7 @@ func (j *Job) reduceHeadroomOK(memMB float64) bool {
 	if j.completedMaps == len(j.mapTasks) {
 		return true
 	}
-	limit := ReduceHeadroomFraction * j.rm.TotalContainerMemMB()
+	limit := ReduceHeadroomFraction * j.rm.Cluster().TotalContainerMemMB()
 	return j.reduceMemHeld+memMB <= limit
 }
 

@@ -6,13 +6,13 @@ import "repro/internal/cluster"
 
 // Blacklisted reports whether the node is currently blacklisted.
 func (rm *ResourceManager) Blacklisted(n *cluster.Node) bool {
-	return rm.blacklisted[n.ID-rm.baseID]
+	return rm.blacklisted[n.ID]
 }
 
 // NodeDeclaredLost reports whether the node is down and its containers
 // have been reclaimed.
 func (rm *ResourceManager) NodeDeclaredLost(n *cluster.Node) bool {
-	id := n.ID - rm.baseID
+	id := n.ID
 	return rm.nodeDown[id] && rm.declaredLost[id]
 }
 

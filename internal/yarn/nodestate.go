@@ -15,7 +15,7 @@ import "repro/internal/cluster"
 // they next recover.
 
 func (rm *ResourceManager) onNodeState(n *cluster.Node, down bool) {
-	id := n.ID - rm.baseID
+	id := n.ID
 	if down {
 		rm.nodeDown[id] = true
 		rm.declaredLost[id] = false
@@ -51,7 +51,7 @@ func (rm *ResourceManager) onNodeState(n *cluster.Node, down bool) {
 // state (completed map outputs), and re-runs assignment for the freed
 // demand.
 func (rm *ResourceManager) declareNodeLost(n *cluster.Node) {
-	rm.declaredLost[n.ID-rm.baseID] = true
+	rm.declaredLost[n.ID] = true
 	// Collect first: Release rewrites liveByApp. Iterating the apps
 	// slice (never the map) keeps the reclaim order deterministic.
 	var lost []*Container
@@ -94,7 +94,7 @@ func (rm *ResourceManager) reclaimLost(c *Container) {
 // recovers. Failures on an already-down node are ignored (the whole
 // node is being handled by the loss path).
 func (rm *ResourceManager) ReportTaskFailure(n *cluster.Node) {
-	id := n.ID - rm.baseID
+	id := n.ID
 	if rm.nodeDown[id] || rm.BlacklistThreshold <= 0 {
 		return
 	}

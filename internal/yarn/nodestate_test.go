@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/sim"
 )
 
 // TestNodeLossReclaimsContainers kills a node and checks the RM
@@ -66,66 +65,6 @@ func TestNodeLossReclaimsContainers(t *testing.T) {
 		if again.Node == victim {
 			t.Fatalf("notify=%v: replacement placed on the dead node", notify)
 		}
-	}
-}
-
-// TestScopedRMFaultCountersReachCluster: in rack-cell mode (a
-// RackLocalNet cluster with a scoped RM) a node crash and the
-// containers it loses are counted on the cluster-wide sheet, the one
-// every report reads.
-func TestScopedRMFaultCountersReachCluster(t *testing.T) {
-	eng := sim.NewEngine()
-	cfg := cluster.PaperConfig()
-	cfg.RackLocalNet = true
-	c := cluster.New(eng, cfg)
-	rm := NewScopedResourceManager(eng, c, FIFOScheduler{}, 1)
-	rm.SchedulingDelay = 0
-	if rm.FaultCounters() != c.Faults {
-		t.Fatal("scoped RM writes a counter sheet other than Cluster.Faults")
-	}
-
-	var got *Container
-	rm.Submit("job").Request(&Request{
-		Resource:   Resource{MemMB: 1024, VCores: 1},
-		OnAllocate: func(cont *Container) { got = cont },
-	})
-	eng.Run()
-	if got == nil || got.Node.Rack != 1 {
-		t.Fatalf("container not allocated on rack 1: %+v", got)
-	}
-	eng.At(10, func() { c.KillNode(got.Node) })
-	eng.Run()
-
-	if c.Faults.NodesDowned != 1 {
-		t.Fatalf("NodesDowned = %d, want 1", c.Faults.NodesDowned)
-	}
-	if c.Faults.ContainersLost != 1 {
-		t.Fatalf("ContainersLost = %d, want 1", c.Faults.ContainersLost)
-	}
-}
-
-// TestScopedRMIgnoresOtherRacks: a scoped RM hears every node's
-// crash and restart, and must act on none outside its rack.
-func TestScopedRMIgnoresOtherRacks(t *testing.T) {
-	eng := sim.NewEngine()
-	c := cluster.New(eng, cluster.PaperConfig())
-	rm := NewScopedResourceManager(eng, c, FIFOScheduler{}, 1)
-	other := c.Racks[0][0]
-	eng.At(1, func() { c.KillNode(other) })
-	eng.At(2, func() { c.RestoreNode(other) })
-	eng.Run()
-
-	var got *Container
-	rm.Submit("job").Request(&Request{
-		Resource:   Resource{MemMB: 1024, VCores: 1},
-		OnAllocate: func(cont *Container) { got = cont },
-	})
-	eng.Run()
-	if got == nil || got.Node.Rack != 1 {
-		t.Fatalf("container not allocated on rack 1: %+v", got)
-	}
-	if c.Faults.ContainersLost != 0 || c.Faults.NodesUnblacklisted != 0 {
-		t.Fatalf("scoped RM acted on another rack's node: %+v", *c.Faults)
 	}
 }
 

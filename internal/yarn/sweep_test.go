@@ -15,7 +15,7 @@ import (
 // every pending request. TestAssignMatchesScan runs it in lockstep
 // against assign.
 func (rm *ResourceManager) assignScan() {
-	n := len(rm.nodes)
+	n := len(rm.c.Nodes)
 	if n == 0 {
 		return
 	}
@@ -55,8 +55,8 @@ func (rm *ResourceManager) assignScan() {
 					// a 10k-node cluster from O(nodes) into O(1).
 					break
 				}
-				node := rm.nodes[(rm.assignCur+i)%n]
-				nid := node.ID - rm.baseID
+				node := rm.c.Nodes[(rm.assignCur+i)%n]
+				nid := node.ID
 				if rm.nodeDown[nid] || (rm.blacklisted[nid] && !ignoreBlacklist) {
 					continue
 				}
@@ -361,7 +361,7 @@ func (cov *sweepCoverage) observe(rm *ResourceManager) {
 	case rm.unconstrained == 0:
 		cov.preferredOnly++
 	}
-	if rm.blackCount > 0 && rm.blackCount*3 >= len(rm.nodes) {
+	if rm.blackCount > 0 && rm.blackCount*3 >= len(rm.c.Nodes) {
 		cov.ignoreBlacklist++
 	}
 	for _, down := range rm.nodeDown {

@@ -141,20 +141,10 @@ type Scheduler interface {
 }
 
 // ResourceManager owns cluster capacity and runs the allocation loop.
-// The stock constructor manages the whole cluster;
-// NewScopedResourceManager manages one rack (the rack-cell serving
-// layout), with the same behavior over its node subset.
 type ResourceManager struct {
 	eng   *sim.Engine
 	c     *cluster.Cluster
 	sched Scheduler
-
-	// nodes is the managed node set (all of c.Nodes, or one rack);
-	// baseID rebases the dense per-node arrays onto it.
-	nodes  []*cluster.Node
-	baseID int
-	// totalMemMB caches container memory across the managed nodes.
-	totalMemMB float64
 
 	apps       []*App
 	nextAppID  int
@@ -237,33 +227,8 @@ type ResourceManager struct {
 // NewResourceManager returns an RM over the whole cluster with the
 // given scheduling policy.
 func NewResourceManager(eng *sim.Engine, c *cluster.Cluster, sched Scheduler) *ResourceManager {
-	rm := newResourceManager(eng, c, sched, c.Nodes)
-	c.SubscribeNodeState(rm.onNodeState)
-	return rm
-}
-
-// NewScopedResourceManager returns an RM that manages exactly rack's
-// nodes — the rack-cell building block of stream serving.
-// It requires the rack's node IDs to be contiguous (true for the
-// homogeneous RackSizes layout).
-func NewScopedResourceManager(eng *sim.Engine, c *cluster.Cluster, sched Scheduler, rack int) *ResourceManager {
-	nodes := c.Racks[rack]
-	if len(nodes) == 0 {
-		panic(fmt.Sprintf("yarn: scoped RM over empty rack %d", rack))
-	}
-	rm := newResourceManager(eng, c, sched, nodes)
-	c.SubscribeNodeState(func(n *cluster.Node, down bool) {
-		if n.Rack == rack {
-			rm.onNodeState(n, down)
-		}
-	})
-	return rm
-}
-
-func newResourceManager(eng *sim.Engine, c *cluster.Cluster, sched Scheduler,
-	nodes []*cluster.Node) *ResourceManager {
 	rm := &ResourceManager{
-		eng: eng, c: c, sched: sched, nodes: nodes,
+		eng: eng, c: c, sched: sched,
 		liveByApp:       make(map[*App][]*Container),
 		SchedulingDelay: 0.5,
 		RackDelay:       2,
@@ -275,21 +240,15 @@ func newResourceManager(eng *sim.Engine, c *cluster.Cluster, sched Scheduler,
 		NodeExpirySecs:     30,
 		BlacklistThreshold: 3,
 	}
-	rm.baseID = nodes[0].ID
-	n := len(nodes)
+	n := len(c.Nodes)
 	rm.nodeCapMem = make([]float64, n)
 	rm.nodeUsedMem = make([]float64, n)
 	rm.nodeUsedVC = make([]int, n)
 	rm.nodeVCores = make([]int, n)
-	for i, node := range nodes {
-		if node.ID != rm.baseID+i {
-			panic(fmt.Sprintf("yarn: node %s has ID %d at index %d (base %d); managed node IDs must be contiguous",
-				node.Name, node.ID, i, rm.baseID))
-		}
+	for i, node := range c.Nodes {
 		rm.nodeCapMem[i] = node.Mem.Capacity
 		rm.nodeUsedMem[i] = node.Mem.Used()
 		rm.nodeVCores[i] = node.VCores
-		rm.totalMemMB += node.Mem.Capacity
 	}
 	rm.nodeDown = make([]bool, n)
 	rm.declaredLost = make([]bool, n)
@@ -311,17 +270,12 @@ func newResourceManager(eng *sim.Engine, c *cluster.Cluster, sched Scheduler,
 		}
 		rm.kick()
 	}
+	c.SubscribeNodeState(rm.onNodeState)
 	return rm
 }
 
 // Cluster returns the managed cluster.
 func (rm *ResourceManager) Cluster() *cluster.Cluster { return rm.c }
-
-// TotalContainerMemMB returns container memory across the managed
-// nodes. Consumers sizing against the RM (the mapreduce AM's reduce
-// slot estimate) must use this, not the cluster-wide total, so a
-// scoped RM is sized like the rack it owns.
-func (rm *ResourceManager) TotalContainerMemMB() float64 { return rm.totalMemMB }
 
 // FaultCounters returns the cluster-wide counter sheet the RM and the
 // jobs it runs write.
@@ -418,7 +372,7 @@ func (rm *ResourceManager) Release(c *Container) {
 	}
 	c.released = true
 	c.Node.Mem.Release(c.Resource.MemMB)
-	id := c.Node.ID - rm.baseID
+	id := c.Node.ID
 	rm.nodeUsedMem[id] -= c.Resource.MemMB
 	if rm.nodeUsedMem[id] < 0 {
 		rm.nodeUsedMem[id] = 0 // mirrors MemPool.Release's clamp
@@ -455,7 +409,7 @@ func (rm *ResourceManager) indexRequest(req *Request, delta int) {
 		return
 	}
 	for _, n := range req.PreferredNodes {
-		id := n.ID - rm.baseID
+		id := n.ID
 		rm.prefNode[id] += delta
 		switch {
 		case delta > 0 && rm.prefNode[id] == 1:
@@ -468,11 +422,11 @@ func (rm *ResourceManager) indexRequest(req *Request, delta int) {
 }
 
 // nextPreferred returns the least sweep offset j >= i whose node,
-// rm.nodes[(rm.assignCur+j) mod n], has a pending request preferring
+// rm.c.Nodes[(rm.assignCur+j) mod n], has a pending request preferring
 // it, or n when no such node is left before the sweep wraps back to
 // the cursor.
 func (rm *ResourceManager) nextPreferred(i int) int {
-	n, cur := len(rm.nodes), rm.assignCur
+	n, cur := len(rm.c.Nodes), rm.assignCur
 	if cur+i < n {
 		if q := rm.nextPrefBit(cur+i, n); q < n {
 			return q - cur
@@ -528,7 +482,7 @@ func (rm *ResourceManager) oldestConstrainedEnqueue() float64 {
 // MemPool.CanAllocate (mb <= Capacity-used+1e-9) against the RM's
 // mirror arrays.
 func (rm *ResourceManager) fits(node *cluster.Node, r Resource) bool {
-	id := node.ID - rm.baseID
+	id := node.ID
 	return r.MemMB <= rm.nodeCapMem[id]-rm.nodeUsedMem[id]+1e-9 &&
 		rm.nodeUsedVC[id]+r.VCores <= rm.nodeVCores[id]
 }
@@ -548,7 +502,7 @@ func (rm *ResourceManager) anyPendingFits(node *cluster.Node) bool {
 // assign walks nodes round-robin, letting the scheduler pick an app
 // for each node with free capacity, until no more placements succeed.
 func (rm *ResourceManager) assign() {
-	n := len(rm.nodes)
+	n := len(rm.c.Nodes)
 	if n == 0 {
 		return
 	}
@@ -597,13 +551,12 @@ func (rm *ResourceManager) assign() {
 						break
 					}
 				}
-				// Managed node IDs are contiguous from baseID, so the
-				// sweep position is the dense index.
+				// The sweep position is the node ID.
 				nid := rm.assignCur + i
 				if nid >= n {
 					nid -= n
 				}
-				node := rm.nodes[nid]
+				node := rm.c.Nodes[nid]
 				if rm.nodeDown[nid] || (rm.blacklisted[nid] && !ignoreBlacklist) {
 					continue
 				}
@@ -759,7 +712,7 @@ func (rm *ResourceManager) place(app *App, req *Request, node *cluster.Node) {
 	if err := node.Mem.Allocate(req.Resource.MemMB); err != nil {
 		panic(fmt.Sprintf("yarn: placement race: %v", err))
 	}
-	nid := node.ID - rm.baseID
+	nid := node.ID
 	rm.nodeUsedMem[nid] += req.Resource.MemMB // mirrors MemPool.Allocate
 	rm.nodeUsedVC[nid] += req.Resource.VCores
 	if !app.CancelRequest(req) {
