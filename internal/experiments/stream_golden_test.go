@@ -98,6 +98,13 @@ func TestStreamReportGolden(t *testing.T) {
 			s.Parallel = 2
 			return s
 		}},
+		{"cells-churn-tuned-sink-p2", func(s StreamSpec) StreamSpec {
+			s.Faults = churnSpec()
+			s.Tuned = true
+			s.Sink = new(countSink)
+			s.Parallel = 2
+			return s
+		}},
 	}
 	got := make(map[string]streamGolden)
 	for _, leg := range legs {
