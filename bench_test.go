@@ -12,6 +12,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -394,7 +395,8 @@ func BenchmarkStreamDay(b *testing.B) {
 
 // BenchmarkStreamDayCells is the same simulated day on the rack-cell
 // partition: each rack is a self-contained cell (a one-rack cluster
-// with its own RM, namenode and sink), all on the one event engine.
+// with its own engine, RM, namenode and sink), the cells spread over
+// GOMAXPROCS workers.
 func BenchmarkStreamDayCells(b *testing.B) {
 	benchmarkStreamDay(b, true)
 }
@@ -432,7 +434,7 @@ func benchmarkStreamDay(b *testing.B, cells bool) {
 	for i := 0; i < b.N; i++ {
 		spec := experiments.DefaultStreamSpec(7)
 		if cells {
-			spec.Parallel = 1
+			spec.Parallel = runtime.GOMAXPROCS(0)
 		}
 		start := time.Now()
 		res := experiments.RunStream(spec)

@@ -373,7 +373,7 @@ func stream(env experiments.Env, cells bool) {
 	spec.HorizonSecs = 3600
 	spec.Faults = env.FaultSpec
 	if cells {
-		spec.Parallel = 1
+		spec.Parallel = runtime.GOMAXPROCS(0)
 		fmt.Printf("rack-cell mode: %d cells\n", spec.Racks)
 	}
 	fmt.Printf("%-10s %6s %10s %9s %9s %9s\n",

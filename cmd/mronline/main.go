@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -253,7 +254,7 @@ func runStream(env experiments.Env, hours float64, strategy string, cells, asJSO
 	spec.HorizonSecs = hours * 3600
 	spec.Tuned = strategy == "conservative"
 	if cells {
-		spec.Parallel = 1
+		spec.Parallel = runtime.GOMAXPROCS(0)
 	}
 	spec.Faults = env.FaultSpec
 	if err := spec.Validate(); err != nil {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -355,73 +354,20 @@ func TestInvalidNodeClassPanics(t *testing.T) {
 // TestNewAllocationsPerNode pins the node layout: a node's memory
 // pool, fabrics and links live inside it and all nodes share one
 // array, so a cluster's allocations barely grow with its node count.
-// NewCells also shares the names and the workspace, so an added cell
-// costs only its own topology.
 func TestNewAllocationsPerNode(t *testing.T) {
-	allocs := func(racks int, build func(*sim.Engine, Config)) float64 {
+	allocs := func(racks int) float64 {
 		cfg := PaperConfig()
 		cfg.RackSizes = make([]int, racks)
 		for r := range cfg.RackSizes {
 			cfg.RackSizes[r] = 32
 		}
 		eng := sim.NewEngine()
-		return testing.AllocsPerRun(5, func() { build(eng, cfg) })
+		return testing.AllocsPerRun(5, func() { New(eng, cfg) })
 	}
-	one := func(eng *sim.Engine, cfg Config) { New(eng, cfg) }
-	small, large := allocs(4, one), allocs(16, one)
+	small, large := allocs(4), allocs(16)
 	if per := (large - small) / (16*32 - 4*32); per > 2 {
 		t.Errorf("New makes %.2f allocations per added node (%v at 4×32, %v at 16×32), want ≤ 2", per, small, large)
 	}
-	cells := func(eng *sim.Engine, cfg Config) { NewCells(eng, cfg) }
-	small, large = allocs(4, cells), allocs(16, cells)
-	if per := (large - small) / (16 - 4); per > 12 {
-		t.Errorf("NewCells makes %.2f allocations per added cell (%v at 4×32, %v at 16×32), want ≤ 12", per, small, large)
-	}
-}
-
-// TestNewCells: each cell is a one-rack cluster numbered from 0 with
-// one named uplink, the cells share one flow free list, and a config of
-// node classes, whose racks are dealt round-robin, panics.
-func TestNewCells(t *testing.T) {
-	cfg := PaperConfig()
-	cfg.RackSizes = []int{3, 4, 2}
-	eng := sim.NewEngine()
-	cells := NewCells(eng, cfg)
-	if len(cells) != 3 {
-		t.Fatalf("%d cells, want 3", len(cells))
-	}
-	for r, c := range cells {
-		if len(c.Racks) != 1 || len(c.Nodes) != cfg.RackSizes[r] || len(c.Racks[0]) != len(c.Nodes) {
-			t.Fatalf("cell %d: %d racks, %d nodes, want 1 rack of %d", r, len(c.Racks), len(c.Nodes), cfg.RackSizes[r])
-		}
-		for i, n := range c.Nodes {
-			if n.ID != i || n.Rack != 0 || c.Racks[0][i] != n || n.Name != fmt.Sprintf("node%02d", i) {
-				t.Errorf("cell %d node %d: ID %d rack %d name %q", r, i, n.ID, n.Rack, n.Name)
-			}
-		}
-		if len(c.uplinks) != 1 || c.uplinks[0].Name() != "rack0/uplink" || c.uplinks[0].Capacity != cfg.UplinkMBps {
-			t.Errorf("cell %d: uplinks %v, want one named rack0/uplink", r, c.uplinks)
-		}
-		if c.Eng != eng {
-			t.Errorf("cell %d runs on another engine", r)
-		}
-	}
-	if got := cells[1].Nodes[2].Mem.Name(); got != "node02/mem" {
-		t.Errorf("cell 1's node02 pool is named %q", got)
-	}
-
-	// A flow recycled in cell 0 serves the next Start in cell 1.
-	f := cells[0].Nodes[0].Compute(1, 1, nil)
-	eng.Run()
-	f.Recycle()
-	if g := cells[1].Transfer(cells[1].Nodes[0], cells[1].Nodes[1], 1, nil); g != f {
-		t.Error("cell 1's Transfer did not reuse the flow recycled in cell 0")
-	}
-	eng.Run()
-
-	panicsWith(t, "cluster: NewCells needs a RackSizes layout", func() {
-		NewCells(sim.NewEngine(), HeterogeneousPaperConfig())
-	})
 }
 
 // TestTopologyNames: the topology stores no names, yet every pool,

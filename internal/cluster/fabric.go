@@ -170,21 +170,22 @@ func (fb *Fabric) Name() string { return fb.ws.name(fb) }
 // workspace is what the fabrics and memory pools of one cluster share:
 // the engine, the recompute epoch and scratch, the free list of
 // recycled flows, and the way to their names. cluster.New gives all of
-// its fabrics one (NewCells one to all its cells), so the scratch is
-// sized by the largest component any fabric sweeps rather than once
-// per node, and a flow finished on one node's disk can serve the next
-// Start on any fabric. Sharing is safe because recompute runs no
-// callbacks (it only stamps keys and moves a timer), so it never
-// re-enters, and one goroutine drives a cluster.
+// its fabrics one, so the scratch is sized by the largest component
+// any fabric sweeps rather than once per node, and a flow finished on
+// one node's disk can serve the next Start on any fabric. Sharing is
+// safe because recompute runs no callbacks (it only stamps keys and
+// moves a timer), so it never re-enters, and one goroutine drives a
+// cluster. No two clusters share a workspace, so clusters on separate
+// engines can run on separate goroutines.
 type workspace struct {
 	eng *sim.Engine
 
-	// clusters, when set, name the topology they built by role (see
+	// cluster, when set, names the topology it built by role (see
 	// Cluster.topologyName), so no link, fabric or pool stores a name;
 	// names holds the names given to NewFabric, AddLink and NewMemPool.
 	// Only panics and errors read either.
-	clusters []*Cluster
-	names    map[any]string
+	cluster *Cluster
+	names   map[any]string
 
 	// epoch is the recompute generation for visit stamps. It is shared,
 	// so every stamp on a link or flow of the cluster, a recycled flow's
@@ -219,10 +220,8 @@ func (ws *workspace) name(obj any) string {
 	if s, ok := ws.names[obj]; ok {
 		return s
 	}
-	for _, c := range ws.clusters {
-		if s := c.topologyName(obj); s != "" {
-			return s
-		}
+	if ws.cluster != nil {
+		return ws.cluster.topologyName(obj)
 	}
 	return ""
 }

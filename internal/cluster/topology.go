@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -118,36 +117,8 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 	// flows through its free list; the workspace also names the
 	// topology for panics and errors.
 	c := &Cluster{}
-	c.build(&workspace{eng: eng, clusters: []*Cluster{c}}, nodes, cfg, sizes, nodeNames(total))
+	c.build(&workspace{eng: eng, cluster: c}, nodes, cfg, sizes, nodeNames(total))
 	return c
-}
-
-// NewCells builds one single-rack cluster per rack of cfg, each with
-// its nodes numbered from 0. The cells run on the one engine and share
-// one workspace, so a flow recycled in one cell serves a Start in any
-// other, and their nodes come from one array. A cell is otherwise an
-// ordinary cluster with one rack and its uplink. NewCells panics on a
-// Classes config, whose racks are dealt round-robin.
-func NewCells(eng *sim.Engine, cfg Config) []*Cluster {
-	if len(cfg.Classes) > 0 {
-		panic("cluster: NewCells needs a RackSizes layout, not node classes")
-	}
-	sizes, total := layout(cfg)
-	nodes := make([]Node, total)
-	all := make([]Cluster, len(sizes))
-	cells := make([]*Cluster, len(sizes))
-	for r := range all {
-		cells[r] = &all[r]
-	}
-	ws := &workspace{eng: eng, clusters: cells}
-	names := nodeNames(slices.Max(sizes))
-	for r, size := range sizes {
-		one := cfg
-		one.RackSizes = sizes[r : r+1]
-		cells[r].build(ws, nodes[:size:size], one, one.RackSizes, names)
-		nodes = nodes[size:]
-	}
-	return cells
 }
 
 // layout validates cfg and returns its per-rack node counts and their

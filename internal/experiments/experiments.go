@@ -10,6 +10,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/baseline"
 	"repro/internal/cluster"
@@ -23,37 +24,63 @@ import (
 	"repro/internal/yarn"
 )
 
-// parallelFor runs fn(0..n-1) on up to GOMAXPROCS goroutines and
-// waits. Simulations are single-threaded but independent (each builds
-// its own engine and cluster), so experiment sweeps parallelize
-// perfectly; results must be written to index-distinct slots.
-func parallelFor(n int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
+// parallelFor runs fn(0..n-1) on at most workers goroutines, never
+// more than GOMAXPROCS or n, and waits. Simulations are
+// single-threaded but independent (each builds its own engine and
+// cluster), so experiment sweeps parallelize perfectly; results must
+// be written to index-distinct slots. A panic in fn reaches the caller:
+// once one index panics no further index starts, and parallelFor
+// re-raises the panic of the lowest index that panicked, the one a
+// serial loop would have raised.
+func parallelFor(n, workers int, fn func(i int)) {
+	workers = min(workers, runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
-	var wg sync.WaitGroup
-	next := make(chan int)
+	var (
+		wg      sync.WaitGroup
+		next    atomic.Int64
+		stop    atomic.Bool
+		mu      sync.Mutex
+		lowest  = n // the lowest index that panicked, n when none has
+		reraise any
+	)
+	call := func(i int) {
+		defer func() {
+			// Since Go 1.21 even panic(nil) recovers non-nil.
+			if r := recover(); r != nil {
+				stop.Store(true)
+				mu.Lock()
+				if i < lowest {
+					lowest, reraise = i, r
+				}
+				mu.Unlock()
+			}
+		}()
+		fn(i)
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				fn(i)
+			// Indices are claimed in increasing order, so every index
+			// below one that panicked has started and is waited for.
+			for !stop.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				call(i)
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
 	wg.Wait()
+	if lowest < n {
+		panic(reraise)
+	}
 }
 
 // Env fixes the reproducibility seed for a set of runs.
@@ -311,7 +338,7 @@ func (e Env) Expedited(b workload.Benchmark) ExpeditedRow {
 	outs := make([]repOut, reps)
 	var def defaultLeg
 	var off mapreduce.Result
-	parallelFor(1+reps, func(i int) {
+	parallelFor(1+reps, runtime.GOMAXPROCS(0), func(i int) {
 		if i == 0 {
 			def = e.defaultLeg(b)
 			// Offline guide: heuristics applied to profiling-run
@@ -369,7 +396,7 @@ func (e Env) Fig6() []ExpeditedRow { return e.expeditedSet("Freebase") }
 func (e Env) expeditedSet(dataset string) []ExpeditedRow {
 	apps := []string{"bigram", "invertedindex", "wordcount", "textsearch"}
 	rows := make([]ExpeditedRow, len(apps))
-	parallelFor(len(apps), func(i int) {
+	parallelFor(len(apps), runtime.GOMAXPROCS(0), func(i int) {
 		b, err := workload.ByName(apps[i] + "/" + dataset)
 		if err != nil {
 			panic(err)
@@ -400,7 +427,7 @@ func (r SingleRunRow) Improvement() float64 {
 func (e Env) SingleRun(b workload.Benchmark) SingleRunRow {
 	var def defaultLeg
 	var mro mapreduce.Result
-	parallelFor(2, func(i int) {
+	parallelFor(2, runtime.GOMAXPROCS(0), func(i int) {
 		if i == 0 {
 			def = e.defaultLeg(b)
 			return
@@ -426,7 +453,7 @@ func (e Env) Fig12() []SingleRunRow { return e.singleRunSet("Freebase") }
 func (e Env) singleRunSet(dataset string) []SingleRunRow {
 	apps := []string{"bigram", "invertedindex", "wordcount", "textsearch"}
 	rows := make([]SingleRunRow, len(apps))
-	parallelFor(len(apps), func(i int) {
+	parallelFor(len(apps), runtime.GOMAXPROCS(0), func(i int) {
 		b, err := workload.ByName(apps[i] + "/" + dataset)
 		if err != nil {
 			panic(err)
@@ -459,7 +486,7 @@ func (r JobSizeRow) Improvement() float64 {
 func (e Env) Fig13() []JobSizeRow {
 	sizes := []int{2, 6, 10, 20, 60, 100}
 	rows := make([]JobSizeRow, len(sizes))
-	parallelFor(len(sizes), func(i int) {
+	parallelFor(len(sizes), runtime.GOMAXPROCS(0), func(i int) {
 		gb := sizes[i]
 		b := workload.Terasort(gb, 0, 0)
 		def := e.RunOne(b, mrconf.Default(), nil)
@@ -566,7 +593,7 @@ type Table3Row struct {
 func (e Env) Table3() []Table3Row {
 	suite := workload.Suite()
 	rows := make([]Table3Row, len(suite))
-	parallelFor(len(suite), func(i int) {
+	parallelFor(len(suite), runtime.GOMAXPROCS(0), func(i int) {
 		b := suite[i]
 		res := e.RunOne(b, mrconf.Default(), nil)
 		rows[i] = Table3Row{
@@ -813,7 +840,7 @@ type SweepStat struct {
 // raw variance, not averaged results).
 func (e Env) SeedSweep(b workload.Benchmark, seeds int) SweepStat {
 	imps := make([]float64, seeds)
-	parallelFor(seeds, func(i int) {
+	parallelFor(seeds, runtime.GOMAXPROCS(0), func(i int) {
 		sub := Env{Seed: e.Seed + uint64(i)*977, Reps: 1}
 		def := sub.RunOne(b, mrconf.Default(), nil)
 		tuner, _ := sub.AggressiveTestRun(b)

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -414,7 +416,7 @@ func TestBuildReportRenders(t *testing.T) {
 // case: the conservative tuner attached to one run, across seeds.
 func (e Env) seedSweepConservative(b workload.Benchmark, seeds int) SweepStat {
 	imps := make([]float64, seeds)
-	parallelFor(seeds, func(i int) {
+	parallelFor(seeds, runtime.GOMAXPROCS(0), func(i int) {
 		sub := Env{Seed: e.Seed + uint64(i)*977, Reps: 1}
 		def := sub.RunOne(b, mrconf.Default(), nil)
 		tuner := core.NewTuner(b.Name, b.NumMaps, b.NumReduces, mrconf.Default(),
@@ -435,5 +437,32 @@ func TestSeedSweepConservativeRobustness(t *testing.T) {
 	}
 	if st.MeanImp < 0.10 || st.MeanImp > 0.35 {
 		t.Fatalf("mean conservative improvement = %.0f%%, outside band", st.MeanImp*100)
+	}
+}
+
+// TestParallelForRaisesLowestPanic: a panic in a worker reaches the
+// caller, which can recover it, and when several indices panic the
+// caller sees the lowest one's, as a serial loop would raise it.
+func TestParallelForRaisesLowestPanic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	ran := make([]bool, 16)
+	func() {
+		defer func() {
+			if r := recover(); r != "index 3" {
+				t.Errorf("recovered %v, want index 3's panic", r)
+			}
+		}()
+		parallelFor(len(ran), 4, func(i int) {
+			ran[i] = true
+			if i == 3 || i == 5 {
+				panic(fmt.Sprintf("index %d", i))
+			}
+		})
+		t.Error("parallelFor returned normally past a panicking index")
+	}()
+	for i := 0; i < 3; i++ {
+		if !ran[i] {
+			t.Errorf("index %d, below the panicking index, did not run", i)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 
 	"repro/internal/cluster"
@@ -103,11 +104,14 @@ type StreamSpec struct {
 
 	// Parallel, when positive, runs the stream on the rack-cell
 	// partition: each rack is a self-contained cell, a one-rack cluster
-	// (cluster.NewCells) with its own resource manager, namenode and
-	// stats sink, and a job reaches its cell StreamSubmitDelaySecs
-	// after it arrives. Every cell schedules on the one engine, so any
-	// positive value gives the same result; the field is a switch, not
-	// a worker count. Zero selects the whole-cluster partition.
+	// with its own engine, resource manager, namenode and stats sink,
+	// and a job reaches its cell StreamSubmitDelaySecs after it
+	// arrives. Cells share no state, so each runs to completion as a
+	// whole simulation, on at most Parallel workers (never more than
+	// GOMAXPROCS), and any positive value gives the same result. An
+	// attached Sink is not safe for concurrent use, so it forces one
+	// worker and receives cell 0's events, then cell 1's, and so on.
+	// Zero selects the whole-cluster partition.
 	Parallel int
 }
 
@@ -138,9 +142,10 @@ type StreamResult struct {
 	Makespan  float64 // finish time of the last job, seconds
 	MeanDur   float64 // mean job completion latency, seconds
 
-	// Events is the number of simulation events processed; SinkEvents
-	// is the number of trace events the stats sink ingested. Both grow
-	// with the stream while the sink's retained state stays flat.
+	// Events is the number of simulation events processed, summed over
+	// a rack-cell run's engines; SinkEvents is the number of trace
+	// events the stats sink ingested. Both grow with the stream while
+	// the sink's retained state stays flat.
 	Events     uint64
 	SinkEvents int
 
@@ -162,19 +167,90 @@ func (r *StreamResult) Report() string {
 // streamCell is one serving partition's self-contained stack:
 // everything a job touches after submission belongs to its cell. The
 // whole-cluster partition is one cell; the rack-cell partition has one
-// per rack, each over its own one-rack cluster, so cells share no
-// model state by construction.
+// per rack, each over its own one-rack cluster and engine, so cells
+// share no model state by construction.
 type streamCell struct {
+	cellTally
+	spec  *StreamSpec
+	eng   *sim.Engine
 	rm    *yarn.ResourceManager
 	fs    *hdfs.FileSystem
-	sink  *trace.StatsSink
 	trace trace.Sink // sink, tee'd with StreamSpec.Sink when set
 	pool  *mapreduce.Pool
 	hooks mapreduce.FaultHooks
+}
 
+// cellTally is what the fold reads of a drained cell; the rest of the
+// cell's stack is garbage once its engine drains.
+type cellTally struct {
+	sink      *trace.StatsSink
 	completed int
 	totalDur  float64
 	makespan  float64
+	events    uint64 // events its engine processed
+}
+
+// newStreamCell builds a partition's stack over c: its resource
+// manager, its namenode, then, when fs is non-nil, an injector armed
+// with fs. The order fixes the events a cell schedules before its
+// first arrival, which every pinned result depends on.
+func newStreamCell(spec *StreamSpec, c *cluster.Cluster, src *sim.Source, fs *faults.Spec) *streamCell {
+	cell := &streamCell{
+		cellTally: cellTally{sink: trace.NewStatsSink()},
+		spec:      spec,
+		eng:       c.Eng,
+		pool:      mapreduce.NewPool(),
+	}
+	cell.trace = cell.sink
+	if spec.Sink != nil {
+		cell.trace = trace.Tee(cell.sink, spec.Sink)
+	}
+	cell.rm = yarn.NewResourceManager(c.Eng, c, yarn.FairScheduler{})
+	cell.fs = hdfs.New(c, src.Stream("hdfs"))
+	if fs != nil {
+		inj, err := faults.New(c, src, *fs, cell.trace)
+		if err != nil {
+			panic(err)
+		}
+		cell.hooks = inj
+	}
+	return cell
+}
+
+// submit starts arrival i, a job of class cl, on the cell now. Its
+// name and tuner seed depend only on i.
+func (cell *streamCell) submit(i int, cl StreamClass) {
+	name := fmt.Sprintf("%s-%05d", cl.Bench.Name, i)
+	base := mrconf.Default()
+	var ctrl mapreduce.Controller
+	if cell.spec.Tuned {
+		ctrl = core.NewTuner(name, cl.Bench.NumMaps, cl.Bench.NumReduces, base,
+			core.TunerOptions{Strategy: core.Conservative, Seed: cell.spec.Seed + uint64(i)})
+	}
+	mapreduce.Submit(cell.rm, cell.fs, mapreduce.Spec{
+		Name:                 name,
+		Benchmark:            cl.Bench,
+		BaseConfig:           base,
+		Controller:           ctrl,
+		Trace:                cell.trace,
+		Pool:                 cell.pool,
+		Faults:               cell.hooks,
+		ReleaseInputOnFinish: true,
+	}, func(rr mapreduce.Result) {
+		cell.completed++
+		cell.totalDur += rr.Duration
+		if now := cell.eng.Now(); now > cell.makespan {
+			cell.makespan = now
+		}
+	})
+}
+
+// drain runs the cell's engine until it empties and returns the tally.
+func (cell *streamCell) drain() cellTally {
+	cell.eng.Run()
+	t := cell.cellTally
+	t.events = cell.eng.Processed()
+	return t
 }
 
 // arrivals is the spec's arrival process.
@@ -211,8 +287,8 @@ func (spec StreamSpec) Validate() error {
 }
 
 // RunStream executes one continuous-serving run to completion: every
-// arrival inside the horizon is submitted (subject to MaxJobs) and the
-// engine drains until the last job finishes. Arrivals are dealt
+// arrival inside the horizon is submitted (subject to MaxJobs) and
+// every engine drains until its last job finishes. Arrivals are dealt
 // round-robin to the partition's cells; a rack cell receives its job
 // StreamSubmitDelaySecs after the arrival. Per-cell results fold in
 // cell order after the drain. The default is the whole-cluster
@@ -227,64 +303,110 @@ func RunStream(spec StreamSpec) StreamResult {
 	if classes == nil {
 		classes = DefaultStreamClasses()
 	}
+	src := sim.NewSource(spec.Seed)
+	pickClass := classPicker(classes, src.Sub("stream").Stream("classes"))
+	if spec.Parallel > 0 {
+		return runCells(&spec, classes, src, pickClass)
+	}
+
+	eng := sim.NewEngine()
+	eng.MaxEvents = streamMaxEvents
+	cell := newStreamCell(&spec, cluster.New(eng, spec.clusterConfig(spec.Racks)), src, spec.Faults)
+	res := StreamResult{}
+	submit := func(i int, t float64) {
+		if spec.MaxJobs > 0 && res.Jobs >= spec.MaxJobs {
+			return
+		}
+		res.Jobs++
+		cell.submit(i, classes[pickClass()])
+	}
+	if _, err := workload.ScheduleArrivals(eng, src.Sub("stream"), spec.arrivals(), submit); err != nil {
+		panic(err)
+	}
+	res.fold([]cellTally{cell.drain()})
+	return res
+}
+
+// runCells runs the rack-cell partition (see StreamSpec.Parallel). It
+// draws the arrivals and their classes once, in arrival order, and
+// deals them round-robin, arrival i to cell i mod Racks. Each cell then
+// runs on an engine of its own: the cell's construction events, then
+// its arrival series, then all it schedules while running are stamped
+// in the relative order the shared engine of the cells interleaved
+// would stamp them. Cells share no state, so every result, and every
+// event count, is that of the interleaved run (docs/MODEL.md §16).
+func runCells(spec *StreamSpec, classes []StreamClass, src *sim.Source, pickClass func() int) StreamResult {
+	times, err := workload.Arrivals(src.Sub("stream"), spec.arrivals())
+	if err != nil {
+		panic(err)
+	}
+	n := spec.Racks
+	cellTimes := make([][]float64, n)
+	jobClass := make([]int, 0, len(times))
+	for i, t := range times {
+		if spec.MaxJobs > 0 && i == spec.MaxJobs {
+			break
+		}
+		jobClass = append(jobClass, pickClass())
+		cellTimes[i%n] = append(cellTimes[i%n], t)
+	}
+	res := StreamResult{Jobs: len(jobClass)}
+
+	workers := spec.Parallel
+	if spec.Sink != nil {
+		workers = 1
+	}
+	cfg := spec.clusterConfig(1)
+	tallies := make([]cellTally, n)
+	parallelFor(n, workers, func(r int) {
+		eng := sim.NewEngine()
+		eng.MaxEvents = streamMaxEvents
+		cellSrc, cellFaults := src.Sub(fmt.Sprintf("rack%03d", r)), spec.Faults
+		if cellFaults != nil {
+			rack := cellFaults.Rack(r*spec.NodesPerRack, spec.NodesPerRack)
+			cellFaults = &rack
+		}
+		cell := newStreamCell(spec, cluster.New(eng, cfg), cellSrc, cellFaults)
+		// Cell r's k-th arrival is arrival r + k*n.
+		eng.AtEach(cellTimes[r], func(k int) {
+			i := r + k*n
+			cl := classes[jobClass[i]]
+			eng.After(StreamSubmitDelaySecs, func() { cell.submit(i, cl) })
+		})
+		tallies[r] = cell.drain()
+	})
+	res.fold(tallies)
+	// The interleaved run's arrival series also fired the arrivals
+	// MaxJobs dropped.
+	res.Events += uint64(len(times) - res.Jobs)
+	return res
+}
+
+// streamMaxEvents caps each engine of a serving run.
+const streamMaxEvents = 2_000_000_000
+
+// clusterConfig is the serving cluster's layout: racks racks of
+// spec.NodesPerRack paper nodes.
+func (spec *StreamSpec) clusterConfig(racks int) cluster.Config {
+	cfg := cluster.PaperConfig()
+	cfg.RackSizes = make([]int, racks)
+	for i := range cfg.RackSizes {
+		cfg.RackSizes[i] = spec.NodesPerRack
+	}
+	// ~4:1 oversubscribed uplink for a 32-node rack of 1 GbE nodes.
+	cfg.UplinkMBps = 1000
+	return cfg
+}
+
+// classPicker draws a class index from rng in proportion to the
+// classes' weights.
+func classPicker(classes []StreamClass, rng *rand.Rand) func() int {
 	totalWeight := 0
 	for _, cl := range classes {
 		totalWeight += cl.Weight
 	}
-	rackCells := spec.Parallel > 0
-
-	eng := sim.NewEngine()
-	eng.MaxEvents = 2_000_000_000
-	sizes := make([]int, spec.Racks)
-	for i := range sizes {
-		sizes[i] = spec.NodesPerRack
-	}
-	cfg := cluster.PaperConfig()
-	cfg.RackSizes = sizes
-	// ~4:1 oversubscribed uplink for a 32-node rack of 1 GbE nodes.
-	cfg.UplinkMBps = 1000
-	var clusters []*cluster.Cluster
-	if rackCells {
-		clusters = cluster.NewCells(eng, cfg)
-	} else {
-		clusters = []*cluster.Cluster{cluster.New(eng, cfg)}
-	}
-	src := sim.NewSource(spec.Seed)
-	base := mrconf.Default()
-
-	cells := make([]*streamCell, len(clusters))
-	for r, c := range clusters {
-		cell := &streamCell{
-			sink: trace.NewStatsSink(),
-			pool: mapreduce.NewPool(),
-		}
-		cell.trace = cell.sink
-		if spec.Sink != nil {
-			cell.trace = trace.Tee(cell.sink, spec.Sink)
-		}
-		cellSrc, cellFaults := src, spec.Faults
-		if rackCells {
-			cellSrc = src.Sub(fmt.Sprintf("rack%03d", r))
-			if cellFaults != nil {
-				rack := cellFaults.Rack(r*spec.NodesPerRack, spec.NodesPerRack)
-				cellFaults = &rack
-			}
-		}
-		cell.rm = yarn.NewResourceManager(eng, c, yarn.FairScheduler{})
-		cell.fs = hdfs.New(c, cellSrc.Stream("hdfs"))
-		if cellFaults != nil {
-			inj, err := faults.New(c, cellSrc, *cellFaults, cell.trace)
-			if err != nil {
-				panic(err)
-			}
-			cell.hooks = inj
-		}
-		cells[r] = cell
-	}
-
-	classRNG := src.Sub("stream").Stream("classes")
-	pickClass := func() int {
-		w := classRNG.Intn(totalWeight)
+	return func() int {
+		w := rng.Intn(totalWeight)
 		for i, cl := range classes {
 			w -= cl.Weight
 			if w < 0 {
@@ -293,64 +415,21 @@ func RunStream(spec StreamSpec) StreamResult {
 		}
 		return len(classes) - 1
 	}
+}
 
-	res := StreamResult{}
-	submit := func(i int, t float64) {
-		if spec.MaxJobs > 0 && res.Jobs >= spec.MaxJobs {
-			return
-		}
-		res.Jobs++
-		cl := classes[pickClass()]
-		cell := cells[(res.Jobs-1)%len(cells)]
-		// Name, class, and tuner seed are all fixed here at arrival; run
-		// only touches its cell's state.
-		name := fmt.Sprintf("%s-%05d", cl.Bench.Name, i)
-		run := func() {
-			var ctrl mapreduce.Controller
-			if spec.Tuned {
-				ctrl = core.NewTuner(name, cl.Bench.NumMaps, cl.Bench.NumReduces, base,
-					core.TunerOptions{Strategy: core.Conservative, Seed: spec.Seed + uint64(i)})
-			}
-			mapreduce.Submit(cell.rm, cell.fs, mapreduce.Spec{
-				Name:                 name,
-				Benchmark:            cl.Bench,
-				BaseConfig:           base,
-				Controller:           ctrl,
-				Trace:                cell.trace,
-				Pool:                 cell.pool,
-				Faults:               cell.hooks,
-				ReleaseInputOnFinish: true,
-			}, func(rr mapreduce.Result) {
-				cell.completed++
-				cell.totalDur += rr.Duration
-				if now := eng.Now(); now > cell.makespan {
-					cell.makespan = now
-				}
-			})
-		}
-		if rackCells {
-			eng.After(StreamSubmitDelaySecs, run)
-		} else {
-			run()
-		}
-	}
-
-	if _, err := workload.ScheduleArrivals(eng, src.Sub("stream"), spec.arrivals(), submit); err != nil {
-		panic(err)
-	}
-	eng.Run()
-
-	// Fold per-cell results in cell order: a single cell folds exactly
-	// (every sum is 0 + x).
+// fold sums the cells' tallies into res in cell order: a single cell
+// folds exactly (every sum is 0 + x).
+func (res *StreamResult) fold(tallies []cellTally) {
 	stats := trace.NewStatsSink()
 	totalDur := 0.0
-	for _, cell := range cells {
-		res.Completed += cell.completed
-		totalDur += cell.totalDur
-		if cell.makespan > res.Makespan {
-			res.Makespan = cell.makespan
+	for _, t := range tallies {
+		res.Completed += t.completed
+		totalDur += t.totalDur
+		if t.makespan > res.Makespan {
+			res.Makespan = t.makespan
 		}
-		stats.Merge(cell.sink)
+		stats.Merge(t.sink)
+		res.Events += t.events
 	}
 	res.Stats = stats
 	if res.Completed != res.Jobs {
@@ -359,7 +438,5 @@ func RunStream(spec StreamSpec) StreamResult {
 	if res.Jobs > 0 {
 		res.MeanDur = totalDur / float64(res.Jobs)
 	}
-	res.Events = eng.Processed()
 	res.SinkEvents = stats.EventCount()
-	return res
 }

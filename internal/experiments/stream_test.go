@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"fmt"
+	"hash"
+	"hash/fnv"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -119,6 +123,81 @@ func TestStreamSmokeThreeSeeds(t *testing.T) {
 				t.Fatalf("seed %d parallel=%d: %d jobs still in flight after drain", seed, parallel, o.Submitted-o.Jobs)
 			}
 		}
+	}
+}
+
+// TestStreamCellsWorkerCountInvariant: a rack-cell run's result does
+// not depend on how many workers its cells spread over, with and
+// without churn and tuning, and an attached Sink, which forces one
+// worker, sees the same event sequence on every run.
+func TestStreamCellsWorkerCountInvariant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	churn := smallStreamSpec(11)
+	churn.Faults = churnSpec()
+	churn.Tuned = true
+	for _, leg := range []struct {
+		name string
+		spec StreamSpec
+	}{{"clean", smallStreamSpec(11)}, {"churn-tuned", churn}} {
+		name, spec := leg.name, leg.spec
+		var report string
+		var events uint64
+		for _, parallel := range []int{1, 2, 8} {
+			spec.Parallel = parallel
+			res := RunStream(spec)
+			if parallel == 1 {
+				report, events = res.Report(), res.Events
+				continue
+			}
+			if res.Report() != report || res.Events != events {
+				t.Errorf("%s: Parallel=%d gives %d events and report\n%s\nParallel=1 gives %d and\n%s",
+					name, parallel, res.Events, res.Report(), events, report)
+			}
+		}
+	}
+
+	sinkRun := func(parallel int) uint64 {
+		spec := churn
+		spec.Parallel = parallel
+		sink := &hashSink{h: fnv.New64a()}
+		spec.Sink = sink
+		RunStream(spec)
+		return sink.h.Sum64()
+	}
+	if a, b := sinkRun(8), sinkRun(8); a != b {
+		t.Errorf("two runs delivered different event sequences to the sink: %x vs %x", a, b)
+	}
+	if a, b := sinkRun(1), sinkRun(8); a != b {
+		t.Errorf("Parallel=1 and Parallel=8 delivered different event sequences to the sink: %x vs %x", a, b)
+	}
+}
+
+// hashSink hashes the kind, time and job of every event it receives,
+// in order.
+type hashSink struct{ h hash.Hash64 }
+
+func (s *hashSink) Add(e trace.Event) { fmt.Fprintf(s.h, "%s %v %s\n", e.Kind, e.Time, e.Job) }
+
+// TestStreamCellSetupAllocs pins the rack-cell partition's set-up
+// cost: a run whose horizon admits no arrival still builds and drains
+// every cell, each on its own engine, cluster and stack, and an added
+// rack may cost at most 50 allocations.
+func TestStreamCellSetupAllocs(t *testing.T) {
+	allocs := func(racks int) float64 {
+		spec := smallStreamSpec(11)
+		spec.Racks, spec.NodesPerRack, spec.HorizonSecs = racks, 8, 1e-9
+		spec.Parallel = 1
+		return testing.AllocsPerRun(5, func() {
+			if res := RunStream(spec); res.Jobs != 0 {
+				t.Fatalf("set-up run submitted %d jobs", res.Jobs)
+			}
+		})
+	}
+	small, large := allocs(4), allocs(16)
+	per := (large - small) / (16 - 4)
+	t.Logf("%.2f allocations per added rack (%v at 4×8, %v at 16×8)", per, small, large)
+	if per > 50 {
+		t.Errorf("a rack-cell run makes %.2f allocations per added rack (%v at 4×8, %v at 16×8), want ≤ 50", per, small, large)
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -74,7 +75,7 @@ func (e Env) Tournament(spec TournamentSpec) []TournamentRow {
 	backends, fspec := tuner.Backends(), DefaultCrashSpec()
 	nb := len(backends)
 	rows := make([]TournamentRow, len(spec.Apps)*nb)
-	parallelFor(len(rows), func(i int) {
+	parallelFor(len(rows), runtime.GOMAXPROCS(0), func(i int) {
 		rows[i] = e.tournamentCell(spec.Apps[i/nb], backends[i%nb], fspec)
 	})
 	// Score tests-to-within-15% against each app's cross-backend best.
