@@ -98,6 +98,9 @@ type Cluster struct {
 	// totalMemMB caches the container memory of every node; the node
 	// set is fixed once the cluster is built.
 	totalMemMB float64
+	// fetchPairs holds, per node ID, the node's receive NIC and its
+	// rack's uplink (see fetchLinks).
+	fetchPairs []*Link
 
 	// nodeListeners are notified, in registration order, when a node
 	// goes down or comes back up (see SubscribeNodeState).
@@ -272,7 +275,7 @@ func (c *Cluster) Transfer(src, dst *Node, mb float64, done func()) *Flow {
 	}
 	links := []*Link{src.NICOut, dst.NICIn}
 	if src.Rack != dst.Rack {
-		links = append(links, c.uplinks[src.Rack], c.uplinks[dst.Rack])
+		links = []*Link{src.NICOut, dst.NICIn, c.uplinks[src.Rack], c.uplinks[dst.Rack]}
 	}
 	return c.net.Start(links, mb, 0, done)
 }
@@ -285,43 +288,53 @@ func (c *Cluster) Transfer(src, dst *Node, mb float64, done func()) *Flow {
 // plus, for the crossRackFrac portion, dst's rack uplink. rateCap (0 =
 // none) bounds the aggregate fetch rate, modelling a limited number of
 // parallel copy threads.
-func (c *Cluster) Fetch(dst *Node, mb, crossRackFrac, rateCap float64, done func()) []*Flow {
+//
+// With crossRackFrac > 0 the fetch is two flows, a cross-rack and a
+// rack-local part; otherwise it is one, and the second result is nil.
+// done runs once as each flow completes, so the caller counts them.
+func (c *Cluster) Fetch(dst *Node, mb, crossRackFrac, rateCap float64, done func()) (*Flow, *Flow) {
+	links := c.fetchLinks(dst)
+	crossLinks, localLinks := links[0:2:2], links[0:1:1]
 	if crossRackFrac > 0 {
-		// Split into a rack-local part and a cross-rack part; done fires
-		// when both complete. The rate cap is divided pro rata.
-		remaining := 2
-		child := func() {
-			remaining--
-			if remaining == 0 && done != nil {
-				done()
-			}
-		}
+		// Split into a rack-local part and a cross-rack part. The rate
+		// cap is divided pro rata.
 		capCross, capLocal := 0.0, 0.0
 		if rateCap > 0 {
 			capCross = rateCap * crossRackFrac
 			capLocal = rateCap * (1 - crossRackFrac)
 		}
 		nf := c.net
-		crossLinks := []*Link{dst.NICIn, c.uplinks[dst.Rack]}
 		crossMB, localMB := mb*crossRackFrac, mb*(1-crossRackFrac)
 		if crossMB == 0 || localMB == 0 {
 			// A zero-work part completes asynchronously at once; starting
 			// the parts one by one keeps that event's place in the
 			// schedule.
-			return []*Flow{
-				nf.Start(crossLinks, crossMB, capCross, child),
-				nf.Start([]*Link{dst.NICIn}, localMB, capLocal, child),
-			}
+			cross := nf.Start(crossLinks, crossMB, capCross, done)
+			return cross, nf.Start(localLinks, localMB, capLocal, done)
 		}
 		// Both parts cross dst.NICIn, so the second part's component
 		// already holds the first: one recompute after adding both
 		// yields the rates two Starts would, since filling depends only
 		// on the component's flows and advancing twice at one instant
 		// moves nothing.
-		cross := nf.add(crossLinks, crossMB, capCross, child)
-		local := nf.add([]*Link{dst.NICIn}, localMB, capLocal, child)
+		cross := nf.add(crossLinks, crossMB, capCross, done)
+		local := nf.add(localLinks, localMB, capLocal, done)
 		nf.recompute(crossLinks, nil)
-		return []*Flow{cross, local}
+		return cross, local
 	}
-	return []*Flow{c.net.Start([]*Link{dst.NICIn}, mb, rateCap, done)}
+	return c.net.Start(localLinks, mb, rateCap, done), nil
+}
+
+// fetchLinks returns dst's receive NIC followed by its rack's uplink,
+// the links of a fetch's two parts. The pairs of every node live in
+// one array, built on the first fetch, so a fetch allocates no link
+// slice; no fabric mutates a flow's links.
+func (c *Cluster) fetchLinks(dst *Node) []*Link {
+	if c.fetchPairs == nil {
+		c.fetchPairs = make([]*Link, 2*len(c.Nodes))
+		for i, n := range c.Nodes {
+			c.fetchPairs[2*i], c.fetchPairs[2*i+1] = n.NICIn, c.uplinks[n.Rack]
+		}
+	}
+	return c.fetchPairs[2*dst.ID : 2*dst.ID+2]
 }

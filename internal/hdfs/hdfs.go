@@ -88,6 +88,9 @@ type FileSystem struct {
 	// from Removed files into new Creates, so a continuous job stream
 	// stops allocating per-block state.
 	freeBlocks []*Block
+	// freeOps recycles finished Ops (see Op.Recycle) into later reads
+	// and writes.
+	freeOps []*Op
 }
 
 // New returns a file system over the cluster with the paper's layout:

@@ -21,7 +21,8 @@ import "repro/internal/cluster"
 const opRetryDelaySecs = 2
 
 // Op is a cancellable, fault-tolerant block read or replica-pipeline
-// write.
+// write. Ops come from a per-FileSystem free list; the owner hands a
+// finished op back with Recycle.
 type Op struct {
 	fs     *FileSystem
 	node   *cluster.Node // the reader or the writer
@@ -32,21 +33,63 @@ type Op struct {
 	// OnFail, when set on a read, fires if the block becomes
 	// permanently unreadable (every replica lost with no repair
 	// possible), letting the owning task fail its attempt instead of
-	// hanging.
+	// hanging. It does not fire once the op is canceled.
 	OnFail func()
 
-	flows    []*cluster.Flow // the current wave
-	left     int32           // flows of the wave still running; int32 keeps Op at 80 bytes
+	flows   []*cluster.Flow // the current wave
+	targets []*cluster.Node // a write's replica targets for the current wave
+	// childCB and abortCB are op.child and op.aborted, bound once when
+	// the op is allocated: every flow of every wave the op object runs
+	// shares them. They are safe to keep across reuse because an op is
+	// recycled only after it finished, when no flow of it is running
+	// and no event of it is queued (see Recycle).
+	childCB  func()
+	abortCB  func()
+	left     int32 // flows of the wave still running
 	finished bool
 	canceled bool
 	retrying bool
+}
+
+// newOp pops a recycled op or allocates one, and sets it up for one
+// read or write.
+func (fs *FileSystem) newOp(node *cluster.Node, b *Block, sizeMB float64, done func()) *Op {
+	var op *Op
+	if n := len(fs.freeOps); n > 0 {
+		op = fs.freeOps[n-1]
+		fs.freeOps[n-1] = nil
+		fs.freeOps = fs.freeOps[:n-1]
+	} else {
+		op = &Op{fs: fs}
+		op.childCB, op.abortCB = op.child, op.aborted
+	}
+	op.node, op.b, op.sizeMB, op.done = node, b, sizeMB, done
+	return op
+}
+
+// Recycle hands a finished op back to its file system's free list for
+// reuse by a later StartRead or StartWrite. Strict ownership contract,
+// as for cluster.Flow.Recycle: call it only when holding the last
+// reference. An op that has not finished (running, canceled, or
+// waiting on a retry, a zero-size completion or an OnFail deferral) is
+// left alone, because one of its events may still be queued and would
+// reach the op's next owner; so are already-recycled ops. Recycle is
+// therefore safe to call unconditionally on a completed owner's ops.
+func (op *Op) Recycle() {
+	if !op.finished {
+		return
+	}
+	fs := op.fs
+	clear(op.targets)
+	*op = Op{fs: fs, flows: op.flows[:0], targets: op.targets[:0], childCB: op.childCB, abortCB: op.abortCB}
+	fs.freeOps = append(fs.freeOps, op)
 }
 
 // StartRead begins streaming block b to the reader node, and survives
 // source-replica failure by failing over to another replica. done
 // fires exactly once, when a full copy has streamed.
 func (fs *FileSystem) StartRead(b *Block, reader *cluster.Node, done func()) *Op {
-	op := &Op{fs: fs, node: reader, b: b, done: done}
+	op := fs.newOp(reader, b, 0, done)
 	op.start()
 	return op
 }
@@ -57,7 +100,7 @@ func (fs *FileSystem) StartRead(b *Block, reader *cluster.Node, done func()) *Op
 // done fires exactly once, when every replica of a complete pipeline
 // is durable.
 func (fs *FileSystem) StartWrite(node *cluster.Node, sizeMB float64, done func()) *Op {
-	op := &Op{fs: fs, node: node, sizeMB: sizeMB, done: done}
+	op := fs.newOp(node, nil, sizeMB, done)
 	op.start()
 	return op
 }
@@ -75,7 +118,7 @@ func (op *Op) start() {
 	}
 	op.left = int32(len(op.flows))
 	for _, f := range op.flows {
-		f.SetOnAbort(op.aborted)
+		f.SetOnAbort(op.abortCB)
 	}
 }
 
@@ -88,47 +131,43 @@ func (op *Op) startRead() {
 			return
 		}
 		// Every replica is gone and nothing can restore one: the data
-		// is permanently lost. Fail the op instead of hanging. Deferred
-		// one event so a caller assigning OnFail right after StartRead
-		// still hears about a loss detected at start time.
-		op.canceled = true
+		// is permanently lost. Fail the op instead of hanging: it starts
+		// no flow, and OnFail runs unless the owner cancels the op
+		// first. Deferred one event so a caller assigning OnFail right
+		// after StartRead still hears about a loss detected at start
+		// time. The op never finishes, so it is never recycled under
+		// the queued event.
 		fs.c.Eng.After(0, func() {
-			if op.OnFail != nil {
+			if !op.canceled && op.OnFail != nil {
 				op.OnFail()
 			}
 		})
 		return
 	}
 	if b.HasReplicaOn(reader) {
-		op.flows = append(op.flows, reader.DiskRead(b.SizeMB, op.child))
+		op.flows = append(op.flows, reader.DiskRead(b.SizeMB, op.childCB))
 		return
 	}
 	src := fs.closestReplica(b, reader)
 	op.flows = append(op.flows,
-		src.DiskRead(b.SizeMB, op.child),
-		fs.c.Transfer(src, reader, b.SizeMB, op.child),
+		src.DiskRead(b.SizeMB, op.childCB),
+		fs.c.Transfer(src, reader, b.SizeMB, op.childCB),
 	)
 }
 
 func (op *Op) startWrite() {
 	fs := op.fs
-	replicas := fs.placeReplicasInto(op.node, nil)
+	op.targets = fs.placeReplicasInto(op.node, op.targets[:0])
 	if op.sizeMB == 0 {
-		fs.c.Eng.After(0, func() {
-			if op.finished || op.canceled {
-				return
-			}
-			op.finished = true
-			if op.done != nil {
-				op.done()
-			}
-		})
+		// Nothing to store: the wave is one zero-work flow on the
+		// writer's disk, which completes one zero-delay event later.
+		op.flows = append(op.flows, op.node.DiskWrite(0, op.childCB))
 		return
 	}
-	for i, r := range replicas {
-		op.flows = append(op.flows, r.DiskWrite(op.sizeMB, op.child))
+	for i, r := range op.targets {
+		op.flows = append(op.flows, r.DiskWrite(op.sizeMB, op.childCB))
 		if i > 0 {
-			op.flows = append(op.flows, fs.c.Transfer(replicas[i-1], r, op.sizeMB, op.child))
+			op.flows = append(op.flows, fs.c.Transfer(op.targets[i-1], r, op.sizeMB, op.childCB))
 		}
 	}
 }

@@ -71,6 +71,12 @@ type Job struct {
 	// the job schedules captures it and does nothing once it has moved
 	// on, so a timer that outlives the job cannot reach its successor.
 	gen uint64
+
+	// pumpCB, nodeLostCB and recycleCB are j.pump, j.nodeLost and the
+	// pool hand-back, bound once per job object.
+	pumpCB     func()
+	nodeLostCB func(*cluster.Node)
+	recycleCB  func()
 }
 
 // ReduceHeadroomFraction caps reduce-container memory at this share of
@@ -96,9 +102,12 @@ func Submit(rm *yarn.ResourceManager, fs *hdfs.FileSystem, spec Spec, onDone fun
 	j.onDone = onDone
 	j.baseRepaired = mrconf.Repair(s.BaseConfig)
 	j.app = rm.Submit(s.Name)
+	if j.pumpCB == nil {
+		j.pumpCB, j.nodeLostCB = j.pump, j.nodeLost
+	}
 	// Node-loss notifications drive map-output re-execution (the AM's
 	// response to reducer fetch failures against a dead host).
-	j.app.OnNodeLost = j.nodeLost
+	j.app.OnNodeLost = j.nodeLostCB
 
 	src := sim.NewSource(uint64(len(s.Name))*1e9 + uint64(s.Benchmark.NumMaps)).Sub("job:" + s.Name)
 	if s.Benchmark.InputSizeMB > 0 {
@@ -147,7 +156,9 @@ func Submit(rm *yarn.ResourceManager, fs *hdfs.FileSystem, spec Spec, onDone fun
 
 	j.spec.Trace.Add(trace.Event{Time: j.eng.Now(), Job: j.Name, Kind: trace.JobSubmit,
 		Detail: fmt.Sprintf("%d maps, %d reduces", len(j.mapTasks), len(j.reduceTasks))})
-	j.eng.After(0, j.pump)
+	// The job cannot finish, and so cannot be recycled, before this
+	// first pump has run: the bound callback is never queued twice.
+	j.eng.After(0, j.pumpCB)
 	j.scheduleSpeculation()
 	return j
 }
@@ -254,24 +265,7 @@ func (j *Job) requestContainerWithConfig(t *Task, cfg mrconf.Config) {
 		j.reduceMemHeld += shape.MemMB
 	}
 	if t.onAllocCB == nil {
-		// The RM calls neither callback once the job's app has finished
-		// (j.finish calls app.Finish), so t.Job is still the job that
-		// made the request, even for a pooled task: a container that
-		// outlives its job never reaches a recycled task.
-		t.onAllocCB = func(c *yarn.Container) {
-			j := t.Job
-			t.pendingReq = nil
-			if t.killed {
-				j.rm.Release(c)
-				return
-			}
-			if t.Type == MapTask {
-				j.runMap(t, c)
-			} else {
-				j.runReduce(t, c)
-			}
-		}
-		t.onNodeLostCB = func(c *yarn.Container) { t.Job.taskLostNode(t) }
+		t.bind()
 	}
 	t.req = yarn.Request{
 		Resource:       shape,
@@ -283,24 +277,105 @@ func (j *Job) requestContainerWithConfig(t *Task, cfg mrconf.Config) {
 	j.app.Request(&t.req)
 }
 
-// track registers an attempt's in-flight flows for kill support.
-func (t *Task) track(flows ...*cluster.Flow) {
-	t.liveFlows = append(t.liveFlows, flows...)
+// bind makes the task object's callbacks, once. Each captures only the
+// Task and resolves the owning Job when called, which keeps it valid
+// when a pooled task is adopted by a later job.
+func (t *Task) bind() {
+	// The RM calls neither container callback once the job's app has
+	// finished (j.finish calls app.Finish), so t.Job is still the job
+	// that made the request, even for a pooled task: a container that
+	// outlives its job never reaches a recycled task.
+	t.onAllocCB = func(c *yarn.Container) {
+		j := t.Job
+		t.pendingReq = nil
+		if t.killed {
+			j.rm.Release(c)
+			return
+		}
+		if t.Type == MapTask {
+			j.runMap(t, c)
+		} else {
+			j.runReduce(t, c)
+		}
+	}
+	t.onNodeLostCB = func(c *yarn.Container) { t.Job.taskLostNode(t) }
+	t.splitLostCB = func() { t.Job.taskFailedFault(t, "input split lost") }
+	t.joinCB = func() { t.Job.phaseDone(t) }
+}
+
+// beginPhase starts a phase join of n flows or ops; the caller counts
+// any it adds after.
+func (t *Task) beginPhase(p phase, n int) {
+	t.phase, t.left = p, n
+}
+
+// phaseDone counts one completed flow or op of t's current phase and,
+// at the last, runs the phase that follows.
+func (j *Job) phaseDone(t *Task) {
+	t.left--
+	if t.left > 0 {
+		return
+	}
+	switch t.phase {
+	case phaseMap:
+		j.mapMerge(t)
+	case phaseMerge:
+		j.mapFinish(t)
+	case phaseFetch:
+		j.fetched(t.run)
+	case phaseSort:
+		j.reduceOutput(t.run)
+	case phaseWrite:
+		j.reduceFinish(t.run)
+	}
+}
+
+// after runs action(j, t) delay seconds from now through timer tm of
+// t, unless by then the job object has been recycled or the attempt
+// has moved on. The event runs tm's callback, bound once per Task
+// object, under the guard stored in tm. If tm's event of an earlier
+// attempt is still queued (the attempt was requeued while it waited),
+// tm's guard is taken, and this event carries its own in a closure.
+func (j *Job) after(t *Task, tm *taskTimer, delay float64, action func(*Job, *Task)) {
+	if tm.queued {
+		att, g := t.Attempt, j.gen
+		j.eng.After(delay, func() {
+			if j.gen == g && t.Attempt == att {
+				action(j, t)
+			}
+		})
+		return
+	}
+	if tm.fn == nil {
+		tm.fn = func() {
+			tm.queued = false
+			if tm.job.gen == tm.gen && t.Attempt == tm.attempt {
+				action(tm.job, t)
+			}
+		}
+	}
+	tm.queued, tm.job, tm.gen, tm.attempt = true, j, j.gen, t.Attempt
+	j.eng.After(delay, tm.fn)
+}
+
+// track registers an attempt's in-flight flow for kill support.
+func (t *Task) track(f *cluster.Flow) {
+	t.liveFlows = append(t.liveFlows, f)
 }
 
 // trackOp registers an attempt's in-flight HDFS operation for kill
 // support.
-func (t *Task) trackOp(op canceler) {
+func (t *Task) trackOp(op *hdfs.Op) {
 	t.liveOps = append(t.liveOps, op)
 }
 
 // cancelWork aborts everything an attempt has in flight. The tracking
 // slices keep their capacity for the next attempt; the canceled flows
-// are dropped, not recycled. A succeeded attempt's flows are never
-// reached here: recycleFlows emptied liveFlows at the success, so a
-// later attempt of the same task (a map re-executed after its output
-// was lost) cancels only its own flows, never a recycled one that now
-// serves another attempt.
+// and ops are dropped, not recycled. A succeeded attempt's flows and
+// ops are never reached here: recycleWork emptied liveFlows and
+// liveOps at the success, so a later attempt of the same task (a map
+// re-executed after its output was lost) cancels only its own, never a
+// recycled one that now serves another attempt.
 func (j *Job) cancelWork(t *Task) {
 	for _, f := range t.liveFlows {
 		if f != nil {
@@ -314,20 +389,25 @@ func (j *Job) cancelWork(t *Task) {
 	t.liveOps = clearSlice(t.liveOps)
 }
 
-// recycleFlows hands a succeeded attempt's flows back to the cluster's
-// flow free list and empties liveFlows, keeping its capacity. Every
-// tracked flow has finished by the time the attempt succeeds (its last
-// phase's join fired, and each earlier phase's join fired before that),
-// and liveFlows is their only holder: the fabric drops its own
-// references on completion, and nothing else in this package retains a
-// *cluster.Flow. Pooled or not, later attempts on the same cluster then
-// start their flows from the recycled objects. HDFS-internal flows live
-// inside liveOps' operation objects and are left alone.
-func (t *Task) recycleFlows() {
+// recycleWork hands a succeeded attempt's flows back to the cluster's
+// flow free list and its HDFS ops to the file system's op free list,
+// and empties liveFlows and liveOps, keeping their capacity. Every
+// tracked flow and op has finished by the time the attempt succeeds
+// (its last phase's join fired, and each earlier phase's join fired
+// before that), and the task is their only holder: the fabric drops
+// its own references on completion, an op recycles its own flows, and
+// nothing else in this package retains a *cluster.Flow or an *hdfs.Op.
+// Pooled or not, later attempts on the same cluster then start their
+// flows and ops from the recycled objects.
+func (t *Task) recycleWork() {
 	for _, f := range t.liveFlows {
 		f.Recycle()
 	}
 	t.liveFlows = clearSlice(t.liveFlows)
+	for _, op := range t.liveOps {
+		op.Recycle()
+	}
+	t.liveOps = clearSlice(t.liveOps)
 }
 
 // finishAttempt handles bookkeeping common to success and failure.
@@ -388,7 +468,7 @@ func (j *Job) taskSucceeded(t *Task) {
 	if j.finished || t.killed {
 		return
 	}
-	t.recycleFlows()
+	t.recycleWork()
 	logical := t.logical()
 	if logical.logicalDone {
 		// The twin already won; this copy's work is discarded.
@@ -517,7 +597,10 @@ func (j *Job) finish(err error) {
 	// reset job. A failed job may still have attempts in flight and is
 	// never recycled. See Pool.
 	if p := j.spec.Pool; p != nil && !j.failed {
-		j.eng.After(0, func() { p.recycleJob(j) })
+		if j.recycleCB == nil {
+			j.recycleCB = func() { j.spec.Pool.recycleJob(j) }
+		}
+		j.eng.After(0, j.recycleCB)
 	}
 }
 

@@ -37,13 +37,16 @@ func (j *Job) runMap(t *Task, c *yarn.Container) {
 	}
 
 	j.armAttemptFault(t)
-	att, g := t.Attempt, j.gen
-	j.eng.After(TaskLaunchOverheadSecs, func() {
-		if j.gen != g || t.Attempt != att {
-			return // the job was recycled, or the attempt requeued during launch
-		}
+	j.after(t, &t.launch, TaskLaunchOverheadSecs, (*Job).launched)
+}
+
+// launched runs when an attempt's launch overhead has passed.
+func (j *Job) launched(t *Task) {
+	if t.Type == MapTask {
 		j.mapMain(t)
-	})
+	} else {
+		j.reduceMain(t)
+	}
 }
 
 func (j *Job) mapMain(t *Task) {
@@ -84,13 +87,7 @@ func (j *Job) mapMain(t *Task) {
 		frac := t.Config.MapHeapMB() / heapNeedMB
 		failAfter := math.Max(2, cpuSecs/coreCap*frac)
 		t.cpuSecs = cpuSecs * frac
-		att, g := t.Attempt, j.gen
-		j.eng.After(failAfter, func() {
-			if j.gen != g || t.Attempt != att {
-				return // the job was recycled, or the attempt requeued (node loss)
-			}
-			j.taskFailed(t, errOOM)
-		})
+		j.after(t, &t.oom, failAfter, (*Job).oomKilled)
 		return
 	}
 
@@ -107,39 +104,37 @@ func (j *Job) mapMain(t *Task) {
 		overlapMB = combinedMB * float64(numSpills-1) / float64(numSpills) * eff
 	}
 
-	flows := 1 // compute
+	t.combinedMB, t.overlapMB, t.spills = combinedMB, overlapMB, numSpills
+	t.beginPhase(phaseMap, 1) // compute
+	t.track(node.Compute(cpuSecs, coreCap, t.joinCB))
 	if t.Split != nil {
-		flows++
-	}
-	if overlapMB > 0 {
-		flows++
-	}
-	next := join(flows, func() { j.mapMerge(t, combinedMB, overlapMB, numSpills) })
-	t.track(node.Compute(cpuSecs, coreCap, next))
-	if t.Split != nil {
-		op := j.fs.StartRead(t.Split, node, next)
-		att, g := t.Attempt, j.gen
-		op.OnFail = func() {
-			if j.gen != g || t.Attempt != att {
-				return
-			}
-			j.taskFailedFault(t, "input split lost")
-		}
+		t.left++
+		op := j.fs.StartRead(t.Split, node, t.joinCB)
+		// The op runs OnFail only while the owner has not canceled it,
+		// and every attempt that ends early cancels its ops, so the
+		// task's one callback needs no attempt guard.
+		op.OnFail = t.splitLostCB
 		t.trackOp(op)
 	}
 	if overlapMB > 0 {
-		t.track(node.DiskWrite(overlapMB, next))
+		t.left++
+		t.track(node.DiskWrite(overlapMB, t.joinCB))
 	}
 }
 
+// oomKilled runs when an attempt whose heap cannot hold its buffers
+// dies.
+func (j *Job) oomKilled(t *Task) { j.taskFailed(t, errOOM) }
+
 // mapMerge writes the final spill and runs the merge passes, then
 // finalizes counters.
-func (j *Job) mapMerge(t *Task, combinedMB, overlapMB float64, numSpills int) {
+func (j *Job) mapMerge(t *Task) {
 	if j.finished || t.killed {
 		return
 	}
 	p := j.bench.Profile
 	node := t.container.Node
+	combinedMB, overlapMB, numSpills := t.combinedMB, t.overlapMB, t.spills
 	passes := mergePasses(numSpills, t.Config.SortFactor())
 
 	finalSpillMB := combinedMB - overlapMB
@@ -151,15 +146,17 @@ func (j *Job) mapMerge(t *Task, combinedMB, overlapMB float64, numSpills int) {
 	t.cpuSecs += mergeCPU
 
 	coreCap := math.Min(MapComputeParallelism, math.Max(t.container.CoreCap(), BurstFloorCores))
-	done := join(2, func() { j.mapFinish(t, combinedMB, numSpills, passes) })
-	t.track(node.DiskWrite(mergeIOMB, done))
-	t.track(node.Compute(mergeCPU, coreCap, done))
+	t.passes = passes
+	t.beginPhase(phaseMerge, 2)
+	t.track(node.DiskWrite(mergeIOMB, t.joinCB))
+	t.track(node.Compute(mergeCPU, coreCap, t.joinCB))
 }
 
-func (j *Job) mapFinish(t *Task, combinedMB float64, numSpills, passes int) {
+func (j *Job) mapFinish(t *Task) {
 	if j.finished || t.killed {
 		return
 	}
+	combinedMB, numSpills, passes := t.combinedMB, t.spills, t.passes
 	if t.logical().logicalDone {
 		// The speculative twin won while this copy was merging: discard
 		// its output so the counters stay conserved.
@@ -202,15 +199,4 @@ func (j *Job) mapFinish(t *Task, combinedMB float64, numSpills, passes int) {
 	j.taskSucceeded(t)
 	// New map output unblocks shuffle fetches.
 	j.wakeReducers()
-}
-
-// join returns a callback that invokes done after n invocations.
-func join(n int, done func()) func() {
-	remaining := n
-	return func() {
-		remaining--
-		if remaining == 0 {
-			done()
-		}
-	}
 }

@@ -8,18 +8,17 @@ import (
 	"repro/internal/yarn"
 )
 
-// reduceRun holds the shuffle-phase runtime state of one reducer.
+// reduceRun holds the runtime state of one reduce attempt. A task
+// object keeps one and resets it for each attempt (see reduceMain).
 type reduceRun struct {
 	task *Task
-	// attempt pins the run to one incarnation: a requeued (node-lost)
-	// task gets a fresh reduceRun, and stale callbacks must not finish
-	// the task on the old one's behalf.
-	attempt int
 	// Deferred counter contributions, applied only if this attempt
 	// wins (speculative twins must not double-count).
 	pendingInMB      float64
 	pendingSpillRec  float64
 	pendingOutputRec float64
+	// outMB is the size of the attempt's HDFS output write.
+	outMB float64
 	// share is this reducer's fraction of total map output.
 	share float64
 	// estTotalMB is the planning estimate of the reducer's input.
@@ -44,13 +43,7 @@ func (j *Job) runReduce(t *Task, c *yarn.Container) {
 	t.cpuSecs = 0
 	j.traceTask(t, trace.TaskStart)
 	j.armAttemptFault(t)
-	att, g := t.Attempt, j.gen
-	j.eng.After(TaskLaunchOverheadSecs, func() {
-		if j.gen != g || t.Attempt != att {
-			return // the job was recycled, or the attempt requeued during launch
-		}
-		j.reduceMain(t)
-	})
+	j.after(t, &t.launch, TaskLaunchOverheadSecs, (*Job).launched)
 }
 
 func (j *Job) reduceMain(t *Task) {
@@ -83,17 +76,19 @@ func (j *Job) reduceMain(t *Task) {
 	if heapNeedMB > heap {
 		frac := heap / heapNeedMB
 		failAfter := math.Max(2, 10*frac)
-		att, g := t.Attempt, j.gen
-		j.eng.After(failAfter, func() {
-			if j.gen != g || t.Attempt != att {
-				return // the job was recycled, or the attempt requeued (node loss)
-			}
-			j.taskFailed(t, errOOM)
-		})
+		j.after(t, &t.oom, failAfter, (*Job).oomKilled)
 		return
 	}
 
-	r := &reduceRun{task: t, attempt: t.Attempt, share: share, estTotalMB: estTotalMB}
+	// Every earlier attempt of the task object has left activeReducers,
+	// and the timers that may still name the run (fetch retries) check
+	// their attempt before touching it, so the run can start over.
+	r := t.run
+	if r == nil {
+		r = &reduceRun{}
+		t.run = r
+	}
+	*r = reduceRun{task: t, share: share, estTotalMB: estTotalMB}
 
 	// Segment routing: average segment size vs the in-memory fetch
 	// limit decides whether fetches land in memory or stream to disk.
@@ -184,20 +179,25 @@ func (j *Job) tryFetch(r *reduceRun) {
 	rateCap := float64(t.Config.ParallelCopies()) * ShuffleStreamMBps
 
 	diskPart := chunk * r.diskFrac
-	flows := 1
-	if diskPart > 0 {
-		flows++
+	t.beginPhase(phaseFetch, 1)
+	first, second := j.rm.Cluster().Fetch(t.container.Node, chunk, CrossRackFraction, rateCap, t.joinCB)
+	t.track(first)
+	if second != nil {
+		t.left++
+		t.track(second)
 	}
-	next := join(flows, func() {
-		r.busy = false
-		r.fetchingMB = 0
-		r.fetchedMB += chunk
-		j.tryFetch(r)
-	})
-	t.track(j.rm.Cluster().Fetch(t.container.Node, chunk, CrossRackFraction, rateCap, next)...)
 	if diskPart > 0 {
-		t.track(t.container.Node.DiskWrite(diskPart, next))
+		t.left++
+		t.track(t.container.Node.DiskWrite(diskPart, t.joinCB))
 	}
+}
+
+// fetched runs when a shuffle fetch has landed.
+func (j *Job) fetched(r *reduceRun) {
+	r.busy = false
+	r.fetchedMB += r.fetchingMB
+	r.fetchingMB = 0
+	j.tryFetch(r)
 }
 
 // reduceSort merges spilled segments (possibly in multiple passes) and
@@ -231,36 +231,28 @@ func (j *Job) reduceSort(r *reduceRun) {
 	t.cpuSecs += cpu
 	coreCap := math.Min(ReduceComputeParallelism, math.Max(t.container.CoreCap(), BurstFloorCores))
 
-	done := join(2, func() { j.reduceOutput(r, totalIn) })
-	t.track(node.DiskRead(readMB, done))
-	t.track(node.Compute(cpu, coreCap, done))
+	t.beginPhase(phaseSort, 2)
+	t.track(node.DiskRead(readMB, t.joinCB))
+	t.track(node.Compute(cpu, coreCap, t.joinCB))
 }
 
 // reduceOutput writes the reducer's output file to HDFS.
-func (j *Job) reduceOutput(r *reduceRun, totalIn float64) {
+func (j *Job) reduceOutput(r *reduceRun) {
 	if j.finished || r.task.killed {
 		return
 	}
 	t := r.task
-	outMB := totalIn * j.bench.Profile.ReduceSelectivity
-	g := j.gen
-	op := j.fs.StartWrite(t.container.Node, outMB, func() {
-		if j.gen != g {
-			return
-		}
-		j.reduceFinish(r, outMB)
-	})
-	t.trackOp(op)
+	// pendingInMB is the input the sort phase merged: every fetch had
+	// landed, and a shuffled reducer's input no longer changes.
+	r.outMB = r.pendingInMB * j.bench.Profile.ReduceSelectivity
+	t.beginPhase(phaseWrite, 1)
+	t.trackOp(j.fs.StartWrite(t.container.Node, r.outMB, t.joinCB))
 }
 
 // reduceFinish applies the winning attempt's counter contributions.
-func (j *Job) reduceFinish(r *reduceRun, outMB float64) {
+func (j *Job) reduceFinish(r *reduceRun) {
 	t := r.task
-	if t.Attempt != r.attempt {
-		// Stale incarnation: its container was already reclaimed when
-		// its node was lost, and t.container now belongs to the retry.
-		return
-	}
+	outMB := r.outMB
 	if j.finished || t.killed || t.logical().logicalDone {
 		j.releaseTask(t)
 		return

@@ -85,13 +85,40 @@ type Task struct {
 	req          yarn.Request
 	onAllocCB    func(*yarn.Container)
 	onNodeLostCB func(*yarn.Container)
+	// splitLostCB is the OnFail of the attempt's input read, bound
+	// once like the two above.
+	splitLostCB func()
+
+	// The attempt's phase join. Every flow and HDFS op of the current
+	// phase completes through joinCB, bound once per Task object; left
+	// counts those still running, and when it reaches zero phaseDone
+	// runs the phase that follows. A phase's flows and ops all belong
+	// to one attempt and are canceled when it ends early, so no
+	// completion reaches a later attempt or a later owner.
+	joinCB func()
+	left   int
+	phase  phase
+	// A map attempt's arguments from phase to phase; a reduce attempt
+	// keeps its own in run.
+	combinedMB float64
+	overlapMB  float64
+	spills     int
+	passes     int
+	// run is the reduce attempt's runtime state, reused by every
+	// attempt of the task object.
+	run *reduceRun
+	// launch and oom are the attempt's launch and OOM-kill timers.
+	// They survive recycling with the task object, so that a queued
+	// event still finds its own guard.
+	launch, oom taskTimer
+
 	// liveFlows are the attempt's in-flight resource flows, canceled
 	// when a speculative twin wins.
 	liveFlows []*cluster.Flow
 	// liveOps are the attempt's in-flight fault-tolerant HDFS
 	// operations (reads/writes that internally retry), canceled
 	// alongside liveFlows.
-	liveOps []canceler
+	liveOps []*hdfs.Op
 	killed  bool
 	// Speculative-execution links: specCopy on the original points to
 	// its running shadow; specOrigin on a shadow points back. The
@@ -117,9 +144,28 @@ type Task struct {
 	outputNode *cluster.Node
 }
 
-// canceler is an in-flight operation an attempt can abort (HDFS
-// read/write ops).
-type canceler interface{ Cancel() }
+// phase names what runs when the current phase join completes.
+type phase uint8
+
+const (
+	phaseMap   phase = iota // split read and map function: mapMerge
+	phaseMerge              // final spill and merge passes: mapFinish
+	phaseFetch              // one shuffle fetch: fetched
+	phaseSort               // merge and reduce function: reduceOutput
+	phaseWrite              // HDFS output write: reduceFinish
+)
+
+// taskTimer is a task timer whose callback is bound once per Task
+// object (see Job.after). While its event is queued, the guard fields
+// name the job object, its generation and the attempt the event is
+// for.
+type taskTimer struct {
+	fn      func()
+	queued  bool
+	job     *Job
+	gen     uint64
+	attempt int
+}
 
 // Counters aggregates Hadoop-style job counters.
 type Counters struct {

@@ -52,11 +52,11 @@ func (rm *ResourceManager) onNodeState(n *cluster.Node, down bool) {
 // demand.
 func (rm *ResourceManager) declareNodeLost(n *cluster.Node) {
 	rm.declaredLost[n.ID] = true
-	// Collect first: Release rewrites liveByApp. Iterating the apps
-	// slice (never the map) keeps the reclaim order deterministic.
+	// Collect first: Release rewrites the live lists. The reclaim order
+	// is apps in rm.apps order, then placement order.
 	var lost []*Container
 	for _, app := range rm.apps {
-		for _, c := range rm.liveByApp[app] {
+		for _, c := range app.live {
 			if c.Node == n && !c.released {
 				lost = append(lost, c)
 			}
