@@ -111,6 +111,11 @@ type assignment struct {
 // put assigns a known parameter.
 func (a *assignment) put(name string, v float64) {
 	id, _ := mrconf.ID(name)
+	a.putID(id, v)
+}
+
+// putID assigns a parameter by dense index.
+func (a *assignment) putID(id mrconf.ParamID, v float64) {
 	a.set[id], a.v[id] = true, v
 }
 
@@ -334,7 +339,10 @@ func (t *Tuner) aggressiveObserve(r mapreduce.TaskReport) {
 	s.waveBuf = append(s.waveBuf, r)
 	if s.opt.Waves() != prevWaves {
 		t.applyGrayBoxRules(s, s.waveBuf, scope)
-		s.waveBuf = nil
+		// The rules keep nothing of the wave, so the buffer starts the
+		// next one with its capacity.
+		clear(s.waveBuf)
+		s.waveBuf = s.waveBuf[:0]
 		s.waves++
 	}
 }
@@ -524,12 +532,13 @@ func (t *Tuner) materializeWith(cfg mrconf.Config, tt mapreduce.TaskType, safe b
 		}
 		return mrconf.Repair(cfg)
 	}
-	// Reduce-side buffer rules.
-	cfg = cfg.With(mrconf.MergeInmemThreshold, 0) // merge on memory consumption only
+	// Reduce-side buffer rules, applied with one copy of the config.
+	var a assignment
+	a.putID(mrconf.IDMergeInmemThreshold, 0) // merge on memory consumption only
 	if est, ok := t.mon.EstReduceInputMB(); ok {
-		cfg = SizeShuffleBuffer(cfg, est, t.reduceWorkingSetReserve(safe))
+		a.sizeShuffleBuffer(cfg, est, t.reduceWorkingSetReserve(safe))
 	}
-	return mrconf.Repair(cfg)
+	return mrconf.Repair(a.applyTo(cfg))
 }
 
 // SetSpillPercent applies the §6.2 spill rule for a map task whose raw
@@ -550,16 +559,27 @@ func SetSpillPercent(cfg mrconf.Config, rawOutputMB float64) mrconf.Config {
 // to it (that would guarantee an OOM kill). When the input fits, it is
 // retained through the reduce phase and merged at the full buffer.
 func SizeShuffleBuffer(cfg mrconf.Config, inputMB, workingSetMB float64) mrconf.Config {
+	var a assignment
+	a.sizeShuffleBuffer(cfg, inputMB, workingSetMB)
+	return a.applyTo(cfg)
+}
+
+// sizeShuffleBuffer assigns SizeShuffleBuffer's three buffer values
+// for a reducer on cfg's heap. They do not depend on one another's
+// assignment, so applying them together equals applying them in turn.
+func (a *assignment) sizeShuffleBuffer(cfg mrconf.Config, inputMB, workingSetMB float64) {
 	heap := cfg.ReduceHeapMB() // positive: reduce memory is at least 512 MB
 	sbpMax := (heap - mapreduce.JVMBaseMB - workingSetMB) / heap
 	sbp := metrics.Clamp(inputMB*1.15/heap, 0.2, math.Min(0.9, sbpMax))
-	cfg = cfg.With(mrconf.ShuffleInputBufferPct, sbp)
-	sbp = cfg.ShuffleBufferPct() // post-quantization
+	a.putID(mrconf.IDShuffleInputBufferPct, sbp)
+	sbp = mrconf.MustLookup(mrconf.ShuffleInputBufferPct).Quantize(sbp) // the value the config will hold
 	if sbp*heap >= inputMB {
-		return cfg.With(mrconf.ReduceInputBufferPct, sbp).With(mrconf.ShuffleMergePct, sbp)
+		a.putID(mrconf.IDReduceInputBufferPct, sbp)
+		a.putID(mrconf.IDShuffleMergePct, sbp)
+		return
 	}
-	return cfg.With(mrconf.ReduceInputBufferPct, math.Max(0, sbp-0.1)).
-		With(mrconf.ShuffleMergePct, math.Max(0.2, sbp-0.04))
+	a.putID(mrconf.IDReduceInputBufferPct, math.Max(0, sbp-0.1))
+	a.putID(mrconf.IDShuffleMergePct, math.Max(0.2, sbp-0.04))
 }
 
 // reduceWorkingSetReserve estimates how much heap the reduce user code

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/mapreduce"
+	"repro/internal/metrics"
 	"repro/internal/mrconf"
 	"repro/internal/tuner"
 )
@@ -205,6 +207,40 @@ func TestMaterializeReduceRulesRespectHeap(t *testing.T) {
 	}
 	if err := mrconf.Validate(cfg); err != nil {
 		t.Fatalf("materialized config invalid: %v", err)
+	}
+}
+
+// A reduce materialization with a reduce-input estimate builds its
+// config with one copy, and applies its four rule values exactly as
+// setting them one at a time does.
+func TestMaterializeReduceAllocs(t *testing.T) {
+	tn := NewTuner("j", 100, 10, mrconf.Default(), TunerOptions{Strategy: Aggressive, Seed: 1})
+	for i := 0; i < 5; i++ {
+		tn.TaskCompleted(mapReport(i, mrconf.Default(), 80, 80, 10, 0.5, 0.5))
+	}
+	est, ok := tn.mon.EstReduceInputMB()
+	if !ok {
+		t.Fatal("no reduce-input estimate after five map reports")
+	}
+	base := mrconf.Default().With(mrconf.ReduceMemoryMB, 2048)
+	var cfg mrconf.Config
+	if a := testing.AllocsPerRun(100, func() { cfg = tn.materialize(base, mapreduce.ReduceTask) }); a > 1 {
+		t.Errorf("reduce materialization allocates %v times, want at most 1", a)
+	}
+
+	// The same rules, one With at a time.
+	heap := base.ReduceHeapMB()
+	ws := tn.reduceWorkingSetReserve(false)
+	want := base.With(mrconf.MergeInmemThreshold, 0)
+	sbpMax := (heap - mapreduce.JVMBaseMB - ws) / heap
+	want = want.With(mrconf.ShuffleInputBufferPct, metrics.Clamp(est*1.15/heap, 0.2, math.Min(0.9, sbpMax)))
+	if sbp := want.ShuffleBufferPct(); sbp*heap >= est {
+		want = want.With(mrconf.ReduceInputBufferPct, sbp).With(mrconf.ShuffleMergePct, sbp)
+	} else {
+		want = want.With(mrconf.ReduceInputBufferPct, math.Max(0, sbp-0.1)).With(mrconf.ShuffleMergePct, math.Max(0.2, sbp-0.04))
+	}
+	if want = mrconf.Repair(want); !cfg.Equal(want) {
+		t.Errorf("materialized %v, want %v", cfg, want)
 	}
 }
 
