@@ -176,28 +176,40 @@ func TestZeroWorkCompletesImmediately(t *testing.T) {
 }
 
 // TestRecycledZeroWorkFlowNotHijacked: a canceled zero-work flow still
-// has its completion closure queued, so Recycle must not pool it. If it
-// did, the next Start would reuse the object, the stale closure would
+// has its completion event queued, so Recycle must not pool it. If it
+// did, the next Start would reuse the object, the stale event would
 // fire the canceled flow's done and mark the new flow finished, and the
-// new flow would never complete nor leave the fabric.
+// new flow would never complete nor leave the fabric. Once the event
+// has fired, the flow is pooled like any other.
 func TestRecycledZeroWorkFlowNotHijacked(t *testing.T) {
 	eng := sim.NewEngine()
 	fb := NewFabric(eng, "test")
 	l := fb.AddLink("l", 100)
-	canceledFired, newDone := false, false
+	canceledFired := false
+	var newDone []float64
 	z := fb.Start([]*Link{l}, 0, 0, func() { canceledFired = true })
 	z.Cancel()
 	z.Recycle()
-	fb.Start([]*Link{l}, 10, 0, func() { newDone = true })
+	fb.Start([]*Link{l}, 10, 0, func() { newDone = append(newDone, eng.Now()) })
 	eng.Run()
 	if canceledFired {
 		t.Error("the canceled zero-work flow's done fired")
 	}
-	if !newDone {
-		t.Error("the flow started after the recycle never completed")
+	if len(newDone) != 1 || newDone[0] != 0.1 {
+		t.Errorf("the flow started after the recycle completed at %v, want once at 0.1", newDone)
 	}
 	if n := fb.ActiveFlows(); n != 0 {
 		t.Errorf("%d flows left in the fabric after the run, want 0", n)
+	}
+
+	z.Recycle() // its event has fired now
+	zeroDone := 0
+	if again := fb.Start([]*Link{l}, 0, 0, func() { zeroDone++ }); again != z {
+		t.Error("a zero-work flow whose event had fired was not reused")
+	}
+	eng.Run()
+	if zeroDone != 1 {
+		t.Errorf("the reused zero-work flow completed %d times, want once", zeroDone)
 	}
 }
 

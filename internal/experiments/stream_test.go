@@ -201,6 +201,35 @@ func TestStreamCellSetupAllocs(t *testing.T) {
 	}
 }
 
+// TestStreamAllocsPerJob bounds the garbage a steady-state serving job
+// makes: on the second whole-cluster run of the test stream (the first
+// warms the process), every job's attempts allocate at most 225 times
+// on average. The task-attempt path binds its callbacks once per
+// recycled object, so most of what is left is per-job set-up and trace
+// events. The bound is half of what the stream cost before containers,
+// HDFS ops, zero-work flows and attempt phase state were recycled (451
+// mallocs per job).
+func TestStreamAllocsPerJob(t *testing.T) {
+	perJob := func(spec StreamSpec) (mallocs, bytes float64) {
+		RunStream(spec)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := RunStream(spec)
+		runtime.ReadMemStats(&after)
+		n := float64(res.Jobs)
+		return float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n
+	}
+	spec := smallStreamSpec(11)
+	mallocs, bytes := perJob(spec)
+	spec.Parallel = 1
+	cellMallocs, cellBytes := perJob(spec)
+	t.Logf("whole cluster: %.0f mallocs and %.1f KB per job; rack cells: %.0f mallocs and %.1f KB per job",
+		mallocs, bytes/1e3, cellMallocs, cellBytes/1e3)
+	if mallocs > 225 {
+		t.Errorf("a whole-cluster stream job makes %.0f mallocs, want at most 225", mallocs)
+	}
+}
+
 // TestStreamTunedRuns exercises the fleet-wide per-job MRONLINE leg:
 // a fresh conservative tuner attaches to every submission, and the run
 // still drains deterministically.

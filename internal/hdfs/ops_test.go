@@ -146,3 +146,68 @@ func TestReadCancelDuringBackoff(t *testing.T) {
 		t.Fatal("done fired for a canceled read")
 	}
 }
+
+// TestCanceledOpNotReused cancels a write while its restart is queued
+// and recycles it: the op must not go back to the free list, or the
+// next StartWrite would get the object and the queued restart would
+// start a second wave under it. A finished op does go back, and the
+// next op is that object.
+func TestCanceledOpNotReused(t *testing.T) {
+	eng, c, fs := newFS(t)
+	writer := c.Nodes[0]
+	op := fs.StartWrite(writer, 90, func() { t.Error("done fired for a canceled write") })
+	victim := downstreamReplica(t, c, writer)
+	eng.At(0.5, func() { c.KillNode(victim) }) // the restart is queued for 2.5
+	var next *Op
+	var done []float64
+	eng.At(1, func() {
+		op.Cancel()
+		op.Recycle()
+		// Long enough to still be running when the stale restart is due.
+		next = fs.StartWrite(c.Nodes[1], 900, func() { done = append(done, eng.Now()) })
+	})
+	eng.Run()
+
+	if next == op {
+		t.Fatal("a canceled op waiting on its restart was reused")
+	}
+	if len(done) != 1 {
+		t.Fatalf("the next write completed %d times, want once", len(done))
+	}
+	next.Recycle()
+	if again := fs.StartWrite(c.Nodes[1], 90, nil); again != next {
+		t.Error("a finished op was not reused by the next write")
+	}
+}
+
+// TestCanceledZeroSizeWriteNotHijacked cancels a zero-size write before
+// its zero-delay completion fires and recycles both the op and its one
+// flow, as a teardown that recycles unconditionally would. The
+// one-replica write after it must complete exactly when the same write
+// does on a fresh file system: the queued completion must not finish
+// its flow.
+func TestCanceledZeroSizeWriteNotHijacked(t *testing.T) {
+	oneReplicaFS := func() (*sim.Engine, *cluster.Cluster, *FileSystem) {
+		eng, c, fs := newFS(t)
+		fs.Replication = 1 // the local disk write is the whole pipeline
+		return eng, c, fs
+	}
+	eng, c, fs := oneReplicaFS()
+	var want float64
+	fs.StartWrite(c.Nodes[0], 0, nil) // draws the same placement as the canceled write below
+	fs.StartWrite(c.Nodes[0], 90, func() { want = eng.Now() })
+	eng.Run()
+
+	eng, c, fs = oneReplicaFS()
+	zero := fs.StartWrite(c.Nodes[0], 0, func() { t.Error("done fired for a canceled zero-size write") })
+	flow := zero.flows[0]
+	zero.Cancel()
+	flow.Recycle()
+	zero.Recycle()
+	var got []float64
+	fs.StartWrite(c.Nodes[0], 90, func() { got = append(got, eng.Now()) })
+	eng.Run()
+	if len(got) != 1 || got[0] != want {
+		t.Fatalf("the write after the canceled zero-size write completed at %v, want once at %v", got, want)
+	}
+}

@@ -395,3 +395,76 @@ func TestReexecutedMapCancelsOnlyItsOwnFlows(t *testing.T) {
 		t.Fatal("the flow sampler never ran")
 	}
 }
+
+// crashOnFirstStart crashes the host of the first map attempt to
+// start, after seconds, while that attempt is still in its launch
+// overhead.
+type crashOnFirstStart struct {
+	c       *cluster.Cluster
+	after   float64
+	crashed bool
+	starts  []trace.Event
+}
+
+func (s *crashOnFirstStart) Add(e trace.Event) {
+	if e.Kind != trace.TaskStart {
+		return
+	}
+	s.starts = append(s.starts, e)
+	if s.crashed || e.TaskType != MapTask.String() {
+		return
+	}
+	s.crashed = true
+	for _, n := range s.c.Nodes {
+		if n.Name == e.Node {
+			s.c.Eng.After(s.after, func() { s.c.KillNode(n) })
+		}
+	}
+}
+
+// phaseCounter counts, per task attempt, how often its main phase
+// began: the AM asks LiveConfig once as each attempt's launch ends.
+type phaseCounter struct {
+	PassthroughController
+	mains map[[3]int]int
+}
+
+func (c *phaseCounter) LiveConfig(t *Task, current mrconf.Config) mrconf.Config {
+	c.mains[[3]int{int(t.Type), t.ID, t.Attempt}]++
+	return current
+}
+
+// TestStaleLaunchAfterRequeue: a map attempt's host crashes during the
+// attempt's launch overhead, and the RM declares the node lost and the
+// task's next attempt starts before the first attempt's launch timer
+// fires. That timer, the task's bound one, must not run the next
+// attempt's main phase: every attempt runs it at most once.
+func TestStaleLaunchAfterRequeue(t *testing.T) {
+	r := newRig()
+	r.rm.SchedulingDelay = 0.1
+	r.rm.NodeExpirySecs = 0.05
+	sink := &crashOnFirstStart{c: r.c, after: 0.2}
+	ctrl := &phaseCounter{mains: map[[3]int]int{}}
+	b := smallTerasort()
+	res := r.run(t, Spec{Benchmark: b, BaseConfig: mrconf.Default(), Trace: sink, Controller: ctrl})
+	if res.Failed {
+		t.Fatalf("job failed: %v", res.Err)
+	}
+	first := sink.starts[0]
+	requeued := false
+	for _, e := range sink.starts {
+		if e.TaskType == first.TaskType && e.Task == first.Task && e.Attempt == first.Attempt+1 &&
+			e.Time < first.Time+TaskLaunchOverheadSecs {
+			requeued = true
+		}
+	}
+	if !requeued {
+		t.Fatal("no next attempt started inside the first attempt's launch overhead; the test exercises nothing")
+	}
+	for k, n := range ctrl.mains {
+		if n != 1 {
+			t.Errorf("%s task %d attempt %d began its main phase %d times, want once", TaskType(k[0]), k[1], k[2], n)
+		}
+	}
+	checkInvariants(t, b, res)
+}

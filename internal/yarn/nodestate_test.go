@@ -197,3 +197,53 @@ func TestBlacklistIgnoredWhenTooWide(t *testing.T) {
 		t.Fatal("no placement used a blacklisted node")
 	}
 }
+
+// TestContainerReclaimedInDelayNotReused: a container whose node is
+// declared lost inside the scheduling delay is released there, while
+// its launch event is still queued. The RM must not hand the object to
+// a later placement until that event has fired, or the event would run
+// the new placement's launch early and its owner would get the
+// container twice. Once the event has fired, the object is reused.
+func TestContainerReclaimedInDelayNotReused(t *testing.T) {
+	eng, c, rm := newRM(t, FIFOScheduler{})
+	rm.SchedulingDelay = 1
+	rm.NodeExpirySecs = 0.25
+	app := rm.Submit("job")
+	shape := Resource{MemMB: 1024, VCores: 1}
+	var reclaimed *Container
+	app.Request(&Request{Resource: shape,
+		OnAllocate: func(*Container) { t.Error("the reclaimed container launched") },
+		OnNodeLost: func(cont *Container) { reclaimed = cont }})
+	eng.At(0.1, func() {
+		for _, n := range c.Nodes {
+			if n.Mem.Used() > 0 {
+				c.KillNode(n) // declared lost at 0.35, inside the delay
+			}
+		}
+	})
+	type grant struct {
+		c  *Container
+		at float64
+	}
+	var grants []grant
+	eng.At(0.5, func() {
+		app.Request(&Request{Resource: shape, OnAllocate: func(cont *Container) { grants = append(grants, grant{cont, eng.Now()}) }})
+	})
+	eng.Run()
+
+	if reclaimed == nil {
+		t.Fatal("the first container was not reclaimed")
+	}
+	if len(grants) != 1 || grants[0].at != 1.5 {
+		t.Fatalf("the second request was granted %v, want once at 1.5", grants)
+	}
+	if grants[0].c == reclaimed {
+		t.Fatal("the reclaimed container was placed again while its launch was queued")
+	}
+	rm.Release(grants[0].c)
+	app.Request(&Request{Resource: shape, OnAllocate: func(cont *Container) { grants = append(grants, grant{cont, eng.Now()}) }})
+	eng.Run()
+	if got := grants[len(grants)-1].c; got != reclaimed && got != grants[0].c {
+		t.Error("a released container whose launch had fired was not reused")
+	}
+}
