@@ -26,3 +26,10 @@ func (j *Job) CompletedReduces() int { return j.completedReduces }
 // MapTasks and ReduceTasks expose task state.
 func (j *Job) MapTasks() []*Task    { return j.mapTasks }
 func (j *Job) ReduceTasks() []*Task { return j.reduceTasks }
+
+// Held returns the reduce-container memory the job still counts
+// against its headroom and its live speculative copies. Both are
+// exactly zero once it has finished cleanly.
+func (j *Job) Held() (reduceMemMB float64, liveShadows int) {
+	return j.reduceMemHeld, j.liveShadows
+}

@@ -1,8 +1,6 @@
 package mapreduce
 
 import (
-	"fmt"
-
 	"repro/internal/cluster"
 	"repro/internal/trace"
 )
@@ -11,31 +9,22 @@ import (
 // subsystem (internal/faults). Three things can go wrong for a job:
 //
 //   - a node hosting a RUNNING attempt dies → the RM reclaims the
-//     container (after its liveness expiry) and taskLostNode requeues
-//     the attempt with the same configuration — the task did nothing
-//     wrong, so this does not count against MaxAttempts;
+//     container (after its liveness expiry) and the attempt ends
+//     node-lost (endAttempt): it requeues with the same configuration,
+//     and since the task did nothing wrong this does not count against
+//     MaxAttempts;
 //   - a node holding a COMPLETED map's output dies while reducers
 //     still need that output → reducer fetches against the dead host
 //     fail and the map re-executes (nodeLost/reexecMap), reversing
 //     exactly the counters its completion added;
 //   - an attempt itself fails (injected fault, permanently lost input
-//     split) → taskFailedFault retries with a fresh configuration and
-//     counts the failure against MaxAttempts, reporting it to the RM's
-//     per-node blacklist tracker.
+//     split) → the attempt ends failed (endAttempt): it retries with a
+//     fresh configuration, counts against MaxAttempts and reports its
+//     node to the RM's per-node blacklist tracker.
 //
 // Everything here is reached only through fault injection; with no
 // faults configured none of these paths run and the job's event
 // sequence is identical to a build without them.
-
-// dropActiveReducer unregisters a reducer's shuffle-phase state.
-func (j *Job) dropActiveReducer(t *Task) {
-	for i, rr := range j.activeReducers {
-		if rr.task == t {
-			j.activeReducers = append(j.activeReducers[:i], j.activeReducers[i+1:]...)
-			break
-		}
-	}
-}
 
 // armAttemptFault asks the fault injector whether this attempt should
 // fail partway through, and schedules the failure if so.
@@ -53,101 +42,9 @@ func (j *Job) armAttemptFault(t *Task) {
 		if j.gen != g || j.finished || t.killed || t.Attempt != att || t.State != TaskRunning {
 			return
 		}
-		if t.logical().logicalDone {
-			return
-		}
 		j.rm.FaultCounters().TaskFailuresInjected++
-		j.taskFailedFault(t, "injected")
+		j.endAttempt(t, endFailed, errInjected)
 	})
-}
-
-// taskFailedFault handles a non-OOM attempt failure: the failure
-// counts toward MaxAttempts, feeds the RM's per-node blacklist, and
-// the task re-requests a fresh configuration (the controller may know
-// better by now). OOM kills deliberately do NOT report to the
-// blacklist — a bad heap setting is the configuration's fault, not the
-// node's, and blacklisting for it would distort tuning runs.
-func (j *Job) taskFailedFault(t *Task, detail string) {
-	if j.finished || t.killed || t.logical().logicalDone {
-		return
-	}
-	var node *cluster.Node
-	nodeName := ""
-	if t.container != nil {
-		node = t.container.Node
-		nodeName = node.Name
-	}
-	j.cancelWork(t)
-	j.counters.TaskFailures++
-	j.spec.Trace.Add(trace.Event{Time: j.eng.Now(), Job: j.Name, Kind: trace.TaskFailed,
-		TaskType: t.Type.String(), Task: t.ID, Attempt: t.Attempt, Node: nodeName, Detail: detail})
-	if t.specOrigin != nil {
-		// A failed speculative copy is simply dropped.
-		t.killed = true
-		t.State = TaskFailed
-		j.liveShadows--
-		t.specOrigin.specCopy = nil
-		if t.Type == ReduceTask {
-			j.reduceMemHeld -= t.Config.ReduceMemMB()
-			j.dropActiveReducer(t)
-		}
-		j.releaseTask(t)
-		if node != nil {
-			j.rm.ReportTaskFailure(node)
-		}
-		j.pump()
-		return
-	}
-	t.EndTime = j.eng.Now()
-	r := j.report(t, false)
-	r.Failed = true
-	j.releaseTask(t)
-	j.reports = append(j.reports, r)
-	j.ctrl.TaskCompleted(r)
-	if t.Type == ReduceTask {
-		j.reduceMemHeld -= t.Config.ReduceMemMB()
-		j.dropActiveReducer(t)
-	}
-	if node != nil {
-		j.rm.ReportTaskFailure(node)
-	}
-	t.Attempt++
-	if t.Attempt >= j.spec.MaxAttempts {
-		j.finish(fmt.Errorf("mapreduce: task %s failed %d attempts: %s", t, t.Attempt, detail))
-		return
-	}
-	t.State = TaskPending
-	j.requestContainer(t)
-}
-
-// taskLostNode handles a container whose host was declared lost by the
-// RM: the attempt's work is discarded and the task requeued with the
-// same configuration, with no MaxAttempts penalty.
-func (j *Job) taskLostNode(t *Task) {
-	if j.finished || t.killed || t.State == TaskSucceeded || t.logical().logicalDone {
-		return
-	}
-	j.cancelWork(t)
-	if t.Type == ReduceTask {
-		j.reduceMemHeld -= t.Config.ReduceMemMB()
-		j.dropActiveReducer(t)
-	}
-	t.container = nil // the RM releases the container itself
-	j.counters.NodeLossKills++
-	j.rm.FaultCounters().AttemptsKilledNodeLoss++
-	j.spec.Trace.Add(trace.Event{Time: j.eng.Now(), Job: j.Name, Kind: trace.TaskKilled,
-		TaskType: t.Type.String(), Task: t.ID, Attempt: t.Attempt, Detail: "node-lost"})
-	if t.specOrigin != nil {
-		// A lost speculative copy is simply dropped.
-		t.killed = true
-		t.State = TaskFailed
-		j.liveShadows--
-		t.specOrigin.specCopy = nil
-		return
-	}
-	t.Attempt++
-	t.State = TaskPending
-	j.requestContainerWithConfig(t, t.Config)
 }
 
 // nodeLost is the AM's node-loss notification (fired after the RM has

@@ -21,9 +21,20 @@ func randomValidConfig(rng *rand.Rand) mrconf.Config {
 }
 
 // checkInvariants asserts the conservation laws that must hold for any
-// completed run, whatever the configuration.
-func checkInvariants(t *testing.T, b workload.Benchmark, res Result) {
+// job j that completed cleanly with res, whatever the configuration.
+// Call it once the engine has drained: every resource the job held is
+// back by then, on every node of its cluster.
+func checkInvariants(t *testing.T, j *Job, res Result) {
 	t.Helper()
+	b := j.Benchmark()
+	if mem, shadows := j.Held(); mem != 0 || shadows != 0 {
+		t.Fatalf("job %s still holds %v MB of reduce headroom and %d speculative copies", j.Name, mem, shadows)
+	}
+	for _, n := range j.rm.Cluster().Nodes {
+		if n.Mem.Used() != 0 {
+			t.Fatalf("node %s still holds %v MB after job %s", n.Name, n.Mem.Used(), j.Name)
+		}
+	}
 	c := res.Counters
 	if res.Duration <= 0 {
 		t.Fatal("non-positive duration")
@@ -82,7 +93,7 @@ func TestInvariantsUnderRandomConfigs(t *testing.T) {
 		r := newRig()
 		var res Result
 		got := false
-		Submit(r.rm, r.fs, Spec{Benchmark: b, BaseConfig: cfg}, func(rr Result) { res = rr; got = true })
+		j := Submit(r.rm, r.fs, Spec{Benchmark: b, BaseConfig: cfg}, func(rr Result) { res = rr; got = true })
 		r.eng.Run()
 		if !got {
 			t.Logf("seed %d config %s: job never completed", seed, cfg)
@@ -93,7 +104,7 @@ func TestInvariantsUnderRandomConfigs(t *testing.T) {
 			// must carry an error and have recorded the kills.
 			return res.Err != nil && res.Counters.OOMKills > 0
 		}
-		checkInvariants(t, b, res)
+		checkInvariants(t, j, res)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -110,12 +121,11 @@ func TestInvariantsAcrossSuite(t *testing.T) {
 	for _, b := range workload.Suite() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			r := newRig()
-			res := r.run(t, Spec{Benchmark: b, BaseConfig: mrconf.Default()})
+			j, res := newRig().runJob(t, Spec{Benchmark: b, BaseConfig: mrconf.Default()})
 			if res.Failed {
 				t.Fatalf("failed: %v", res.Err)
 			}
-			checkInvariants(t, b, res)
+			checkInvariants(t, j, res)
 		})
 	}
 }

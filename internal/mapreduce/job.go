@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -298,8 +299,8 @@ func (t *Task) bind() {
 			j.runReduce(t, c)
 		}
 	}
-	t.onNodeLostCB = func(c *yarn.Container) { t.Job.taskLostNode(t) }
-	t.splitLostCB = func() { t.Job.taskFailedFault(t, "input split lost") }
+	t.onNodeLostCB = func(c *yarn.Container) { t.Job.endAttempt(t, endNodeLost, nil) }
+	t.splitLostCB = func() { t.Job.endAttempt(t, endFailed, errSplitLost) }
 	t.joinCB = func() { t.Job.phaseDone(t) }
 }
 
@@ -410,7 +411,7 @@ func (t *Task) recycleWork() {
 	t.liveOps = clearSlice(t.liveOps)
 }
 
-// finishAttempt handles bookkeeping common to success and failure.
+// releaseTask returns the attempt's container, if it holds one.
 func (j *Job) releaseTask(t *Task) {
 	if t.container != nil {
 		j.rm.Release(t.container)
@@ -469,20 +470,14 @@ func (j *Job) taskSucceeded(t *Task) {
 		return
 	}
 	t.recycleWork()
-	logical := t.logical()
-	if logical.logicalDone {
-		// The twin already won; this copy's work is discarded.
-		j.releaseTask(t)
-		return
-	}
-	logical.logicalDone = true
+	t.logical().logicalDone = true
 	if t.specOrigin != nil {
 		j.counters.SpeculativeWins++
 		j.liveShadows--
 		t.specOrigin.specCopy = nil
 	}
 	if other := t.otherCopy(); other != nil {
-		j.killAttempt(other)
+		j.endAttempt(other, endKilled, nil)
 	}
 	t.State = TaskSucceeded
 	t.EndTime = j.eng.Now()
@@ -494,7 +489,9 @@ func (j *Job) taskSucceeded(t *Task) {
 	if t.Type == MapTask {
 		j.completedMaps++
 		if j.completedMaps == len(j.mapTasks) {
-			j.wakeAllReducers()
+			// The last map releases reducers waiting on the batching
+			// threshold.
+			j.wakeReducers()
 		}
 	} else {
 		j.completedReduces++
@@ -507,46 +504,141 @@ func (j *Job) taskSucceeded(t *Task) {
 	j.pump()
 }
 
-// taskFailed handles an OOM-killed attempt: re-request (with a fresh
-// configuration from the controller) up to MaxAttempts. A speculative
-// copy that OOMs is simply dropped — its original is still running.
-func (j *Job) taskFailed(t *Task, reason error) {
-	if j.finished || t.killed {
+// ending is how an attempt ends other than by success.
+type ending uint8
+
+const (
+	endOOM      ending = iota // its heap cannot hold its buffers
+	endFailed                 // an injected fault or a lost input split
+	endNodeLost               // the RM declared its host lost
+	endKilled                 // a speculative loser: its twin succeeded
+)
+
+// The reasons a failed attempt carries; their texts end the job's error
+// once its task has failed MaxAttempts times.
+var (
+	errOOM       = errors.New("container killed: out of memory")
+	errInjected  = errors.New("injected")
+	errSplitLost = errors.New("input split lost")
+)
+
+// endAttempt ends a requested or running attempt in one of the four
+// ways other than success, in one fixed order:
+//
+//  1. its flows and HDFS ops are canceled;
+//  2. an OOM or failed attempt of a logical task reports to the
+//     controller, its report marked OOM or Failed;
+//  3. its reduce headroom and its container go back, except that the
+//     RM reclaims a node-lost container itself;
+//  4. a failed attempt reports its node to the RM blacklist; an OOM is
+//     the configuration's fault, not the node's, and does not;
+//  5. a speculative copy or a killed attempt is dropped; any other
+//     attempt's logical task retries, after an OOM or a failure with a
+//     fresh configuration and against MaxAttempts, after a node loss
+//     with the same configuration and no penalty.
+//
+// Every ending is counted and traced, except that a speculative
+// copy's OOM is counted only. Of these steps the engine sees the
+// cancels, the release and the retry request or pump, in that order; a
+// node-lost attempt releases nothing, and a node-lost copy does not
+// pump.
+//
+// No guard here reads logicalDone. An attempt whose logical task is
+// done either succeeded itself or was killed as the loser:
+// taskSucceeded kills the twin in the call that marks the task done,
+// and reexecMap clears both marks when it reopens the task.
+func (j *Job) endAttempt(t *Task, how ending, reason error) {
+	if j.finished || t.killed || t.State == TaskSucceeded {
 		return
 	}
-	if t.specOrigin != nil {
-		t.killed = true
-		t.State = TaskFailed
-		j.counters.OOMKills++
-		j.liveShadows--
-		t.specOrigin.specCopy = nil
-		if t.Type == ReduceTask {
-			j.reduceMemHeld -= t.Config.ReduceMemMB()
+	j.cancelWork(t)
+	if t.pendingReq != nil {
+		// Only a killed twin can still be queued at the RM; a request
+		// already placed is no longer pending, and CancelRequest leaves
+		// it alone.
+		j.app.CancelRequest(t.pendingReq)
+		t.pendingReq = nil
+	}
+	// An OOM or a failure is the attempt's own doing: it is reported,
+	// traced with its node, and counts against MaxAttempts.
+	own := how == endOOM || how == endFailed
+	var node *cluster.Node
+	ev := trace.Event{Time: j.eng.Now(), Job: j.Name, TaskType: t.Type.String(), Task: t.ID, Attempt: t.Attempt}
+	if t.container != nil {
+		node = t.container.Node
+		if own {
+			ev.Node = node.Name
 		}
-		j.releaseTask(t)
-		j.pump()
-		return
 	}
-	t.EndTime = j.eng.Now()
-	t.oomCount++
-	j.traceTask(t, trace.TaskOOM)
-	j.counters.OOMKills++
-	r := j.report(t, true)
-	j.releaseTask(t)
-	j.reports = append(j.reports, r)
-	j.ctrl.TaskCompleted(r)
+	switch how {
+	case endOOM:
+		j.counters.OOMKills++
+		t.oomCount++
+		ev.Kind = trace.TaskOOM
+	case endFailed:
+		j.counters.TaskFailures++
+		ev.Kind, ev.Detail = trace.TaskFailed, reason.Error()
+	case endNodeLost:
+		j.counters.NodeLossKills++
+		j.rm.FaultCounters().AttemptsKilledNodeLoss++
+		ev.Kind, ev.Detail = trace.TaskKilled, "node-lost"
+	case endKilled:
+		j.counters.SpeculativeKills++
+		ev.Kind = trace.TaskKilled
+	}
+	if how != endOOM || t.specOrigin == nil {
+		j.spec.Trace.Add(ev)
+	}
+	if own && t.specOrigin == nil {
+		t.EndTime = j.eng.Now()
+		r := j.report(t, how == endOOM)
+		r.Failed = how == endFailed
+		j.reports = append(j.reports, r)
+		j.ctrl.TaskCompleted(r)
+	}
 	if t.Type == ReduceTask {
 		j.reduceMemHeld -= t.Config.ReduceMemMB()
-		// Drop any reducer runtime state; the retry re-registers.
 		j.dropActiveReducer(t)
 	}
-	t.Attempt++
-	if t.Attempt >= j.spec.MaxAttempts {
-		j.finish(fmt.Errorf("mapreduce: task %s failed %d attempts: %w", t, t.Attempt, reason))
+	if how == endNodeLost {
+		t.container = nil // the RM reclaims it itself
+	} else {
+		j.releaseTask(t)
+	}
+	if how == endFailed && node != nil {
+		j.rm.ReportTaskFailure(node)
+	}
+	if t.specOrigin != nil || how == endKilled {
+		t.killed = true
+		t.State = TaskFailed
+		if t.specOrigin != nil {
+			j.liveShadows--
+			t.specOrigin.specCopy = nil
+		}
+		if how != endNodeLost {
+			j.pump()
+		}
 		return
 	}
-	t.State = TaskPending
-	j.requestContainer(t)
+	t.Attempt++
+	switch {
+	case how == endNodeLost:
+		j.requestContainerWithConfig(t, t.Config)
+	case t.Attempt >= j.spec.MaxAttempts:
+		j.finish(fmt.Errorf("mapreduce: task %s failed %d attempts: %w", t, t.Attempt, reason))
+	default:
+		j.requestContainer(t)
+	}
+}
+
+// dropActiveReducer unregisters a reducer's shuffle-phase state.
+func (j *Job) dropActiveReducer(t *Task) {
+	for i, rr := range j.activeReducers {
+		if rr.task == t {
+			j.activeReducers = append(j.activeReducers[:i], j.activeReducers[i+1:]...)
+			break
+		}
+	}
 }
 
 func (j *Job) finish(err error) {

@@ -33,14 +33,21 @@ func newRig() *rig {
 // run executes one job to completion and returns its result.
 func (r *rig) run(t *testing.T, spec Spec) Result {
 	t.Helper()
+	_, res := r.runJob(t, spec)
+	return res
+}
+
+// runJob is run that also returns the job.
+func (r *rig) runJob(t *testing.T, spec Spec) (*Job, Result) {
+	t.Helper()
 	var res Result
 	got := false
-	Submit(r.rm, r.fs, spec, func(rr Result) { res = rr; got = true })
+	j := Submit(r.rm, r.fs, spec, func(rr Result) { res = rr; got = true })
 	r.eng.Run()
 	if !got {
 		t.Fatalf("job %q never completed (deadlock?): pending events drained", spec.Name)
 	}
-	return res
+	return j, res
 }
 
 func smallTerasort() workload.Benchmark { return workload.Terasort(10, 0, 0) }

@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"errors"
 	"math"
 
 	"repro/internal/hdfs"
@@ -9,8 +8,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/yarn"
 )
-
-var errOOM = errors.New("container killed: out of memory")
 
 // runMap executes one map task attempt in its container. Phases:
 //
@@ -124,7 +121,7 @@ func (j *Job) mapMain(t *Task) {
 
 // oomKilled runs when an attempt whose heap cannot hold its buffers
 // dies.
-func (j *Job) oomKilled(t *Task) { j.taskFailed(t, errOOM) }
+func (j *Job) oomKilled(t *Task) { j.endAttempt(t, endOOM, errOOM) }
 
 // mapMerge writes the final spill and runs the merge passes, then
 // finalizes counters.
@@ -157,12 +154,6 @@ func (j *Job) mapFinish(t *Task) {
 		return
 	}
 	combinedMB, numSpills, passes := t.combinedMB, t.spills, t.passes
-	if t.logical().logicalDone {
-		// The speculative twin won while this copy was merging: discard
-		// its output so the counters stay conserved.
-		j.releaseTask(t)
-		return
-	}
 	p := j.bench.Profile
 	combinedRecs := 0.0
 	rawRecs := 0.0

@@ -100,14 +100,11 @@ func (p *Pool) recycleJob(j *Job) {
 // recycleTask zeroes one task, dropping every reference it holds
 // (flows, ops, container, split, job) while keeping the tracking
 // slices' capacity, the reduce run, the bound callbacks and the two
-// timers, whose guards a queued event may still read. An attempt that
-// succeeded recycled its flows and ops at the success
-// (Task.recycleWork) and a killed or failed one canceled its own, so
-// both lists are normally empty here; recycleWork returns whatever a
-// copy that completed after its twin had won (mapFinish, reduceFinish)
-// still holds.
+// timers, whose guards a queued event may still read. Both lists are
+// empty: only a cleanly finished job is recycled, and each of its
+// attempts either succeeded, recycling its flows and ops
+// (Task.recycleWork), or ended early and canceled them (endAttempt).
 func (p *Pool) recycleTask(t *Task) {
-	t.recycleWork()
 	*t = Task{liveFlows: t.liveFlows, liveOps: t.liveOps, run: t.run,
 		onAllocCB: t.onAllocCB, onNodeLostCB: t.onNodeLostCB, splitLostCB: t.splitLostCB,
 		joinCB: t.joinCB, launch: t.launch, oom: t.oom}

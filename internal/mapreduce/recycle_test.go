@@ -124,10 +124,10 @@ func (h flakyReducer) AttemptFailDelay(taskType string, id, attempt int) (float6
 // failing, so its original is re-requested over and over while a
 // speculative copy runs. The copy wins, and the job finishes, while the
 // original's latest request is placed but still inside the RM's
-// scheduling delay: killAttempt cannot withdraw it, and the container
-// reaches job A's app after A has been recycled. The RM must hand it
-// back without calling into the task, which by then sits in the pool
-// (A alone) or belongs to job B.
+// scheduling delay: killing the loser cannot withdraw it, and the
+// container reaches job A's app after A has been recycled. The RM must
+// hand it back without calling into the task, which by then sits in the
+// pool (A alone) or belongs to job B.
 func TestLateContainerAfterRecycle(t *testing.T) {
 	specA := Spec{Name: "a", Benchmark: smallTerasort(), BaseConfig: mrconf.Default(),
 		Faults: flakyReducer{id: 0, delay: 2.5}, MaxAttempts: 100,
@@ -354,10 +354,9 @@ func (h *failReexec) AttemptFailDelay(taskType string, id, attempt int) (float64
 func TestReexecutedMapCancelsOnlyItsOwnFlows(t *testing.T) {
 	r := newRig()
 	h := &failReexec{attempt: map[int]int{}, delay: 3}
-	b := smallTerasort()
 	var res Result
 	done := false
-	j := Submit(r.rm, r.fs, Spec{Name: "a", Benchmark: b, BaseConfig: mrconf.Default(), Faults: h},
+	j := Submit(r.rm, r.fs, Spec{Name: "a", Benchmark: smallTerasort(), BaseConfig: mrconf.Default(), Faults: h},
 		func(rr Result) { res, done = rr, true })
 	s := sampleTrackedFlows(t, r, j, 0.05)
 	// Crash the host of the first completed map output once reducers
@@ -386,7 +385,7 @@ func TestReexecutedMapCancelsOnlyItsOwnFlows(t *testing.T) {
 	if !done || res.Failed {
 		t.Fatalf("job did not complete cleanly (done=%v, err=%v)", done, res.Err)
 	}
-	checkInvariants(t, b, res)
+	checkInvariants(t, j, res)
 	if res.Counters.MapsReExecuted == 0 || h.armed == 0 || res.Counters.TaskFailures == 0 {
 		t.Fatalf("%d maps re-executed, %d re-executions armed to fail, %d attempt failures; want all positive",
 			res.Counters.MapsReExecuted, h.armed, res.Counters.TaskFailures)
@@ -445,8 +444,7 @@ func TestStaleLaunchAfterRequeue(t *testing.T) {
 	r.rm.NodeExpirySecs = 0.05
 	sink := &crashOnFirstStart{c: r.c, after: 0.2}
 	ctrl := &phaseCounter{mains: map[[3]int]int{}}
-	b := smallTerasort()
-	res := r.run(t, Spec{Benchmark: b, BaseConfig: mrconf.Default(), Trace: sink, Controller: ctrl})
+	j, res := r.runJob(t, Spec{Benchmark: smallTerasort(), BaseConfig: mrconf.Default(), Trace: sink, Controller: ctrl})
 	if res.Failed {
 		t.Fatalf("job failed: %v", res.Err)
 	}
@@ -466,5 +464,5 @@ func TestStaleLaunchAfterRequeue(t *testing.T) {
 			t.Errorf("%s task %d attempt %d began its main phase %d times, want once", TaskType(k[0]), k[1], k[2], n)
 		}
 	}
-	checkInvariants(t, b, res)
+	checkInvariants(t, j, res)
 }

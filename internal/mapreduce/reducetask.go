@@ -129,10 +129,6 @@ func (j *Job) wakeReducers() {
 	}
 }
 
-// wakeAllReducers runs when the last map finishes, releasing reducers
-// waiting on the batching threshold.
-func (j *Job) wakeAllReducers() { j.wakeReducers() }
-
 // tryFetch starts the next batched shuffle fetch for r, or advances to
 // the sort phase when everything has arrived.
 func (j *Job) tryFetch(r *reduceRun) {
@@ -253,7 +249,7 @@ func (j *Job) reduceOutput(r *reduceRun) {
 func (j *Job) reduceFinish(r *reduceRun) {
 	t := r.task
 	outMB := r.outMB
-	if j.finished || t.killed || t.logical().logicalDone {
+	if j.finished || t.killed {
 		j.releaseTask(t)
 		return
 	}

@@ -1,9 +1,5 @@
 package mapreduce
 
-import (
-	"repro/internal/trace"
-)
-
 // Speculative execution: Hadoop's straggler mitigation. A periodic
 // check compares each running task's elapsed time to the mean of
 // completed tasks of the same type; tasks running far behind get a
@@ -128,33 +124,4 @@ func (t *Task) otherCopy() *Task {
 		return t.specOrigin
 	}
 	return t.specCopy
-}
-
-// killAttempt aborts a running or pending attempt: cancels its flows,
-// returns its container, and unregisters any reducer state. The
-// attempt's phase callbacks are inert afterwards (t.killed guards).
-func (j *Job) killAttempt(t *Task) {
-	if t == nil || t.killed || t.State == TaskSucceeded {
-		return
-	}
-	t.killed = true
-	t.State = TaskFailed
-	j.cancelWork(t)
-	if t.pendingReq != nil {
-		j.app.CancelRequest(t.pendingReq)
-		t.pendingReq = nil
-	}
-	if t.Type == ReduceTask {
-		j.reduceMemHeld -= t.Config.ReduceMemMB()
-		j.dropActiveReducer(t)
-	}
-	j.releaseTask(t)
-	if t.specOrigin != nil {
-		j.liveShadows--
-		t.specOrigin.specCopy = nil
-	}
-	j.spec.Trace.Add(trace.Event{Time: j.eng.Now(), Job: j.Name, Kind: trace.TaskKilled,
-		TaskType: t.Type.String(), Task: t.ID, Attempt: t.Attempt})
-	j.counters.SpeculativeKills++
-	j.pump()
 }

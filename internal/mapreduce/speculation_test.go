@@ -13,7 +13,7 @@ import (
 
 // stragglerRig interferes with two nodes right after the job starts so
 // that tasks placed there crawl — the scenario speculation exists for.
-func stragglerRig(t *testing.T, spec Spec) (Result, *rig) {
+func stragglerRig(t *testing.T, spec Spec) (Result, *Job) {
 	t.Helper()
 	r := newRig()
 	r.eng.At(3, func() { // after the first wave has been placed
@@ -27,12 +27,12 @@ func stragglerRig(t *testing.T, spec Spec) (Result, *rig) {
 	})
 	var res Result
 	got := false
-	Submit(r.rm, r.fs, spec, func(rr Result) { res = rr; got = true })
+	j := Submit(r.rm, r.fs, spec, func(rr Result) { res = rr; got = true })
 	r.eng.Run()
 	if !got {
 		t.Fatal("straggler job never completed")
 	}
-	return res, r
+	return res, j
 }
 
 func TestSpeculationRescuesStragglers(t *testing.T) {
@@ -58,12 +58,12 @@ func TestSpeculationRescuesStragglers(t *testing.T) {
 
 func TestSpeculationPreservesInvariants(t *testing.T) {
 	b := workload.Terasort(20, 0, 0)
-	res, _ := stragglerRig(t, Spec{Benchmark: b, BaseConfig: mrconf.Default(),
+	res, j := stragglerRig(t, Spec{Benchmark: b, BaseConfig: mrconf.Default(),
 		Speculation: DefaultSpeculation()})
 	if res.Failed {
 		t.Fatal(res.Err)
 	}
-	checkInvariants(t, b, res)
+	checkInvariants(t, j, res)
 	// Exactly one success report per logical task.
 	seen := map[[2]int]int{}
 	for _, r := range res.Reports {
@@ -92,14 +92,12 @@ func TestSpeculationIdleOnHealthyCluster(t *testing.T) {
 	// the job down materially.
 	b := workload.Terasort(20, 0, 0)
 	plain := newRig().run(t, Spec{Benchmark: b, BaseConfig: mrconf.Default()})
-	r := newRig()
-	var res Result
-	Submit(r.rm, r.fs, Spec{Benchmark: b, BaseConfig: mrconf.Default(),
-		Speculation: DefaultSpeculation()}, func(rr Result) { res = rr })
-	r.eng.Run()
+	j, res := newRig().runJob(t, Spec{Benchmark: b, BaseConfig: mrconf.Default(),
+		Speculation: DefaultSpeculation()})
 	if res.Failed {
 		t.Fatal(res.Err)
 	}
+	checkInvariants(t, j, res)
 	if res.Counters.SpeculativeLaunches > b.NumMaps/4 {
 		t.Fatalf("%d speculative launches on a healthy cluster", res.Counters.SpeculativeLaunches)
 	}
@@ -113,27 +111,28 @@ func TestSpeculationWithTunerCoexists(t *testing.T) {
 	// a controller-driven job must still complete under interference.
 	b := workload.Terasort(20, 0, 0)
 	ctrl := &alternatingVcores{}
-	res, _ := stragglerRig(t, Spec{Benchmark: b, BaseConfig: mrconf.Default(),
+	res, j := stragglerRig(t, Spec{Benchmark: b, BaseConfig: mrconf.Default(),
 		Controller: ctrl, Speculation: DefaultSpeculation()})
 	if res.Failed {
 		t.Fatal(res.Err)
 	}
+	checkInvariants(t, j, res)
 }
 
 func TestKillAttemptReleasesResources(t *testing.T) {
 	// After a speculative job completes, no container memory may
-	// remain allocated anywhere (kills released their containers).
+	// remain allocated anywhere (kills released their containers), and
+	// neither reduce headroom nor a speculative copy stays counted.
 	b := workload.Terasort(20, 0, 0)
-	res, r := stragglerRig(t, Spec{Benchmark: b, BaseConfig: mrconf.Default(),
+	res, j := stragglerRig(t, Spec{Benchmark: b, BaseConfig: mrconf.Default(),
 		Speculation: DefaultSpeculation()})
 	if res.Failed {
 		t.Fatal(res.Err)
 	}
-	for _, n := range r.c.Nodes {
-		if n.Mem.Used() != 0 {
-			t.Fatalf("node %s still holds %v MB after job end", n.Name, n.Mem.Used())
-		}
+	if res.Counters.SpeculativeKills == 0 {
+		t.Fatal("no speculative loser was killed; the test exercises nothing")
 	}
+	checkInvariants(t, j, res)
 }
 
 func TestSpeculationTwoJobsUnderInterference(t *testing.T) {
@@ -155,24 +154,20 @@ func TestSpeculationTwoJobsUnderInterference(t *testing.T) {
 	long := workload.Terasort(60, 0, 0)
 	short := workload.Terasort(6, 0, 0)
 	var longRes, shortRes Result
-	Submit(rm, fs, Spec{Name: "long", Benchmark: long, BaseConfig: mrconf.Default(),
+	var shortJob *Job
+	longJob := Submit(rm, fs, Spec{Name: "long", Benchmark: long, BaseConfig: mrconf.Default(),
 		Speculation: DefaultSpeculation()}, func(r Result) { longRes = r })
 	eng.At(40, func() {
-		Submit(rm, fs, Spec{Name: "short", Benchmark: short, BaseConfig: mrconf.Default(),
+		shortJob = Submit(rm, fs, Spec{Name: "short", Benchmark: short, BaseConfig: mrconf.Default(),
 			Speculation: DefaultSpeculation()}, func(r Result) { shortRes = r })
 	})
 	eng.Run()
 	if longRes.Failed || shortRes.Failed {
 		t.Fatalf("jobs failed: %v / %v", longRes.Err, shortRes.Err)
 	}
-	checkInvariants(t, long, longRes)
-	checkInvariants(t, short, shortRes)
 	// Resources fully returned.
-	for _, n := range c.Nodes {
-		if n.Mem.Used() != 0 {
-			t.Fatalf("node %s leaks %v MB", n.Name, n.Mem.Used())
-		}
-	}
+	checkInvariants(t, longJob, longRes)
+	checkInvariants(t, shortJob, shortRes)
 }
 
 func TestShadowOOMDropsQuietly(t *testing.T) {
@@ -191,9 +186,10 @@ func TestShadowOOMDropsQuietly(t *testing.T) {
 	b.ShuffleSizeMB = b.InputSizeMB * b.Profile.RawMapSelectivity * b.Profile.CombinerReduction
 	b.OutputSizeMB = b.ShuffleSizeMB * b.Profile.ReduceSelectivity
 
-	res, _ := stragglerRig(t, Spec{Benchmark: b, BaseConfig: base,
+	res, j := stragglerRig(t, Spec{Benchmark: b, BaseConfig: base,
 		Speculation: DefaultSpeculation(), Name: "bigram-mini"})
 	if res.Failed {
 		t.Fatalf("job failed: %v", res.Err)
 	}
+	checkInvariants(t, j, res)
 }

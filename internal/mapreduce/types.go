@@ -113,7 +113,7 @@ type Task struct {
 	launch, oom taskTimer
 
 	// liveFlows are the attempt's in-flight resource flows, canceled
-	// when a speculative twin wins.
+	// when the attempt ends early (Job.endAttempt).
 	liveFlows []*cluster.Flow
 	// liveOps are the attempt's in-flight fault-tolerant HDFS
 	// operations (reads/writes that internally retry), canceled
