@@ -32,8 +32,8 @@ func BenchmarkTable2Parameters(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := mrconf.Default()
 		for _, p := range mrconf.Params() {
-			cfg = cfg.With(p.Name, p.Default)
-			_ = cfg.Get(p.Name)
+			cfg = cfg.With(p.ID, p.Default)
+			_ = cfg.Get(p.ID)
 		}
 		if err := mrconf.Validate(cfg); err != nil {
 			b.Fatal(err)

@@ -73,7 +73,7 @@ func OfflineGuide(p ProfileStats) mrconf.Config {
 	cfg := mrconf.Default()
 
 	// Map side.
-	sortMB := mrconf.MustLookup(mrconf.IOSortMB).Quantize(p.MapOutputMBPerTask * 1.2)
+	sortMB := mrconf.IOSortMB.Param().Quantize(p.MapOutputMBPerTask * 1.2)
 	cfg = cfg.With(mrconf.IOSortMB, sortMB)
 	sortMB = cfg.SortMB()
 	mapHeapNeed := mapreduce.JVMBaseMB + sortMB + p.MapWorkingSetMB
@@ -81,7 +81,7 @@ func OfflineGuide(p ProfileStats) mrconf.Config {
 	cfg = core.SetSpillPercent(cfg, p.MapOutputMBPerTask)
 
 	// Reduce side.
-	redHeapNeed := mapreduce.JVMBaseMB + p.ReduceInputMBPerTask*1.2 + p.ReduceWorkingSetMB
+	redHeapNeed := mapreduce.JVMBaseMB + float64(p.ReduceInputMBPerTask*1.2) + p.ReduceWorkingSetMB
 	cfg = cfg.With(mrconf.ReduceMemoryMB, redHeapNeed*1.1/mrconf.HeapFraction)
 	cfg = core.SizeShuffleBuffer(cfg, p.ReduceInputMBPerTask, p.ReduceWorkingSetMB)
 	cfg = cfg.With(mrconf.ShuffleMemoryLimitPct, 0.5).With(mrconf.MergeInmemThreshold, 0)
@@ -171,7 +171,7 @@ func (g *Genetic) measure(cfg mrconf.Config, eval func(mrconf.Config) float64) f
 func (g *Genetic) randomConfig() mrconf.Config {
 	cfg := mrconf.Default()
 	for _, p := range g.params {
-		cfg = cfg.With(p.Name, p.Min+g.rng.Float64()*(p.Max-p.Min))
+		cfg = cfg.With(p.ID, p.Min+float64(g.rng.Float64()*(p.Max-p.Min)))
 	}
 	return mrconf.Repair(cfg)
 }
@@ -188,11 +188,11 @@ func (g *Genetic) tournament(pop []mrconf.Config, costs []float64) mrconf.Config
 func (g *Genetic) crossover(a, b mrconf.Config) mrconf.Config {
 	cfg := mrconf.Default()
 	for _, p := range g.params {
-		v := a.Get(p.Name)
+		v := a.Get(p.ID)
 		if g.rng.Intn(2) == 1 {
-			v = b.Get(p.Name)
+			v = b.Get(p.ID)
 		}
-		cfg = cfg.With(p.Name, v)
+		cfg = cfg.With(p.ID, v)
 	}
 	return mrconf.Repair(cfg)
 }
@@ -201,8 +201,8 @@ func (g *Genetic) mutate(cfg mrconf.Config) mrconf.Config {
 	for _, p := range g.params {
 		if g.rng.Float64() < g.MutateProb {
 			span := (p.Max - p.Min) * 0.25
-			v := cfg.Get(p.Name) + (g.rng.Float64()*2-1)*span
-			cfg = cfg.With(p.Name, v)
+			v := cfg.Get(p.ID) + float64((float64(g.rng.Float64())*2-1)*span)
+			cfg = cfg.With(p.ID, v)
 		}
 	}
 	return mrconf.Repair(cfg)

@@ -97,7 +97,7 @@ func synthEval() (func(mrconf.Config) float64, mrconf.Config) {
 	eval := func(c mrconf.Config) float64 {
 		sum := 0.0
 		for _, p := range mrconf.Params() {
-			d := (c.Get(p.Name) - opt.Get(p.Name)) / (p.Max - p.Min)
+			d := (c.Get(p.ID) - opt.Get(p.ID)) / (p.Max - p.Min)
 			sum += d * d
 		}
 		return sum

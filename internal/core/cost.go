@@ -42,7 +42,8 @@ func WeightedCost(r mapreduce.TaskReport, tmax float64, w CostWeights) float64 {
 	if tmax > 0 {
 		trel = r.Duration() / tmax
 	}
-	y := w[0]*(1-r.MemUtil) + w[1]*(1-r.CPUUtil) + w[2]*spillRatio + w[3]*trel
+	y := float64(w[0]*(1-r.MemUtil)) + float64(w[1]*(1-r.CPUUtil)) +
+		float64(w[2]*spillRatio) + float64(w[3]*trel)
 	if r.OOM || r.Failed {
 		// Failed attempts get the same penalty: their partial
 		// measurements must never look like a good configuration.

@@ -45,15 +45,15 @@ func searchDims(scope mrconf.Scope, blackBox bool) []mrconf.Param {
 	if blackBox {
 		return mrconf.ParamsByScope(scope)
 	}
-	var names []string
+	var ids []mrconf.ParamID
 	if scope == mrconf.ScopeMap {
-		names = []string{mrconf.MapMemoryMB, mrconf.IOSortMB, mrconf.MapCPUVcores, mrconf.IOSortFactor}
+		ids = []mrconf.ParamID{mrconf.MapMemoryMB, mrconf.IOSortMB, mrconf.MapCPUVcores, mrconf.IOSortFactor}
 	} else {
-		names = []string{mrconf.ReduceMemoryMB, mrconf.ShuffleMemoryLimitPct, mrconf.ReduceCPUVcores, mrconf.ShuffleParallelCopies}
+		ids = []mrconf.ParamID{mrconf.ReduceMemoryMB, mrconf.ShuffleMemoryLimitPct, mrconf.ReduceCPUVcores, mrconf.ShuffleParallelCopies}
 	}
-	out := make([]mrconf.Param, len(names))
-	for i, n := range names {
-		out[i] = mrconf.MustLookup(n)
+	out := make([]mrconf.Param, len(ids))
+	for i, id := range ids {
+		out[i] = id.Param()
 	}
 	return out
 }
@@ -108,14 +108,8 @@ type assignment struct {
 	v   [mrconf.NumParams]float64
 }
 
-// put assigns a known parameter.
-func (a *assignment) put(name string, v float64) {
-	id, _ := mrconf.ID(name)
-	a.putID(id, v)
-}
-
-// putID assigns a parameter by dense index.
-func (a *assignment) putID(id mrconf.ParamID, v float64) {
+// put assigns a parameter.
+func (a *assignment) put(id mrconf.ParamID, v float64) {
 	a.set[id], a.v[id] = true, v
 }
 
@@ -427,7 +421,7 @@ func (t *Tuner) applyGrayBoxRules(sc *scopeSearch, wave []mapreduce.TaskReport, 
 			s.Tighten(mrconf.MapMemoryMB, math.Min(lo, memCap), memCap)
 		}
 	} else if est, ok := t.mon.EstReduceInputMB(); ok {
-		need := (mapreduce.JVMBaseMB + est*1.3 + t.reduceWorkingSetReserve(false)) / mrconf.HeapFraction
+		need := (mapreduce.JVMBaseMB + float64(est*1.3) + t.reduceWorkingSetReserve(false)) / mrconf.HeapFraction
 		lo, hi := s.Bounds(mrconf.ReduceMemoryMB)
 		memCap := math.Min(hi, math.Max(need, 512))
 		s.Tighten(mrconf.ReduceMemoryMB, math.Min(lo, memCap), memCap)
@@ -466,7 +460,7 @@ func (t *Tuner) BestConfig() mrconf.Config {
 	if cfg.MapMemMB() < mapNeed {
 		cfg = cfg.With(mrconf.MapMemoryMB, mapNeed)
 	}
-	redNeed := (mapreduce.JVMBaseMB + cfg.ShuffleBufferPct()*cfg.ReduceHeapMB() + t.reduceWorkingSetReserve(true)) / mrconf.HeapFraction
+	redNeed := (mapreduce.JVMBaseMB + float64(cfg.ShuffleBufferPct()*cfg.ReduceHeapMB()) + t.reduceWorkingSetReserve(true)) / mrconf.HeapFraction
 	if cfg.ReduceMemMB() < redNeed {
 		cfg = cfg.With(mrconf.ReduceMemoryMB, redNeed)
 	}
@@ -534,7 +528,7 @@ func (t *Tuner) materializeWith(cfg mrconf.Config, tt mapreduce.TaskType, safe b
 	}
 	// Reduce-side buffer rules, applied with one copy of the config.
 	var a assignment
-	a.putID(mrconf.IDMergeInmemThreshold, 0) // merge on memory consumption only
+	a.put(mrconf.MergeInmemThreshold, 0) // merge on memory consumption only
 	if est, ok := t.mon.EstReduceInputMB(); ok {
 		a.sizeShuffleBuffer(cfg, est, t.reduceWorkingSetReserve(safe))
 	}
@@ -549,7 +543,7 @@ func SetSpillPercent(cfg mrconf.Config, rawOutputMB float64) mrconf.Config {
 	if cfg.SortMB() >= rawOutputMB*1.05 {
 		return cfg.With(mrconf.SortSpillPercent, 0.99)
 	}
-	return cfg.With(mrconf.SortSpillPercent, mrconf.MustLookup(mrconf.SortSpillPercent).Default)
+	return cfg.With(mrconf.SortSpillPercent, mrconf.SortSpillPercent.Param().Default)
 }
 
 // SizeShuffleBuffer applies the §6.2 reduce buffer rules for a reducer
@@ -571,15 +565,15 @@ func (a *assignment) sizeShuffleBuffer(cfg mrconf.Config, inputMB, workingSetMB 
 	heap := cfg.ReduceHeapMB() // positive: reduce memory is at least 512 MB
 	sbpMax := (heap - mapreduce.JVMBaseMB - workingSetMB) / heap
 	sbp := metrics.Clamp(inputMB*1.15/heap, 0.2, math.Min(0.9, sbpMax))
-	a.putID(mrconf.IDShuffleInputBufferPct, sbp)
-	sbp = mrconf.MustLookup(mrconf.ShuffleInputBufferPct).Quantize(sbp) // the value the config will hold
+	a.put(mrconf.ShuffleInputBufferPct, sbp)
+	sbp = mrconf.ShuffleInputBufferPct.Param().Quantize(sbp) // the value the config will hold
 	if sbp*heap >= inputMB {
-		a.putID(mrconf.IDReduceInputBufferPct, sbp)
-		a.putID(mrconf.IDShuffleMergePct, sbp)
+		a.put(mrconf.ReduceInputBufferPct, sbp)
+		a.put(mrconf.ShuffleMergePct, sbp)
 		return
 	}
-	a.putID(mrconf.IDReduceInputBufferPct, math.Max(0, sbp-0.1))
-	a.putID(mrconf.IDShuffleMergePct, math.Max(0.2, sbp-0.04))
+	a.put(mrconf.ReduceInputBufferPct, math.Max(0, sbp-0.1))
+	a.put(mrconf.ShuffleMergePct, math.Max(0.2, sbp-0.04))
 }
 
 // reduceWorkingSetReserve estimates how much heap the reduce user code
@@ -645,7 +639,7 @@ func (t *Tuner) recalcConservativeMap() {
 	}
 	o := &t.cons.mapOverrides
 
-	sortMB := mrconf.MustLookup(mrconf.IOSortMB).Quantize(est * 1.1)
+	sortMB := mrconf.IOSortMB.Param().Quantize(est * 1.1)
 	o.put(mrconf.IOSortMB, sortMB)
 
 	// Estimate the user-code working set from observed peaks: peak
@@ -653,7 +647,7 @@ func (t *Tuner) recalcConservativeMap() {
 	// configuration those tasks ran with.
 	wsMB := math.Max(50, t.mon.MapWorkingSet().Percentile(80))
 	needHeap := mapreduce.JVMBaseMB + sortMB + wsMB
-	o.put(mrconf.MapMemoryMB, mrconf.MustLookup(mrconf.MapMemoryMB).Quantize(needHeap*1.15/mrconf.HeapFraction))
+	o.put(mrconf.MapMemoryMB, mrconf.MapMemoryMB.Param().Quantize(needHeap*1.15/mrconf.HeapFraction))
 
 	// CPU rule: full utilization -> one more vcore, while improving.
 	t.escalate(&t.cons.mapVcores, &t.cons.mapVcoreDur, &t.cons.mapVcoreStop,
@@ -670,8 +664,8 @@ func (t *Tuner) recalcConservativeReduce() {
 	est, ok := t.mon.EstReduceInputMB()
 	if ok {
 		wsMB := math.Max(100, t.mon.ReduceWorkingSet().Percentile(80))
-		needHeap := mapreduce.JVMBaseMB + est*1.15 + wsMB
-		o.put(mrconf.ReduceMemoryMB, mrconf.MustLookup(mrconf.ReduceMemoryMB).Quantize(needHeap*1.1/mrconf.HeapFraction))
+		needHeap := mapreduce.JVMBaseMB + float64(est*1.15) + wsMB
+		o.put(mrconf.ReduceMemoryMB, mrconf.ReduceMemoryMB.Param().Quantize(needHeap*1.1/mrconf.HeapFraction))
 		o.put(mrconf.ShuffleMemoryLimitPct, 0.5)
 	}
 

@@ -13,7 +13,6 @@ import (
 
 // Dim is one sampled dimension.
 type Dim struct {
-	Name     string
 	Min, Max float64
 }
 
@@ -37,8 +36,8 @@ func Sample(rng *rand.Rand, space Space, m int) [][]float64 {
 	for d, dim := range space {
 		perm := rng.Perm(m)
 		for i := 0; i < m; i++ {
-			u := (float64(perm[i]) + rng.Float64()) / float64(m)
-			points[i][d] = dim.Min + u*dim.Range()
+			u := (float64(perm[i]) + float64(rng.Float64())) / float64(m)
+			points[i][d] = dim.Min + float64(u*dim.Range())
 		}
 	}
 	return points
@@ -62,7 +61,7 @@ func (w Weights) cdfInvert(u float64) float64 {
 	if total == 0 {
 		return u
 	}
-	target := u * total
+	target := float64(u * total)
 	acc := 0.0
 	for i, v := range w {
 		if target < acc+v || i == len(w)-1 {
@@ -97,11 +96,11 @@ func WeightedSample(rng *rand.Rand, space Space, weights []Weights, m int) [][]f
 			w = weights[d]
 		}
 		for i := 0; i < m; i++ {
-			u := (float64(perm[i]) + rng.Float64()) / float64(m)
+			u := (float64(perm[i]) + float64(rng.Float64())) / float64(m)
 			if w != nil {
 				u = w.cdfInvert(u)
 			}
-			points[i][d] = dim.Min + u*dim.Range()
+			points[i][d] = dim.Min + float64(u*dim.Range())
 		}
 	}
 	return points
@@ -116,7 +115,7 @@ func Neighborhood(space Space, center []float64, size float64) Space {
 	}
 	out := make(Space, len(space))
 	for d, dim := range space {
-		half := size * dim.Range() / 2
+		half := float64(size * dim.Range() / 2)
 		lo, hi := center[d]-half, center[d]+half
 		if lo < dim.Min {
 			lo = dim.Min
@@ -127,7 +126,7 @@ func Neighborhood(space Space, center []float64, size float64) Space {
 		if hi < lo {
 			hi = lo
 		}
-		out[d] = Dim{Name: dim.Name, Min: lo, Max: hi}
+		out[d] = Dim{Min: lo, Max: hi}
 	}
 	return out
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func space2() Space {
-	return Space{{Name: "x", Min: 0, Max: 100}, {Name: "y", Min: -1, Max: 1}}
+	return Space{{Min: 0, Max: 100}, {Min: -1, Max: 1}}
 }
 
 func TestSampleCountAndBounds(t *testing.T) {
@@ -60,7 +60,7 @@ func TestSampleZeroPanics(t *testing.T) {
 
 func TestWeightedSampleSkews(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	space := Space{{Name: "x", Min: 0, Max: 1}}
+	space := Space{{Min: 0, Max: 1}}
 	// Weight the top half 9x: most samples should land above 0.5.
 	w := []Weights{{1, 9}}
 	high := 0
@@ -134,7 +134,7 @@ func TestNeighborhoodShrinksMonotonically(t *testing.T) {
 func TestWeightedBoundsProperty(t *testing.T) {
 	f := func(seed int64, w1, w2, w3 uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		space := Space{{Name: "x", Min: 10, Max: 20}}
+		space := Space{{Min: 10, Max: 20}}
 		w := []Weights{{float64(w1), float64(w2), float64(w3)}}
 		pts := WeightedSample(rng, space, w, 8)
 		for _, p := range pts {
@@ -158,8 +158,8 @@ func TestWeightedBoundsProperty(t *testing.T) {
 func BenchmarkWeightedSample(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	space := Space{
-		{Name: "a", Min: 0, Max: 100}, {Name: "b", Min: 0, Max: 1},
-		{Name: "c", Min: 512, Max: 4096}, {Name: "d", Min: 1, Max: 8},
+		{Min: 0, Max: 100}, {Min: 0, Max: 1},
+		{Min: 512, Max: 4096}, {Min: 1, Max: 8},
 	}
 	w := []Weights{nil, {1, 2, 3}, nil, {3, 1}}
 	for i := 0; i < b.N; i++ {

@@ -11,8 +11,6 @@
 //	ordered-map-iter      map iteration order never reaches output/events
 //	float-map-accum       no floating-point accumulation in map-range order
 //	nondet-flow           map-iteration order never reaches a sink through calls
-//	conf-key-literal      Hadoop parameter names come from mrconf constants
-//	config-get-in-loop    hot scheduling loops use typed config accessors, not Get/With
 //	mutex-copy            sync.Mutex / sync.WaitGroup never passed by value
 //	no-goroutine-in-sim   simulated packages stay single-threaded
 //	event-closure-capture scheduled closures snapshot state at schedule time
@@ -104,8 +102,6 @@ func All() []*Analyzer {
 		GlobalRandAnalyzer,
 		MapIterAnalyzer,
 		FloatMapAccumAnalyzer,
-		ConfKeyAnalyzer,
-		ConfigGetLoopAnalyzer,
 		RetainedAppendAnalyzer,
 		MutexCopyAnalyzer,
 		GoroutineInSimAnalyzer,
@@ -171,11 +167,6 @@ type Pass struct {
 	// ModuleRoot is the absolute directory of the module under
 	// analysis; findings report paths relative to it.
 	ModuleRoot string
-
-	// ConfKeys holds the canonical Hadoop parameter names: the values
-	// of the string constants declared in internal/mrconf. The loader
-	// populates it after checking that package.
-	ConfKeys map[string]bool
 
 	dirs     *directiveIndex
 	findings *[]Finding

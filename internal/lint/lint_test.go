@@ -53,19 +53,6 @@ func countRule(fs []Finding, rule string) int {
 	return n
 }
 
-// miniMrconf gives the conf-key-literal analyzer a Config type and one
-// registered constant to resolve against.
-const miniMrconf = `package mrconf
-
-const IOSortMB = "mapreduce.task.io.sort.mb"
-
-type Config struct{ v float64 }
-
-func (c Config) Get(name string) float64            { return c.v }
-func (c Config) With(name string, v float64) Config { return Config{v: v} }
-func (c Config) SortMB() float64                    { return c.v }
-`
-
 // miniSim gives the ordered-map-iter analyzer an Engine with scheduler
 // methods.
 const miniSim = `package sim
@@ -390,198 +377,6 @@ func Keys(m map[string]int) []string {
 }
 `,
 			want: 0,
-		},
-
-		// ---- conf-key-literal ----
-		{
-			name: "confkey positive typo in Get",
-			rule: "conf-key-literal",
-			file: "internal/x/x.go",
-			src: `package x
-import "fixture/internal/mrconf"
-func F(c mrconf.Config) float64 { return c.Get("mapreduce.task.io.sortt.mb") }
-`,
-			extra: map[string]string{"internal/mrconf/params.go": miniMrconf},
-			want:  1,
-		},
-		{
-			name: "confkey positive typo in With",
-			rule: "conf-key-literal",
-			file: "internal/x/x.go",
-			src: `package x
-import "fixture/internal/mrconf"
-func F(c mrconf.Config) mrconf.Config { return c.With("mapreduce.map.sort.mb", 1) }
-`,
-			extra: map[string]string{"internal/mrconf/params.go": miniMrconf},
-			want:  1,
-		},
-		{
-			name: "confkey negative registered literal",
-			rule: "conf-key-literal",
-			file: "internal/x/x.go",
-			src: `package x
-import "fixture/internal/mrconf"
-func F(c mrconf.Config) float64 { return c.Get("mapreduce.task.io.sort.mb") }
-`,
-			extra: map[string]string{"internal/mrconf/params.go": miniMrconf},
-			want:  0,
-		},
-		{
-			name: "confkey negative named constant",
-			rule: "conf-key-literal",
-			file: "internal/x/x.go",
-			src: `package x
-import "fixture/internal/mrconf"
-func F(c mrconf.Config) float64 { return c.Get(mrconf.IOSortMB) }
-`,
-			extra: map[string]string{"internal/mrconf/params.go": miniMrconf},
-			want:  0,
-		},
-		{
-			name: "confkey negative unrelated Get method",
-			rule: "conf-key-literal",
-			file: "internal/x/x.go",
-			src: `package x
-type KB struct{}
-func (KB) Get(key string) (float64, bool) { return 0, false }
-func F(kb KB) { kb.Get("anything") }
-`,
-			extra: map[string]string{"internal/mrconf/params.go": miniMrconf},
-			want:  0,
-		},
-		{
-			name: "confkey ignore directive",
-			rule: "conf-key-literal",
-			file: "internal/x/x.go",
-			src: `package x
-import "fixture/internal/mrconf"
-func F(c mrconf.Config) float64 {
-	//mrlint:ignore conf-key-literal deliberately unknown key for a panic test
-	return c.Get("mapreduce.no.such.parameter")
-}
-`,
-			extra: map[string]string{"internal/mrconf/params.go": miniMrconf},
-			want:  0,
-		},
-
-		// ---- config-get-in-loop ----
-		{
-			name: "configloop positive Get in hot-package loop",
-			rule: "config-get-in-loop",
-			file: "internal/yarn/x.go",
-			src: `package yarn
-import "fixture/internal/mrconf"
-func Sum(c mrconf.Config, n int) float64 {
-	total := 0.0
-	for i := 0; i < n; i++ {
-		total += c.Get(mrconf.IOSortMB)
-	}
-	return total
-}
-`,
-			extra: map[string]string{"internal/mrconf/params.go": miniMrconf},
-			want:  1,
-		},
-		{
-			name: "configloop positive With in range loop",
-			rule: "config-get-in-loop",
-			file: "internal/mapreduce/x.go",
-			src: `package mapreduce
-import "fixture/internal/mrconf"
-func Sweep(c mrconf.Config, xs []float64) mrconf.Config {
-	for _, x := range xs {
-		c = c.With(mrconf.IOSortMB, x)
-	}
-	return c
-}
-`,
-			extra: map[string]string{"internal/mrconf/params.go": miniMrconf},
-			want:  1,
-		},
-		{
-			name: "configloop negative named accessor in range loop",
-			rule: "config-get-in-loop",
-			file: "internal/mapreduce/x.go",
-			src: `package mapreduce
-import "fixture/internal/mrconf"
-func Sum(c mrconf.Config, xs []float64) float64 {
-	total := 0.0
-	for _, x := range xs {
-		total += x * c.SortMB()
-	}
-	return total
-}
-`,
-			extra: map[string]string{"internal/mrconf/params.go": miniMrconf},
-			want:  0,
-		},
-		{
-			name: "configloop negative cold package",
-			rule: "config-get-in-loop",
-			file: "internal/core/x.go",
-			src: `package core
-import "fixture/internal/mrconf"
-func Sum(c mrconf.Config, n int) float64 {
-	total := 0.0
-	for i := 0; i < n; i++ {
-		total += c.Get(mrconf.IOSortMB)
-	}
-	return total
-}
-`,
-			extra: map[string]string{"internal/mrconf/params.go": miniMrconf},
-			want:  0,
-		},
-		{
-			name: "configloop negative call outside loop",
-			rule: "config-get-in-loop",
-			file: "internal/yarn/x.go",
-			src: `package yarn
-import "fixture/internal/mrconf"
-func F(c mrconf.Config) float64 { return c.Get(mrconf.IOSortMB) }
-`,
-			extra: map[string]string{"internal/mrconf/params.go": miniMrconf},
-			want:  0,
-		},
-		{
-			name: "configloop negative test file in hot package",
-			rule: "config-get-in-loop",
-			file: "internal/yarn/x_test.go",
-			src: `package yarn
-import (
-	"testing"
-
-	"fixture/internal/mrconf"
-)
-func TestSum(t *testing.T) {
-	var c mrconf.Config
-	for i := 0; i < 3; i++ {
-		_ = c.Get(mrconf.IOSortMB)
-	}
-}
-`,
-			extra: map[string]string{
-				"internal/mrconf/params.go": miniMrconf,
-				"internal/yarn/x.go":        "package yarn\n",
-			},
-			want: 0,
-		},
-		{
-			name: "configloop ignore directive",
-			rule: "config-get-in-loop",
-			file: "internal/yarn/x.go",
-			src: `package yarn
-import "fixture/internal/mrconf"
-func Sum(c mrconf.Config, n int) float64 {
-	total := 0.0
-	for i := 0; i < n; i++ {
-		total += c.Get(mrconf.IOSortMB) //mrlint:ignore config-get-in-loop one-shot setup loop
-	}
-	return total
-}
-`,
-			extra: map[string]string{"internal/mrconf/params.go": miniMrconf},
-			want:  0,
 		},
 
 		// ---- retained-append ----

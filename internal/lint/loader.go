@@ -35,11 +35,6 @@ type Module struct {
 	Fset     *token.FileSet
 	Packages []*Package // deterministic order (sorted by import path)
 
-	// ConfKeys is the set of canonical parameter-name constant values
-	// declared in the module's internal/mrconf package (empty when the
-	// module has none).
-	ConfKeys map[string]bool
-
 	dirs *directiveIndex // lazily built module-wide suppression index
 }
 
@@ -252,7 +247,7 @@ func LoadModule(root string) (*Module, error) {
 		}
 	}
 
-	mod := &Module{Root: root, Path: modPath, Fset: fset, ConfKeys: make(map[string]bool)}
+	mod := &Module{Root: root, Path: modPath, Fset: fset}
 	imp := &moduleImporter{
 		modPath:  modPath,
 		local:    make(map[string]*types.Package),
@@ -289,9 +284,6 @@ func LoadModule(root string) (*Module, error) {
 			pkg.Dir = u.dir
 			imp.local[ip] = pkg.Types
 			mod.Packages = append(mod.Packages, pkg)
-			if strings.HasSuffix(ip, "internal/mrconf") {
-				collectStringConsts(pkg.Types, mod.ConfKeys)
-			}
 		}
 	}
 	// External test packages import (at least) their own package, and
@@ -311,31 +303,6 @@ func LoadModule(root string) (*Module, error) {
 		return mod.Packages[i].ImportPath < mod.Packages[j].ImportPath
 	})
 	return mod, nil
-}
-
-// collectStringConsts adds the values of all exported package-level
-// string constants of pkg to dst. For internal/mrconf these are exactly
-// the canonical Hadoop parameter names.
-func collectStringConsts(pkg *types.Package, dst map[string]bool) {
-	scope := pkg.Scope()
-	for _, name := range scope.Names() {
-		c, ok := scope.Lookup(name).(*types.Const)
-		if !ok {
-			continue
-		}
-		if b, ok := c.Type().Underlying().(*types.Basic); !ok || b.Info()&types.IsString == 0 {
-			continue
-		}
-		dst[constStringValue(c)] = true
-	}
-}
-
-func constStringValue(c *types.Const) string {
-	s := c.Val().ExactString()
-	if unq, err := strconv.Unquote(s); err == nil {
-		return unq
-	}
-	return s
 }
 
 // moduleImporter resolves module-internal imports from the packages
@@ -365,7 +332,6 @@ func (m *Module) Run(analyzers []*Analyzer) []Finding {
 	dirs := m.directives()
 	for _, pkg := range m.Packages {
 		pass := NewPass(m.Fset, pkg.Files, pkg.Types, pkg.Info, m.Root, dirs, &findings)
-		pass.ConfKeys = m.ConfKeys
 		for _, a := range analyzers {
 			if a.Run != nil {
 				a.Run(pass)

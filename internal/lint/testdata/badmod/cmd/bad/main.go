@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"badmod/internal/bad"
-	"badmod/internal/mrconf"
 	"badmod/internal/sim"
 	"badmod/internal/yarn"
 )
@@ -15,13 +14,11 @@ import (
 func main() {
 	e := &sim.Engine{}
 	m := map[string]int{"a": 1}
-	c := mrconf.Config{}.With(mrconf.IOSortMB, 100)
 
 	_ = bad.Wallclock()
 	_ = bad.GlobalRand()
 	_ = bad.UnsortedIter(m)
 	bad.ScheduleFromMap(e, map[string]float64{"a": 1})
-	_ = bad.TypoKey(c)
 	bad.LockByValue(sync.Mutex{}, sync.WaitGroup{})
 	_ = bad.FloatAccum(map[string]float64{"a": 1})
 	bad.PrintUnsorted(m)
@@ -30,7 +27,6 @@ func main() {
 
 	e.Tick(func() {})
 	e.Fanout(nil)
-	_ = yarn.SumInLoop(c, 3)
 	var log yarn.EventLog
 	log.Log("x")
 	var s yarn.Scratch

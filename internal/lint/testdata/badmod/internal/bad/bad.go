@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"badmod/internal/mrconf"
 	"badmod/internal/order"
 	"badmod/internal/sim"
 )
@@ -40,11 +39,6 @@ func ScheduleFromMap(e *sim.Engine, m map[string]float64) {
 	for _, d := range m {
 		e.After(d, func() {}) // want ordered-map-iter
 	}
-}
-
-// TypoKey violates conf-key-literal ("sortt").
-func TypoKey(c mrconf.Config) float64 {
-	return c.Get("mapreduce.task.io.sortt.mb") // want conf-key-literal
 }
 
 // LockByValue violates mutex-copy.

@@ -15,7 +15,7 @@ import (
 func randomValidConfig(rng *rand.Rand) mrconf.Config {
 	c := mrconf.Default()
 	for _, p := range mrconf.Params() {
-		c = c.With(p.Name, p.Min+rng.Float64()*(p.Max-p.Min))
+		c = c.With(p.ID, p.Min+rng.Float64()*(p.Max-p.Min))
 	}
 	return mrconf.Repair(c)
 }

@@ -41,18 +41,11 @@ func (c Config) values() *[NumParams]float64 {
 }
 
 // Get returns the value of a parameter (the default if not overridden).
-// Unknown names panic: a misspelled key silently returning 0 would
-// corrupt a simulation.
-func (c Config) Get(name string) float64 { return c.values()[mustID(name)] }
+func (c Config) Get(id ParamID) float64 { return c.values()[id] }
 
-// With returns a copy of c with name set to value. The value is
-// quantized to the parameter's granularity and clamped into range.
-func (c Config) With(name string, value float64) Config {
-	return c.WithID(mustID(name), value)
-}
-
-// WithID is With addressed by dense index.
-func (c Config) WithID(id ParamID, value float64) Config {
+// With returns a copy of c with parameter id set to value. The value
+// is quantized to the parameter's granularity and clamped into range.
+func (c Config) With(id ParamID, value float64) Config {
 	v := quantized(id, value)
 	cur := c.values()
 	// Fast path: the effective value is unchanged, so the receiver is
@@ -67,7 +60,7 @@ func (c Config) WithID(id ParamID, value float64) Config {
 }
 
 // WithIDs returns c with vals[id] set for every id marked in set: the
-// result of calling WithID for each of them in registry order, built
+// result of calling With for each of them in registry order, built
 // with at most one copy. It returns the receiver when no value changes.
 func (c Config) WithIDs(set *[NumParams]bool, vals *[NumParams]float64) Config {
 	cur := c.values()
@@ -144,20 +137,20 @@ func (c Config) EachOverride(fn func(p Param, v float64)) {
 	}
 }
 
-// String renders the non-default assignments in a stable order.
+// String renders the non-default assignments in Hadoop key order.
 func (c Config) String() string {
-	var keys []string
-	c.EachOverride(func(p Param, _ float64) { keys = append(keys, p.Name) })
-	if len(keys) == 0 {
+	var over []Param
+	c.EachOverride(func(p Param, _ float64) { over = append(over, p) })
+	if len(over) == 0 {
 		return "defaults"
 	}
-	sort.Strings(keys)
+	sort.Slice(over, func(i, j int) bool { return over[i].Name < over[j].Name })
 	var b strings.Builder
-	for i, k := range keys {
+	for i, p := range over {
 		if i > 0 {
 			b.WriteString(" ")
 		}
-		fmt.Fprintf(&b, "%s=%g", k, c.Get(k))
+		fmt.Fprintf(&b, "%s=%g", p.Name, c.Get(p.ID))
 	}
 	return b.String()
 }
@@ -178,61 +171,71 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	for name := range m {
-		if _, ok := idByName[name]; !ok {
+		if !isParamName(name) {
 			return fmt.Errorf("mrconf: unknown parameter %q in JSON", name)
 		}
 	}
 	out := Config{}
 	for _, p := range registry {
 		if v, ok := m[p.Name]; ok {
-			out = out.With(p.Name, v)
+			out = out.With(p.ID, v)
 		}
 	}
 	*c = out
 	return nil
 }
 
+// isParamName reports whether name is a parameter's Hadoop key.
+func isParamName(name string) bool {
+	for _, p := range registry {
+		if p.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
 // Typed accessors for the parameters the runtime consults constantly,
 // as index loads.
 
 // MapMemMB returns the map container memory in MB.
-func (c Config) MapMemMB() float64 { return c.values()[IDMapMemoryMB] }
+func (c Config) MapMemMB() float64 { return c.values()[MapMemoryMB] }
 
 // ReduceMemMB returns the reduce container memory in MB.
-func (c Config) ReduceMemMB() float64 { return c.values()[IDReduceMemoryMB] }
+func (c Config) ReduceMemMB() float64 { return c.values()[ReduceMemoryMB] }
 
 // SortMB returns the map-side sort buffer size in MB.
-func (c Config) SortMB() float64 { return c.values()[IDIOSortMB] }
+func (c Config) SortMB() float64 { return c.values()[IOSortMB] }
 
 // SpillPct returns the sort-buffer spill threshold fraction.
-func (c Config) SpillPct() float64 { return c.values()[IDSortSpillPercent] }
+func (c Config) SpillPct() float64 { return c.values()[SortSpillPercent] }
 
 // ShuffleBufferPct returns the shuffle input buffer heap fraction.
-func (c Config) ShuffleBufferPct() float64 { return c.values()[IDShuffleInputBufferPct] }
+func (c Config) ShuffleBufferPct() float64 { return c.values()[ShuffleInputBufferPct] }
 
 // MergePct returns the in-memory merge trigger fraction.
-func (c Config) MergePct() float64 { return c.values()[IDShuffleMergePct] }
+func (c Config) MergePct() float64 { return c.values()[ShuffleMergePct] }
 
 // MemoryLimitPct returns the single-segment in-memory fetch limit.
-func (c Config) MemoryLimitPct() float64 { return c.values()[IDShuffleMemoryLimitPct] }
+func (c Config) MemoryLimitPct() float64 { return c.values()[ShuffleMemoryLimitPct] }
 
 // InmemThreshold returns the in-memory merge segment-count trigger.
-func (c Config) InmemThreshold() int { return int(c.values()[IDMergeInmemThreshold]) }
+func (c Config) InmemThreshold() int { return int(c.values()[MergeInmemThreshold]) }
 
 // ReduceInputBufPct returns the reduce-phase retained-buffer fraction.
-func (c Config) ReduceInputBufPct() float64 { return c.values()[IDReduceInputBufferPct] }
+func (c Config) ReduceInputBufPct() float64 { return c.values()[ReduceInputBufferPct] }
 
 // MapVcores returns vcores per map container.
-func (c Config) MapVcores() int { return int(c.values()[IDMapCPUVcores]) }
+func (c Config) MapVcores() int { return int(c.values()[MapCPUVcores]) }
 
 // ReduceVcores returns vcores per reduce container.
-func (c Config) ReduceVcores() int { return int(c.values()[IDReduceCPUVcores]) }
+func (c Config) ReduceVcores() int { return int(c.values()[ReduceCPUVcores]) }
 
 // SortFactor returns the merge fan-in.
-func (c Config) SortFactor() int { return int(c.values()[IDIOSortFactor]) }
+func (c Config) SortFactor() int { return int(c.values()[IOSortFactor]) }
 
 // ParallelCopies returns the shuffle fetch concurrency.
-func (c Config) ParallelCopies() int { return int(c.values()[IDShuffleParallelCopies]) }
+func (c Config) ParallelCopies() int { return int(c.values()[ShuffleParallelCopies]) }
 
 // HeapFraction is the fraction of container memory available as JVM
 // heap (the rest is JVM and native overhead). Hadoop guides recommend
@@ -240,7 +243,7 @@ func (c Config) ParallelCopies() int { return int(c.values()[IDShuffleParallelCo
 const HeapFraction = 0.8
 
 // MapHeapMB returns the usable map-task heap in MB.
-func (c Config) MapHeapMB() float64 { return c.MapMemMB() * HeapFraction }
+func (c Config) MapHeapMB() float64 { return float64(c.MapMemMB() * HeapFraction) }
 
 // ReduceHeapMB returns the usable reduce-task heap in MB.
-func (c Config) ReduceHeapMB() float64 { return c.ReduceMemMB() * HeapFraction }
+func (c Config) ReduceHeapMB() float64 { return float64(c.ReduceMemMB() * HeapFraction) }

@@ -9,7 +9,7 @@ import (
 
 // TestTable2Defaults pins the registry to the paper's Table 2.
 func TestTable2Defaults(t *testing.T) {
-	want := map[string]float64{
+	want := map[ParamID]float64{
 		MapMemoryMB:           1024,
 		ReduceMemoryMB:        1024,
 		IOSortMB:              100,
@@ -28,9 +28,9 @@ func TestTable2Defaults(t *testing.T) {
 		t.Fatalf("registry has %d params, Table 2 has %d", len(Params()), len(want))
 	}
 	c := Default()
-	for name, def := range want {
-		if got := c.Get(name); got != def {
-			t.Errorf("default %s = %g, want %g", name, got, def)
+	for id, def := range want {
+		if got := c.Get(id); got != def {
+			t.Errorf("default %s = %g, want %g", id.Param().Name, got, def)
 		}
 	}
 }
@@ -77,16 +77,6 @@ func TestWithDoesNotMutate(t *testing.T) {
 	if derived.SortMB() != 400 {
 		t.Fatalf("derived config wrong: %g", derived.SortMB())
 	}
-}
-
-func TestGetUnknownPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Get of unknown parameter did not panic")
-		}
-	}()
-	//mrlint:ignore conf-key-literal deliberately unknown key: this test asserts the panic
-	Default().Get("mapreduce.no.such.parameter")
 }
 
 func TestEqualAndMerge(t *testing.T) {
@@ -179,7 +169,7 @@ func TestValidateReduceInputBuffer(t *testing.T) {
 }
 
 func TestQuantizeRespectsStep(t *testing.T) {
-	p := MustLookup(IOSortFactor) // step 5, min 5
+	p := IOSortFactor.Param() // step 5, min 5
 	if got := p.Quantize(12); got != 10 {
 		t.Errorf("Quantize(12) = %g, want 10", got)
 	}
@@ -196,7 +186,7 @@ func TestRepairAlwaysValidProperty(t *testing.T) {
 		c := Default()
 		for _, p := range Params() {
 			v := p.Min + rng.Float64()*(p.Max-p.Min)
-			c = c.With(p.Name, v)
+			c = c.With(p.ID, v)
 		}
 		return Validate(Repair(c)) == nil
 	}
@@ -217,9 +207,9 @@ func TestWithGetProperty(t *testing.T) {
 		if raw > 1e12 || raw < -1e12 {
 			return true
 		}
-		c1 := Default().With(p.Name, raw)
-		c2 := c1.With(p.Name, raw)
-		return c1.Equal(c2) && c1.Get(p.Name) == p.Quantize(raw)
+		c1 := Default().With(p.ID, raw)
+		c2 := c1.With(p.ID, raw)
+		return c1.Equal(c2) && c1.Get(p.ID) == p.Quantize(raw)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -227,7 +217,7 @@ func TestWithGetProperty(t *testing.T) {
 }
 
 func TestFromMap(t *testing.T) {
-	c := FromMap(map[string]float64{IOSortMB: 200, MapCPUVcores: 2})
+	c := FromMap(map[string]float64{"mapreduce.task.io.sort.mb": 200, "mapreduce.map.cpu.vcores": 2})
 	if c.SortMB() != 200 || c.MapVcores() != 2 {
 		t.Fatalf("FromMap lost values: %s", c)
 	}
@@ -298,7 +288,7 @@ func TestCategoryAndScopeStrings(t *testing.T) {
 func TestOverridesIsolated(t *testing.T) {
 	c := Default().With(IOSortMB, 200)
 	ov := c.Overrides()
-	ov[IOSortMB] = 999
+	ov["mapreduce.task.io.sort.mb"] = 999
 	if c.SortMB() != 200 {
 		t.Fatal("Overrides exposed internal map")
 	}
@@ -415,7 +405,7 @@ func TestConfigAllocations(t *testing.T) {
 	_ = sink
 }
 
-// TestWithIDsMatchesSequentialWithID: WithIDs equals calling WithID for
+// TestWithIDsMatchesSequentialWithID: WithIDs equals calling With for
 // each marked parameter in registry order, returns the receiver itself
 // when nothing changes, and otherwise makes exactly one allocation
 // however many values change.
@@ -436,26 +426,25 @@ func TestWithIDsMatchesSequentialWithID(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				vals[id] = base.values()[id] // an unchanged value
 			}
-			want = want.WithID(ParamID(id), vals[id])
+			want = want.With(ParamID(id), vals[id])
 		}
 		got := base.WithIDs(&set, &vals)
 		if !got.Equal(want) || got.Same(base) != want.Same(base) {
-			t.Fatalf("trial %d: WithIDs = %v (Same as base %v), sequential WithID = %v (Same %v)",
+			t.Fatalf("trial %d: WithIDs = %v (Same as base %v), sequential With = %v (Same %v)",
 				trial, got, got.Same(base), want, want.Same(base))
 		}
 	}
 
 	var set [NumParams]bool
 	var vals [NumParams]float64
-	for _, name := range []string{IOSortMB, ReduceMemoryMB, SortSpillPercent} {
-		id := mustID(name)
+	for _, id := range []ParamID{IOSortMB, ReduceMemoryMB, SortSpillPercent} {
 		set[id], vals[id] = true, base.values()[id]
 	}
 	var out Config
 	if a := testing.AllocsPerRun(100, func() { out = base.WithIDs(&set, &vals) }); a != 0 || !out.Same(base) {
 		t.Errorf("no-op WithIDs: %v allocations, Same=%v; want 0 and true", a, out.Same(base))
 	}
-	vals[mustID(IOSortMB)], vals[mustID(ReduceMemoryMB)] = 500, 3072
+	vals[IOSortMB], vals[ReduceMemoryMB] = 500, 3072
 	if a := testing.AllocsPerRun(100, func() { out = base.WithIDs(&set, &vals) }); a != 1 {
 		t.Errorf("WithIDs changing two values allocates %v per run, want exactly 1", a)
 	}

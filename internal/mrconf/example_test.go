@@ -37,7 +37,7 @@ func ExampleRepair() {
 // The registry is the paper's Table 2.
 func ExampleParams() {
 	fmt.Println(len(mrconf.Params()), "tunable parameters")
-	p := mrconf.MustLookup(mrconf.IOSortMB)
+	p := mrconf.IOSortMB.Param()
 	fmt.Println(p.Default, p.Category, p.Scope)
 	// Output:
 	// 13 tunable parameters

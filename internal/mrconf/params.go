@@ -61,6 +61,11 @@ func (s Scope) String() string {
 
 // Param describes one tunable parameter.
 type Param struct {
+	// ID is the parameter's key in code: its index in the registry and
+	// in Config's value array.
+	ID ParamID
+	// Name is the Hadoop property key (Table 2): the parameter's name in
+	// JSON and printed output.
 	Name     string
 	Default  float64
 	Min, Max float64
@@ -76,8 +81,11 @@ type Param struct {
 // [Min, Max].
 func (p Param) Quantize(v float64) float64 {
 	if p.Step > 0 {
-		steps := math.Round((v - p.Min) / p.Step)
-		v = p.Min + steps*p.Step
+		// The float64 conversions round each product (also a caller's
+		// v = x*y, once inlined) before it is added, so no GOARCH fuses
+		// the two into a multiply-add with different bits.
+		steps := math.Round((float64(v) - p.Min) / p.Step)
+		v = p.Min + float64(steps*p.Step)
 		// Snap away binary-float dust (0.8300000000000001 -> 0.83) so
 		// that grid-aligned values compare equal across parameters.
 		v = math.Round(v*1e9) / 1e9
@@ -91,134 +99,83 @@ func (p Param) Quantize(v float64) float64 {
 	return v
 }
 
-// Canonical parameter names (Hadoop property keys, as in Table 2).
-const (
-	MapMemoryMB           = "mapreduce.map.memory.mb"
-	ReduceMemoryMB        = "mapreduce.reduce.memory.mb"
-	IOSortMB              = "mapreduce.task.io.sort.mb"
-	SortSpillPercent      = "mapreduce.map.sort.spill.percent"
-	ShuffleInputBufferPct = "mapreduce.reduce.shuffle.input.buffer.percent"
-	ShuffleMergePct       = "mapreduce.reduce.shuffle.merge.percent"
-	ShuffleMemoryLimitPct = "mapreduce.reduce.shuffle.memory.limit.percent"
-	MergeInmemThreshold   = "mapreduce.reduce.merge.inmem.threshold"
-	ReduceInputBufferPct  = "mapreduce.reduce.input.buffer.percent"
-	MapCPUVcores          = "mapreduce.map.cpu.vcores"
-	ReduceCPUVcores       = "mapreduce.reduce.cpu.vcores"
-	IOSortFactor          = "mapreduce.task.io.sort.factor"
-	ShuffleParallelCopies = "mapreduce.reduce.shuffle.parallelcopies"
-)
-
-// ParamID is a dense index into the registry: the layout of Config's
-// value array, so its typed accessors are array loads rather than
-// string-hashed lookups.
+// ParamID names one Table 2 parameter in code. It is a dense index
+// into the registry and the layout of Config's value array, so a read
+// is an array load; the Hadoop key is only the parameter's name in JSON
+// and printed output.
 type ParamID int
 
-// Registry indices, in registry order. These are fixed by the Table 2
-// ordering; an init-time assertion below keeps them in sync.
+// The Table 2 parameters, in registry order.
 const (
-	IDMapMemoryMB ParamID = iota
-	IDReduceMemoryMB
-	IDIOSortMB
-	IDSortSpillPercent
-	IDShuffleInputBufferPct
-	IDShuffleMergePct
-	IDShuffleMemoryLimitPct
-	IDMergeInmemThreshold
-	IDReduceInputBufferPct
-	IDMapCPUVcores
-	IDReduceCPUVcores
-	IDIOSortFactor
-	IDShuffleParallelCopies
+	MapMemoryMB ParamID = iota
+	ReduceMemoryMB
+	IOSortMB
+	SortSpillPercent
+	ShuffleInputBufferPct
+	ShuffleMergePct
+	ShuffleMemoryLimitPct
+	MergeInmemThreshold
+	ReduceInputBufferPct
+	MapCPUVcores
+	ReduceCPUVcores
+	IOSortFactor
+	ShuffleParallelCopies
 
 	// NumParams is the registry size; the length of Config's value
 	// array.
 	NumParams
 )
 
-// registry holds the Table 2 parameters in a stable order.
-var registry = []Param{
-	{MapMemoryMB, 1024, 512, 4096, 64, CategoryTaskLaunch, ScopeMap,
+// registry holds the Table 2 parameters, keyed by ParamID. Each entry
+// repeats its key as Param.ID; TestRegistryKeyedByID checks the two
+// agree and that no ID is left without an entry.
+var registry = [NumParams]Param{
+	MapMemoryMB: {MapMemoryMB, "mapreduce.map.memory.mb",
+		1024, 512, 4096, 64, CategoryTaskLaunch, ScopeMap,
 		"container memory for map tasks (MB)"},
-	{ReduceMemoryMB, 1024, 512, 4096, 64, CategoryTaskLaunch, ScopeReduce,
+	ReduceMemoryMB: {ReduceMemoryMB, "mapreduce.reduce.memory.mb",
+		1024, 512, 4096, 64, CategoryTaskLaunch, ScopeReduce,
 		"container memory for reduce tasks (MB)"},
-	{IOSortMB, 100, 50, 1600, 10, CategoryTaskLaunch, ScopeMap,
+	IOSortMB: {IOSortMB, "mapreduce.task.io.sort.mb",
+		100, 50, 1600, 10, CategoryTaskLaunch, ScopeMap,
 		"map-side sort buffer (MB)"},
-	{SortSpillPercent, 0.80, 0.50, 0.99, 0.01, CategoryLive, ScopeMap,
+	SortSpillPercent: {SortSpillPercent, "mapreduce.map.sort.spill.percent",
+		0.80, 0.50, 0.99, 0.01, CategoryLive, ScopeMap,
 		"sort-buffer fill fraction that triggers a spill"},
-	{ShuffleInputBufferPct, 0.70, 0.20, 0.90, 0.01, CategoryTaskLaunch, ScopeReduce,
+	ShuffleInputBufferPct: {ShuffleInputBufferPct, "mapreduce.reduce.shuffle.input.buffer.percent",
+		0.70, 0.20, 0.90, 0.01, CategoryTaskLaunch, ScopeReduce,
 		"fraction of reduce heap used as shuffle buffer"},
-	{ShuffleMergePct, 0.66, 0.20, 0.90, 0.01, CategoryTaskLaunch, ScopeReduce,
+	ShuffleMergePct: {ShuffleMergePct, "mapreduce.reduce.shuffle.merge.percent",
+		0.66, 0.20, 0.90, 0.01, CategoryTaskLaunch, ScopeReduce,
 		"shuffle-buffer fill fraction that triggers in-memory merge"},
-	{ShuffleMemoryLimitPct, 0.25, 0.05, 0.50, 0.01, CategoryTaskLaunch, ScopeReduce,
+	ShuffleMemoryLimitPct: {ShuffleMemoryLimitPct, "mapreduce.reduce.shuffle.memory.limit.percent",
+		0.25, 0.05, 0.50, 0.01, CategoryTaskLaunch, ScopeReduce,
 		"max single-segment fraction of the shuffle buffer fetched to memory"},
-	{MergeInmemThreshold, 1000, 0, 10000, 100, CategoryLive, ScopeReduce,
+	MergeInmemThreshold: {MergeInmemThreshold, "mapreduce.reduce.merge.inmem.threshold",
+		1000, 0, 10000, 100, CategoryLive, ScopeReduce,
 		"in-memory segment count that triggers merge (0 disables)"},
-	{ReduceInputBufferPct, 0.0, 0.0, 0.90, 0.01, CategoryTaskLaunch, ScopeReduce,
+	ReduceInputBufferPct: {ReduceInputBufferPct, "mapreduce.reduce.input.buffer.percent",
+		0.0, 0.0, 0.90, 0.01, CategoryTaskLaunch, ScopeReduce,
 		"fraction of reduce heap that may retain map outputs during reduce"},
-	{MapCPUVcores, 1, 1, 8, 1, CategoryTaskLaunch, ScopeMap,
+	MapCPUVcores: {MapCPUVcores, "mapreduce.map.cpu.vcores",
+		1, 1, 8, 1, CategoryTaskLaunch, ScopeMap,
 		"vcores per map container"},
-	{ReduceCPUVcores, 1, 1, 8, 1, CategoryTaskLaunch, ScopeReduce,
+	ReduceCPUVcores: {ReduceCPUVcores, "mapreduce.reduce.cpu.vcores",
+		1, 1, 8, 1, CategoryTaskLaunch, ScopeReduce,
 		"vcores per reduce container"},
-	{IOSortFactor, 10, 5, 100, 5, CategoryTaskLaunch, ScopeMap,
+	IOSortFactor: {IOSortFactor, "mapreduce.task.io.sort.factor",
+		10, 5, 100, 5, CategoryTaskLaunch, ScopeMap,
 		"max segments merged at once (disk-to-disk merge fan-in)"},
-	{ShuffleParallelCopies, 5, 5, 50, 5, CategoryTaskLaunch, ScopeReduce,
+	ShuffleParallelCopies: {ShuffleParallelCopies, "mapreduce.reduce.shuffle.parallelcopies",
+		5, 5, 50, 5, CategoryTaskLaunch, ScopeReduce,
 		"concurrent shuffle fetch threads per reducer"},
 }
 
-// idByName maps parameter names to their dense registry index.
-var idByName = func() map[string]ParamID {
-	m := make(map[string]ParamID, len(registry))
-	for i, p := range registry {
-		m[p.Name] = ParamID(i)
-	}
-	return m
-}()
-
-func init() {
-	// The ParamID constants must mirror the registry ordering exactly;
-	// a drift here would silently misroute Config reads.
-	if len(registry) != int(NumParams) {
-		panic(fmt.Sprintf("mrconf: registry has %d params, NumParams is %d",
-			len(registry), int(NumParams)))
-	}
-	want := []struct {
-		id   ParamID
-		name string
-	}{
-		{IDMapMemoryMB, MapMemoryMB},
-		{IDReduceMemoryMB, ReduceMemoryMB},
-		{IDIOSortMB, IOSortMB},
-		{IDSortSpillPercent, SortSpillPercent},
-		{IDShuffleInputBufferPct, ShuffleInputBufferPct},
-		{IDShuffleMergePct, ShuffleMergePct},
-		{IDShuffleMemoryLimitPct, ShuffleMemoryLimitPct},
-		{IDMergeInmemThreshold, MergeInmemThreshold},
-		{IDReduceInputBufferPct, ReduceInputBufferPct},
-		{IDMapCPUVcores, MapCPUVcores},
-		{IDReduceCPUVcores, ReduceCPUVcores},
-		{IDIOSortFactor, IOSortFactor},
-		{IDShuffleParallelCopies, ShuffleParallelCopies},
-	}
-	for _, w := range want {
-		if registry[w.id].Name != w.name {
-			panic(fmt.Sprintf("mrconf: ParamID %d expects %q, registry has %q",
-				int(w.id), w.name, registry[w.id].Name))
-		}
-	}
-}
-
-// ID returns the dense registry index for name.
-func ID(name string) (ParamID, bool) {
-	id, ok := idByName[name]
-	return id, ok
-}
+// Param returns the parameter's descriptor.
+func (id ParamID) Param() Param { return registry[id] }
 
 // Params returns all tunable parameters in registry order.
-func Params() []Param {
-	out := make([]Param, len(registry))
-	copy(out, registry)
-	return out
-}
+func Params() []Param { return append([]Param(nil), registry[:]...) }
 
 // ParamsByScope returns the parameters for one search subspace, in
 // registry order.
@@ -230,17 +187,4 @@ func ParamsByScope(s Scope) []Param {
 		}
 	}
 	return out
-}
-
-// MustLookup returns the parameter descriptor for a known-good name;
-// it panics on a typo.
-func MustLookup(name string) Param { return registry[mustID(name)] }
-
-// mustID is ID for known-good names; it panics on a typo.
-func mustID(name string) ParamID {
-	id, ok := idByName[name]
-	if !ok {
-		panic(fmt.Sprintf("mrconf: unknown parameter %q", name))
-	}
-	return id
 }

@@ -1,12 +1,15 @@
 package mrconf
 
-import "testing"
+import (
+	"encoding/json"
+	"fmt"
+	"testing"
+)
 
 // TestRegistryRoundTrip pushes every registered parameter through
 // FromMap -> Overrides -> FromMap and asserts the assignment survives
-// unchanged. This is the source-of-truth guarantee behind mrlint's
-// conf-key-literal rule: every constant in params.go names a real,
-// fully round-trippable parameter.
+// unchanged: every Hadoop key in the registry names a real, fully
+// round-trippable parameter.
 func TestRegistryRoundTrip(t *testing.T) {
 	for _, p := range Params() {
 		p := p
@@ -25,7 +28,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 			}
 
 			c1 := FromMap(map[string]float64{p.Name: v})
-			if got := c1.Get(p.Name); got != v {
+			if got := c1.Get(p.ID); got != v {
 				t.Fatalf("FromMap lost value: got %g, want %g", got, v)
 			}
 			over := c1.Overrides()
@@ -71,7 +74,7 @@ func TestRoundTripAllAtOnce(t *testing.T) {
 	c := Default()
 	for _, p := range Params() {
 		v := p.Quantize(p.Min + (p.Max-p.Min)/3)
-		c = c.With(p.Name, v)
+		c = c.With(p.ID, v)
 	}
 	c = Repair(c)
 	if err := Validate(c); err != nil {
@@ -80,5 +83,60 @@ func TestRoundTripAllAtOnce(t *testing.T) {
 	back := FromMap(c.Overrides())
 	if !c.Equal(back) {
 		t.Fatalf("bulk round-trip changed config:\n  %s\nvs\n  %s", c, back)
+	}
+}
+
+// registryErr reports the first ParamID whose entry in reg is not its
+// own: an entry filed under another ID, an empty Hadoop key (the zero
+// entry a key missing from the keyed literal leaves), or a key that an
+// earlier entry already uses.
+func registryErr(reg *[NumParams]Param) error {
+	seen := make(map[string]ParamID, NumParams)
+	for i, p := range reg {
+		id := ParamID(i)
+		switch prev, dup := seen[p.Name]; {
+		case p.Name == "":
+			return fmt.Errorf("ParamID %d has no entry", id)
+		case p.ID != id:
+			return fmt.Errorf("ParamID %d holds the entry of ParamID %d (%s)", id, p.ID, p.Name)
+		case dup:
+			return fmt.Errorf("ParamIDs %d and %d share the key %s", prev, id, p.Name)
+		}
+		seen[p.Name] = id
+	}
+	return nil
+}
+
+// TestRegistryKeyedByID: every ParamID in [0, NumParams) has an entry
+// with a unique, non-empty Hadoop key, and the JSON decoder maps that
+// key back to the same ID. A registry with a hole fails the check.
+func TestRegistryKeyedByID(t *testing.T) {
+	if err := registryErr(&registry); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range registry {
+		id := ParamID(i)
+		v := p.Quantize(p.Max)
+		if v == p.Default {
+			v = p.Quantize(p.Min)
+		}
+		var c Config
+		if err := json.Unmarshal([]byte(fmt.Sprintf(`{%q: %v}`, p.Name, v)), &c); err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		if !c.Equal(Default().With(id, v)) {
+			t.Errorf("JSON key %s decodes to %s, want ParamID %d set to %g", p.Name, c, id, v)
+		}
+	}
+
+	holed := registry
+	holed[ShuffleMergePct] = Param{}
+	if registryErr(&holed) == nil {
+		t.Error("a registry missing an entry passed the check")
+	}
+	swapped := registry
+	swapped[IOSortMB], swapped[SortSpillPercent] = swapped[SortSpillPercent], swapped[IOSortMB]
+	if registryErr(&swapped) == nil {
+		t.Error("a registry with two entries filed under each other's IDs passed the check")
 	}
 }

@@ -28,15 +28,15 @@ func Validate(c Config) error {
 	}
 	if c.SortMB() > c.MapHeapMB() {
 		return fmt.Errorf("%w: %s=%g exceeds map heap %.0f MB (%s=%g)",
-			ErrInvalid, IOSortMB, c.SortMB(), c.MapHeapMB(), MapMemoryMB, c.MapMemMB())
+			ErrInvalid, IOSortMB.Param().Name, c.SortMB(), c.MapHeapMB(), MapMemoryMB.Param().Name, c.MapMemMB())
 	}
 	if c.MergePct() > c.ShuffleBufferPct() {
 		return fmt.Errorf("%w: %s=%g exceeds %s=%g",
-			ErrInvalid, ShuffleMergePct, c.MergePct(), ShuffleInputBufferPct, c.ShuffleBufferPct())
+			ErrInvalid, ShuffleMergePct.Param().Name, c.MergePct(), ShuffleInputBufferPct.Param().Name, c.ShuffleBufferPct())
 	}
 	if c.ReduceInputBufPct() > c.ShuffleBufferPct() {
 		return fmt.Errorf("%w: %s=%g exceeds %s=%g",
-			ErrInvalid, ReduceInputBufferPct, c.ReduceInputBufPct(), ShuffleInputBufferPct, c.ShuffleBufferPct())
+			ErrInvalid, ReduceInputBufferPct.Param().Name, c.ReduceInputBufPct(), ShuffleInputBufferPct.Param().Name, c.ShuffleBufferPct())
 	}
 	return nil
 }
@@ -54,7 +54,7 @@ func Repair(c Config) Config {
 		// Quantization rounds to nearest, which may land one step above
 		// the heap bound; round down in that case.
 		if out.SortMB() > maxSort {
-			out = out.With(IOSortMB, out.SortMB()-MustLookup(IOSortMB).Step)
+			out = out.With(IOSortMB, out.SortMB()-IOSortMB.Param().Step)
 		}
 	}
 	if out.MergePct() > out.ShuffleBufferPct() {

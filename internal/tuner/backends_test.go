@@ -210,7 +210,7 @@ func TestBackendsRespectTighten(t *testing.T) {
 	params := mapDims()
 	var ioSortDim int
 	for i, p := range params {
-		if p.Name == mrconf.IOSortMB {
+		if p.ID == mrconf.IOSortMB {
 			ioSortDim = i
 		}
 	}
@@ -225,7 +225,7 @@ func TestBackendsRespectTighten(t *testing.T) {
 			}
 			opt.Report(p, cost(p))
 		}
-		opt.Tighten(params[ioSortDim].Name, 200, 400)
+		opt.Tighten(mrconf.IOSortMB, 200, 400)
 		// The wave in flight was sampled under the old bounds (rules fire
 		// at wave boundaries); only waves started after the Tighten must
 		// respect it.

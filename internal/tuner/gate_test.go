@@ -140,9 +140,9 @@ func FuzzBackendScript(f *testing.F) {
 			case 2:
 				prm := params[next(len(params))]
 				r := prm.Max - prm.Min
-				opt.Tighten(prm.Name, prm.Min+frac()*r, prm.Min+frac()*r)
+				opt.Tighten(prm.ID, prm.Min+frac()*r, prm.Min+frac()*r)
 			case 3:
-				opt.Bias(params[next(len(params))].Name, weights[next(len(weights))])
+				opt.Bias(params[next(len(params))].ID, weights[next(len(weights))])
 			}
 		}
 	})

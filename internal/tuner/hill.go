@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"repro/internal/lhs"
+	"repro/internal/mrconf"
 )
 
 type searchPhase int
@@ -132,7 +133,7 @@ func uniformSample(rng *rand.Rand, space lhs.Space, m int) [][]float64 {
 	for i := range out {
 		p := make([]float64, len(space))
 		for d, dim := range space {
-			p[d] = dim.Min + rng.Float64()*dim.Range()
+			p[d] = dim.Min + float64(rng.Float64()*dim.Range())
 		}
 		out[i] = p
 	}
@@ -208,4 +209,4 @@ func (h *hillClimb) State() string { return h.phase.String() }
 
 // Bias sets a sampling weight profile for one dimension (weighted
 // LHS): nil restores uniform sampling.
-func (h *hillClimb) Bias(name string, w lhs.Weights) { h.weights[h.dim(name)] = w }
+func (h *hillClimb) Bias(id mrconf.ParamID, w lhs.Weights) { h.weights[h.dim(id)] = w }

@@ -1,20 +1,23 @@
 package tuner
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/lhs"
 	"repro/internal/mrconf"
 )
 
 // mapDims mirrors core's gray-box map-scope search space.
 func mapDims() []mrconf.Param {
-	names := []string{mrconf.MapMemoryMB, mrconf.IOSortMB, mrconf.MapCPUVcores, mrconf.IOSortFactor}
-	out := make([]mrconf.Param, len(names))
-	for i, n := range names {
-		out[i] = mrconf.MustLookup(n)
+	ids := []mrconf.ParamID{mrconf.MapMemoryMB, mrconf.IOSortMB, mrconf.MapCPUVcores, mrconf.IOSortFactor}
+	out := make([]mrconf.Param, len(ids))
+	for i, id := range ids {
+		out[i] = id.Param()
 	}
 	return out
 }
@@ -180,7 +183,7 @@ func TestTightenClampsBestAndBounds(t *testing.T) {
 	best, _, ok := h.Best()
 	if ok {
 		for i, p := range params {
-			if p.Name == mrconf.IOSortMB {
+			if p.ID == mrconf.IOSortMB {
 				if best[i] < 500 || best[i] > 800 {
 					t.Fatalf("best io.sort.mb %v outside tightened bounds", best[i])
 				}
@@ -196,14 +199,33 @@ func TestTightenClampsBestAndBounds(t *testing.T) {
 	}
 }
 
+// TestTightenUnknownPanics: on every backend, Tighten, Bias and Bounds
+// of a parameter outside the searched dimensions panic, and the panic
+// names the parameter's Hadoop key.
 func TestTightenUnknownPanics(t *testing.T) {
-	h := hillOver(mapDims(), 9, DefaultSearchParams())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Tighten of unknown dim did not panic")
+	const outside = mrconf.ShuffleMergePct // a reduce-scope parameter; mapDims is map-scope
+	calls := []struct {
+		name string
+		call func(Optimizer)
+	}{
+		{"Tighten", func(o Optimizer) { o.Tighten(outside, 0.3, 0.6) }},
+		{"Bias", func(o Optimizer) { o.Bias(outside, lhs.Weights{1, 2}) }},
+		{"Bounds", func(o Optimizer) { o.Bounds(outside) }},
+	}
+	for _, backend := range Backends() {
+		for _, c := range calls {
+			opt := MustNew(backend, Options{Params: mapDims(), RNG: rand.New(rand.NewSource(9))})
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				c.call(opt)
+				return ""
+			}()
+			if !strings.Contains(msg, outside.Param().Name) {
+				t.Errorf("%s.%s of an unsearched dimension: panic %q, want one naming %s",
+					backend, c.name, msg, outside.Param().Name)
+			}
 		}
-	}()
-	h.Tighten("nope", 0, 1)
+	}
 }
 
 func TestSearchTerminatesWithinBudget(t *testing.T) {
@@ -228,7 +250,7 @@ func TestApplyPointQuantized(t *testing.T) {
 	}
 	cfg := ApplyPoint(mrconf.Default(), params, point)
 	for i, p := range params {
-		v := cfg.Get(p.Name)
+		v := cfg.Get(p.ID)
 		if v != p.Quantize(point[i]) {
 			t.Fatalf("%s=%v, want the quantized coordinate %v", p.Name, v, p.Quantize(point[i]))
 		}
@@ -243,7 +265,7 @@ func TestApplyPointQuantized(t *testing.T) {
 // allocating, and one that changes several values costs one copy.
 func TestApplyPointNoOpIsAllocationFree(t *testing.T) {
 	base := mrconf.Default().With(mrconf.IOSortMB, 400)
-	dims := []mrconf.Param{mrconf.MustLookup(mrconf.IOSortMB)}
+	dims := []mrconf.Param{mrconf.IOSortMB.Param()}
 	point := []float64{400}
 	var cfg mrconf.Config
 	if a := testing.AllocsPerRun(100, func() {
@@ -254,7 +276,7 @@ func TestApplyPointNoOpIsAllocationFree(t *testing.T) {
 	if !cfg.Same(base) {
 		t.Fatal("a no-op point did not return the base config")
 	}
-	dims = append(dims, mrconf.MustLookup(mrconf.ReduceMemoryMB), mrconf.MustLookup(mrconf.SortSpillPercent))
+	dims = append(dims, mrconf.ReduceMemoryMB.Param(), mrconf.SortSpillPercent.Param())
 	point = []float64{500, 3072, 0.9}
 	if a := testing.AllocsPerRun(100, func() {
 		cfg = ApplyPoint(base, dims, point)

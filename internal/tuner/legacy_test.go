@@ -59,7 +59,7 @@ type legacyHillClimb struct {
 func newLegacyHillClimb(params []mrconf.Param, rng *rand.Rand, sp SearchParams) *legacyHillClimb {
 	space := make(lhs.Space, len(params))
 	for i, p := range params {
-		space[i] = lhs.Dim{Name: p.Name, Min: p.Min, Max: p.Max}
+		space[i] = lhs.Dim{Min: p.Min, Max: p.Max}
 	}
 	h := &legacyHillClimb{
 		params:  params,
@@ -171,9 +171,9 @@ func (h *legacyHillClimb) Best() ([]float64, float64, bool) {
 	return h.best, h.bestCost, h.haveBest
 }
 
-func (h *legacyHillClimb) Tighten(name string, lo, hi float64) {
+func (h *legacyHillClimb) Tighten(id mrconf.ParamID, lo, hi float64) {
 	for d := range h.space {
-		if h.space[d].Name != name {
+		if h.params[d].ID != id {
 			continue
 		}
 		fullLo, fullHi := h.full[d].Min, h.full[d].Max
@@ -188,17 +188,17 @@ func (h *legacyHillClimb) Tighten(name string, lo, hi float64) {
 		}
 		return
 	}
-	panic(fmt.Sprintf("legacy: Tighten of unknown dimension %q", name))
+	panic(fmt.Sprintf("legacy: Tighten of unknown dimension %q", id.Param().Name))
 }
 
-func (h *legacyHillClimb) Bias(name string, w lhs.Weights) {
+func (h *legacyHillClimb) Bias(id mrconf.ParamID, w lhs.Weights) {
 	for d := range h.space {
-		if h.space[d].Name == name {
+		if h.params[d].ID == id {
 			h.weights[d] = w
 			return
 		}
 	}
-	panic(fmt.Sprintf("legacy: Bias of unknown dimension %q", name))
+	panic(fmt.Sprintf("legacy: Bias of unknown dimension %q", id.Param().Name))
 }
 
 // scriptedCost is a deterministic, seed-free cost surface with enough

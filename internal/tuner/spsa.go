@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/metrics"
+	"repro/internal/mrconf"
 )
 
 // SPSA gain-sequence constants (Spall's practically-universal choices:
@@ -117,8 +118,8 @@ func (s *spsa) startWave() {
 		plus := make([]float64, d)
 		minus := make([]float64, d)
 		for i := range delta {
-			plus[i] = metrics.Clamp(s.theta[i]+ck*delta[i], 0, 1)
-			minus[i] = metrics.Clamp(s.theta[i]-ck*delta[i], 0, 1)
+			plus[i] = metrics.Clamp(s.theta[i]+float64(ck*delta[i]), 0, 1)
+			minus[i] = metrics.Clamp(s.theta[i]-float64(ck*delta[i]), 0, 1)
 		}
 		add(plus, 1, b)
 		add(minus, 2, b)
@@ -190,13 +191,13 @@ func (s *spsa) endWave() {
 		complete++
 		scale := (plus.cost - minus.cost) / (2 * ck)
 		for i := range grad {
-			grad[i] += scale * s.deltas[b][i]
+			grad[i] += float64(scale * s.deltas[b][i])
 		}
 	}
 	if complete > 0 {
 		inv := 1 / float64(complete)
 		for i := range grad {
-			s.theta[i] = metrics.Clamp(s.theta[i]-ak*grad[i]*inv, 0, 1)
+			s.theta[i] = metrics.Clamp(s.theta[i]-float64(ak*grad[i]*inv), 0, 1)
 		}
 	}
 	// Keep θ inside the normalized image of the rule-tightened bounds,
@@ -214,9 +215,9 @@ func (s *spsa) endWave() {
 
 // Tighten narrows a dimension's bounds (§6.2 gray-box rule); the
 // iterate and best point are clamped into the new bounds.
-func (s *spsa) Tighten(name string, lo, hi float64) {
-	s.search.Tighten(name, lo, hi)
-	s.clampTheta(s.dim(name))
+func (s *spsa) Tighten(id mrconf.ParamID, lo, hi float64) {
+	s.search.Tighten(id, lo, hi)
+	s.clampTheta(s.dim(id))
 }
 
 // clampTheta keeps θ's coordinate d inside the normalized image of the

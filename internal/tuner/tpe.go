@@ -117,7 +117,7 @@ func (t *tpe) propose() []float64 {
 			// Draw from l(x): a random good observation jittered by the
 			// kernel, truncated to the current bounds.
 			center := good[t.rng.Intn(len(good))].point[d]
-			x := metrics.Clamp(center+t.rng.NormFloat64()*bw, loN, hiN)
+			x := metrics.Clamp(center+float64(t.rng.NormFloat64()*bw), loN, hiN)
 			score := parzen(good, d, x, bw) / (parzen(bad, d, x, bw) + 1e-9)
 			if score > bestScore {
 				bestX, bestScore = x, score

@@ -95,17 +95,18 @@ type Optimizer interface {
 	Trajectory() []float64
 
 	// Tighten, Bias and Bounds carry the §6.2 gray-box rules, which
-	// core.Tuner fires at wave boundaries.
+	// core.Tuner fires at wave boundaries. Each panics on a parameter
+	// outside the searched dimensions.
 	//
 	// Tighten narrows a dimension's bounds; the current best point is
 	// clamped into the new bounds.
-	Tighten(name string, lo, hi float64)
+	Tighten(id mrconf.ParamID, lo, hi float64)
 	// Bias sets a sampling weight profile for one dimension; nil
 	// restores uniform sampling. Backends without a stratified sampler
 	// ignore it.
-	Bias(name string, w lhs.Weights)
+	Bias(id mrconf.ParamID, w lhs.Weights)
 	// Bounds returns the current bounds of a dimension.
-	Bounds(name string) (lo, hi float64)
+	Bounds(id mrconf.ParamID) (lo, hi float64)
 }
 
 // ScopeState is the persistable outcome of one scope's search (map or
@@ -114,8 +115,8 @@ type Optimizer interface {
 type ScopeState struct {
 	// Backend that produced the state, informational.
 	Backend string `json:"backend,omitempty"`
-	// Names are the searched parameter names, in point-coordinate
-	// order. Warm starts are refused when the names don't match the
+	// Names are the searched parameters' Hadoop keys, in
+	// point-coordinate order. Warm starts are refused when the names don't match the
 	// new search's dimensions (e.g. gray-box state offered to a
 	// black-box search).
 	Names []string `json:"names"`
@@ -221,8 +222,7 @@ func ApplyPoint(cfg mrconf.Config, params []mrconf.Param, point []float64) mrcon
 	var set [mrconf.NumParams]bool
 	var vals [mrconf.NumParams]float64
 	for i, p := range params {
-		id, _ := mrconf.ID(p.Name)
-		set[id], vals[id] = true, p.Quantize(point[i])
+		set[p.ID], vals[p.ID] = true, p.Quantize(point[i])
 	}
 	return cfg.WithIDs(&set, &vals)
 }
@@ -267,7 +267,7 @@ type search struct {
 func newSearch(backend string, o Options) search {
 	space := make(lhs.Space, len(o.Params))
 	for i, p := range o.Params {
-		space[i] = lhs.Dim{Name: p.Name, Min: p.Min, Max: p.Max}
+		space[i] = lhs.Dim{Min: p.Min, Max: p.Max}
 	}
 	return search{
 		backend: backend,
@@ -340,20 +340,21 @@ func (s *search) normalize(d int, v float64) float64 {
 func (s *search) raw(x []float64) []float64 {
 	p := make([]float64, len(x))
 	for d := range x {
-		v := s.full[d].Min + x[d]*s.full[d].Range()
+		v := s.full[d].Min + float64(x[d]*s.full[d].Range())
 		p[d] = metrics.Clamp(v, s.space[d].Min, s.space[d].Max)
 	}
 	return p
 }
 
-// dim returns the index of a named dimension.
-func (s *search) dim(name string) int {
-	for d := range s.space {
-		if s.space[d].Name == name {
+// dim returns the index of parameter id's dimension; it panics,
+// naming the parameter, when id is not searched.
+func (s *search) dim(id mrconf.ParamID) int {
+	for d, p := range s.params {
+		if p.ID == id {
 			return d
 		}
 	}
-	panic(fmt.Sprintf("tuner: unknown dimension %q", name))
+	panic(fmt.Sprintf("tuner: %s is not a searched dimension", id.Param().Name))
 }
 
 func (s *search) Done() bool            { return s.done }
@@ -395,8 +396,8 @@ func (s *search) Export() ScopeState {
 
 // Tighten narrows a dimension's bounds within its full range; the best
 // point is clamped into the new bounds.
-func (s *search) Tighten(name string, lo, hi float64) {
-	d := s.dim(name)
+func (s *search) Tighten(id mrconf.ParamID, lo, hi float64) {
+	d := s.dim(id)
 	full := s.full[d]
 	lo = metrics.Clamp(lo, full.Min, full.Max)
 	hi = metrics.Clamp(hi, full.Min, full.Max)
@@ -409,12 +410,12 @@ func (s *search) Tighten(name string, lo, hi float64) {
 	}
 }
 
-func (s *search) Bounds(name string) (lo, hi float64) {
-	d := s.dim(name)
+func (s *search) Bounds(id mrconf.ParamID) (lo, hi float64) {
+	d := s.dim(id)
 	return s.space[d].Min, s.space[d].Max
 }
 
 // Bias only validates the dimension: spsa has no stratified sampler to
 // bias, and tpe's Parzen model already concentrates sampling where the
 // observed costs are low. hill overrides it.
-func (s *search) Bias(name string, _ lhs.Weights) { s.dim(name) }
+func (s *search) Bias(id mrconf.ParamID, _ lhs.Weights) { s.dim(id) }
