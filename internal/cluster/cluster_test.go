@@ -26,66 +26,11 @@ func TestPaperConfigShape(t *testing.T) {
 	if n.VCores != 28 {
 		t.Fatalf("vcores = %d, want 28", n.VCores)
 	}
-	if n.Mem.Capacity != 6*1024 {
-		t.Fatalf("container mem = %v, want 6144", n.Mem.Capacity)
+	if n.ContainerMemMB != 6*1024 {
+		t.Fatalf("container mem = %v, want 6144", n.ContainerMemMB)
 	}
 	if got := n.CoreRatio(); got <= 0.2 || got >= 0.4 {
 		t.Fatalf("core ratio = %v, want ~8/28", got)
-	}
-}
-
-func TestMemPoolAllocateRelease(t *testing.T) {
-	p := NewMemPool("m", 1000)
-	if err := p.Allocate(600); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Allocate(500); err == nil {
-		t.Fatal("overallocation succeeded")
-	}
-	if p.Free() != 400 {
-		t.Fatalf("Free = %v, want 400", p.Free())
-	}
-	p.Release(600)
-	if p.Used() != 0 {
-		t.Fatalf("Used = %v, want 0", p.Used())
-	}
-	if err := p.Allocate(-1); err == nil {
-		t.Fatal("negative allocation succeeded")
-	}
-}
-
-func TestMemPoolDoubleReleasePanics(t *testing.T) {
-	p := NewMemPool("m", 1000)
-	if err := p.Allocate(100); err != nil {
-		t.Fatal(err)
-	}
-	p.Release(100)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double release did not panic")
-		}
-	}()
-	p.Release(100)
-}
-
-// TestMemPoolUtilization checks that the pool's level is what its
-// allocations hold right now, and that a release overshooting by a
-// rounding error leaves it at zero, not below.
-func TestMemPoolUtilization(t *testing.T) {
-	p := NewMemPool("m", 1000)
-	if err := p.Allocate(500); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Allocate(0.1); err != nil {
-		t.Fatal(err)
-	}
-	p.Release(200)
-	if u := p.Used() / p.Capacity; !almostEqual(u, 0.3001, 1e-12) {
-		t.Fatalf("utilization = %v, want 0.3001", u)
-	}
-	p.Release(300.1 + 1e-7)
-	if p.Used() != 0 || p.Free() != p.Capacity {
-		t.Fatalf("after releasing everything: used %v, free %v", p.Used(), p.Free())
 	}
 }
 
@@ -274,12 +219,12 @@ func TestHeterogeneousCluster(t *testing.T) {
 		switch n.Cores {
 		case 8:
 			big++
-			if n.Mem.Capacity != 6*1024 || n.VCores != 28 {
+			if n.ContainerMemMB != 6*1024 || n.VCores != 28 {
 				t.Fatalf("big node misconfigured: %+v", n)
 			}
 		case 4:
 			small++
-			if n.Mem.Capacity != 3*1024 || n.VCores != 16 {
+			if n.ContainerMemMB != 3*1024 || n.VCores != 16 {
 				t.Fatalf("small node misconfigured: %+v", n)
 			}
 		default:
@@ -342,6 +287,7 @@ func TestInvalidNodeClassPanics(t *testing.T) {
 		}, "cluster: invalid node class {Count:-5 "},
 		{"negative rack", func(c *Config) { c.RackSizes = []int{9, -1} }, "cluster: rack 1 has negative size -1"},
 		{"no rack", func(c *Config) { c.RackSizes = nil }, "cluster: config needs at least one rack"},
+		{"zero container memory", func(c *Config) { c.ContainerMemMB = 0 }, "cluster: node00 must have positive container memory, got 0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := PaperConfig()
@@ -351,9 +297,9 @@ func TestInvalidNodeClassPanics(t *testing.T) {
 	}
 }
 
-// TestNewAllocationsPerNode pins the node layout: a node's memory
-// pool, fabrics and links live inside it and all nodes share one
-// array, so a cluster's allocations barely grow with its node count.
+// TestNewAllocationsPerNode pins the node layout: a node's fabrics and
+// links live inside it and all nodes share one array, so a cluster's
+// allocations barely grow with its node count.
 func TestNewAllocationsPerNode(t *testing.T) {
 	allocs := func(racks int) float64 {
 		cfg := PaperConfig()
@@ -370,9 +316,9 @@ func TestNewAllocationsPerNode(t *testing.T) {
 	}
 }
 
-// TestTopologyNames: the topology stores no names, yet every pool,
-// fabric and link still reports its role's name, and the errors and
-// panics that print one still do.
+// TestTopologyNames: the topology stores no names, yet every fabric
+// and link still reports its role's name, and the panics that print
+// one still do.
 func TestTopologyNames(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -388,7 +334,6 @@ func TestTopologyNames(t *testing.T) {
 			for _, nm := range []struct{ got, want string }{
 				{n.Name, "node03"},
 				{c.Nodes[17].Name, "node17"},
-				{n.Mem.Name(), "node03/mem"},
 				{n.cpu.Name(), "node03/cpu"},
 				{n.cpuLink.Name(), "node03/cpu"},
 				{n.disk.Name(), "node03/disk"},
@@ -402,10 +347,6 @@ func TestTopologyNames(t *testing.T) {
 					t.Errorf("name %q, want %q", nm.got, nm.want)
 				}
 			}
-			err := n.Mem.Allocate(2 * n.Mem.Capacity)
-			if want := "cluster: node03/mem out of memory"; err == nil || !strings.Contains(err.Error(), want) {
-				t.Errorf("over-allocation error %v, want one containing %q", err, want)
-			}
 			panicsWith(t, `cluster: link "node03/disk" does not belong to fabric "network"`, func() {
 				c.NetworkFabric().Start([]*Link{&n.diskLink}, 1, 0, nil)
 			})
@@ -418,12 +359,10 @@ func TestTopologyNames(t *testing.T) {
 		eng := sim.NewEngine()
 		fb := NewFabric(eng, "bus")
 		l := fb.AddLink("lane", 10)
-		p := NewMemPool("heap", 10)
-		if fb.Name() != "bus" || l.Name() != "lane" || p.Name() != "heap" {
-			t.Errorf("names %q %q %q, want bus lane heap", fb.Name(), l.Name(), p.Name())
+		if fb.Name() != "bus" || l.Name() != "lane" {
+			t.Errorf("names %q %q, want bus lane", fb.Name(), l.Name())
 		}
 		panicsWith(t, `cluster: link "" does not belong to fabric "bus"`, func() { fb.Start([]*Link{{Capacity: 1}}, 1, 0, nil) })
 		panicsWith(t, `cluster: link "gone" must have positive capacity`, func() { fb.AddLink("gone", 0) })
-		panicsWith(t, `cluster: mem pool "dry" must have positive capacity`, func() { NewMemPool("dry", 0) })
 	})
 }

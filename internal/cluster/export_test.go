@@ -32,14 +32,6 @@ func (fb *Fabric) AddLink(name string, capacity float64) *Link {
 // ActiveFlows returns the number of in-flight flows in the fabric.
 func (fb *Fabric) ActiveFlows() int { return len(fb.flows) }
 
-// NewMemPool returns a pool of capacity MB.
-func NewMemPool(name string, capacity float64) *MemPool {
-	p := &MemPool{ws: &workspace{}}
-	p.ws.nameAs(p, name)
-	p.init(capacity)
-	return p
-}
-
 // CancelFlow aborts a flow previously started on this node's CPU or
 // disk, or in the cluster network.
 func (n *Node) CancelFlow(f *Flow) {

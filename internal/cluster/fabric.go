@@ -171,9 +171,9 @@ type Fabric struct {
 // cluster, the one its role implies (network, node03/disk).
 func (fb *Fabric) Name() string { return fb.ws.name(fb) }
 
-// workspace is what the fabrics and memory pools of one cluster share:
-// the engine, the recompute epoch and scratch, the free list of
-// recycled flows, and the way to their names. cluster.New gives all of
+// workspace is what the fabrics of one cluster share: the engine, the
+// recompute epoch and scratch, the free list of recycled flows, and
+// the way to their names. cluster.New gives all of
 // its fabrics one, so the scratch is sized by the largest component
 // any fabric sweeps rather than once per node, and a flow finished on
 // one node's disk can serve the next Start on any fabric. Sharing is
@@ -185,8 +185,8 @@ type workspace struct {
 	eng *sim.Engine
 
 	// cluster, when set, names the topology it built by role (see
-	// Cluster.topologyName), so no link, fabric or pool stores a name;
-	// names holds the names given to NewFabric, AddLink and NewMemPool.
+	// Cluster.topologyName), so no link or fabric stores a name; names
+	// holds the names given to NewFabric and AddLink.
 	// Only panics and errors read either.
 	cluster *Cluster
 	names   map[any]string
@@ -568,7 +568,7 @@ func (fb *Fabric) recompute(seeds []*Link, seedFlow *Flow) {
 	for _, fi := range flows {
 		f := fb.flows[fi]
 		if f.rate > 0 {
-			f.remaining -= f.rate * (now - f.lastAdvance)
+			f.remaining -= float64(f.rate * (now - f.lastAdvance))
 			if f.remaining < 0 {
 				f.remaining = 0
 			}
@@ -789,7 +789,7 @@ func (fb *Fabric) fill(flows, links []int32) {
 		exhausted := ws.exhausted[:0]
 		for _, li := range live {
 			l := fb.links[li]
-			l.remaining -= delta * float64(l.count)
+			l.remaining -= float64(delta * float64(l.count))
 			if l.remaining <= relEps*l.Capacity {
 				exhausted = append(exhausted, li)
 			}
@@ -811,7 +811,7 @@ func (fb *Fabric) fill(flows, links []int32) {
 		minCap = math.Inf(1)
 		for i := 0; i < len(capped); {
 			f := fb.flows[capped[i]]
-			if !f.frozen && level < f.rateCap-relEps*f.rateCap {
+			if !f.frozen && level < f.rateCap-float64(relEps*f.rateCap) {
 				if f.rateCap < minCap {
 					minCap = f.rateCap
 				}

@@ -4,11 +4,12 @@ package cluster
 // flow touching the node — its CPU and disk fabrics and both NIC
 // directions — and notifies subscribers (the HDFS namenode and the YARN
 // resource manager in the full stack) so each layer can run its own
-// recovery protocol. Memory accounting is NOT touched here: containers
-// on the node are still "allocated" until YARN declares the node lost
-// and releases them, mirroring the real RM/NM split where the RM's
-// bookkeeping outlives the dead NodeManager until the liveness monitor
-// expires it.
+// recovery protocol. The cluster keeps only the hardware facts, a
+// node's capacities and whether it is up; container bookkeeping is
+// YARN's. A crash therefore frees no container memory: the resource
+// manager keeps the node's containers booked until it declares the
+// node lost, as the real RM's bookkeeping outlives a dead NodeManager
+// until the liveness monitor expires it.
 
 // SubscribeNodeState registers fn to be invoked whenever a node crashes
 // (down=true) or is restored (down=false). Callbacks run synchronously

@@ -2,12 +2,14 @@ package cluster
 
 import "fmt"
 
-// Node is one machine: a CPU pool, a container memory pool, one disk,
-// and a full-duplex NIC. The disk and CPU each live in their own
-// single-link fabric (contention is node-local); the NIC links live in
-// the cluster's network fabric. The pool, both fabrics and all four
-// links are part of the Node itself, so cluster.New builds a node
-// without allocating; a Node must therefore never be copied.
+// Node is one machine: a CPU pool, container memory, one disk, and a
+// full-duplex NIC. The disk and CPU each live in their own single-link
+// fabric (contention is node-local); the NIC links live in the
+// cluster's network fabric. Both fabrics and all four links are part of
+// the Node itself, so cluster.New builds a node without allocating; a
+// Node must therefore never be copied. The node holds only hardware
+// facts, its capacities and whether it is up; the YARN resource
+// manager books what its containers use.
 type Node struct {
 	ID   int
 	Name string
@@ -19,8 +21,9 @@ type Node struct {
 	// container allocation (yarn.nodemanager.resource.cpu-vcores minus
 	// the daemon reservation).
 	VCores int
-
-	Mem *MemPool // container memory, MB; points at mem
+	// ContainerMemMB is the memory the node manager offers to
+	// containers (yarn.nodemanager.resource.memory-mb).
+	ContainerMemMB float64
 
 	NICIn  *Link // receive direction, in the cluster network fabric; points at nicIn
 	NICOut *Link // transmit direction; points at nicOut
@@ -32,7 +35,6 @@ type Node struct {
 	// is cheap, but every flow was aborted at crash time.
 	down bool
 
-	mem                              MemPool
 	cpu, disk                        Fabric
 	cpuLink, diskLink, nicIn, nicOut Link
 	// links backs the CPU and disk fabrics' one-element link slices,

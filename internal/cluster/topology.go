@@ -193,10 +193,10 @@ func (c *Cluster) build(ws *workspace, nodes []Node, cfg Config, sizes []int, na
 		}
 		n.ID, n.Name, n.Rack = id, names[name:end], rack
 		name = end
-		n.Cores, n.VCores, n.cluster = cores, vcores, c
-		n.mem.ws = ws
-		n.mem.init(memMB)
-		n.Mem = &n.mem
+		if memMB <= 0 {
+			panic(fmt.Sprintf("cluster: %s must have positive container memory, got %v", n.Name, memMB))
+		}
+		n.Cores, n.VCores, n.ContainerMemMB, n.cluster = cores, vcores, memMB, c
 		n.cpu = Fabric{ws: ws, links: n.links[0:0:1]}
 		n.cpu.addLink(&n.cpuLink, cores)
 		n.disk = Fabric{ws: ws, links: n.links[1:1:2]}
@@ -205,7 +205,7 @@ func (c *Cluster) build(ws *workspace, nodes []Node, cfg Config, sizes []int, na
 		n.NICOut = c.net.addLink(&n.nicOut, nicMBps)
 		c.Nodes[id] = n
 		c.Racks[rack] = append(c.Racks[rack], n)
-		c.totalMemMB += n.Mem.Capacity
+		c.totalMemMB += n.ContainerMemMB
 		id++
 	}
 
@@ -236,9 +236,9 @@ func (c *Cluster) build(ws *workspace, nodes []Node, cfg Config, sizes []int, na
 // in node order.
 func (c *Cluster) TotalContainerMemMB() float64 { return c.totalMemMB }
 
-// topologyName names one of the cluster's fabrics, links or memory
-// pools by its role, in O(nodes): only panics and errors need a name,
-// so the topology stores none.
+// topologyName names one of the cluster's fabrics or links by its
+// role, in O(nodes): only panics and errors need a name, so the
+// topology stores none.
 func (c *Cluster) topologyName(obj any) string {
 	if obj == any(c.net) {
 		return "network"
@@ -250,8 +250,6 @@ func (c *Cluster) topologyName(obj any) string {
 	}
 	for _, n := range c.Nodes {
 		switch obj {
-		case &n.mem:
-			return n.Name + "/mem"
 		case &n.cpu, &n.cpuLink:
 			return n.Name + "/cpu"
 		case &n.disk, &n.diskLink:

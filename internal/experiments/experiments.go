@@ -857,7 +857,7 @@ func sweepStat(imps []float64) SweepStat {
 	sum, sumSq := 0.0, 0.0
 	for _, v := range imps {
 		sum += v
-		sumSq += v * v
+		sumSq += float64(v * v)
 		if v < st.MinImp {
 			st.MinImp = v
 		}
@@ -867,7 +867,7 @@ func sweepStat(imps []float64) SweepStat {
 	}
 	n := float64(len(imps))
 	st.MeanImp = sum / n
-	if variance := sumSq/n - st.MeanImp*st.MeanImp; variance > 0 {
+	if variance := sumSq/n - float64(st.MeanImp*st.MeanImp); variance > 0 {
 		st.StdDev = math.Sqrt(variance)
 	}
 	return st

@@ -31,8 +31,8 @@ func checkInvariants(t *testing.T, j *Job, res Result) {
 		t.Fatalf("job %s still holds %v MB of reduce headroom and %d speculative copies", j.Name, mem, shadows)
 	}
 	for _, n := range j.rm.Cluster().Nodes {
-		if n.Mem.Used() != 0 {
-			t.Fatalf("node %s still holds %v MB after job %s", n.Name, n.Mem.Used(), j.Name)
+		if mem := j.rm.BookedMemMB(n); mem != 0 {
+			t.Fatalf("node %s still holds %v MB after job %s", n.Name, mem, j.Name)
 		}
 	}
 	c := res.Counters

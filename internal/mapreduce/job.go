@@ -136,7 +136,7 @@ func Submit(rm *yarn.ResourceManager, fs *hdfs.FileSystem, spec Spec, onDone fun
 	for i := range shares {
 		cv := 0.15
 		sigma := math.Sqrt(math.Log(1 + cv*cv))
-		shares[i] = math.Exp(-sigma*sigma/2 + sigma*rrng.NormFloat64())
+		shares[i] = math.Exp(float64(-sigma*sigma/2) + float64(sigma*rrng.NormFloat64()))
 		total += shares[i]
 	}
 	for i := range shares {

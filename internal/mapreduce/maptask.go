@@ -63,7 +63,7 @@ func (j *Job) mapMain(t *Task) {
 	if t.Split != nil {
 		inputMB = t.Split.SizeMB
 	}
-	rawOutMB := (inputMB*p.RawMapSelectivity + p.MapFixedOutputMB) * t.Skew
+	rawOutMB := (float64(inputMB*p.RawMapSelectivity) + p.MapFixedOutputMB) * t.Skew
 	combinedMB := rawOutMB * p.CombinerReduction
 
 	bufferMB := t.Config.SortMB() * t.Config.SpillPct()
@@ -74,10 +74,10 @@ func (j *Job) mapMain(t *Task) {
 
 	// Memory feasibility: heap must hold the sort buffer plus the map
 	// function's working set.
-	heapNeedMB := JVMBaseMB + t.Config.SortMB() + p.MapWorkingSetMB*math.Sqrt(t.Skew)
+	heapNeedMB := JVMBaseMB + t.Config.SortMB() + float64(p.MapWorkingSetMB*math.Sqrt(t.Skew))
 	t.peakMemMB = heapNeedMB / mrconf.HeapFraction // resident ≈ heap use / heap fraction
 	coreCap := math.Min(MapComputeParallelism, math.Max(t.container.CoreCap(), BurstFloorCores))
-	cpuSecs := inputMB*p.MapCPUPerMB*t.Skew + p.MapFixedCPUSecs*t.Skew + rawOutMB*p.SortCPUPerMB
+	cpuSecs := float64(inputMB*p.MapCPUPerMB*t.Skew) + float64(p.MapFixedCPUSecs*t.Skew) + float64(rawOutMB*p.SortCPUPerMB)
 
 	if heapNeedMB > t.Config.MapHeapMB() {
 		// The JVM dies partway through filling the buffer.
@@ -138,8 +138,8 @@ func (j *Job) mapMerge(t *Task) {
 	// Merge passes write their output through the disk; the reads hit
 	// the page cache (the spill files were written moments ago on a
 	// node with gigabytes of cache), so only writes are charged.
-	mergeIOMB := finalSpillMB + combinedMB*float64(passes)
-	mergeCPU := combinedMB * p.SortCPUPerMB * float64(passes)
+	mergeIOMB := finalSpillMB + float64(combinedMB*float64(passes))
+	mergeCPU := float64(combinedMB * p.SortCPUPerMB * float64(passes))
 	t.cpuSecs += mergeCPU
 
 	coreCap := math.Min(MapComputeParallelism, math.Max(t.container.CoreCap(), BurstFloorCores))
@@ -161,7 +161,7 @@ func (j *Job) mapFinish(t *Task) {
 		combinedRecs = combinedMB / p.RecordBytes
 		rawRecs = combinedMB / p.CombinerReduction / p.RecordBytes
 	}
-	spilled := combinedRecs * float64(1+passes)
+	spilled := float64(combinedRecs * float64(1+passes))
 
 	j.counters.MapInputMB += t.inputMB
 	j.counters.MapOutputRecords += rawRecs

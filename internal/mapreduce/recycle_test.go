@@ -151,7 +151,7 @@ func TestLateContainerAfterRecycle(t *testing.T) {
 				res.Failed, res.Counters.TaskFailures, res.Counters.SpeculativeWins)
 		}
 		for _, n := range probe.rm.Cluster().Nodes {
-			held += n.Mem.Used()
+			held += probe.rm.BookedMemMB(n)
 		}
 	})
 	probe.eng.Run()

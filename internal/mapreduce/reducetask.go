@@ -58,7 +58,7 @@ func (j *Job) reduceMain(t *Task) {
 	p := j.bench.Profile
 
 	share := j.reduceShare[t.ID]
-	estTotalMB := j.bench.ShuffleSizeMB * share
+	estTotalMB := float64(j.bench.ShuffleSizeMB * share)
 
 	heap := t.Config.ReduceHeapMB()
 	shuffleBufMB := t.Config.ShuffleBufferPct() * heap
@@ -69,7 +69,7 @@ func (j *Job) reduceMain(t *Task) {
 	// the map side's preallocated io.sort.mb array); during reduce the
 	// retained bytes plus the user code working set.
 	shufflePeak := JVMBaseMB + math.Min(shuffleBufMB, estTotalMB*math.Max(1, t.Skew))
-	reducePeak := JVMBaseMB + retainMB + p.ReduceWorkingSetMB*math.Sqrt(math.Max(1, t.Skew))
+	reducePeak := JVMBaseMB + retainMB + float64(p.ReduceWorkingSetMB*math.Sqrt(math.Max(1, t.Skew)))
 	heapNeedMB := math.Max(shufflePeak, reducePeak)
 	t.peakMemMB = heapNeedMB / mrconf.HeapFraction
 
@@ -117,7 +117,7 @@ func (j *Job) reduceMain(t *Task) {
 
 // availableMB returns shuffle bytes ready for this reducer.
 func (j *Job) availableMB(r *reduceRun) float64 {
-	return j.totalMapOutMB*r.share - r.fetchedMB - r.fetchingMB
+	return float64(j.totalMapOutMB*r.share) - r.fetchedMB - r.fetchingMB
 }
 
 // wakeReducers pokes idle reducers after new map output appears.
@@ -207,15 +207,15 @@ func (j *Job) reduceSort(r *reduceRun) {
 	node := t.container.Node
 
 	totalIn := r.fetchedMB
-	diskMB := totalIn * r.diskFrac
+	diskMB := float64(totalIn * r.diskFrac)
 	r.pendingInMB = totalIn
 
 	extraPasses := 0
 	if r.numDiskSegs > t.Config.SortFactor() {
 		extraPasses = mergePasses(r.numDiskSegs, t.Config.SortFactor()) - 1
 	}
-	readMB := diskMB + 2*diskMB*float64(extraPasses)
-	spilledMB := diskMB + diskMB*float64(extraPasses)
+	readMB := diskMB + float64(2*diskMB*float64(extraPasses))
+	spilledMB := diskMB + float64(diskMB*float64(extraPasses))
 	if p.RecordBytes > 0 {
 		t.spilledRec = spilledMB / p.RecordBytes
 		t.outputRec = totalIn / p.RecordBytes
@@ -223,7 +223,7 @@ func (j *Job) reduceSort(r *reduceRun) {
 	t.dataMB = totalIn
 	r.pendingSpillRec = t.spilledRec
 
-	cpu := totalIn * (p.SortCPUPerMB*float64(1+extraPasses) + p.ReduceCPUPerMB)
+	cpu := float64(totalIn * (float64(p.SortCPUPerMB*float64(1+extraPasses)) + p.ReduceCPUPerMB))
 	t.cpuSecs += cpu
 	coreCap := math.Min(ReduceComputeParallelism, math.Max(t.container.CoreCap(), BurstFloorCores))
 

@@ -242,11 +242,11 @@ func (r TaskReport) Duration() float64 { return r.End - r.Start }
 // stayed below the JVM base and the buffer.
 func (r TaskReport) WorkingSetMB() float64 {
 	if r.Type == MapTask {
-		peakHeap := r.MemUtil * r.Config.MapMemMB() * mrconf.HeapFraction
+		peakHeap := float64(r.MemUtil * r.Config.MapMemMB() * mrconf.HeapFraction)
 		return peakHeap - JVMBaseMB - r.Config.SortMB()
 	}
-	peakHeap := r.MemUtil * r.Config.ReduceMemMB() * mrconf.HeapFraction
-	return peakHeap - JVMBaseMB - r.Config.ShuffleBufferPct()*r.Config.ReduceHeapMB()
+	peakHeap := float64(r.MemUtil * r.Config.ReduceMemMB() * mrconf.HeapFraction)
+	return peakHeap - JVMBaseMB - float64(r.Config.ShuffleBufferPct()*r.Config.ReduceHeapMB())
 }
 
 // Controller is MRONLINE's hook into the application master. The

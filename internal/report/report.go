@@ -152,7 +152,7 @@ func (c *BarChart) SVG(width, height int) string {
 	// Y axis with 4 gridlines.
 	for i := 0; i <= 4; i++ {
 		v := axisTop * float64(i) / 4
-		y := float64(marginT) + plotH*(1-v/axisTop)
+		y := float64(marginT) + float64(plotH*(1-v/axisTop))
 		fmt.Fprintf(&b, `<line x1="%d" y1="%.1f" x2="%d" y2="%.1f" stroke="#ddd"/>`, marginL, y, width-marginR, y)
 		fmt.Fprintf(&b, `<text x="%d" y="%.1f" text-anchor="end" fill="#555">%s</text>`,
 			marginL-6, y+4, formatTick(v))
@@ -175,21 +175,21 @@ func (c *BarChart) SVG(width, height int) string {
 	barW := groupW * 0.8 / float64(nSeries)
 
 	for gi, g := range c.Groups {
-		gx := float64(marginL) + groupW*float64(gi) + groupW*0.1
+		gx := float64(marginL) + float64(groupW*float64(gi)) + float64(groupW*0.1)
 		for si, v := range g.Values {
 			h := plotH * v / axisTop
-			x := gx + barW*float64(si)
+			x := gx + float64(barW*float64(si))
 			y := float64(marginT) + plotH - h
 			fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="%s"/>`,
 				x, y, barW-2, h, seriesPalette[si%len(seriesPalette)])
 			// Value label above the bar.
 			fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" text-anchor="middle" fill="#333">%s</text>`,
-				x+barW/2-1, y-3, fmt.Sprintf(valueFormat, v))
+				x+float64(barW/2)-1, y-3, fmt.Sprintf(valueFormat, v))
 			b.WriteString("\n")
 		}
 		// Group label.
 		fmt.Fprintf(&b, `<text x="%.1f" y="%d" text-anchor="middle" fill="#333">%s</text>`,
-			gx+groupW*0.4, height-marginB+16, html.EscapeString(g.Label))
+			gx+float64(groupW*0.4), height-marginB+16, html.EscapeString(g.Label))
 		b.WriteString("\n")
 	}
 

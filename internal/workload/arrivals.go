@@ -50,7 +50,7 @@ func (s ArrivalSpec) rate(t float64) float64 {
 	if s.DiurnalAmplitude == 0 {
 		return base
 	}
-	return base * (1 + s.DiurnalAmplitude*math.Sin(2*math.Pi*t/daySecs))
+	return base * (1 + float64(s.DiurnalAmplitude*math.Sin(2*math.Pi*t/daySecs)))
 }
 
 // Arrivals generates the arrival times of the nonhomogeneous Poisson

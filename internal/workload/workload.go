@@ -273,10 +273,10 @@ func BBP(digits, maps int) Benchmark {
 func (b Benchmark) Splits(rng *rand.Rand) []float64 {
 	out := make([]float64, b.NumMaps)
 	cv := b.Dataset.SkewCV
-	sigma := math.Sqrt(math.Log(1 + cv*cv))
-	mu := -sigma * sigma / 2
+	sigma := math.Sqrt(math.Log(1 + float64(cv*cv)))
+	mu := float64(-sigma * sigma / 2)
 	for i := range out {
-		out[i] = math.Exp(mu + sigma*rng.NormFloat64())
+		out[i] = math.Exp(mu + float64(sigma*rng.NormFloat64()))
 	}
 	return out
 }

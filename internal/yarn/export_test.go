@@ -12,8 +12,7 @@ func (rm *ResourceManager) Blacklisted(n *cluster.Node) bool {
 // NodeDeclaredLost reports whether the node is down and its containers
 // have been reclaimed.
 func (rm *ResourceManager) NodeDeclaredLost(n *cluster.Node) bool {
-	id := n.ID
-	return rm.nodeDown[id] && rm.declaredLost[id]
+	return n.Down() && rm.declaredLost[n.ID]
 }
 
 // RetryWakeupsScheduled returns how many relax-retry wakeup events have

@@ -17,12 +17,11 @@ import "repro/internal/cluster"
 func (rm *ResourceManager) onNodeState(n *cluster.Node, down bool) {
 	id := n.ID
 	if down {
-		rm.nodeDown[id] = true
 		rm.declaredLost[id] = false
 		rm.downEpoch[id]++
 		epoch := rm.downEpoch[id]
 		rm.eng.After(rm.NodeExpirySecs, func() {
-			if rm.nodeDown[id] && rm.downEpoch[id] == epoch && !rm.declaredLost[id] {
+			if n.Down() && rm.downEpoch[id] == epoch && !rm.declaredLost[id] {
 				rm.declareNodeLost(n)
 			}
 		})
@@ -33,7 +32,6 @@ func (rm *ResourceManager) onNodeState(n *cluster.Node, down bool) {
 		// reclaim the ones the RM still has booked there.
 		rm.declareNodeLost(n)
 	}
-	rm.nodeDown[id] = false
 	rm.downEpoch[id]++
 	rm.declaredLost[id] = false
 	rm.nodeFailures[id] = 0
@@ -95,7 +93,7 @@ func (rm *ResourceManager) reclaimLost(c *Container) {
 // node is being handled by the loss path).
 func (rm *ResourceManager) ReportTaskFailure(n *cluster.Node) {
 	id := n.ID
-	if rm.nodeDown[id] || rm.BlacklistThreshold <= 0 {
+	if n.Down() || rm.BlacklistThreshold <= 0 {
 		return
 	}
 	rm.nodeFailures[id]++

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/sim"
 )
 
 // TestNodeLossReclaimsContainers kills a node and checks the RM
@@ -47,7 +48,7 @@ func TestNodeLossReclaimsContainers(t *testing.T) {
 		if app.Running() != 0 {
 			t.Fatalf("notify=%v: app still running %d containers", notify, app.Running())
 		}
-		if used := victim.Mem.Used(); used != 0 {
+		if used := rm.BookedMemMB(victim); used != 0 {
 			t.Fatalf("notify=%v: lost node still has %v MB allocated", notify, used)
 		}
 
@@ -65,6 +66,43 @@ func TestNodeLossReclaimsContainers(t *testing.T) {
 		if again.Node == victim {
 			t.Fatalf("notify=%v: replacement placed on the dead node", notify)
 		}
+	}
+}
+
+// TestNodeDownBeforeRM: an RM built over a cluster whose node has
+// already crashed never places a container there, although it never
+// heard the crash. Liveness is the node's own fact, read where the RM
+// needs it; a task failure reported there is ignored like any other on
+// a down node.
+func TestNodeDownBeforeRM(t *testing.T) {
+	eng := sim.NewEngine()
+	c := cluster.New(eng, cluster.PaperConfig())
+	dead := c.Nodes[0]
+	c.KillNode(dead)
+	rm := NewResourceManager(eng, c, FIFOScheduler{})
+	app := rm.Submit("job")
+	want, placed := 2*len(c.Nodes), 0
+	for i := 0; i < want; i++ {
+		req := &Request{Resource: Resource{MemMB: 1024, VCores: 1}, OnAllocate: func(cont *Container) {
+			placed++
+			if cont.Node == dead {
+				t.Errorf("container %d placed on %s, which is down", cont.ID, dead.Name)
+			}
+		}}
+		if i%2 == 0 {
+			req.PreferredNodes = []*cluster.Node{dead}
+		}
+		app.Request(req)
+	}
+	eng.Run()
+	if placed != want {
+		t.Fatalf("placed %d of %d requests", placed, want)
+	}
+	for j := 0; j < rm.BlacklistThreshold; j++ {
+		rm.ReportTaskFailure(dead)
+	}
+	if rm.Blacklisted(dead) {
+		t.Error("task failures on a down node blacklisted it")
 	}
 }
 
@@ -178,7 +216,7 @@ func TestBlacklistIgnoredWhenTooWide(t *testing.T) {
 
 	// Ask for one whole-node container per node: if the blacklist were
 	// honored, 7 of the 18 requests could never place.
-	mem := c.Nodes[0].Mem.Capacity
+	mem := c.Nodes[0].ContainerMemMB
 	placed := 0
 	onBlacklisted := 0
 	for i := 0; i < len(c.Nodes); i++ {
@@ -216,7 +254,7 @@ func TestContainerReclaimedInDelayNotReused(t *testing.T) {
 		OnNodeLost: func(cont *Container) { reclaimed = cont }})
 	eng.At(0.1, func() {
 		for _, n := range c.Nodes {
-			if n.Mem.Used() > 0 {
+			if rm.BookedMemMB(n) > 0 {
 				c.KillNode(n) // declared lost at 0.35, inside the delay
 			}
 		}

@@ -2,6 +2,8 @@ package yarn
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -17,7 +19,7 @@ func TestRelaxRetryCoalescing(t *testing.T) {
 	holder := rm.Submit("holder")
 	for range c.Nodes {
 		holder.Request(&Request{
-			Resource:   Resource{MemMB: c.Nodes[0].Mem.Capacity, VCores: c.Nodes[0].VCores},
+			Resource:   Resource{MemMB: c.Nodes[0].ContainerMemMB, VCores: c.Nodes[0].VCores},
 			OnAllocate: func(*Container) {}, // held forever
 		})
 	}
@@ -94,35 +96,113 @@ func TestPlacementDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestFreeCapacityIndexMirrorsMemPools churns placements and releases
-// and checks after every step that the RM's free-capacity mirror
-// arrays agree bit-for-bit with the nodes' MemPool accounting.
-func TestFreeCapacityIndexMirrorsMemPools(t *testing.T) {
-	eng, c, rm := newRMQuiet(FIFOScheduler{})
-	check := func(when string) {
-		for i, n := range c.Nodes {
-			if rm.nodeUsedMem[i] != n.Mem.Used() {
-				t.Fatalf("%s: node %d mirror=%v pool=%v", when, i, rm.nodeUsedMem[i], n.Mem.Used())
+// TestContainerLedger: the RM's per-node booking of memory and vcores
+// is the only record of what containers hold, so it must balance. At
+// every step each node's booking is what its placed, unreleased
+// containers hold; after placements, releases, a node loss and a
+// restore, it is zero on every node. A release that overshoots the
+// booking by a rounding error leaves zero, not a negative booking, and
+// one larger than the booking panics.
+func TestContainerLedger(t *testing.T) {
+	t.Run("balances", func(t *testing.T) {
+		eng, c, rm := newRMQuiet(FIFOScheduler{})
+		rm.NodeExpirySecs = 1
+		check := func(when string) {
+			t.Helper()
+			mem := make([]float64, len(c.Nodes))
+			vc := make([]int, len(c.Nodes))
+			for _, app := range rm.apps {
+				for _, cont := range app.live {
+					mem[cont.Node.ID] += cont.Resource.MemMB
+					vc[cont.Node.ID] += cont.Resource.VCores
+				}
+			}
+			for i, n := range c.Nodes {
+				if got := rm.BookedMemMB(n); math.Abs(got-mem[i]) > 1e-6 || rm.nodeUsedVC[i] != vc[i] {
+					t.Fatalf("%s: %s books %v MB and %d vcores, its containers hold %v MB and %d vcores",
+						when, n.Name, got, rm.nodeUsedVC[i], mem[i], vc[i])
+				}
 			}
 		}
+		app := rm.Submit("ledger")
+		var live []*Container
+		for i := 0; i < 60; i++ {
+			app.Request(&Request{
+				Resource:   Resource{MemMB: 700 + float64(i%5)*256, VCores: 1 + i%3},
+				OnAllocate: func(cont *Container) { live = append(live, cont); check("after place") },
+			})
+		}
+		eng.Run()
+		if app.Pending() != 0 {
+			t.Fatalf("%d requests still pending", app.Pending())
+		}
+		check("after placements")
+		for _, cont := range live[:20] {
+			rm.Release(cont)
+			check("after release")
+		}
+		victim := live[20].Node
+		c.KillNode(victim)
+		eng.Run()
+		if !rm.NodeDeclaredLost(victim) {
+			t.Fatalf("%s not declared lost", victim.Name)
+		}
+		check("after node loss")
+		c.RestoreNode(victim)
+		eng.Run()
+		check("after restore")
+		for _, cont := range live[20:] {
+			if !cont.released {
+				rm.Release(cont)
+			}
+		}
+		eng.Run()
+		for i, n := range c.Nodes {
+			if rm.BookedMemMB(n) != 0 || rm.nodeUsedVC[i] != 0 {
+				t.Errorf("%s still books %v MB and %d vcores", n.Name, rm.BookedMemMB(n), rm.nodeUsedVC[i])
+			}
+		}
+	})
+	// place books each shape as a container on node 0 and returns the
+	// containers in placement order.
+	place := func(t *testing.T, mbs ...float64) (*ResourceManager, []*Container) {
+		eng, c, rm := newRMQuiet(FIFOScheduler{})
+		app := rm.Submit("ledger")
+		var conts []*Container
+		for _, mb := range mbs {
+			app.Request(&Request{
+				Resource:       Resource{MemMB: mb, VCores: 1},
+				PreferredNodes: []*cluster.Node{c.Nodes[0]},
+				OnAllocate:     func(cont *Container) { conts = append(conts, cont) },
+			})
+		}
+		eng.Run()
+		if len(conts) != len(mbs) || conts[len(conts)-1].Node != c.Nodes[0] {
+			t.Fatalf("placed %d of %d containers, want all on %s", len(conts), len(mbs), c.Nodes[0].Name)
+		}
+		return rm, conts
 	}
-	app := rm.Submit("mirror")
-	var live []*Container
-	for i := 0; i < 60; i++ {
-		app.Request(&Request{
-			Resource: Resource{MemMB: 700 + float64(i%5)*256, VCores: 1 + i%3},
-			OnAllocate: func(cont *Container) {
-				live = append(live, cont)
-				check("after place")
-			},
-		})
-	}
-	eng.Run()
-	check("after churn")
-	for _, cont := range live {
-		rm.Release(cont)
-		check("after release")
-	}
+	t.Run("rounding overshoot", func(t *testing.T) {
+		// 0.3 + 0.6 - 0.3 - 0.6 is -1.1e-16 in float64.
+		rm, conts := place(t, 0.3, 0.6)
+		for _, cont := range conts {
+			rm.Release(cont)
+		}
+		if got := rm.BookedMemMB(conts[0].Node); got != 0 {
+			t.Fatalf("booked %v MB after releasing everything, want 0", got)
+		}
+	})
+	t.Run("over-release panics", func(t *testing.T) {
+		rm, conts := place(t, 1024)
+		conts[0].Resource.MemMB = 2048 // the shape changed after placement
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "exceeds the 1024 MB booked there") {
+				t.Fatalf("over-release panicked with %q, want the booking named", msg)
+			}
+		}()
+		rm.Release(conts[0])
+	})
 }
 
 // FuzzRelaxRetry drives an RM through request, cancel, finish, release

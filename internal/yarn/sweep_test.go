@@ -57,7 +57,7 @@ func (rm *ResourceManager) assignScan() {
 				}
 				node := rm.c.Nodes[(rm.assignCur+i)%n]
 				nid := node.ID
-				if rm.nodeDown[nid] || (rm.blacklisted[nid] && !ignoreBlacklist) {
+				if node.Down() || (rm.blacklisted[nid] && !ignoreBlacklist) {
 					continue
 				}
 				if rm.unconstrained == 0 && !offRackEligible &&
@@ -364,8 +364,8 @@ func (cov *sweepCoverage) observe(rm *ResourceManager) {
 	if rm.blackCount > 0 && rm.blackCount*3 >= len(rm.c.Nodes) {
 		cov.ignoreBlacklist++
 	}
-	for _, down := range rm.nodeDown {
-		if down {
+	for _, n := range rm.c.Nodes {
+		if n.Down() {
 			cov.downWithPending++
 			break
 		}

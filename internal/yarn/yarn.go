@@ -143,7 +143,6 @@ type App struct {
 	// fitting checks touch shapes instead of every request.
 	pendingShapes []shapeCount
 	usedMemMB     float64
-	usedVC        int
 	running       int
 	finished      bool
 }
@@ -175,12 +174,11 @@ type ResourceManager struct {
 	// slices, so a new app starts with their capacity.
 	freeConts []*Container
 	spare     []appSlices
-	// Free-capacity index: per-node used/capacity arrays keyed by the
-	// dense Node.ID, mirroring each node's MemPool arithmetic exactly so
-	// that fits() is two array loads instead of a method call plus a map
-	// probe. nodeUsedMem tracks MemPool.used bit-for-bit (yarn is the
-	// pool's only writer); the pool itself still sees every
-	// Allocate/Release, so it catches a double free.
+	// The container ledger: per-node booked memory and vcores, keyed by
+	// the dense Node.ID. The RM is its only writer (place books, Release
+	// frees). nodeCapMem and nodeVCores copy what each node registered
+	// at construction, which never changes, so fits() is array loads
+	// alone.
 	nodeCapMem  []float64
 	nodeUsedMem []float64
 	nodeUsedVC  []int
@@ -225,9 +223,9 @@ type ResourceManager struct {
 	NodeFilter           func(*cluster.Node) bool
 	HotSpotFallbackDelay float64
 
-	// Node liveness and blacklisting (see nodestate.go). All slices are
-	// keyed by the dense Node.ID like the capacity mirrors above.
-	nodeDown     []bool
+	// Node loss and blacklisting (see nodestate.go). All slices are
+	// keyed by the dense Node.ID like the ledger above; liveness itself
+	// is the node's (Node.Down).
 	declaredLost []bool   // containers already reclaimed this down-epoch
 	downEpoch    []uint64 // guards stale expiry timers across transitions
 	blacklisted  []bool
@@ -265,11 +263,9 @@ func NewResourceManager(eng *sim.Engine, c *cluster.Cluster, sched Scheduler) *R
 	rm.nodeUsedVC = make([]int, n)
 	rm.nodeVCores = make([]int, n)
 	for i, node := range c.Nodes {
-		rm.nodeCapMem[i] = node.Mem.Capacity
-		rm.nodeUsedMem[i] = node.Mem.Used()
+		rm.nodeCapMem[i] = node.ContainerMemMB
 		rm.nodeVCores[i] = node.VCores
 	}
-	rm.nodeDown = make([]bool, n)
 	rm.declaredLost = make([]bool, n)
 	rm.downEpoch = make([]uint64, n)
 	rm.blacklisted = make([]bool, n)
@@ -403,11 +399,13 @@ func (rm *ResourceManager) Release(c *Container) {
 		panic(fmt.Sprintf("yarn: double release of container %d", c.ID))
 	}
 	c.released = true
-	c.Node.Mem.Release(c.Resource.MemMB)
 	id := c.Node.ID
+	if c.Resource.MemMB > rm.nodeUsedMem[id]+1e-6 {
+		panic(fmt.Sprintf("yarn: release of %v MB on %s exceeds the %v MB booked there", c.Resource.MemMB, c.Node.Name, rm.nodeUsedMem[id]))
+	}
 	rm.nodeUsedMem[id] -= c.Resource.MemMB
 	if rm.nodeUsedMem[id] < 0 {
-		rm.nodeUsedMem[id] = 0 // mirrors MemPool.Release's clamp
+		rm.nodeUsedMem[id] = 0 // a rounding-error overshoot
 	}
 	rm.nodeUsedVC[id] -= c.Resource.VCores
 	app := c.App
@@ -421,7 +419,6 @@ func (rm *ResourceManager) Release(c *Container) {
 		}
 	}
 	app.usedMemMB -= c.Resource.MemMB
-	app.usedVC -= c.Resource.VCores
 	app.running--
 	if !c.launching {
 		rm.recycleContainer(c)
@@ -536,14 +533,16 @@ func (rm *ResourceManager) oldestConstrainedEnqueue() float64 {
 	return oldest
 }
 
-// fits reports whether a request shape fits node's free capacity.
-// YARN accounts vcores logically; the cluster model enforces the CPU
-// cap physically via flow rate caps. The memory comparison replicates
-// MemPool.CanAllocate (mb <= Capacity-used+1e-9) against the RM's
-// mirror arrays.
+// BookedMemMB returns the container memory booked on node n: what its
+// placed, unreleased containers hold.
+func (rm *ResourceManager) BookedMemMB(n *cluster.Node) float64 { return rm.nodeUsedMem[n.ID] }
+
+// fits reports whether a request shape fits node's free capacity,
+// with 1e-9 MB of slack for rounding. YARN accounts vcores logically;
+// the cluster model enforces the CPU cap physically via flow rate caps.
 func (rm *ResourceManager) fits(node *cluster.Node, r Resource) bool {
 	id := node.ID
-	return r.MemMB <= rm.nodeCapMem[id]-rm.nodeUsedMem[id]+1e-9 &&
+	return r.MemMB <= rm.nodeCapMem[id]-rm.BookedMemMB(node)+1e-9 &&
 		rm.nodeUsedVC[id]+r.VCores <= rm.nodeVCores[id]
 }
 
@@ -617,7 +616,7 @@ func (rm *ResourceManager) assign() {
 					nid -= n
 				}
 				node := rm.c.Nodes[nid]
-				if rm.nodeDown[nid] || (rm.blacklisted[nid] && !ignoreBlacklist) {
+				if rm.blacklisted[nid] && !ignoreBlacklist {
 					continue
 				}
 				if rm.unconstrained == 0 && !offRackEligible &&
@@ -626,6 +625,11 @@ func (rm *ResourceManager) assign() {
 					// No request may place here: selectRequest would
 					// return nil for every app the scheduler could pick,
 					// and neither Pick nor selectRequest has side effects.
+					continue
+				}
+				// Liveness is the node's own fact, so it is read only
+				// now: a node the preference index skips is never loaded.
+				if node.Down() {
 					continue
 				}
 				if useFilter && rm.NodeFilter != nil && !rm.NodeFilter(node) {
@@ -769,11 +773,8 @@ func (rm *ResourceManager) selectRequest(app *App, node *cluster.Node, minAge fl
 }
 
 func (rm *ResourceManager) place(app *App, req *Request, node *cluster.Node) {
-	if err := node.Mem.Allocate(req.Resource.MemMB); err != nil {
-		panic(fmt.Sprintf("yarn: placement race: %v", err))
-	}
 	nid := node.ID
-	rm.nodeUsedMem[nid] += req.Resource.MemMB // mirrors MemPool.Allocate
+	rm.nodeUsedMem[nid] += req.Resource.MemMB
 	rm.nodeUsedVC[nid] += req.Resource.VCores
 	if !app.CancelRequest(req) {
 		panic("yarn: placed request not pending")
@@ -785,7 +786,6 @@ func (rm *ResourceManager) place(app *App, req *Request, node *cluster.Node) {
 	rm.nextContID++
 	app.live = append(app.live, cont)
 	app.usedMemMB += req.Resource.MemMB
-	app.usedVC += req.Resource.VCores
 	app.running++
 	rm.eng.After(rm.SchedulingDelay, cont.launchCB)
 }
@@ -799,7 +799,7 @@ func (rm *ResourceManager) launch(c *Container) {
 		rm.recycleContainer(c)
 		return
 	}
-	if rm.nodeDown[c.Node.ID] {
+	if c.Node.Down() {
 		// The node died inside the scheduling-delay window; the
 		// launch never happens. Reclaim the container right away
 		// (its loss notification would otherwise wait for expiry).

@@ -31,16 +31,16 @@ func TestAllocateAndRelease(t *testing.T) {
 	if got == nil {
 		t.Fatal("container never allocated")
 	}
-	if got.Node.Mem.Used() != 1024 {
-		t.Fatalf("node memory used = %v, want 1024", got.Node.Mem.Used())
+	if rm.BookedMemMB(got.Node) != 1024 {
+		t.Fatalf("node memory used = %v, want 1024", rm.BookedMemMB(got.Node))
 	}
 	if app.Running() != 1 || app.UsedMemMB() != 1024 {
 		t.Fatalf("app accounting wrong: running=%d used=%v", app.Running(), app.UsedMemMB())
 	}
 	rm.Release(got)
 	eng.Run()
-	if got.Node.Mem.Used() != 0 {
-		t.Fatalf("memory not freed: %v", got.Node.Mem.Used())
+	if rm.BookedMemMB(got.Node) != 0 {
+		t.Fatalf("memory not freed: %v", rm.BookedMemMB(got.Node))
 	}
 	if app.Running() != 0 {
 		t.Fatalf("running = %d after release", app.Running())
@@ -285,7 +285,7 @@ func TestFinishInsideSchedulingDelay(t *testing.T) {
 		eng.At(1, func() {
 			if nodeDies {
 				for _, n := range c.Nodes {
-					if n.Mem.Used() > 0 {
+					if rm.BookedMemMB(n) > 0 {
 						c.KillNode(n)
 					}
 				}
@@ -297,8 +297,8 @@ func TestFinishInsideSchedulingDelay(t *testing.T) {
 			t.Errorf("nodeDies=%v: %d callbacks ran for a finished app", nodeDies, calls)
 		}
 		for _, n := range c.Nodes {
-			if n.Mem.Used() != 0 {
-				t.Errorf("nodeDies=%v: %v MB still booked on %s", nodeDies, n.Mem.Used(), n.Name)
+			if rm.BookedMemMB(n) != 0 {
+				t.Errorf("nodeDies=%v: %v MB still booked on %s", nodeDies, rm.BookedMemMB(n), n.Name)
 			}
 		}
 		if want := map[bool]int{false: 0, true: 1}[nodeDies]; c.Faults.ContainersLost != want {
@@ -442,7 +442,7 @@ func TestYarnChurnProperty(t *testing.T) {
 		// The audit stops itself at t=100, so Run returns.
 		eng.Tick(5, func() bool {
 			for _, node := range c.Nodes {
-				if node.Mem.Used() > node.Mem.Capacity+1e-6 {
+				if rm.BookedMemMB(node) > node.ContainerMemMB+1e-6 {
 					ok = false
 				}
 			}
@@ -456,7 +456,7 @@ func TestYarnChurnProperty(t *testing.T) {
 		}
 		eng.Run()
 		for _, node := range c.Nodes {
-			if node.Mem.Used() != 0 {
+			if rm.BookedMemMB(node) != 0 {
 				// Containers still allocated are fine only if never
 				// released; we released all we were given.
 				return false
