@@ -97,13 +97,51 @@ func TestPlacementDeterministicAcrossRuns(t *testing.T) {
 }
 
 // TestContainerLedger: the RM's per-node booking of memory and vcores
-// is the only record of what containers hold, so it must balance. At
-// every step each node's booking is what its placed, unreleased
+// is the only record of what containers hold, so it must balance. A
+// placement books its memory, a shape larger than what is left free no
+// longer fits, and the release returns the booking to zero. At every step each node's booking is what its placed, unreleased
 // containers hold; after placements, releases, a node loss and a
 // restore, it is zero on every node. A release that overshoots the
 // booking by a rounding error leaves zero, not a negative booking, and
 // one larger than the booking panics.
 func TestContainerLedger(t *testing.T) {
+	// place books each shape as a container on node 0 and returns the
+	// containers in placement order.
+	place := func(t *testing.T, mbs ...float64) (*ResourceManager, []*Container) {
+		eng, c, rm := newRMQuiet(FIFOScheduler{})
+		app := rm.Submit("ledger")
+		var conts []*Container
+		for _, mb := range mbs {
+			app.Request(&Request{
+				Resource:       Resource{MemMB: mb, VCores: 1},
+				PreferredNodes: []*cluster.Node{c.Nodes[0]},
+				OnAllocate:     func(cont *Container) { conts = append(conts, cont) },
+			})
+		}
+		eng.Run()
+		if len(conts) != len(mbs) || conts[len(conts)-1].Node != c.Nodes[0] {
+			t.Fatalf("placed %d of %d containers, want all on %s", len(conts), len(mbs), c.Nodes[0].Name)
+		}
+		return rm, conts
+	}
+	t.Run("allocate release", func(t *testing.T) {
+		rm, conts := place(t, 600)
+		n := conts[0].Node
+		if got := rm.BookedMemMB(n); got != 600 {
+			t.Fatalf("booked %v MB after placing 600 MB, want 600", got)
+		}
+		free := n.ContainerMemMB - 600
+		if !rm.fits(n, Resource{MemMB: free, VCores: 1}) {
+			t.Fatalf("%v MB does not fit the %v MB left free", free, free)
+		}
+		if rm.fits(n, Resource{MemMB: free + 1, VCores: 1}) {
+			t.Fatalf("%v MB fits though only %v MB is left free", free+1, free)
+		}
+		rm.Release(conts[0])
+		if got := rm.BookedMemMB(n); got != 0 {
+			t.Fatalf("booked %v MB after releasing everything, want 0", got)
+		}
+	})
 	t.Run("balances", func(t *testing.T) {
 		eng, c, rm := newRMQuiet(FIFOScheduler{})
 		rm.NodeExpirySecs = 1
@@ -163,25 +201,6 @@ func TestContainerLedger(t *testing.T) {
 			}
 		}
 	})
-	// place books each shape as a container on node 0 and returns the
-	// containers in placement order.
-	place := func(t *testing.T, mbs ...float64) (*ResourceManager, []*Container) {
-		eng, c, rm := newRMQuiet(FIFOScheduler{})
-		app := rm.Submit("ledger")
-		var conts []*Container
-		for _, mb := range mbs {
-			app.Request(&Request{
-				Resource:       Resource{MemMB: mb, VCores: 1},
-				PreferredNodes: []*cluster.Node{c.Nodes[0]},
-				OnAllocate:     func(cont *Container) { conts = append(conts, cont) },
-			})
-		}
-		eng.Run()
-		if len(conts) != len(mbs) || conts[len(conts)-1].Node != c.Nodes[0] {
-			t.Fatalf("placed %d of %d containers, want all on %s", len(conts), len(mbs), c.Nodes[0].Name)
-		}
-		return rm, conts
-	}
 	t.Run("rounding overshoot", func(t *testing.T) {
 		// 0.3 + 0.6 - 0.3 - 0.6 is -1.1e-16 in float64.
 		rm, conts := place(t, 0.3, 0.6)
