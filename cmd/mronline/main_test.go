@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,6 +13,8 @@ import (
 
 	"repro/internal/core"
 )
+
+var update = flag.Bool("update", false, "rewrite the testdata/*.golden files from the current code")
 
 // TestMain lets the tests drive the CLI in a child process: with
 // MRONLINE_RUN_MAIN set, the test binary runs main instead of the tests.
@@ -146,4 +149,56 @@ func TestCompareRejectsPerRunFlags(t *testing.T) {
 	if _, err := os.Stat(tracePath); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("-compare -trace left %s behind (stat: %v)", tracePath, err)
 	}
+}
+
+// TestReportGolden pins the text of a strategy comparison and of a
+// single-job report. Regenerate with `go test ./cmd/mronline -run
+// TestReportGolden -update` only when a printed figure or format is
+// meant to change.
+func TestReportGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"compare_wordcount_wikipedia.golden", []string{"-bench", "wordcount/Wikipedia", "-compare"}},
+		{"offline_bigram_wikipedia.golden", []string{"-bench", "bigram/Wikipedia", "-strategy", "offline"}},
+	} {
+		stdout, stderr, code := mronlineOut(t, tc.args...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d: %s", tc.args, code, stderr)
+		}
+		checkGolden(t, filepath.Join("testdata", tc.golden), stdout)
+	}
+}
+
+// checkGolden compares got with the golden file at path, or rewrites
+// the file under -update. A mismatch names the first line that differs.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got == string(want) {
+		return
+	}
+	g, w := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	i := 0
+	for i < len(g) && i < len(w) && g[i] == w[i] {
+		i++
+	}
+	line := func(lines []string) string {
+		if i < len(lines) {
+			return lines[i]
+		}
+		return "<end of output>"
+	}
+	t.Fatalf("%s: line %d differs (run with -update only if the change is meant)\n got: %s\nwant: %s",
+		path, i+1, line(g), line(w))
 }
