@@ -29,12 +29,19 @@
 // output flag (-trace, -gantt, -explain, -counters, -json,
 // -speculation).
 //
+// A job fails when a task fails all its attempts; its time is then the
+// time it gave up, not a result. The report prints "job time: failed
+// (gave up after N s)" and -json adds "failed": true; -compare prints
+// "failed" as the job time and no gain for that strategy.
+//
 // -stream <hours> switches to the continuous-serving workload: hours
 // of mixed-job arrivals on the 10,016-node cluster (-strategy default
 // or conservative). -cells runs it on the rack-cell partition (one
 // self-contained cell per rack); the whole-cluster default stays the
 // byte-exact figure reference. A negative, infinite or NaN -stream, or
-// one too long to simulate, exits 2.
+// one too long to simulate, exits 2. A failed stream job counts in
+// completed and also in failed, printed after the report as
+// "failed=N (counted in completed)" and in -json as "failed".
 package main
 
 import (
@@ -225,11 +232,13 @@ func main() {
 	}
 }
 
-// Report is the CLI's output document.
+// Report is the CLI's output document. A failed job (Failed) gave up
+// after DurationSecs.
 type Report struct {
 	Bench        string             `json:"bench"`
 	Strategy     string             `json:"strategy"`
 	DurationSecs float64            `json:"duration_secs"`
+	Failed       bool               `json:"failed,omitempty"`
 	TestRunSecs  float64            `json:"test_run_secs,omitempty"`
 	Spilled      float64            `json:"spilled_records"`
 	Optimal      float64            `json:"optimal_spilled_records"`
@@ -240,6 +249,8 @@ type Report struct {
 	OOMKills     int                `json:"oom_kills"`
 	Config       map[string]float64 `json:"config_overrides,omitempty"`
 	CountersText string             `json:"-"`
+
+	res mapreduce.Result // the run the report describes
 }
 
 // runStream executes the continuous-serving workload (-stream): hours
@@ -268,12 +279,13 @@ func runStream(env experiments.Env, hours float64, strategy string, cells, asJSO
 		if err := enc.Encode(struct {
 			Jobs       int     `json:"jobs"`
 			Completed  int     `json:"completed"`
+			Failed     int     `json:"failed"`
 			Makespan   float64 `json:"makespan_secs"`
 			MeanDur    float64 `json:"mean_duration_secs"`
 			Events     uint64  `json:"engine_events"`
 			SinkEvents int     `json:"sink_events"`
 			Cells      bool    `json:"cells"`
-		}{res.Jobs, res.Completed, res.Makespan, res.MeanDur, res.Events, res.SinkEvents, cells}); err != nil {
+		}{res.Jobs, res.Completed, res.Failed, res.Makespan, res.MeanDur, res.Events, res.SinkEvents, cells}); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -283,13 +295,16 @@ func runStream(env experiments.Env, hours float64, strategy string, cells, asJSO
 		fmt.Printf("rack-cell mode: %d cells\n", spec.Racks)
 	}
 	fmt.Print(res.Report())
+	fmt.Printf("failed=%d (counted in completed)\n", res.Failed)
 }
 
 func reportFrom(b workload.Benchmark, strategy string, res mapreduce.Result, cfg mrconf.Config) Report {
+	secs, ok := res.Secs()
 	return Report{
 		Bench:        b.Name,
 		Strategy:     strategy,
-		DurationSecs: res.Duration,
+		DurationSecs: secs,
+		Failed:       !ok,
 		Spilled:      res.Counters.SpilledRecords(),
 		Optimal:      res.Counters.CombineOutputRecs,
 		MapMemUtil:   res.MapMemUtil,
@@ -299,6 +314,7 @@ func reportFrom(b workload.Benchmark, strategy string, res mapreduce.Result, cfg
 		OOMKills:     res.Counters.OOMKills,
 		Config:       cfg.Overrides(),
 		CountersText: res.Counters.Summary(),
+		res:          res,
 	}
 }
 
@@ -336,7 +352,7 @@ func runStrategy(env experiments.Env, b workload.Benchmark, strategy string, rec
 		best := tuner.BestConfig()
 		res := runJob(best, nil)
 		r := reportFrom(b, strategy, res, best)
-		r.TestRunSecs = test.Duration
+		r.TestRunSecs, _ = test.Secs()
 		return r
 	case "kb":
 		var ent core.Entry
@@ -377,7 +393,11 @@ func printReport(r Report) {
 	if r.TestRunSecs > 0 {
 		fmt.Printf("test run:    %.0f s (aggressive tuning trial)\n", r.TestRunSecs)
 	}
-	fmt.Printf("job time:    %.0f s\n", r.DurationSecs)
+	if r.Failed {
+		fmt.Printf("job time:    failed (gave up after %.0f s)\n", r.DurationSecs)
+	} else {
+		fmt.Printf("job time:    %.0f s\n", r.DurationSecs)
+	}
 	if r.Optimal > 0 {
 		fmt.Printf("spills:      %.3g records (%.2fx optimal)\n", r.Spilled, r.Spilled/r.Optimal)
 	}
@@ -407,15 +427,18 @@ func sortedKeys(m map[string]float64) []string {
 // side-by-side summary.
 func compareStrategies(env experiments.Env, b workload.Benchmark) {
 	fmt.Printf("%-14s %9s %10s %12s %10s\n", "strategy", "job time", "vs default", "spills/opt", "test run")
-	var defDur float64
+	var def mapreduce.Result
 	for _, strat := range []string{"default", "offline", "conservative", "aggressive"} {
 		r := runStrategy(env, b, strat, nil, false)
-		if strat == "default" {
-			defDur = r.DurationSecs
+		jobTime := fmt.Sprintf("%.0fs", r.DurationSecs)
+		if r.Failed {
+			jobTime = "failed"
 		}
 		imp := ""
-		if strat != "default" && defDur > 0 {
-			imp = fmt.Sprintf("%+.0f%%", -100*(r.DurationSecs-defDur)/defDur)
+		if strat == "default" {
+			def = r.res
+		} else if g, ok := experiments.Gain(def, r.res); ok {
+			imp = fmt.Sprintf("%+.0f%%", 100*g)
 		}
 		ratio := ""
 		if r.Optimal > 0 {
@@ -425,6 +448,6 @@ func compareStrategies(env experiments.Env, b workload.Benchmark) {
 		if r.TestRunSecs > 0 {
 			test = fmt.Sprintf("%.0fs", r.TestRunSecs)
 		}
-		fmt.Printf("%-14s %8.0fs %10s %12s %10s\n", strat, r.DurationSecs, imp, ratio, test)
+		fmt.Printf("%-14s %9s %10s %12s %10s\n", strat, jobTime, imp, ratio, test)
 	}
 }

@@ -116,6 +116,16 @@ func TestBadStreamExits2(t *testing.T) {
 	}
 }
 
+// TestFaultNodeOutOfRangeExits2: a valid-JSON fault spec naming a node
+// the serving cluster lacks is a one-line usage error, not a panic.
+func TestFaultNodeOutOfRangeExits2(t *testing.T) {
+	msg, code := mronline(t, "-stream", "0.01", "-faults", "testdata/faults_node_out_of_range.json")
+	if code != 2 || strings.Count(msg, "\n") != 1 || !strings.Contains(msg, "out of range") ||
+		strings.Contains(msg, "goroutine ") {
+		t.Fatalf("exit %d, stderr %q; want 2 and one line saying the node is out of range", code, msg)
+	}
+}
+
 // An entry with search state but no configuration is a warm start for
 // aggressive runs, not a configuration for -strategy kb.
 func TestKBSearchOnlyEntryIsNotAHit(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"repro/internal/experiments"
+	"repro/internal/mapreduce"
 )
 
 func main() {
@@ -22,10 +23,21 @@ func main() {
 	mt := env.MultiTenant()
 
 	fmt.Printf("%-10s %12s %12s %12s\n", "app", "default", "MRONLINE", "improvement")
-	tsImp := 100 * (mt.Default.Terasort.Duration - mt.Mronline.Terasort.Duration) / mt.Default.Terasort.Duration
-	bbpImp := 100 * (mt.Default.BBP.Duration - mt.Mronline.BBP.Duration) / mt.Default.BBP.Duration
-	fmt.Printf("%-10s %11.0fs %11.0fs %11.0f%%\n", "Terasort", mt.Default.Terasort.Duration, mt.Mronline.Terasort.Duration, tsImp)
-	fmt.Printf("%-10s %11.0fs %11.0fs %11.0f%%\n", "BBP", mt.Default.BBP.Duration, mt.Mronline.BBP.Duration, bbpImp)
+	for _, app := range []struct {
+		name     string
+		def, mro mapreduce.Result
+	}{
+		{"Terasort", mt.Default.Terasort, mt.Mronline.Terasort},
+		{"BBP", mt.Default.BBP, mt.Mronline.BBP},
+	} {
+		defSecs, _ := app.def.Secs()
+		mroSecs, _ := app.mro.Secs()
+		if imp, ok := experiments.Gain(app.def, app.mro); ok {
+			fmt.Printf("%-10s %11.0fs %11.0fs %11.0f%%\n", app.name, defSecs, mroSecs, 100*imp)
+		} else {
+			fmt.Printf("%-10s %11.0fs %11.0fs %12s\n", app.name, defSecs, mroSecs, "(a job failed)")
+		}
+	}
 
 	fmt.Println("\nmemory utilization (paper Fig 15):")
 	fmt.Printf("  Terasort maps    %4.0f%% -> %4.0f%%\n", 100*mt.Default.Terasort.MapMemUtil, 100*mt.Mronline.Terasort.MapMemUtil)

@@ -24,7 +24,13 @@ func main() {
 
 	fmt.Printf("observed run: Terasort 60GB with %d reducers, slowstart 0.05\n", b.NumReduces)
 	observed := env.RunOne(b, mrconf.Default(), nil)
-	fmt.Printf("  took %.0f s\n\n", observed.Duration)
+	// A failed run gave up early: nothing to calibrate against.
+	obsSecs, ok := observed.Secs()
+	if !ok {
+		fmt.Fprintf(os.Stderr, "the observed run failed after %.0f s\n", obsSecs)
+		os.Exit(1)
+	}
+	fmt.Printf("  took %.0f s\n\n", obsSecs)
 
 	// Calibrate the profile to what the run actually measured, then
 	// ask the simulator what other settings would have done.
@@ -54,5 +60,5 @@ func main() {
 	best := preds[0]
 	fmt.Printf("\nrecommendation: %d reducers, slowstart %.2f (%.0f%% vs observed settings)\n",
 		best.NumReduces, best.Slowstart,
-		100*(observed.Duration-best.PredictedSecs)/observed.Duration)
+		100*experiments.RelGain(obsSecs, best.PredictedSecs))
 }

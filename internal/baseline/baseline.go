@@ -127,6 +127,8 @@ func NewGenetic(rng *rand.Rand) *Genetic {
 
 // Run evolves for the given number of generations, calling eval (one
 // test run) per individual, and returns the best configuration found.
+// eval scores a trial whose job failed +Inf, so it never becomes the
+// best.
 func (g *Genetic) Run(eval func(mrconf.Config) float64, generations int) mrconf.Config {
 	pop := make([]mrconf.Config, g.Population)
 	costs := make([]float64, g.Population)
@@ -154,7 +156,8 @@ func (g *Genetic) Run(eval func(mrconf.Config) float64, generations int) mrconf.
 	return g.best
 }
 
-// Best returns the best configuration and its cost so far.
+// Best returns the best configuration and its cost so far; the cost is
+// +Inf while no trial has completed.
 func (g *Genetic) Best() (mrconf.Config, float64) { return g.best, g.bestCost }
 
 func (g *Genetic) measure(cfg mrconf.Config, eval func(mrconf.Config) float64) float64 {

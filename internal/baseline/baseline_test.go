@@ -144,6 +144,27 @@ func TestGeneticTakesManyRunsToConverge(t *testing.T) {
 	}
 }
 
+// A trial that failed scores +Inf and never becomes the GA's best: here
+// every configuration with a sort buffer over 800 MB fails.
+func TestGeneticNeverPicksAFailedTrial(t *testing.T) {
+	eval, _ := synthEval()
+	failed := 0
+	ga := NewGenetic(sim.NewSource(2).Stream("ga"))
+	ga.Run(func(c mrconf.Config) float64 {
+		if c.SortMB() > 800 {
+			failed++
+			return math.Inf(1)
+		}
+		return eval(c)
+	}, 4)
+	if failed == 0 {
+		t.Fatal("no trial failed; the test needs one that does")
+	}
+	if best, cost := ga.Best(); best.SortMB() > 800 || math.IsInf(cost, 1) {
+		t.Fatalf("the GA's best has io.sort.mb %v and cost %v", best.SortMB(), cost)
+	}
+}
+
 func TestGeneticConfigsAlwaysValid(t *testing.T) {
 	checked := 0
 	eval := func(c mrconf.Config) float64 {

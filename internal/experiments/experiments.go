@@ -133,9 +133,14 @@ func (e Env) NewRig(sched yarn.Scheduler) *Rig {
 	return &Rig{Eng: eng, C: c, RM: rm, FS: fs}
 }
 
+// jobFailed, when set, is called with the result of every job Rig.Run
+// drains that ends failed, from whichever goroutine ran it. Tests set
+// it to name the figure legs that fail; nil costs nothing.
+var jobFailed func(mapreduce.Result)
+
 // Run submits specs in order at the current simulated time, drains the
 // engine, and returns the results in spec order. It panics naming the
-// first job that did not complete.
+// first job that did not finish.
 func (r *Rig) Run(specs ...mapreduce.Spec) []mapreduce.Result {
 	res := make([]mapreduce.Result, len(specs))
 	done := make([]bool, len(specs))
@@ -150,6 +155,9 @@ func (r *Rig) Run(specs ...mapreduce.Spec) []mapreduce.Result {
 				name = specs[i].Benchmark.Name
 			}
 			panic(fmt.Sprintf("experiments: job %s never completed", name))
+		}
+		if jobFailed != nil && res[i].Failed {
+			jobFailed(res[i])
 		}
 	}
 	return res
@@ -205,6 +213,25 @@ func (e Env) ArmFaults(r *Rig, spec *mapreduce.Spec) {
 	spec.Faults = inj
 }
 
+// Gain returns tuned's relative gain over def, RelGain of their times,
+// and whether both jobs completed. When either failed the gain is not
+// a measurement: a failed job's time is the time it gave up.
+func Gain(def, tuned mapreduce.Result) (float64, bool) {
+	d, defOK := def.Secs()
+	t, tunedOK := tuned.Secs()
+	return RelGain(d, t), defOK && tunedOK
+}
+
+// RelGain is the relative gain of a tuned time over a default time,
+// (def − tuned)/def, and 0 when def is 0. It is the one copy of the
+// formula; job results go through Gain, which also reports failure.
+func RelGain(def, tuned float64) float64 {
+	if def == 0 {
+		return 0
+	}
+	return (def - tuned) / def
+}
+
 // AggressiveTestRun runs one expedited test run with the aggressive
 // tuner and returns the tuner (for BestConfig) and the run result.
 // With a KB it first consults the job's class entry for a warm start
@@ -248,18 +275,12 @@ type ExpeditedRow struct {
 }
 
 // Improvement returns MRONLINE's relative gain over the default.
-func (r ExpeditedRow) Improvement() float64 {
-	if r.DefaultDur == 0 {
-		return 0
-	}
-	return (r.DefaultDur - r.MronlineDur) / r.DefaultDur
-}
+func (r ExpeditedRow) Improvement() float64 { return RelGain(r.DefaultDur, r.MronlineDur) }
 
-// defaultLeg is what the figure rows read of a benchmark's run under
-// the default configuration, without its per-task reports.
+// defaultLeg is a benchmark's run under the default configuration as
+// the figure rows read it: the result without its per-task reports.
 type defaultLeg struct {
-	Duration float64
-	Counters mapreduce.Counters
+	mapreduce.Result
 	// Profile is the offline guide's reading of the run's reports.
 	Profile baseline.ProfileStats
 }
@@ -311,11 +332,9 @@ var defaultLegs legMemo
 func (e Env) defaultLeg(b workload.Benchmark) defaultLeg {
 	run := func() defaultLeg {
 		res := e.RunOne(b, mrconf.Default(), nil)
-		return defaultLeg{
-			Duration: res.Duration,
-			Counters: res.Counters,
-			Profile:  baseline.ProfileFromResult(res),
-		}
+		leg := defaultLeg{Result: res, Profile: baseline.ProfileFromResult(res)}
+		leg.Reports = nil
+		return leg
 	}
 	if e.FaultSpec != nil {
 		return run()
@@ -353,7 +372,9 @@ func (e Env) Expedited(b workload.Benchmark) ExpeditedRow {
 		tuner, test := sub.AggressiveTestRun(b)
 		cfg := tuner.BestConfig()
 		run := sub.RunOne(b, cfg, nil)
-		outs[r] = repOut{cfg: cfg, dur: run.Duration, test: test.Duration, spills: run.Counters.SpilledRecords()}
+		runSecs, _ := run.Secs()
+		testSecs, _ := test.Secs()
+		outs[r] = repOut{cfg: cfg, dur: runSecs, test: testSecs, spills: run.Counters.SpilledRecords()}
 	})
 	var mroDur, testDur, mroSpills float64
 	var best mrconf.Config
@@ -367,11 +388,12 @@ func (e Env) Expedited(b workload.Benchmark) ExpeditedRow {
 		}
 	}
 	n := float64(reps)
-
+	defSecs, _ := def.Secs()
+	offSecs, _ := off.Secs()
 	return ExpeditedRow{
 		Bench:          b.Name,
-		DefaultDur:     def.Duration,
-		OfflineDur:     off.Duration,
+		DefaultDur:     defSecs,
+		OfflineDur:     offSecs,
 		MronlineDur:    mroDur / n,
 		TestRunDur:     testDur / n,
 		OptimalSpills:  def.Counters.CombineOutputRecs,
@@ -414,12 +436,7 @@ type SingleRunRow struct {
 }
 
 // Improvement returns MRONLINE's relative gain over the default.
-func (r SingleRunRow) Improvement() float64 {
-	if r.DefaultDur == 0 {
-		return 0
-	}
-	return (r.DefaultDur - r.MronlineDur) / r.DefaultDur
-}
+func (r SingleRunRow) Improvement() float64 { return RelGain(r.DefaultDur, r.MronlineDur) }
 
 // SingleRun reproduces the fast-single-run experiment (§8.3):
 // conservative tuning co-executing with the job. The default and
@@ -436,7 +453,9 @@ func (e Env) SingleRun(b workload.Benchmark) SingleRunRow {
 			core.TunerOptions{Strategy: core.Conservative, Seed: e.Seed})
 		mro = e.RunOne(b, mrconf.Default(), cons)
 	})
-	return SingleRunRow{Bench: b.Name, DefaultDur: def.Duration, MronlineDur: mro.Duration}
+	defSecs, _ := def.Secs()
+	mroSecs, _ := mro.Secs()
+	return SingleRunRow{Bench: b.Name, DefaultDur: defSecs, MronlineDur: mroSecs}
 }
 
 // Fig10 is the Terasort fast single run.
@@ -473,12 +492,7 @@ type JobSizeRow struct {
 }
 
 // Improvement returns the relative gain.
-func (r JobSizeRow) Improvement() float64 {
-	if r.DefaultDur == 0 {
-		return 0
-	}
-	return (r.DefaultDur - r.MronlineDur) / r.DefaultDur
-}
+func (r JobSizeRow) Improvement() float64 { return RelGain(r.DefaultDur, r.MronlineDur) }
 
 // Fig13 reproduces the job-size study (§8.4): Terasort from 2 to
 // 100 GB with reducers ≈ maps/4, aggressive tuning in a single test
@@ -492,9 +506,11 @@ func (e Env) Fig13() []JobSizeRow {
 		def := e.RunOne(b, mrconf.Default(), nil)
 		tuner, _ := e.AggressiveTestRun(b)
 		mro := e.RunOne(b, tuner.BestConfig(), nil)
+		defSecs, _ := def.Secs()
+		mroSecs, _ := mro.Secs()
 		rows[i] = JobSizeRow{
 			SizeGB: gb, Maps: b.NumMaps, Reduces: b.NumReduces,
-			DefaultDur: def.Duration, MronlineDur: mro.Duration,
+			DefaultDur: defSecs, MronlineDur: mroSecs,
 		}
 	})
 	return rows
@@ -555,13 +571,9 @@ type TestRunCountRow struct {
 // of evaluations until its best stays within 5% of its final best.
 func (e Env) TestRunCounts(b workload.Benchmark, generations int) []TestRunCountRow {
 	tuner, _ := e.AggressiveTestRun(b)
-	mroDur := e.RunOne(b, tuner.BestConfig(), nil).Duration
+	mroDur, _ := e.RunOne(b, tuner.BestConfig(), nil).Secs()
 
-	ga := baseline.NewGenetic(sim.NewSource(e.Seed).Stream("ga"))
-	eval := func(cfg mrconf.Config) float64 {
-		return e.RunOne(b, cfg, nil).Duration
-	}
-	ga.Run(eval, generations)
+	ga := e.genetic(b, generations)
 	_, gaBest := ga.Best()
 	// Runs-to-converge: the evaluation at which the GA last improved —
 	// an offline operator cannot stop before that without giving up
@@ -576,6 +588,21 @@ func (e Env) TestRunCounts(b workload.Benchmark, generations int) []TestRunCount
 		{Approach: "MRONLINE (aggressive)", Runs: 1, BestDur: mroDur},
 		{Approach: "Gunther-style GA", Runs: runs, BestDur: gaBest},
 	}
+}
+
+// genetic runs the Gunther-style GA on b for the given generations,
+// one fresh testbed run per evaluation. A trial whose job failed
+// scores +Inf, so it never becomes the GA's best.
+func (e Env) genetic(b workload.Benchmark, generations int) *baseline.Genetic {
+	ga := baseline.NewGenetic(sim.NewSource(e.Seed).Stream("ga"))
+	ga.Run(func(cfg mrconf.Config) float64 {
+		secs, ok := e.RunOne(b, cfg, nil).Secs()
+		if !ok {
+			return math.Inf(1)
+		}
+		return secs
+	}, generations)
+	return ga
 }
 
 // Table3Row verifies that the simulated workloads regenerate the
@@ -619,12 +646,7 @@ type HotSpotRow struct {
 
 // Improvement returns the gain of hot-spot avoidance over blind
 // placement on the interfered cluster.
-func (r HotSpotRow) Improvement() float64 {
-	if r.DefaultDur == 0 {
-		return 0
-	}
-	return (r.DefaultDur - r.AvoidDur) / r.DefaultDur
-}
+func (r HotSpotRow) Improvement() float64 { return RelGain(r.DefaultDur, r.AvoidDur) }
 
 // HotSpotStudy injects sustained disk and CPU interference on hotNodes
 // nodes (co-located services hogging ~90% of the disk and most cores),
@@ -648,7 +670,8 @@ func (e Env) HotSpotStudy(hotNodes int) HotSpotRow {
 		if avoid {
 			core.EnableHotSpotAvoidance(r.RM, r.FS)
 		}
-		return r.Run(mapreduce.Spec{Benchmark: b, BaseConfig: mrconf.Default()})[0].Duration
+		secs, _ := r.Run(mapreduce.Spec{Benchmark: b, BaseConfig: mrconf.Default()})[0].Secs()
+		return secs
 	}
 	return HotSpotRow{
 		HotNodes:   hotNodes,
@@ -695,15 +718,16 @@ func (e Env) StragglerStudy(hotNodes int) StragglerRow {
 		}
 		return r.Run(spec)[0]
 	}
-	none := run(false, false)
+	none, _ := run(false, false).Secs()
 	spec := run(true, false)
-	avoid := run(false, true)
-	both := run(true, true)
+	specSecs, _ := spec.Secs()
+	avoid, _ := run(false, true).Secs()
+	both, _ := run(true, true).Secs()
 	return StragglerRow{
-		NoneDur:        none.Duration,
-		SpeculationDur: spec.Duration,
-		AvoidanceDur:   avoid.Duration,
-		BothDur:        both.Duration,
+		NoneDur:        none,
+		SpeculationDur: specSecs,
+		AvoidanceDur:   avoid,
+		BothDur:        both,
 		SpecLaunches:   spec.Counters.SpeculativeLaunches,
 		SpecWins:       spec.Counters.SpeculativeWins,
 	}
@@ -723,21 +747,22 @@ type AmortizationRow struct {
 // Amortization simulates `runs` executions of the benchmark under the
 // three policies.
 func (e Env) Amortization(b workload.Benchmark, runs int) []AmortizationRow {
-	defDur := e.RunOne(b, mrconf.Default(), nil).Duration
+	defDur, _ := e.RunOne(b, mrconf.Default(), nil).Secs()
 
 	tuner, test := e.AggressiveTestRun(b)
-	tunedDur := e.RunOne(b, tuner.BestConfig(), nil).Duration
+	testDur, _ := test.Secs()
+	tunedDur, _ := e.RunOne(b, tuner.BestConfig(), nil).Secs()
 
 	consTuner := core.NewTuner(b.Name, b.NumMaps, b.NumReduces, mrconf.Default(),
 		core.TunerOptions{Strategy: core.Conservative, Seed: e.Seed})
-	consDur := e.RunOne(b, mrconf.Default(), consTuner).Duration
+	consDur, _ := e.RunOne(b, mrconf.Default(), consTuner).Secs()
 
 	var rows []AmortizationRow
 	cumDef, cumMro, cumCons := 0.0, 0.0, 0.0
 	for i := 1; i <= runs; i++ {
 		cumDef += defDur
 		if i == 1 {
-			cumMro += test.Duration // the instrumented test run
+			cumMro += testDur // the instrumented test run
 		} else {
 			cumMro += tunedDur
 		}
@@ -765,12 +790,7 @@ type JobStreamRow struct {
 }
 
 // Improvement returns the mean-completion-time gain.
-func (r JobStreamRow) Improvement() float64 {
-	if r.MeanDefault == 0 {
-		return 0
-	}
-	return (r.MeanDefault - r.MeanMronline) / r.MeanDefault
-}
+func (r JobStreamRow) Improvement() float64 { return RelGain(r.MeanDefault, r.MeanMronline) }
 
 // JobStream serves `count` jobs drawn with equal weight from a small
 // mix (Terasort 20 GB, wordcount-like, compute-heavy) on the paper
@@ -827,7 +847,7 @@ func mustSpec(s workload.BenchmarkSpec) workload.Benchmark {
 
 // SweepStat summarizes an improvement metric across seeds.
 type SweepStat struct {
-	Seeds   int
+	Seeds   int // seeds whose default and tuned legs both completed
 	MeanImp float64
 	MinImp  float64
 	MaxImp  float64
@@ -839,20 +859,37 @@ type SweepStat struct {
 // `seeds` independent seeds (each with Reps=1 so the sweep measures
 // raw variance, not averaged results).
 func (e Env) SeedSweep(b workload.Benchmark, seeds int) SweepStat {
-	imps := make([]float64, seeds)
-	parallelFor(seeds, runtime.GOMAXPROCS(0), func(i int) {
-		sub := Env{Seed: e.Seed + uint64(i)*977, Reps: 1}
-		def := sub.RunOne(b, mrconf.Default(), nil)
+	return e.sweep(seeds, func(sub Env) (def, tuned mapreduce.Result) {
+		def = sub.RunOne(b, mrconf.Default(), nil)
 		tuner, _ := sub.AggressiveTestRun(b)
-		run := sub.RunOne(b, tuner.BestConfig(), nil)
-		imps[i] = (def.Duration - run.Duration) / def.Duration
+		return def, sub.RunOne(b, tuner.BestConfig(), nil)
 	})
-	return sweepStat(imps)
+}
+
+// sweep runs legs under `seeds` independent seeds (seed e.Seed + 977i,
+// Reps 1) side by side and summarizes the gains of the seeds whose
+// legs both completed; a seed with a failed leg has no gain.
+func (e Env) sweep(seeds int, legs func(sub Env) (def, tuned mapreduce.Result)) SweepStat {
+	imps := make([]float64, seeds)
+	ok := make([]bool, seeds)
+	parallelFor(seeds, runtime.GOMAXPROCS(0), func(i int) {
+		imps[i], ok[i] = Gain(legs(Env{Seed: e.Seed + uint64(i)*977, Reps: 1}))
+	})
+	done := imps[:0]
+	for i, imp := range imps {
+		if ok[i] {
+			done = append(done, imp)
+		}
+	}
+	return sweepStat(done)
 }
 
 // sweepStat summarizes per-seed improvements: min, max, mean and
-// population standard deviation.
+// population standard deviation. No seeds give the zero SweepStat.
 func sweepStat(imps []float64) SweepStat {
+	if len(imps) == 0 {
+		return SweepStat{}
+	}
 	st := SweepStat{Seeds: len(imps), MinImp: imps[0], MaxImp: imps[0]}
 	sum, sumSq := 0.0, 0.0
 	for _, v := range imps {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/hdfs"
@@ -199,6 +200,49 @@ func TestTestRunCounts(t *testing.T) {
 	}
 	if rows[1].Runs < 8 {
 		t.Fatalf("GA runs = %d; paper reports 20-40 for Gunther", rows[1].Runs)
+	}
+}
+
+// TestGeneticBestCompletes: at seed 1000 some of the GA's trials on
+// Terasort 20 GB end failed within seconds, so a GA that scores a
+// trial by its give-up time picks a failed configuration. A failed
+// trial scores +Inf, so the GA's best, which TestRunCounts reports, is
+// a configuration whose re-run completes in the time the GA scored.
+func TestGeneticBestCompletes(t *testing.T) {
+	e, b := Env{Seed: 1000}, workload.Terasort(20, 0, 0)
+	naive := baseline.NewGenetic(sim.NewSource(e.Seed).Stream("ga"))
+	naive.Run(func(cfg mrconf.Config) float64 { return e.RunOne(b, cfg, nil).Duration }, 4)
+	if naiveBest, _ := naive.Best(); !e.RunOne(b, naiveBest, nil).Failed {
+		t.Fatal("scoring give-up times no longer picks a failed configuration at seed 1000; the test lost its witness")
+	}
+
+	ga := e.genetic(b, 4)
+	cfg, cost := ga.Best()
+	if secs, ok := e.RunOne(b, cfg, nil).Secs(); !ok || secs != cost {
+		t.Fatalf("the GA's best re-runs in %v s (completed %v), the GA scored it %v s", secs, ok, cost)
+	}
+	if rows := e.TestRunCounts(b, 4); rows[1].BestDur != cost {
+		t.Fatalf("TestRunCounts reports a GA best of %v s, the GA's best is %v s", rows[1].BestDur, cost)
+	}
+}
+
+// TestGain: a gain is a measurement only when both jobs completed.
+func TestGain(t *testing.T) {
+	def := mapreduce.Result{Duration: 200}
+	for _, tc := range []struct {
+		name       string
+		def, tuned mapreduce.Result
+		want       float64
+		ok         bool
+	}{
+		{"both completed", def, mapreduce.Result{Duration: 150}, 0.25, true},
+		{"tuned failed", def, mapreduce.Result{Duration: 50, Failed: true}, 0.75, false},
+		{"default failed", mapreduce.Result{Duration: 200, Failed: true}, mapreduce.Result{Duration: 150}, 0.25, false},
+		{"zero default", mapreduce.Result{}, mapreduce.Result{Duration: 150}, 0, true},
+	} {
+		if got, ok := Gain(tc.def, tc.tuned); got != tc.want || ok != tc.ok {
+			t.Errorf("%s: Gain = %v, %v; want %v, %v", tc.name, got, ok, tc.want, tc.ok)
+		}
 	}
 }
 
@@ -415,16 +459,12 @@ func TestBuildReportRenders(t *testing.T) {
 // seedSweepConservative mirrors SeedSweep for the fast-single-run use
 // case: the conservative tuner attached to one run, across seeds.
 func (e Env) seedSweepConservative(b workload.Benchmark, seeds int) SweepStat {
-	imps := make([]float64, seeds)
-	parallelFor(seeds, runtime.GOMAXPROCS(0), func(i int) {
-		sub := Env{Seed: e.Seed + uint64(i)*977, Reps: 1}
-		def := sub.RunOne(b, mrconf.Default(), nil)
+	return e.sweep(seeds, func(sub Env) (def, tuned mapreduce.Result) {
+		def = sub.RunOne(b, mrconf.Default(), nil)
 		tuner := core.NewTuner(b.Name, b.NumMaps, b.NumReduces, mrconf.Default(),
 			core.TunerOptions{Strategy: core.Conservative, Seed: sub.Seed})
-		run := sub.RunOne(b, mrconf.Default(), tuner)
-		imps[i] = (def.Duration - run.Duration) / def.Duration
+		return def, sub.RunOne(b, mrconf.Default(), tuner)
 	})
-	return sweepStat(imps)
 }
 
 func TestSeedSweepConservativeRobustness(t *testing.T) {

@@ -53,8 +53,9 @@ func (e Env) FaultRecovery() []FaultRecoveryRow {
 			Env{Seed: e.Seed, FaultSpec: fspec}.ArmFaults(r, &js)
 		}
 		res := r.Run(js)[0]
+		secs, ok := res.Secs()
 		return FaultRecoveryRow{
-			Leg: leg, Duration: res.Duration, Failed: res.Failed,
+			Leg: leg, Duration: secs, Failed: !ok,
 			Faults:         *r.C.Faults,
 			NodeLossKills:  res.Counters.NodeLossKills,
 			MapsReExecuted: res.Counters.MapsReExecuted,

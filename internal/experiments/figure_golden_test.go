@@ -7,10 +7,13 @@ import (
 	"fmt"
 	"maps"
 	"os"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/mapreduce"
 	"repro/internal/workload"
 )
 
@@ -28,13 +31,20 @@ const figureGoldenPath = "testdata/figure_golden.json"
 // tuner, config or simulation path that moves a figure shows up here
 // as a digest diff. Regenerate with `go test ./internal/experiments
 // -run TestPaperFiguresGolden -update` only when a behaviour change is
-// meant.
+// meant. The same runs feed the failed-leg ratchet (failedLegs).
 func TestPaperFiguresGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure reproduction in -short mode")
 	}
+	// Every default leg runs here, not in an earlier test that left it
+	// in the memo, so the ratchet sees its job whatever the test order.
+	resetDefaultLegs()
+	var failed failedJobs
+	jobFailed = failed.add
+	defer func() { jobFailed = nil }()
+
 	e := DefaultEnv()
-	got := figureDigests(e, "")
+	got := figureDigests(e, "", &failed)
 	// The fault matrix: the same sections with `-faults
 	// examples/faults/crash.json`, i.e. node 3 crashing at t = 40 s in
 	// every single-job run. The tournament arms its own churn spec and
@@ -43,7 +53,12 @@ func TestPaperFiguresGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	maps.Copy(got, figureDigests(Env{Seed: e.Seed, FaultSpec: crash}, "crash/"))
+	maps.Copy(got, figureDigests(Env{Seed: e.Seed, FaultSpec: crash}, "crash/", &failed))
+	slices.Sort(failed.legs)
+	if !slices.Equal(failed.legs, failedLegs) {
+		t.Errorf("legs whose job ends failed:\n\t%s\nwant (failedLegs):\n\t%s",
+			strings.Join(failed.legs, "\n\t"), strings.Join(failedLegs, "\n\t"))
+	}
 
 	if *updateGolden {
 		b, err := json.MarshalIndent(got, "", "  ")
@@ -73,34 +88,79 @@ func TestPaperFiguresGolden(t *testing.T) {
 	}
 }
 
+// failedLegs is the ratchet on figure legs that end failed, as
+// "<section> <job>" in sorted order, plain and under "crash/". Each
+// prints the time its job gave up as a bar (EXPERIMENTS.md marks them).
+// A leg that starts failing and a listed leg that completes both fail
+// TestPaperFiguresGolden, so the list only shrinks, and on purpose.
+var failedLegs = []string{
+	"crash/fig11 bigram/Wikipedia",
+	"crash/fig12 bigram/Freebase",
+	"crash/fig5 bigram/Wikipedia",
+	"crash/fig5 invertedindex/Wikipedia",
+	"crash/fig5 wordcount/Wikipedia",
+	"crash/fig6 bigram/Freebase",
+	"crash/fig6 invertedindex/Freebase",
+	"crash/fig6 wordcount/Freebase",
+	"fig11 bigram/Wikipedia",
+	"fig12 bigram/Freebase",
+	"fig5 bigram/Wikipedia",
+	"fig5 invertedindex/Wikipedia",
+	"fig5 wordcount/Wikipedia",
+	"fig6 bigram/Freebase",
+	"fig6 invertedindex/Freebase",
+	"fig6 wordcount/Freebase",
+}
+
+// failedJobs collects, through the jobFailed seam, the jobs that end
+// failed while each figure section runs.
+type failedJobs struct {
+	mu      sync.Mutex
+	section string
+	legs    []string
+}
+
+func (f *failedJobs) add(res mapreduce.Result) {
+	f.mu.Lock()
+	f.legs = append(f.legs, f.section+" "+res.JobName)
+	f.mu.Unlock()
+}
+
 // figureDigests runs every job-running section of `-run all` under e
 // and returns the sha256 of each section's rows, keyed by prefix and
-// section name. With a fault spec armed it leaves out the tournament.
-func figureDigests(e Env, prefix string) map[string]string {
-	type fig struct{ name, rows string }
+// section name, naming each section in failed while it runs. With a
+// fault spec armed it leaves out the tournament.
+func figureDigests(e Env, prefix string, failed *failedJobs) map[string]string {
+	type fig struct {
+		name string
+		rows func() string
+	}
 	figs := []fig{
-		{"fig4", rowsText(e.Fig4())},
-		{"fig5", rowsText(e.Fig5())},
-		{"fig6", rowsText(e.Fig6())},
-		{"fig10", rowsText(e.Fig10())},
-		{"fig11", rowsText(e.Fig11())},
-		{"fig12", rowsText(e.Fig12())},
-		{"jobstream", rowsText([]JobStreamRow{e.JobStream(9, 30)})},
-		{"table3", rowsText(e.Table3())},
-		{"fig13", rowsText(e.Fig13())},
-		{"multitenant", rowsText([]MultiTenantResult{e.MultiTenant()})},
-		{"testruns", rowsText(e.TestRunCounts(workload.Terasort(20, 0, 0), 4))},
-		{"hotspot", rowsText([]HotSpotRow{e.HotSpotStudy(4)})},
-		{"straggler", rowsText([]StragglerRow{e.StragglerStudy(3)})},
-		{"amortization", rowsText(e.Amortization(workload.Terasort(60, 0, 0), 8))},
-		{"faults", rowsText(e.FaultRecovery())},
+		{"fig4", func() string { return rowsText(e.Fig4()) }},
+		{"fig5", func() string { return rowsText(e.Fig5()) }},
+		{"fig6", func() string { return rowsText(e.Fig6()) }},
+		{"fig10", func() string { return rowsText(e.Fig10()) }},
+		{"fig11", func() string { return rowsText(e.Fig11()) }},
+		{"fig12", func() string { return rowsText(e.Fig12()) }},
+		{"jobstream", func() string { return rowsText([]JobStreamRow{e.JobStream(9, 30)}) }},
+		{"table3", func() string { return rowsText(e.Table3()) }},
+		{"fig13", func() string { return rowsText(e.Fig13()) }},
+		{"multitenant", func() string { return rowsText([]MultiTenantResult{e.MultiTenant()}) }},
+		{"testruns", func() string { return rowsText(e.TestRunCounts(workload.Terasort(20, 0, 0), 4)) }},
+		{"hotspot", func() string { return rowsText([]HotSpotRow{e.HotSpotStudy(4)}) }},
+		{"straggler", func() string { return rowsText([]StragglerRow{e.StragglerStudy(3)}) }},
+		{"amortization", func() string { return rowsText(e.Amortization(workload.Terasort(60, 0, 0), 8)) }},
+		{"faults", func() string { return rowsText(e.FaultRecovery()) }},
 	}
 	if e.FaultSpec == nil {
-		figs = append(figs, fig{"tournament", rowsText(e.Tournament(DefaultTournamentSpec()))})
+		figs = append(figs, fig{"tournament", func() string { return rowsText(e.Tournament(DefaultTournamentSpec())) }})
 	}
 	got := make(map[string]string, len(figs))
 	for _, f := range figs {
-		sum := sha256.Sum256([]byte(f.rows))
+		failed.mu.Lock()
+		failed.section = prefix + f.name
+		failed.mu.Unlock()
+		sum := sha256.Sum256([]byte(f.rows()))
 		got[prefix+f.name] = hex.EncodeToString(sum[:])
 	}
 	return got

@@ -73,12 +73,16 @@ func (e Env) BuildReport() *report.Document {
 		"Below ~10 GB the search cannot complete a sampling wave (m=24) and gains vanish.", sizes)
 
 	mt := e.MultiTenant()
+	tsDef, _ := mt.Default.Terasort.Secs()
+	tsMro, _ := mt.Mronline.Terasort.Secs()
+	bbpDef, _ := mt.Default.BBP.Secs()
+	bbpMro, _ := mt.Mronline.BBP.Secs()
 	doc.AddChart("Figure 14 — multi-tenant execution time",
 		"Terasort 60 GB and BBP under fair-share scheduling; per-application tuning.",
 		&report.BarChart{YLabel: "job execution time (s)", Series: []string{"Default", "MRONLINE"},
 			Groups: []report.BarGroup{
-				{Label: "Terasort", Values: []float64{mt.Default.Terasort.Duration, mt.Mronline.Terasort.Duration}},
-				{Label: "BBP", Values: []float64{mt.Default.BBP.Duration, mt.Mronline.BBP.Duration}},
+				{Label: "Terasort", Values: []float64{tsDef, tsMro}},
+				{Label: "BBP", Values: []float64{bbpDef, bbpMro}},
 			}})
 	util := func(pick func(MultiTenantRun) [4]float64) []report.BarGroup {
 		d, m := pick(mt.Default), pick(mt.Mronline)

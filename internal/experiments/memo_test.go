@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/mapreduce"
 	"repro/internal/mrconf"
 	"repro/internal/workload"
 )
@@ -64,7 +65,7 @@ func TestFaultSpecBypassesMemo(t *testing.T) {
 	resetDefaultLegs()
 	b := workload.Terasort(2, 0, 0)
 	e := Env{Seed: 7}
-	defaultLegs.get(legKey{seed: e.Seed, bench: b}, func() defaultLeg { return defaultLeg{Duration: -1} })
+	defaultLegs.get(legKey{seed: e.Seed, bench: b}, func() defaultLeg { return defaultLeg{Result: mapreduce.Result{Duration: -1}} })
 
 	faulty := e
 	faulty.FaultSpec = &faults.Spec{}
@@ -93,7 +94,7 @@ func TestMemoConcurrentMissRunsOnce(t *testing.T) {
 	run := func() defaultLeg {
 		runs.Add(1)
 		arrived.Wait()
-		return defaultLeg{Duration: 42}
+		return defaultLeg{Result: mapreduce.Result{Duration: 42}}
 	}
 	got := make([]defaultLeg, callers)
 	for i := 0; i < callers; i++ {

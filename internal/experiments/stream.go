@@ -139,8 +139,9 @@ func DefaultStreamSpec(seed uint64) StreamSpec {
 type StreamResult struct {
 	Jobs      int     // jobs submitted
 	Completed int     // jobs finished (== Jobs unless something is wrong)
+	Failed    int     // finished jobs that ended failed, counted in Completed
 	Makespan  float64 // finish time of the last job, seconds
-	MeanDur   float64 // mean job completion latency, seconds
+	MeanDur   float64 // mean job latency, seconds, failed jobs' give-up times included
 
 	// Events is the number of simulation events processed, summed over
 	// a rack-cell run's engines; SinkEvents is the number of trace
@@ -155,7 +156,7 @@ type StreamResult struct {
 
 // Report renders the deterministic aggregate summary: run totals plus
 // the per-class latency table. Same seed and spec → byte-identical
-// output, which is what the determinism tests pin.
+// output, which is what the determinism tests pin. Failed is not in it.
 func (r *StreamResult) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "jobs=%d completed=%d makespan=%.1fs mean=%.1fs sink_events=%d\n",
@@ -185,6 +186,7 @@ type streamCell struct {
 type cellTally struct {
 	sink      *trace.StatsSink
 	completed int
+	failed    int
 	totalDur  float64
 	makespan  float64
 	events    uint64 // events its engine processed
@@ -237,8 +239,12 @@ func (cell *streamCell) submit(i int, cl StreamClass) {
 		Faults:               cell.hooks,
 		ReleaseInputOnFinish: true,
 	}, func(rr mapreduce.Result) {
+		secs, ok := rr.Secs()
 		cell.completed++
-		cell.totalDur += rr.Duration
+		if !ok {
+			cell.failed++
+		}
+		cell.totalDur += secs
 		if now := cell.eng.Now(); now > cell.makespan {
 			cell.makespan = now
 		}
@@ -424,6 +430,7 @@ func (res *StreamResult) fold(tallies []cellTally) {
 	totalDur := 0.0
 	for _, t := range tallies {
 		res.Completed += t.completed
+		res.Failed += t.failed
 		totalDur += t.totalDur
 		if t.makespan > res.Makespan {
 			res.Makespan = t.makespan

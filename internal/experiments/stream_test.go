@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // smallStreamSpec is the test-scale serving run: a couple of simulated
@@ -243,6 +244,27 @@ func TestStreamTunedRuns(t *testing.T) {
 	}
 	if a.Report() != b.Report() {
 		t.Fatalf("tuned stream is not deterministic:\n%s\nvs\n%s", a.Report(), b.Report())
+	}
+}
+
+// TestStreamCountsFailedJobs: a job that fails still finishes, so it
+// counts in Completed, and also in Failed. A map working set of 4000 MB
+// overflows the default 1024 MB container on every attempt.
+func TestStreamCountsFailedJobs(t *testing.T) {
+	spec := smallStreamSpec(11)
+	spec.MaxJobs = 1
+	spec.Classes = []StreamClass{{Weight: 1, Bench: mustSpec(workload.BenchmarkSpec{
+		Name: "doomed", InputGB: 1, Maps: 8, Reduces: 2,
+		MapCPUPerMB: 0.01, RawMapSelectivity: 1, CombinerReduction: 1,
+		ReduceSelectivity: 1, RecordBytes: 100, SkewCV: 0.1,
+		MapWorkingSetMB: 4000, ReduceWorkingSetMB: 150,
+	})}}
+	res := RunStream(spec)
+	if res.Jobs != 1 || res.Completed != res.Jobs || res.Failed != 1 {
+		t.Fatalf("jobs=%d completed=%d failed=%d; want 1, 1, 1", res.Jobs, res.Completed, res.Failed)
+	}
+	if ok := RunStream(smallStreamSpec(11)); ok.Failed != 0 {
+		t.Fatalf("the test-scale stream counts %d failed jobs, want 0", ok.Failed)
 	}
 }
 

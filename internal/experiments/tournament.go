@@ -101,8 +101,8 @@ func (e Env) tournamentCell(b workload.Benchmark, backend string, fspec *faults.
 	kb := core.NewKnowledgeBase()
 	clean := Env{Seed: e.Seed, Backend: backend, KB: kb}
 	tn, test := clean.AggressiveTestRun(b)
-	row.TestRunDur = test.Duration
-	row.TunedDur = clean.RunOne(b, tn.BestConfig(), nil).Duration
+	row.TestRunDur, _ = test.Secs()
+	row.TunedDur, _ = clean.RunOne(b, tn.BestConfig(), nil).Secs()
 	row.mapTraj, row.redTraj = tn.Trajectories()
 	row.Evals = len(row.mapTraj) + len(row.redTraj)
 	mw, rw := tn.TestWaves()
@@ -114,9 +114,10 @@ func (e Env) tournamentCell(b workload.Benchmark, backend string, fspec *faults.
 	churn := Env{Seed: e.Seed, Backend: backend, FaultSpec: fspec}
 	ctn, ctest := churn.AggressiveTestRun(b)
 	crun := churn.RunOne(b, ctn.BestConfig(), nil)
-	row.ChurnTestDur = ctest.Duration
-	row.ChurnTunedDur = crun.Duration
-	row.ChurnFailed = ctest.Failed || crun.Failed
+	var testOK, runOK bool
+	row.ChurnTestDur, testOK = ctest.Secs()
+	row.ChurnTunedDur, runOK = crun.Secs()
+	row.ChurnFailed = !testOK || !runOK
 
 	// Warm leg: a later job of the same class, different seed, seeded
 	// from the clean leg's knowledge-base entry.
@@ -124,7 +125,7 @@ func (e Env) tournamentCell(b workload.Benchmark, backend string, fspec *faults.
 	wtn, wtest := warm.AggressiveTestRun(b)
 	wmw, wrw := wtn.TestWaves()
 	row.WarmWaves = wmw + wrw
-	row.WarmDur = wtest.Duration
+	row.WarmDur, _ = wtest.Secs()
 	return row
 }
 

@@ -58,7 +58,6 @@ type Job struct {
 	startTime float64
 	finished  bool
 	failed    bool
-	failErr   error
 	onDone    func(Result)
 
 	// mapSkewRNG/reduceRNG are the job's skew streams. They survive
@@ -573,7 +572,6 @@ func (j *Job) endAttempt(t *Task, how ending, reason error) {
 	switch how {
 	case endOOM:
 		j.counters.OOMKills++
-		t.oomCount++
 		ev.Kind = trace.TaskOOM
 	case endFailed:
 		j.counters.TaskFailures++
@@ -647,7 +645,6 @@ func (j *Job) finish(err error) {
 	}
 	j.finished = true
 	j.failed = err != nil
-	j.failErr = err
 	j.spec.Trace.Add(trace.Event{Time: j.eng.Now(), Job: j.Name, Kind: trace.JobFinish,
 		Detail: fmt.Sprintf("failed=%v", j.failed)})
 	j.app.Finish()

@@ -14,15 +14,12 @@ type reduceRun struct {
 	task *Task
 	// Deferred counter contributions, applied only if this attempt
 	// wins (speculative twins must not double-count).
-	pendingInMB      float64
-	pendingSpillRec  float64
-	pendingOutputRec float64
+	pendingInMB     float64
+	pendingSpillRec float64
 	// outMB is the size of the attempt's HDFS output write.
 	outMB float64
 	// share is this reducer's fraction of total map output.
 	share float64
-	// estTotalMB is the planning estimate of the reducer's input.
-	estTotalMB float64
 	// fetchedMB has completed fetching; fetchingMB is in flight.
 	fetchedMB  float64
 	fetchingMB float64
@@ -88,7 +85,7 @@ func (j *Job) reduceMain(t *Task) {
 		r = &reduceRun{}
 		t.run = r
 	}
-	*r = reduceRun{task: t, share: share, estTotalMB: estTotalMB}
+	*r = reduceRun{task: t, share: share}
 
 	// Segment routing: average segment size vs the in-memory fetch
 	// limit decides whether fetches land in memory or stream to disk.

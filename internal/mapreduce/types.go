@@ -136,7 +136,6 @@ type Task struct {
 	dataMB     float64
 	rawOutMB   float64
 	numSpills  int
-	oomCount   int
 
 	// outputNode records where a completed map's output lives (set on
 	// the logical task by mapFinish). If that node is later lost while
@@ -286,7 +285,10 @@ func (PassthroughController) LiveConfig(t *Task, current mrconf.Config) mrconf.C
 	return current
 }
 
-// Result summarizes a completed job.
+// Result summarizes a finished job. Failed == (Err != nil): a failed
+// job gave up when a task ran out of attempts, and its Duration is the
+// time it gave up, not a completion time. Code outside this package
+// reads the time through Secs, which reports the failure with it.
 type Result struct {
 	JobName  string
 	Duration float64
@@ -300,6 +302,11 @@ type Result struct {
 	MapCPUUtil, MapMemUtil       float64
 	ReduceCPUUtil, ReduceMemUtil float64
 }
+
+// Secs returns the job's run time in seconds and whether the job
+// completed. For a failed job (ok false) secs is the time it gave up,
+// which no caller may score as a job time.
+func (r Result) Secs() (secs float64, ok bool) { return r.Duration, !r.Failed }
 
 // Spec describes a job submission.
 type Spec struct {

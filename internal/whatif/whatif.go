@@ -130,10 +130,11 @@ func simulate(q Question, numReduces int, slowstart float64) float64 {
 		BaseConfig:        q.Config,
 		SlowstartFraction: slowstart,
 	})
-	if res.Failed {
-		return res.Duration * 10 // penalize infeasible settings
+	secs, ok := res.Secs()
+	if !ok {
+		return secs * 10 // penalize infeasible settings
 	}
-	return res.Duration
+	return secs
 }
 
 // CalibrateFromRun adjusts a benchmark's data-flow profile to match an
