@@ -3,9 +3,8 @@ package lint
 import "testing"
 
 // BenchmarkLintModule measures the full whole-module lint: load,
-// typecheck, per-package rules, and the interprocedural taint fixpoint.
-// CI runs the same work through cmd/mrlint with a warn-only 10s budget;
-// this benchmark is the tracked number behind that budget.
+// typecheck, per-package rules, and the interprocedural taint fixpoint,
+// the same work TestRepositoryIsClean does inside go test.
 func BenchmarkLintModule(b *testing.B) {
 	root, err := FindModuleRoot(".")
 	if err != nil {

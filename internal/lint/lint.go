@@ -11,10 +11,10 @@
 //	ordered-map-iter      map iteration order never reaches output/events
 //	float-map-accum       no floating-point accumulation in map-range order
 //	nondet-flow           map-iteration order never reaches a sink through calls
-//	mutex-copy            sync.Mutex / sync.WaitGroup never passed by value
 //	no-goroutine-in-sim   simulated packages stay single-threaded
 //	event-closure-capture scheduled closures snapshot state at schedule time
 //	test-only-export      exported internal/ API has a non-test user
+//	dead-field            every unexported struct field has a non-test read
 //	malformed-directive   every suppression names a rule and a reason
 //
 // Most rules are intraprocedural and run per package. nondet-flow is
@@ -103,11 +103,11 @@ func All() []*Analyzer {
 		MapIterAnalyzer,
 		FloatMapAccumAnalyzer,
 		RetainedAppendAnalyzer,
-		MutexCopyAnalyzer,
 		GoroutineInSimAnalyzer,
 		EventClosureCaptureAnalyzer,
 		NondetFlowAnalyzer,
 		TestOnlyExportAnalyzer,
+		DeadFieldAnalyzer,
 		MalformedDirectiveAnalyzer,
 	}
 }
@@ -244,8 +244,10 @@ type ModulePass struct {
 	dirs     *directiveIndex
 	findings *[]Finding
 
-	cg    *CallGraph
-	taint *taintResult
+	cg     *CallGraph
+	taint  *taintResult
+	used   map[types.Object]bool // see nonTestUses
+	ifaces map[*types.Interface]bool
 }
 
 // CallGraph returns the module call graph, building it on first use.
@@ -263,6 +265,11 @@ func (mp *ModulePass) Taint() *taintResult {
 		mp.taint = computeTaint(mp.Module, mp.CallGraph())
 	}
 	return mp.taint
+}
+
+// isTest reports whether pos lies in a _test.go file.
+func (mp *ModulePass) isTest(pos token.Pos) bool {
+	return strings.HasSuffix(mp.Module.Fset.Position(pos).Filename, "_test.go")
 }
 
 // Rel converts an absolute file name to a module-root-relative path.

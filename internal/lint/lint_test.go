@@ -461,59 +461,100 @@ func (l *Log) Add(m string) {
 			want: 0,
 		},
 
-		// ---- mutex-copy ----
+		// ---- dead-field ----
 		{
-			name: "mutexcopy positive parameter",
-			rule: "mutex-copy",
+			name: "deadfield positive write-only fields",
+			rule: "dead-field",
 			file: "internal/x/x.go",
 			src: `package x
-import "sync"
-func F(mu sync.Mutex) { mu.Lock() }
+type T struct {
+	n, m  int
+	sum   float64
+	label string
+}
+func New() *T { return &T{n: 1, label: "t"} }
+func (t *T) Add(v float64) {
+	t.n++
+	t.m = 2
+	t.sum += v
+	_ = T{1, 2, 3, "u"}
+}
 `,
+			want: 4,
+		},
+		{
+			name: "deadfield positive read only by a test",
+			rule: "dead-field",
+			file: "internal/x/x.go",
+			src: `package x
+type T struct{ n int }
+func (t *T) Inc() { t.n++ }
+`,
+			extra: map[string]string{"internal/x/x_test.go": `package x
+import "testing"
+func TestInc(t *testing.T) {
+	var v T
+	v.Inc()
+	if v.n != 1 {
+		t.Fatal(v.n)
+	}
+}
+`},
 			want: 1,
 		},
 		{
-			name: "mutexcopy positive waitgroup and receiver",
-			rule: "mutex-copy",
+			name: "deadfield negative map-key struct",
+			rule: "dead-field",
 			file: "internal/x/x.go",
 			src: `package x
-import "sync"
-type S struct{ mu sync.Mutex }
-func (s S) Wait(wg sync.WaitGroup) { wg.Wait() }
-`,
-			want: 1, // the wg parameter; value receiver S embeds, not is, a Mutex
-		},
-		{
-			name: "mutexcopy positive func literal",
-			rule: "mutex-copy",
-			file: "internal/x/x.go",
-			src: `package x
-import "sync"
-var F = func(wg sync.WaitGroup) { wg.Wait() }
-`,
-			want: 1,
-		},
-		{
-			name: "mutexcopy negative pointers",
-			rule: "mutex-copy",
-			file: "internal/x/x.go",
-			src: `package x
-import "sync"
-func F(mu *sync.Mutex, wg *sync.WaitGroup) {
-	mu.Lock()
-	defer mu.Unlock()
-	wg.Wait()
+type key struct{ seed, bench int }
+func Count(seeds []int) map[key]int {
+	m := make(map[key]int)
+	for _, s := range seeds {
+		m[key{seed: s, bench: 1}]++
+	}
+	return m
 }
 `,
 			want: 0,
 		},
 		{
-			name: "mutexcopy ignore directive",
-			rule: "mutex-copy",
+			name: "deadfield negative struct compared with ==",
+			rule: "dead-field",
 			file: "internal/x/x.go",
 			src: `package x
-import "sync"
-func F(mu sync.Mutex) { mu.Lock() } //mrlint:ignore mutex-copy demo of a broken pattern
+type pos struct{ line, col int }
+func Same(a, b int) bool { return pos{a, b} == pos{b, a} }
+`,
+			want: 0,
+		},
+		{
+			name: "deadfield negative exported and read fields",
+			rule: "dead-field",
+			file: "internal/x/x.go",
+			src: `package x
+type T struct {
+	N    int
+	seen bool
+}
+func (t *T) Mark() bool {
+	t.N = 1
+	was := t.seen
+	t.seen = true
+	return was
+}
+`,
+			want: 0,
+		},
+		{
+			name: "deadfield ignore directive",
+			rule: "dead-field",
+			file: "internal/x/x.go",
+			src: `package x
+type T struct {
+	n int //mrlint:ignore dead-field read by TestInc
+}
+func (t *T) Inc() { t.n++ }
 `,
 			want: 0,
 		},
@@ -539,7 +580,7 @@ func TestSelect(t *testing.T) {
 	if err != nil || len(all) != len(All()) {
 		t.Fatalf("Select(\"\") = %d analyzers, err %v; want all %d", len(all), err, len(All()))
 	}
-	two, err := Select("no-wallclock, mutex-copy")
+	two, err := Select("no-wallclock, dead-field")
 	if err != nil || len(two) != 2 {
 		t.Fatalf("Select two = %d, err %v", len(two), err)
 	}
@@ -605,10 +646,10 @@ func TestX(t *testing.T) {
 }
 
 func TestModuleRootRelativePaths(t *testing.T) {
-	findings := lintFiles(t, "mutex-copy", map[string]string{
+	findings := lintFiles(t, "no-wallclock", map[string]string{
 		"internal/x/x.go": `package x
-import "sync"
-func F(mu sync.Mutex) { mu.Lock() }
+import "time"
+func Now() time.Time { return time.Now() }
 `,
 	})
 	if len(findings) != 1 {

@@ -103,12 +103,10 @@ func modulePath(gomod string) (string, error) {
 
 // dirUnit is the raw parse of one directory before type checking.
 type dirUnit struct {
-	importPath string
-	dir        string
-	pkgFiles   []*ast.File // package + in-package tests
-	extFiles   []*ast.File // external test package (foo_test)
-	imports    []string    // local (module-internal) imports of pkgFiles
-	extImports []string    // local imports of extFiles
+	dir      string
+	pkgFiles []*ast.File // package + in-package tests
+	extFiles []*ast.File // external test package (foo_test)
+	imports  []string    // local (module-internal) imports of pkgFiles
 }
 
 // LoadModule parses and type-checks every package in the module rooted
@@ -164,7 +162,7 @@ func LoadModule(root string) (*Module, error) {
 		}
 		u := units[ip]
 		if u == nil {
-			u = &dirUnit{importPath: ip, dir: dir}
+			u = &dirUnit{dir: dir}
 			units[ip] = u
 		}
 		if strings.HasSuffix(file.Name.Name, "_test") {
@@ -181,25 +179,19 @@ func LoadModule(root string) (*Module, error) {
 	isLocal := func(path string) bool {
 		return path == modPath || strings.HasPrefix(path, modPath+"/")
 	}
-	collectImports := func(files []*ast.File) []string {
+	for _, u := range units {
 		seen := make(map[string]bool)
-		var out []string
-		for _, f := range files {
+		for _, f := range u.pkgFiles {
 			for _, imp := range f.Imports {
 				p, err := strconv.Unquote(imp.Path.Value)
 				if err != nil || !isLocal(p) || seen[p] {
 					continue
 				}
 				seen[p] = true
-				out = append(out, p)
+				u.imports = append(u.imports, p)
 			}
 		}
-		sort.Strings(out)
-		return out
-	}
-	for _, u := range units {
-		u.imports = collectImports(u.pkgFiles)
-		u.extImports = collectImports(u.extFiles)
+		sort.Strings(u.imports)
 	}
 
 	// Topologically order the units so every module-internal import is

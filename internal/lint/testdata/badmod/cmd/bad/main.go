@@ -4,8 +4,6 @@
 package main
 
 import (
-	"sync"
-
 	"badmod/internal/bad"
 	"badmod/internal/sim"
 	"badmod/internal/yarn"
@@ -19,7 +17,8 @@ func main() {
 	_ = bad.GlobalRand()
 	_ = bad.UnsortedIter(m)
 	bad.ScheduleFromMap(e, map[string]float64{"a": 1})
-	bad.LockByValue(sync.Mutex{}, sync.WaitGroup{})
+	var c bad.Counter
+	c.Hit()
 	_ = bad.FloatAccum(map[string]float64{"a": 1})
 	bad.PrintUnsorted(m)
 	bad.CaptureMutated(e, []string{"x"})

@@ -7,7 +7,6 @@ package bad
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"badmod/internal/order"
@@ -41,12 +40,14 @@ func ScheduleFromMap(e *sim.Engine, m map[string]float64) {
 	}
 }
 
-// LockByValue violates mutex-copy.
-func LockByValue(mu sync.Mutex, wg sync.WaitGroup) { // want mutex-copy
-	mu.Lock()
-	defer mu.Unlock()
-	wg.Wait()
+// Counter violates dead-field: hits is kept up to date, but no
+// non-test code reads it.
+type Counter struct {
+	hits int // want dead-field
 }
+
+// Hit counts one hit.
+func (c *Counter) Hit() { c.hits++ }
 
 // FloatAccum violates float-map-accum: FP addition is not associative,
 // so the low-order bits of the sum depend on iteration order.

@@ -63,10 +63,32 @@ func sigKey(sig *types.Signature) string {
 	return "(" + list(sig.Params()) + ") " + list(sig.Results())
 }
 
-func runTestOnlyExport(mp *ModulePass) {
+// nonTestUses is the module-wide walk of non-test uses that
+// test-only-export and dead-field share, built on first use. used holds
+// every object with a use in a non-test file outside its own
+// declaration; a struct field counts only when read (DeadFieldAnalyzer
+// says what a read is). ifaces holds every non-empty interface the
+// module can see.
+func (mp *ModulePass) nonTestUses() (used map[types.Object]bool, ifaces map[*types.Interface]bool) {
+	if mp.used != nil {
+		return mp.used, mp.ifaces
+	}
 	m := mp.Module
-	isTest := func(pos token.Pos) bool {
-		return strings.HasSuffix(m.Fset.Position(pos).Filename, "_test.go")
+	used = make(map[types.Object]bool)
+	var readAll func(t types.Type)
+	readAll = func(t types.Type) {
+		if st, ok := t.Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				used[st.Field(i).Origin()] = true
+				readAll(st.Field(i).Type())
+			}
+		}
+	}
+	writes := make(map[*ast.Ident]bool)
+	write := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			writes[sel.Sel] = true
+		}
 	}
 
 	// Declaration extents: a use inside the used name's own extent does
@@ -74,6 +96,30 @@ func runTestOnlyExport(mp *ModulePass) {
 	extent := make(map[types.Object][]ast.Node)
 	for _, pkg := range m.Packages {
 		for _, f := range pkg.Files {
+			if !mp.isTest(f.Pos()) {
+				// Field writes, and structs that a comparison reads whole.
+				ast.Inspect(f, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							write(lhs)
+						}
+					case *ast.IncDecStmt:
+						write(n.X)
+					case *ast.KeyValueExpr:
+						if id, ok := n.Key.(*ast.Ident); ok {
+							writes[id] = true
+						}
+					case *ast.MapType:
+						readAll(pkg.Info.TypeOf(n.Key))
+					case *ast.BinaryExpr:
+						if n.Op == token.EQL || n.Op == token.NEQ {
+							readAll(pkg.Info.TypeOf(n.X))
+						}
+					}
+					return true
+				})
+			}
 			for _, decl := range f.Decls {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
@@ -109,8 +155,7 @@ func runTestOnlyExport(mp *ModulePass) {
 		}
 	}
 
-	used := make(map[types.Object]bool)
-	ifaces := make(map[*types.Interface]bool)
+	ifaces = make(map[*types.Interface]bool)
 	addIface := func(t types.Type) {
 		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
 			ifaces[it] = true
@@ -128,9 +173,12 @@ func runTestOnlyExport(mp *ModulePass) {
 					addIface(sig.Params().At(i).Type())
 				}
 			case *types.Var:
+				if o.IsField() && writes[id] {
+					continue
+				}
 				obj = o.Origin()
 			}
-			if isTest(id.Pos()) || within(extent[obj], id.Pos()) {
+			if mp.isTest(id.Pos()) || within(extent[obj], id.Pos()) {
 				continue
 			}
 			used[obj] = true
@@ -141,6 +189,12 @@ func runTestOnlyExport(mp *ModulePass) {
 			}
 		}
 	}
+	mp.used, mp.ifaces = used, ifaces
+	return used, ifaces
+}
+
+func runTestOnlyExport(mp *ModulePass) {
+	used, ifaces := mp.nonTestUses()
 	implements := func(fn *types.Func, named *types.Named) bool {
 		if want, ok := dynamicMethods[fn.Name()]; ok && sigKey(fn.Type().(*types.Signature)) == want {
 			return true
@@ -161,7 +215,7 @@ func runTestOnlyExport(mp *ModulePass) {
 			"%s %s.%s has no non-test user; delete it, unexport it or move it to export_test.go, or keep it with a reasoned ignore",
 			what, obj.Pkg().Name(), name)
 	}
-	for _, pkg := range m.Packages {
+	for _, pkg := range mp.Module.Packages {
 		rel := mp.Rel(pkg.Dir)
 		if !strings.HasPrefix(rel+"/", "internal/") || strings.HasSuffix(pkg.ImportPath, ".test") {
 			continue
@@ -169,7 +223,7 @@ func runTestOnlyExport(mp *ModulePass) {
 		scope := pkg.Types.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
-			if !obj.Exported() || isTest(obj.Pos()) {
+			if !obj.Exported() || mp.isTest(obj.Pos()) {
 				continue
 			}
 			if !used[obj] {
@@ -186,7 +240,7 @@ func runTestOnlyExport(mp *ModulePass) {
 			}
 			for i := 0; i < named.NumMethods(); i++ {
 				fn := named.Method(i)
-				if !fn.Exported() || isTest(fn.Pos()) || used[fn] || implements(fn, named) {
+				if !fn.Exported() || mp.isTest(fn.Pos()) || used[fn] || implements(fn, named) {
 					continue
 				}
 				report(fn, "method", name+"."+fn.Name())

@@ -84,7 +84,6 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 type span struct {
 	node       string
 	start, end float64
-	taskType   string
 }
 
 // spans pairs start/finish events per (job, type, id, attempt).
@@ -102,7 +101,7 @@ func (r *Recorder) spans() []span {
 			open[k] = e
 		case TaskFinish, TaskOOM, TaskKilled, TaskFailed:
 			if s, ok := open[k]; ok {
-				out = append(out, span{node: s.Node, start: s.Time, end: e.Time, taskType: s.TaskType})
+				out = append(out, span{node: s.Node, start: s.Time, end: e.Time})
 				delete(open, k)
 			}
 		}

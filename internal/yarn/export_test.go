@@ -15,15 +15,22 @@ func (rm *ResourceManager) NodeDeclaredLost(n *cluster.Node) bool {
 	return n.Down() && rm.declaredLost[n.ID]
 }
 
-// RetryWakeupsScheduled returns how many relax-retry wakeup events have
-// been scheduled (after coalescing).
-func (rm *ResourceManager) RetryWakeupsScheduled() int { return rm.retryScheduled }
+// countRetryWakeups wraps the RM's cached relax-retry callback; the
+// returned counter reads how many wakeups have fired since. Every
+// wakeup is an engine event that is never canceled, so once the engine
+// has drained, that is how many were scheduled.
+func countRetryWakeups(rm *ResourceManager) *int {
+	n := new(int)
+	retry := rm.retryFn
+	rm.retryFn = func() { *n++; retry() }
+	return n
+}
 
 // UsedMemMB returns the memory currently allocated to the app.
 func (a *App) UsedMemMB() float64 { return a.usedMemMB }
 
 // Running returns the app's live container count.
-func (a *App) Running() int { return a.running }
+func (a *App) Running() int { return len(a.live) }
 
 // Pending returns the number of unsatisfied requests.
 func (a *App) Pending() int { return len(a.pending) }

@@ -16,6 +16,7 @@ import (
 // are scheduled in total (rack delay, then off-rack delay) — not 2K.
 func TestRelaxRetryCoalescing(t *testing.T) {
 	eng, c, rm := newRMQuiet(FIFOScheduler{})
+	wakeups := countRetryWakeups(rm)
 	holder := rm.Submit("holder")
 	for range c.Nodes {
 		holder.Request(&Request{
@@ -24,7 +25,7 @@ func TestRelaxRetryCoalescing(t *testing.T) {
 		})
 	}
 	eng.Run()
-	if got := rm.RetryWakeupsScheduled(); got != 0 {
+	if got := *wakeups; got != 0 {
 		t.Fatalf("wakeups after fill = %d, want 0", got)
 	}
 
@@ -39,7 +40,7 @@ func TestRelaxRetryCoalescing(t *testing.T) {
 	eng.Run()
 	// One wakeup at enqueued+RackDelay, one at enqueued+OffRackDelay,
 	// shared by all K requests.
-	if got := rm.RetryWakeupsScheduled(); got != 2 {
+	if got := *wakeups; got != 2 {
 		t.Fatalf("retry wakeups = %d, want 2 for %d same-instant requests", got, K)
 	}
 	if app.Pending() != K {

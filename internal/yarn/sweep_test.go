@@ -157,11 +157,11 @@ func pendingOrderError(rm *ResourceManager) string {
 	for _, app := range rm.apps {
 		for i, req := range app.pending {
 			if req.index != i {
-				return fmt.Sprintf("app %d: request seq %d at position %d has index %d", app.ID, req.seq, i, req.index)
+				return fmt.Sprintf("app %d: request at position %d has index %d", app.ID, i, req.index)
 			}
 			if i > 0 && req.enqueued < app.pending[i-1].enqueued {
-				return fmt.Sprintf("app %d: request seq %d enqueued at %g after one enqueued at %g",
-					app.ID, req.seq, req.enqueued, app.pending[i-1].enqueued)
+				return fmt.Sprintf("app %d: request at position %d enqueued at %g after one enqueued at %g",
+					app.ID, i, req.enqueued, app.pending[i-1].enqueued)
 			}
 		}
 	}
@@ -170,7 +170,7 @@ func pendingOrderError(rm *ResourceManager) string {
 
 // sweepStep is one observable step of a twin: a scheduler Pick (the
 // node offered and the app index returned), a NodeFilter call, a
-// launch (the node and the granted request's seq), the end of an
+// launch (the node and the granted request's number in reqs), the end of an
 // assign (the cursor, the pending count and the latest relax-retry
 // wakeup armed), or a relax-retry wakeup firing (its time).
 type sweepStep struct {
@@ -190,6 +190,7 @@ type sweepTwin struct {
 	rm   *ResourceManager
 	apps []*App
 	reqs []*Request // every request made, pending or not
+	owns []int      // owns[k] is the index in apps of reqs[k]'s app
 	live []*Container
 	hot  []bool
 	log  []sweepStep
@@ -282,15 +283,16 @@ func newSweepTwin(t *testing.T, seed int64, p sweepParams, ref *sweepTwin) *swee
 
 // request enqueues one request preferring the given node indices.
 func (tw *sweepTwin) request(app int, shape Resource, prefs []int) {
-	req := &Request{Resource: shape}
+	req, k := &Request{Resource: shape}, len(tw.reqs)
 	for _, p := range prefs {
 		req.PreferredNodes = append(req.PreferredNodes, tw.c.Nodes[p])
 	}
 	req.OnAllocate = func(cont *Container) {
-		tw.record(sweepStep{kind: "launch", node: cont.Node.ID, val: req.seq})
+		tw.record(sweepStep{kind: "launch", node: cont.Node.ID, val: k})
 		tw.live = append(tw.live, cont)
 	}
 	tw.reqs = append(tw.reqs, req)
+	tw.owns = append(tw.owns, app)
 	tw.apps[app].Request(req)
 }
 
@@ -300,15 +302,14 @@ func (tw *sweepTwin) request(app int, shape Resource, prefs []int) {
 // The RM must refuse and change nothing. It reports whether the app
 // was another app.
 func (tw *sweepTwin) cancelNotPending(k int) (foreign bool) {
-	req := tw.reqs[k]
-	app := req.app
+	req, app := tw.reqs[k], tw.apps[tw.owns[k]]
 	if i := req.index; i < len(app.pending) && app.pending[i] == req {
-		app, foreign = tw.apps[(app.ID+1)%len(tw.apps)], true
+		app, foreign = tw.apps[(tw.owns[k]+1)%len(tw.apps)], true
 	}
 	pending := tw.rm.totalPending
 	if app.CancelRequest(req) {
-		tw.t.Fatalf("seed %d: app %d canceled request seq %d it does not hold pending (its app %d, index %d)",
-			tw.seed, app.ID, req.seq, req.app.ID, req.index)
+		tw.t.Fatalf("seed %d: app %d canceled request %d it does not hold pending (its app %d, index %d)",
+			tw.seed, app.ID, k, tw.owns[k], req.index)
 	}
 	if tw.rm.totalPending != pending {
 		tw.t.Fatalf("seed %d: refused cancel changed the pending count %d -> %d", tw.seed, pending, tw.rm.totalPending)

@@ -75,8 +75,6 @@ type Request struct {
 	// Like OnAllocate, it never runs after the app has finished.
 	OnNodeLost func(*Container)
 
-	app      *App
-	seq      int
 	index    int // position in the app's pending list
 	enqueued float64
 }
@@ -143,7 +141,6 @@ type App struct {
 	// fitting checks touch shapes instead of every request.
 	pendingShapes []shapeCount
 	usedMemMB     float64
-	running       int
 	finished      bool
 }
 
@@ -164,7 +161,6 @@ type ResourceManager struct {
 	apps       []*App
 	nextAppID  int
 	nextContID int
-	nextReqSeq int
 	assignCur  int // round-robin node cursor
 	assigning  bool
 	kickFn     func() // cached kick callback (one closure per RM, not per kick)
@@ -205,8 +201,7 @@ type ResourceManager struct {
 	unconstrained int
 	// retryAt is the expiry of the latest scheduled relax-retry wakeup
 	// (-1 when none); duplicate wakeups at the same instant coalesce.
-	retryAt        float64
-	retryScheduled int
+	retryAt float64
 	// SchedulingDelay adds latency between a container becoming
 	// available and the task launch, modelling heartbeat granularity.
 	SchedulingDelay float64
@@ -356,9 +351,6 @@ func (a *App) Request(req *Request) {
 	if req.Resource.MemMB <= 0 || req.Resource.VCores <= 0 {
 		panic(fmt.Sprintf("yarn: invalid container shape %v", req.Resource))
 	}
-	req.app = a
-	req.seq = a.rm.nextReqSeq
-	a.rm.nextReqSeq++
 	req.index = len(a.pending)
 	req.enqueued = a.rm.eng.Now()
 	a.pending = append(a.pending, req)
@@ -419,7 +411,6 @@ func (rm *ResourceManager) Release(c *Container) {
 		}
 	}
 	app.usedMemMB -= c.Resource.MemMB
-	app.running--
 	if !c.launching {
 		rm.recycleContainer(c)
 	}
@@ -674,7 +665,6 @@ func (rm *ResourceManager) assign() {
 func (rm *ResourceManager) scheduleRelaxRetry(at float64) {
 	if at > rm.eng.Now() && rm.retryAt != at {
 		rm.retryAt = at
-		rm.retryScheduled++
 		rm.eng.At(at, rm.retryFn)
 	}
 }
@@ -786,7 +776,6 @@ func (rm *ResourceManager) place(app *App, req *Request, node *cluster.Node) {
 	rm.nextContID++
 	app.live = append(app.live, cont)
 	app.usedMemMB += req.Resource.MemMB
-	app.running++
 	rm.eng.After(rm.SchedulingDelay, cont.launchCB)
 }
 

@@ -102,15 +102,17 @@ func TestPlacementHotPathAllocationFree(t *testing.T) {
 	}
 	// First call arms the wakeup for the pending preferred request;
 	// every further call finds it coalesced and must be free.
+	queued := eng.Pending()
 	rm.scheduleRelaxRetry(rm.relaxExpiry())
-	if rm.RetryWakeupsScheduled() != 1 {
-		t.Fatalf("retry wakeups = %d, want 1", rm.RetryWakeupsScheduled())
+	if eng.Pending() != queued+1 {
+		t.Fatalf("arming queued %d events, want 1", eng.Pending()-queued)
 	}
+	queued++
 	if a := testing.AllocsPerRun(100, func() { rm.scheduleRelaxRetry(rm.relaxExpiry()) }); a != 0 {
 		t.Errorf("coalesced scheduleRelaxRetry allocates %v per run, want 0", a)
 	}
-	if rm.RetryWakeupsScheduled() != 1 {
-		t.Fatalf("coalesced calls scheduled more wakeups: %d", rm.RetryWakeupsScheduled())
+	if eng.Pending() != queued {
+		t.Fatalf("coalesced calls queued %d more events", eng.Pending()-queued)
 	}
 	// The preferred-node bitset scan, alone and as a whole sweep: only
 	// node-local demand is pending and none of it fits, so assign jumps
@@ -125,7 +127,7 @@ func TestPlacementHotPathAllocationFree(t *testing.T) {
 	// the engine's event free list is warm, it allocates nothing either.
 	// (Last: running the engine ages the request past its delays.)
 	eng.Run()
-	armed := rm.RetryWakeupsScheduled()
+	fired := countRetryWakeups(rm)
 	next := eng.Now() + 1
 	if a := testing.AllocsPerRun(100, func() {
 		next++
@@ -134,7 +136,7 @@ func TestPlacementHotPathAllocationFree(t *testing.T) {
 	}); a != 0 {
 		t.Errorf("non-coalesced scheduleRelaxRetry allocates %v per run, want 0", a)
 	}
-	if got := rm.RetryWakeupsScheduled() - armed; got != 101 {
+	if got := *fired; got != 101 {
 		t.Fatalf("non-coalesced calls armed %d wakeups, want 101 (one per run plus the warm-up)", got)
 	}
 }
