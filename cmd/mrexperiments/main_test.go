@@ -42,18 +42,24 @@ func mrexperiments(t *testing.T, dir string, args ...string) (stdout, stderr str
 	return out.String(), errOut.String(), 0
 }
 
-// Bad -run and -cells values are rejected before any artifact runs:
-// exit 2, nothing on stdout, one line on stderr.
+// Bad -run, -cells and -kb values are rejected before any artifact
+// runs: exit 2, nothing on stdout, one line on stderr, and no file
+// written. The scorecard's seeds run in parallel, so it takes no -kb.
 func TestBadArgsExit2BeforeRunning(t *testing.T) {
 	for _, args := range [][]string{
 		{"-run", "table2,bogus"},
 		{"-run", "fig4", "-cells"},
 		{"-html", "report.html", "-cells"},
+		{"-run", "scorecard", "-kb", "x.json"},
 	} {
-		stdout, stderr, code := mrexperiments(t, t.TempDir(), args...)
+		dir := t.TempDir()
+		stdout, stderr, code := mrexperiments(t, dir, args...)
 		if code != 2 || stdout != "" || strings.Count(stderr, "\n") != 1 {
 			t.Fatalf("%v: exit %d, stdout %q, stderr %q; want 2, no output and one line",
 				args, code, stdout, stderr)
+		}
+		if files, _ := os.ReadDir(dir); len(files) != 0 {
+			t.Fatalf("%v wrote %s", args, files[0].Name())
 		}
 	}
 }

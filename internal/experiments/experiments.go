@@ -92,9 +92,13 @@ type Env struct {
 	// report the average" (§8.1). Zero means 3.
 	Reps int
 	// FaultSpec, when non-nil and non-empty, is armed against the
-	// cluster of every single-job run (RunSpec and the experiments
-	// built on it), injecting the described faults deterministically
-	// from the run's seed. Nil (the default) changes nothing.
+	// cluster of each run made through this Env's RunSpec (RunOne and
+	// the experiments built on them), injecting the described faults
+	// deterministically from the run's seed. Not every leg of every
+	// figure is such a run: Expedited's MRONLINE legs run on a sub-Env
+	// without it, and MultiTenant, HotSpotStudy and StragglerStudy
+	// build rigs of their own that never arm it. Nil (the default)
+	// changes nothing.
 	FaultSpec *faults.Spec
 	// Backend names the optimizer backend aggressive test runs drive:
 	// "" or "hill" is the paper's Algorithm 1 (byte-identical to the
@@ -102,9 +106,11 @@ type Env struct {
 	// tournament compares. See tuner.Backends().
 	Backend string
 	// KB, when non-nil, closes the cross-job learning loop:
-	// AggressiveTestRun warm-starts each job from its class's stored
-	// search state and deposits its best configuration and search
-	// state afterwards.
+	// AggressiveTestRun on this Env warm-starts each job from its
+	// class's stored search state and deposits its best configuration
+	// and search state afterwards. That covers Fig13, TestRunCounts and
+	// Amortization; Expedited's MRONLINE legs run on a sub-Env without
+	// it, and never read or update it.
 	KB *core.KnowledgeBase
 }
 
@@ -415,11 +421,22 @@ func (e Env) Fig5() []ExpeditedRow { return e.expeditedSet("Wikipedia") }
 // Fig6 covers the four Freebase applications (expedited).
 func (e Env) Fig6() []ExpeditedRow { return e.expeditedSet("Freebase") }
 
-func (e Env) expeditedSet(dataset string) []ExpeditedRow {
+// figBenches names the four applications Figs 5–6 and 11–12 run on
+// dataset, in the figures' order.
+func figBenches(dataset string) []string {
 	apps := []string{"bigram", "invertedindex", "wordcount", "textsearch"}
-	rows := make([]ExpeditedRow, len(apps))
-	parallelFor(len(apps), runtime.GOMAXPROCS(0), func(i int) {
-		b, err := workload.ByName(apps[i] + "/" + dataset)
+	names := make([]string, len(apps))
+	for i, app := range apps {
+		names[i] = app + "/" + dataset
+	}
+	return names
+}
+
+func (e Env) expeditedSet(dataset string) []ExpeditedRow {
+	names := figBenches(dataset)
+	rows := make([]ExpeditedRow, len(names))
+	parallelFor(len(names), runtime.GOMAXPROCS(0), func(i int) {
+		b, err := workload.ByName(names[i])
 		if err != nil {
 			panic(err)
 		}
@@ -470,10 +487,10 @@ func (e Env) Fig11() []SingleRunRow { return e.singleRunSet("Wikipedia") }
 func (e Env) Fig12() []SingleRunRow { return e.singleRunSet("Freebase") }
 
 func (e Env) singleRunSet(dataset string) []SingleRunRow {
-	apps := []string{"bigram", "invertedindex", "wordcount", "textsearch"}
-	rows := make([]SingleRunRow, len(apps))
-	parallelFor(len(apps), runtime.GOMAXPROCS(0), func(i int) {
-		b, err := workload.ByName(apps[i] + "/" + dataset)
+	names := figBenches(dataset)
+	rows := make([]SingleRunRow, len(names))
+	parallelFor(len(names), runtime.GOMAXPROCS(0), func(i int) {
+		b, err := workload.ByName(names[i])
 		if err != nil {
 			panic(err)
 		}
@@ -494,14 +511,16 @@ type JobSizeRow struct {
 // Improvement returns the relative gain.
 func (r JobSizeRow) Improvement() float64 { return RelGain(r.DefaultDur, r.MronlineDur) }
 
+// fig13Sizes are Fig 13's Terasort input sizes in GB.
+var fig13Sizes = []int{2, 6, 10, 20, 60, 100}
+
 // Fig13 reproduces the job-size study (§8.4): Terasort from 2 to
 // 100 GB with reducers ≈ maps/4, aggressive tuning in a single test
 // run, then re-run with the generated configuration.
 func (e Env) Fig13() []JobSizeRow {
-	sizes := []int{2, 6, 10, 20, 60, 100}
-	rows := make([]JobSizeRow, len(sizes))
-	parallelFor(len(sizes), runtime.GOMAXPROCS(0), func(i int) {
-		gb := sizes[i]
+	rows := make([]JobSizeRow, len(fig13Sizes))
+	parallelFor(len(fig13Sizes), runtime.GOMAXPROCS(0), func(i int) {
+		gb := fig13Sizes[i]
 		b := workload.Terasort(gb, 0, 0)
 		def := e.RunOne(b, mrconf.Default(), nil)
 		tuner, _ := e.AggressiveTestRun(b)
@@ -866,14 +885,20 @@ func (e Env) SeedSweep(b workload.Benchmark, seeds int) SweepStat {
 	})
 }
 
-// sweep runs legs under `seeds` independent seeds (seed e.Seed + 977i,
-// Reps 1) side by side and summarizes the gains of the seeds whose
-// legs both completed; a seed with a failed leg has no gain.
+// overSeeds calls fn(i, e.Seed + 977i) for i < n side by side: the one
+// seed schedule of the seed sweeps and the scorecard.
+func (e Env) overSeeds(n int, fn func(i int, seed uint64)) {
+	parallelFor(n, runtime.GOMAXPROCS(0), func(i int) { fn(i, e.Seed+uint64(i)*977) })
+}
+
+// sweep runs legs under `seeds` independent seeds (overSeeds, Reps 1)
+// and summarizes the gains of the seeds whose legs both completed; a
+// seed with a failed leg has no gain.
 func (e Env) sweep(seeds int, legs func(sub Env) (def, tuned mapreduce.Result)) SweepStat {
 	imps := make([]float64, seeds)
 	ok := make([]bool, seeds)
-	parallelFor(seeds, runtime.GOMAXPROCS(0), func(i int) {
-		imps[i], ok[i] = Gain(legs(Env{Seed: e.Seed + uint64(i)*977, Reps: 1}))
+	e.overSeeds(seeds, func(i int, seed uint64) {
+		imps[i], ok[i] = Gain(legs(Env{Seed: seed, Reps: 1}))
 	})
 	done := imps[:0]
 	for i, imp := range imps {

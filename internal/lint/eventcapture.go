@@ -17,10 +17,11 @@ import (
 // hoisted during refactors.
 //
 // Flagged: a function literal passed to At/After/Tick that captures a
-// variable of the enclosing function which is (a) written after the
-// scheduling call, or (b) declared outside an enclosing loop and
-// written inside it while the call is also inside that loop (mutated
-// across iterations while the event is pending). Writes inside
+// variable of the enclosing function (a local, a parameter or the
+// receiver) which is (a) written after the scheduling call, or (b)
+// declared outside an enclosing loop and written inside it while the
+// call is also inside that loop (mutated across iterations while the
+// event is pending). Writes inside
 // function literals (including the closure itself) are event-time
 // state and are fine. The fix is to bind a per-iteration copy
 // (`v := v`) or pass the value explicitly at schedule time.
@@ -40,13 +41,17 @@ func runEventClosureCapture(p *Pass) {
 			if !ok || fd.Body == nil {
 				return true
 			}
-			checkScheduledClosures(p, fd.Body)
+			checkScheduledClosures(p, fd)
 			return true
 		})
 	}
 }
 
-func checkScheduledClosures(p *Pass, body *ast.BlockStmt) {
+// checkScheduledClosures checks the closures fd's body schedules. A
+// captured variable counts as the function's own when fd declares it:
+// a receiver, a parameter or a local.
+func checkScheduledClosures(p *Pass, fd *ast.FuncDecl) {
+	body := fd.Body
 	// Every function-literal span in the body: writes inside any of
 	// them happen at event-fire time, not scheduler time.
 	var litSpans []*ast.FuncLit
@@ -102,7 +107,7 @@ func checkScheduledClosures(p *Pass, body *ast.BlockStmt) {
 			if !ok {
 				continue
 			}
-			checkClosureCaptures(p, body, call, fl, inAnyLit, collectLoops(call))
+			checkClosureCaptures(p, fd, call, fl, inAnyLit, collectLoops(call))
 		}
 		return true
 	})
@@ -110,7 +115,7 @@ func checkScheduledClosures(p *Pass, body *ast.BlockStmt) {
 
 // checkClosureCaptures inspects one scheduled closure's free variables
 // for mutate-before-fire hazards.
-func checkClosureCaptures(p *Pass, body *ast.BlockStmt, call *ast.CallExpr, fl *ast.FuncLit,
+func checkClosureCaptures(p *Pass, fd *ast.FuncDecl, call *ast.CallExpr, fl *ast.FuncLit,
 	inAnyLit func(token.Pos) bool, enclosingLoops []ast.Node) {
 
 	reported := make(map[types.Object]bool)
@@ -123,13 +128,13 @@ func checkClosureCaptures(p *Pass, body *ast.BlockStmt, call *ast.CallExpr, fl *
 		if !ok || obj.IsField() || reported[obj] {
 			return true
 		}
-		// Free variable: declared in the enclosing function (inside the
-		// body, before the closure) — not a package-level or closure-own
-		// variable, not a field.
-		if obj.Pos() < body.Pos() || obj.Pos() >= body.End() || (obj.Pos() >= fl.Pos() && obj.Pos() < fl.End()) {
+		// Free variable: declared by the enclosing function (its
+		// receiver, a parameter, or a local before the closure) — not a
+		// package-level or closure-own variable, not a field.
+		if obj.Pos() < fd.Pos() || obj.Pos() >= fd.End() || (obj.Pos() >= fl.Pos() && obj.Pos() < fl.End()) {
 			return true
 		}
-		if hazard := mutateBeforeFire(p, body, call, obj, inAnyLit, enclosingLoops); hazard != "" {
+		if hazard := mutateBeforeFire(p, fd.Body, call, obj, inAnyLit, enclosingLoops); hazard != "" {
 			reported[obj] = true
 			p.Report("event-closure-capture", id.Pos(),
 				"closure scheduled by Engine.%s captures %s, which is %s; the event will read the mutated value at fire time — bind a copy (%s := %s) or pass the value at schedule time",

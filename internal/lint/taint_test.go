@@ -410,6 +410,51 @@ func F(e *sim.Engine, ds []float64) {
 			want:  1,
 		},
 		{
+			name: "eventcapture positive parameter rebound after scheduling",
+			rule: "event-closure-capture",
+			file: "internal/x/x.go",
+			src: `package x
+import "fixture/internal/sim"
+var out float64
+func F(e *sim.Engine, window float64) {
+	e.At(5, func() { out = window })
+	window = 0
+}
+`,
+			extra: map[string]string{"internal/sim/engine.go": miniSim},
+			want:  1,
+		},
+		{
+			name: "eventcapture positive receiver rebound after scheduling",
+			rule: "event-closure-capture",
+			file: "internal/x/x.go",
+			src: `package x
+import "fixture/internal/sim"
+type T struct{ n int }
+var out int
+func (t *T) F(e *sim.Engine) {
+	e.At(5, func() { out = t.n })
+	t = &T{}
+}
+`,
+			extra: map[string]string{"internal/sim/engine.go": miniSim},
+			want:  1,
+		},
+		{
+			name: "eventcapture negative parameter not rebound",
+			rule: "event-closure-capture",
+			file: "internal/x/x.go",
+			src: `package x
+import "fixture/internal/sim"
+var out float64
+func F(e *sim.Engine, window float64) {
+	e.At(5, func() { out = window })
+}
+`,
+			extra: map[string]string{"internal/sim/engine.go": miniSim},
+			want:  0,
+		},
+		{
 			name: "eventcapture negative per-iteration copy",
 			rule: "event-closure-capture",
 			file: "internal/x/x.go",
