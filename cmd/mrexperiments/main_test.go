@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"flag"
 	"os"
@@ -64,8 +66,15 @@ func TestBadArgsExit2BeforeRunning(t *testing.T) {
 	}
 }
 
-// TestRunAllGolden pins the text `-run all` prints, plain and with
-// examples/faults/crash.json armed. Regenerate with `go test
+// kbDigest is the sha256 of the knowledge base `-run all -kb` saves
+// when it starts from no file.
+const kbDigest = "101bbfb988533b5bcad69d1934cba72b249ca7ec798698d60afda98f08d636b9"
+
+// TestRunAllGolden pins the text `-run all` prints, plain, with
+// examples/faults/crash.json armed, and with a fresh -kb file, whose
+// saved bytes it pins by sha256. fig13, testruns and amortization
+// warm-start one after another from that knowledge base, so the -kb
+// run pins the order the sections run in. Regenerate with `go test
 // ./cmd/mrexperiments -run TestRunAllGolden -update` only when a
 // printed figure or format is meant to change.
 func TestRunAllGolden(t *testing.T) {
@@ -82,16 +91,57 @@ func TestRunAllGolden(t *testing.T) {
 	}{
 		{"run_all.golden", []string{"-run", "all"}},
 		{"run_all_crash.golden", []string{"-run", "all", "-faults", crash}},
+		{"run_all_kb.golden", []string{"-run", "all", "-kb", "kb.json"}},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			t.Parallel()
-			stdout, stderr, code := mrexperiments(t, t.TempDir(), tc.args...)
+			dir := t.TempDir()
+			stdout, stderr, code := mrexperiments(t, dir, tc.args...)
 			if code != 0 {
 				t.Fatalf("%v: exit %d: %s", tc.args, code, stderr)
 			}
 			checkGolden(t, filepath.Join("testdata", tc.golden), stdout)
+			if _, err := os.Stat(filepath.Join(dir, "kb.json")); err == nil {
+				if got := fileDigest(t, filepath.Join(dir, "kb.json")); got != kbDigest {
+					t.Errorf("saved knowledge base sha256 %s, want %s", got, kbDigest)
+				}
+			}
 		})
 	}
+}
+
+// htmlDigest is the sha256 of the report `-html` writes.
+const htmlDigest = "fc40355284c93246e360eb531dab9e2e34f487933009d9bc89a881cc450ba2da"
+
+// TestHTMLDigest pins the bytes of the -html report by sha256, with one
+// worker and with two.
+func TestHTMLDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every paper artifact in -short mode")
+	}
+	for _, procs := range []string{"1", "2"} {
+		t.Run("GOMAXPROCS="+procs, func(t *testing.T) {
+			t.Setenv("GOMAXPROCS", procs)
+			dir := t.TempDir()
+			if _, stderr, code := mrexperiments(t, dir, "-html", "report.html"); code != 0 {
+				t.Fatalf("exit %d: %s", code, stderr)
+			}
+			if got := fileDigest(t, filepath.Join(dir, "report.html")); got != htmlDigest {
+				t.Errorf("report sha256 %s, want %s", got, htmlDigest)
+			}
+		})
+	}
+}
+
+// fileDigest returns the hex sha256 of the file at path.
+func fileDigest(t *testing.T, path string) string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // checkGolden compares got with the golden file at path, or rewrites
