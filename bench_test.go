@@ -1,29 +1,64 @@
-// Package repro's root benchmark suite regenerates every table and
-// figure of the MRONLINE paper (HPDC'14) as a testing.B benchmark,
-// reporting the paper's metrics via b.ReportMetric:
+// Package repro's root benchmark suite regenerates every section of
+// the MRONLINE paper (HPDC'14) as a sub-benchmark of BenchmarkSections,
+// reporting each claim the section feeds via b.ReportMetric, plus the
+// ablations and the serving day:
 //
 //	go test -bench=. -benchmem
 //
-// Conventions: *_s metrics are simulated job-execution seconds,
-// imp_pct is MRONLINE's improvement over the default configuration in
-// percent, spill ratios are relative to the optimal (combiner output)
-// record count. One iteration = one full regeneration of the artifact.
+// Conventions: a section's metrics are its claims' values, with the
+// claim ID as the unit (see experiments.Claims); *_s metrics are
+// simulated job-execution seconds. One iteration = one full
+// regeneration of the artifact.
 package repro
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/mapreduce"
 	"repro/internal/mrconf"
 	"repro/internal/tuner"
 	"repro/internal/workload"
 )
 
 func env() experiments.Env { return experiments.Env{Seed: 42} }
+
+// secs is res's job time, failing b when the job failed: a failed job's
+// time is the time it gave up, not a measurement.
+func secs(b *testing.B, res mapreduce.Result) float64 {
+	b.Helper()
+	s, ok := res.Secs()
+	if !ok {
+		b.Fatalf("%s failed: %v", res.JobName, res.Err)
+	}
+	return s
+}
+
+// BenchmarkSections regenerates each section of `mrexperiments -run
+// all` from fresh results, one sub-benchmark per section, and reports
+// the value of every claim the section feeds, with the claim's ID as
+// the unit.
+func BenchmarkSections(b *testing.B) {
+	for _, s := range experiments.Sections() {
+		if s.NotInAll {
+			continue
+		}
+		b.Run(s.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r := env().NewResults(false)
+				s.Print(io.Discard, r)
+				for _, c := range s.Claims() {
+					b.ReportMetric(c.Value(r), c.ID)
+				}
+			}
+		})
+	}
+}
 
 // BenchmarkTable2Parameters walks the Table 2 registry (sanity-scale
 // benchmark: configuration handling must stay cheap since every task
@@ -41,167 +76,6 @@ func BenchmarkTable2Parameters(b *testing.B) {
 	}
 }
 
-// BenchmarkTable3Characteristics regenerates the Table 3 data volumes
-// by running the full suite under the default configuration.
-func BenchmarkTable3Characteristics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := env().Table3()
-		if len(rows) != 10 {
-			b.Fatalf("suite rows = %d", len(rows))
-		}
-		b.ReportMetric(rows[8].MeasShuffleMB/1024, "terasort_shuffle_GB")
-	}
-}
-
-func reportExpedited(b *testing.B, rows []experiments.ExpeditedRow) {
-	b.Helper()
-	var impSum float64
-	for _, r := range rows {
-		impSum += r.Improvement()
-	}
-	b.ReportMetric(rows[0].DefaultDur, "default_s")
-	b.ReportMetric(rows[0].MronlineDur, "mronline_s")
-	b.ReportMetric(100*impSum/float64(len(rows)), "imp_pct")
-}
-
-// BenchmarkFig4ExpeditedTerasort: Terasort 100 GB, default vs offline
-// guide vs MRONLINE (expedited test runs use case).
-func BenchmarkFig4ExpeditedTerasort(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportExpedited(b, env().Fig4())
-	}
-}
-
-// BenchmarkFig5ExpeditedWikipedia: the four Wikipedia applications.
-func BenchmarkFig5ExpeditedWikipedia(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportExpedited(b, env().Fig5())
-	}
-}
-
-// BenchmarkFig6ExpeditedFreebase: the four Freebase applications.
-func BenchmarkFig6ExpeditedFreebase(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportExpedited(b, env().Fig6())
-	}
-}
-
-func reportSpills(b *testing.B, rows []experiments.ExpeditedRow) {
-	b.Helper()
-	var defR, mroR float64
-	for _, r := range rows {
-		defR += r.DefaultSpills / r.OptimalSpills
-		mroR += r.MronlineSpills / r.OptimalSpills
-	}
-	n := float64(len(rows))
-	b.ReportMetric(defR/n, "default_vs_optimal")
-	b.ReportMetric(mroR/n, "mronline_vs_optimal")
-}
-
-// BenchmarkFig7SpillTerasort: spilled records, Terasort.
-func BenchmarkFig7SpillTerasort(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportSpills(b, env().Fig4())
-	}
-}
-
-// BenchmarkFig8SpillWikipedia: spilled records, Wikipedia apps.
-func BenchmarkFig8SpillWikipedia(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportSpills(b, env().Fig5())
-	}
-}
-
-// BenchmarkFig9SpillFreebase: spilled records, Freebase apps.
-func BenchmarkFig9SpillFreebase(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportSpills(b, env().Fig6())
-	}
-}
-
-func reportSingleRun(b *testing.B, rows []experiments.SingleRunRow) {
-	b.Helper()
-	var impSum float64
-	for _, r := range rows {
-		impSum += r.Improvement()
-	}
-	b.ReportMetric(rows[0].DefaultDur, "default_s")
-	b.ReportMetric(rows[0].MronlineDur, "mronline_s")
-	b.ReportMetric(100*impSum/float64(len(rows)), "imp_pct")
-}
-
-// BenchmarkFig10SingleRunTerasort: fast single run, Terasort.
-func BenchmarkFig10SingleRunTerasort(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportSingleRun(b, env().Fig10())
-	}
-}
-
-// BenchmarkFig11SingleRunWikipedia: fast single run, Wikipedia apps.
-func BenchmarkFig11SingleRunWikipedia(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportSingleRun(b, env().Fig11())
-	}
-}
-
-// BenchmarkFig12SingleRunFreebase: fast single run, Freebase apps.
-func BenchmarkFig12SingleRunFreebase(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportSingleRun(b, env().Fig12())
-	}
-}
-
-// BenchmarkFig13JobSize: the Terasort 2-100 GB sweep.
-func BenchmarkFig13JobSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := env().Fig13()
-		b.ReportMetric(100*rows[0].Improvement(), "imp2GB_pct")
-		b.ReportMetric(100*rows[3].Improvement(), "imp20GB_pct")
-		b.ReportMetric(100*rows[5].Improvement(), "imp100GB_pct")
-	}
-}
-
-// BenchmarkFig14MultiTenant: Terasort + BBP execution times under
-// fair-share co-location.
-func BenchmarkFig14MultiTenant(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		mt := env().MultiTenant()
-		tsImp := (mt.Default.Terasort.Duration - mt.Mronline.Terasort.Duration) / mt.Default.Terasort.Duration
-		bbpImp := (mt.Default.BBP.Duration - mt.Mronline.BBP.Duration) / mt.Default.BBP.Duration
-		b.ReportMetric(100*tsImp, "terasort_imp_pct")
-		b.ReportMetric(100*bbpImp, "bbp_imp_pct")
-	}
-}
-
-// BenchmarkFig15MemoryUtilization: multi-tenant memory utilization.
-func BenchmarkFig15MemoryUtilization(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		mt := env().MultiTenant()
-		b.ReportMetric(100*mt.Default.Terasort.MapMemUtil, "default_tsmap_pct")
-		b.ReportMetric(100*mt.Mronline.Terasort.MapMemUtil, "mronline_tsmap_pct")
-		b.ReportMetric(100*mt.Mronline.BBP.MapMemUtil, "mronline_bbpmap_pct")
-	}
-}
-
-// BenchmarkFig16CPUUtilization: multi-tenant CPU utilization.
-func BenchmarkFig16CPUUtilization(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		mt := env().MultiTenant()
-		b.ReportMetric(100*mt.Default.BBP.MapCPUUtil, "default_bbpmap_pct")
-		b.ReportMetric(100*mt.Mronline.BBP.MapCPUUtil, "mronline_bbpmap_pct")
-	}
-}
-
-// BenchmarkTestRunCount: MRONLINE's single test run vs the
-// Gunther-style GA's dozens (paper §7).
-func BenchmarkTestRunCount(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := env().TestRunCounts(workload.Terasort(20, 0, 0), 4)
-		b.ReportMetric(float64(rows[0].Runs), "mronline_runs")
-		b.ReportMetric(float64(rows[1].Runs), "ga_runs")
-	}
-}
-
 // --- ablation benches: the design choices DESIGN.md calls out ---
 
 // BenchmarkAblationGrayBoxVsBlackBox compares the full gray-box tuner
@@ -214,12 +88,12 @@ func BenchmarkAblationGrayBoxVsBlackBox(b *testing.B) {
 		bench := workload.Terasort(100, 752, 200)
 
 		grayTuner, _ := e.AggressiveTestRun(bench)
-		gray := e.RunOne(bench, grayTuner.BestConfig(), nil).Duration
+		gray := secs(b, e.RunOne(bench, grayTuner.BestConfig(), nil))
 
 		blackTuner := core.NewTuner(bench.Name, bench.NumMaps, bench.NumReduces, mrconf.Default(),
 			core.TunerOptions{Strategy: core.Aggressive, Seed: e.Seed, BlackBox: true})
 		e.RunOne(bench, mrconf.Default(), blackTuner)
-		black := e.RunOne(bench, blackTuner.BestConfig(), nil).Duration
+		black := secs(b, e.RunOne(bench, blackTuner.BestConfig(), nil))
 
 		b.ReportMetric(gray, "graybox_tuned_s")
 		b.ReportMetric(black, "blackbox_tuned_s")
@@ -249,43 +123,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkHotSpotAvoidance: job time on a cluster with 4 interfered
-// nodes, blind vs utilization-aware placement (extension of the §1
-// hot-spot claim).
-func BenchmarkHotSpotAvoidance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := env().HotSpotStudy(4)
-		b.ReportMetric(r.DefaultDur, "blind_s")
-		b.ReportMetric(r.AvoidDur, "avoiding_s")
-		b.ReportMetric(r.CleanDur, "clean_s")
-	}
-}
-
-// BenchmarkStragglerMitigation: mid-job hot spots handled by nothing,
-// speculative execution, hot-spot avoidance, or both.
-func BenchmarkStragglerMitigation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := env().StragglerStudy(3)
-		b.ReportMetric(r.NoneDur, "none_s")
-		b.ReportMetric(r.SpeculationDur, "speculation_s")
-		b.ReportMetric(r.AvoidanceDur, "avoidance_s")
-		b.ReportMetric(r.BothDur, "both_s")
-	}
-}
-
-// BenchmarkAmortization: cumulative time over 8 repeat runs under the
-// three policies (never tune / test run + knowledge base /
-// conservative every run).
-func BenchmarkAmortization(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := env().Amortization(workload.Terasort(60, 0, 0), 8)
-		last := rows[len(rows)-1]
-		b.ReportMetric(last.CumulativeDefault, "default8_s")
-		b.ReportMetric(last.CumulativeMronline, "kb8_s")
-		b.ReportMetric(last.CumulativeConserv, "conservative8_s")
-	}
-}
-
 // BenchmarkAblationLHSSampling: the aggressive tuner with Latin
 // hypercube sampling vs independent uniform sampling, by quality of
 // the configuration found in one test run (the §5 LHS design choice).
@@ -297,28 +134,17 @@ func BenchmarkAblationLHSSampling(b *testing.B) {
 		lhsTuner := core.NewTuner(bench.Name, bench.NumMaps, bench.NumReduces, mrconf.Default(),
 			core.TunerOptions{Strategy: core.Aggressive, Seed: e.Seed})
 		e.RunOne(bench, mrconf.Default(), lhsTuner)
-		lhsDur := e.RunOne(bench, lhsTuner.BestConfig(), nil).Duration
+		lhsDur := secs(b, e.RunOne(bench, lhsTuner.BestConfig(), nil))
 
 		sp := tuner.DefaultSearchParams()
 		sp.PlainRandom = true
 		randTuner := core.NewTuner(bench.Name, bench.NumMaps, bench.NumReduces, mrconf.Default(),
 			core.TunerOptions{Strategy: core.Aggressive, Seed: e.Seed, Search: sp})
 		e.RunOne(bench, mrconf.Default(), randTuner)
-		randDur := e.RunOne(bench, randTuner.BestConfig(), nil).Duration
+		randDur := secs(b, e.RunOne(bench, randTuner.BestConfig(), nil))
 
 		b.ReportMetric(lhsDur, "lhs_tuned_s")
 		b.ReportMetric(randDur, "random_tuned_s")
-	}
-}
-
-// BenchmarkJobStream: nine mixed jobs arriving over time under fair
-// share, with conservative tuning attached to every job.
-func BenchmarkJobStream(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		row := env().JobStream(9, 30)
-		b.ReportMetric(row.MeanDefault, "mean_default_s")
-		b.ReportMetric(row.MeanMronline, "mean_mronline_s")
-		b.ReportMetric(100*row.Improvement(), "imp_pct")
 	}
 }
 
@@ -343,8 +169,7 @@ func BenchmarkAblationCostTerms(b *testing.B) {
 			tuner := core.NewTuner(bench.Name, bench.NumMaps, bench.NumReduces, mrconf.Default(),
 				core.TunerOptions{Strategy: core.Aggressive, Seed: e.Seed, CostWeights: v.w})
 			e.RunOne(bench, mrconf.Default(), tuner)
-			dur := e.RunOne(bench, tuner.BestConfig(), nil).Duration
-			b.ReportMetric(dur, v.name)
+			b.ReportMetric(secs(b, e.RunOne(bench, tuner.BestConfig(), nil)), v.name)
 		}
 	}
 }
@@ -374,8 +199,7 @@ func BenchmarkAblationWaveSize(b *testing.B) {
 			tn := core.NewTuner(bench.Name, bench.NumMaps, bench.NumReduces, mrconf.Default(),
 				core.TunerOptions{Strategy: core.Aggressive, Seed: e.Seed, Search: sp})
 			e.RunOne(bench, mrconf.Default(), tn)
-			dur := e.RunOne(bench, tn.BestConfig(), nil).Duration
-			b.ReportMetric(dur, fmt.Sprintf("m%d_s", m))
+			b.ReportMetric(secs(b, e.RunOne(bench, tn.BestConfig(), nil)), fmt.Sprintf("m%d_s", m))
 		}
 	}
 }
@@ -420,8 +244,8 @@ func BenchmarkTunerBackends(b *testing.B) {
 				tuned := e.RunOne(app, tn.BestConfig(), nil)
 				mt, rt := tn.Trajectories()
 				mw, rw := tn.TestWaves()
-				b.ReportMetric(test.Duration, "test_run_s")
-				b.ReportMetric(tuned.Duration, "tuned_s")
+				b.ReportMetric(secs(b, test), "test_run_s")
+				b.ReportMetric(secs(b, tuned), "tuned_s")
 				b.ReportMetric(float64(len(mt)+len(rt)), "evals")
 				b.ReportMetric(float64(mw+rw), "waves")
 			}

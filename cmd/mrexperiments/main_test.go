@@ -44,15 +44,21 @@ func mrexperiments(t *testing.T, dir string, args ...string) (stdout, stderr str
 	return out.String(), errOut.String(), 0
 }
 
-// Bad -run, -cells and -kb values are rejected before any artifact
-// runs: exit 2, nothing on stdout, one line on stderr, and no file
-// written. The scorecard's seeds run in parallel, so it takes no -kb.
+// Bad -run, -cells, -kb and -faults values are rejected before any
+// artifact runs: exit 2, nothing on stdout, one line on stderr, and no
+// file written. The scorecard's seeds run in parallel, so it takes no
+// -kb; Table 3 runs on the 19-node testbed, which has no node 200.
 func TestBadArgsExit2BeforeRunning(t *testing.T) {
+	node200, err := filepath.Abs("testdata/faults_node_200.json")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, args := range [][]string{
 		{"-run", "table2,bogus"},
 		{"-run", "fig4", "-cells"},
 		{"-html", "report.html", "-cells"},
 		{"-run", "scorecard", "-kb", "x.json"},
+		{"-run", "table3", "-faults", node200},
 	} {
 		dir := t.TempDir()
 		stdout, stderr, code := mrexperiments(t, dir, args...)

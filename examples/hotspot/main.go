@@ -35,15 +35,7 @@ func main() {
 	// Re-run the "both" configuration with a trace to visualize it.
 	b := workload.Terasort(20, 0, 0)
 	rig := env.NewRig(yarn.FIFOScheduler{})
-	rig.Eng.At(3, func() {
-		for i := 0; i < 3; i++ {
-			n := rig.C.Nodes[i]
-			for k := 0; k < 30; k++ {
-				n.InjectDiskLoad(30, 3600, nil)
-				n.InjectCPULoad(1, 3600, nil)
-			}
-		}
-	})
+	rig.Eng.At(3, func() { rig.Interfere(3) })
 	core.EnableHotSpotAvoidance(rig.RM, rig.FS)
 	rec := &trace.Recorder{}
 	rig.Run(mapreduce.Spec{

@@ -33,7 +33,7 @@ type Claim struct {
 	// Value reads the claim from one seed's section results. A gain
 	// taken through Gain reads NaN when a job failed, and no band
 	// contains NaN.
-	Value func(*SeedResults) float64
+	Value func(*Results) float64
 }
 
 // Claim statuses other than a known deviation.
@@ -119,40 +119,18 @@ func (c Claim) BandText() string {
 	return c.Band.format(c.Percent)
 }
 
-// SeedResults holds one seed's results of every section a claim reads,
-// run with the arguments `mrexperiments -run all` passes.
-type SeedResults struct {
-	Reps                int // repetitions each MRONLINE leg of Figs 4–6 averages
-	Table3              []Table3Row
-	Fig4, Fig5, Fig6    []ExpeditedRow
-	Fig10, Fig11, Fig12 []SingleRunRow
-	Fig13               []JobSizeRow
-	MultiTenant         MultiTenantResult
-	TestRuns            []TestRunCountRow
-	HotSpot             HotSpotRow
-	Straggler           StragglerRow
-	Amortization        []AmortizationRow
-}
-
-// claimSections runs every section a claim reads, side by side.
-func (e Env) claimSections() *SeedResults {
-	r := &SeedResults{Reps: e.reps()}
-	sections := []func(){
-		func() { r.Table3 = e.Table3() },
-		func() { r.Fig4 = e.Fig4() },
-		func() { r.Fig5 = e.Fig5() },
-		func() { r.Fig6 = e.Fig6() },
-		func() { r.Fig10 = e.Fig10() },
-		func() { r.Fig11 = e.Fig11() },
-		func() { r.Fig12 = e.Fig12() },
-		func() { r.Fig13 = e.Fig13() },
-		func() { r.MultiTenant = e.MultiTenant() },
-		func() { r.TestRuns = e.TestRunCounts(workload.Terasort(20, 0, 0), 4) },
-		func() { r.HotSpot = e.HotSpotStudy(4) },
-		func() { r.Straggler = e.StragglerStudy(3) },
-		func() { r.Amortization = e.Amortization(workload.Terasort(60, 0, 0), 8) },
+// claimSections computes, side by side, the rows of every section a
+// claim reads.
+func (e Env) claimSections() *Results {
+	r := e.NewResults(false)
+	var fill []Section
+	for _, s := range Sections() {
+		if len(s.Claims()) > 0 && !r.done[s.key()] {
+			r.done[s.key()] = true
+			fill = append(fill, s)
+		}
 	}
-	parallelFor(len(sections), runtime.GOMAXPROCS(0), func(i int) { sections[i]() })
+	parallelFor(len(fill), runtime.GOMAXPROCS(0), func(i int) { fill[i].run(e, r) })
 	return r
 }
 
@@ -197,11 +175,11 @@ func Claims() []Claim {
 		}
 		add(Claim{ID: "table3/" + benchID(b.Name) + "/shuffle", Paper: size(b.ShuffleSizeMB),
 			Band: atMost(0.10), Percent: true, Status: Match,
-			Value: func(r *SeedResults) float64 { return relErr(r.Table3[i].MeasShuffleMB, r.Table3[i].ShuffleMB) }})
+			Value: func(r *Results) float64 { return relErr(r.Table3[i].MeasShuffleMB, r.Table3[i].ShuffleMB) }})
 		if b.OutputSizeMB > 0 {
 			add(Claim{ID: "table3/" + benchID(b.Name) + "/output", Paper: size(b.OutputSizeMB),
 				Band: atMost(0.10), Percent: true, Status: Match,
-				Value: func(r *SeedResults) float64 { return relErr(r.Table3[i].MeasOutputMB, r.Table3[i].OutputMB) }})
+				Value: func(r *Results) float64 { return relErr(r.Table3[i].MeasOutputMB, r.Table3[i].OutputMB) }})
 		}
 	}
 
@@ -209,12 +187,12 @@ func Claims() []Claim {
 	type expFig struct {
 		fig, spillFig string
 		benches       []string
-		rows          func(*SeedResults) []ExpeditedRow
+		rows          func(*Results) []ExpeditedRow
 	}
 	expFigs := []expFig{
-		{"fig4", "fig7", []string{"terasort/100GB"}, func(r *SeedResults) []ExpeditedRow { return r.Fig4 }},
-		{"fig5", "fig8", figBenches("Wikipedia"), func(r *SeedResults) []ExpeditedRow { return r.Fig5 }},
-		{"fig6", "fig9", figBenches("Freebase"), func(r *SeedResults) []ExpeditedRow { return r.Fig6 }},
+		{"fig4", "fig7", []string{"terasort/100GB"}, func(r *Results) []ExpeditedRow { return r.Fig4 }},
+		{"fig5", "fig8", figBenches("Wikipedia"), func(r *Results) []ExpeditedRow { return r.Fig5 }},
+		{"fig6", "fig9", figBenches("Freebase"), func(r *Results) []ExpeditedRow { return r.Fig6 }},
 	}
 	expeditedPaper := map[string]string{
 		"terasort/100GB": "23%", "bigram/Wikipedia": "25%", "invertedindex/Wikipedia": "11%",
@@ -235,16 +213,16 @@ func Claims() []Claim {
 	}
 	for _, f := range expFigs {
 		for i, bench := range f.benches {
-			row := func(r *SeedResults) ExpeditedRow { return f.rows(r)[i] }
+			row := func(r *Results) ExpeditedRow { return f.rows(r)[i] }
 			id := f.fig + "/" + benchID(bench) + "/"
 			status := Match
 			if s, ok := expeditedStatus[bench]; ok {
 				status = s
 			}
 			add(Claim{ID: id + "gain", Paper: expeditedPaper[bench], Band: expeditedBand[f.fig],
-				Percent: true, Status: status, Value: func(r *SeedResults) float64 { return row(r).Improvement() }})
+				Percent: true, Status: status, Value: func(r *Results) float64 { return row(r).Improvement() }})
 			vsOffline := Claim{ID: id + "vs-offline", Paper: "≈ offline guide", Percent: true, Status: Match,
-				Value: func(r *SeedResults) float64 {
+				Value: func(r *Results) float64 {
 					x := row(r)
 					return math.Abs(x.MronlineDur-x.OfflineDur) / x.OfflineDur
 				}}
@@ -259,10 +237,10 @@ func Claims() []Claim {
 		switch f.fig {
 		case "fig4":
 			add(Claim{ID: "fig4/terasort-100GB/test-run-cost", Paper: "slower than a default run", Status: Match,
-				Value: func(r *SeedResults) float64 { return r.Fig4[0].TestRunDur / r.Fig4[0].DefaultDur }})
+				Value: func(r *Results) float64 { return r.Fig4[0].TestRunDur / r.Fig4[0].DefaultDur }})
 		case "fig5":
 			add(Claim{ID: "fig5/bigram-Wikipedia/slowest-default", Paper: "bigram slowest", Band: atMost(1), Status: Match,
-				Value: func(r *SeedResults) float64 {
+				Value: func(r *Results) float64 {
 					slowest := 0.0
 					for _, x := range r.Fig5[1:] {
 						slowest = max(slowest, x.DefaultDur)
@@ -272,12 +250,12 @@ func Claims() []Claim {
 		}
 	}
 	add(Claim{ID: "fig4-6/reps", Paper: "4", Status: deviation("Env.Reps averages 3 repetitions"),
-		Value: func(r *SeedResults) float64 { return float64(r.Reps) }})
+		Value: func(r *Results) float64 { return float64(r.env.reps()) }})
 	for _, f := range expFigs {
 		for i, bench := range f.benches {
 			id := f.spillFig + "/" + benchID(bench) + "/"
-			ratio := func(leg func(ExpeditedRow) float64) func(*SeedResults) float64 {
-				return func(r *SeedResults) float64 { x := f.rows(r)[i]; return leg(x) / x.OptimalSpills }
+			ratio := func(leg func(ExpeditedRow) float64) func(*Results) float64 {
+				return func(r *Results) float64 { x := f.rows(r)[i]; return leg(x) / x.OptimalSpills }
 			}
 			def := Claim{ID: id + "default-spills", Paper: "≈ 3× optimal", Status: Match,
 				Value: ratio(func(x ExpeditedRow) float64 { return x.DefaultSpills })}
@@ -301,15 +279,15 @@ func Claims() []Claim {
 	type singleFig struct {
 		fig     string
 		benches []string
-		rows    func(*SeedResults) []SingleRunRow
+		rows    func(*Results) []SingleRunRow
 	}
 	singlePaper := map[string]string{"wordcount/Wikipedia": "8%", "bigram/Freebase": "22%"}
 	// The conservative MRONLINE legs that end failed at seed 42.
 	singleFailed := map[string]bool{"bigram/Wikipedia": true, "bigram/Freebase": true}
 	for _, f := range []singleFig{
-		{"fig10", []string{"terasort/100GB"}, func(r *SeedResults) []SingleRunRow { return r.Fig10 }},
-		{"fig11", figBenches("Wikipedia"), func(r *SeedResults) []SingleRunRow { return r.Fig11 }},
-		{"fig12", figBenches("Freebase"), func(r *SeedResults) []SingleRunRow { return r.Fig12 }},
+		{"fig10", []string{"terasort/100GB"}, func(r *Results) []SingleRunRow { return r.Fig10 }},
+		{"fig11", figBenches("Wikipedia"), func(r *Results) []SingleRunRow { return r.Fig11 }},
+		{"fig12", figBenches("Freebase"), func(r *Results) []SingleRunRow { return r.Fig12 }},
 	} {
 		for i, bench := range f.benches {
 			paper, ok := singlePaper[bench]
@@ -321,11 +299,11 @@ func Claims() []Claim {
 				status = failedLeg
 			}
 			add(Claim{ID: f.fig + "/" + benchID(bench) + "/gain", Paper: paper, Band: between(-0.03, 0.40),
-				Percent: true, Status: status, Value: func(r *SeedResults) float64 { return f.rows(r)[i].Improvement() }})
+				Percent: true, Status: status, Value: func(r *Results) float64 { return f.rows(r)[i].Improvement() }})
 		}
 	}
 	add(Claim{ID: "fig10-12/improved-count", Paper: "9 of 9 improve", Band: atLeast(6), Status: Match,
-		Value: func(r *SeedResults) float64 {
+		Value: func(r *Results) float64 {
 			n := 0
 			for _, rows := range [][]SingleRunRow{r.Fig10, r.Fig11, r.Fig12} {
 				for _, x := range rows {
@@ -340,7 +318,7 @@ func Claims() []Claim {
 	// Fig 13: the job-size study.
 	for i, gb := range fig13Sizes {
 		c := Claim{ID: fmt.Sprintf("fig13/%dGB/gain", gb), Paper: "marginal", Percent: true, Status: Match,
-			Value: func(r *SeedResults) float64 { return r.Fig13[i].Improvement() }}
+			Value: func(r *Results) float64 { return r.Fig13[i].Improvement() }}
 		switch gb {
 		case 2:
 			c.Band = between(-0.10, 0.10)
@@ -353,7 +331,7 @@ func Claims() []Claim {
 		add(c)
 	}
 	add(Claim{ID: "fig13/default-growth", Paper: "rises with size", Band: above(1), Status: Match,
-		Value: func(r *SeedResults) float64 {
+		Value: func(r *Results) float64 {
 			growth := math.Inf(1)
 			for i := 1; i < len(r.Fig13); i++ {
 				growth = min(growth, r.Fig13[i].DefaultDur/r.Fig13[i-1].DefaultDur)
@@ -362,15 +340,15 @@ func Claims() []Claim {
 		}})
 
 	// Figs 14–16: Terasort 60 GB and BBP sharing the cluster.
-	mt := func(r *SeedResults) MultiTenantResult { return r.MultiTenant }
+	mt := func(r *Results) MultiTenantResult { return r.MultiTenant }
 	add(Claim{ID: "fig14/terasort/gain", Paper: "13%", Band: atLeast(0.05), Percent: true, Status: Match,
-		Value: func(r *SeedResults) float64 { return gainOrNaN(mt(r).Default.Terasort, mt(r).Mronline.Terasort) }})
+		Value: func(r *Results) float64 { return gainOrNaN(mt(r).Default.Terasort, mt(r).Mronline.Terasort) }})
 	add(Claim{ID: "fig14/bbp/gain", Paper: "28%", Band: atLeast(0.10), Percent: true, Status: Match,
-		Value: func(r *SeedResults) float64 { return gainOrNaN(mt(r).Default.BBP, mt(r).Mronline.BBP) }})
+		Value: func(r *Results) float64 { return gainOrNaN(mt(r).Default.BBP, mt(r).Mronline.BBP) }})
 	add(Claim{ID: "fig14/terasort/default-spills", Paper: "1.8e9", Band: between(1.4e9, 2.4e9), Status: Match,
-		Value: func(r *SeedResults) float64 { return mt(r).Default.Terasort.Counters.SpilledRecords() }})
+		Value: func(r *Results) float64 { return mt(r).Default.Terasort.Counters.SpilledRecords() }})
 	add(Claim{ID: "fig14/terasort/tuned-spills", Paper: "0.6e9", Band: atMost(0.9e9), Status: Match,
-		Value: func(r *SeedResults) float64 { return mt(r).Mronline.Terasort.Counters.SpilledRecords() }})
+		Value: func(r *Results) float64 { return mt(r).Mronline.Terasort.Counters.SpilledRecords() }})
 	// Fig 15: memory utilization per container kind, default then tuned.
 	for _, u := range []struct {
 		container   string
@@ -385,46 +363,46 @@ func Claims() []Claim {
 			func(m MultiTenantRun) float64 { return m.BBP.ReduceMemUtil }},
 	} {
 		add(Claim{ID: "fig15/" + u.container + "/default-mem", Paper: "< 50%", Band: u.def, Percent: true, Status: Match,
-			Value: func(r *SeedResults) float64 { return u.pick(mt(r).Default) }})
+			Value: func(r *Results) float64 { return u.pick(mt(r).Default) }})
 		add(Claim{ID: "fig15/" + u.container + "/tuned-mem", Paper: "> 80%", Band: u.tuned, Percent: true, Status: u.tunedStatus,
-			Value: func(r *SeedResults) float64 { return u.pick(mt(r).Mronline) }})
+			Value: func(r *Results) float64 { return u.pick(mt(r).Mronline) }})
 	}
 	add(Claim{ID: "fig16/bbp-m/default-cpu", Paper: "~99%", Band: atLeast(0.9), Percent: true, Status: Match,
-		Value: func(r *SeedResults) float64 { return mt(r).Default.BBP.MapCPUUtil }})
+		Value: func(r *Results) float64 { return mt(r).Default.BBP.MapCPUUtil }})
 	add(Claim{ID: "fig16/terasort-m/tuned-cpu-vs-default", Paper: "rises",
 		Status: deviation("doubled map concurrency stretches tasks under node CPU contention"),
-		Value: func(r *SeedResults) float64 {
+		Value: func(r *Results) float64 {
 			return mt(r).Mronline.Terasort.MapCPUUtil / mt(r).Default.Terasort.MapCPUUtil
 		}})
 
 	// §7: test runs to a tuned configuration.
 	add(Claim{ID: "s7/mronline/test-runs", Paper: "1", Band: between(1, 1), Status: Match,
-		Value: func(r *SeedResults) float64 { return float64(r.TestRuns[0].Runs) }})
+		Value: func(r *Results) float64 { return float64(r.TestRuns[0].Runs) }})
 	add(Claim{ID: "s7/ga/test-runs", Paper: "20–40", Band: atLeast(8), Status: Match,
-		Value: func(r *SeedResults) float64 { return float64(r.TestRuns[1].Runs) }})
+		Value: func(r *Results) float64 { return float64(r.TestRuns[1].Runs) }})
 	add(Claim{ID: "s7/mronline/vs-ga-best", Paper: "comparable", Status: Match,
-		Value: func(r *SeedResults) float64 { return r.TestRuns[0].BestDur / r.TestRuns[1].BestDur }})
+		Value: func(r *Results) float64 { return r.TestRuns[0].BestDur / r.TestRuns[1].BestDur }})
 
 	// Extensions.
 	add(Claim{ID: "hotspot/blind/vs-clean", Paper: "—", Band: atLeast(1.5), Status: Extension,
-		Value: func(r *SeedResults) float64 { return r.HotSpot.DefaultDur / r.HotSpot.CleanDur }})
+		Value: func(r *Results) float64 { return r.HotSpot.DefaultDur / r.HotSpot.CleanDur }})
 	add(Claim{ID: "hotspot/avoiding/gain", Paper: "avoids hot spots (§1)", Band: atLeast(0.08), Percent: true, Status: Extension,
-		Value: func(r *SeedResults) float64 { return r.HotSpot.Improvement() }})
+		Value: func(r *Results) float64 { return r.HotSpot.Improvement() }})
 	add(Claim{ID: "hotspot/avoiding/vs-clean", Paper: "—", Band: atLeast(1), Status: Extension,
-		Value: func(r *SeedResults) float64 { return r.HotSpot.AvoidDur / r.HotSpot.CleanDur }})
+		Value: func(r *Results) float64 { return r.HotSpot.AvoidDur / r.HotSpot.CleanDur }})
 	add(Claim{ID: "straggler/speculation/launches", Paper: "—", Band: above(0), Status: Extension,
-		Value: func(r *SeedResults) float64 { return float64(r.Straggler.SpecLaunches) }})
+		Value: func(r *Results) float64 { return float64(r.Straggler.SpecLaunches) }})
 	add(Claim{ID: "straggler/speculation/wins", Paper: "—", Band: above(0), Status: Extension,
-		Value: func(r *SeedResults) float64 { return float64(r.Straggler.SpecWins) }})
+		Value: func(r *Results) float64 { return float64(r.Straggler.SpecWins) }})
 	add(Claim{ID: "straggler/speculation/vs-none", Paper: "—", Band: below(1), Status: Extension,
-		Value: func(r *SeedResults) float64 { return r.Straggler.SpeculationDur / r.Straggler.NoneDur }})
+		Value: func(r *Results) float64 { return r.Straggler.SpeculationDur / r.Straggler.NoneDur }})
 	add(Claim{ID: "straggler/both/vs-fastest-other", Paper: "—", Band: below(1), Status: Extension,
-		Value: func(r *SeedResults) float64 {
+		Value: func(r *Results) float64 {
 			s := r.Straggler
 			return s.BothDur / min(s.NoneDur, s.SpeculationDur, s.AvoidanceDur)
 		}})
-	cumulative := func(run int, leg func(AmortizationRow) float64) func(*SeedResults) float64 {
-		return func(r *SeedResults) float64 {
+	cumulative := func(run int, leg func(AmortizationRow) float64) func(*Results) float64 {
+		return func(r *Results) float64 {
 			x := r.Amortization[run-1]
 			return leg(x) / x.CumulativeDefault
 		}
@@ -454,7 +432,7 @@ type Scorecard struct {
 func (e Env) Scorecard(n int) Scorecard {
 	claims := Claims()
 	sc := Scorecard{Seeds: make([]uint64, n), Values: make([][]float64, len(claims))}
-	res := make([]*SeedResults, n)
+	res := make([]*Results, n)
 	e.overSeeds(n, func(i int, seed uint64) {
 		sub := e
 		sub.Seed = seed

@@ -16,7 +16,7 @@ import (
 
 // seed42 is every claim section run once for DefaultEnv, shared by the
 // tests that read claims at seed 42.
-var seed42 = sync.OnceValue(func() *SeedResults { return DefaultEnv().claimSections() })
+var seed42 = sync.OnceValue(func() *Results { return DefaultEnv().claimSections() })
 
 // TestClaims checks every claim that has a band at seed 42: the paper's
 // shape claims and the extension checks, read from one table.
@@ -43,7 +43,7 @@ func TestClaims(t *testing.T) {
 // checkClaimSections checks, at seed 42, every banded claim whose ID
 // starts with one of sections followed by "/", the same rows TestClaims
 // checks, and fails when none has a band.
-func checkClaimSections(t *testing.T, sections ...string) *SeedResults {
+func checkClaimSections(t *testing.T, sections ...string) *Results {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("figure reproduction in -short mode")

@@ -1,8 +1,9 @@
 // Package experiments reproduces every table and figure of the
 // MRONLINE evaluation (§8). Each runner builds fresh simulated
 // 19-node clusters, executes the required job runs, and returns the
-// rows the paper reports; cmd/mrexperiments prints them and
-// bench_test.go exposes one benchmark per artifact.
+// rows the paper reports. Sections lists every artifact with its
+// arguments: cmd/mrexperiments prints them, BuildReport charts them,
+// and the claims and the root BenchmarkSections read them.
 package experiments
 
 import (
@@ -416,10 +417,10 @@ func (e Env) Fig4() []ExpeditedRow {
 }
 
 // Fig5 covers the four Wikipedia applications (expedited).
-func (e Env) Fig5() []ExpeditedRow { return e.expeditedSet("Wikipedia") }
+func (e Env) Fig5() []ExpeditedRow { return onApps("Wikipedia", e.Expedited) }
 
 // Fig6 covers the four Freebase applications (expedited).
-func (e Env) Fig6() []ExpeditedRow { return e.expeditedSet("Freebase") }
+func (e Env) Fig6() []ExpeditedRow { return onApps("Freebase", e.Expedited) }
 
 // figBenches names the four applications Figs 5–6 and 11–12 run on
 // dataset, in the figures' order.
@@ -432,15 +433,17 @@ func figBenches(dataset string) []string {
 	return names
 }
 
-func (e Env) expeditedSet(dataset string) []ExpeditedRow {
+// onApps runs row on the four applications of dataset side by side,
+// in figBenches order.
+func onApps[T any](dataset string, row func(workload.Benchmark) T) []T {
 	names := figBenches(dataset)
-	rows := make([]ExpeditedRow, len(names))
+	rows := make([]T, len(names))
 	parallelFor(len(names), runtime.GOMAXPROCS(0), func(i int) {
 		b, err := workload.ByName(names[i])
 		if err != nil {
 			panic(err)
 		}
-		rows[i] = e.Expedited(b)
+		rows[i] = row(b)
 	})
 	return rows
 }
@@ -481,23 +484,10 @@ func (e Env) Fig10() []SingleRunRow {
 }
 
 // Fig11 covers the Wikipedia applications (fast single run).
-func (e Env) Fig11() []SingleRunRow { return e.singleRunSet("Wikipedia") }
+func (e Env) Fig11() []SingleRunRow { return onApps("Wikipedia", e.SingleRun) }
 
 // Fig12 covers the Freebase applications (fast single run).
-func (e Env) Fig12() []SingleRunRow { return e.singleRunSet("Freebase") }
-
-func (e Env) singleRunSet(dataset string) []SingleRunRow {
-	names := figBenches(dataset)
-	rows := make([]SingleRunRow, len(names))
-	parallelFor(len(names), runtime.GOMAXPROCS(0), func(i int) {
-		b, err := workload.ByName(names[i])
-		if err != nil {
-			panic(err)
-		}
-		rows[i] = e.SingleRun(b)
-	})
-	return rows
-}
+func (e Env) Fig12() []SingleRunRow { return onApps("Freebase", e.SingleRun) }
 
 // JobSizeRow is one x position of Fig 13.
 type JobSizeRow struct {
@@ -675,16 +665,7 @@ func (e Env) HotSpotStudy(hotNodes int) HotSpotRow {
 	run := func(interfere, avoid bool) float64 {
 		r := e.NewRig(yarn.FIFOScheduler{})
 		if interfere {
-			// Max-min sharing means one background flow is just one more
-			// competitor; a service that truly hogs a node runs many
-			// streams, so inject several parallel flows per resource.
-			for i := 0; i < hotNodes && i < len(r.C.Nodes); i++ {
-				n := r.C.Nodes[i]
-				for k := 0; k < 30; k++ {
-					n.InjectDiskLoad(30, 3600, nil)
-					n.InjectCPULoad(1, 3600, nil)
-				}
-			}
+			r.Interfere(hotNodes)
 		}
 		if avoid {
 			core.EnableHotSpotAvoidance(r.RM, r.FS)
@@ -697,6 +678,21 @@ func (e Env) HotSpotStudy(hotNodes int) HotSpotRow {
 		DefaultDur: run(true, false),
 		AvoidDur:   run(true, true),
 		CleanDur:   run(false, false),
+	}
+}
+
+// Interfere makes the first hotNodes nodes hot for an hour: a
+// co-located service hogs ~90% of each one's disk and most of its
+// cores. Max-min sharing means one background flow is just one more
+// competitor; a service that truly hogs a node runs many streams, so it
+// injects several parallel flows per resource.
+func (r *Rig) Interfere(hotNodes int) {
+	for i := 0; i < hotNodes && i < len(r.C.Nodes); i++ {
+		n := r.C.Nodes[i]
+		for k := 0; k < 30; k++ {
+			n.InjectDiskLoad(30, 3600, nil)
+			n.InjectCPULoad(1, 3600, nil)
+		}
 	}
 }
 
@@ -719,15 +715,7 @@ func (e Env) StragglerStudy(hotNodes int) StragglerRow {
 	b := workload.Terasort(20, 0, 0)
 	run := func(speculate, avoid bool) mapreduce.Result {
 		r := e.NewRig(yarn.FIFOScheduler{})
-		r.Eng.At(3, func() {
-			for i := 0; i < hotNodes && i < len(r.C.Nodes); i++ {
-				n := r.C.Nodes[i]
-				for k := 0; k < 30; k++ {
-					n.InjectDiskLoad(30, 3600, nil)
-					n.InjectCPULoad(1, 3600, nil)
-				}
-			}
-		})
+		r.Eng.At(3, func() { r.Interfere(hotNodes) })
 		if avoid {
 			core.EnableHotSpotAvoidance(r.RM, r.FS)
 		}

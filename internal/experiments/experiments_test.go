@@ -179,7 +179,7 @@ func TestBuildReportRenders(t *testing.T) {
 		t.Skip("full report in -short mode")
 	}
 	var buf bytes.Buffer
-	doc := DefaultEnv().BuildReport()
+	doc := DefaultEnv().NewResults(false).BuildReport()
 	if err := doc.RenderHTML(&buf); err != nil {
 		t.Fatal(err)
 	}

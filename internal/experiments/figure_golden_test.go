@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"maps"
 	"os"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -14,7 +15,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/mapreduce"
-	"repro/internal/workload"
 )
 
 const figureGoldenPath = "testdata/figure_golden.json"
@@ -24,10 +24,10 @@ const figureGoldenPath = "testdata/figure_golden.json"
 // configuration), the single-run rows of Figs 10–12, Fig 13, the
 // multi-tenant pair of Figs 14–16, the §7 test-run counts, the
 // hot-spot, straggler, amortization, fault-recovery and tournament
-// extensions, and the job-stream row (JobStream(9, 30)) — as the
-// sha256 of their rows printed at full precision, for DefaultEnv, with
-// the arguments cmd/mrexperiments passes; and again, under "crash/",
-// with the crash spec armed, as `-run all -faults` runs them. A change anywhere on the
+// extensions, and the job-stream row — as the sha256 of their rows
+// printed at full precision, for DefaultEnv, with the arguments
+// Sections gives them; and again, under "crash/", with the crash spec
+// armed, as `-run all -faults` runs them. A change anywhere on the
 // tuner, config or simulation path that moves a figure shows up here
 // as a digest diff. Regenerate with `go test ./internal/experiments
 // -run TestPaperFiguresGolden -update` only when a behaviour change is
@@ -126,52 +126,36 @@ func (f *failedJobs) add(res mapreduce.Result) {
 	f.mu.Unlock()
 }
 
-// figureDigests runs every job-running section of `-run all` under e
-// and returns the sha256 of each section's rows, keyed by prefix and
-// section name, naming each section in failed while it runs. With a
-// fault spec armed it leaves out the tournament.
+// figureDigests walks Sections serially under e, computing the rows of
+// each section of `-run all` once, and returns the sha256 of each rows,
+// keyed by prefix and the rows' key, naming the rows in failed while
+// they run. With a fault spec armed it leaves out the tournament.
 func figureDigests(e Env, prefix string, failed *failedJobs) map[string]string {
-	type fig struct {
-		name string
-		rows func() string
-	}
-	figs := []fig{
-		{"fig4", func() string { return rowsText(e.Fig4()) }},
-		{"fig5", func() string { return rowsText(e.Fig5()) }},
-		{"fig6", func() string { return rowsText(e.Fig6()) }},
-		{"fig10", func() string { return rowsText(e.Fig10()) }},
-		{"fig11", func() string { return rowsText(e.Fig11()) }},
-		{"fig12", func() string { return rowsText(e.Fig12()) }},
-		{"jobstream", func() string { return rowsText([]JobStreamRow{e.JobStream(9, 30)}) }},
-		{"table3", func() string { return rowsText(e.Table3()) }},
-		{"fig13", func() string { return rowsText(e.Fig13()) }},
-		{"multitenant", func() string { return rowsText([]MultiTenantResult{e.MultiTenant()}) }},
-		{"testruns", func() string { return rowsText(e.TestRunCounts(workload.Terasort(20, 0, 0), 4)) }},
-		{"hotspot", func() string { return rowsText([]HotSpotRow{e.HotSpotStudy(4)}) }},
-		{"straggler", func() string { return rowsText([]StragglerRow{e.StragglerStudy(3)}) }},
-		{"amortization", func() string { return rowsText(e.Amortization(workload.Terasort(60, 0, 0), 8)) }},
-		{"faults", func() string { return rowsText(e.FaultRecovery()) }},
-	}
-	if e.FaultSpec == nil {
-		figs = append(figs, fig{"tournament", func() string { return rowsText(e.Tournament(DefaultTournamentSpec())) }})
-	}
-	got := make(map[string]string, len(figs))
-	for _, f := range figs {
+	got := make(map[string]string)
+	for _, s := range Sections() {
+		key := prefix + s.key()
+		if s.run == nil || got[key] != "" || s.NotInAll || e.FaultSpec != nil && s.ID == "tournament" {
+			continue
+		}
 		failed.mu.Lock()
-		failed.section = prefix + f.name
+		failed.section = key
 		failed.mu.Unlock()
-		sum := sha256.Sum256([]byte(f.rows()))
-		got[prefix+f.name] = hex.EncodeToString(sum[:])
+		sum := sha256.Sum256([]byte(rowsText(s.run(e, e.NewResults(false)))))
+		got[key] = hex.EncodeToString(sum[:])
 	}
 	return got
 }
 
-// rowsText prints figure rows one per line with every field at full
-// precision.
-func rowsText[T any](rows []T) string {
+// rowsText prints a section's rows, a slice or a single row, one row a
+// line with every field at full precision.
+func rowsText(rows any) string {
+	v := reflect.ValueOf(rows)
+	if v.Kind() != reflect.Slice {
+		v = reflect.ValueOf([]any{rows})
+	}
 	var b strings.Builder
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%+v\n", r)
+	for i := range v.Len() {
+		fmt.Fprintf(&b, "%+v\n", v.Index(i).Interface())
 	}
 	return b.String()
 }
